@@ -12,9 +12,8 @@
 //  A3. Combined parallelism (R>1 AND C>1) — the generalized executor
 //      runs both parallel variants at once, the natural next step the
 //      paper's §III-C sets up (removing both bottlenecks together).
-//  A4. Pipelined memtable flush — the paper pipelines only major
-//      compactions; this measures extending the idea to the memtable
-//      dump (Options::pipelined_flush).
+//  A4. (removed with the pipelined flush option: flushes share
+//      compaction's table writer; flush overlap returns with flush-as-a-job.)
 //  A6. Write amplification by compaction policy — overwrite-heavy fill
 //      under each Options::compaction_style; RESULT write_amp is
 //      bytes-written amplification: compaction output bytes / user
@@ -23,11 +22,6 @@
 //      max_subcompactions 1 vs 4 on a multi-stripe device must produce
 //      byte-identical scans, with the split measurably faster.
 #include "bench_common.h"
-
-#include "src/db/builder.h"
-#include "src/db/table_cache.h"
-#include "src/memtable/memtable.h"
-#include "src/version/version_edit.h"
 
 using namespace pipelsm;
 using namespace pipelsm::bench;
@@ -311,48 +305,6 @@ int main() {
     cfg.time_dilation = 8.0;
     CompactionRun run = RunWith(cfg, 4, true);
     std::printf("%-22s %14.1f\n", c.name, run.bandwidth_mib_s);
-  }
-  // ---- A4: pipelined memtable flush (extension beyond the paper) ----
-  // The paper pipelines only major compactions ("other operations ... are
-  // not pipelined by now"); this measures what pipelining the memtable
-  // dump adds, on a device where write time ~ block-building time.
-  std::printf("\nA4. memtable flush: sequential vs pipelined builder\n");
-  {
-    InternalKeyComparator icmp(BytewiseComparator());
-    DeviceProfile dev = DeviceProfile::Ssd();
-    dev.write_bw_bps = 120.0 * 1024 * 1024;
-    MemTable* mem = new MemTable(icmp);
-    mem->Ref();
-    const uint64_t entries = static_cast<uint64_t>(40000 * Scale());
-    WorkloadGenerator gen(entries, 16, 100, KeyOrder::kRandom);
-    for (uint64_t i = 0; i < entries; i++) {
-      mem->Add(i + 1, kTypeValue, gen.Key(i), gen.Value(i));
-    }
-    double seconds[2] = {1e9, 1e9};
-    for (int round = 0; round < 3; round++) {
-      for (int mode = 0; mode < 2; mode++) {
-        SimEnv env(dev);
-        env.CreateDir("/db");
-        TableOptions topt;
-        topt.comparator = &icmp;
-        TableCache cache("/db", topt, &env, 10);
-        FileMetaData meta;
-        meta.number = 1;
-        std::unique_ptr<Iterator> it(mem->NewIterator());
-        Stopwatch sw;
-        Status s = mode == 0 ? BuildTable("/db", &env, topt, &cache,
-                                          it.get(), &meta)
-                             : BuildTablePipelined("/db", &env, topt, &cache,
-                                                   it.get(), &meta);
-        if (!s.ok()) std::exit(1);
-        seconds[mode] = std::min(seconds[mode], sw.ElapsedSeconds());
-      }
-    }
-    mem->Unref();
-    std::printf("%-22s %10.1f ms\n", "sequential (BuildTable)",
-                seconds[0] * 1e3);
-    std::printf("%-22s %10.1f ms  (%.0f%% faster)\n", "pipelined",
-                seconds[1] * 1e3, 100.0 * (1 - seconds[1] / seconds[0]));
   }
 
   // ---- A6: write amplification by compaction policy ----

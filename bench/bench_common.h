@@ -108,7 +108,7 @@ inline CompactionRun RunCompaction(const CompactionBenchConfig& cfg) {
   CompactionJobOptions job;
   job.icmp = &icmp;
   job.subtask_bytes = cfg.subtask_bytes;
-  job.block_size = cfg.block_size;
+  job.table.block_size = cfg.block_size;
   job.max_output_file_size = cfg.max_output_file_size;
   job.read_parallelism = cfg.read_parallelism;
   job.compute_parallelism = cfg.compute_parallelism;

@@ -4,11 +4,7 @@
 #include <thread>
 
 #include "src/table/block.h"
-#include "src/table/block_builder.h"
-#include "src/table/filter_policy.h"
 #include "src/table/table.h"
-#include "src/util/coding.h"
-#include "src/util/crc32c.h"
 
 namespace pipelsm {
 
@@ -177,27 +173,6 @@ class ChainCursor {
   std::unique_ptr<Iterator> iter_;
 };
 
-// Finalizes one raw output block: S5 compress + S6 checksum trailer.
-void EncodeOutputBlock(const CompactionJobOptions& options, const Slice& raw,
-                       EncodedBlock* out, StepProfile* profile) {
-  std::string compressed;
-  Stopwatch sw;
-  const CompressionType type =
-      CompressBlock(options.compression, raw, &compressed);
-  profile->AddStep(kStepCompress, sw.ElapsedNanos(), raw.size());
-
-  sw.Restart();
-  out->payload = std::move(compressed);
-  char trailer[kBlockTrailerSize];
-  trailer[0] = static_cast<char>(type);
-  uint32_t crc = crc32c::Value(out->payload.data(), out->payload.size());
-  crc = crc32c::Extend(crc, trailer, 1);
-  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-  out->payload.append(trailer, kBlockTrailerSize);
-  profile->AddStep(kStepRechecksum, sw.ElapsedNanos(), out->payload.size());
-  out->raw_size = raw.size();
-}
-
 }  // namespace
 
 Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
@@ -255,7 +230,7 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
   }
 
   // ---- S4: SORT — k-way merge with shadowing/tombstone dropping. ----
-  // ---- S5/S6 run per output block inside EncodeOutputBlock. ----
+  // ---- S5/S6 run per output block inside BlockEncoder::Finish. ----
   {
     Stopwatch sort_sw;
     uint64_t sort_ns = 0;
@@ -268,37 +243,20 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
       }
     }
 
-    BlockBuilder builder(options.block_restart_interval);
-    std::string first_block_key;
-    std::string last_block_key;
-    uint64_t block_entries = 0;
-    std::vector<std::string> block_key_storage;  // for the filter policy
+    BlockEncoder encoder(options.table);
     std::string current_user_key;
     bool has_current_user_key = false;
     bool first_occurrence = true;  // no newer version of this key seen yet
     SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
 
     auto flush_block = [&]() {
-      if (builder.empty()) return;
+      if (encoder.empty()) return;
       // S4 time has been accumulating; pause it across S5/S6.
       sort_ns += sort_sw.ElapsedNanos();
       EncodedBlock eb;
-      Slice raw_block = builder.Finish();
-      eb.first_key = first_block_key;
-      eb.last_key = last_block_key;
-      eb.entries = block_entries;
-      if (options.filter_policy != nullptr && !block_key_storage.empty()) {
-        std::vector<Slice> keys(block_key_storage.begin(),
-                                block_key_storage.end());
-        options.filter_policy->CreateFilter(
-            keys.data(), keys.size(), &eb.filter);
-      }
-      block_key_storage.clear();
-      EncodeOutputBlock(options, raw_block, &eb, profile);
+      encoder.Finish(&eb, profile);
       out->output_raw_bytes += eb.raw_size;
       out->blocks.push_back(std::move(eb));
-      builder.Reset();
-      block_entries = 0;
       sort_sw.Restart();
     };
 
@@ -367,19 +325,11 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
         if (out->entries == 0) {
           out->smallest_key.assign(key.data(), key.size());
         }
-        if (builder.empty()) {
-          first_block_key.assign(key.data(), key.size());
-        }
-        builder.Add(key, best->value());
-        block_entries++;
-        if (options.filter_policy != nullptr) {
-          block_key_storage.emplace_back(key.data(), key.size());
-        }
-        last_block_key.assign(key.data(), key.size());
+        encoder.Add(key, best->value());
         out->largest_key.assign(key.data(), key.size());
         out->entries++;
         merged_bytes += key.size() + best->value().size();
-        if (builder.CurrentSizeEstimate() >= options.block_size) {
+        if (encoder.full()) {
           flush_block();
         }
       }

@@ -23,6 +23,7 @@
 #include "src/env/sim_device.h"
 #include "src/table/format.h"
 #include "src/table/table.h"
+#include "src/table/table_writer.h"
 #include "src/util/status.h"
 #include "src/util/stopwatch.h"
 
@@ -73,19 +74,8 @@ struct RawSubTask {
   std::vector<RawBlock> blocks;  // parallel to plan.blocks
 };
 
-// One output data block, fully encoded for S7: compressed payload,
-// 5-byte trailer (type + masked CRC), and the exact last internal key for
-// the index entry.
-struct EncodedBlock {
-  std::string payload;    // compressed bytes + trailer
-  std::string first_key;  // internal key of the block's first entry
-  std::string last_key;   // internal key of the block's final entry
-  std::string filter;     // per-block bloom filter (empty if no policy)
-  uint64_t raw_size = 0;
-  uint64_t entries = 0;
-};
-
-// S2..S6 output for one sub-task.
+// S2..S6 output for one sub-task. Its blocks (table_writer.h) carry
+// internal keys.
 struct ComputedSubTask {
   uint64_t seq = 0;
   std::vector<EncodedBlock> blocks;
@@ -130,10 +120,13 @@ struct CompactionJobOptions {
   // inputs x subtask_bytes.
   size_t subtask_bytes = 512 * 1024;
 
-  // Output block/table shape.
-  size_t block_size = 4 * 1024;
-  int block_restart_interval = 16;
-  CompressionType compression = CompressionType::kLzCompression;
+  // Output table shape: block size, restart interval, S5 codec, bloom
+  // filter policy and partition size (comparator and block_cache are not
+  // read). Flushes write with the same struct, so both produce one
+  // layout. The filter policy, when set, must be the same (wrapped)
+  // policy the table readers use; the compute stage builds one filter
+  // per output block, so S7 stays write-only.
+  TableOptions table;
   uint64_t max_output_file_size = 2 * 1024 * 1024;
 
   // Entries older than this sequence and shadowed by a newer entry are
@@ -155,15 +148,6 @@ struct CompactionJobOptions {
   bool range_unbounded_hi = true;
   std::string range_lo_user_key;
   std::string range_hi_user_key;
-
-  // Optional: per-block bloom filters for the output tables, created in
-  // the compute stage (so S7 stays write-only). Pass the same (wrapped)
-  // policy the table readers use. nullptr = no filter blocks.
-  const class FilterPolicy* filter_policy = nullptr;
-
-  // Target payload size of one bloom-filter partition in the output
-  // tables (docs/READ_PATH.md); mirror TableOptions::filter_partition_bytes.
-  size_t filter_partition_bytes = 4096;
 
   // Optional: invoked for every in-range entry the merge drops (hidden
   // by a newer entry or a droppable tombstone) with the entry's type and

@@ -47,7 +47,7 @@ Status WriteStage::WriteOrdered(ComputedSubTask& task) {
       uint64_t number;
       s = sink_->NewOutputFile(&number, &file_);
       if (!s.ok()) return s;
-      writer_.reset(new RawTableWriter(options_, file_.get()));
+      writer_.reset(new TableWriter(options_.table, file_.get()));
       current_ = OutputMeta{};
       current_.file_number = number;
       have_current_ = true;

@@ -7,8 +7,8 @@
 #include <map>
 #include <memory>
 
-#include "src/compaction/raw_table_writer.h"
 #include "src/compaction/types.h"
+#include "src/table/table_writer.h"
 
 namespace pipelsm {
 
@@ -42,7 +42,7 @@ class WriteStage {
   std::map<uint64_t, ComputedSubTask> pending_;
 
   std::unique_ptr<WritableFile> file_;
-  std::unique_ptr<RawTableWriter> writer_;
+  std::unique_ptr<TableWriter> writer_;
   OutputMeta current_;
   bool have_current_ = false;
   StepProfile profile_;

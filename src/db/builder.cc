@@ -1,17 +1,10 @@
 #include "src/db/builder.h"
 
-#include <thread>
-
-#include "src/compaction/raw_table_writer.h"
 #include "src/db/dbformat.h"
 #include "src/db/filename.h"
 #include "src/db/table_cache.h"
 #include "src/env/env.h"
-#include "src/table/block_builder.h"
-#include "src/table/filter_policy.h"
 #include "src/table/table_builder.h"
-#include "src/util/bounded_queue.h"
-#include "src/util/crc32c.h"
 #include "src/util/stopwatch.h"
 #include "src/version/version_edit.h"
 
@@ -24,11 +17,10 @@ namespace {
 class FlushEvents {
  public:
   FlushEvents(const obs::EventListeners* listeners, obs::FlushJobInfo* info,
-              const FileMetaData* meta, bool pipelined)
+              const FileMetaData* meta)
       : listeners_(listeners), info_(info), meta_(meta) {
     if (info_ == nullptr) return;
     info_->file_number = meta->number;
-    info_->pipelined = pipelined;
     if (listeners_ != nullptr) {
       for (obs::EventListener* l : *listeners_) l->OnFlushBegin(*info_);
     }
@@ -64,7 +56,7 @@ Status BuildTable(const std::string& dbname, Env* env,
   Status s;
   meta->file_size = 0;
   iter->SeekToFirst();
-  FlushEvents events(listeners, info, meta, /*pipelined=*/false);
+  FlushEvents events(listeners, info, meta);
   uint64_t entries = 0;
 
   std::string fname = TableFileName(dbname, meta->number);
@@ -87,8 +79,7 @@ Status BuildTable(const std::string& dbname, Env* env,
       meta->largest.DecodeFrom(key);
     }
 
-    // Finish and check for builder errors. A failed Finish() has already
-    // closed the builder, so Abandon() must not be called on top of it.
+    // Finish and check for builder errors.
     s = builder.Finish();
     if (s.ok()) {
       meta->file_size = builder.FileSize();
@@ -118,148 +109,6 @@ Status BuildTable(const std::string& dbname, Env* env,
   if (s.ok() && meta->file_size > 0) {
     // Keep it.
   } else {
-    env->RemoveFile(fname);
-  }
-  return events.Finish(s, entries);
-}
-
-
-Status BuildTablePipelined(const std::string& dbname, Env* env,
-                           const TableOptions& table_options,
-                           TableCache* table_cache, Iterator* iter,
-                           FileMetaData* meta, size_t queue_depth,
-                           const obs::EventListeners* listeners,
-                           obs::FlushJobInfo* info) {
-  meta->file_size = 0;
-  iter->SeekToFirst();
-  FlushEvents events(listeners, info, meta, /*pipelined=*/true);
-  uint64_t entries = 0;
-  const std::string fname = TableFileName(dbname, meta->number);
-  if (!iter->Valid()) {
-    return events.Finish(iter->status(), entries);
-  }
-
-  std::unique_ptr<WritableFile> file;
-  Status s = env->NewWritableFile(fname, &file);
-  if (!s.ok()) return events.Finish(s, entries);
-
-  // The write stage reuses the compaction machinery: a RawTableWriter
-  // consuming fully encoded blocks. Derive its job knobs from the table
-  // options.
-  CompactionJobOptions job;
-  job.block_size = table_options.block_size;
-  job.block_restart_interval = table_options.block_restart_interval;
-  job.compression = table_options.compression;
-  job.filter_policy = table_options.filter_policy;
-  job.filter_partition_bytes = table_options.filter_partition_bytes;
-
-  // Blocks travel in batches: a flush block is a single ~4 KB data block,
-  // so per-item queue handoffs would cost more than they overlap.
-  constexpr size_t kBlocksPerBatch = 16;
-  BoundedQueue<std::vector<EncodedBlock>> queue(
-      std::max<size_t>(1, queue_depth / kBlocksPerBatch + 1));
-  RawTableWriter writer(job, file.get());
-
-  // ---- stage write: consume encoded-block batches on a thread. ----
-  Status write_status;
-  std::thread writer_thread([&] {
-    for (;;) {
-      auto batch = queue.Pop();
-      if (!batch.has_value()) break;
-      for (EncodedBlock& block : *batch) {
-        Status ws = writer.AddBlock(block);
-        if (!ws.ok()) {
-          write_status = ws;
-          queue.Close();
-          return;
-        }
-      }
-    }
-  });
-
-  // ---- stage compute: build + compress + checksum on this thread. ----
-  BlockBuilder builder(table_options.block_restart_interval);
-  std::vector<std::string> block_keys;
-  std::vector<EncodedBlock> batch;
-  EncodedBlock current;
-  meta->smallest.DecodeFrom(iter->key());
-  std::string last_key;
-
-  auto flush_block = [&]() -> bool {
-    if (builder.empty()) return true;
-    EncodedBlock eb;
-    Slice raw = builder.Finish();
-    eb.first_key = current.first_key;
-    eb.last_key = last_key;
-    eb.entries = block_keys.empty() ? 0 : block_keys.size();
-    if (table_options.filter_policy != nullptr && !block_keys.empty()) {
-      std::vector<Slice> keys(block_keys.begin(), block_keys.end());
-      table_options.filter_policy->CreateFilter(keys.data(), keys.size(),
-                                                &eb.filter);
-    }
-    std::string compressed;
-    const CompressionType type =
-        CompressBlock(table_options.compression, raw, &compressed);
-    eb.payload = std::move(compressed);
-    char trailer[kBlockTrailerSize];
-    trailer[0] = static_cast<char>(type);
-    uint32_t crc = crc32c::Value(eb.payload.data(), eb.payload.size());
-    crc = crc32c::Extend(crc, trailer, 1);
-    EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-    eb.payload.append(trailer, kBlockTrailerSize);
-
-    builder.Reset();
-    block_keys.clear();
-    current = EncodedBlock{};
-    batch.push_back(std::move(eb));
-    if (batch.size() >= kBlocksPerBatch) {
-      std::vector<EncodedBlock> out;
-      out.swap(batch);
-      // Push fails only after the writer thread closed the queue on a
-      // write error; `out` is handed back and dropped here, and the real
-      // error surfaces through write_status below.
-      return queue.Push(std::move(out));
-    }
-    return true;
-  };
-
-  for (; iter->Valid(); iter->Next()) {
-    Slice key = iter->key();
-    if (builder.empty()) {
-      current.first_key.assign(key.data(), key.size());
-    }
-    builder.Add(key, iter->value());
-    entries++;
-    last_key.assign(key.data(), key.size());
-    if (table_options.filter_policy != nullptr) {
-      block_keys.emplace_back(key.data(), key.size());
-    }
-    if (builder.CurrentSizeEstimate() >= table_options.block_size) {
-      if (!flush_block()) break;  // queue closed: writer failed
-    }
-  }
-  flush_block();
-  if (!batch.empty()) {
-    // Same contract: a false return keeps `batch` alive; the tail blocks
-    // are intentionally abandoned because the writer already failed.
-    queue.Push(std::move(batch));
-  }
-  meta->largest.DecodeFrom(last_key);
-  queue.Close();
-  writer_thread.join();
-
-  if (s.ok()) s = write_status;
-  if (s.ok()) s = iter->status();
-  if (s.ok()) s = writer.Finish();
-  if (s.ok()) s = file->Sync();
-  if (s.ok()) s = file->Close();
-  if (s.ok()) {
-    meta->file_size = writer.FileSize();
-    std::shared_ptr<Table> table;
-    s = table_cache->GetTable(meta->number, meta->file_size, &table);
-  }
-
-  if (!s.ok() || meta->file_size == 0) {
     env->RemoveFile(fname);
   }
   return events.Finish(s, entries);

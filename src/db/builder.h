@@ -30,18 +30,4 @@ Status BuildTable(const std::string& dbname, Env* env,
                   const obs::EventListeners* listeners = nullptr,
                   obs::FlushJobInfo* info = nullptr);
 
-// Pipelined variant (extension beyond the paper, which notes that only
-// major compactions are pipelined "by now"): block building, compression
-// and checksumming run on the calling thread while a writer thread
-// streams finished blocks to the file — the same read/compute/write
-// overlap idea applied to the memtable dump. Produces a table with the
-// same contents (index separators are exact last keys, as in compaction
-// outputs). Enabled via Options::pipelined_flush.
-Status BuildTablePipelined(const std::string& dbname, Env* env,
-                           const TableOptions& table_options,
-                           TableCache* table_cache, Iterator* iter,
-                           FileMetaData* meta, size_t queue_depth = 4,
-                           const obs::EventListeners* listeners = nullptr,
-                           obs::FlushJobInfo* info = nullptr);
-
 }  // namespace pipelsm

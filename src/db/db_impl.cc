@@ -197,10 +197,9 @@ class DBImpl::EventLogger final : public obs::EventListener {
 
   void OnFlushBegin(const obs::FlushJobInfo& info) override {
     obs::Log(db_->info_log_,
-             "EVENT flush_begin job=%llu file=%llu pipelined=%d",
+             "EVENT flush_begin job=%llu file=%llu",
              static_cast<unsigned long long>(info.job_id),
-             static_cast<unsigned long long>(info.file_number),
-             info.pipelined ? 1 : 0);
+             static_cast<unsigned long long>(info.file_number));
   }
 
   void OnFlushCompleted(const obs::FlushJobInfo& info) override {
@@ -712,26 +711,13 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
     mutex_.unlock();
     uint32_t flush_pid = 0;
     if (trace_ != nullptr) {
-      flush_pid = trace_->BeginJob(
-          "flush #" + std::to_string(meta.number) +
-          (options_.pipelined_flush ? " (pipelined)" : ""));
+      flush_pid = trace_->BeginJob("flush #" + std::to_string(meta.number));
       trace_->SetLaneName(flush_pid, 0, "memtable dump");
     }
     obs::TraceSpan span(trace_.get(), flush_pid, 0, "flush memtable",
                         "flush");
-    if (options_.pipelined_flush) {
-      // Flush blocks are tiny (one data block each), so the inter-stage
-      // queue must be much deeper than a compaction's sub-task queue to
-      // amortize the per-item handoff.
-      s = BuildTablePipelined(dbname_, env_, table_options_,
-                              table_cache_.get(), iter.get(), &meta,
-                              std::max<size_t>(64,
-                                               options_.pipeline_queue_depth),
-                              &listeners_, &flush_info);
-    } else {
-      s = BuildTable(dbname_, env_, table_options_, table_cache_.get(),
-                     iter.get(), &meta, &listeners_, &flush_info);
-    }
+    s = BuildTable(dbname_, env_, table_options_, table_cache_.get(),
+                   iter.get(), &meta, &listeners_, &flush_info);
     mutex_.lock();
   }
   pending_outputs_.erase(meta.number);
@@ -1175,16 +1161,12 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   CompactionJobOptions job;
   job.icmp = &internal_comparator_;
   job.subtask_bytes = options_.subtask_bytes;
-  job.block_size = options_.block_size;
-  job.block_restart_interval = options_.block_restart_interval;
-  job.compression = options_.compression;
+  job.table = table_options_;
   job.max_output_file_size = c->MaxOutputFileSize();
   job.read_parallelism = decision.read_parallelism;
   job.compute_parallelism = decision.compute_parallelism;
   job.queue_depth = options_.pipeline_queue_depth;
   job.time_dilation = options_.compaction_time_dilation;
-  job.filter_policy = table_options_.filter_policy;
-  job.filter_partition_bytes = table_options_.filter_partition_bytes;
   job.metrics = &metrics_registry_;
   job.trace = trace_.get();
   if (vlog_ != nullptr) {

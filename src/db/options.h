@@ -218,12 +218,6 @@ struct Options {
   // this engine is one shard of a ShardedDB; -1 = not sharded.
   int shard_id = -1;
 
-  // Extension beyond the paper: pipeline memtable flushes too (block
-  // building/compression overlapped with file writes — the paper notes
-  // its system pipelines only major compactions "by now"). Off by
-  // default so the stock-LevelDB flush path stays the baseline.
-  bool pipelined_flush = false;
-
   // Verify block checksums (S2) on every read path.
   bool verify_checksums = true;
 

@@ -28,14 +28,12 @@
 
 namespace pipelsm::obs {
 
-// One memtable dump (minor compaction). Fired from BuildTable /
-// BuildTablePipelined: Begin before the first block is built (only
-// job_id / file_number / pipelined are meaningful), Completed after the
-// output file is finished and verified.
+// One memtable dump (minor compaction). Fired from BuildTable: Begin
+// before the first block is built (only job_id / file_number are
+// meaningful), Completed after the output file is finished and verified.
 struct FlushJobInfo {
   uint64_t job_id = 0;
   uint64_t file_number = 0;  // table file the memtable dumps into
-  bool pipelined = false;    // Options::pipelined_flush path
   uint64_t output_bytes = 0; // final file size (Completed only)
   uint64_t entries = 0;      // internal keys written (Completed only)
   uint64_t micros = 0;       // wall time of the dump (Completed only)

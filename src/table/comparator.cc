@@ -11,42 +11,6 @@ class BytewiseComparatorImpl final : public Comparator {
   int Compare(const Slice& a, const Slice& b) const override {
     return a.compare(b);
   }
-
-  void FindShortestSeparator(std::string* start,
-                             const Slice& limit) const override {
-    // Find length of common prefix.
-    size_t min_length = std::min(start->size(), limit.size());
-    size_t diff_index = 0;
-    while ((diff_index < min_length) &&
-           ((*start)[diff_index] == limit[diff_index])) {
-      diff_index++;
-    }
-
-    if (diff_index >= min_length) {
-      // One is a prefix of the other; do not shorten.
-      return;
-    }
-    uint8_t diff_byte = static_cast<uint8_t>((*start)[diff_index]);
-    if (diff_byte < 0xff &&
-        diff_byte + 1 < static_cast<uint8_t>(limit[diff_index])) {
-      (*start)[diff_index]++;
-      start->resize(diff_index + 1);
-    }
-  }
-
-  void FindShortSuccessor(std::string* key) const override {
-    // Find first byte that can be incremented.
-    size_t n = key->size();
-    for (size_t i = 0; i < n; i++) {
-      const uint8_t byte = (*key)[i];
-      if (byte != 0xff) {
-        (*key)[i] = byte + 1;
-        key->resize(i + 1);
-        return;
-      }
-    }
-    // *key is a run of 0xffs.  Leave it alone.
-  }
 };
 
 }  // namespace

@@ -1,8 +1,5 @@
-// Comparator: total order over keys, plus the two key-shortening hooks the
-// table format uses to keep index blocks small.
+// Comparator: total order over keys.
 #pragma once
-
-#include <string>
 
 #include "src/util/slice.h"
 
@@ -18,14 +15,6 @@ class Comparator {
   // Name of the comparator; persisted implicitly via file formats that
   // depend on the ordering. Changing the order under a name corrupts data.
   virtual const char* Name() const = 0;
-
-  // If *start < limit, change *start to a short string in [start,limit).
-  // Used to pick short index-block separators.
-  virtual void FindShortestSeparator(std::string* start,
-                                     const Slice& limit) const = 0;
-
-  // Change *key to a short string >= *key.
-  virtual void FindShortSuccessor(std::string* key) const = 0;
 };
 
 // Lexicographic byte order. Singleton; never deleted.

@@ -14,29 +14,28 @@ static const size_t kFilterBase = 1 << kFilterBaseLg;
 static const size_t kFilterTailBytes = 9;
 static const size_t kFilterIndexEntryBytes = 16;
 
-FilterBlockBuilder::FilterBlockBuilder(const FilterPolicy* policy,
-                                       size_t partition_bytes)
-    : policy_(policy),
-      partition_bytes_(partition_bytes == 0 ? kDefaultFilterPartitionBytes
+// Every bit set, k = 1: the bloom policy's "may match" for any key.
+static const char kMatchAll[] = {'\xff', '\xff', '\xff', '\xff', 1};
+
+FilterBlockBuilder::FilterBlockBuilder(size_t partition_bytes)
+    : partition_bytes_(partition_bytes == 0 ? kDefaultFilterPartitionBytes
                                             : partition_bytes) {}
 
-void FilterBlockBuilder::StartBlock(uint64_t block_offset) {
-  uint64_t filter_index = (block_offset / kFilterBase);
-  assert(filter_index >= next_window_);
-  while (filter_index > next_window_) {
-    GenerateFilter();
+void FilterBlockBuilder::AddBlockFilter(uint64_t block_offset,
+                                        const Slice& filter) {
+  const uint64_t window = block_offset / kFilterBase;
+  assert(window >= next_window_);
+  while (window > next_window_) {
+    EmitWindow();
+  }
+  if (open_blocks_++ == 0) {
+    open_filter_.assign(filter.data(), filter.size());
   }
 }
 
-void FilterBlockBuilder::AddKey(const Slice& key) {
-  Slice k = key;
-  start_.push_back(keys_.size());
-  keys_.append(k.data(), k.size());
-}
-
 Slice FilterBlockBuilder::Finish() {
-  if (!start_.empty()) {
-    GenerateFilter();
+  if (open_blocks_ > 0) {
+    EmitWindow();
   }
   SealPartition();
 
@@ -53,25 +52,17 @@ Slice FilterBlockBuilder::Finish() {
   return Slice(result_);
 }
 
-void FilterBlockBuilder::GenerateFilter() {
+void FilterBlockBuilder::EmitWindow() {
   partition_offsets_.push_back(static_cast<uint32_t>(partition_data_.size()));
   next_window_++;
-
-  const size_t num_keys = start_.size();
-  if (num_keys != 0) {
-    // Make list of keys from flattened key structure.
-    start_.push_back(keys_.size());  // Simplify length computation
-    tmp_keys_.resize(num_keys);
-    for (size_t i = 0; i < num_keys; i++) {
-      const char* base = keys_.data() + start_[i];
-      size_t length = start_[i + 1] - start_[i];
-      tmp_keys_[i] = Slice(base, length);
-    }
-    policy_->CreateFilter(tmp_keys_.data(), num_keys, &partition_data_);
-    tmp_keys_.clear();
-    keys_.clear();
-    start_.clear();
+  // No block: an empty filter, which no probe reaches. One block: its
+  // filter. More: match-all (see the class comment).
+  if (open_blocks_ == 1 && !open_filter_.empty()) {
+    partition_data_.append(open_filter_);
+  } else if (open_blocks_ > 0) {
+    partition_data_.append(kMatchAll, sizeof(kMatchAll));
   }
+  open_blocks_ = 0;
 
   if (partition_data_.size() >= partition_bytes_) {
     SealPartition();

@@ -48,33 +48,48 @@ struct FilterPartitionInfo {
   uint32_t size = 0;    // partition size including offsets + crc
 };
 
+// Assembles the filter block from one prebuilt filter per data block, so
+// the writer never touches keys (BlockEncoder in table_writer.h builds
+// the filters).
+//
+// Window w carries the filter of the block starting inside it. A
+// compressed block can be shorter than a window, so two blocks may start
+// in one window; their filters cannot be merged (bloom arrays of
+// different sizes), and either alone would give the other block false
+// negatives, so such a window gets a small match-all filter instead. The
+// shared window loses its read-skipping benefit, never correctness.
 class FilterBlockBuilder {
  public:
-  explicit FilterBlockBuilder(const FilterPolicy* policy,
-                              size_t partition_bytes =
+  explicit FilterBlockBuilder(size_t partition_bytes =
                                   kDefaultFilterPartitionBytes);
 
   FilterBlockBuilder(const FilterBlockBuilder&) = delete;
   FilterBlockBuilder& operator=(const FilterBlockBuilder&) = delete;
 
-  void StartBlock(uint64_t block_offset);
-  void AddKey(const Slice& key);
+  // `filter` covers the keys of the data block at `block_offset`.
+  // REQUIRES: offsets ascend across calls. An empty filter answers
+  // may-match, as does a shared window.
+  void AddBlockFilter(uint64_t block_offset, const Slice& filter);
+
+  // The whole filter block; valid until *this is destroyed.
   Slice Finish();
 
  private:
-  void GenerateFilter();
+  // Closes the open window and moves on to the next one.
+  void EmitWindow();
   void SealPartition();
 
-  const FilterPolicy* policy_;
   const size_t partition_bytes_;
-  std::string keys_;             // Flattened key contents
-  std::vector<size_t> start_;    // Starting index in keys_ of each key
-  std::vector<Slice> tmp_keys_;  // policy_->CreateFilter() argument
+
+  // The open window (index next_window_): how many blocks start in it,
+  // and the filter of the first.
+  uint64_t next_window_ = 0;
+  int open_blocks_ = 0;
+  std::string open_filter_;
 
   std::string partition_data_;   // filters of the partition being built
   std::vector<uint32_t> partition_offsets_;  // per-window filter starts
   uint32_t partition_first_window_ = 0;
-  uint64_t next_window_ = 0;     // next window index to generate
 
   std::string result_;           // sealed partitions + (at Finish) index
   std::vector<FilterPartitionInfo> partitions_;

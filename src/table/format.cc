@@ -59,6 +59,15 @@ Status Footer::DecodeFrom(Slice* input) {
   return result;
 }
 
+void AppendBlockTrailer(CompressionType type, std::string* block) {
+  char trailer[kBlockTrailerSize];
+  trailer[0] = static_cast<char>(type);
+  uint32_t crc = crc32c::Value(block->data(), block->size());
+  crc = crc32c::Extend(crc, trailer, 1);  // the CRC covers the type byte
+  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+  block->append(trailer, kBlockTrailerSize);
+}
+
 Status ReadRawBlock(RandomAccessFile* file, const BlockHandle& handle,
                     RawBlock* out) {
   const size_t n = static_cast<size_t>(handle.size());

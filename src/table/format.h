@@ -68,6 +68,11 @@ constexpr uint64_t kTableMagicNumber = 0x70697065'6c736d31ull;  // "pipelsm1"
 // 1-byte compression type + 4-byte masked crc32c.
 constexpr size_t kBlockTrailerSize = 5;
 
+// S6: appends the trailer for a block already encoded as `type` (the
+// CompressBlock result) to *block. Every block of every table gets its
+// trailer here.
+void AppendBlockTrailer(CompressionType type, std::string* block);
+
 struct BlockContents {
   Slice data;            // actual contents of the block
   bool cachable;         // true iff data is heap-allocated

@@ -15,10 +15,34 @@
 
 namespace pipelsm {
 
+namespace {
+
+// Handles come from the file itself (the footer has no checksum), so one
+// that points outside the file is Corruption, found before a read sizes a
+// buffer from it.
+Status CheckExtent(uint64_t offset, uint64_t size, uint64_t file_size) {
+  if (size > file_size || offset > file_size - size) {
+    return Status::Corruption("block handle points outside the file");
+  }
+  return Status::OK();
+}
+
+// A block's stored extent is its payload plus the trailer.
+Status CheckBlock(const BlockHandle& handle, uint64_t file_size) {
+  const uint64_t stored = handle.size() + kBlockTrailerSize;
+  if (stored < handle.size()) {
+    return Status::Corruption("block handle points outside the file");
+  }
+  return CheckExtent(handle.offset(), stored, file_size);
+}
+
+}  // namespace
+
 struct Table::Rep {
   TableOptions options;
   Status status;
   std::unique_ptr<RandomAccessFile> file;
+  uint64_t file_size = 0;
   uint64_t cache_id = 0;
 
   // Partitioned filter: only the top-level index lives in memory;
@@ -63,6 +87,8 @@ Status Table::Open(const TableOptions& options,
 
   Footer footer;
   s = footer.DecodeFrom(&footer_input);
+  if (s.ok()) s = CheckBlock(footer.metaindex_handle(), size);
+  if (s.ok()) s = CheckBlock(footer.index_handle(), size);
   if (!s.ok()) return s;
 
   // Read the index block.
@@ -74,26 +100,28 @@ Status Table::Open(const TableOptions& options,
   auto* rep = new Rep;
   rep->options = options;
   rep->file = std::move(file);
+  rep->file_size = size;
   rep->metaindex_handle = footer.metaindex_handle();
   rep->index_block.reset(new Block(index_block_contents));
   rep->cache_id =
       options.block_cache != nullptr ? options.block_cache->NewId() : 0;
   table->reset(new Table(rep));
-  (*table)->ReadMeta(footer);
-  return Status::OK();
+  s = (*table)->ReadMeta(footer);
+  if (!s.ok()) table->reset();
+  return s;
 }
 
-void Table::ReadMeta(const Footer& footer) {
+Status Table::ReadMeta(const Footer& footer) {
   if (rep_->options.filter_policy == nullptr) {
-    return;  // Do not need any metadata
+    return Status::OK();  // Do not need any metadata
   }
 
   BlockContents contents;
   if (!ReadBlock(rep_->file.get(), footer.metaindex_handle(),
                  rep_->options.verify_checksums, &contents)
            .ok()) {
-    // Do not propagate errors since meta info is not needed for operation.
-    return;
+    // The filter is optional: without it every probe may match.
+    return Status::OK();
   }
   Block meta(contents);
 
@@ -102,23 +130,25 @@ void Table::ReadMeta(const Footer& footer) {
   key.append(rep_->options.filter_policy->Name());
   iter->Seek(key);
   if (iter->Valid() && iter->key() == Slice(key)) {
-    ReadFilter(iter->value());
+    return ReadFilter(iter->value());
   }
+  return Status::OK();
 }
 
-void Table::ReadFilter(const Slice& filter_handle_value) {
+Status Table::ReadFilter(const Slice& filter_handle_value) {
   Slice v = filter_handle_value;
   BlockHandle filter_handle;
-  if (!filter_handle.DecodeFrom(&v).ok()) {
-    return;
-  }
+  Status s = filter_handle.DecodeFrom(&v);
+  if (s.ok()) s = CheckBlock(filter_handle, rep_->file_size);
+  if (!s.ok()) return s;
 
   // Read only the trailing tail + top index; partitions stay on disk
   // until a probe needs them. The filter block is written uncompressed
-  // (see TableBuilder::Finish), so partial raw reads are valid.
+  // (see TableWriter::Finish), so partial raw reads are valid. A tail
+  // that fails to load or parse leaves the table without a filter.
   const uint64_t block_size = filter_handle.size();
   constexpr uint64_t kTailBytes = 9;  // index offset + count + base_lg
-  if (block_size < kTailBytes) return;
+  if (block_size < kTailBytes) return Status::OK();
   char tail_space[kTailBytes];
   Slice tail;
   if (!rep_->file
@@ -126,11 +156,11 @@ void Table::ReadFilter(const Slice& filter_handle_value) {
                   kTailBytes, &tail, tail_space)
            .ok() ||
       tail.size() != kTailBytes) {
-    return;
+    return Status::OK();
   }
   const uint64_t num_partitions = DecodeFixed32(tail.data() + 4);
   const uint64_t index_bytes = num_partitions * 16;
-  if (index_bytes + kTailBytes > block_size) return;
+  if (index_bytes + kTailBytes > block_size) return Status::OK();
   std::string index_buf;
   index_buf.resize(index_bytes + kTailBytes);
   Slice index_region;
@@ -139,11 +169,13 @@ void Table::ReadFilter(const Slice& filter_handle_value) {
                       index_bytes,
                   index_bytes + kTailBytes, &index_region, index_buf.data())
            .ok()) {
-    return;
+    return Status::OK();
   }
-  if (!rep_->filter_index.ParseTail(index_region, block_size)) return;
-  rep_->filter_handle = filter_handle;
-  rep_->has_filter = true;
+  if (rep_->filter_index.ParseTail(index_region, block_size)) {
+    rep_->filter_handle = filter_handle;
+    rep_->has_filter = true;
+  }
+  return Status::OK();
 }
 
 // Consults the partitioned filter for `block_offset`, loading the
@@ -205,6 +237,7 @@ Iterator* Table::ReadBlockIterator(const TableReadOptions& read_options,
   Slice input = index_value;
   BlockHandle handle;
   Status s = handle.DecodeFrom(&input);
+  if (s.ok()) s = CheckBlock(handle, rep_->file_size);
   if (!s.ok()) {
     return NewErrorIterator(s);
   }
@@ -253,14 +286,18 @@ Iterator* Table::NewIndexIterator() const {
 }
 
 Status Table::ReadRaw(const BlockHandle& handle, RawBlock* out) const {
+  Status s = CheckBlock(handle, rep_->file_size);
+  if (!s.ok()) return s;
   return ReadRawBlock(rep_->file.get(), handle, out);
 }
 
 Status Table::ReadExtent(uint64_t offset, uint64_t size,
                          std::string* out) const {
+  Status s = CheckExtent(offset, size, rep_->file_size);
+  if (!s.ok()) return s;
   out->resize(size);
   Slice contents;
-  Status s = rep_->file->Read(offset, size, &contents, out->data());
+  s = rep_->file->Read(offset, size, &contents, out->data());
   if (!s.ok()) return s;
   if (contents.size() != size) {
     return Status::Corruption("truncated extent read");

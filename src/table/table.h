@@ -20,7 +20,9 @@ class Footer;
 class Table {
  public:
   // Opens the table stored in file[0..file_size). On success *table owns
-  // the reader (and keeps using *file, whose ownership it takes).
+  // the reader (and keeps using *file, whose ownership it takes). A
+  // footer, index, metaindex or filter handle that points outside the
+  // file is Corruption; so is any later read through one.
   static Status Open(const TableOptions& options,
                      std::unique_ptr<RandomAccessFile> file,
                      uint64_t file_size, std::unique_ptr<Table>* table);
@@ -68,8 +70,10 @@ class Table {
 
   Iterator* ReadBlockIterator(const TableReadOptions& read_options,
                               const Slice& index_value) const;
-  void ReadMeta(const Footer& footer);
-  void ReadFilter(const Slice& filter_handle_value);
+  // Load the filter index. A filter handle outside the file is
+  // Corruption; any other failure leaves the table without a filter.
+  Status ReadMeta(const Footer& footer);
+  Status ReadFilter(const Slice& filter_handle_value);
   bool FilterKeyMayMatch(const TableReadOptions& read_options,
                          uint64_t block_offset, const Slice& key) const;
 

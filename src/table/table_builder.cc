@@ -1,206 +1,25 @@
 #include "src/table/table_builder.h"
 
-#include <cassert>
-
-#include "src/table/block_builder.h"
-#include "src/table/filter_block.h"
-#include "src/table/filter_policy.h"
-#include "src/table/format.h"
-#include "src/util/coding.h"
-#include "src/util/crc32c.h"
-
 namespace pipelsm {
 
-struct TableBuilder::Rep {
-  Rep(const TableOptions& opt, WritableFile* f)
-      : options(opt),
-        file(f),
-        data_block(opt.block_restart_interval),
-        index_block(1),
-        num_entries(0),
-        closed(false),
-        filter_block(opt.filter_policy == nullptr
-                         ? nullptr
-                         : new FilterBlockBuilder(opt.filter_policy,
-                                                  opt.filter_partition_bytes)),
-        pending_index_entry(false) {}
-
-  TableOptions options;
-  WritableFile* file;
-  uint64_t offset = 0;
-  Status status;
-  BlockBuilder data_block;
-  BlockBuilder index_block;
-  std::string last_key;
-  uint64_t num_entries;
-  bool closed;  // Either Finish() or Abandon() has been called.
-  std::unique_ptr<FilterBlockBuilder> filter_block;
-
-  // Index entries are deferred until the first key of the next block is
-  // seen, so a shortened separator key can be used.
-  bool pending_index_entry;
-  BlockHandle pending_handle;
-
-  std::string compressed_output;
-};
-
 TableBuilder::TableBuilder(const TableOptions& options, WritableFile* file)
-    : rep_(new Rep(options, file)) {
-  if (rep_->filter_block != nullptr) {
-    rep_->filter_block->StartBlock(0);
-  }
-}
-
-TableBuilder::~TableBuilder() {
-  assert(rep_->closed);  // Catch forgotten Finish()/Abandon()
-}
+    : encoder_(options), writer_(options, file) {}
 
 void TableBuilder::Add(const Slice& key, const Slice& value) {
-  Rep* r = rep_.get();
-  assert(!r->closed);
-  if (!ok()) return;
-  if (r->num_entries > 0) {
-    assert(r->options.comparator->Compare(key, Slice(r->last_key)) > 0);
-  }
-
-  if (r->pending_index_entry) {
-    assert(r->data_block.empty());
-    r->options.comparator->FindShortestSeparator(&r->last_key, key);
-    std::string handle_encoding;
-    r->pending_handle.EncodeTo(&handle_encoding);
-    r->index_block.Add(r->last_key, Slice(handle_encoding));
-    r->pending_index_entry = false;
-  }
-
-  if (r->filter_block != nullptr) {
-    r->filter_block->AddKey(key);
-  }
-
-  r->last_key.assign(key.data(), key.size());
-  r->num_entries++;
-  r->data_block.Add(key, value);
-
-  const size_t estimated_block_size = r->data_block.CurrentSizeEstimate();
-  if (estimated_block_size >= r->options.block_size) {
-    Flush();
-  }
+  if (!status_.ok()) return;
+  encoder_.Add(key, value);
+  if (encoder_.full()) WriteBlock();
 }
 
-void TableBuilder::Flush() {
-  Rep* r = rep_.get();
-  assert(!r->closed);
-  if (!ok()) return;
-  if (r->data_block.empty()) return;
-  assert(!r->pending_index_entry);
-  WriteBlock(&r->data_block, &r->pending_handle);
-  if (ok()) {
-    r->pending_index_entry = true;
-    r->status = r->file->Flush();
-  }
-  if (r->filter_block != nullptr) {
-    r->filter_block->StartBlock(r->offset);
-  }
+void TableBuilder::WriteBlock() {
+  encoder_.Finish(&block_);
+  status_ = writer_.AddBlock(block_);
 }
-
-void TableBuilder::WriteBlock(BlockBuilder* block, BlockHandle* handle) {
-  // File format contains a sequence of blocks where each block has:
-  //    block_data: uint8[n]
-  //    type: uint8
-  //    crc: uint32
-  assert(ok());
-  Rep* r = rep_.get();
-  Slice raw = block->Finish();
-
-  const CompressionType type =
-      CompressBlock(r->options.compression, raw, &r->compressed_output);
-  WriteRawBlock(Slice(r->compressed_output), type, handle);
-  r->compressed_output.clear();
-  block->Reset();
-}
-
-void TableBuilder::WriteRawBlock(const Slice& block_contents,
-                                 CompressionType type, BlockHandle* handle) {
-  Rep* r = rep_.get();
-  handle->set_offset(r->offset);
-  handle->set_size(block_contents.size());
-  r->status = r->file->Append(block_contents);
-  if (r->status.ok()) {
-    char trailer[kBlockTrailerSize];
-    trailer[0] = static_cast<char>(type);
-    uint32_t crc = crc32c::Value(block_contents.data(), block_contents.size());
-    crc = crc32c::Extend(crc, trailer, 1);  // Extend crc to cover block type
-    EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-    r->status = r->file->Append(Slice(trailer, kBlockTrailerSize));
-    if (r->status.ok()) {
-      r->offset += block_contents.size() + kBlockTrailerSize;
-    }
-  }
-}
-
-Status TableBuilder::status() const { return rep_->status; }
 
 Status TableBuilder::Finish() {
-  Rep* r = rep_.get();
-  Flush();
-  assert(!r->closed);
-  r->closed = true;
-
-  BlockHandle filter_block_handle, metaindex_block_handle, index_block_handle;
-
-  // Write filter block.
-  if (ok() && r->filter_block != nullptr) {
-    WriteRawBlock(r->filter_block->Finish(), CompressionType::kNoCompression,
-                  &filter_block_handle);
-  }
-
-  // Write metaindex block.
-  if (ok()) {
-    BlockBuilder meta_index_block(r->options.block_restart_interval);
-    if (r->filter_block != nullptr) {
-      std::string key = "filter.";
-      key.append(r->options.filter_policy->Name());
-      std::string handle_encoding;
-      filter_block_handle.EncodeTo(&handle_encoding);
-      meta_index_block.Add(key, handle_encoding);
-    }
-    WriteBlock(&meta_index_block, &metaindex_block_handle);
-  }
-
-  // Write index block.
-  if (ok()) {
-    if (r->pending_index_entry) {
-      r->options.comparator->FindShortSuccessor(&r->last_key);
-      std::string handle_encoding;
-      r->pending_handle.EncodeTo(&handle_encoding);
-      r->index_block.Add(r->last_key, Slice(handle_encoding));
-      r->pending_index_entry = false;
-    }
-    WriteBlock(&r->index_block, &index_block_handle);
-  }
-
-  // Write footer.
-  if (ok()) {
-    Footer footer;
-    footer.set_metaindex_handle(metaindex_block_handle);
-    footer.set_index_handle(index_block_handle);
-    std::string footer_encoding;
-    footer.EncodeTo(&footer_encoding);
-    r->status = r->file->Append(footer_encoding);
-    if (r->status.ok()) {
-      r->offset += footer_encoding.size();
-    }
-  }
-  return r->status;
+  if (status_.ok() && !encoder_.empty()) WriteBlock();
+  if (status_.ok()) status_ = writer_.Finish();
+  return status_;
 }
-
-void TableBuilder::Abandon() {
-  Rep* r = rep_.get();
-  assert(!r->closed);
-  r->closed = true;
-}
-
-uint64_t TableBuilder::NumEntries() const { return rep_->num_entries; }
-
-uint64_t TableBuilder::FileSize() const { return rep_->offset; }
 
 }  // namespace pipelsm

@@ -1,16 +1,17 @@
 // TableBuilder: streams sorted key/value pairs into one SSTable file.
 //
-// Data blocks are cut at TableOptions::block_size (uncompressed), each one
-// compressed (S5), checksummed (S6) and appended (S7); the index block maps
-// a shortened separator key to each data block's handle, exactly the
-// SSTable layout in Figure 1(b) of the paper.
+// A thin front end over the one write path (table_writer.h): entries are
+// cut into data blocks at TableOptions::block_size (uncompressed), each
+// block is encoded (filter, S5 compress, S6 checksum) and appended (S7),
+// and the index maps each block's exact last key to its handle, exactly
+// as compaction writes its outputs.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "src/env/env.h"
 #include "src/table/table_options.h"
+#include "src/table/table_writer.h"
 #include "src/util/slice.h"
 #include "src/util/status.h"
 
@@ -21,38 +22,27 @@ class TableBuilder {
   // Writes to *file, which must outlive the builder and remain unwritten by
   // anyone else. Does not close the file.
   TableBuilder(const TableOptions& options, WritableFile* file);
-  ~TableBuilder();
 
   TableBuilder(const TableBuilder&) = delete;
   TableBuilder& operator=(const TableBuilder&) = delete;
 
-  // REQUIRES: key is after any previously added key; !Finish/Abandon yet.
+  // REQUIRES: key is after any previously added key; Finish() not called.
+  // A write error is kept and returned by Finish().
   void Add(const Slice& key, const Slice& value);
-
-  // Flush any buffered key/value pairs to file (advanced: lets callers cut
-  // a block early, e.g. at sub-task boundaries).
-  void Flush();
-
-  Status status() const;
 
   // Finish building the table (writes filter, metaindex, index, footer).
   Status Finish();
 
-  // Abandon the buffered contents (file cleanup is the caller's job).
-  void Abandon();
-
-  uint64_t NumEntries() const;
   // Size of the file generated so far; after Finish(), the final size.
-  uint64_t FileSize() const;
+  uint64_t FileSize() const { return writer_.FileSize(); }
 
  private:
-  struct Rep;
-  void WriteBlock(class BlockBuilder* block, class BlockHandle* handle);
-  void WriteRawBlock(const Slice& data, CompressionType type,
-                     class BlockHandle* handle);
-  bool ok() const { return status().ok(); }
+  void WriteBlock();
 
-  std::unique_ptr<Rep> rep_;
+  BlockEncoder encoder_;
+  TableWriter writer_;
+  EncodedBlock block_;  // reused across blocks
+  Status status_;
 };
 
 }  // namespace pipelsm

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "src/compaction/types.h"
 #include "src/env/sim_env.h"
+#include "src/table/filter_policy.h"
 #include "src/table/table_builder.h"
 #include "src/workload/table_gen.h"
 
@@ -39,7 +41,7 @@ class ExecutorTest : public ::testing::TestWithParam<ExecParams> {
     CompactionJobOptions job;
     job.icmp = &icmp_;
     job.subtask_bytes = 64 << 10;
-    job.block_size = 4 << 10;
+    job.table.block_size = 4 << 10;
     job.max_output_file_size = 256 << 10;
     job.read_parallelism = GetParam().read_parallelism;
     job.compute_parallelism = GetParam().compute_parallelism;
@@ -340,6 +342,69 @@ TEST(ExecutorEquivalence, AllModesProduceIdenticalOutput) {
   EXPECT_EQ(scp, run(CompactionMode::kPCP, 1, 1));
   EXPECT_EQ(scp, run(CompactionMode::kSPPCP, 3, 1));
   EXPECT_EQ(scp, run(CompactionMode::kCPPCP, 1, 3));
+}
+
+// One write path: a table written by TableBuilder, compacted alone by SCP
+// in one sub-task with no rotation, comes back as the same bytes. Both
+// writers cut blocks at the same points, index each block by its exact
+// last key and build one filter per block.
+TEST(ExecutorEquivalence, CompactedTableMatchesBuiltTableByteForByte) {
+  SimEnv env;
+  InternalKeyComparator icmp(BytewiseComparator());
+  std::unique_ptr<const FilterPolicy> bloom(NewBloomFilterPolicy(10));
+  InternalFilterPolicy policy(bloom.get());
+  TableOptions topt;
+  topt.comparator = &icmp;
+  topt.filter_policy = &policy;
+
+  const uint64_t kEntries = 3000;
+  WorkloadGenerator gen(kEntries, 16, 100, KeyOrder::kSequential);
+  {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env.NewWritableFile("/built.pst", &file).ok());
+    TableBuilder builder(topt, file.get());
+    for (uint64_t i = 0; i < kEntries; i++) {
+      std::string ikey;
+      AppendInternalKey(&ikey,
+                        ParsedInternalKey(gen.Key(i), i + 1, kTypeValue));
+      builder.Add(ikey, gen.Value(i));
+    }
+    ASSERT_TRUE(builder.Finish().ok());
+    ASSERT_TRUE(file->Close().ok());
+  }
+  std::string built;
+  ASSERT_TRUE(ReadFileToString(&env, "/built.pst", &built).ok());
+  std::unique_ptr<RandomAccessFile> raf;
+  ASSERT_TRUE(env.NewRandomAccessFile("/built.pst", &raf).ok());
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(Table::Open(topt, std::move(raf), built.size(), &table).ok());
+
+  CompactionJobOptions job;
+  job.icmp = &icmp;
+  job.table = topt;
+  job.subtask_bytes = 2 * built.size();         // one sub-task
+  job.max_output_file_size = 2 * built.size();  // no rotation
+  CountingSink sink(&env, "/out");
+  StepProfile profile;
+  ASSERT_TRUE(NewCompactionExecutor(CompactionMode::kSCP)
+                  ->Run(job, {std::shared_ptr<Table>(table.release())}, &sink,
+                        &profile)
+                  .ok());
+  ASSERT_EQ(1u, sink.outputs().size());
+  std::string compacted;
+  ASSERT_TRUE(ReadFileToString(
+                  &env,
+                  "/out/out-" + std::to_string(sink.outputs()[0].file_number) +
+                      ".pst",
+                  &compacted)
+                  .ok());
+
+  ASSERT_EQ(built.size(), compacted.size());
+  const auto diff =
+      std::mismatch(built.begin(), built.end(), compacted.begin());
+  EXPECT_TRUE(diff.first == built.end())
+      << "first differing byte at offset " << (diff.first - built.begin())
+      << " of " << built.size();
 }
 
 }  // namespace

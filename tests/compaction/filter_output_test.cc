@@ -36,7 +36,7 @@ TEST_P(FilterOutputTest, AbsentKeyProbesSkipDataBlocks) {
   CompactionJobOptions job;
   job.icmp = &icmp_;
   job.subtask_bytes = 32 << 10;
-  job.filter_policy = &internal_policy_;
+  job.table.filter_policy = &internal_policy_;
   job.read_parallelism = GetParam() == CompactionMode::kSPPCP ? 2 : 1;
   job.compute_parallelism = GetParam() == CompactionMode::kCPPCP ? 2 : 1;
 

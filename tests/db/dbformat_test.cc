@@ -11,18 +11,6 @@ std::string IKey(const std::string& user_key, uint64_t seq, ValueType vt) {
   return encoded;
 }
 
-std::string Shorten(const std::string& s, const std::string& l) {
-  std::string result = s;
-  InternalKeyComparator(BytewiseComparator()).FindShortestSeparator(&result, l);
-  return result;
-}
-
-std::string ShortSuccessor(const std::string& s) {
-  std::string result = s;
-  InternalKeyComparator(BytewiseComparator()).FindShortSuccessor(&result);
-  return result;
-}
-
 void TestKey(const std::string& key, uint64_t seq, ValueType vt) {
   std::string encoded = IKey(key, seq, vt);
 
@@ -70,41 +58,6 @@ TEST(FormatTest, InternalKeyOrdering) {
   // Same user key + sequence: value sorts before... (type descending).
   EXPECT_LT(
       icmp.Compare(IKey("a", 5, kTypeValue), IKey("a", 5, kTypeDeletion)), 0);
-}
-
-TEST(FormatTest, InternalKeyShortSeparator) {
-  // When user keys are same
-  ASSERT_EQ(IKey("foo", 100, kTypeValue),
-            Shorten(IKey("foo", 100, kTypeValue), IKey("foo", 99, kTypeValue)));
-  ASSERT_EQ(
-      IKey("foo", 100, kTypeValue),
-      Shorten(IKey("foo", 100, kTypeValue), IKey("foo", 101, kTypeValue)));
-
-  // When user keys are misordered
-  ASSERT_EQ(IKey("foo", 100, kTypeValue),
-            Shorten(IKey("foo", 100, kTypeValue), IKey("bar", 99, kTypeValue)));
-
-  // When user keys are different, but correctly ordered
-  ASSERT_EQ(IKey("g", kMaxSequenceNumber, kValueTypeForSeek),
-            Shorten(IKey("foo", 100, kTypeValue),
-                    IKey("hello", 200, kTypeValue)));
-
-  // When start user key is prefix of limit user key
-  ASSERT_EQ(
-      IKey("foo", 100, kTypeValue),
-      Shorten(IKey("foo", 100, kTypeValue), IKey("foobar", 200, kTypeValue)));
-
-  // When limit user key is prefix of start user key
-  ASSERT_EQ(
-      IKey("foobar", 100, kTypeValue),
-      Shorten(IKey("foobar", 100, kTypeValue), IKey("foo", 200, kTypeValue)));
-}
-
-TEST(FormatTest, InternalKeyShortestSuccessor) {
-  ASSERT_EQ(IKey("g", kMaxSequenceNumber, kValueTypeForSeek),
-            ShortSuccessor(IKey("foo", 100, kTypeValue)));
-  ASSERT_EQ(IKey("\xff\xff", 100, kTypeValue),
-            ShortSuccessor(IKey("\xff\xff", 100, kTypeValue)));
 }
 
 TEST(FormatTest, LookupKey) {

@@ -154,7 +154,7 @@ void RunTracedCompaction(CompactionMode mode, DeviceProfile device,
   CompactionJobOptions job;
   job.icmp = &icmp;
   job.subtask_bytes = 64 << 10;
-  job.block_size = 4 << 10;
+  job.table.block_size = 4 << 10;
   job.max_output_file_size = 256 << 10;
   job.read_parallelism = 2;
   job.compute_parallelism = 2;

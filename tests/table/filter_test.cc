@@ -66,15 +66,25 @@ TEST(Bloom, VaryingBitsPerKey) {
   }
 }
 
-// Filter-block plumbing (offsets, multiple 2KB windows).
+// Filter-block plumbing: one prebuilt filter per data block, windows of
+// 2 KiB of block offsets, partitions, and the shared-window rule.
 class FilterBlockTest : public ::testing::Test {
  protected:
   FilterBlockTest() : policy_(NewBloomFilterPolicy(10)) {}
+
+  // The filter a BlockEncoder would build for a block holding `keys`.
+  std::string Filter(const std::vector<std::string>& keys) const {
+    std::vector<Slice> slices(keys.begin(), keys.end());
+    std::string filter;
+    policy_->CreateFilter(slices.data(), slices.size(), &filter);
+    return filter;
+  }
+
   std::unique_ptr<const FilterPolicy> policy_;
 };
 
 TEST_F(FilterBlockTest, EmptyBuilder) {
-  FilterBlockBuilder builder(policy_.get());
+  FilterBlockBuilder builder;
   Slice block = builder.Finish();
   // Zero partitions: index offset 0, count 0, base_lg — the 9-byte tail.
   ASSERT_EQ("\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x0b",
@@ -85,82 +95,77 @@ TEST_F(FilterBlockTest, EmptyBuilder) {
 }
 
 TEST_F(FilterBlockTest, SingleChunk) {
-  FilterBlockBuilder builder(policy_.get());
-  builder.StartBlock(100);
-  builder.AddKey("foo");
-  builder.AddKey("bar");
-  builder.AddKey("box");
-  builder.StartBlock(200);
-  builder.AddKey("box");
-  builder.StartBlock(300);
-  builder.AddKey("hello");
+  // One block in window 0.
+  FilterBlockBuilder builder;
+  builder.AddBlockFilter(100, Filter({"foo", "bar", "box", "hello"}));
   Slice block = builder.Finish();
   FilterBlockReader reader(policy_.get(), block);
   EXPECT_TRUE(reader.KeyMayMatch(100, "foo"));
   EXPECT_TRUE(reader.KeyMayMatch(100, "bar"));
   EXPECT_TRUE(reader.KeyMayMatch(100, "box"));
   EXPECT_TRUE(reader.KeyMayMatch(100, "hello"));
-  EXPECT_TRUE(reader.KeyMayMatch(100, "foo"));
   EXPECT_FALSE(reader.KeyMayMatch(100, "missing"));
   EXPECT_FALSE(reader.KeyMayMatch(100, "other"));
 }
 
 TEST_F(FilterBlockTest, MultiChunk) {
-  FilterBlockBuilder builder(policy_.get());
-
-  // First filter
-  builder.StartBlock(0);
-  builder.AddKey("foo");
-  builder.StartBlock(2000);
-  builder.AddKey("bar");
-
-  // Second filter
-  builder.StartBlock(3100);
-  builder.AddKey("box");
-
-  // Third filter is empty
-
-  // Last filter
-  builder.StartBlock(9000);
-  builder.AddKey("box");
-  builder.AddKey("hello");
-
+  FilterBlockBuilder builder;
+  builder.AddBlockFilter(0, Filter({"foo"}));             // window 0
+  builder.AddBlockFilter(3100, Filter({"box"}));          // window 1
+  // Windows 2 and 3 hold no block: empty filters.
+  builder.AddBlockFilter(9000, Filter({"box", "hello"}));  // window 4
   Slice block = builder.Finish();
   FilterBlockReader reader(policy_.get(), block);
 
-  // Check first filter
+  // First filter
   EXPECT_TRUE(reader.KeyMayMatch(0, "foo"));
-  EXPECT_TRUE(reader.KeyMayMatch(2000, "bar"));
   EXPECT_FALSE(reader.KeyMayMatch(0, "box"));
   EXPECT_FALSE(reader.KeyMayMatch(0, "hello"));
 
-  // Check second filter
+  // Second filter
   EXPECT_TRUE(reader.KeyMayMatch(3100, "box"));
   EXPECT_FALSE(reader.KeyMayMatch(3100, "foo"));
-  EXPECT_FALSE(reader.KeyMayMatch(3100, "bar"));
   EXPECT_FALSE(reader.KeyMayMatch(3100, "hello"));
 
-  // Check third filter (empty)
+  // Empty windows
   EXPECT_FALSE(reader.KeyMayMatch(4100, "foo"));
-  EXPECT_FALSE(reader.KeyMayMatch(4100, "bar"));
   EXPECT_FALSE(reader.KeyMayMatch(4100, "box"));
-  EXPECT_FALSE(reader.KeyMayMatch(4100, "hello"));
+  EXPECT_FALSE(reader.KeyMayMatch(6200, "hello"));
 
-  // Check last filter
+  // Last filter
   EXPECT_TRUE(reader.KeyMayMatch(9000, "box"));
   EXPECT_TRUE(reader.KeyMayMatch(9000, "hello"));
   EXPECT_FALSE(reader.KeyMayMatch(9000, "foo"));
-  EXPECT_FALSE(reader.KeyMayMatch(9000, "bar"));
+}
+
+TEST_F(FilterBlockTest, SharedWindowMatchesEveryBlocksKeys) {
+  // Two short blocks start in window 0. Neither block's filter may stand
+  // for the window, or the other block's keys would be false negatives.
+  FilterBlockBuilder builder;
+  builder.AddBlockFilter(0, Filter({"a1", "a2"}));
+  builder.AddBlockFilter(900, Filter({"b1", "b2"}));
+  builder.AddBlockFilter(2048, Filter({"c1"}));  // window 1, alone
+  Slice block = builder.Finish();
+  FilterBlockReader reader(policy_.get(), block);
+
+  for (const char* key : {"a1", "a2", "b1", "b2"}) {
+    EXPECT_TRUE(reader.KeyMayMatch(0, key)) << key;
+    EXPECT_TRUE(reader.KeyMayMatch(900, key)) << key;
+  }
+  // The window after keeps its own, selective filter.
+  EXPECT_TRUE(reader.KeyMayMatch(2048, "c1"));
+  EXPECT_FALSE(reader.KeyMayMatch(2048, "a1"));
+  EXPECT_FALSE(reader.KeyMayMatch(2048, "b1"));
 }
 
 TEST_F(FilterBlockTest, TinyPartitionsSplitAndProbeCorrectly) {
   // partition_bytes=1: every window seals its own partition, so probes
   // must route through the top index, not a single offset array.
-  FilterBlockBuilder builder(policy_.get(), 1);
+  FilterBlockBuilder builder(1);
   const int kBlocks = 40;
   for (int i = 0; i < kBlocks; i++) {
-    builder.StartBlock(static_cast<uint64_t>(i) * 2048);
-    builder.AddKey("key" + std::to_string(i));
+    builder.AddBlockFilter(static_cast<uint64_t>(i) * 2048,
+                           Filter({"key" + std::to_string(i)}));
   }
   Slice block = builder.Finish();
 
@@ -178,10 +183,10 @@ TEST_F(FilterBlockTest, TinyPartitionsSplitAndProbeCorrectly) {
 }
 
 TEST_F(FilterBlockTest, ParseTailMatchesFullParse) {
-  FilterBlockBuilder builder(policy_.get(), 64);
+  FilterBlockBuilder builder(64);
   for (int i = 0; i < 20; i++) {
-    builder.StartBlock(static_cast<uint64_t>(i) * 2048);
-    builder.AddKey("k" + std::to_string(i));
+    builder.AddBlockFilter(static_cast<uint64_t>(i) * 2048,
+                           Filter({"k" + std::to_string(i)}));
   }
   const std::string block = builder.Finish().ToString();
 
@@ -206,10 +211,10 @@ TEST_F(FilterBlockTest, ParseTailMatchesFullParse) {
 }
 
 TEST_F(FilterBlockTest, CorruptPartitionFailsCrcButNeverRejects) {
-  FilterBlockBuilder builder(policy_.get(), 1);
+  FilterBlockBuilder builder(1);
   for (int i = 0; i < 4; i++) {
-    builder.StartBlock(static_cast<uint64_t>(i) * 2048);
-    builder.AddKey("k" + std::to_string(i));
+    builder.AddBlockFilter(static_cast<uint64_t>(i) * 2048,
+                           Filter({"k" + std::to_string(i)}));
   }
   std::string block = builder.Finish().ToString();
 

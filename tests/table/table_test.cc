@@ -5,6 +5,8 @@
 #include <map>
 
 #include "src/env/sim_env.h"
+#include "src/table/block.h"
+#include "src/table/block_builder.h"
 #include "src/table/filter_policy.h"
 #include "src/table/format.h"
 #include "src/table/table_builder.h"
@@ -234,6 +236,148 @@ TEST(Table, IndexIteratorEnumeratesBlocks) {
     EXPECT_GT(contents.size(), 0u);
   }
   EXPECT_GT(blocks, 10);
+}
+
+
+// ---- hostile handles: the footer has no CRC, so one flipped varint byte
+// can make a handle lie. Each lie must be Corruption from Table::Open,
+// found before any buffer is sized from it. ----
+
+// Writes `bytes` as a table file and opens it.
+Status OpenBytes(SimEnv* env, const std::string& bytes,
+                 const TableOptions& opt) {
+  const std::string fname = "/hostile.pst";
+  Status s = WriteStringToFile(env, bytes, fname);
+  if (!s.ok()) return s;
+  std::unique_ptr<RandomAccessFile> raf;
+  s = env->NewRandomAccessFile(fname, &raf);
+  if (!s.ok()) return s;
+  std::unique_ptr<Table> table;
+  return Table::Open(opt, std::move(raf), bytes.size(), &table);
+}
+
+Footer DecodeFooter(const std::string& file) {
+  Footer footer;
+  Slice input(file.data() + file.size() - Footer::kEncodedLength,
+              Footer::kEncodedLength);
+  EXPECT_TRUE(footer.DecodeFrom(&input).ok());
+  return footer;
+}
+
+// A handle that cannot fit in a file of `file_size` bytes; `kind` picks
+// the lie: a huge size, an offset past EOF, or an offset whose end
+// overflows 64 bits.
+BlockHandle HostileHandle(int kind, uint64_t file_size, Random* rnd) {
+  BlockHandle h;
+  switch (kind % 3) {
+    case 0:
+      h.set_offset(rnd->Uniform(static_cast<int>(file_size)));
+      h.set_size((uint64_t{1} << 62) + rnd->Next());
+      break;
+    case 1:
+      h.set_offset(file_size + rnd->Uniform(1 << 20));
+      h.set_size(rnd->Uniform(4096));
+      break;
+    default:
+      h.set_offset(~uint64_t{0} - rnd->Uniform(64));
+      h.set_size(rnd->Uniform(4096));
+      break;
+  }
+  return h;
+}
+
+TEST(Table, HostileFooterHandlesAreCorruption) {
+  TableFixture f;
+  ASSERT_TRUE(f.Build(MakeKv(300)).ok());
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(&f.env, f.fname, &file).ok());
+  const Footer good = DecodeFooter(file);
+  const std::string body = file.substr(0, file.size() - Footer::kEncodedLength);
+
+  // The unmodified bytes open, so each failure below is the handle's.
+  ASSERT_TRUE(OpenBytes(&f.env, file, TableOptions()).ok());
+
+  Random rnd(1401);
+  for (int i = 0; i < 30; i++) {
+    for (bool index : {true, false}) {
+      Footer footer = good;
+      const BlockHandle bad = HostileHandle(i, file.size(), &rnd);
+      if (index) {
+        footer.set_index_handle(bad);
+      } else {
+        footer.set_metaindex_handle(bad);
+      }
+      std::string bytes = body;
+      footer.EncodeTo(&bytes);
+      const Status s = OpenBytes(&f.env, bytes, TableOptions());
+      EXPECT_TRUE(s.IsCorruption())
+          << (index ? "index" : "metaindex") << " offset=" << bad.offset()
+          << " size=" << bad.size() << ": " << s.ToString();
+    }
+  }
+}
+
+TEST(Table, HostileFilterHandleIsCorruption) {
+  TableFixture f;
+  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
+  TableOptions opt;
+  opt.filter_policy = policy.get();
+  ASSERT_TRUE(f.Build(MakeKv(300), opt).ok());
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(&f.env, f.fname, &file).ok());
+  const Footer good = DecodeFooter(file);
+  const BlockHandle index = good.index_handle();
+
+  // Rebuilds the file with a metaindex (valid CRC) whose filter handle
+  // is `filter`, followed by the original index block and a new footer.
+  auto with_filter_handle = [&](const BlockHandle& filter) {
+    std::string encoding;
+    filter.EncodeTo(&encoding);
+    BlockBuilder meta(16);
+    meta.Add(std::string("filter.") + policy->Name(), encoding);
+    std::string meta_block = meta.Finish().ToString();
+    AppendBlockTrailer(CompressionType::kNoCompression, &meta_block);
+
+    std::string bytes = file.substr(0, good.metaindex_handle().offset());
+    BlockHandle meta_handle, index_handle;
+    meta_handle.set_offset(bytes.size());
+    meta_handle.set_size(meta_block.size() - kBlockTrailerSize);
+    bytes += meta_block;
+    index_handle.set_offset(bytes.size());
+    index_handle.set_size(index.size());
+    bytes.append(file, index.offset(), index.size() + kBlockTrailerSize);
+    Footer footer;
+    footer.set_metaindex_handle(meta_handle);
+    footer.set_index_handle(index_handle);
+    footer.EncodeTo(&bytes);
+    return bytes;
+  };
+
+  // The rebuild itself is sound: the real filter handle opens.
+  {
+    std::unique_ptr<RandomAccessFile> raf;
+    ASSERT_TRUE(f.env.NewRandomAccessFile(f.fname, &raf).ok());
+    BlockContents contents;
+    ASSERT_TRUE(ReadBlock(raf.get(), good.metaindex_handle(), true, &contents)
+                    .ok());
+    Block meta(contents);
+    std::unique_ptr<Iterator> it(meta.NewIterator(BytewiseComparator()));
+    it->SeekToFirst();
+    ASSERT_TRUE(it->Valid());
+    Slice v = it->value();
+    BlockHandle real;
+    ASSERT_TRUE(real.DecodeFrom(&v).ok());
+    ASSERT_TRUE(OpenBytes(&f.env, with_filter_handle(real), opt).ok());
+  }
+
+  Random rnd(1402);
+  for (int i = 0; i < 30; i++) {
+    const BlockHandle bad = HostileHandle(i, file.size(), &rnd);
+    const Status s = OpenBytes(&f.env, with_filter_handle(bad), opt);
+    EXPECT_TRUE(s.IsCorruption()) << "offset=" << bad.offset()
+                                  << " size=" << bad.size() << ": "
+                                  << s.ToString();
+  }
 }
 
 }  // namespace
