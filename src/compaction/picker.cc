@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/util/logging.h"
 
 namespace pipelsm {
 

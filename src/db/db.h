@@ -46,16 +46,16 @@ struct Range {
   Slice limit;  // Not included in the range
 };
 
-// Aggregate compaction metrics surfaced by DB::GetCompactionProfile.
+// Aggregate compaction metrics surfaced by DB::GetCompactionMetrics,
+// read from the DB's metrics registry (docs/OBSERVABILITY.md names each
+// source counter).
 struct CompactionMetrics {
-  StepProfile profile;           // summed over all major compactions
-  uint64_t compactions = 0;      // number of major compactions run
+  StepProfile profile;           // summed over all major compaction runs
+  uint64_t compactions = 0;      // major compactions installed
   uint64_t memtable_flushes = 0;
-  uint64_t bytes_read = 0;       // compaction input bytes (compressed)
-  uint64_t bytes_written = 0;    // compaction + flush output bytes
-  // Output bytes of major compactions only (no memtable flushes):
-  // divide by user bytes for the classic write-amplification figure
-  // (bench_ablation's WA column; docs/COMPACTION.md).
+  // Output bytes of installed major compactions only (no memtable
+  // flushes): divide by user bytes for the classic write-amplification
+  // figure (bench_ablation's WA column; docs/COMPACTION.md).
   uint64_t compaction_bytes_written = 0;
   uint64_t stall_micros = 0;     // writer time lost to stalls/pauses
 };
@@ -143,7 +143,8 @@ class DB {
   // writable; the error if recovery failed. A no-op when healthy.
   virtual Status Resume() = 0;
 
-  // Aggregate compaction step timings + counters since Open.
+  // Aggregate compaction step timings + counters since Open, read from
+  // the metrics registry.
   virtual CompactionMetrics GetCompactionMetrics() = 0;
 
   // The DB's metrics registry, so embedding layers (the network server)

@@ -12,9 +12,10 @@
 #include "src/db/builder.h"
 #include "src/db/db_iter.h"
 #include "src/db/filename.h"
+#include "src/obs/pipeline_metrics.h"
 #include "src/table/filter_policy.h"
 #include "src/table/merger.h"
-#include "src/util/logging.h"
+#include "src/util/string_util.h"
 #include "src/wal/log_reader.h"
 
 namespace pipelsm {
@@ -287,8 +288,19 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
                                   ? owned_filter_policy_.get()
                                   : raw_options.filter_policy),
       options_(SanitizeOptions(raw_options)),
-      dbname_(dbname),
-      timeseries_(SanitizeOptions(raw_options).timeseries_window) {
+      dbname_(dbname) {
+  // Info log first, so every component built below can report to it:
+  // the caller-supplied sink, or a LOG file in the DB directory.
+  if (options_.info_log != nullptr) {
+    info_log_ = options_.info_log;
+  } else if (OpenInfoLog(env_, dbname_, &owned_info_log_).ok()) {
+    info_log_ = owned_info_log_.get();
+  }
+  obs::Log(info_log_, "opening DB %s (mode=%s%s, subtask=%zu KB)",
+           dbname_.c_str(), CompactionModeName(options_.compaction_mode),
+           options_.adaptive_compaction ? "+adaptive" : "",
+           options_.subtask_bytes >> 10);
+
   if (options_.block_cache == nullptr) {
     owned_block_cache_ = read::NewShardedLRUCache(
         options_.block_cache_size, options_.block_cache_shards);
@@ -310,8 +322,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
   table_options_.verify_checksums = options_.verify_checksums;
 
   table_cache_.reset(new TableCache(dbname_, table_options_, env_,
-                                    options_.max_open_files,
-                                    options_.table_cache_shards));
+                                    options_.max_open_files));
 
   // Export read-path cache stats (docs/READ_PATH.md). The block-cache
   // instruments are only bound when this DB owns the cache — a shared
@@ -340,7 +351,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       metrics_registry_.RegisterGauge("cache.table.usage",
                                       "open tables cached"));
   versions_.reset(new VersionSet(dbname_, &options_, table_cache_.get(),
-                                 &internal_comparator_));
+                                 &internal_comparator_, info_log_));
   for (int m = 0; m < 4; m++) {
     executors_[m] = NewCompactionExecutor(CompactionMode(m));
   }
@@ -358,6 +369,13 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       "writer time fully paused on memtable/L0 backpressure");
   flush_runs_counter_ =
       metrics_registry_.RegisterCounter("flush.runs", "memtable flushes");
+  flush_bytes_counter_ = metrics_registry_.RegisterCounter(
+      "flush.bytes_written", "bytes of level-0 tables written by flushes");
+  compaction_jobs_counter_ = metrics_registry_.RegisterCounter(
+      "compaction.jobs", "major compaction jobs installed");
+  compaction_bytes_counter_ = metrics_registry_.RegisterCounter(
+      "compaction.bytes_written",
+      "bytes of the output tables of installed compaction jobs");
   subcompaction_jobs_counter_ = metrics_registry_.RegisterCounter(
       "compaction.subcompaction.jobs",
       "compaction jobs split into key-range sub-jobs");
@@ -370,28 +388,6 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       "db.write_micros", "foreground Write latency incl. queueing/stalls");
   stall_state_gauge_ = metrics_registry_.RegisterGauge(
       "db.write_stall_state", "0 normal, 1 delayed (L0 slowdown), 2 stopped");
-
-  // Info log: caller-supplied sink, or a LOG file in the DB directory
-  // (rotate the previous run's; the dir may not exist yet — Recover has
-  // not run — so create it here, idempotently).
-  if (options_.info_log != nullptr) {
-    info_log_ = options_.info_log;
-  } else {
-    env_->CreateDir(dbname_);
-    env_->RenameFile(InfoLogFileName(dbname_), OldInfoLogFileName(dbname_));
-    Status ls = obs::NewFileLogger(env_, InfoLogFileName(dbname_),
-                                   &owned_info_log_);
-    if (ls.ok()) {
-      info_log_ = owned_info_log_.get();
-    } else {
-      PIPELSM_LOG_WARN("info log creation failed: %s",
-                       ls.ToString().c_str());
-    }
-  }
-  obs::Log(info_log_, "opening DB %s (mode=%s%s, subtask=%zu KB)",
-           dbname_.c_str(), CompactionModeName(options_.compaction_mode),
-           options_.adaptive_compaction ? "+adaptive" : "",
-           options_.subtask_bytes >> 10);
 
   event_logger_ = std::make_unique<EventLogger>(this);
   listeners_.push_back(event_logger_.get());
@@ -441,10 +437,10 @@ void DBImpl::FlushTraceBestEffort() {
   if (trace_ == nullptr) return;
   Status ts = trace_->WriteFile(options_.trace_path);
   if (!ts.ok()) {
-    PIPELSM_LOG_WARN("trace export failed: %s", ts.ToString().c_str());
+    obs::Log(info_log_, "trace export failed: %s", ts.ToString().c_str());
   } else {
-    PIPELSM_LOG_INFO("wrote %zu trace spans to %s", trace_->span_count(),
-                     options_.trace_path.c_str());
+    obs::Log(info_log_, "wrote %zu trace spans to %s", trace_->span_count(),
+             options_.trace_path.c_str());
   }
 }
 
@@ -457,7 +453,6 @@ void DBImpl::StatsThreadMain() {
     std::string report = StatsReport();
     lock.unlock();
     obs::Log(info_log_, "---- periodic stats ----\n%s", report.c_str());
-    timeseries_.Sample(metrics_registry_, env_->NowMicros());
     // Keep the on-disk trace current so a crashed/killed run still
     // leaves a loadable file instead of nothing.
     FlushTraceBestEffort();
@@ -614,11 +609,12 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
                               bool* save_manifest, VersionEdit* edit,
                               SequenceNumber* max_sequence) {
   struct LogReporter : public log::Reader::Reporter {
+    obs::Logger* info_log;
     const char* fname;
     Status* status;  // null if options_.paranoid_checks==false
     void Corruption(size_t bytes, const Status& s) override {
-      PIPELSM_LOG_WARN("%s: dropping %d bytes; %s", fname,
-                       static_cast<int>(bytes), s.ToString().c_str());
+      obs::Log(info_log, "%s: dropping %d bytes; %s", fname,
+               static_cast<int>(bytes), s.ToString().c_str());
       if (this->status != nullptr && this->status->ok()) *this->status = s;
     }
   };
@@ -633,11 +629,12 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
 
   // Create the log reader.
   LogReporter reporter;
+  reporter.info_log = info_log_;
   reporter.fname = fname.c_str();
   reporter.status = (options_.paranoid_checks ? &status : nullptr);
   log::Reader reader(file.get(), &reporter, true /*checksum*/, 0);
-  PIPELSM_LOG_INFO("recovering log #%llu",
-                   static_cast<unsigned long long>(log_number));
+  obs::Log(info_log_, "recovering log #%llu",
+           static_cast<unsigned long long>(log_number));
 
   // Read all the records and add to a memtable.
   std::string scratch;
@@ -695,13 +692,10 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
 
 Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
                                 Version* base) {
-  Stopwatch sw;
   FileMetaData meta;
   meta.number = versions_->NewFileNumber();
   pending_outputs_.insert(meta.number);
   std::unique_ptr<Iterator> iter(mem->NewIterator());
-  PIPELSM_LOG_DEBUG("level-0 table #%llu: started",
-                    static_cast<unsigned long long>(meta.number));
 
   Status s;
   obs::FlushJobInfo flush_info;
@@ -744,10 +738,8 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
                   meta.largest);
   }
 
-  metrics_.memtable_flushes++;
-  metrics_.bytes_written += meta.file_size;
   flush_runs_counter_->Add(1);
-  (void)sw;
+  if (s.ok()) flush_bytes_counter_->Add(meta.file_size);
   return s;
 }
 
@@ -854,17 +846,13 @@ void DBImpl::RemoveObsoleteFiles() {
     }
   }
 
-  PIPELSM_LOG_DEBUG("GC: %zu live, %zu children, deleting %zu",
-                    live.size(), filenames.size(), files_to_delete.size());
   // While deleting all files unblock other threads. All files being
   // deleted have unique names which will not collide with newly created
   // files and are therefore safe to delete while allowing other threads
   // to proceed.
   mutex_.unlock();
   for (const std::string& filename : files_to_delete) {
-    Status rs = env_->RemoveFile(dbname_ + "/" + filename);
-    PIPELSM_LOG_DEBUG("GC: remove %s: %s", filename.c_str(),
-                      rs.ToString().c_str());
+    env_->RemoveFile(dbname_ + "/" + filename);
   }
   mutex_.lock();
 }
@@ -936,21 +924,22 @@ void DBImpl::SetStallCondition(obs::WriteStallCondition condition) {
 }
 
 std::string DBImpl::StatsReport() {
+  const CompactionMetrics m = GetCompactionMetrics();
+  const uint64_t written =
+      m.compaction_bytes_written + flush_bytes_counter_->value();
   std::string out;
   char buf[300];
   std::snprintf(buf, sizeof(buf),
                 "compactions=%llu flushes=%llu read=%.1fMB written=%.1fMB "
                 "stalls=%.1fs %s\n",
-                static_cast<unsigned long long>(metrics_.compactions),
-                static_cast<unsigned long long>(metrics_.memtable_flushes),
-                metrics_.bytes_read / 1048576.0,
-                metrics_.bytes_written / 1048576.0,
-                metrics_.stall_micros / 1e6,
-                versions_->LevelSummary().c_str());
+                static_cast<unsigned long long>(m.compactions),
+                static_cast<unsigned long long>(m.memtable_flushes),
+                m.profile.input_bytes / 1048576.0, written / 1048576.0,
+                m.stall_micros / 1e6, versions_->LevelSummary().c_str());
   out.append(buf);
-  out.append(metrics_.profile.ToString());
-  // Both registries below carry their own locks; holding mutex_ across
-  // the snapshots is safe (neither ever takes mutex_).
+  out.append(m.profile.ToString());
+  // The registries below carry their own locks; holding mutex_ across
+  // the snapshots is safe (none ever takes mutex_).
   out.append("metrics ");
   out.append(metrics_registry_.ToJson());
   out.append("\nadvisor ");
@@ -1059,10 +1048,6 @@ Status DBImpl::BackgroundCompaction(std::unique_lock<std::mutex>& lock) {
     c->edit()->AddFile(c->output_level(), f->number, f->file_size,
                        f->smallest, f->largest);
     status = versions_->LogAndApply(c->edit(), &mutex_);
-    PIPELSM_LOG_DEBUG("moved #%llu to level-%d %lld bytes: %s",
-                      static_cast<unsigned long long>(f->number),
-                      c->output_level(), static_cast<long long>(f->file_size),
-                      versions_->LevelSummary().c_str());
   } else {
     status = DoCompactionWork(lock, c);
     ran_compaction = true;
@@ -1078,7 +1063,9 @@ Status DBImpl::BackgroundCompaction(std::unique_lock<std::mutex>& lock) {
   } else if (shutting_down_.load(std::memory_order_acquire)) {
     // Ignore compaction errors found during shutting down.
   } else {
-    PIPELSM_LOG_WARN("compaction error: %s", status.ToString().c_str());
+    // Logged here because EVENT background_error is skipped when another
+    // path already made the error sticky.
+    obs::Log(info_log_, "compaction error: %s", status.ToString().c_str());
   }
 
   if (is_manual) {
@@ -1099,8 +1086,6 @@ Status DBImpl::BackgroundCompaction(std::unique_lock<std::mutex>& lock) {
 
 Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
                                 Compaction* c) {
-  Stopwatch total_sw;
-
   // Admission-time scheduling: ask the scheduler which procedure and
   // parallelism the advisor's current decayed profile calls for. The
   // decision is copied into the per-job CompactionJobOptions here, under
@@ -1153,10 +1138,6 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   }
   CompactionExecutor* const executor =
       executors_[static_cast<int>(decision.mode)].get();
-
-  PIPELSM_LOG_INFO("compacting %d@%d + %d@%d files [%s]",
-                   c->num_input_files(0), c->level(), c->num_input_files(1),
-                   c->output_level(), executor->name());
 
   CompactionJobOptions job;
   job.icmp = &internal_comparator_;
@@ -1302,12 +1283,8 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
       }
       sub_execs.push_back(NewCompactionExecutor(decision.mode));
     }
-    subcompacted_jobs_++;
-    subcompactions_run_ += fanout;
-    if (subcompaction_jobs_counter_ != nullptr) {
-      subcompaction_jobs_counter_->Add(1);
-      subcompaction_runs_counter_->Add(fanout);
-    }
+    subcompaction_jobs_counter_->Add(1);
+    subcompaction_runs_counter_->Add(fanout);
     Stopwatch wall_sw;
     lock.unlock();
     // One Begin/Completed pair for the whole job: listeners (and through
@@ -1386,11 +1363,10 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
       }
     }
     status = versions_->LogAndApply(c->edit(), &mutex_);
-    metrics_.compactions++;
-    metrics_.bytes_read += input_bytes;
-    metrics_.bytes_written += output_bytes;
-    metrics_.compaction_bytes_written += output_bytes;
-    metrics_.profile.Merge(profile);
+    if (status.ok()) {
+      compaction_jobs_counter_->Add(1);
+      compaction_bytes_counter_->Add(output_bytes);
+    }
     last_predicted_write_amp_ = c->predicted_write_amp();
   }
 
@@ -1408,9 +1384,6 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   }
 
   c->ReleaseInputs();
-  PIPELSM_LOG_INFO("compacted to: %s (%.1f MB in, wall %.0f ms)",
-                   versions_->LevelSummary().c_str(),
-                   input_bytes / 1048576.0, total_sw.ElapsedNanos() * 1e-6);
 
   // The drop credits above may have pushed a segment past the GC dead
   // ratio; wake the value-log GC thread to check (NeedsGc is lock-free).
@@ -1840,15 +1813,10 @@ void DBImpl::VlogGcThreadMain() {
     if (!bg_error_.ok() || !vlog_->NeedsGc()) continue;
     lock.unlock();
     uint64_t segment;
+    // A failed pass already logged its status on its vlog_gc_end line.
     while (!shutting_down_.load(std::memory_order_acquire) &&
            vlog_->PickGcSegment(&segment)) {
-      Status s = VlogGcPass(segment);
-      if (!s.ok()) {
-        PIPELSM_LOG_WARN("vlog GC of segment %llu failed: %s",
-                         static_cast<unsigned long long>(segment),
-                         s.ToString().c_str());
-        break;
-      }
+      if (!VlogGcPass(segment).ok()) break;
     }
     SweepRetiredVlogSegments();
     lock.lock();
@@ -2142,7 +2110,6 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& lock,
       lock.unlock();
       env_->SleepForMicroseconds(1000);
       lock.lock();
-      metrics_.stall_micros += sw.ElapsedNanos() / 1000;
       slowdown_micros_counter_->Add(sw.ElapsedNanos() / 1000);
       allow_delay = false;  // Do not delay a single write more than once
     } else if (!force &&
@@ -2153,21 +2120,17 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& lock,
     } else if (imm_ != nullptr) {
       // We have filled up the current memtable, but the previous one is
       // still being compacted, so we wait (the paper's "write pause").
-      PIPELSM_LOG_DEBUG("current memtable full; waiting...");
       SetStallCondition(obs::WriteStallCondition::kStopped);
       Stopwatch sw;
       MaybeScheduleCompaction();
       background_done_signal_.wait(lock);
-      metrics_.stall_micros += sw.ElapsedNanos() / 1000;
       pause_micros_counter_->Add(sw.ElapsedNanos() / 1000);
     } else if (versions_->NumLevelFiles(0) >= config::kL0_StopWritesTrigger) {
       // There are too many level-0 files ("write pause").
-      PIPELSM_LOG_DEBUG("too many L0 files; waiting...");
       SetStallCondition(obs::WriteStallCondition::kStopped);
       Stopwatch sw;
       MaybeScheduleCompaction();
       background_done_signal_.wait(lock);
-      metrics_.stall_micros += sw.ElapsedNanos() / 1000;
       pause_micros_counter_->Add(sw.ElapsedNanos() / 1000);
     } else {
       // Attempt to switch to a new memtable and trigger compaction of
@@ -2200,9 +2163,9 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& lock,
         // no longer lose acked data, but surface it anyway.
         Status cs = logfile_->Close();
         if (!cs.ok()) {
-          PIPELSM_LOG_WARN("closing old WAL #%llu failed: %s",
-                           static_cast<unsigned long long>(logfile_number_),
-                           cs.ToString().c_str());
+          obs::Log(info_log_, "closing old WAL #%llu failed: %s",
+                   static_cast<unsigned long long>(logfile_number_),
+                   cs.ToString().c_str());
         }
       }
       logfile_ = std::move(lfile);
@@ -2295,19 +2258,11 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     // running outside mutex_, so the snapshot is taken lock-free here.
     *value = metrics_registry_.ToJson();
     return true;
-  } else if (in == Slice("timeseries")) {
-    // Ring has its own lock. Without a stats thread the ring would stay
-    // empty forever, so take one on-demand sample first — a single-point
-    // "history" still gives consumers current absolute values.
-    if (timeseries_.size() == 0) {
-      timeseries_.Sample(metrics_registry_, env_->NowMicros());
-    }
-    *value = timeseries_.ToJson();
-    return true;
   } else if (in == Slice("compaction")) {
     // Compaction-policy snapshot (docs/COMPACTION.md): active picker,
-    // per-level file/byte/run counts, and sub-compaction totals. Runs
-    // are counted by interval-stacking depth on the current version.
+    // per-level file/byte/run counts, and the registry's sub-compaction
+    // totals. Runs are counted by interval-stacking depth on the current
+    // version.
     Version* v = versions_->current();
     std::string out = "{";
     char buf[256];
@@ -2320,8 +2275,9 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
         CompactionStyleName(options_.compaction_style),
         versions_->picker()->Name(), options_.tiered_run_count,
         options_.max_subcompactions, last_predicted_write_amp_,
-        static_cast<unsigned long long>(subcompacted_jobs_),
-        static_cast<unsigned long long>(subcompactions_run_));
+        static_cast<unsigned long long>(subcompaction_jobs_counter_->value()),
+        static_cast<unsigned long long>(
+            subcompaction_runs_counter_->value()));
     out += buf;
     for (int level = 0; level < config::kNumLevels; level++) {
       const std::vector<FileMetaData*>& files = v->files(level);
@@ -2494,9 +2450,9 @@ Status DBImpl::Resume() {
       if (logfile_ != nullptr) {
         Status cs = logfile_->Close();
         if (!cs.ok()) {
-          PIPELSM_LOG_WARN("closing old WAL #%llu failed: %s",
-                           static_cast<unsigned long long>(logfile_number_),
-                           cs.ToString().c_str());
+          obs::Log(info_log_, "closing old WAL #%llu failed: %s",
+                   static_cast<unsigned long long>(logfile_number_),
+                   cs.ToString().c_str());
         }
       }
       logfile_ = std::move(lfile);
@@ -2561,8 +2517,14 @@ Status DBImpl::WaitForCompactions() {
 }
 
 CompactionMetrics DBImpl::GetCompactionMetrics() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return metrics_;
+  CompactionMetrics m;
+  m.profile = obs::ReadStepMetrics(&metrics_registry_);
+  m.compactions = compaction_jobs_counter_->value();
+  m.memtable_flushes = flush_runs_counter_->value();
+  m.compaction_bytes_written = compaction_bytes_counter_->value();
+  m.stall_micros =
+      slowdown_micros_counter_->value() + pause_micros_counter_->value();
+  return m;
 }
 
 Status DB::Open(const Options& options, const std::string& dbname,

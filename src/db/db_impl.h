@@ -25,7 +25,6 @@
 #include "src/obs/event_listener.h"
 #include "src/obs/logger.h"
 #include "src/obs/metrics.h"
-#include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
 #include "src/read/cache.h"
 #include "src/version/version_set.h"
@@ -288,37 +287,35 @@ class DBImpl final : public DB {
   Status bg_error_;
   int bg_retry_attempts_ = 0;     // transient failures since last success
   bool bg_retry_pending_ = false; // background loop owes a backoff+retry
-  CompactionMetrics metrics_;
 
-  // Compaction-policy stats behind GetProperty("pipelsm.compaction")
-  // (docs/COMPACTION.md). All guarded by mutex_.
-  uint64_t subcompacted_jobs_ = 0;   // jobs that ran as >1 sub-job
-  uint64_t subcompactions_run_ = 0;  // total sub-jobs across them
-  double last_predicted_write_amp_ = 1.0;  // last installed job's estimate
+  // Last installed job's write-amp estimate, behind
+  // GetProperty("pipelsm.compaction") (docs/COMPACTION.md). Guarded by
+  // mutex_.
+  double last_predicted_write_amp_ = 1.0;
 
   // Observability (docs/OBSERVABILITY.md): instrument registry behind
-  // GetProperty("pipelsm.metrics") — has its own synchronization, and the
-  // executors update it outside mutex_. trace_ exists only when
-  // Options::trace_path is set; the file is written on DB close.
+  // GetProperty("pipelsm.metrics") and the one source of every engine
+  // total (GetCompactionMetrics and the stats report read it back) — has
+  // its own synchronization, and the executors update it outside mutex_.
+  // trace_ exists only when Options::trace_path is set; the file is
+  // written on DB close.
   obs::MetricsRegistry metrics_registry_;
   std::unique_ptr<obs::TraceCollector> trace_;
   obs::Counter* slowdown_micros_counter_ = nullptr;
   obs::Counter* pause_micros_counter_ = nullptr;
   obs::Counter* flush_runs_counter_ = nullptr;
+  obs::Counter* flush_bytes_counter_ = nullptr;
+  obs::Counter* compaction_jobs_counter_ = nullptr;   // installed jobs
+  obs::Counter* compaction_bytes_counter_ = nullptr;  // their output bytes
   obs::Counter* subcompaction_jobs_counter_ = nullptr;  // jobs that split
   obs::Counter* subcompaction_runs_counter_ = nullptr;  // sub-jobs run
   obs::HistogramMetric* get_micros_hist_ = nullptr;
   obs::HistogramMetric* write_micros_hist_ = nullptr;
   obs::Gauge* stall_state_gauge_ = nullptr;  // 0 normal / 1 delayed / 2 stopped
 
-  // Metrics history behind GetProperty("pipelsm.timeseries"): one sample
-  // per stats-dump tick (Options::timeseries_window deep). Has its own
-  // mutex; sampled outside mutex_.
-  obs::TimeSeriesRing timeseries_;
-
   // Info log: Options::info_log, or a LOG file the DB creates in its own
-  // directory (previous run rotated to LOG.old). Null only if creation
-  // failed — obs::Log() tolerates that.
+  // directory (previous run rotated to LOG.old). Every engine message
+  // goes here. Null only if creation failed — obs::Log() tolerates that.
   std::unique_ptr<obs::Logger> owned_info_log_;
   obs::Logger* info_log_ = nullptr;
 

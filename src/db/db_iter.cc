@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/util/coding.h"
-#include "src/util/logging.h"
 #include "src/vlog/vlog.h"
 
 namespace pipelsm {

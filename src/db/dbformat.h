@@ -12,8 +12,8 @@
 #include "src/table/comparator.h"
 #include "src/table/filter_policy.h"
 #include "src/util/coding.h"
-#include "src/util/logging.h"
 #include "src/util/slice.h"
+#include "src/util/string_util.h"
 
 namespace pipelsm {
 

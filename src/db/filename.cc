@@ -3,7 +3,8 @@
 #include <cassert>
 #include <cstdio>
 
-#include "src/util/logging.h"
+#include "src/obs/logger.h"
+#include "src/util/string_util.h"
 
 namespace pipelsm {
 
@@ -117,6 +118,13 @@ Status SetCurrentFile(Env* env, const std::string& dbname,
     env->RemoveFile(tmp);
   }
   return s;
+}
+
+Status OpenInfoLog(Env* env, const std::string& dbname,
+                   std::unique_ptr<obs::Logger>* result) {
+  env->CreateDir(dbname);  // may already exist
+  env->RenameFile(InfoLogFileName(dbname), OldInfoLogFileName(dbname));
+  return obs::NewFileLogger(env, InfoLogFileName(dbname), result);
 }
 
 }  // namespace pipelsm

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/env/env.h"
@@ -16,6 +17,10 @@
 #include "src/util/status.h"
 
 namespace pipelsm {
+
+namespace obs {
+class Logger;
+}  // namespace obs
 
 enum FileType {
   kLogFile,
@@ -44,5 +49,12 @@ bool ParseFileName(const std::string& filename, uint64_t* number,
 // Make CURRENT point at the descriptor file with the given number.
 Status SetCurrentFile(Env* env, const std::string& dbname,
                       uint64_t descriptor_number);
+
+// Open a fresh info log at InfoLogFileName(dbname), creating the
+// directory if needed and keeping the previous run's LOG as LOG.old.
+// DBImpl, ShardedDB (for the fleet root) and RepairDB all open their
+// LOG through this.
+Status OpenInfoLog(Env* env, const std::string& dbname,
+                   std::unique_ptr<obs::Logger>* result);
 
 }  // namespace pipelsm

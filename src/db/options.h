@@ -83,9 +83,6 @@ struct Options {
 
   int block_restart_interval = 16;
 
-  // Level-(L+1) holds level_size_multiplier times more data than level L.
-  int level_size_multiplier = 10;
-
   // Number of open tables kept in the table cache.
   int max_open_files = 500;
 
@@ -101,9 +98,6 @@ struct Options {
   // Lock shards of the DB-owned block cache (rounded up to a power of
   // two; 0 = pick from hardware concurrency; 1 = single-mutex baseline).
   size_t block_cache_shards = 0;
-
-  // Lock shards of the table cache's LRU of open Table readers.
-  size_t table_cache_shards = 0;
 
   // When > 0 and filter_policy is null, the DB owns a bloom filter
   // policy with this many bits per key — the usual way to turn filters
@@ -270,23 +264,15 @@ struct Options {
 
   // Info log sink. nullptr = the DB creates a LOG file in the DB
   // directory through its Env (rotating any previous one to LOG.old).
-  // Structured one-line events and periodic stats reports land here.
+  // Every engine message lands here: structured one-line events, error,
+  // recovery and repair messages, and periodic stats reports.
   obs::Logger* info_log = nullptr;
 
   // When > 0, a background thread appends the full stats report (the
   // GetProperty("pipelsm.stats") payload: counters, foreground latency
   // histograms, the advisor verdict) to the info log every
-  // this-many seconds, re-exports trace_path, and appends one metrics
-  // snapshot to the time-series ring below. 0 = off.
+  // this-many seconds and re-exports trace_path. 0 = off.
   unsigned int stats_dump_period_sec = 0;
-
-  // Depth of the in-memory metrics time-series ring served by
-  // GetProperty("pipelsm.timeseries"): the stats thread appends one
-  // sample per dump tick, so the window covers roughly
-  // timeseries_window * stats_dump_period_sec seconds of history.
-  // Consumers (pipelsm_top, the admin endpoint's /timeseries) derive
-  // rates from adjacent samples without keeping state of their own.
-  size_t timeseries_window = 120;
 };
 
 // Options that control read operations.

@@ -9,8 +9,8 @@
 #include "src/db/table_cache.h"
 #include "src/db/write_batch.h"
 #include "src/memtable/memtable.h"
+#include "src/obs/logger.h"
 #include "src/table/table.h"
-#include "src/util/logging.h"
 #include "src/version/version_edit.h"
 #include "src/wal/log_reader.h"
 #include "src/wal/log_writer.h"
@@ -37,6 +37,13 @@ class Repairer {
   Status Run() {
     Status status = FindFiles();
     if (status.ok()) {
+      // Messages go to the caller's sink, or to the repaired DB's own LOG
+      // (which the next open rotates to LOG.old).
+      info_log_ = options_.info_log;
+      if (info_log_ == nullptr &&
+          OpenInfoLog(env_, dbname_, &owned_info_log_).ok()) {
+        info_log_ = owned_info_log_.get();
+      }
       ConvertLogFilesToTables();
       ExtractMetaData();
       status = WriteDescriptor();
@@ -46,10 +53,10 @@ class Repairer {
       for (const TableInfo& t : tables_) {
         bytes += t.meta.file_size;
       }
-      PIPELSM_LOG_INFO(
-          "repair: recovered %d tables (%.1f MB), max sequence %llu",
-          static_cast<int>(tables_.size()), bytes / 1048576.0,
-          static_cast<unsigned long long>(max_sequence_));
+      obs::Log(info_log_,
+               "repair: recovered %d tables (%.1f MB), max sequence %llu",
+               static_cast<int>(tables_.size()), bytes / 1048576.0,
+               static_cast<unsigned long long>(max_sequence_));
     }
     return status;
   }
@@ -99,9 +106,9 @@ class Repairer {
       std::string logname = LogFileName(dbname_, log_number);
       Status status = ConvertLogToTable(log_number);
       if (!status.ok()) {
-        PIPELSM_LOG_WARN("repair: log #%llu ignored: %s",
-                         static_cast<unsigned long long>(log_number),
-                         status.ToString().c_str());
+        obs::Log(info_log_, "repair: log #%llu ignored: %s",
+                 static_cast<unsigned long long>(log_number),
+                 status.ToString().c_str());
       }
       // The log is consumed (or unreadable) either way.
       env_->RemoveFile(logname);
@@ -110,11 +117,12 @@ class Repairer {
 
   Status ConvertLogToTable(uint64_t log_number) {
     struct LogReporter : public log::Reader::Reporter {
+      obs::Logger* info_log;
       uint64_t lognum;
       void Corruption(size_t bytes, const Status& s) override {
-        PIPELSM_LOG_WARN("repair: log #%llu dropping %d bytes: %s",
-                         static_cast<unsigned long long>(lognum),
-                         static_cast<int>(bytes), s.ToString().c_str());
+        obs::Log(info_log, "repair: log #%llu dropping %d bytes: %s",
+                 static_cast<unsigned long long>(lognum),
+                 static_cast<int>(bytes), s.ToString().c_str());
       }
     };
 
@@ -125,6 +133,7 @@ class Repairer {
     if (!status.ok()) return status;
 
     LogReporter reporter;
+    reporter.info_log = info_log_;
     reporter.lognum = log_number;
     // Keep reading even if we hit corruptions: salvage what we can.
     log::Reader reader(lfile.get(), &reporter, false /*do not checksum*/, 0);
@@ -151,9 +160,9 @@ class Repairer {
             WriteBatchInternal::Count(&batch) - 1;
         if (last > max_sequence_) max_sequence_ = last;
       } else {
-        PIPELSM_LOG_WARN("repair: log #%llu ignoring bad batch: %s",
-                         static_cast<unsigned long long>(log_number),
-                         status.ToString().c_str());
+        obs::Log(info_log_, "repair: log #%llu ignoring bad batch: %s",
+                 static_cast<unsigned long long>(log_number),
+                 status.ToString().c_str());
         status = Status::OK();  // Keep going with rest of file
       }
     }
@@ -169,9 +178,9 @@ class Repairer {
     mem->Unref();
     if (status.ok() && meta.file_size > 0) {
       table_numbers_.push_back(meta.number);
-      PIPELSM_LOG_INFO("repair: log #%llu -> table #%llu (%d entries)",
-                       static_cast<unsigned long long>(log_number),
-                       static_cast<unsigned long long>(meta.number), counter);
+      obs::Log(info_log_, "repair: log #%llu -> table #%llu (%d entries)",
+               static_cast<unsigned long long>(log_number),
+               static_cast<unsigned long long>(meta.number), counter);
     }
     return status;
   }
@@ -185,9 +194,9 @@ class Repairer {
         tables_.push_back(t);
       } else {
         // Unreadable: drop it (repair is best-effort).
-        PIPELSM_LOG_WARN("repair: table #%llu dropped: %s",
-                         static_cast<unsigned long long>(number),
-                         status.ToString().c_str());
+        obs::Log(info_log_, "repair: table #%llu dropped: %s",
+                 static_cast<unsigned long long>(number),
+                 status.ToString().c_str());
         env_->RemoveFile(TableFileName(dbname_, number));
         table_cache_->Evict(number);
       }
@@ -236,9 +245,8 @@ class Repairer {
     if (t->max_sequence > max_sequence_) {
       max_sequence_ = t->max_sequence;
     }
-    PIPELSM_LOG_INFO("repair: table #%llu: %d entries",
-                     static_cast<unsigned long long>(t->meta.number),
-                     counter);
+    obs::Log(info_log_, "repair: table #%llu: %d entries",
+             static_cast<unsigned long long>(t->meta.number), counter);
     return Status::OK();
   }
 
@@ -285,6 +293,8 @@ class Repairer {
   const Options options_;
   TableOptions table_options_;
   std::unique_ptr<TableCache> table_cache_;
+  std::unique_ptr<obs::Logger> owned_info_log_;
+  obs::Logger* info_log_ = nullptr;
 
   std::vector<std::string> manifests_;
   std::vector<uint64_t> table_numbers_;

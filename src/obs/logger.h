@@ -1,11 +1,12 @@
-// Logger: the DB's info log (the `LOG` file in the DB directory).
+// Logger: the DB's info log (the `LOG` file in the DB directory), the
+// one place every engine message goes.
 //
-// Unlike the process-wide PIPELSM_LOG_* stderr logger (util/logging.h),
-// this one is per-DB and Env-backed: on a SimEnv the LOG lands in the
+// It is per-DB and Env-backed: on a SimEnv the LOG lands in the
 // simulated filesystem alongside the SSTables it describes; on the posix
 // Env it is a real file an operator can tail. DBImpl auto-creates one
-// under the DB dir (rotating the previous run's to LOG.old) unless
-// Options::info_log supplies a custom sink.
+// under the DB dir (OpenInfoLog in src/db/filename.h, rotating the
+// previous run's to LOG.old) unless Options::info_log supplies a custom
+// sink.
 //
 // Line format (docs/OBSERVABILITY.md "Info log"):
 //   <micros-since-open> <message>

@@ -41,6 +41,9 @@ class Counter {
 class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
+  void Add(int64_t delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
 
   void UpdateMax(int64_t v) {
     int64_t cur = value_.load(std::memory_order_relaxed);
@@ -74,10 +77,10 @@ class HistogramMetric {
 };
 
 // One instrument's point-in-time state, as captured by
-// MetricsRegistry::Snapshot(). The exporters (Prometheus exposition,
-// the time-series ring) consume these instead of reaching into the
-// registry, so a snapshot is coherent per instrument and the exporters
-// never hold the registry mutex while formatting.
+// MetricsRegistry::Snapshot(). The Prometheus exposition consumes these
+// instead of reaching into the registry, so a snapshot is coherent per
+// instrument and the exporter never holds the registry mutex while
+// formatting.
 struct MetricSample {
   enum class Kind { kCounter, kGauge, kHistogram };
 

@@ -12,37 +12,52 @@
 
 namespace pipelsm::obs {
 
-// compaction.step.<S1.read .. S7.write>.{nanos,bytes} plus the run
-// totals. Counters accumulate across runs (registration is idempotent).
-inline void AddStepMetrics(MetricsRegistry* metrics,
-                           const StepProfile& profile) {
-  if (metrics == nullptr) return;
-  metrics->RegisterCounter("compaction.runs", "major compactions executed")
-      ->Add(1);
-  metrics->RegisterCounter("compaction.subtasks", "sub-tasks processed")
-      ->Add(profile.subtasks);
-  metrics
-      ->RegisterCounter("compaction.wall_nanos",
-                        "end-to-end compaction wall time")
-      ->Add(profile.wall_nanos);
-  metrics
-      ->RegisterCounter("compaction.input_bytes",
-                        "stored bytes of the input blocks compactions "
-                        "planned, each block once")
-      ->Add(profile.input_bytes);
-  metrics
-      ->RegisterCounter("compaction.output_bytes",
-                        "raw bytes produced by compactions")
-      ->Add(profile.output_bytes);
+// Calls fn(counter, field) for each registry counter that mirrors a
+// StepProfile field: the run totals plus
+// compaction.step.<S1.read .. S7.write>.{nanos,bytes}.
+template <typename Fn>
+void ForEachStepCounter(MetricsRegistry* metrics, StepProfile* profile,
+                        Fn fn) {
+  fn(metrics->RegisterCounter("compaction.subtasks", "sub-tasks processed"),
+     &profile->subtasks);
+  fn(metrics->RegisterCounter("compaction.wall_nanos",
+                              "end-to-end compaction wall time"),
+     &profile->wall_nanos);
+  fn(metrics->RegisterCounter("compaction.input_bytes",
+                              "stored bytes of the input blocks compactions "
+                              "planned, each block once"),
+     &profile->input_bytes);
+  fn(metrics->RegisterCounter("compaction.output_bytes",
+                              "raw bytes produced by compactions"),
+     &profile->output_bytes);
   for (int i = 0; i < kNumSteps; i++) {
     const std::string base =
         std::string("compaction.step.") +
         CompactionStepName(static_cast<CompactionStep>(i));
-    metrics->RegisterCounter(base + ".nanos", "time spent in this step")
-        ->Add(profile.nanos[i]);
-    metrics->RegisterCounter(base + ".bytes", "bytes through this step")
-        ->Add(profile.bytes[i]);
+    fn(metrics->RegisterCounter(base + ".nanos", "time spent in this step"),
+       &profile->nanos[i]);
+    fn(metrics->RegisterCounter(base + ".bytes", "bytes through this step"),
+       &profile->bytes[i]);
   }
+}
+
+// Publishes one successful run. Counters accumulate across runs
+// (registration is idempotent).
+inline void AddStepMetrics(MetricsRegistry* metrics, StepProfile profile) {
+  if (metrics == nullptr) return;
+  metrics->RegisterCounter("compaction.runs", "major compactions executed")
+      ->Add(1);
+  ForEachStepCounter(metrics, &profile,
+                     [](Counter* c, uint64_t* v) { c->Add(*v); });
+}
+
+// The sum of every run AddStepMetrics published: the profile behind
+// DB::GetCompactionMetrics().
+inline StepProfile ReadStepMetrics(MetricsRegistry* metrics) {
+  StepProfile profile;
+  ForEachStepCounter(metrics, &profile,
+                     [](Counter* c, uint64_t* v) { *v = c->value(); });
+  return profile;
 }
 
 // compaction.queue.<name>.{push_stall_nanos,pop_stall_nanos,push_stalls,

@@ -63,10 +63,11 @@ class Cache {
   virtual uint64_t misses() const = 0;
   virtual uint64_t evictions() const = 0;
 
-  // Binds obs instruments that the cache thereafter updates inline
-  // (counters on each hit/miss/eviction, gauge on each usage change).
-  // Any pointer may be nullptr. Not thread-safe against concurrent
-  // cache operations — bind before the cache goes hot.
+  // Makes the given obs instruments the cache's stats: each hit, miss,
+  // eviction and usage change is counted once, there, and the accessors
+  // above read them back. Counts so far carry over; a nullptr keeps the
+  // cache's own instrument for that stat. Not thread-safe against
+  // concurrent cache operations — bind before the cache goes hot.
   virtual void BindStats(obs::Counter* hits, obs::Counter* misses,
                          obs::Counter* evictions, obs::Gauge* usage) = 0;
 

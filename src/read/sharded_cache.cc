@@ -52,13 +52,11 @@ class ShardedLRUCache final : public Cache {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(KeyView(key));
     if (it == shard.index.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      if (miss_counter_ != nullptr) miss_counter_->Add();
+      miss_counter_->Add();
       return nullptr;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (hit_counter_ != nullptr) hit_counter_->Add();
+    hit_counter_->Add();
     return it->second->value;
   }
 
@@ -117,29 +115,28 @@ class ShardedLRUCache final : public Cache {
   }
 
   size_t usage() const override {
-    return usage_.load(std::memory_order_relaxed);
+    return static_cast<size_t>(usage_gauge_->value());
   }
   size_t capacity() const override { return capacity_; }
   size_t num_shards() const override { return num_shards_; }
 
-  uint64_t hits() const override {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t misses() const override {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  uint64_t evictions() const override {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const override { return hit_counter_->value(); }
+  uint64_t misses() const override { return miss_counter_->value(); }
+  uint64_t evictions() const override { return eviction_counter_->value(); }
 
   void BindStats(obs::Counter* hits, obs::Counter* misses,
                  obs::Counter* evictions, obs::Gauge* usage) override {
-    hit_counter_ = hits;
-    miss_counter_ = misses;
-    eviction_counter_ = evictions;
-    usage_gauge_ = usage;
-    if (usage_gauge_ != nullptr) {
-      usage_gauge_->Set(static_cast<int64_t>(this->usage()));
+    auto rebind = [](obs::Counter** from, obs::Counter* to) {
+      if (to == nullptr) return;
+      to->Add((*from)->value());
+      *from = to;
+    };
+    rebind(&hit_counter_, hits);
+    rebind(&miss_counter_, misses);
+    rebind(&eviction_counter_, evictions);
+    if (usage != nullptr) {
+      usage->Set(usage_gauge_->value());
+      usage_gauge_ = usage;
     }
   }
 
@@ -172,35 +169,29 @@ class ShardedLRUCache final : public Cache {
   void AdjustUsage(Shard& shard, int64_t delta) {
     shard.usage = static_cast<size_t>(
         static_cast<int64_t>(shard.usage) + delta);
-    size_t total = usage_.fetch_add(static_cast<uint64_t>(delta),
-                                    std::memory_order_relaxed) +
-                   static_cast<uint64_t>(delta);
-    if (usage_gauge_ != nullptr) {
-      usage_gauge_->Set(static_cast<int64_t>(total));
-    }
+    usage_gauge_->Add(delta);
   }
 
   void EvictLocked(Shard& shard, std::list<Entry>::iterator victim) {
     AdjustUsage(shard, -static_cast<int64_t>(victim->charge));
     shard.index.erase(std::string_view(victim->key));
     shard.lru.erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (eviction_counter_ != nullptr) eviction_counter_->Add();
+    eviction_counter_->Add();
   }
 
   const size_t capacity_;
   const size_t num_shards_;
   const size_t shard_mask_;
   std::vector<Shard> shards_;
-  std::atomic<uint64_t> usage_{0};
   std::atomic<uint64_t> next_id_{1};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  obs::Counter* hit_counter_ = nullptr;
-  obs::Counter* miss_counter_ = nullptr;
-  obs::Counter* eviction_counter_ = nullptr;
-  obs::Gauge* usage_gauge_ = nullptr;
+  // Each stat is counted once, in the instrument these point at: the
+  // cache's own until BindStats re-points them into a registry.
+  obs::Counter own_hits_, own_misses_, own_evictions_;
+  obs::Gauge own_usage_;
+  obs::Counter* hit_counter_ = &own_hits_;
+  obs::Counter* miss_counter_ = &own_misses_;
+  obs::Counter* eviction_counter_ = &own_evictions_;
+  obs::Gauge* usage_gauge_ = &own_usage_;
 };
 
 }  // namespace

@@ -471,8 +471,6 @@ void Server::HandleAdminRequest(const std::shared_ptr<Conn>& conn,
     property = "pipelsm.advisor";
   } else if (path == "/arbiter") {
     property = "pipelsm.arbiter";
-  } else if (path == "/timeseries") {
-    property = "pipelsm.timeseries";
   }
   if (property == nullptr) {
     admin_http_errors_->Add();

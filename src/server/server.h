@@ -192,7 +192,7 @@ struct ServerOptions {
 
   // -------- admin endpoint (docs/OBSERVABILITY.md) --------
   // Port for the HTTP/1.0 admin endpoint (GET /metrics /stats /advisor
-  // /arbiter /timeseries /healthz), served by the same epoll loops as
+  // /arbiter /healthz), served by the same epoll loops as
   // client traffic. -1 = disabled; 0 = ephemeral (read via
   // admin_port()). Binds on `host`. Admin connections are exempt from
   // stall parking and drain parking: /metrics stays scrapable while

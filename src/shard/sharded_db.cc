@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "src/db/filename.h"
 #include "src/obs/logger.h"
 #include "src/obs/metrics.h"
 #include "src/util/coding.h"
@@ -233,7 +234,7 @@ Status ShardedDB::Open(const Options& options, const ShardedOptions& sharded,
   db->name_ = name;
   db->metrics_ = std::make_unique<obs::MetricsRegistry>();
   db->router_ = std::make_unique<ShardRouter>(std::move(boundaries));
-  obs::NewFileLogger(env, name + "/LOG", &db->info_log_);  // best effort
+  OpenInfoLog(env, name, &db->info_log_);  // best effort
 
   if (sharded.enable_arbiter) {
     ArbiterOptions aopts = sharded.arbiter;
@@ -496,8 +497,7 @@ bool ShardedDB::GetProperty(const Slice& property, std::string* value) {
   // JSON payloads become a JSON array, one element per shard. (All
   // shards share one Options, so pipelsm.vlog is all-or-none.)
   if (prop == "pipelsm.metrics" || prop == "pipelsm.advisor" ||
-      prop == "pipelsm.scheduler" || prop == "pipelsm.timeseries" ||
-      prop == "pipelsm.vlog") {
+      prop == "pipelsm.scheduler" || prop == "pipelsm.vlog") {
     *value = "[";
     for (size_t i = 0; i < shards_.size(); i++) {
       std::string v;
@@ -596,8 +596,7 @@ CompactionMetrics ShardedDB::GetCompactionMetrics() {
     total.profile.Merge(m.profile);
     total.compactions += m.compactions;
     total.memtable_flushes += m.memtable_flushes;
-    total.bytes_read += m.bytes_read;
-    total.bytes_written += m.bytes_written;
+    total.compaction_bytes_written += m.compaction_bytes_written;
     total.stall_micros += m.stall_micros;
   }
   return total;

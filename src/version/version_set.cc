@@ -6,10 +6,11 @@
 #include "src/compaction/picker.h"
 #include "src/db/filename.h"
 #include "src/env/env.h"
+#include "src/obs/logger.h"
 #include "src/table/merger.h"
 #include "src/table/two_level_iterator.h"
 #include "src/util/coding.h"
-#include "src/util/logging.h"
+#include "src/util/string_util.h"
 #include "src/wal/log_reader.h"
 #include "src/wal/log_writer.h"
 
@@ -24,11 +25,11 @@ static int64_t TotalFileSize(const std::vector<FileMetaData*>& files) {
 }
 
 double VersionSet::MaxBytesForLevel(int level) const {
-  // Result for both level-0 and level-1: 10 MB by default (level-0 is
-  // special-cased by file count anyway).
+  // Result for both level-0 and level-1: 10 MB (level-0 is special-cased
+  // by file count anyway); each deeper level holds 10x the one above.
   double result = 10. * 1048576.0;
   while (level > 1) {
-    result *= options_->level_size_multiplier;
+    result *= 10;
     level--;
   }
   return result;
@@ -587,11 +588,13 @@ class VersionSet::Builder {
 
 VersionSet::VersionSet(std::string dbname, const Options* options,
                        TableCache* table_cache,
-                       const InternalKeyComparator* cmp)
+                       const InternalKeyComparator* cmp,
+                       obs::Logger* info_log)
     : dbname_(std::move(dbname)),
       options_(options),
       table_cache_(table_cache),
       icmp_(*cmp),
+      info_log_(info_log),
       picker_(NewCompactionPicker(options->compaction_style, options)),
       overlapping_levels_(picker_->AllowsOverlappingLevels()),
       dummy_versions_(this),
@@ -672,7 +675,7 @@ Status VersionSet::LogAndApply(VersionEdit* edit, std::mutex* mu) {
         s = descriptor_file_->Sync();
       }
       if (!s.ok()) {
-        PIPELSM_LOG_ERROR("MANIFEST write: %s", s.ToString().c_str());
+        obs::Log(info_log_, "MANIFEST write: %s", s.ToString().c_str());
       }
     }
 
@@ -979,7 +982,6 @@ void VersionSet::SetupOtherInputs(Compaction* c) {
   if (!c->inputs_[1].empty()) {
     std::vector<FileMetaData*> expanded0;
     current_->GetOverlappingInputs(level, &all_start, &all_limit, &expanded0);
-    const int64_t inputs0_size = TotalFileSize(c->inputs_[0]);
     const int64_t inputs1_size = TotalFileSize(c->inputs_[1]);
     const int64_t expanded0_size = TotalFileSize(expanded0);
     if (expanded0.size() > c->inputs_[0].size() &&
@@ -991,12 +993,6 @@ void VersionSet::SetupOtherInputs(Compaction* c) {
       current_->GetOverlappingInputs(level + 1, &new_start, &new_limit,
                                      &expanded1);
       if (expanded1.size() == c->inputs_[1].size()) {
-        PIPELSM_LOG_DEBUG(
-            "Expanding@%d %d+%d (%lld+%lld bytes) to %d+%d (%lld+%lld bytes)",
-            level, int(c->inputs_[0].size()), int(c->inputs_[1].size()),
-            (long long)inputs0_size, (long long)inputs1_size,
-            int(expanded0.size()), int(expanded1.size()),
-            (long long)expanded0_size, (long long)inputs1_size);
         smallest = new_start;
         largest = new_limit;
         c->inputs_[0] = expanded0;

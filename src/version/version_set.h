@@ -129,8 +129,11 @@ class Version {
 
 class VersionSet {
  public:
+  // MANIFEST write failures are reported to `info_log` (the DB's LOG;
+  // may be null).
   VersionSet(std::string dbname, const Options* options,
-             TableCache* table_cache, const InternalKeyComparator* cmp);
+             TableCache* table_cache, const InternalKeyComparator* cmp,
+             obs::Logger* info_log = nullptr);
   ~VersionSet();
 
   VersionSet(const VersionSet&) = delete;
@@ -240,6 +243,7 @@ class VersionSet {
   const Options* const options_;
   TableCache* const table_cache_;
   const InternalKeyComparator icmp_;
+  obs::Logger* const info_log_;
   const std::unique_ptr<CompactionPicker> picker_;
   const bool overlapping_levels_;
   uint64_t next_file_number_ = 2;

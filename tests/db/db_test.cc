@@ -233,20 +233,6 @@ TEST_P(DBTest, GetProperty) {
   EXPECT_FALSE(db_->GetProperty("unprefixed", &value));
 }
 
-TEST_P(DBTest, TimeseriesPropertyTracksCounters) {
-  Open();
-  // No stats thread in this config: the property takes one on-demand
-  // sample, so even the first fetch carries current absolute values.
-  ASSERT_TRUE(Put("k", "v").ok());
-  std::string value;
-  ASSERT_TRUE(db_->GetProperty("pipelsm.timeseries", &value));
-  EXPECT_NE(value.find("\"samples\":[{"), std::string::npos) << value;
-  EXPECT_NE(value.find("\"db.write_micros.count\":1"), std::string::npos)
-      << value;
-  EXPECT_NE(value.find("\"db.write_stall_state\":0"), std::string::npos)
-      << value;
-}
-
 TEST_P(DBTest, OpenMissingDbFailsWithoutCreateFlag) {
   Options opt = options_;
   opt.create_if_missing = false;

@@ -118,6 +118,38 @@ TEST_F(RecoveryTest, TornWalTailLosesOnlyLastRecord) {
   EXPECT_EQ("NOT_FOUND", Get("b"));  // torn record dropped cleanly
 }
 
+TEST_F(RecoveryTest, GarbledWalTailIsReportedInLog) {
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "a", "1").ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "b", "2").ok());
+  Close();
+
+  // Garble the last record's payload: its checksum no longer matches.
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_.GetChildren("/db", &children).ok());
+  std::string wal;
+  uint64_t number;
+  FileType type;
+  for (const auto& c : children) {
+    if (ParseFileName(c, &number, &type) && type == kLogFile) {
+      wal = "/db/" + c;
+    }
+  }
+  ASSERT_FALSE(wal.empty());
+  uint64_t size;
+  ASSERT_TRUE(env_.GetFileSize(wal, &size).ok());
+  ASSERT_TRUE(env_.CorruptFile(wal, size - 2, 2).ok());
+
+  Open();
+  EXPECT_EQ("1", Get("a"));
+  EXPECT_EQ("NOT_FOUND", Get("b"));
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(&env_, InfoLogFileName("/db"), &log).ok());
+  EXPECT_NE(std::string::npos, log.find("recovering log #")) << log;
+  EXPECT_NE(std::string::npos, log.find("dropping ")) << log;
+  EXPECT_NE(std::string::npos, log.find("checksum mismatch")) << log;
+}
+
 TEST_F(RecoveryTest, DeletionsSurviveReopen) {
   Open();
   ASSERT_TRUE(db_->Put(WriteOptions(), "k", "v").ok());
@@ -273,6 +305,24 @@ TEST_F(FaultRecoveryTest, TransientFlushErrorRetriesWithoutGoingSticky) {
   EXPECT_EQ("OK", BackgroundError());
   EXPECT_GE(fault_.injected_failures(), 1u);
   EXPECT_EQ(std::string(100, 'x'), Get("t-0"));
+}
+
+TEST_F(FaultRecoveryTest, ManifestSyncFailureIsReportedInLog) {
+  Open();
+  // The next MANIFEST sync fails once: the flush's version edit is
+  // rejected, reported to the LOG, and retried onto a fresh MANIFEST.
+  fault_.SetPathFilter(FaultOp::kSync, "MANIFEST");
+  fault_.FailAfter(FaultOp::kSync, 1, Status::IOError("manifest sync lost"));
+  FillPastFlush("m");
+  ASSERT_TRUE(db_->WaitForCompactions().ok()) << BackgroundError();
+  EXPECT_EQ(1u, fault_.injected_failures());
+
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(&env_, InfoLogFileName("/db"), &log).ok());
+  EXPECT_NE(std::string::npos,
+            log.find("MANIFEST write: IO error: manifest sync lost"))
+      << log;
+  EXPECT_EQ(std::string(100, 'x'), Get("m-0"));
 }
 
 TEST_F(FaultRecoveryTest, ExhaustedRetriesGoStickyAndResumeRecovers) {

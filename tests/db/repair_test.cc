@@ -157,6 +157,24 @@ TEST_F(RepairTest, RepairedDbAcceptsNewWrites) {
   VerifyFill(500);
 }
 
+TEST_F(RepairTest, ReportsToTheDbLog) {
+  Open();
+  Fill(100);  // stays in the memtable + WAL
+  db_.reset();
+  RemoveMetadata();
+  ASSERT_TRUE(RepairDB("/db", options_).ok());
+
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(&env_, InfoLogFileName("/db"), &log).ok());
+  EXPECT_NE(std::string::npos, log.find("-> table #")) << log;
+  EXPECT_NE(std::string::npos, log.find("repair: recovered 1 tables")) << log;
+  // The closed DB's own LOG is kept, not overwritten.
+  std::string old_log;
+  ASSERT_TRUE(
+      ReadFileToString(&env_, OldInfoLogFileName("/db"), &old_log).ok());
+  EXPECT_NE(std::string::npos, old_log.find("closing DB")) << old_log;
+}
+
 TEST_F(RepairTest, EmptyDirFails) {
   env_.CreateDir("/empty");
   EXPECT_FALSE(RepairDB("/empty", options_).ok());

@@ -18,17 +18,24 @@
 namespace pipelsm {
 namespace {
 
-// Counts compaction listener events and checks the begin/completed
-// pairing contract survives the fan-out (exactly one pair per job, with
-// merged totals on Completed).
+// Counts flush and compaction listener events and checks the
+// begin/completed pairing contract survives the fan-out (exactly one
+// pair per job, with merged totals on Completed).
 class CompactionCounter : public obs::EventListener {
  public:
+  void OnFlushCompleted(const obs::FlushJobInfo&) override {
+    flushes_.fetch_add(1);
+  }
   void OnCompactionBegin(const obs::CompactionJobInfo& info) override {
     begins_.fetch_add(1);
     if (info.subcompactions > 1) split_begins_.fetch_add(1);
   }
   void OnCompactionCompleted(const obs::CompactionJobInfo& info) override {
     completes_.fetch_add(1);
+    if (info.status.ok()) {
+      ok_completes_.fetch_add(1);
+      ok_input_bytes_.fetch_add(info.profile.input_bytes);
+    }
     if (info.subcompactions > 1) {
       split_completes_.fetch_add(1);
       if (info.status.ok() && info.output_bytes > 0) {
@@ -37,8 +44,11 @@ class CompactionCounter : public obs::EventListener {
     }
   }
 
+  std::atomic<int> flushes_{0};
   std::atomic<int> begins_{0};
   std::atomic<int> completes_{0};
+  std::atomic<int> ok_completes_{0};
+  std::atomic<uint64_t> ok_input_bytes_{0};
   std::atomic<int> split_begins_{0};
   std::atomic<int> split_completes_{0};
   std::atomic<int> split_with_output_{0};
@@ -115,13 +125,57 @@ class SubcompactionDBTest : public ::testing::Test {
     return dump;
   }
 
-  uint64_t SubcompactedJobs() {
+  // The number after "<key>": in the JSON property, or 0.
+  uint64_t JsonNumber(const char* property, const std::string& key) {
     std::string prop;
-    if (!db_->GetProperty("pipelsm.compaction", &prop)) return 0;
-    const std::string needle = "\"subcompacted_jobs\":";
+    if (!db_->GetProperty(property, &prop)) return 0;
+    const std::string needle = "\"" + key + "\":";
     size_t pos = prop.find(needle);
     if (pos == std::string::npos) return 0;
     return std::strtoull(prop.c_str() + pos + needle.size(), nullptr, 10);
+  }
+
+  uint64_t SubcompactedJobs() {
+    return JsonNumber("pipelsm.compaction", "subcompacted_jobs");
+  }
+
+  // GetCompactionMetrics reads the registry; every total must match what
+  // the event stream reported for the same fill.
+  void ExpectTotalsMatchEvents(int max_subcompactions) {
+    Open(max_subcompactions);
+    std::map<std::string, std::string> oracle;
+    FillWorkload(db_.get(), &oracle);
+    ASSERT_TRUE(db_->WaitForCompactions().ok());
+    db_->CompactRange(nullptr, nullptr);
+    ASSERT_TRUE(db_->WaitForCompactions().ok());
+
+    const CompactionMetrics m = db_->GetCompactionMetrics();
+    ASSERT_GT(m.compactions, 0u);
+    EXPECT_EQ(static_cast<uint64_t>(counter_.ok_completes_.load()),
+              m.compactions);
+    EXPECT_EQ(static_cast<uint64_t>(counter_.flushes_.load()),
+              m.memtable_flushes);
+    EXPECT_EQ(counter_.ok_input_bytes_.load(), m.profile.input_bytes);
+    EXPECT_EQ(static_cast<uint64_t>(counter_.split_completes_.load()),
+              SubcompactedJobs());
+
+    const uint64_t runs = JsonNumber("pipelsm.metrics", "compaction.runs");
+    if (max_subcompactions == 1) {
+      EXPECT_EQ(m.compactions, runs);
+    } else {
+      EXPECT_GT(runs, m.compactions);  // a split job runs several sub-jobs
+    }
+
+    std::string prop;
+    ASSERT_TRUE(db_->GetProperty("pipelsm.compaction", &prop));
+    for (const char* key :
+         {"style", "picker", "tiered_run_count", "max_subcompactions",
+          "last_predicted_write_amp", "subcompacted_jobs",
+          "subcompactions_run", "levels"}) {
+      EXPECT_NE(std::string::npos,
+                prop.find("\"" + std::string(key) + "\":"))
+          << key << " missing from " << prop;
+    }
   }
 
   SimEnv env_;
@@ -193,6 +247,14 @@ TEST_F(SubcompactionDBTest, OneListenerPairPerSplitJob) {
   ASSERT_TRUE(ReadFileToString(&fault_, "/db/LOG", &log).ok());
   EXPECT_NE(std::string::npos, log.find("EVENT subcompaction"))
       << "no subcompaction EVENT lines in LOG";
+}
+
+TEST_F(SubcompactionDBTest, RegistryTotalsMatchEventsUnsplit) {
+  ExpectTotalsMatchEvents(/*max_subcompactions=*/1);
+}
+
+TEST_F(SubcompactionDBTest, RegistryTotalsMatchEventsSplit) {
+  ExpectTotalsMatchEvents(/*max_subcompactions=*/4);
 }
 
 TEST_F(SubcompactionDBTest, FailedSubjobInstallsNothing) {

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/db/db.h"
+#include "src/db/filename.h"
 #include "src/db/write_batch.h"
 #include "src/env/fault_env.h"
 #include "src/env/sim_env.h"
@@ -308,11 +310,68 @@ TEST(ShardedDB, PropertiesFanOutAcrossTheFleet) {
   EXPECT_NE(std::string::npos, value.find("== shard 0 =="));
   EXPECT_NE(std::string::npos, value.find("== shard 3 =="));
 
-  // JSON-array fan-out: one ring per shard.
-  ASSERT_TRUE(db->GetProperty("pipelsm.timeseries", &value));
+  // JSON-array fan-out: one registry snapshot per shard.
+  ASSERT_TRUE(db->GetProperty("pipelsm.metrics", &value));
   EXPECT_EQ('[', value.front());
   EXPECT_EQ(']', value.back());
-  EXPECT_NE(std::string::npos, value.find("\"samples\":[{"));
+  size_t snapshots = 0;
+  for (size_t pos = value.find("\"counters\":{"); pos != std::string::npos;
+       pos = value.find("\"counters\":{", pos + 1)) {
+    snapshots++;
+  }
+  EXPECT_EQ(4u, snapshots);
+}
+
+ShardedOptions TwoShards() {
+  ShardedOptions sharded;
+  sharded.num_shards = 2;
+  sharded.boundary_keys = {"m"};
+  return sharded;
+}
+
+// The fleet's GetCompactionMetrics sums every field of its shards,
+// including the write-amplification numerator.
+TEST(ShardedDB, CompactionMetricsSumTheShards) {
+  SimEnv env;
+  Options options = BaseOptions(&env);
+  std::unique_ptr<ShardedDB> db = MustOpen(options, TwoShards(), "/sdb");
+  WriteOptions wo;
+  for (int i = 0; i < 3000; i++) {
+    const std::string key =
+        std::string(1, static_cast<char>('a' + i % 26)) + std::to_string(i);
+    ASSERT_TRUE(db->Put(wo, key, std::string(100, 'v')).ok());
+  }
+  db->CompactRange(nullptr, nullptr);
+  ASSERT_TRUE(db->WaitForCompactions().ok());
+
+  const CompactionMetrics m = db->GetCompactionMetrics();
+  ASSERT_GT(m.compaction_bytes_written, 0u);
+  std::string metrics;
+  ASSERT_TRUE(db->GetProperty("pipelsm.metrics", &metrics));
+  const std::string needle = "\"compaction.bytes_written\":";
+  uint64_t sum = 0;
+  int shards = 0;
+  for (size_t pos = metrics.find(needle); pos != std::string::npos;
+       pos = metrics.find(needle, pos + 1)) {
+    sum += std::strtoull(metrics.c_str() + pos + needle.size(), nullptr, 10);
+    shards++;
+  }
+  EXPECT_EQ(2, shards);
+  EXPECT_EQ(sum, m.compaction_bytes_written);
+}
+
+TEST(ShardedDB, ReopenKeepsThePreviousFleetLog) {
+  SimEnv env;
+  Options options = BaseOptions(&env);
+  MustOpen(options, TwoShards(), "/sdb");  // first run: open and close
+  std::unique_ptr<ShardedDB> db = MustOpen(options, ShardedOptions(), "/sdb");
+
+  std::string old_log, log;
+  ASSERT_TRUE(
+      ReadFileToString(&env, OldInfoLogFileName("/sdb"), &old_log).ok());
+  ASSERT_TRUE(ReadFileToString(&env, InfoLogFileName("/sdb"), &log).ok());
+  EXPECT_NE(std::string::npos, old_log.find("EVENT sharded_open shards=2"));
+  EXPECT_NE(std::string::npos, log.find("EVENT sharded_open shards=2"));
 }
 
 TEST(ShardedDB, ArbiterOffRunsAndReportsEmpty) {

@@ -7,7 +7,7 @@
 #include "src/table/filter_block.h"
 #include "src/table/filter_policy.h"
 #include "src/util/coding.h"
-#include "src/util/logging.h"
+#include "src/util/string_util.h"
 
 namespace pipelsm {
 namespace {

@@ -41,7 +41,6 @@
 #include "src/db/filename.h"
 #include "src/env/fault_env.h"
 #include "src/env/sim_env.h"
-#include "src/util/logging.h"
 #include "src/util/random.h"
 
 namespace pipelsm {
@@ -455,7 +454,6 @@ int main(int argc, char** argv) {
       flags.seed = static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
       flags.verbose = true;
-      pipelsm::SetLogLevel(pipelsm::LogLevel::kDebug);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;

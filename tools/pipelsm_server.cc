@@ -48,8 +48,8 @@
 //                           fleet compaction budget (defaults 4/4)
 //   --no_arbiter            per-shard free-for-all compaction admission
 //   --admin_port=N          HTTP observability endpoint (GET /metrics
-//                           /stats /advisor /arbiter /timeseries
-//                           /healthz; docs/OBSERVABILITY.md). -1 =
+//                           /stats /advisor /arbiter /healthz;
+//                           docs/OBSERVABILITY.md). -1 =
 //                           disabled (default); 0 = ephemeral, printed
 //                           at startup
 //   --slow_request_micros=N requests slower than this end to end log one
