@@ -33,7 +33,10 @@ class CompactionExecutor {
 
   // Plans sub-tasks from `inputs` and runs them to completion, writing
   // outputs through `sink` and accumulating step timings in *profile
-  // (wall_nanos covers the whole run including planning).
+  // (wall_nanos covers the whole run including planning). A run that
+  // fails after planning still adds what it measured to *profile, but
+  // publishes nothing to CompactionJobOptions::metrics. Executors fire
+  // no listener events and keep no state between runs.
   virtual Status Run(const CompactionJobOptions& options,
                      const std::vector<std::shared_ptr<Table>>& inputs,
                      CompactionSink* sink, StepProfile* profile) = 0;

@@ -25,7 +25,6 @@
 #include "src/compaction/planner.h"
 #include "src/compaction/steps.h"
 #include "src/compaction/write_stage.h"
-#include "src/obs/event_listener.h"
 #include "src/obs/pipeline_metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/bounded_queue.h"
@@ -94,17 +93,6 @@ class PipelinedExecutor final : public CompactionExecutor {
       }
     }
     const uint32_t pid = job.trace_pid;
-
-    obs::CompactionJobInfo* const info = job.job_info;
-    if (info != nullptr) {
-      info->executor = name_;
-      info->subtasks = plans.size();
-      if (job.listeners != nullptr) {
-        for (obs::EventListener* l : *job.listeners) {
-          l->OnCompactionBegin(*info);
-        }
-      }
-    }
 
     obs::HistogramMetric* read_hist = nullptr;
     obs::HistogramMetric* compute_hist = nullptr;
@@ -260,7 +248,7 @@ class PipelinedExecutor final : public CompactionExecutor {
 
     // Assemble this run's profile separately so the published metrics
     // cover exactly this compaction even if the caller's *profile is an
-    // accumulator. Assembled on failures too: the Completed event below
+    // accumulator. Merged on failures too: the job's Completed event
     // reports whatever was measured before the run broke.
     StepProfile run_profile;
     for (const StepProfile& p : reader_profiles) run_profile.Merge(p);
@@ -271,21 +259,10 @@ class PipelinedExecutor final : public CompactionExecutor {
     run_profile.input_bytes += job_plan.input_bytes;
     run_profile.output_bytes += output_bytes;
     run_profile.wall_nanos += wall.ElapsedNanos();
-    if (info != nullptr) {
-      info->output_bytes = run_profile.output_bytes;
-      info->profile = run_profile;
-      info->wall_micros = run_profile.wall_nanos / 1000;
-      info->status = s;
-      if (job.listeners != nullptr) {
-        for (obs::EventListener* l : *job.listeners) {
-          l->OnCompactionCompleted(*info);
-        }
-      }
-    }
-    if (!s.ok()) return s;
-    obs::AddStepMetrics(job.metrics, run_profile);
     profile->Merge(run_profile);
-    return Status::OK();
+    // The registry's run and step counters cover successful runs only.
+    if (s.ok()) obs::AddStepMetrics(job.metrics, run_profile);
+    return s;
   }
 
  private:

@@ -74,7 +74,7 @@ struct SchedulerDecision {
   int read_parallelism = 1;
   int compute_parallelism = 1;
   bool adaptive = false;     // false: static config or warmup fallback
-  std::string rationale;     // one line for EVENT adaptive_decision / info
+  std::string rationale;     // one line for EVENT compaction_begin / info
 };
 
 // What one engine tells a fleet-level governor when it wants to compact.

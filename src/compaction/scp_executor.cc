@@ -11,7 +11,6 @@
 #include "src/compaction/planner.h"
 #include "src/compaction/steps.h"
 #include "src/compaction/write_stage.h"
-#include "src/obs/event_listener.h"
 #include "src/obs/pipeline_metrics.h"
 #include "src/obs/trace.h"
 
@@ -33,16 +32,6 @@ class ScpExecutor final : public CompactionExecutor {
     std::vector<SubTaskPlan>& plans = job_plan.subtasks;
 
     CompactionJobOptions job = options;
-    obs::CompactionJobInfo* const info = job.job_info;
-    if (info != nullptr) {
-      info->executor = name();
-      info->subtasks = plans.size();
-      if (job.listeners != nullptr) {
-        for (obs::EventListener* l : *job.listeners) {
-          l->OnCompactionBegin(*info);
-        }
-      }
-    }
     obs::TraceCollector* const trace = job.trace;
     if (trace != nullptr) {
       job.trace_pid = trace->BeginJob("SCP compaction (" +
@@ -101,21 +90,10 @@ class ScpExecutor final : public CompactionExecutor {
     run_profile.bytes[kStepWrite] += wp.bytes[kStepWrite];
     run_profile.input_bytes += job_plan.input_bytes;
     run_profile.wall_nanos += wall.ElapsedNanos();
-    if (info != nullptr) {
-      info->output_bytes = run_profile.output_bytes;
-      info->profile = run_profile;
-      info->wall_micros = run_profile.wall_nanos / 1000;
-      info->status = s;
-      if (job.listeners != nullptr) {
-        for (obs::EventListener* l : *job.listeners) {
-          l->OnCompactionCompleted(*info);
-        }
-      }
-    }
-    if (!s.ok()) return s;
-    obs::AddStepMetrics(job.metrics, run_profile);
     profile->Merge(run_profile);
-    return Status::OK();
+    // The registry's run and step counters cover successful runs only.
+    if (s.ok()) obs::AddStepMetrics(job.metrics, run_profile);
+    return s;
   }
 };
 

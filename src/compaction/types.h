@@ -30,10 +30,8 @@
 namespace pipelsm {
 
 namespace obs {
-class EventListener;
 class MetricsRegistry;
 class TraceCollector;
-struct CompactionJobInfo;
 }  // namespace obs
 
 // One data-block extent to read for a sub-task.
@@ -175,24 +173,17 @@ struct CompactionJobOptions {
 
   // -------- observability (src/obs, docs/OBSERVABILITY.md) --------
   // Optional registry the executor publishes run metrics into: queue
-  // stall times, depth high-watermarks, per-step nanos/bytes, sub-task
-  // latency histograms. Registration is idempotent, so one registry can
-  // accumulate across many compactions.
+  // stall times, depth high-watermarks, sub-task latency histograms, and
+  // for successful runs only compaction.runs and the per-step
+  // nanos/bytes. Registration is idempotent, so one registry can
+  // accumulate across many compactions. Listener events are not the
+  // executor's business: the DB's CompactionJob (src/db/compaction_job.h)
+  // fires one Begin/Completed pair per job.
   obs::MetricsRegistry* metrics = nullptr;
 
   // Optional trace collector; when set, every sub-task's stage spans and
   // queue-wait stalls are recorded for chrome://tracing export.
   obs::TraceCollector* trace = nullptr;
-
-  // Optional event listeners (src/obs/event_listener.h). The executor
-  // fires OnCompactionBegin once planning is done and
-  // OnCompactionCompleted on every exit path — including failures, where
-  // the info carries the non-ok status and whatever profile was measured.
-  // Requires job_info to be set (the executor fills in executor name,
-  // sub-task count, output bytes and the step profile; the caller
-  // pre-fills job id, level and input files).
-  const std::vector<obs::EventListener*>* listeners = nullptr;
-  obs::CompactionJobInfo* job_info = nullptr;
 
   // Set by the executor on its own copy of the options (callers leave
   // them alone): which trace process the run belongs to and which lane

@@ -6,10 +6,10 @@
 #include <thread>
 #include <vector>
 
-#include "src/compaction/executor.h"
 #include "src/compaction/picker.h"
 #include "src/compaction/scheduler.h"
 #include "src/db/builder.h"
+#include "src/db/compaction_job.h"
 #include "src/db/db_iter.h"
 #include "src/db/filename.h"
 #include "src/obs/pipeline_metrics.h"
@@ -40,24 +40,19 @@ Options SanitizeOptions(const Options& src) {
   if (result.compute_parallelism < 1) result.compute_parallelism = 1;
   if (result.io_parallelism < 1) result.io_parallelism = 1;
   if (result.min_compute_workers < 1) result.min_compute_workers = 1;
-  if (result.max_compute_workers < result.min_compute_workers) {
-    result.max_compute_workers = result.min_compute_workers;
-  }
+  result.max_compute_workers =
+      std::max(result.max_compute_workers, result.min_compute_workers);
   if (result.min_stripe_width < 1) result.min_stripe_width = 1;
-  if (result.max_stripe_width < result.min_stripe_width) {
-    result.max_stripe_width = result.min_stripe_width;
-  }
-  if (result.scheduler_hysteresis_jobs < 1) {
-    result.scheduler_hysteresis_jobs = 1;
-  }
+  result.max_stripe_width =
+      std::max(result.max_stripe_width, result.min_stripe_width);
+  result.scheduler_hysteresis_jobs =
+      std::max(result.scheduler_hysteresis_jobs, 1);
   // Compaction-policy knobs (docs/COMPACTION.md): T < 2 degenerates to
   // leveling with extra read amplification, and the sub-compaction
   // fan-out is bounded so a misconfigured value cannot spawn an
   // unbounded thread herd per job.
-  if (result.tiered_run_count < 2) result.tiered_run_count = 2;
-  if (result.tiered_run_count > 32) result.tiered_run_count = 32;
-  if (result.max_subcompactions < 1) result.max_subcompactions = 1;
-  if (result.max_subcompactions > 16) result.max_subcompactions = 16;
+  result.tiered_run_count = std::clamp(result.tiered_run_count, 2, 32);
+  result.max_subcompactions = std::clamp(result.max_subcompactions, 1, 16);
   if (result.scheduler_warmup_jobs < 0) result.scheduler_warmup_jobs = 0;
   if (result.scheduler_min_gain < 1.0) result.scheduler_min_gain = 1.0;
   if (result.pipeline_queue_depth < 1) result.pipeline_queue_depth = 1;
@@ -71,123 +66,16 @@ Options SanitizeOptions(const Options& src) {
       result.value_separation_threshold = result.vlog_segment_size / 2;
     }
   }
-  if (result.vlog_gc_dead_ratio < 0.01) result.vlog_gc_dead_ratio = 0.01;
-  if (result.vlog_gc_dead_ratio > 1.0) result.vlog_gc_dead_ratio = 1.0;
-  if (result.background_retry_backoff_micros < 1) {
-    result.background_retry_backoff_micros = 1;
-  }
-  if (result.background_retry_backoff_max_micros <
-      result.background_retry_backoff_micros) {
-    result.background_retry_backoff_max_micros =
-        result.background_retry_backoff_micros;
-  }
+  result.vlog_gc_dead_ratio = std::clamp(result.vlog_gc_dead_ratio, 0.01, 1.0);
+  result.background_retry_backoff_micros =
+      std::max<uint64_t>(result.background_retry_backoff_micros, 1);
+  result.background_retry_backoff_max_micros =
+      std::max(result.background_retry_backoff_max_micros,
+               result.background_retry_backoff_micros);
   return result;
 }
 
-// Choose up to want-1 strictly increasing user keys splitting a job's
-// inputs into byte-balanced sub-ranges. Cuts happen only at input-table
-// largest keys, so most tables fall wholly inside one sub-range and no
-// boundary splits a key's version chain (all versions of a seam key land
-// in the sub-range at or below it). May return fewer splits than asked —
-// including none — when the inputs offer too few distinct boundaries.
-std::vector<std::string> PickSubcompactionSplits(const Compaction* c,
-                                                 const Comparator* ucmp,
-                                                 int want) {
-  struct Cand {
-    std::string key;
-    uint64_t bytes;
-  };
-  std::vector<Cand> cands;
-  uint64_t total = 0;
-  for (int which = 0; which < 2; which++) {
-    for (const FileMetaData* f : c->inputs(which)) {
-      cands.push_back({f->largest.user_key().ToString(), f->file_size});
-      total += f->file_size;
-    }
-  }
-  std::sort(cands.begin(), cands.end(),
-            [&](const Cand& a, const Cand& b) {
-              return ucmp->Compare(a.key, b.key) < 0;
-            });
-  // Merge duplicate boundary keys, accumulating their bytes.
-  size_t n = 0;
-  for (size_t i = 0; i < cands.size(); i++) {
-    if (n > 0 && ucmp->Compare(cands[i].key, cands[n - 1].key) == 0) {
-      cands[n - 1].bytes += cands[i].bytes;
-    } else {
-      cands[n++] = cands[i];
-    }
-  }
-  cands.resize(n);
-  std::vector<std::string> splits;
-  if (cands.size() < 2 || total == 0 || want < 2) return splits;
-  // Walk boundaries accumulating bytes; cut whenever the running total
-  // crosses the next even share. The global max key is never a split
-  // (the trailing sub-range would be empty).
-  uint64_t cum = 0;
-  uint64_t next_share = 1;
-  for (size_t i = 0;
-       i + 1 < cands.size() && splits.size() + 1 < static_cast<size_t>(want);
-       i++) {
-    cum += cands[i].bytes;
-    if (cum >= total * next_share / static_cast<uint64_t>(want)) {
-      splits.push_back(cands[i].key);
-      next_share++;
-    }
-  }
-  return splits;
-}
-
 }  // namespace
-
-class DBImpl::CompactionSinkImpl final : public CompactionSink {
- public:
-  CompactionSinkImpl(DBImpl* db) : db_(db) {}
-
-  Status NewOutputFile(uint64_t* file_number,
-                       std::unique_ptr<WritableFile>* file) override {
-    // Opportunistically flush a pending immutable memtable so the write
-    // path does not stall for the whole duration of a long compaction
-    // (LevelDB does the same check inside its compaction loop).
-    db_->MaybeFlushImmFromSink();
-
-    uint64_t number;
-    {
-      std::lock_guard<std::mutex> lock(db_->mutex_);
-      number = db_->versions_->NewFileNumber();
-      db_->pending_outputs_.insert(number);
-    }
-    Status s = db_->env_->NewWritableFile(TableFileName(db_->dbname_, number),
-                                          file);
-    if (s.ok()) {
-      *file_number = number;
-      std::lock_guard<std::mutex> lock(mu_);
-      allocated_.push_back(number);
-    } else {
-      std::lock_guard<std::mutex> lock(db_->mutex_);
-      db_->pending_outputs_.erase(number);
-    }
-    return s;
-  }
-
-  void OutputFinished(const OutputMeta& meta) override {
-    outputs_.push_back(meta);
-  }
-
-  const std::vector<OutputMeta>& outputs() const { return outputs_; }
-
-  // Every output number this job pulled into pending_outputs_, including
-  // files abandoned half-written on an error exit. The driver must erase
-  // all of them — not just the finished outputs — or failed jobs leak
-  // table files that RemoveObsoleteFiles can never reclaim.
-  const std::vector<uint64_t>& allocated() const { return allocated_; }
-
- private:
-  DBImpl* const db_;
-  std::mutex mu_;  // NewOutputFile can race with itself across stages
-  std::vector<OutputMeta> outputs_;
-  std::vector<uint64_t> allocated_;
-};
 
 // Internal listener, always first on the dispatch list: renders every
 // event as one grep-able `EVENT` line in the info log and feeds each
@@ -219,30 +107,31 @@ class DBImpl::EventLogger final : public obs::EventListener {
     obs::Log(db_->info_log_,
              "EVENT compaction_begin job=%llu level=%d output_level=%d "
              "style=%s executor=%s read_k=%d compute_k=%d adaptive=%d "
-             "inputs=%d input_bytes=%llu subtasks=%llu subcompactions=%d "
-             "predicted_write_amp=%.2f",
+             "inputs=%d input_bytes=%llu subcompactions=%d "
+             "predicted_write_amp=%.2f rationale=\"%s\"",
              static_cast<unsigned long long>(info.job_id), info.level,
              info.output_level, info.style, info.executor,
              info.read_parallelism, info.compute_parallelism,
              info.adaptive ? 1 : 0, info.input_files,
              static_cast<unsigned long long>(info.input_bytes),
-             static_cast<unsigned long long>(info.subtasks),
-             info.subcompactions, info.predicted_write_amp);
+             info.subcompactions, info.predicted_write_amp,
+             info.scheduler_rationale.c_str());
   }
 
   void OnCompactionCompleted(const obs::CompactionJobInfo& info) override {
     const StepProfile& p = info.profile;
     obs::Log(db_->info_log_,
              "EVENT compaction_end job=%llu level=%d output_level=%d "
-             "style=%s executor=%s subcompactions=%d "
+             "style=%s executor=%s subcompactions=%d subtasks=%llu "
              "output_bytes=%llu read_ms=%.1f compute_ms=%.1f write_ms=%.1f "
              "wall_ms=%.1f status=%s",
              static_cast<unsigned long long>(info.job_id), info.level,
              info.output_level, info.style, info.executor,
              info.subcompactions,
-             static_cast<unsigned long long>(info.output_bytes),
+             static_cast<unsigned long long>(p.subtasks),
+             static_cast<unsigned long long>(p.output_bytes),
              p.nanos[kStepRead] / 1e6, p.ComputeNanos() / 1e6,
-             p.nanos[kStepWrite] / 1e6, info.wall_micros / 1e3,
+             p.nanos[kStepWrite] / 1e6, p.wall_nanos / 1e6,
              info.status.ok() ? "ok" : info.status.ToString().c_str());
     if (info.status.ok()) {
       db_->advisor_.AddJob(info.profile);
@@ -352,9 +241,6 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
                                       "open tables cached"));
   versions_.reset(new VersionSet(dbname_, &options_, table_cache_.get(),
                                  &internal_comparator_, info_log_));
-  for (int m = 0; m < 4; m++) {
-    executors_[m] = NewCompactionExecutor(CompactionMode(m));
-  }
   scheduler_ = std::make_unique<CompactionScheduler>(
       SchedulerOptions::FromOptions(options_), &metrics_registry_);
 
@@ -587,8 +473,7 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
   std::sort(logs.begin(), logs.end());
   SequenceNumber max_sequence = 0;
   for (size_t i = 0; i < logs.size(); i++) {
-    s = RecoverLogFile(logs[i], (i == logs.size() - 1), save_manifest, edit,
-                       &max_sequence);
+    s = RecoverLogFile(logs[i], save_manifest, edit, &max_sequence);
     if (!s.ok()) return s;
 
     // The previous incarnation may not have written any MANIFEST records
@@ -605,8 +490,8 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
   return Status::OK();
 }
 
-Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
-                              bool* save_manifest, VersionEdit* edit,
+Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
+                              VersionEdit* edit,
                               SequenceNumber* max_sequence) {
   struct LogReporter : public log::Reader::Reporter {
     obs::Logger* info_log;
@@ -640,7 +525,6 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
   std::string scratch;
   Slice record;
   WriteBatch batch;
-  int compactions = 0;
   MemTable* mem = nullptr;
   while (reader.ReadRecord(&record, &scratch) && status.ok()) {
     if (record.size() < 12) {
@@ -665,7 +549,6 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
     }
 
     if (mem->ApproximateMemoryUsage() > options_.write_buffer_size) {
-      compactions++;
       *save_manifest = true;
       status = WriteLevel0Table(mem, edit, nullptr);
       mem->Unref();
@@ -679,14 +562,11 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
   }
 
   // (LevelDB can reuse the last log file; we always roll a fresh one.)
-  (void)last_log;
-
   if (status.ok() && mem != nullptr && mem->ApproximateMemoryUsage() > 0) {
     *save_manifest = true;
     status = WriteLevel0Table(mem, edit, nullptr);
   }
   if (mem != nullptr) mem->Unref();
-  (void)compactions;
   return status;
 }
 
@@ -744,7 +624,8 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
 }
 
 Status DBImpl::CompactMemTable(std::unique_lock<std::mutex>&) {
-  assert(imm_ != nullptr);
+  assert(imm_ != nullptr && !imm_flush_in_progress_);
+  imm_flush_in_progress_ = true;
 
   // Save the contents of the memtable as a new Table.
   VersionEdit edit;
@@ -770,21 +651,20 @@ Status DBImpl::CompactMemTable(std::unique_lock<std::mutex>&) {
     has_imm_.store(false, std::memory_order_release);
     RemoveObsoleteFiles();
   }
+  imm_flush_in_progress_ = false;
   // On failure imm_ stays pending; the caller classifies the error
   // (retry vs sticky) and the background loop re-attempts the flush.
   return s;
 }
 
-void DBImpl::MaybeFlushImmFromSink() {
+void DBImpl::MaybeFlushImmDuringCompaction() {
   if (!has_imm_.load(std::memory_order_acquire)) return;
   std::unique_lock<std::mutex> lock(mutex_);
-  // Several sub-compaction sinks can race here; only the first may flush
-  // (the imm_ check re-passes for the others while CompactMemTable is
-  // parked in LogAndApply with mutex_ released).
+  // Several sub-jobs can race here; only the first may flush (the imm_
+  // check re-passes for the others while CompactMemTable is parked in
+  // LogAndApply with mutex_ released).
   if (imm_ != nullptr && !imm_flush_in_progress_ && bg_error_.ok()) {
-    imm_flush_in_progress_ = true;
     Status s = CompactMemTable(lock);
-    imm_flush_in_progress_ = false;
     if (!s.ok()) {
       // Runs on an executor thread: classify here, and the background
       // loop (which still sees imm_ != nullptr) owns the re-attempt.
@@ -821,16 +701,12 @@ void DBImpl::RemoveObsoleteFiles() {
           keep = (number >= versions_->ManifestFileNumber());
           break;
         case kTableFile:
-          keep = (live.find(number) != live.end());
-          break;
         case kTempFile:
           keep = (live.find(number) != live.end());
           break;
         case kVlogFile:
           // The value log manages its own segment lifecycle (GC +
           // retirement sweeps, docs/VALUE_LOG.md).
-          keep = true;
-          break;
         case kCurrentFile:
         case kDBLockFile:
           keep = true;
@@ -857,19 +733,22 @@ void DBImpl::RemoveObsoleteFiles() {
   mutex_.lock();
 }
 
+void DBImpl::NotifyBackgroundError(const Status& s, const char* source,
+                                   bool sticky) {
+  obs::BackgroundErrorInfo info;
+  info.status = s;
+  info.source = source;
+  info.attempt = bg_retry_attempts_;
+  info.max_attempts = options_.max_background_retries;
+  info.sticky = sticky;
+  for (obs::EventListener* l : listeners_) l->OnBackgroundError(info);
+}
+
 void DBImpl::RecordBackgroundError(const Status& s, const char* source) {
   if (bg_error_.ok()) {
     bg_error_ = s;
     background_done_signal_.notify_all();
-    obs::BackgroundErrorInfo info;
-    info.status = s;
-    info.source = source;
-    info.attempt = bg_retry_attempts_;
-    info.max_attempts = options_.max_background_retries;
-    info.sticky = true;
-    for (obs::EventListener* l : listeners_) {
-      l->OnBackgroundError(info);
-    }
+    NotifyBackgroundError(s, source, /*sticky=*/true);
     // First (and only) transition into the error state: export the trace
     // now, while the spans leading up to the failure are still in memory
     // — the clean-close path may never run.
@@ -897,15 +776,7 @@ void DBImpl::HandleBackgroundFailure(const Status& s, const char* source) {
   if (transient && bg_retry_attempts_ < options_.max_background_retries) {
     bg_retry_attempts_++;
     bg_retry_pending_ = true;
-    obs::BackgroundErrorInfo info;
-    info.status = s;
-    info.source = source;
-    info.attempt = bg_retry_attempts_;
-    info.max_attempts = options_.max_background_retries;
-    info.sticky = false;
-    for (obs::EventListener* l : listeners_) {
-      l->OnBackgroundError(info);
-    }
+    NotifyBackgroundError(s, source, /*sticky=*/false);
   } else {
     RecordBackgroundError(s, source);
   }
@@ -918,9 +789,7 @@ void DBImpl::SetStallCondition(obs::WriteStallCondition condition) {
   info.condition = condition;
   stall_condition_ = condition;
   stall_state_gauge_->Set(static_cast<int64_t>(condition));
-  for (obs::EventListener* l : listeners_) {
-    l->OnWriteStallChange(info);
-  }
+  for (obs::EventListener* l : listeners_) l->OnWriteStallChange(info);
 }
 
 std::string DBImpl::StatsReport() {
@@ -1016,10 +885,7 @@ void DBImpl::BackgroundThreadMain() {
 
 Status DBImpl::BackgroundCompaction(std::unique_lock<std::mutex>& lock) {
   if (imm_ != nullptr && !imm_flush_in_progress_) {
-    imm_flush_in_progress_ = true;
-    Status s = CompactMemTable(lock);
-    imm_flush_in_progress_ = false;
-    return s;
+    return CompactMemTable(lock);
   }
 
   Compaction* c;
@@ -1086,20 +952,14 @@ Status DBImpl::BackgroundCompaction(std::unique_lock<std::mutex>& lock) {
 
 Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
                                 Compaction* c) {
-  // Admission-time scheduling: ask the scheduler which procedure and
-  // parallelism the advisor's current decayed profile calls for. The
-  // decision is copied into the per-job CompactionJobOptions here, under
-  // mutex_, and never re-read from shared state mid-run — the executors
-  // only ever see their own job copy (see docs/TUNING.md).
-  //
-  // With a fleet governor (Options::compaction_governor, docs/SHARDING.md)
-  // the admission instead blocks — outside mutex_ — until the fleet hands
-  // this engine a budget share. The wait aborts on shutdown, and for
-  // non-manual jobs also when a flush becomes pending: this engine's sole
-  // background thread must not sit in the arbiter queue while writers
-  // stall on imm_. A manual compaction never yields to a flush, because
-  // BackgroundCompaction advances the manual cursor whether or not work
-  // ran — yielding would silently skip the range.
+  // Admission: the scheduler picks the procedure and parallelism the
+  // advisor's decayed profile calls for, and the job gets its own copy of
+  // that decision (docs/TUNING.md). A fleet governor (docs/SHARDING.md)
+  // instead blocks, outside mutex_, until the fleet grants a budget share.
+  // The wait aborts on shutdown, and for non-manual jobs when a flush
+  // becomes pending (the sole background thread must not queue while
+  // writers stall on imm_). A manual job never yields: BackgroundCompaction
+  // advances the manual cursor either way, so yielding would skip a range.
   SchedulerDecision decision;
   uint64_t grant_id = 0;
   CompactionGovernor* const governor = options_.compaction_governor;
@@ -1110,11 +970,7 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
     request.advisor_jobs = advisor_.jobs();
     request.level = c->level();
     request.predicted_write_amp = c->predicted_write_amp();
-    for (int which = 0; which < 2; which++) {
-      for (const FileMetaData* f : c->inputs(which)) {
-        request.input_bytes += f->file_size;
-      }
-    }
+    request.input_bytes = c->TotalInputBytes();
     const bool manual = manual_compaction_ != nullptr;
     lock.unlock();
     CompactionGrant grant = governor->Admit(request, [this, manual] {
@@ -1136,201 +992,58 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   } else {
     decision = scheduler_->Admit(advisor_.Profile(), advisor_.jobs());
   }
-  CompactionExecutor* const executor =
-      executors_[static_cast<int>(decision.mode)].get();
 
-  CompactionJobOptions job;
-  job.icmp = &internal_comparator_;
-  job.subtask_bytes = options_.subtask_bytes;
-  job.table = table_options_;
-  job.max_output_file_size = c->MaxOutputFileSize();
-  job.read_parallelism = decision.read_parallelism;
-  job.compute_parallelism = decision.compute_parallelism;
-  job.queue_depth = options_.pipeline_queue_depth;
-  job.time_dilation = options_.compaction_time_dilation;
-  job.metrics = &metrics_registry_;
-  job.trace = trace_.get();
+  CompactionJobOptions base;
+  base.icmp = &internal_comparator_;
+  base.subtask_bytes = options_.subtask_bytes;
+  base.table = table_options_;
+  base.queue_depth = options_.pipeline_queue_depth;
+  base.time_dilation = options_.compaction_time_dilation;
+  base.metrics = &metrics_registry_;
+  base.trace = trace_.get();
+  base.smallest_snapshot = snapshots_.empty()
+                               ? versions_->LastSequence()
+                               : snapshots_.front()->sequence_number();
   if (vlog_ != nullptr) {
     // Dropped pointer entries mean their value-log frames just became
     // dead bytes. CreditDiscard is thread-safe (C-PPCP fires it from
     // several compute workers at once) and never touches mutex_.
-    job.on_drop_entry = [this](ValueType type, const Slice& value) {
+    base.on_drop_entry = [this](ValueType type, const Slice& value) {
       if (type == kTypeValuePointer) vlog_->CreditDiscard(value);
     };
   }
 
-  obs::CompactionJobInfo job_info;
-  job_info.job_id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
-  job_info.level = c->level();
-  job_info.output_level = c->output_level();
-  job_info.style = CompactionStyleName(options_.compaction_style);
-  job_info.predicted_write_amp = c->predicted_write_amp();
-  job_info.input_files = c->num_input_files(0) + c->num_input_files(1);
-  job_info.read_parallelism = decision.read_parallelism;
-  job_info.compute_parallelism = decision.compute_parallelism;
-  job_info.adaptive = decision.adaptive;
-  job_info.scheduler_rationale = decision.rationale;
-  job.listeners = &listeners_;
-  job.job_info = &job_info;
-
-  obs::Log(info_log_,
-           "EVENT adaptive_decision job=%llu level=%d output_level=%d "
-           "style=%s predicted_write_amp=%.2f procedure=%s "
-           "read_k=%d compute_k=%d adaptive=%d rationale=\"%s\"",
-           static_cast<unsigned long long>(job_info.job_id), c->level(),
-           c->output_level(), CompactionStyleName(options_.compaction_style),
-           c->predicted_write_amp(),
-           CompactionModeName(decision.mode), decision.read_parallelism,
-           decision.compute_parallelism, decision.adaptive ? 1 : 0,
-           decision.rationale.c_str());
-
-  if (snapshots_.empty()) {
-    job.smallest_snapshot = versions_->LastSequence();
-  } else {
-    job.smallest_snapshot = snapshots_.front()->sequence_number();
-  }
-
-  // Tombstones in a sub-range may be dropped iff no level below the output
-  // holds any key of that range. Evaluated at plan time on the pinned
-  // input version, so it is safe against concurrent version installs.
-  job.range_is_base_level = [c](const SubTaskPlan& plan) {
-    Slice lo(plan.lo_user_key), hi(plan.hi_user_key);
-    return c->RangeIsBaseLevel(plan.unbounded_lo ? nullptr : &lo,
-                               plan.unbounded_hi ? nullptr : &hi);
-  };
-
-  // Open all input tables (level first, then level+1, preserving L0
-  // newest-to-oldest is unnecessary: internal keys carry sequence).
   std::vector<std::shared_ptr<Table>> inputs;
   Status status;
-  uint64_t input_bytes = 0;
   for (int which = 0; which < 2 && status.ok(); which++) {
     for (const FileMetaData* f : c->inputs(which)) {
       std::shared_ptr<Table> t;
       status = table_cache_->GetTable(f->number, f->file_size, &t);
       if (!status.ok()) break;
       inputs.push_back(std::move(t));
-      input_bytes += f->file_size;
     }
   }
 
-  // ---- key-range sub-compaction fan-out (docs/COMPACTION.md) ----
-  // A large job may split at input-table boundary keys into disjoint
-  // (lo, hi] sub-ranges, each run by its own executor instance over the
-  // same open inputs. The fan-out is clamped by Options and by the
-  // parallelism this job was just granted, so a split never
-  // oversubscribes the scheduler/governor budget.
-  std::vector<std::string> split_keys;
-  if (status.ok() && options_.max_subcompactions > 1) {
-    uint64_t want = static_cast<uint64_t>(
-        std::min(options_.max_subcompactions,
-                 std::max(decision.read_parallelism,
-                          decision.compute_parallelism)));
-    // Size floor: a sub-range under ~2 sub-tasks of input is thread
-    // churn, not parallelism.
-    const uint64_t floor_bytes =
-        2 * static_cast<uint64_t>(options_.subtask_bytes);
-    if (floor_bytes > 0) {
-      want = std::min(want, std::max<uint64_t>(1, input_bytes / floor_bytes));
-    }
-    if (want > 1) {
-      split_keys = PickSubcompactionSplits(
-          c, internal_comparator_.user_comparator(),
-          static_cast<int>(want));
-    }
-  }
-  const int fanout = static_cast<int>(split_keys.size()) + 1;
-  job_info.subcompactions = fanout;
-
-  CompactionSinkImpl sink(this);
-  StepProfile profile;
-  std::vector<std::unique_ptr<CompactionSinkImpl>> sub_sinks;
-  if (status.ok() && fanout == 1) {
-    job_info.input_bytes = input_bytes;
-    // Release the mutex while the executor runs (the expensive part).
-    // The executor fires OnCompactionBegin/Completed on listeners_ from
-    // this (unlocked) thread.
-    lock.unlock();
-    status = executor->Run(job, inputs, &sink, &profile);
-    lock.lock();
-  } else if (status.ok()) {
-    job_info.input_bytes = input_bytes;
-    std::vector<CompactionJobOptions> sub_jobs(fanout, job);
-    std::vector<obs::CompactionJobInfo> sub_infos(fanout);
-    std::vector<std::unique_ptr<CompactionExecutor>> sub_execs;
-    std::vector<StepProfile> sub_profiles(fanout);
-    std::vector<Status> sub_status(fanout);
-    for (int i = 0; i < fanout; i++) {
-      sub_sinks.emplace_back(new CompactionSinkImpl(this));
-      CompactionJobOptions& sj = sub_jobs[i];
-      // Each sub-job runs a fresh executor instance on an equal share of
-      // the granted parallelism (floor 1). The parent fires the listener
-      // callbacks once for the whole job, so sub-jobs carry none — but
-      // they keep their own job_info so the executors still report
-      // per-sub subtask/output/profile totals to merge below.
-      sj.read_parallelism = std::max(1, decision.read_parallelism / fanout);
-      sj.compute_parallelism =
-          std::max(1, decision.compute_parallelism / fanout);
-      sj.listeners = nullptr;
-      sj.job_info = &sub_infos[i];
-      if (i > 0) {
-        sj.range_unbounded_lo = false;
-        sj.range_lo_user_key = split_keys[i - 1];
-      }
-      if (i < fanout - 1) {
-        sj.range_unbounded_hi = false;
-        sj.range_hi_user_key = split_keys[i];
-      }
-      sub_execs.push_back(NewCompactionExecutor(decision.mode));
-    }
-    subcompaction_jobs_counter_->Add(1);
-    subcompaction_runs_counter_->Add(fanout);
-    Stopwatch wall_sw;
-    lock.unlock();
-    // One Begin/Completed pair for the whole job: listeners (and through
-    // them the advisor) digest a single job with merged totals. Begin
-    // fires before planning, so subtasks is still 0 here.
-    for (obs::EventListener* l : listeners_) l->OnCompactionBegin(job_info);
-    std::vector<std::thread> threads;
-    threads.reserve(fanout - 1);
-    for (int i = 1; i < fanout; i++) {
-      threads.emplace_back([&, i] {
-        sub_status[i] = sub_execs[i]->Run(sub_jobs[i], inputs,
-                                          sub_sinks[i].get(),
-                                          &sub_profiles[i]);
+  // Outputs are protected from GC from allocation until the install. The
+  // allocator first flushes a pending immutable memtable, so writers do
+  // not stall for the whole of a long compaction (as LevelDB does).
+  CompactionJob job(
+      next_job_id_.fetch_add(1, std::memory_order_relaxed),
+      CompactionStyleName(options_.compaction_style),
+      options_.max_subcompactions, base, decision, c, std::move(inputs),
+      listeners_, info_log_,
+      [this](uint64_t* number, std::unique_ptr<WritableFile>* file) {
+        MaybeFlushImmDuringCompaction();
+        {
+          std::lock_guard<std::mutex> l(mutex_);
+          *number = versions_->NewFileNumber();
+          pending_outputs_.insert(*number);
+        }
+        return env_->NewWritableFile(TableFileName(dbname_, *number), file);
       });
-    }
-    sub_status[0] = sub_execs[0]->Run(sub_jobs[0], inputs, sub_sinks[0].get(),
-                                      &sub_profiles[0]);
-    for (std::thread& t : threads) t.join();
-    uint64_t sub_output_bytes = 0;
-    uint64_t sub_subtasks = 0;
-    for (int i = 0; i < fanout; i++) {
-      if (status.ok() && !sub_status[i].ok()) status = sub_status[i];
-      profile.Merge(sub_profiles[i]);
-      sub_subtasks += sub_infos[i].subtasks;
-      sub_output_bytes += sub_infos[i].output_bytes;
-      obs::Log(info_log_,
-               "EVENT subcompaction job=%llu sub=%d/%d lo=%s hi=%s "
-               "subtasks=%llu output_bytes=%llu status=%s",
-               static_cast<unsigned long long>(job_info.job_id), i + 1,
-               fanout, i > 0 ? split_keys[i - 1].c_str() : "-inf",
-               i < fanout - 1 ? split_keys[i].c_str() : "+inf",
-               static_cast<unsigned long long>(sub_infos[i].subtasks),
-               static_cast<unsigned long long>(sub_infos[i].output_bytes),
-               sub_status[i].ok() ? "ok"
-                                  : sub_status[i].ToString().c_str());
-    }
-    job_info.executor = executor->name();
-    job_info.subtasks = sub_subtasks;
-    job_info.output_bytes = sub_output_bytes;
-    job_info.profile = profile;
-    job_info.wall_micros =
-        static_cast<uint64_t>(wall_sw.ElapsedNanos() / 1000);
-    job_info.status = status;
-    for (obs::EventListener* l : listeners_) {
-      l->OnCompactionCompleted(job_info);
-    }
+  if (status.ok()) {
+    lock.unlock();  // the job runs (the expensive part) without mutex_
+    status = job.Run();
     lock.lock();
   }
 
@@ -1344,23 +1057,14 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   }
 
   if (status.ok()) {
-    // Install the results. Sub-jobs are concatenated in sub-range order,
-    // so outputs ascend in key space and the whole fan-out lands in ONE
-    // VersionEdit: readers see either the old inputs or every new output,
-    // never a half-installed split.
+    // One VersionEdit for the whole fan-out: readers see either the old
+    // inputs or every new output, never a half-installed split.
     c->AddInputDeletions(c->edit());
     uint64_t output_bytes = 0;
-    auto install = [&](const OutputMeta& out) {
+    for (const OutputMeta& out : job.outputs()) {
       c->edit()->AddFile(c->output_level(), out.file_number, out.file_size,
                          out.smallest, out.largest);
       output_bytes += out.file_size;
-    };
-    if (fanout == 1) {
-      for (const OutputMeta& out : sink.outputs()) install(out);
-    } else {
-      for (const auto& ss : sub_sinks) {
-        for (const OutputMeta& out : ss->outputs()) install(out);
-      }
     }
     status = versions_->LogAndApply(c->edit(), &mutex_);
     if (status.ok()) {
@@ -1370,18 +1074,10 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
     last_predicted_write_amp_ = c->predicted_write_amp();
   }
 
-  // Whether or not the edit was installed, stop protecting every output
-  // the job allocated — including files abandoned half-written on an
-  // error path. Uninstalled ones become garbage that RemoveObsoleteFiles
-  // collects (on a sticky error, the next successful reopen's sweep).
-  for (uint64_t number : sink.allocated()) {
-    pending_outputs_.erase(number);
-  }
-  for (const auto& ss : sub_sinks) {
-    for (uint64_t number : ss->allocated()) {
-      pending_outputs_.erase(number);
-    }
-  }
+  // Installed or not, stop protecting every output the job allocated,
+  // half-written ones included: RemoveObsoleteFiles collects the
+  // uninstalled ones (on a sticky error, the next reopen's sweep).
+  for (uint64_t number : job.allocated_files()) pending_outputs_.erase(number);
 
   c->ReleaseInputs();
 
@@ -2363,22 +2059,17 @@ void DBImpl::CompactRangeAtLevel(int level, const Slice* begin,
   assert(level + 1 < config::kNumLevels);
 
   InternalKey begin_storage, end_storage;
-
+  if (begin != nullptr) {
+    begin_storage = InternalKey(*begin, kMaxSequenceNumber, kValueTypeForSeek);
+  }
+  if (end != nullptr) {
+    end_storage = InternalKey(*end, 0, static_cast<ValueType>(0));
+  }
   ManualCompaction manual;
   manual.level = level;
   manual.done = false;
-  if (begin == nullptr) {
-    manual.begin = nullptr;
-  } else {
-    begin_storage = InternalKey(*begin, kMaxSequenceNumber, kValueTypeForSeek);
-    manual.begin = &begin_storage;
-  }
-  if (end == nullptr) {
-    manual.end = nullptr;
-  } else {
-    end_storage = InternalKey(*end, 0, static_cast<ValueType>(0));
-    manual.end = &end_storage;
-  }
+  manual.begin = begin != nullptr ? &begin_storage : nullptr;
+  manual.end = end != nullptr ? &end_storage : nullptr;
 
   std::unique_lock<std::mutex> lock(mutex_);
   while (!manual.done && !shutting_down_.load(std::memory_order_acquire) &&
@@ -2486,9 +2177,7 @@ Status DBImpl::Resume() {
   if (result.ok()) {
     obs::ErrorRecoveryInfo info;
     info.old_error = old_error;
-    for (obs::EventListener* l : listeners_) {
-      l->OnErrorRecovered(info);
-    }
+    for (obs::EventListener* l : listeners_) l->OnErrorRecovered(info);
   }
   return result;
 }

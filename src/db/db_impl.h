@@ -33,7 +33,6 @@
 
 namespace pipelsm {
 
-class CompactionExecutor;
 class CompactionScheduler;
 
 class SnapshotImpl : public Snapshot {
@@ -81,7 +80,6 @@ class DBImpl final : public DB {
 
  private:
   friend class DB;
-  class CompactionSinkImpl;
   class EventLogger;
 
   Status NewDB();
@@ -89,9 +87,8 @@ class DBImpl final : public DB {
   // Recover the descriptor from persistent storage. May do a significant
   // amount of work to recover recently logged updates.
   Status Recover(VersionEdit* edit, bool* save_manifest);
-  Status RecoverLogFile(uint64_t log_number, bool last_log,
-                        bool* save_manifest, VersionEdit* edit,
-                        SequenceNumber* max_sequence);
+  Status RecoverLogFile(uint64_t log_number, bool* save_manifest,
+                        VersionEdit* edit, SequenceNumber* max_sequence);
 
   Status WriteLevel0Table(MemTable* mem, VersionEdit* edit, Version* base)
       /* REQUIRES: holding mutex_ */;
@@ -104,11 +101,14 @@ class DBImpl final : public DB {
   void BackgroundThreadMain();
   Status BackgroundCompaction(std::unique_lock<std::mutex>& lock);
   Status CompactMemTable(std::unique_lock<std::mutex>& lock);
+  // Admits *c, runs it as a CompactionJob with mutex_ released, and
+  // installs its outputs.
   Status DoCompactionWork(std::unique_lock<std::mutex>& lock, Compaction* c);
 
-  // Flush a pending immutable memtable from the compaction write stage
-  // (keeps the write path unblocked during long major compactions).
-  void MaybeFlushImmFromSink();
+  // Flush a pending immutable memtable from a running compaction's output
+  // allocator (keeps the write path unblocked during long major
+  // compactions).
+  void MaybeFlushImmDuringCompaction();
 
   // ---- key-value separation (docs/VALUE_LOG.md) ----
   // One live value GC decided to rewrite: its key and its frame's old
@@ -170,6 +170,10 @@ class DBImpl final : public DB {
   Iterator* NewInternalIterator(const ReadOptions&,
                                 SequenceNumber* latest_snapshot);
 
+  // Fires OnBackgroundError on every listener.
+  void NotifyBackgroundError(const Status& s, const char* source,
+                             bool sticky) /* REQUIRES: holding mutex_ */;
+
   // Sticky error: freezes background work and writes until Resume().
   void RecordBackgroundError(const Status& s, const char* source = "db");
 
@@ -226,11 +230,9 @@ class DBImpl final : public DB {
   TableOptions table_options_;        // derived, for readers/flushes
   std::unique_ptr<TableCache> table_cache_;
 
-  // One executor per procedure, constructed up front (they are
-  // stateless); the scheduler picks which one runs each admitted job.
-  // With adaptive_compaction off the choice is Options::compaction_mode
-  // on every admission.
-  std::unique_ptr<CompactionExecutor> executors_[4];
+  // Picks the procedure and parallelism of each admitted job. With
+  // adaptive_compaction off the choice is Options::compaction_mode on
+  // every admission.
   std::unique_ptr<CompactionScheduler> scheduler_;
 
   std::mutex mutex_;
@@ -241,8 +243,8 @@ class DBImpl final : public DB {
   MemTable* mem_ = nullptr;
   MemTable* imm_ = nullptr;              // Memtable being flushed
   std::atomic<bool> has_imm_{false};     // imm_ != nullptr, lock-free probe
-  // True while one thread runs CompactMemTable. Concurrent sub-compaction
-  // sink threads may all observe has_imm_; CompactMemTable drops mutex_
+  // True while one thread runs CompactMemTable. Concurrent compaction
+  // sub-job threads may all observe has_imm_; CompactMemTable drops mutex_
   // inside LogAndApply, so the imm_ null check alone cannot arbitrate
   // (docs/COMPACTION.md). Guarded by mutex_.
   bool imm_flush_in_progress_ = false;

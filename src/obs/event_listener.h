@@ -2,12 +2,12 @@
 //
 // Where PR 1's metrics registry and trace collector are *pull* surfaces —
 // somebody has to ask for a snapshot — listeners are *pushed* to as the
-// pipeline runs: the builder announces every memtable dump, the
-// compaction executors announce every job (with the measured per-step
-// S1–S7 times the paper's Eqs. 1–7 consume), and the write path announces
-// every backpressure transition. The DB itself installs one internal
-// listener that turns the stream into info-log lines and feeds the online
-// bottleneck advisor (src/obs/advisor.h); user listeners on
+// pipeline runs: the builder announces every memtable dump, the DB's
+// compaction job announces every major compaction (with the measured
+// per-step S1–S7 times the paper's Eqs. 1–7 consume), and the write path
+// announces every backpressure transition. The DB itself installs one
+// internal listener that turns the stream into info-log lines and feeds
+// the online bottleneck advisor (src/obs/advisor.h); user listeners on
 // Options::listeners ride the same dispatch.
 //
 // Threading contract: callbacks fire synchronously on whichever thread
@@ -40,10 +40,16 @@ struct FlushJobInfo {
   Status status;             // Completed only
 };
 
-// One major compaction. Fired from the executors (all four procedures):
-// Begin after planning — so subtasks is already the sub-task count —
-// and Completed after the write stage closed, with the measured
-// StepProfile (per-step S1–S7 nanos and bytes) and the final status.
+// One major compaction. Fired by the DB's CompactionJob
+// (src/db/compaction_job.h), once per job however many key-range
+// sub-jobs it split into: Begin after the split and before planning, so
+// it already names the executor, the fan-out and the scheduler's
+// verdict; Completed after every sub-job finished, on success and on
+// failure alike, with the merged StepProfile and the job's status. The
+// profile is the one place a job's measured totals live:
+// profile.subtasks, profile.output_bytes (raw bytes produced) and
+// profile.wall_nanos (the job's own elapsed time between Begin and
+// Completed, not a sum over sub-jobs).
 struct CompactionJobInfo {
   uint64_t job_id = 0;
   int level = 0;             // input level
@@ -53,25 +59,19 @@ struct CompactionJobInfo {
   // and its predicted bytes-written amplification at pick time.
   const char* style = "leveled";
   double predicted_write_amp = 1.0;
-  // Number of disjoint key-range sub-jobs the DB split this compaction
-  // into (1 = not sub-compacted). When > 1, Begin fires before planning
-  // with subtasks == 0 and Completed carries the merged totals.
+  // Number of disjoint key-range sub-jobs the job runs (1 = not split).
   int subcompactions = 1;
-  // The CompactionScheduler's per-job verdict (src/compaction/scheduler.h),
-  // filled by the DB before the executor runs, so Begin already carries
-  // it: the parallelism the executor was handed, whether the choice came
-  // from the adaptive control loop (vs the static Options config), and
-  // the scheduler's one-line rationale.
+  // The CompactionScheduler's per-job verdict (src/compaction/scheduler.h):
+  // the parallelism the job was granted, whether the choice came from the
+  // adaptive control loop (vs the static Options config), and the
+  // scheduler's one-line rationale.
   int read_parallelism = 1;
   int compute_parallelism = 1;
   bool adaptive = false;
   std::string scheduler_rationale;
   int input_files = 0;
   uint64_t input_bytes = 0;  // compressed bytes across input tables
-  uint64_t subtasks = 0;
-  uint64_t output_bytes = 0; // raw bytes produced (Completed only)
   StepProfile profile;       // measured S1..S7 nanos/bytes (Completed only)
-  uint64_t wall_micros = 0;  // end-to-end run time (Completed only)
   Status status;             // Completed only
 };
 

@@ -6,6 +6,7 @@
 #include "src/compaction/executor.h"
 #include "src/compaction/steps.h"
 #include "src/env/sim_env.h"
+#include "src/obs/metrics.h"
 #include "src/workload/table_gen.h"
 
 namespace pipelsm {
@@ -57,11 +58,18 @@ TEST_F(CompactionFailureTest, CorruptInputFailsEveryExecutor) {
   for (const Case& c : cases) {
     auto executor = NewCompactionExecutor(c.mode);
     CountingSink sink(&env_, std::string("/out-") + executor->name());
+    obs::MetricsRegistry metrics;
+    CompactionJobOptions job = JobOptions(c.readers, c.computers);
+    job.metrics = &metrics;
     StepProfile profile;
-    Status s = executor->Run(JobOptions(c.readers, c.computers),
-                             inputs_.tables, &sink, &profile);
+    Status s = executor->Run(job, inputs_.tables, &sink, &profile);
     EXPECT_FALSE(s.ok()) << executor->name();
     EXPECT_TRUE(s.IsCorruption()) << executor->name() << ": " << s.ToString();
+    // The failed run still hands back what it measured (the job's
+    // Completed event reports it), but publishes no run to the registry.
+    EXPECT_GT(profile.nanos[kStepRead], 0u) << executor->name();
+    EXPECT_EQ(0u, metrics.RegisterCounter("compaction.runs", "")->value())
+        << executor->name();
   }
 }
 

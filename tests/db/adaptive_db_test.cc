@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -206,8 +207,16 @@ TEST_F(AdaptiveDbTest, AdaptiveDecisionsReachTheInfoLog) {
 
   std::string log;
   ASSERT_TRUE(ReadFileToString(&env_, "/db/LOG", &log).ok());
-  EXPECT_NE(std::string::npos, log.find("EVENT adaptive_decision"));
-  EXPECT_NE(std::string::npos, log.find("rationale="));
+  // The verdict rides on each job's one compaction_begin line.
+  int begins = 0;
+  std::istringstream lines(log);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("EVENT compaction_begin") == std::string::npos) continue;
+    begins++;
+    EXPECT_NE(std::string::npos, line.find(" rationale=\"")) << line;
+    EXPECT_EQ(std::string::npos, line.find("rationale=\"\"")) << line;
+  }
+  EXPECT_GE(begins, 1);
   EXPECT_NE(std::string::npos, log.find("+adaptive"));  // opening banner
 }
 

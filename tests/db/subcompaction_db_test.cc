@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "src/db/db.h"
 #include "src/env/env.h"
@@ -20,17 +23,38 @@ namespace {
 
 // Counts flush and compaction listener events and checks the
 // begin/completed pairing contract survives the fan-out (exactly one
-// pair per job, with merged totals on Completed).
+// pair per job, with merged totals on Completed). Per job id it keeps
+// the executor Begin announced and a steady-clock stamp taken at Begin,
+// so Completed can check both against what the job reports.
 class CompactionCounter : public obs::EventListener {
  public:
   void OnFlushCompleted(const obs::FlushJobInfo&) override {
     flushes_.fetch_add(1);
   }
   void OnCompactionBegin(const obs::CompactionJobInfo& info) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      begun_[info.job_id] = {info.executor,
+                             std::chrono::steady_clock::now()};
+    }
     begins_.fetch_add(1);
     if (info.subcompactions > 1) split_begins_.fetch_add(1);
   }
   void OnCompactionCompleted(const obs::CompactionJobInfo& info) override {
+    const auto now = std::chrono::steady_clock::now();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const Begun& b = begun_.at(info.job_id);
+      if (b.executor.empty() || b.executor != info.executor) {
+        executor_mismatches_.push_back(info.job_id);
+      }
+      // The job times itself between the two callbacks, split or not.
+      const uint64_t interval = std::chrono::duration_cast<
+          std::chrono::nanoseconds>(now - b.at).count();
+      if (info.profile.wall_nanos > interval) {
+        wall_overruns_.push_back(info.job_id);
+      }
+    }
     completes_.fetch_add(1);
     if (info.status.ok()) {
       ok_completes_.fetch_add(1);
@@ -38,7 +62,7 @@ class CompactionCounter : public obs::EventListener {
     }
     if (info.subcompactions > 1) {
       split_completes_.fetch_add(1);
-      if (info.status.ok() && info.output_bytes > 0) {
+      if (info.status.ok() && info.profile.output_bytes > 0) {
         split_with_output_.fetch_add(1);
       }
     }
@@ -52,6 +76,15 @@ class CompactionCounter : public obs::EventListener {
   std::atomic<int> split_begins_{0};
   std::atomic<int> split_completes_{0};
   std::atomic<int> split_with_output_{0};
+
+  struct Begun {
+    std::string executor;
+    std::chrono::steady_clock::time_point at;
+  };
+  std::mutex mu_;
+  std::map<uint64_t, Begun> begun_;
+  std::vector<uint64_t> executor_mismatches_;  // job ids
+  std::vector<uint64_t> wall_overruns_;        // job ids
 };
 
 class SubcompactionDBTest : public ::testing::Test {
@@ -158,6 +191,18 @@ class SubcompactionDBTest : public ::testing::Test {
     EXPECT_EQ(counter_.ok_input_bytes_.load(), m.profile.input_bytes);
     EXPECT_EQ(static_cast<uint64_t>(counter_.split_completes_.load()),
               SubcompactedJobs());
+    {
+      std::lock_guard<std::mutex> lock(counter_.mu_);
+      // Begin names the executor that Completed reports, split or not.
+      EXPECT_TRUE(counter_.executor_mismatches_.empty())
+          << counter_.executor_mismatches_.size() << " jobs, first "
+          << counter_.executor_mismatches_.front();
+      // profile.wall_nanos is the job's elapsed time, never a sum over
+      // overlapping sub-jobs.
+      EXPECT_TRUE(counter_.wall_overruns_.empty())
+          << counter_.wall_overruns_.size() << " jobs, first "
+          << counter_.wall_overruns_.front();
+    }
 
     const uint64_t runs = JsonNumber("pipelsm.metrics", "compaction.runs");
     if (max_subcompactions == 1) {
