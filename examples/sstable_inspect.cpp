@@ -13,6 +13,7 @@
 #include "src/db/dbformat.h"
 #include "src/db/filename.h"
 #include "src/env/env.h"
+#include "src/table/block.h"
 #include "src/table/format.h"
 #include "src/table/table.h"
 
@@ -83,14 +84,15 @@ int main(int argc, char** argv) {
         healthy = false;
         break;
       }
-      std::string contents;
-      if (!DecodeRawBlock(rawb, &contents).ok()) {
+      BlockContents contents;
+      if (!DecodeBlock(rawb.payload, &contents).ok()) {
         healthy = false;
         break;
       }
       blocks++;
       compressed += rawb.payload.size();
-      raw_bytes += contents.size();
+      raw_bytes += contents.data.size();
+      Block release(contents);  // frees a decoded buffer
     }
     if (!healthy) {
       std::printf("%-14s CORRUPT BLOCK (checksum/decode failed)\n",

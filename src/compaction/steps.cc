@@ -5,6 +5,7 @@
 
 #include "src/table/block.h"
 #include "src/table/table.h"
+#include "src/util/coding.h"
 
 namespace pipelsm {
 
@@ -132,45 +133,151 @@ Status WindowedReader::ReadRun(size_t begin, size_t end, RawSubTask* out,
 
 namespace {
 
-// Forward-only cursor over one input table's run of decoded blocks within
-// a sub-task. Blocks of one table are disjoint and sorted, so chaining
-// their iterators yields that table's sorted entries.
-class ChainCursor {
+// Internal-key order for seeking in an input block, which may be hostile:
+// a key too short to hold its 8-byte tag sorts first, so a seek passes it
+// instead of reading out of bounds. A cursor that lands on one reports it.
+class SeekComparator final : public Comparator {
  public:
-  ChainCursor(const Comparator* icmp, std::vector<std::unique_ptr<Block>> blocks)
-      : icmp_(icmp), blocks_(std::move(blocks)) {
-    Advance();
-  }
-
-  bool Valid() const { return iter_ != nullptr && iter_->Valid(); }
-  Slice key() const { return iter_->key(); }
-  Slice value() const { return iter_->value(); }
-
-  void Next() {
-    iter_->Next();
-    if (!iter_->Valid() && iter_->status().ok()) Advance();
-  }
-
-  Status status() const {
-    return iter_ != nullptr ? iter_->status() : Status::OK();
+  explicit SeekComparator(const Comparator* icmp) : icmp_(icmp) {}
+  const char* Name() const override { return "pipelsm.SeekComparator"; }
+  int Compare(const Slice& a, const Slice& b) const override {
+    if (a.size() < 8 || b.size() < 8) {
+      return static_cast<int>(a.size() >= 8) - static_cast<int>(b.size() >= 8);
+    }
+    return icmp_->Compare(a, b);
   }
 
  private:
-  // Position on the first non-empty remaining block (or stop on error).
-  void Advance() {
-    iter_.reset();
-    while (next_block_ < blocks_.size()) {
-      iter_.reset(blocks_[next_block_++]->NewIterator(icmp_));
+  const Comparator* const icmp_;
+};
+
+// Forward-only cursor over one input table's run of decoded blocks within
+// a sub-task. Blocks of one table are disjoint and sorted, so chaining
+// them yields that table's sorted entries. The current entry's user key
+// and 8-byte tag are cached, so the merge compares user keys once and
+// tags as integers.
+class RunCursor {
+ public:
+  RunCursor(const Comparator* cmp, std::vector<std::unique_ptr<Block>> blocks,
+            int order)
+      : cmp_(cmp), blocks_(std::move(blocks)), order_(order) {}
+
+  // Positions the cursor on the run's first entry whose user key is past
+  // `lo` (its first entry when lo is null). The planner lists a block only
+  // if its last key is past lo, so only the first block can hold keys at
+  // or below lo: it is binary-searched, and the loop covers other plans.
+  Status Start(const Comparator* ucmp, const Slice* lo) {
+    iter_.reset(blocks_[0]->NewIterator(cmp_));
+    next_block_ = 1;
+    if (lo == nullptr) {
       iter_->SeekToFirst();
-      if (iter_->Valid() || !iter_->status().ok()) return;
-      iter_.reset();
+      return Load();
     }
+    std::string target(lo->data(), lo->size());
+    PutFixed64(&target, 0);  // the last internal key of user key lo
+    iter_->Seek(target);
+    Status s = Load();
+    while (s.ok() && Valid() && ucmp->Compare(user_key_, *lo) <= 0) {
+      s = Next();
+    }
+    return s;
   }
 
-  const Comparator* icmp_;
-  std::vector<std::unique_ptr<Block>> blocks_;
+  bool Valid() const { return iter_ != nullptr; }
+  Slice key() const { return key_; }
+  Slice user_key() const { return user_key_; }
+  uint64_t tag() const { return tag_; }
+  Slice value() const { return iter_->value(); }
+  int order() const { return order_; }
+
+  Status Next() {
+    iter_->Next();
+    return Load();
+  }
+
+ private:
+  // Caches the entry under iter_, first moving to the next non-empty
+  // block if iter_ is exhausted; clears iter_ at the end of the run.
+  Status Load() {
+    while (!iter_->Valid()) {
+      Status s = iter_->status();
+      if (!s.ok() || next_block_ == blocks_.size()) {
+        iter_.reset();
+        return s;
+      }
+      iter_.reset(blocks_[next_block_++]->NewIterator(cmp_));
+      iter_->SeekToFirst();
+    }
+    key_ = iter_->key();
+    if (key_.size() < 8) {
+      iter_.reset();
+      return Status::Corruption("compaction: unparsable internal key");
+    }
+    user_key_ = Slice(key_.data(), key_.size() - 8);
+    tag_ = DecodeFixed64(key_.data() + key_.size() - 8);
+    return Status::OK();
+  }
+
+  const Comparator* const cmp_;
+  std::vector<std::unique_ptr<Block>> blocks_;  // non-empty
+  const int order_;  // table order: breaks ties between equal keys
   size_t next_block_ = 0;
-  std::unique_ptr<Iterator> iter_;
+  std::unique_ptr<Iterator> iter_;  // null once exhausted
+  Slice key_;
+  Slice user_key_;
+  uint64_t tag_ = 0;
+};
+
+// Binary min-heap of the live cursors, ordered by (user key ascending, tag
+// descending, table order ascending): the internal-key order, with one
+// user-comparator call per comparison.
+class MergeHeap {
+ public:
+  explicit MergeHeap(const Comparator* ucmp) : ucmp_(ucmp) {}
+
+  void Push(RunCursor* c) {
+    size_t i = heap_.size();
+    heap_.push_back(c);
+    while (i > 0 && Before(c, heap_[(i - 1) / 2])) {
+      heap_[i] = heap_[(i - 1) / 2];
+      i = (i - 1) / 2;
+    }
+    heap_[i] = c;
+  }
+
+  bool empty() const { return heap_.empty(); }
+  RunCursor* top() const { return heap_[0]; }
+
+  // Restores the order after top() moved forward, dropping it if it ran
+  // out.
+  void TopAdvanced() {
+    if (!heap_[0]->Valid()) {
+      heap_[0] = heap_.back();
+      heap_.pop_back();
+      if (heap_.empty()) return;
+    }
+    RunCursor* const c = heap_[0];
+    const size_t n = heap_.size();
+    size_t i = 0;
+    for (size_t child = 1; child < n; child = 2 * i + 1) {
+      if (child + 1 < n && Before(heap_[child + 1], heap_[child])) child++;
+      if (!Before(heap_[child], c)) break;
+      heap_[i] = heap_[child];
+      i = child;
+    }
+    heap_[i] = c;
+  }
+
+ private:
+  bool Before(const RunCursor* a, const RunCursor* b) const {
+    const int r = ucmp_->Compare(a->user_key(), b->user_key());
+    if (r != 0) return r < 0;
+    if (a->tag() != b->tag()) return a->tag() > b->tag();
+    return a->order() < b->order();
+  }
+
+  const Comparator* const ucmp_;
+  std::vector<RunCursor*> heap_;
 };
 
 }  // namespace
@@ -201,8 +308,10 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
   }
 
   // ---- S3: DECOMPRESS — restore the original key-value blocks. ----
-  // Decoded contents are grouped per input table, preserving block order,
-  // so each table contributes one sorted run to the merge.
+  // Each block is decoded once; an uncompressed one is parsed in place
+  // from `raw`, which outlives the merge. Blocks are grouped per input
+  // table, preserving block order, so each table contributes one sorted
+  // run to the merge.
   std::vector<std::vector<std::unique_ptr<Block>>> runs;
   {
     Stopwatch sw;
@@ -213,34 +322,36 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
     }
     runs.resize(max_table + 1);
     for (size_t i = 0; i < raw.blocks.size(); i++) {
-      std::string contents;
-      Status s = DecodeRawBlock(raw.blocks[i], &contents);
+      BlockContents contents;
+      Status s = DecodeBlock(raw.blocks[i].payload, &contents);
       if (!s.ok()) return s;
-      bytes += contents.size();
-      // Hand the decoded bytes to a Block that owns them.
-      char* buf = new char[contents.size()];
-      std::memcpy(buf, contents.data(), contents.size());
-      BlockContents bc;
-      bc.data = Slice(buf, contents.size());
-      bc.heap_allocated = true;
-      bc.cachable = false;
-      runs[plan.blocks[i].table_index].emplace_back(new Block(bc));
+      bytes += contents.data.size();
+      runs[plan.blocks[i].table_index].emplace_back(new Block(contents));
     }
     profile->AddStep(kStepDecompress, sw.ElapsedNanos(), bytes);
   }
 
   // ---- S4: SORT — k-way merge with shadowing/tombstone dropping. ----
-  // ---- S5/S6 run per output block inside BlockEncoder::Finish. ----
+  // Each run starts past lo, and the merge stops once the smallest
+  // remaining user key passes hi, so entries outside (lo, hi] are never
+  // merged. S5/S6 run per output block inside BlockEncoder::Finish.
   {
     Stopwatch sort_sw;
     uint64_t sort_ns = 0;
     uint64_t merged_bytes = 0;
 
-    std::vector<std::unique_ptr<ChainCursor>> cursors;
-    for (auto& run : runs) {
-      if (!run.empty()) {
-        cursors.emplace_back(new ChainCursor(icmp, std::move(run)));
-      }
+    const SeekComparator seek_cmp(icmp);
+    const Slice lo(plan.lo_user_key);
+    const Slice hi(plan.hi_user_key);
+    std::vector<RunCursor> cursors;
+    cursors.reserve(runs.size());  // never reallocates: the heap points in
+    MergeHeap heap(ucmp);
+    for (size_t t = 0; t < runs.size(); t++) {
+      if (runs[t].empty()) continue;
+      cursors.emplace_back(&seek_cmp, std::move(runs[t]), static_cast<int>(t));
+      Status s = cursors.back().Start(ucmp, plan.unbounded_lo ? nullptr : &lo);
+      if (!s.ok()) return s;
+      if (cursors.back().Valid()) heap.Push(&cursors.back());
     }
 
     BlockEncoder encoder(options.table);
@@ -251,7 +362,7 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
 
     auto flush_block = [&]() {
       if (encoder.empty()) return;
-      // S4 time has been accumulating; pause it across S5/S6.
+      // Finish times itself: the filter under S4, then S5 and S6.
       sort_ns += sort_sw.ElapsedNanos();
       EncodedBlock eb;
       encoder.Finish(&eb, profile);
@@ -260,73 +371,45 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
       sort_sw.Restart();
     };
 
-    while (true) {
-      // Pick the smallest current key among the table runs.
-      ChainCursor* best = nullptr;
-      for (auto& c : cursors) {
-        if (c->Valid()) {
-          if (best == nullptr ||
-              icmp->Compare(c->key(), best->key()) < 0) {
-            best = c.get();
-          }
-        }
-      }
-      if (best == nullptr) break;
-
-      Slice key = best->key();
-      ParsedInternalKey parsed;
-      if (!ParseInternalKey(key, &parsed)) {
+    while (!heap.empty()) {
+      RunCursor* best = heap.top();
+      const Slice user_key = best->user_key();
+      if (!plan.unbounded_hi && ucmp->Compare(user_key, hi) > 0) break;
+      const ValueType type = static_cast<ValueType>(best->tag() & 0xff);
+      const SequenceNumber sequence = best->tag() >> 8;
+      if (type > kTypeValuePointer) {
         return Status::Corruption("compaction: unparsable internal key");
       }
 
-      // Range filter: only user keys in (lo, hi] belong to this sub-task.
-      bool in_range = true;
-      if (!plan.unbounded_lo &&
-          ucmp->Compare(parsed.user_key, plan.lo_user_key) <= 0) {
-        in_range = false;
-      }
-      if (in_range && !plan.unbounded_hi &&
-          ucmp->Compare(parsed.user_key, plan.hi_user_key) > 0) {
-        in_range = false;
+      if (!has_current_user_key ||
+          ucmp->Compare(user_key, current_user_key) != 0) {
+        // First occurrence of this user key.
+        current_user_key.assign(user_key.data(), user_key.size());
+        has_current_user_key = true;
+        first_occurrence = true;
+        last_sequence_for_key = kMaxSequenceNumber;
       }
 
-      bool drop = !in_range;
-      if (in_range) {
-        if (!has_current_user_key ||
-            ucmp->Compare(parsed.user_key, current_user_key) != 0) {
-          // First occurrence of this user key.
-          current_user_key.assign(parsed.user_key.data(),
-                                  parsed.user_key.size());
-          has_current_user_key = true;
-          first_occurrence = true;
-          last_sequence_for_key = kMaxSequenceNumber;
-        }
-
-        if (!first_occurrence &&
-            last_sequence_for_key <= options.smallest_snapshot) {
-          // Hidden by a newer entry for the same user key.
-          drop = true;
-        } else if (parsed.type == kTypeDeletion &&
-                   parsed.sequence <= options.smallest_snapshot &&
-                   plan.drop_deletions) {
-          // A tombstone with no data below it and no snapshot that could
-          // still observe the deleted key: drop it.
-          drop = true;
-        }
-        last_sequence_for_key = parsed.sequence;
-        first_occurrence = false;
+      bool drop = false;
+      if (!first_occurrence &&
+          last_sequence_for_key <= options.smallest_snapshot) {
+        // Hidden by a newer entry for the same user key.
+        drop = true;
+      } else if (type == kTypeDeletion &&
+                 sequence <= options.smallest_snapshot &&
+                 plan.drop_deletions) {
+        // A tombstone with no data below it and no snapshot that could
+        // still observe the deleted key: drop it.
+        drop = true;
       }
+      last_sequence_for_key = sequence;
+      first_occurrence = false;
 
-      if (drop && in_range && options.on_drop_entry) {
-        options.on_drop_entry(parsed.type, best->value());
-      }
-
-      if (!drop) {
-        if (out->entries == 0) {
-          out->smallest_key.assign(key.data(), key.size());
-        }
+      if (drop) {
+        if (options.on_drop_entry) options.on_drop_entry(type, best->value());
+      } else {
+        const Slice key = best->key();
         encoder.Add(key, best->value());
-        out->largest_key.assign(key.data(), key.size());
         out->entries++;
         merged_bytes += key.size() + best->value().size();
         if (encoder.full()) {
@@ -334,12 +417,17 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
         }
       }
 
-      best->Next();
-      if (!best->status().ok()) return best->status();
+      Status s = best->Next();
+      if (!s.ok()) return s;
+      heap.TopAdvanced();
     }
     flush_block();
     sort_ns += sort_sw.ElapsedNanos();
     profile->AddStep(kStepSort, sort_ns, merged_bytes);
+    if (out->entries > 0) {
+      out->smallest_key = out->blocks.front().first_key;
+      out->largest_key = out->blocks.back().last_key;
+    }
   }
 
   if (options.time_dilation > 1.0) {

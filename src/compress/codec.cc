@@ -22,19 +22,6 @@ CompressionType CompressBlock(CompressionType type, const Slice& raw,
   }
 }
 
-Status UncompressBlock(CompressionType type, const Slice& stored,
-                       std::string* out) {
-  switch (type) {
-    case CompressionType::kNoCompression:
-      out->assign(stored.data(), stored.size());
-      return Status::OK();
-    case CompressionType::kLzCompression:
-      return lz::Uncompress(stored.data(), stored.size(), out);
-    default:
-      return Status::Corruption("unknown compression type");
-  }
-}
-
 const char* CompressionTypeName(CompressionType type) {
   switch (type) {
     case CompressionType::kNoCompression:

@@ -1,5 +1,6 @@
 // Codec selection used by the SSTable block format and the compaction
-// executors' S3 (DECOMPRESS) / S5 (COMPRESS) steps.
+// executors' S5 (COMPRESS) step. Its inverse, S3, is DecodeBlock
+// (src/table/format.h).
 #pragma once
 
 #include <cstdint>
@@ -20,10 +21,6 @@ enum class CompressionType : uint8_t {
 // are stored and kNoCompression is returned (same policy as LevelDB).
 CompressionType CompressBlock(CompressionType type, const Slice& raw,
                               std::string* out);
-
-// Inverse of CompressBlock for the returned type.
-Status UncompressBlock(CompressionType type, const Slice& stored,
-                       std::string* out);
 
 const char* CompressionTypeName(CompressionType type);
 

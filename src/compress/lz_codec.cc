@@ -153,23 +153,31 @@ void Compress(const char* input, size_t n, std::string* output) {
   EmitLiteral(output, next_emit, ip_end);
 }
 
+// The largest output one input byte can encode: a copy-2 element turns 3
+// bytes into 64.
+constexpr size_t kMaxExpansion = 22;
+
 bool GetUncompressedLength(const char* input, size_t n, size_t* result) {
   uint32_t len;
   const char* p = GetVarint32Ptr(input, input + n, &len);
   if (p == nullptr) return false;
+  // A length the stream could not encode is corrupt; rejecting it here
+  // keeps callers from sizing buffers from hostile preambles.
+  if (len > (input + n - p) * kMaxExpansion) return false;
   *result = len;
   return true;
 }
 
-Status Uncompress(const char* input, size_t n, std::string* output) {
-  uint32_t ulen;
-  const char* ip = GetVarint32Ptr(input, input + n, &ulen);
-  if (ip == nullptr) {
+Status UncompressTo(const char* input, size_t n, char* output, size_t ulen) {
+  const char* ip = input;
+  const char* const ip_end = input + n;
+  uint32_t declared;
+  ip = GetVarint32Ptr(ip, ip_end, &declared);
+  if (ip == nullptr || declared != ulen) {
     return Status::Corruption("lz: bad uncompressed-length preamble");
   }
-  const char* const ip_end = input + n;
-  output->clear();
-  output->reserve(ulen);
+  char* op = output;
+  char* const op_end = output + ulen;
 
   while (ip < ip_end) {
     const uint8_t tag = static_cast<uint8_t>(*ip++);
@@ -179,7 +187,7 @@ Status Uncompress(const char* input, size_t n, std::string* output) {
       size_t len = (tag >> 2) + 1;
       if (len > 60) {
         const size_t extra = len - 60;  // 1 or 2 length bytes
-        if (extra > 2 || ip + extra > ip_end) {
+        if (extra > 2 || static_cast<size_t>(ip_end - ip) < extra) {
           return Status::Corruption("lz: truncated literal length");
         }
         size_t n2 = 0;
@@ -189,10 +197,14 @@ Status Uncompress(const char* input, size_t n, std::string* output) {
         len = n2 + 1;
         ip += extra;
       }
-      if (ip + len > ip_end) {
+      if (static_cast<size_t>(ip_end - ip) < len) {
         return Status::Corruption("lz: truncated literal data");
       }
-      output->append(ip, len);
+      if (static_cast<size_t>(op_end - op) < len) {
+        return Status::Corruption("lz: output exceeds declared length");
+      }
+      std::memcpy(op, ip, len);
+      op += len;
       ip += len;
     } else {
       size_t len;
@@ -204,40 +216,49 @@ Status Uncompress(const char* input, size_t n, std::string* output) {
                  static_cast<uint8_t>(*ip++);
       } else if (kind == 0x02) {
         len = (tag >> 2) + 1;
-        if (ip + 2 > ip_end) return Status::Corruption("lz: truncated copy-2");
+        if (ip_end - ip < 2) return Status::Corruption("lz: truncated copy-2");
         offset = static_cast<uint8_t>(ip[0]) |
                  (static_cast<size_t>(static_cast<uint8_t>(ip[1])) << 8);
         ip += 2;
       } else {
         len = (tag >> 2) + 1;
-        if (ip + 4 > ip_end) return Status::Corruption("lz: truncated copy-4");
+        if (ip_end - ip < 4) return Status::Corruption("lz: truncated copy-4");
         offset = static_cast<uint8_t>(ip[0]) |
                  (static_cast<size_t>(static_cast<uint8_t>(ip[1])) << 8) |
                  (static_cast<size_t>(static_cast<uint8_t>(ip[2])) << 16) |
                  (static_cast<size_t>(static_cast<uint8_t>(ip[3])) << 24);
         ip += 4;
       }
-      if (offset == 0 || offset > output->size()) {
+      if (offset == 0 || offset > static_cast<size_t>(op - output)) {
         return Status::Corruption("lz: copy offset out of range");
       }
-      if (output->size() + len > ulen) {
+      if (static_cast<size_t>(op_end - op) < len) {
         return Status::Corruption("lz: output overrun");
       }
-      // Byte-by-byte copy: overlapping copies (offset < len) are the RLE
-      // case and must replicate already-written bytes.
-      size_t pos = output->size() - offset;
-      for (size_t i = 0; i < len; i++) {
-        output->push_back((*output)[pos + i]);
+      const char* from = op - offset;
+      if (offset >= len) {
+        std::memcpy(op, from, len);
+      } else {
+        // Overlapping copy (the RLE case): it must replicate bytes it
+        // has just written, so go byte by byte.
+        for (size_t i = 0; i < len; i++) op[i] = from[i];
       }
-    }
-    if (output->size() > ulen) {
-      return Status::Corruption("lz: output exceeds declared length");
+      op += len;
     }
   }
-  if (output->size() != ulen) {
+  if (op != op_end) {
     return Status::Corruption("lz: output shorter than declared length");
   }
   return Status::OK();
+}
+
+Status Uncompress(const char* input, size_t n, std::string* output) {
+  size_t ulen;
+  if (!GetUncompressedLength(input, n, &ulen)) {
+    return Status::Corruption("lz: bad uncompressed-length preamble");
+  }
+  output->resize(ulen);
+  return UncompressTo(input, n, output->data(), ulen);
 }
 
 }  // namespace pipelsm::lz

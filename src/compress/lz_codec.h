@@ -34,8 +34,14 @@ size_t MaxCompressedLength(size_t n);
 // Compresses input[0,n-1] into *output (replacing its contents).
 void Compress(const char* input, size_t n, std::string* output);
 
-// Reads the uncompressed-length preamble.
+// Reads the uncompressed-length preamble. False if it is malformed or
+// declares more bytes than the rest of the stream can encode.
 bool GetUncompressedLength(const char* input, size_t n, size_t* result);
+
+// Decompresses into output[0, ulen), where ulen is the stream's declared
+// length (GetUncompressedLength). Returns Corruption on any malformed
+// input, including a stream that does not produce exactly ulen bytes.
+Status UncompressTo(const char* input, size_t n, char* output, size_t ulen);
 
 // Decompresses into *output (resized to the uncompressed length).
 // Returns Corruption on any malformed input.

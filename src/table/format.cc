@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <memory>
 
 #include "src/compress/lz_codec.h"
 #include "src/util/coding.h"
@@ -100,56 +101,52 @@ Status VerifyRawBlock(const RawBlock& raw) {
   return Status::OK();
 }
 
-Status DecodeRawBlock(const RawBlock& raw, std::string* contents) {
-  if (raw.payload.size() < kBlockTrailerSize) {
-    return Status::Corruption("block too small for trailer");
-  }
-  const size_t n = raw.payload.size() - kBlockTrailerSize;
-  const char* data = raw.payload.data();
-  const auto type = static_cast<CompressionType>(data[n]);
-  return UncompressBlock(type, Slice(data, n), contents);
-}
-
-Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
-                 bool verify_checksum, BlockContents* result) {
+Status DecodeBlock(const Slice& stored, BlockContents* result) {
   result->data = Slice();
   result->cachable = false;
   result->heap_allocated = false;
-
-  RawBlock raw;
-  Status s = ReadRawBlock(file, handle, &raw);
-  if (!s.ok()) return s;
-
-  if (verify_checksum) {
-    s = VerifyRawBlock(raw);
-    if (!s.ok()) return s;
+  if (stored.size() < kBlockTrailerSize) {
+    return Status::Corruption("block too small for trailer");
   }
-
-  const size_t n = raw.payload.size() - kBlockTrailerSize;
-  const char* data = raw.payload.data();
+  const size_t n = stored.size() - kBlockTrailerSize;
+  const char* data = stored.data();
   switch (static_cast<CompressionType>(data[n])) {
-    case CompressionType::kNoCompression: {
-      char* buf = new char[n];
-      std::memcpy(buf, data, n);
-      result->data = Slice(buf, n);
-      result->heap_allocated = true;
-      result->cachable = true;
+    case CompressionType::kNoCompression:
+      result->data = Slice(data, n);
       return Status::OK();
-    }
     case CompressionType::kLzCompression: {
-      std::string decoded;
-      s = lz::Uncompress(data, n, &decoded);
+      size_t ulen;
+      if (!lz::GetUncompressedLength(data, n, &ulen)) {
+        return Status::Corruption("lz: bad uncompressed-length preamble");
+      }
+      std::unique_ptr<char[]> buf(new char[ulen]);
+      Status s = lz::UncompressTo(data, n, buf.get(), ulen);
       if (!s.ok()) return s;
-      char* buf = new char[decoded.size()];
-      std::memcpy(buf, decoded.data(), decoded.size());
-      result->data = Slice(buf, decoded.size());
+      result->data = Slice(buf.release(), ulen);
       result->heap_allocated = true;
-      result->cachable = true;
       return Status::OK();
     }
     default:
       return Status::Corruption("unknown block compression type");
   }
+}
+
+Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
+                 bool verify_checksum, BlockContents* result) {
+  RawBlock raw;
+  Status s = ReadRawBlock(file, handle, &raw);
+  if (s.ok() && verify_checksum) s = VerifyRawBlock(raw);
+  if (s.ok()) s = DecodeBlock(raw.payload, result);
+  if (!s.ok()) return s;
+  if (!result->heap_allocated) {
+    // Parsed in place: move it out of the read buffer, which dies here.
+    char* buf = new char[result->data.size()];
+    std::memcpy(buf, result->data.data(), result->data.size());
+    result->data = Slice(buf, result->data.size());
+    result->heap_allocated = true;
+  }
+  result->cachable = true;
+  return Status::OK();
 }
 
 }  // namespace pipelsm

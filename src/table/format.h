@@ -101,8 +101,10 @@ Status ReadRawBlock(RandomAccessFile* file, const BlockHandle& handle,
 // S2: verify a raw block's trailer CRC.
 Status VerifyRawBlock(const RawBlock& raw);
 
-// S3: decompress a raw block's payload into *contents (which owns the
-// bytes).
-Status DecodeRawBlock(const RawBlock& raw, std::string* contents);
+// S3: the contents of a block stored as `stored` (payload + trailer).
+// An uncompressed block is parsed in place: result->data points into
+// `stored`, which must outlive it, and nothing is copied. A compressed
+// block is decoded once into a heap buffer the result owns.
+Status DecodeBlock(const Slice& stored, BlockContents* result);
 
 }  // namespace pipelsm

@@ -22,6 +22,7 @@ void BlockEncoder::Add(const Slice& key, const Slice& value) {
 }
 
 void BlockEncoder::Finish(EncodedBlock* out, StepProfile* profile) {
+  Stopwatch sw;
   const Slice raw = block_.Finish();
   out->first_key = first_key_;
   out->last_key = last_key_;
@@ -38,8 +39,12 @@ void BlockEncoder::Finish(EncodedBlock* out, StepProfile* profile) {
     options_.filter_policy->CreateFilter(keys.data(), keys.size(),
                                          &out->filter);
   }
+  if (profile != nullptr) {
+    // Closing the block and building its filter finish the merge's work.
+    profile->AddStep(kStepSort, sw.ElapsedNanos(), 0);
+  }
 
-  Stopwatch sw;
+  sw.Restart();
   const CompressionType type =
       CompressBlock(options_.compression, raw, &out->payload);
   if (profile != nullptr) {

@@ -54,8 +54,10 @@ class BlockEncoder {
     return block_.CurrentSizeEstimate() >= options_.block_size;
   }
 
-  // Encodes the open block into *out and starts the next one. S5 and S6
-  // times are recorded separately in *profile when it is non-null.
+  // Encodes the open block into *out and starts the next one. When
+  // profile is non-null, the time to close the block and build its filter
+  // is recorded under S4 (the merge's output side), then S5 and S6 each
+  // under their own step.
   // REQUIRES: !empty().
   void Finish(EncodedBlock* out, StepProfile* profile = nullptr);
 

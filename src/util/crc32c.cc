@@ -1,6 +1,11 @@
 #include "src/util/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace pipelsm::crc32c {
 
@@ -34,9 +39,43 @@ inline uint32_t LoadLE32(const char* p) {
   return v;
 }
 
+#if defined(__x86_64__)
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t init_crc,
+                                                       const char* data,
+                                                       size_t n) {
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  for (; n >= 8; data += 8, n -= 8) {
+    uint64_t v;
+    std::memcpy(&v, data, 8);
+    crc = _mm_crc32_u64(crc, v);
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; data++, n--) {
+    crc32 = _mm_crc32_u8(crc32, static_cast<uint8_t>(*data));
+  }
+  return crc32 ^ 0xffffffffu;
+}
+#endif
+
 }  // namespace
 
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+bool HardwareAvailable() {
+#if defined(__x86_64__)
+  static const bool available = __builtin_cpu_supports("sse4.2");
+  return available;
+#else
+  return false;
+#endif
+}
+
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n) {
+#if defined(__x86_64__)
+  if (HardwareAvailable()) return ExtendSse42(init_crc, data, n);
+#endif
+  return ExtendPortable(init_crc, data, n);
+}
+
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) {
   const auto& t = kTables.t;
   uint32_t crc = init_crc ^ 0xffffffffu;
 
@@ -64,6 +103,10 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
     n--;
   }
   return crc ^ 0xffffffffu;
+}
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  return ExtendHardware(init_crc, data, n);
 }
 
 }  // namespace pipelsm::crc32c

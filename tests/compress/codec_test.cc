@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/compress/lz_codec.h"
+#include "src/table/format.h"
 #include "src/util/random.h"
 
 namespace pipelsm {
@@ -15,9 +17,13 @@ TEST(Codec, NoCompressionStoresRaw) {
   EXPECT_EQ(CompressionType::kNoCompression, used);
   EXPECT_EQ(raw, out);
 
-  std::string back;
-  ASSERT_TRUE(UncompressBlock(used, out, &back).ok());
-  EXPECT_EQ(raw, back);
+  // Decoding it copies nothing: the contents are the stored bytes.
+  AppendBlockTrailer(used, &out);
+  BlockContents back;
+  ASSERT_TRUE(DecodeBlock(out, &back).ok());
+  EXPECT_EQ(raw, back.data.ToString());
+  EXPECT_EQ(out.data(), back.data.data());
+  EXPECT_FALSE(back.heap_allocated);
 }
 
 TEST(Codec, LzCompressesCompressibleData) {
@@ -29,7 +35,7 @@ TEST(Codec, LzCompressesCompressibleData) {
   EXPECT_LT(out.size(), raw.size());
 
   std::string back;
-  ASSERT_TRUE(UncompressBlock(used, out, &back).ok());
+  ASSERT_TRUE(lz::Uncompress(out.data(), out.size(), &back).ok());
   EXPECT_EQ(raw, back);
 }
 
@@ -48,8 +54,10 @@ TEST(Codec, FallsBackToRawForIncompressible) {
 }
 
 TEST(Codec, UnknownTypeRejected) {
-  std::string back;
-  Status s = UncompressBlock(static_cast<CompressionType>(0x7f), "xx", &back);
+  std::string stored = "xx";
+  AppendBlockTrailer(static_cast<CompressionType>(0x7f), &stored);
+  BlockContents contents;
+  Status s = DecodeBlock(stored, &contents);
   EXPECT_TRUE(s.IsCorruption());
 }
 

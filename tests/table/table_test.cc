@@ -231,9 +231,10 @@ TEST(Table, IndexIteratorEnumeratesBlocks) {
     RawBlock raw;
     ASSERT_TRUE(f.table->ReadRaw(handle, &raw).ok());
     ASSERT_TRUE(VerifyRawBlock(raw).ok());
-    std::string contents;
-    ASSERT_TRUE(DecodeRawBlock(raw, &contents).ok());
-    EXPECT_GT(contents.size(), 0u);
+    BlockContents contents;
+    ASSERT_TRUE(DecodeBlock(raw.payload, &contents).ok());
+    Block block(contents);
+    EXPECT_GT(block.size(), 0u);
   }
   EXPECT_GT(blocks, 10);
 }

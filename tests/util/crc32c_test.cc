@@ -3,30 +3,34 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <string>
 
 namespace pipelsm::crc32c {
 namespace {
 
-// Reference vectors from the CRC32C specification (also used by LevelDB).
-TEST(CRC, StandardResults) {
+using ExtendFn = uint32_t (*)(uint32_t, const char*, size_t);
+
+// Reference vectors from the CRC32C specification (also used by LevelDB),
+// checked against one implementation.
+void ExpectStandardResults(ExtendFn extend) {
   char buf[32];
 
   std::memset(buf, 0, sizeof(buf));
-  EXPECT_EQ(0x8a9136aau, Value(buf, sizeof(buf)));
+  EXPECT_EQ(0x8a9136aau, extend(0, buf, sizeof(buf)));
 
   std::memset(buf, 0xff, sizeof(buf));
-  EXPECT_EQ(0x62a8ab43u, Value(buf, sizeof(buf)));
+  EXPECT_EQ(0x62a8ab43u, extend(0, buf, sizeof(buf)));
 
   for (int i = 0; i < 32; i++) {
     buf[i] = static_cast<char>(i);
   }
-  EXPECT_EQ(0x46dd794eu, Value(buf, sizeof(buf)));
+  EXPECT_EQ(0x46dd794eu, extend(0, buf, sizeof(buf)));
 
   for (int i = 0; i < 32; i++) {
     buf[i] = static_cast<char>(31 - i);
   }
-  EXPECT_EQ(0x113fdb5cu, Value(buf, sizeof(buf)));
+  EXPECT_EQ(0x113fdb5cu, extend(0, buf, sizeof(buf)));
 
   uint8_t data[48] = {
       0x01, 0xc0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -34,7 +38,33 @@ TEST(CRC, StandardResults) {
       0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
   };
-  EXPECT_EQ(0xd9963a56u, Value(reinterpret_cast<char*>(data), sizeof(data)));
+  EXPECT_EQ(0xd9963a56u,
+            extend(0, reinterpret_cast<char*>(data), sizeof(data)));
+}
+
+TEST(CRC, StandardResults) { ExpectStandardResults(&Extend); }
+
+TEST(CRC, StandardResultsPortable) { ExpectStandardResults(&ExtendPortable); }
+
+// On a CPU without SSE4.2 this checks the fallback a second time.
+TEST(CRC, StandardResultsHardware) { ExpectStandardResults(&ExtendHardware); }
+
+// The two paths agree on every length up to 4 KiB at every alignment, and
+// when extending a non-zero CRC.
+TEST(CRC, HardwareMatchesPortable) {
+  std::mt19937 rng(301);
+  std::string data(4096 + 8, '\0');
+  for (char& c : data) c = static_cast<char>(rng());
+  for (size_t align = 0; align < 8; align++) {
+    for (size_t n = 0; n <= 4096; n++) {
+      const char* p = data.data() + align;
+      ASSERT_EQ(ExtendPortable(0, p, n), ExtendHardware(0, p, n))
+          << "align " << align << " length " << n;
+      ASSERT_EQ(ExtendPortable(0x12345678u, p, n),
+                ExtendHardware(0x12345678u, p, n))
+          << "align " << align << " length " << n;
+    }
+  }
 }
 
 TEST(CRC, Values) { EXPECT_NE(Value("a", 1), Value("foo", 3)); }
