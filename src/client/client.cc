@@ -19,6 +19,17 @@ using server::DecodedFrame;
 using server::FrameDecoder;
 using server::MessageType;
 
+namespace {
+
+// Reply deadline for the sync API and for future waits done through
+// Client::Wait.
+constexpr auto kRequestTimeout = std::chrono::seconds(10);
+
+// Unanswered requests per connection; Submit blocks above this.
+constexpr size_t kMaxInflightPerConnection = 128;
+
+}  // namespace
+
 struct Client::Connection {
   std::mutex mu;  // guards fd, pending, reader bookkeeping
   // Serializes frame bytes onto the socket. Never held together with mu
@@ -201,7 +212,7 @@ void Client::ReaderLoop(Connection* conn) {
     fd = conn->fd;
     generation = conn->generation.load(std::memory_order_acquire);
   }
-  FrameDecoder decoder(options_.max_body_bytes);
+  FrameDecoder decoder;  // the server's frame ceiling
   char buf[64 * 1024];
   Status exit_status = Status::IOError("connection closed");
   while (true) {
@@ -291,7 +302,7 @@ std::future<Result> Client::Submit(MessageType type, const std::string& body,
     // replies (or the connection dies under us).
     conn.window_cv.wait(lock, [&] {
       return conn.broken ||
-             conn.pending.size() < options_.max_inflight_per_connection;
+             conn.pending.size() < kMaxInflightPerConnection;
     });
     if (conn.broken) return FailedFuture(Status::IOError("connection reset"));
     fd = conn.fd;
@@ -358,14 +369,10 @@ Result Client::SyncWait(std::future<Result> future) {
 }
 
 Result Client::Wait(std::future<Result>& future) {
-  if (options_.request_timeout_micros > 0) {
-    const auto deadline = std::chrono::microseconds(
-        options_.request_timeout_micros);
-    if (future.wait_for(deadline) != std::future_status::ready) {
-      Result r;
-      r.status = Status::Busy("request timed out");
-      return r;
-    }
+  if (future.wait_for(kRequestTimeout) != std::future_status::ready) {
+    Result r;
+    r.status = Status::Busy("request timed out");
+    return r;
   }
   return future.get();
 }

@@ -41,16 +41,6 @@ struct ClientOptions {
   // Pooled TCP connections; requests round-robin across them.
   int num_connections = 1;
 
-  // Per-request reply deadline for the sync API and for future waits done
-  // through Client::Wait. 0 = wait forever.
-  uint64_t request_timeout_micros = 10 * 1000 * 1000;
-
-  // Max unanswered requests per connection; Submit blocks above this.
-  size_t max_inflight_per_connection = 128;
-
-  // Frame ceiling for replies (must be >= the server's).
-  size_t max_body_bytes = server::kDefaultMaxBodyBytes;
-
   // Send coalescing for the async API. 0 (default) sends every frame
   // immediately. When > 0, async submissions are buffered per connection
   // and written out once the buffer reaches this many bytes, a sync call
@@ -143,8 +133,8 @@ class Client {
   std::future<Result> AsyncScan(const Slice& start_key, uint32_t limit);
   std::future<Result> AsyncStats(const Slice& property);
 
-  // Waits for `future` within the configured request timeout; a timeout
-  // yields Status::Busy without invalidating the future.
+  // Waits up to 10 s for `future`; a timeout yields Status::Busy without
+  // invalidating the future.
   Result Wait(std::future<Result>& future);
 
   // Writes out any requests held back by pipeline_buffer_bytes. Required

@@ -37,14 +37,10 @@ SchedulerOptions SchedulerOptions::FromOptions(const Options& options) {
   s.static_mode = options.compaction_mode;
   s.static_read_parallelism = std::max(1, options.io_parallelism);
   s.static_compute_parallelism = std::max(1, options.compute_parallelism);
-  s.min_compute_workers = std::max(1, options.min_compute_workers);
-  s.max_compute_workers =
-      std::max(s.min_compute_workers, options.max_compute_workers);
-  s.min_stripe_width = std::max(1, options.min_stripe_width);
-  s.max_stripe_width = std::max(s.min_stripe_width, options.max_stripe_width);
+  s.max_compute_workers = std::max(1, options.max_compute_workers);
+  s.max_stripe_width = std::max(1, options.max_stripe_width);
   s.hysteresis_jobs = std::max(1, options.scheduler_hysteresis_jobs);
   s.warmup_jobs = std::max(0, options.scheduler_warmup_jobs);
-  s.min_gain = std::max(1.0, options.scheduler_min_gain);
   return s;
 }
 
@@ -82,7 +78,7 @@ CompactionScheduler::Choice CompactionScheduler::Target(
   const bool cpu_bound = model::IsCpuBound(t);
   const int max_k =
       cpu_bound ? opts_.max_compute_workers : opts_.max_stripe_width;
-  const model::Prescription p = model::Prescribe(t, opts_.min_gain, max_k);
+  const model::Prescription p = model::Prescribe(t, max_k);
   *why = p.reason;
   switch (p.procedure) {
     case model::Prescription::kSCP:
@@ -93,13 +89,11 @@ CompactionScheduler::Choice CompactionScheduler::Target(
       break;
     case model::Prescription::kSPPCP:
       c.mode = CompactionMode::kSPPCP;
-      c.read_parallelism = std::clamp(p.k, opts_.min_stripe_width,
-                                      opts_.max_stripe_width);
+      c.read_parallelism = std::clamp(p.k, 1, opts_.max_stripe_width);
       break;
     case model::Prescription::kCPPCP:
       c.mode = CompactionMode::kCPPCP;
-      c.compute_parallelism = std::clamp(p.k, opts_.min_compute_workers,
-                                         opts_.max_compute_workers);
+      c.compute_parallelism = std::clamp(p.k, 1, opts_.max_compute_workers);
       break;
   }
   return c;
@@ -212,10 +206,9 @@ std::string CompactionScheduler::ToJson() const {
   }
   std::snprintf(
       buf, sizeof(buf),
-      "\"bounds\":{\"compute_workers\":[%d,%d],\"stripe_width\":[%d,%d]},"
+      "\"bounds\":{\"compute_workers\":[1,%d],\"stripe_width\":[1,%d]},"
       "\"hysteresis_jobs\":%d,\"warmup_jobs\":%d,",
-      opts_.min_compute_workers, opts_.max_compute_workers,
-      opts_.min_stripe_width, opts_.max_stripe_width, opts_.hysteresis_jobs,
+      opts_.max_compute_workers, opts_.max_stripe_width, opts_.hysteresis_jobs,
       opts_.warmup_jobs);
   out.append(buf);
   out.append("\"rationale\":\"");

@@ -14,9 +14,9 @@
 //   1. Before `warmup_jobs` completed compactions (or with adaptive off)
 //      the static Options choice applies verbatim.
 //   2. model::Prescribe(t) picks S-PPCP/C-PPCP at the Eq. 4/6 saturation
-//      k — clamped into [min,max] stripe width / compute workers — or
+//      k — clamped into [1, max] stripe width / compute workers — or
 //      plain PCP when neither parallel variant's ideal gain reaches
-//      `min_gain`.
+//      model::kMinParallelGain.
 //   3. If even pipelining gains ~nothing (Eq. 3 speedup below
 //      kMinPipelineGain: one stage is essentially the whole job), SCP is
 //      chosen — a pipeline that cannot overlap anything only pays queue
@@ -53,16 +53,15 @@ struct SchedulerOptions {
   int static_read_parallelism = 1;
   int static_compute_parallelism = 1;
 
-  // Bounds on the k the scheduler may choose (Options::min/max_*).
-  int min_compute_workers = 1;
+  // Caps on the k the scheduler may choose (Options::max_*); the lower
+  // bound is always 1.
   int max_compute_workers = 4;
-  int min_stripe_width = 1;
   int max_stripe_width = 4;
 
   int hysteresis_jobs = 3;
   int warmup_jobs = 2;
-  double min_gain = 1.1;
 
+  // The one place the Options scheduling knobs are clamped into range.
   static SchedulerOptions FromOptions(const Options& options);
 };
 

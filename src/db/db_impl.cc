@@ -25,6 +25,9 @@ DB::~DB() = default;
 
 namespace {
 
+// Open SSTable readers the table cache keeps (one charge unit each).
+constexpr int kMaxOpenTables = 500;
+
 Options SanitizeOptions(const Options& src) {
   Options result = src;
   if (result.env == nullptr) result.env = Env::Posix();
@@ -36,29 +39,17 @@ Options SanitizeOptions(const Options& src) {
       clip(result.write_buffer_size, 64 << 10, 1 << 30);
   result.max_file_size = clip(result.max_file_size, 64 << 10, 1 << 30);
   result.block_size = clip(result.block_size, 1 << 10, 4 << 20);
-  if (result.max_open_files < 16) result.max_open_files = 16;
-  if (result.compute_parallelism < 1) result.compute_parallelism = 1;
-  if (result.io_parallelism < 1) result.io_parallelism = 1;
-  if (result.min_compute_workers < 1) result.min_compute_workers = 1;
-  result.max_compute_workers =
-      std::max(result.max_compute_workers, result.min_compute_workers);
-  if (result.min_stripe_width < 1) result.min_stripe_width = 1;
-  result.max_stripe_width =
-      std::max(result.max_stripe_width, result.min_stripe_width);
-  result.scheduler_hysteresis_jobs =
-      std::max(result.scheduler_hysteresis_jobs, 1);
+  // The scheduler's knobs (parallelism, bounds, hysteresis, warmup) are
+  // clamped once, in SchedulerOptions::FromOptions.
+
   // Compaction-policy knobs (docs/COMPACTION.md): T < 2 degenerates to
   // leveling with extra read amplification, and the sub-compaction
   // fan-out is bounded so a misconfigured value cannot spawn an
   // unbounded thread herd per job.
   result.tiered_run_count = std::clamp(result.tiered_run_count, 2, 32);
   result.max_subcompactions = std::clamp(result.max_subcompactions, 1, 16);
-  if (result.scheduler_warmup_jobs < 0) result.scheduler_warmup_jobs = 0;
-  if (result.scheduler_min_gain < 1.0) result.scheduler_min_gain = 1.0;
-  if (result.pipeline_queue_depth < 1) result.pipeline_queue_depth = 1;
   if (result.max_background_retries < 0) result.max_background_retries = 0;
-  // Value-log knobs (docs/VALUE_LOG.md): a frame must fit its segment,
-  // and a dead ratio of 0 would GC segments that lost a single byte.
+  // Value-log knobs (docs/VALUE_LOG.md): a frame must fit its segment.
   if (result.value_separation_threshold > 0) {
     result.vlog_segment_size =
         clip(result.vlog_segment_size, 64 << 10, 1 << 30);
@@ -66,7 +57,6 @@ Options SanitizeOptions(const Options& src) {
       result.value_separation_threshold = result.vlog_segment_size / 2;
     }
   }
-  result.vlog_gc_dead_ratio = std::clamp(result.vlog_gc_dead_ratio, 0.01, 1.0);
   result.background_retry_backoff_micros =
       std::max<uint64_t>(result.background_retry_backoff_micros, 1);
   result.background_retry_backoff_max_micros =
@@ -206,12 +196,11 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
                                    : owned_block_cache_.get();
   table_options_.filter_partition_bytes = options_.filter_partition_bytes;
   table_options_.block_size = options_.block_size;
-  table_options_.block_restart_interval = options_.block_restart_interval;
   table_options_.compression = options_.compression;
   table_options_.verify_checksums = options_.verify_checksums;
 
-  table_cache_.reset(new TableCache(dbname_, table_options_, env_,
-                                    options_.max_open_files));
+  table_cache_.reset(
+      new TableCache(dbname_, table_options_, env_, kMaxOpenTables));
 
   // Export read-path cache stats (docs/READ_PATH.md). The block-cache
   // instruments are only bound when this DB owns the cache — a shared
@@ -448,7 +437,6 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
     }
     vlog::VlogOptions vopts;
     vopts.segment_size = options_.vlog_segment_size;
-    vopts.gc_dead_ratio = options_.vlog_gc_dead_ratio;
     vlog_ = std::make_unique<vlog::VlogManager>(
         env_, dbname_, vopts, &metrics_registry_, info_log_, [this] {
           std::lock_guard<std::mutex> l(mutex_);
@@ -493,14 +481,14 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
 Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
                               VersionEdit* edit,
                               SequenceNumber* max_sequence) {
+  // Replay is lenient: a corrupt record is logged and skipped, never an
+  // error that fails DB::Open.
   struct LogReporter : public log::Reader::Reporter {
     obs::Logger* info_log;
     const char* fname;
-    Status* status;  // null if options_.paranoid_checks==false
     void Corruption(size_t bytes, const Status& s) override {
       obs::Log(info_log, "%s: dropping %d bytes; %s", fname,
                static_cast<int>(bytes), s.ToString().c_str());
-      if (this->status != nullptr && this->status->ok()) *this->status = s;
     }
   };
 
@@ -516,7 +504,6 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
   LogReporter reporter;
   reporter.info_log = info_log_;
   reporter.fname = fname.c_str();
-  reporter.status = (options_.paranoid_checks ? &status : nullptr);
   log::Reader reader(file.get(), &reporter, true /*checksum*/, 0);
   obs::Log(info_log_, "recovering log #%llu",
            static_cast<unsigned long long>(log_number));
@@ -997,7 +984,6 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   base.icmp = &internal_comparator_;
   base.subtask_bytes = options_.subtask_bytes;
   base.table = table_options_;
-  base.queue_depth = options_.pipeline_queue_depth;
   base.time_dilation = options_.compaction_time_dilation;
   base.metrics = &metrics_registry_;
   base.trace = trace_.get();
@@ -1245,7 +1231,7 @@ Status DBImpl::Delete(const WriteOptions& o, const Slice& key) {
 
 Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   Stopwatch op_sw;
-  Writer w(&mutex_);
+  Writer w;
   w.batch = updates;
   w.sync = options.sync;
   w.done = false;
@@ -1340,6 +1326,30 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   lock.unlock();
   write_micros_hist_->Observe(op_sw.ElapsedNanos() / 1e3);
   return status;
+}
+
+void DBImpl::AcquireWriteLeadership(Writer* w,
+                                    std::unique_lock<std::mutex>& lock) {
+  // A concurrent leader can fold a null-batch follower into its group and
+  // mark it done; in that case re-enqueue until we come up as the leader.
+  w->batch = nullptr;
+  for (;;) {
+    w->done = false;
+    writers_.push_back(w);
+    while (!w->done && w != writers_.front()) {
+      w->cv.wait(lock);
+    }
+    if (!w->done) return;
+  }
+}
+
+void DBImpl::ReleaseWriteLeadership(Writer* w) {
+  assert(writers_.front() == w);
+  (void)w;
+  writers_.pop_front();
+  if (!writers_.empty()) {
+    writers_.front()->cv.notify_one();
+  }
 }
 
 // REQUIRES: mutex held; writers_ non-empty; first writer has a non-null
@@ -1688,16 +1698,8 @@ Status DBImpl::CommitGcRewrites(const std::vector<GcRewrite>& rewrites,
                                 SequenceNumber* commit_seq,
                                 std::vector<vlog::ValueLocation>* dead_new) {
   std::unique_lock<std::mutex> lock(mutex_);
-  Writer w(&mutex_);
-  w.batch = nullptr;
-  for (;;) {
-    w.done = false;
-    writers_.push_back(&w);
-    while (!w.done && &w != writers_.front()) {
-      w.cv.wait(lock);
-    }
-    if (!w.done) break;  // we are the leader
-  }
+  Writer w;
+  AcquireWriteLeadership(&w, lock);
 
   Status status = bg_error_;
   if (status.ok()) {
@@ -1761,12 +1763,7 @@ Status DBImpl::CommitGcRewrites(const std::vector<GcRewrite>& rewrites,
     current->Unref();
   }
 
-  // Release write-queue leadership.
-  assert(writers_.front() == &w);
-  writers_.pop_front();
-  if (!writers_.empty()) {
-    writers_.front()->cv.notify_one();
-  }
+  ReleaseWriteLeadership(&w);
   return status;
 }
 
@@ -2097,19 +2094,9 @@ Status DBImpl::Resume() {
   if (shutting_down_.load(std::memory_order_acquire)) return bg_error_;
 
   // Only the head of the writer queue may touch log_/mem_, so recovery
-  // must take that position like any write. A concurrent leader can fold
-  // a null-batch follower into its group and mark it done — in that case
-  // simply re-enqueue until we come up as the leader ourselves.
-  Writer w(&mutex_);
-  w.batch = nullptr;
-  for (;;) {
-    w.done = false;
-    writers_.push_back(&w);
-    while (!w.done && &w != writers_.front()) {
-      w.cv.wait(lock);
-    }
-    if (!w.done) break;  // we are the leader
-  }
+  // must take that position like any write.
+  Writer w;
+  AcquireWriteLeadership(&w, lock);
 
   const Status old_error = bg_error_;
   obs::Log(info_log_, "EVENT resume_begin error=%s",
@@ -2166,12 +2153,7 @@ Status DBImpl::Resume() {
     }
   }
 
-  // Release write-queue leadership.
-  assert(writers_.front() == &w);
-  writers_.pop_front();
-  if (!writers_.empty()) {
-    writers_.front()->cv.notify_one();
-  }
+  ReleaseWriteLeadership(&w);
 
   Status result = bg_error_;
   if (result.ok()) {

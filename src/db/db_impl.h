@@ -156,13 +156,19 @@ class DBImpl final : public DB {
   // of followers behind it into one WAL record + memtable apply, and
   // wakes them with the shared status.
   struct Writer {
-    explicit Writer(std::mutex* mu) { (void)mu; }
     Status status;
     WriteBatch* batch = nullptr;
     bool sync = false;
     bool done = false;
     std::condition_variable cv;
   };
+
+  // Makes `w` the head of the writer queue as a null-batch writer, so the
+  // caller owns log_/mem_ exclusively, like a write-group leader (Resume,
+  // CommitGcRewrites). `lock` holds mutex_ and is released while waiting.
+  void AcquireWriteLeadership(Writer* w, std::unique_lock<std::mutex>& lock);
+  // Pops `w` off the queue head and wakes the next writer.
+  void ReleaseWriteLeadership(Writer* w) /* REQUIRES: holding mutex_ */;
 
   // REQUIRES: mutex held, writers_ non-empty, first writer not done.
   WriteBatch* BuildBatchGroup(Writer** last_writer);

@@ -64,9 +64,6 @@ struct Options {
   bool create_if_missing = false;
   bool error_if_exists = false;
 
-  // If true, treat recoverable corruption (e.g. a bad WAL tail) as errors.
-  bool paranoid_checks = false;
-
   // nullptr = Env::Posix().
   Env* env = nullptr;
 
@@ -80,11 +77,6 @@ struct Options {
 
   // Uncompressed data-block size. Paper default: 4 KB.
   size_t block_size = 4 * 1024;
-
-  int block_restart_interval = 16;
-
-  // Number of open tables kept in the table cache.
-  int max_open_files = 500;
 
   // -------- read path (docs/READ_PATH.md) --------
   // Shared cache of decompressed blocks + filter partitions. nullptr =
@@ -153,9 +145,6 @@ struct Options {
   // RAID0 device profile so the transfers actually parallelize).
   int io_parallelism = 1;
 
-  // Depth of the bounded queues between pipeline stages.
-  size_t pipeline_queue_depth = 4;
-
   // Slow-motion factor for compaction experiments on hosts with fewer
   // cores than the paper's testbed (see CompactionJobOptions::
   // time_dilation). 1.0 = real time.
@@ -172,14 +161,13 @@ struct Options {
   // compute_parallelism above apply verbatim to every job.
   bool adaptive_compaction = false;
 
-  // Bounds on the per-job parallelism the scheduler may choose. The
-  // model's saturation k (Eqs. 4/6) is clamped into these ranges: cap
-  // max_stripe_width at the real stripe count of the device (reader
-  // threads beyond it just queue on the same channels) and
-  // max_compute_workers at the cores you can spare for compaction.
-  int min_compute_workers = 1;
+  // Caps on the per-job parallelism the scheduler (or, in a ShardedDB,
+  // the fleet arbiter) may grant. The model's saturation k (Eqs. 4/6) is
+  // clamped into [1, cap]: cap max_stripe_width at the real stripe count
+  // of the device (reader threads beyond it just queue on the same
+  // channels) and max_compute_workers at the cores you can spare for
+  // compaction.
   int max_compute_workers = 4;
-  int min_stripe_width = 1;
   int max_stripe_width = 4;
 
   // Hysteresis window: the scheduler switches executor only after this
@@ -192,11 +180,6 @@ struct Options {
   // decisions begin; until then the static compaction_mode applies (the
   // decayed profile of the first job or two is mostly noise).
   int scheduler_warmup_jobs = 2;
-
-  // A stage-parallel procedure (S-PPCP/C-PPCP) is only chosen when its
-  // ideal gain over plain PCP (Eqs. 5/7, at the clamped k) reaches this
-  // factor; below it the scheduler stays on PCP.
-  double scheduler_min_gain = 1.1;
 
   // -------- fleet scheduling (docs/SHARDING.md) --------
   // When non-null, every compaction admission goes through this governor
@@ -226,11 +209,6 @@ struct Options {
   // Target size of one value-log segment file. The active segment rolls
   // (sync + seal + fresh file) when an append pushes it past this.
   size_t vlog_segment_size = 32 * 1024 * 1024;
-
-  // A sealed segment becomes a GC candidate once the fraction of its
-  // bytes known dead (from compaction discard stats) reaches this ratio.
-  // GC rewrites the remaining live values and retires the segment.
-  double vlog_gc_dead_ratio = 0.5;
 
   // -------- fault handling (docs/FAULT_INJECTION.md) --------
   // Transient background I/O errors (failed flush or compaction) are

@@ -2,7 +2,7 @@
 //
 // Backed by the same lock-sharded LRU store as the block cache
 // (src/read/cache.h), charged one unit per open table so capacity =
-// max_open_files. Lookups on different files take different shard
+// max_open_tables. Lookups on different files take different shard
 // mutexes; a returned shared_ptr pins the reader across eviction.
 #pragma once
 

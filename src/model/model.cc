@@ -87,7 +87,7 @@ const char* PrescriptionProcedureName(Prescription::Procedure procedure) {
   return "unknown";
 }
 
-Prescription Prescribe(const StepTimes& t, double min_gain, int max_k) {
+Prescription Prescribe(const StepTimes& t, int max_k) {
   Prescription p;
   p.cpu_bound = IsCpuBound(t);
   const double pcp = PcpBandwidth(t);
@@ -108,7 +108,7 @@ Prescription Prescribe(const StepTimes& t, double min_gain, int max_k) {
         "I/O limits Eq. 2; Eq. 4 says k striped devices lift it until "
         "compute saturates";
   }
-  if (p.gain_vs_pcp < min_gain || pcp <= 0) {
+  if (p.gain_vs_pcp < kMinParallelGain || pcp <= 0) {
     p.procedure = Prescription::kPCP;
     p.k = 1;
     p.gain_vs_pcp = 1.0;
@@ -158,8 +158,7 @@ void DemoteToFloor(const StepTimes& t, FleetAllocation* a) {
 }  // namespace
 
 std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
-                                            const FleetBudget& budget,
-                                            double min_gain) {
+                                            const FleetBudget& budget) {
   std::vector<FleetAllocation> out(jobs.size());
   const int max_jobs =
       std::max(0, std::min(budget.io_lanes, budget.compute_workers));
@@ -246,13 +245,14 @@ std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
             "bandwidth led the fleet";
       }
     }
-    // Demotion pass: an upgrade that did not reach min_gain returns its
-    // units (they may push another job past the bar, so loop).
+    // Demotion pass: an upgrade that did not reach kMinParallelGain
+    // returns its units (they may push another job past the bar, so
+    // loop).
     bool demoted = false;
     for (size_t i = 0; i < admitted; i++) {
       if (!eligible[i]) continue;
       if (out[i].prescription.procedure == Prescription::kPCP) continue;
-      if (out[i].prescription.gain_vs_pcp < min_gain) {
+      if (out[i].prescription.gain_vs_pcp < kMinParallelGain) {
         DemoteToFloor(jobs[i], &out[i]);
         eligible[i] = false;
         demoted = true;

@@ -87,15 +87,20 @@ struct Prescription {
 
 const char* PrescriptionProcedureName(Prescription::Procedure procedure);
 
+// A stage-parallel procedure (S-PPCP/C-PPCP) is only worth its extra
+// lanes or workers when its ideal gain over PCP (Eqs. 5/7) reaches this
+// factor; below it the model says added parallelism is churn. Shared by
+// the per-DB scheduler and the fleet arbiter.
+constexpr double kMinParallelGain = 1.1;
+
 // Evaluates Eqs. 1-7 on `t` and picks the procedure §III-C prescribes:
 // a compute bottleneck wants C-PPCP at its Eq. 6 saturation k, an I/O
 // bottleneck wants S-PPCP at its Eq. 4 saturation k. A parallel variant
-// is only prescribed when its ideal gain over PCP reaches `min_gain`
-// (below that the model says added parallelism is churn); `max_k` caps
-// the saturation k (<= 0 = uncapped), and the gain is re-evaluated at the
-// capped k so an out-of-reach saturation point cannot justify a switch.
-Prescription Prescribe(const StepTimes& t, double min_gain = 1.1,
-                       int max_k = 0);
+// is only prescribed when its ideal gain over PCP reaches
+// kMinParallelGain; `max_k` caps the saturation k (<= 0 = uncapped), and
+// the gain is re-evaluated at the capped k so an out-of-reach saturation
+// point cannot justify a switch.
+Prescription Prescribe(const StepTimes& t, int max_k = 0);
 
 // Fleet-wide resource pool the arbiter divides among concurrent
 // compactions. A lane is one unit of I/O parallelism (a stripe device in
@@ -122,12 +127,11 @@ struct FleetAllocation {
 // at a time to the job whose next unit buys the largest marginal Eq. 4 /
 // Eq. 6 bandwidth gain — I/O-bound jobs compete for lanes (S-PPCP),
 // CPU-bound jobs for workers (C-PPCP). A job whose final allocation does
-// not beat PCP by `min_gain` is demoted back to the floor and its units
-// redistributed. If jobs.size() exceeds the budget's job bound the
+// not beat PCP by kMinParallelGain is demoted back to the floor and its
+// units redistributed. If jobs.size() exceeds the budget's job bound the
 // overflow entries get k=0 allocations (caller must queue them).
 std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
-                                            const FleetBudget& budget,
-                                            double min_gain = 1.1);
+                                            const FleetBudget& budget);
 
 std::string Describe(const StepTimes& t);
 

@@ -24,11 +24,23 @@ namespace pipelsm::server {
 
 namespace {
 
-Status Errno(const char* context) {
+Status Errno(const std::string& context) {
   return Status::IOError(context, std::strerror(errno));
 }
 
 size_t TypeIndex(MessageType type) { return static_cast<size_t>(type); }
+
+// Reads pause on a connection holding this many unanswered requests, or
+// whose pending response bytes exceed kMaxOutboxBytes.
+constexpr size_t kMaxInflightPerConn = 128;
+constexpr size_t kMaxOutboxBytes = 8 * 1024 * 1024;
+
+// A group-commit batch closes at this many batch bytes (or at
+// group_commit_max_requests requests).
+constexpr size_t kGroupCommitMaxBytes = 1 * 1024 * 1024;
+
+// How long Drain() waits for outboxes to reach the wire.
+constexpr uint64_t kDrainFlushTimeoutNanos = 5ull * 1000 * 1000 * 1000;
 
 }  // namespace
 
@@ -36,8 +48,6 @@ size_t TypeIndex(MessageType type) { return static_cast<size_t>(type); }
 // reads the socket and the only one that closes the fd; response writers
 // (workers, the commit thread) share the fd for send() under mu.
 struct Server::Conn {
-  explicit Conn(size_t max_body_bytes) : decoder(max_body_bytes) {}
-
   uint64_t id = 0;
   size_t loop_index = 0;
   int epfd = -1;  // owning loop's epoll instance (for interest updates)
@@ -215,10 +225,10 @@ Status Server::Start() {
     }
   }
 
-  Status s = Listen();
+  Status s = Listen(options_.port, 511, "client", &listen_fd_, &port_);
   if (!s.ok()) return s;
   if (options_.admin_port >= 0) {
-    s = ListenAdmin();
+    s = Listen(options_.admin_port, 64, "admin", &admin_fd_, &admin_port_);
     if (!s.ok()) return s;
   }
   if (options_.trace != nullptr) {
@@ -300,105 +310,35 @@ Status Server::Start() {
   return Status::OK();
 }
 
-Status Server::Listen() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) return Errno("socket");
+Status Server::Listen(int port, int backlog, const char* name, int* fd,
+                      int* bound_port) {
+  const std::string tag = std::string("(") + name + ")";
+  *fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (*fd < 0) return Errno("socket" + tag);
   int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ::setsockopt(*fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   struct sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
+  addr.sin_port = htons(static_cast<uint16_t>(port));
   if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
     return Status::InvalidArgument("bad listen host", options_.host);
   }
-  if (::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return Errno("bind");
+  if (::bind(*fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    return Errno("bind" + tag);
   }
-  if (::listen(listen_fd_, 511) != 0) return Errno("listen");
-  if (options_.port == 0) {
+  if (::listen(*fd, backlog) != 0) return Errno("listen" + tag);
+  *bound_port = port;
+  if (port == 0) {
     struct sockaddr_in bound{};
     socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&bound),
+    if (::getsockname(*fd, reinterpret_cast<struct sockaddr*>(&bound),
                       &len) != 0) {
-      return Errno("getsockname");
+      return Errno("getsockname" + tag);
     }
-    port_ = ntohs(bound.sin_port);
-  } else {
-    port_ = options_.port;
+    *bound_port = ntohs(bound.sin_port);
   }
   return Status::OK();
-}
-
-Status Server::ListenAdmin() {
-  admin_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (admin_fd_ < 0) return Errno("socket(admin)");
-  int one = 1;
-  ::setsockopt(admin_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  struct sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.admin_port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad listen host", options_.host);
-  }
-  if (::bind(admin_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return Errno("bind(admin)");
-  }
-  if (::listen(admin_fd_, 64) != 0) return Errno("listen(admin)");
-  if (options_.admin_port == 0) {
-    struct sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(admin_fd_, reinterpret_cast<struct sockaddr*>(&bound),
-                      &len) != 0) {
-      return Errno("getsockname(admin)");
-    }
-    admin_port_ = ntohs(bound.sin_port);
-  } else {
-    admin_port_ = options_.admin_port;
-  }
-  return Status::OK();
-}
-
-void Server::AcceptAdminConnections() {
-  while (true) {
-    const int fd =
-        ::accept4(admin_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    // Admin conns keep working during drain (for /healthz) but a cap
-    // bounds what a hostile scraper can pin; over it, refuse outright.
-    if (active_admin_conns_.load(std::memory_order_relaxed) >=
-        static_cast<int64_t>(options_.max_admin_conns)) {
-      admin_http_errors_->Add();
-      ::close(fd);
-      continue;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Conn>(options_.max_body_bytes);
-    conn->admin = true;
-    conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-    conn->fd = fd;
-    conn->loop_index =
-        next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-    IoLoop& target = *loops_[conn->loop_index];
-    conn->epfd = target.epfd;
-    {
-      std::lock_guard<std::mutex> l(target.mu);
-      target.incoming.push_back(conn);
-    }
-    admin_conns_active_->Set(
-        active_admin_conns_.fetch_add(1, std::memory_order_relaxed) + 1);
-    if (conn->loop_index == 0) {
-      RegisterIncoming(target);  // already on loop 0's thread
-    } else {
-      const char b = 'w';
-      [[maybe_unused]] ssize_t r = ::write(target.wake_wr, &b, 1);
-    }
-  }
 }
 
 void Server::HandleAdminReadable(IoLoop& loop,
@@ -629,12 +569,8 @@ void Server::IoLoopMain(size_t index) {
         refresh_interest = true;
         continue;
       }
-      if (index == 0 && fd == listen_fd_ && listen_fd_ >= 0) {
-        AcceptNewConnections();
-        continue;
-      }
-      if (index == 0 && fd == admin_fd_ && admin_fd_ >= 0) {
-        AcceptAdminConnections();
+      if (index == 0 && (fd == listen_fd_ || fd == admin_fd_)) {
+        AcceptConnections(/*admin=*/fd == admin_fd_);
         continue;
       }
       std::shared_ptr<Conn> conn;
@@ -717,21 +653,30 @@ void Server::IoLoopMain(size_t index) {
   }
 }
 
-void Server::AcceptNewConnections() {
+void Server::AcceptConnections(bool admin) {
+  const int listen_fd = admin ? admin_fd_ : listen_fd_;
   while (true) {
     const int fd =
-        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+        ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // EAGAIN, or the listen socket went away mid-drain
     }
-    if (draining_.load(std::memory_order_acquire)) {
+    // Admin conns keep working during drain (for /healthz) but a cap
+    // bounds what a hostile scraper can pin; over it, refuse outright.
+    const bool refuse =
+        admin ? active_admin_conns_.load(std::memory_order_relaxed) >=
+                    static_cast<int64_t>(options_.max_admin_conns)
+              : draining_.load(std::memory_order_acquire);
+    if (refuse) {
+      if (admin) admin_http_errors_->Add();
       ::close(fd);
       continue;
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Conn>(options_.max_body_bytes);
+    auto conn = std::make_shared<Conn>();
+    conn->admin = admin;
     conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
     conn->fd = fd;
     conn->loop_index =
@@ -742,11 +687,16 @@ void Server::AcceptNewConnections() {
       std::lock_guard<std::mutex> l(target.mu);
       target.incoming.push_back(conn);
     }
-    conns_total_->Add();
-    conns_active_->Set(active_conns_.fetch_add(1, std::memory_order_relaxed) +
-                       1);
-    obs::Log(info_log_, "EVENT conn_open id=%llu loop=%zu",
-             static_cast<unsigned long long>(conn->id), conn->loop_index);
+    if (admin) {
+      admin_conns_active_->Set(
+          active_admin_conns_.fetch_add(1, std::memory_order_relaxed) + 1);
+    } else {
+      conns_total_->Add();
+      conns_active_->Set(
+          active_conns_.fetch_add(1, std::memory_order_relaxed) + 1);
+      obs::Log(info_log_, "EVENT conn_open id=%llu loop=%zu",
+               static_cast<unsigned long long>(conn->id), conn->loop_index);
+    }
     if (conn->loop_index == 0) {
       RegisterIncoming(target);  // already on loop 0's thread
     } else {
@@ -857,7 +807,7 @@ void Server::DispatchFrame(const std::shared_ptr<Conn>& conn,
   {
     std::lock_guard<std::mutex> l(conn->mu);
     conn->in_flight++;
-    if (conn->in_flight >= options_.max_inflight_per_conn &&
+    if (conn->in_flight >= kMaxInflightPerConn &&
         !conn->paused_inflight) {
       conn->paused_inflight = true;
       read_pauses_->Add();
@@ -1312,7 +1262,7 @@ void Server::GroupCommitLoop(size_t index) {
     group.push_back(std::move(*first));
     auto gather = [&] {
       while (group.size() < options_.group_commit_max_requests &&
-             bytes < options_.group_commit_max_bytes) {
+             bytes < kGroupCommitMaxBytes) {
         std::optional<WriteTask> t = queue.TryPop();
         if (!t.has_value()) return;
         bytes += t->batch.ApproximateSize();
@@ -1394,14 +1344,14 @@ void Server::DeliverReplies(const std::shared_ptr<Conn>& conn,
     conn->outbox.append(frames);
     TryFlushLocked(*conn);
     const size_t pending = conn->outbox.size() - conn->out_pos;
-    if (pending > options_.max_outbox_bytes && !conn->paused_outbox) {
+    if (pending > kMaxOutboxBytes && !conn->paused_outbox) {
       conn->paused_outbox = true;
       read_pauses_->Add();
     }
   }
   conn->in_flight -= std::min(conn->in_flight, count);
   if (conn->paused_inflight &&
-      conn->in_flight <= options_.max_inflight_per_conn / 2) {
+      conn->in_flight <= kMaxInflightPerConn / 2) {
     conn->paused_inflight = false;
   }
   UpdateInterestLocked(*conn);
@@ -1540,9 +1490,8 @@ void Server::Drain() {
 
   // Give the loops a bounded window to push remaining outboxes onto the
   // wire (they are still running and servicing EPOLLOUT).
-  const uint64_t deadline_nanos = options_.drain_flush_timeout_micros * 1000;
   Stopwatch sw;
-  while (sw.ElapsedNanos() < deadline_nanos) {
+  while (sw.ElapsedNanos() < kDrainFlushTimeoutNanos) {
     bool pending = false;
     for (auto& loop : loops_) {
       std::vector<std::shared_ptr<Conn>> snapshot;

@@ -130,20 +130,11 @@ struct ServerOptions {
   // pushing I/O loop, which stops socket reads — backpressure, not OOM.
   size_t request_queue_depth = 1024;
 
-  // Frame-size ceiling enforced by the decoder (protocol error above it).
-  size_t max_body_bytes = kDefaultMaxBodyBytes;
-
-  // Reads pause on a connection holding this many unanswered requests.
-  size_t max_inflight_per_conn = 128;
-
-  // Reads pause on a connection whose pending response bytes exceed this.
-  size_t max_outbox_bytes = 8 * 1024 * 1024;
-
   // Group commit: after the leader pops, wait this long for followers
-  // when the write queue is otherwise empty. 0 = never wait.
+  // when the write queue is otherwise empty. 0 = never wait. A group
+  // also closes at this many requests or at 1 MiB of batch bytes.
   uint64_t group_commit_window_micros = 100;
   size_t group_commit_max_requests = 256;
-  size_t group_commit_max_bytes = 1 * 1024 * 1024;
 
   // WriteOptions::sync for the leader batch — one fsync per group.
   bool sync_writes = true;
@@ -155,7 +146,7 @@ struct ServerOptions {
   // Hard cap on SCAN result payload bytes (keys + values). A hostile
   // limit can otherwise multiply with large (value-log separated)
   // values into an oversized reply allocation that blows straight past
-  // max_outbox_bytes in one request. The scan stops early at whichever
+  // the 8 MiB outbox cap in one request. The scan stops early at whichever
   // cap hits first; the reply is still well-formed.
   size_t max_scan_bytes = 4 * 1024 * 1024;
 
@@ -172,9 +163,6 @@ struct ServerOptions {
 
   // Sweeper wake period. Expiry precision is ttl + one period.
   uint64_t cursor_sweep_period_micros = 1000 * 1000;
-
-  // How long Drain() waits for outboxes to reach the wire.
-  uint64_t drain_flush_timeout_micros = 5 * 1000 * 1000;
 
   // EVENT sink; nullptr falls back to the DB's own info log
   // (DB::InfoLogHandle), then to silence.
@@ -232,7 +220,7 @@ class Server {
   Status Start();
 
   // Graceful shutdown; idempotent. Blocks until every accepted request is
-  // answered (or drain_flush_timeout expires) and all threads joined.
+  // answered (or a 5 s flush window expires) and all threads joined.
   void Drain();
 
   // Bound port (useful with port=0). Valid after Start().
@@ -270,16 +258,22 @@ class Server {
     uint64_t op_end_ns = 0;
   };
 
-  Status Listen();
+  // Binds a non-blocking listening socket on options_.host:`port`
+  // (0 = ephemeral) into *fd and reports the bound port. `name` tags
+  // errors ("client" / "admin").
+  Status Listen(int port, int backlog, const char* name, int* fd,
+                int* bound_port);
   void IoLoopMain(size_t index);
-  void AcceptNewConnections();
+  // Accepts every pending connection of one kind (loop 0 only) and hands
+  // each to an I/O loop round-robin. Client connections are refused while
+  // draining; admin connections are served through the drain but capped
+  // at max_admin_conns.
+  void AcceptConnections(bool admin);
   void RegisterIncoming(IoLoop& loop);
   void HandleReadable(IoLoop& loop, const std::shared_ptr<Conn>& conn);
   void HandleWritable(const std::shared_ptr<Conn>& conn);
 
   // Admin endpoint (HTTP/1.0, one request per connection).
-  Status ListenAdmin();
-  void AcceptAdminConnections();
   void HandleAdminReadable(IoLoop& loop, const std::shared_ptr<Conn>& conn);
   void HandleAdminRequest(const std::shared_ptr<Conn>& conn,
                           const std::string& method, const std::string& path);

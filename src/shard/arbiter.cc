@@ -9,8 +9,12 @@
 
 namespace pipelsm::shard {
 
-CompactionArbiter::CompactionArbiter(const ArbiterOptions& options)
-    : opts_(options) {
+CompactionArbiter::CompactionArbiter(const ArbiterOptions& options,
+                                     const Options& engine)
+    : opts_(options),
+      max_job_lanes_(SchedulerOptions::FromOptions(engine).max_stripe_width),
+      max_job_workers_(
+          SchedulerOptions::FromOptions(engine).max_compute_workers) {
   if (opts_.metrics != nullptr) {
     lanes_gauge_ = opts_.metrics->RegisterGauge(
         "arbiter.io_lanes_in_use", "fleet I/O lanes currently granted");
@@ -36,16 +40,8 @@ CompactionArbiter::~CompactionArbiter() = default;
 
 namespace {
 
-// The gain a job would claim running alone, at the arbiter's per-job
-// caps. Zero/garbage profiles prescribe the PCP floor (gain 1.0) — a
-// cold shard must not outrank warmed-up ones on NaN arithmetic.
-double SoloGain(const model::StepTimes& t, const ArbiterOptions& opts) {
-  if (t.total() <= 0) return 1.0;
-  const int cap = model::IsCpuBound(t) ? opts.per_job_max_workers
-                                       : opts.per_job_max_lanes;
-  const model::Prescription p = model::Prescribe(t, opts.min_gain, cap);
-  return p.gain_vs_pcp;
-}
+// Force-grant a waiter after it has been passed over this many times.
+constexpr int kMaxPassovers = 3;
 
 CompactionMode ModeOf(model::Prescription::Procedure procedure) {
   switch (procedure) {
@@ -63,6 +59,12 @@ CompactionMode ModeOf(model::Prescription::Procedure procedure) {
 
 }  // namespace
 
+model::Prescription CompactionArbiter::SoloPrescription(
+    const model::StepTimes& t) const {
+  return model::Prescribe(
+      t, model::IsCpuBound(t) ? max_job_workers_ : max_job_lanes_);
+}
+
 const CompactionArbiter::Waiter* CompactionArbiter::FrontLocked() const {
   // Ranking: (1) forced waiters (passovers >= max) in FIFO order, so a
   // starving shard is next no matter what arrives; (2) compactions over
@@ -72,12 +74,12 @@ const CompactionArbiter::Waiter* CompactionArbiter::FrontLocked() const {
   // bandwidth there; (4) FIFO.
   const Waiter* best = nullptr;
   for (const auto& [seq, w] : waiters_) {
-    const bool w_forced = w.passovers >= opts_.max_passovers;
+    const bool w_forced = w.passovers >= kMaxPassovers;
     if (best == nullptr) {
       best = &w;
       continue;
     }
-    const bool b_forced = best->passovers >= opts_.max_passovers;
+    const bool b_forced = best->passovers >= kMaxPassovers;
     if (w_forced != b_forced) {
       if (w_forced) best = &w;
       continue;
@@ -118,14 +120,10 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
     jobs.push_back(other.request.profile);
   }
   std::vector<model::FleetAllocation> alloc =
-      model::PrescribeFleet(jobs, free, opts_.min_gain);
+      model::PrescribeFleet(jobs, free);
   model::FleetAllocation mine = alloc[0];
-  if (opts_.per_job_max_lanes > 0) {
-    mine.lanes = std::min(mine.lanes, opts_.per_job_max_lanes);
-  }
-  if (opts_.per_job_max_workers > 0) {
-    mine.workers = std::min(mine.workers, opts_.per_job_max_workers);
-  }
+  mine.lanes = std::min(mine.lanes, max_job_lanes_);
+  mine.workers = std::min(mine.workers, max_job_workers_);
   mine.prescription.k = std::max(mine.lanes, mine.workers);
 
   Grant g;
@@ -141,16 +139,13 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
   peak_lanes_ = std::max(peak_lanes_, lanes_in_use_);
   peak_workers_ = std::max(peak_workers_, workers_in_use_);
   grants_++;
-  if (w.passovers >= opts_.max_passovers) forced_grants_++;
+  const bool forced = w.passovers >= kMaxPassovers;
+  if (forced) forced_grants_++;
 
   // Shrink accounting: did the fleet hand out less than the job's solo
-  // saturation k (at the same per-job caps)?
+  // saturation k (at the same per-job cap)?
   if (w.request.profile.total() > 0) {
-    const int cap = model::IsCpuBound(w.request.profile)
-                        ? opts_.per_job_max_workers
-                        : opts_.per_job_max_lanes;
-    const model::Prescription solo =
-        model::Prescribe(w.request.profile, opts_.min_gain, cap);
+    const model::Prescription solo = SoloPrescription(w.request.profile);
     if ((solo.procedure == model::Prescription::kSPPCP ||
          solo.procedure == model::Prescription::kCPPCP) &&
         g.k < solo.k) {
@@ -165,7 +160,7 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
   if (lanes_gauge_ != nullptr) lanes_gauge_->Set(lanes_in_use_);
   if (workers_gauge_ != nullptr) workers_gauge_->Set(workers_in_use_);
   if (grants_counter_ != nullptr) grants_counter_->Add(1);
-  if (forced_counter_ != nullptr && w.passovers >= opts_.max_passovers) {
+  if (forced_counter_ != nullptr && forced) {
     forced_counter_->Add(1);
   }
 
@@ -196,7 +191,11 @@ CompactionGrant CompactionArbiter::Admit(
   Waiter& me = waiters_[seq];
   me.seq = seq;
   me.request = request;
-  me.solo_gain = SoloGain(request.profile, opts_);
+  // Zero/garbage profiles rank at the PCP floor (gain 1.0): a cold shard
+  // must not outrank warmed-up ones on NaN arithmetic.
+  me.solo_gain = request.profile.total() > 0
+                     ? SoloPrescription(request.profile).gain_vs_pcp
+                     : 1.0;
   if (waiting_gauge_ != nullptr) {
     waiting_gauge_->Set(static_cast<int64_t>(waiters_.size()));
   }

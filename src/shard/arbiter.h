@@ -11,7 +11,7 @@
 // revoked until Release() frees them.
 //
 // Starvation-freedom: every time a job is granted, every other waiter's
-// passover count rises; a waiter passed over `max_passovers` times is
+// passover count rises; a waiter passed over kMaxPassovers (3) times is
 // force-granted the PCP floor (1 lane + 1 worker) as soon as a floor is
 // free, ahead of any higher-gain newcomer. So a long-running big-gain
 // job cannot pin a low-gain shard in the queue forever.
@@ -43,18 +43,6 @@ namespace pipelsm::shard {
 struct ArbiterOptions {
   model::FleetBudget budget;  // io_lanes=4, compute_workers=4
 
-  // Per-job ceilings on granted parallelism (<=0 = only the budget
-  // caps). Mirrors Options::max_stripe_width / max_compute_workers.
-  int per_job_max_lanes = 4;
-  int per_job_max_workers = 4;
-
-  // A stage-parallel upgrade must beat PCP by this ideal factor
-  // (Eqs. 5/7) to be worth fleet units.
-  double min_gain = 1.1;
-
-  // Force-grant a waiter after it has been passed over this many times.
-  int max_passovers = 3;
-
   // How often a blocked Admit() re-checks its abort predicate.
   uint64_t wait_poll_micros = 10 * 1000;
 
@@ -64,7 +52,11 @@ struct ArbiterOptions {
 
 class CompactionArbiter : public CompactionGovernor {
  public:
-  explicit CompactionArbiter(const ArbiterOptions& options);
+  // `engine` is the shards' engine configuration: no grant exceeds its
+  // Options::max_stripe_width lanes or max_compute_workers workers, the
+  // same caps one DB's own scheduler applies.
+  explicit CompactionArbiter(const ArbiterOptions& options,
+                             const Options& engine = Options());
   ~CompactionArbiter() override;
 
   CompactionArbiter(const CompactionArbiter&) = delete;
@@ -94,7 +86,7 @@ class CompactionArbiter : public CompactionGovernor {
   struct Waiter {
     uint64_t seq = 0;             // FIFO tiebreak
     CompactionAdmissionRequest request;
-    double solo_gain = 1.0;       // Prescribe() gain at per-job caps
+    double solo_gain = 1.0;       // Prescribe() gain at the per-job cap
     int passovers = 0;
   };
   struct Grant {
@@ -114,7 +106,12 @@ class CompactionArbiter : public CompactionGovernor {
   // REQUIRES: mu_ held. Builds the grant for `w` with the free budget.
   CompactionGrant GrantLocked(const Waiter& w);
 
+  // The job's solo prescription at the engine's per-job cap.
+  model::Prescription SoloPrescription(const model::StepTimes& t) const;
+
   const ArbiterOptions opts_;
+  const int max_job_lanes_;    // Options::max_stripe_width
+  const int max_job_workers_;  // Options::max_compute_workers
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

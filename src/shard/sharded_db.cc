@@ -239,7 +239,7 @@ Status ShardedDB::Open(const Options& options, const ShardedOptions& sharded,
   if (sharded.enable_arbiter) {
     ArbiterOptions aopts = sharded.arbiter;
     aopts.metrics = db->metrics_.get();
-    db->arbiter_ = std::make_unique<CompactionArbiter>(aopts);
+    db->arbiter_ = std::make_unique<CompactionArbiter>(aopts, options);
   }
 
   // One fleet-wide block cache shared by every member shard (unless the

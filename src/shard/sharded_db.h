@@ -72,7 +72,8 @@ class ShardedDB final : public DB {
   // Opens (creating if Options::create_if_missing) the shard fleet under
   // `name`. `options` is the per-shard engine configuration; fields that
   // must differ per shard (shard_id, compaction_governor, info_log) are
-  // overridden internally. Listeners in options.listeners receive events
+  // overridden internally. Its max_stripe_width / max_compute_workers
+  // also cap every arbiter grant. Listeners in options.listeners receive events
   // from EVERY shard (they were already required to be thread-safe).
   static Status Open(const Options& options, const ShardedOptions& sharded,
                      const std::string& name, ShardedDB** dbptr);

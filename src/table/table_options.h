@@ -26,9 +26,6 @@ struct TableOptions {
   // Uncompressed data-block size target. The paper's default is 4 KB.
   size_t block_size = 4 * 1024;
 
-  // Keys between restart points in a block.
-  int block_restart_interval = 16;
-
   // S5 codec for data blocks.
   CompressionType compression = CompressionType::kLzCompression;
 

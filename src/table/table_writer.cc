@@ -5,8 +5,15 @@
 
 namespace pipelsm {
 
+namespace {
+
+// Keys between restart points in data and metaindex blocks.
+constexpr int kBlockRestartInterval = 16;
+
+}  // namespace
+
 BlockEncoder::BlockEncoder(const TableOptions& options)
-    : options_(options), block_(options.block_restart_interval) {}
+    : options_(options), block_(kBlockRestartInterval) {}
 
 void BlockEncoder::Add(const Slice& key, const Slice& value) {
   if (block_.empty()) {
@@ -99,7 +106,7 @@ Status TableWriter::AddBlock(const EncodedBlock& block) {
 }
 
 Status TableWriter::Finish() {
-  BlockBuilder metaindex(options_.block_restart_interval);
+  BlockBuilder metaindex(kBlockRestartInterval);
   if (filter_ != nullptr) {
     // Uncompressed, so Table::ReadFilter can read its tail and partitions
     // in place.

@@ -20,6 +20,10 @@ namespace {
 constexpr size_t kFrameHeaderMax = 4 + 5 + 5;
 constexpr size_t kFrameMin = 4 + 1 + 1;  // crc + two zero-length varints
 
+// A sealed segment becomes a GC candidate once this fraction of its bytes
+// is known dead (from compaction discard credits).
+constexpr double kGcDeadRatio = 0.5;
+
 // Decode one frame starting at `input` (which must hold the full
 // remainder of the segment's valid region). On success sets *key,
 // *value, *frame_len and returns true; a short or CRC-corrupt frame
@@ -379,7 +383,7 @@ void VlogManager::RecomputeGcFlagLocked() {
   for (const auto& [number, info] : segments_) {
     if (info.state != SegmentState::kSealed || info.size == 0) continue;
     if (static_cast<double>(info.dead) >=
-        opts_.gc_dead_ratio * static_cast<double>(info.size)) {
+        kGcDeadRatio * static_cast<double>(info.size)) {
       needs = true;
       break;
     }
@@ -418,7 +422,7 @@ bool VlogManager::PickGcSegment(uint64_t* segment) {
     }
     const double ratio =
         static_cast<double>(info.dead) / static_cast<double>(info.size);
-    if (ratio >= opts_.gc_dead_ratio && ratio >= best_ratio) {
+    if (ratio >= kGcDeadRatio && ratio >= best_ratio) {
       best_ratio = ratio;
       *segment = number;
       found = true;

@@ -68,8 +68,6 @@ bool DecodeValueLocation(const Slice& src, ValueLocation* loc);
 struct VlogOptions {
   // Roll the active segment once an append pushes it past this size.
   size_t segment_size = 32 * 1024 * 1024;
-  // A sealed segment becomes a GC candidate at this dead-byte fraction.
-  double gc_dead_ratio = 0.5;
 };
 
 class VlogManager {

@@ -40,7 +40,6 @@ Status GenerateCompactionInputs(const TableGenOptions& options,
   TableOptions topt;
   topt.comparator = options.icmp;
   topt.block_size = options.block_size;
-  topt.block_restart_interval = options.block_restart_interval;
   topt.compression = options.compression;
 
   const uint64_t entry_bytes = options.key_size + options.value_size;

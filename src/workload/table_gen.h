@@ -23,7 +23,6 @@ struct TableGenOptions {
   size_t key_size = 16;          // paper default
   size_t value_size = 100;       // paper default
   size_t block_size = 4 * 1024;  // paper default
-  int block_restart_interval = 16;
   CompressionType compression = CompressionType::kLzCompression;
 
   // Bytes of user data per generated table.

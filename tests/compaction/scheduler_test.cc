@@ -233,22 +233,16 @@ TEST(CompactionScheduler, ToJsonParsesAndReportsCandidateStreak) {
 TEST(CompactionScheduler, FromOptionsClampsDegenerateBounds) {
   Options options;
   options.adaptive_compaction = true;
-  options.min_compute_workers = 0;
   options.max_compute_workers = -3;
-  options.min_stripe_width = 5;
   options.max_stripe_width = 2;
   options.scheduler_hysteresis_jobs = 0;
   options.scheduler_warmup_jobs = -1;
-  options.scheduler_min_gain = 0.2;
   const SchedulerOptions s = SchedulerOptions::FromOptions(options);
   EXPECT_TRUE(s.adaptive);
-  EXPECT_EQ(1, s.min_compute_workers);
-  EXPECT_GE(s.max_compute_workers, s.min_compute_workers);
-  EXPECT_EQ(5, s.min_stripe_width);
-  EXPECT_GE(s.max_stripe_width, s.min_stripe_width);
+  EXPECT_EQ(1, s.max_compute_workers);
+  EXPECT_EQ(2, s.max_stripe_width);
   EXPECT_EQ(1, s.hysteresis_jobs);
   EXPECT_EQ(0, s.warmup_jobs);
-  EXPECT_GE(s.min_gain, 1.0);
 }
 
 }  // namespace

@@ -148,7 +148,6 @@ TEST(Arbiter, PassedOverWaiterIsForceGranted) {
   ArbiterOptions o;
   o.budget.io_lanes = 1;
   o.budget.compute_workers = 1;
-  o.max_passovers = 3;
   o.wait_poll_micros = 1000;
   CompactionArbiter arb(o);
 
@@ -182,8 +181,9 @@ TEST(Arbiter, PassedOverWaiterIsForceGranted) {
     EXPECT_FALSE(low_granted.load()) << "cycle " << i;
   }
 
-  // Passed over max_passovers times: the low-gain waiter is now forced
-  // and must beat a fresh high-gain arrival to the next free floor.
+  // Passed over three times (the passover limit): the low-gain waiter is
+  // now forced and must beat a fresh high-gain arrival to the next free
+  // floor.
   std::promise<CompactionGrant> p;
   std::future<CompactionGrant> f = p.get_future();
   std::thread hi([&arb, &p] {

@@ -17,6 +17,7 @@
 #include "src/db/write_batch.h"
 #include "src/env/fault_env.h"
 #include "src/env/sim_env.h"
+#include "src/model/model.h"
 #include "src/shard/router.h"
 
 namespace pipelsm::shard {
@@ -389,6 +390,45 @@ TEST(ShardedDB, ArbiterOffRunsAndReportsEmpty) {
   std::string value;
   ASSERT_TRUE(db->GetProperty("pipelsm.arbiter", &value));
   EXPECT_EQ("{}", value);
+}
+
+// The fleet arbiter caps every grant at the engine's own parallelism
+// bounds: a CPU-bound job whose solo prescription wants >= 4 workers gets
+// at most Options::max_compute_workers workers and max_stripe_width lanes,
+// even though the fleet budget (4 + 4) could give it more.
+TEST(ShardedDB, ArbiterGrantsRespectEngineParallelismCaps) {
+  SimEnv env;
+  Options options = BaseOptions(&env);
+  options.max_compute_workers = 2;
+  options.max_stripe_width = 2;
+  ShardedOptions sharded;
+  sharded.num_shards = 2;
+  sharded.boundary_keys = {"m"};
+  std::unique_ptr<ShardedDB> db = MustOpen(options, sharded, "/sdb");
+  ASSERT_NE(nullptr, db->arbiter());
+
+  model::StepTimes cpu_bound;
+  cpu_bound.seconds[kStepRead] = 0.010;
+  cpu_bound.seconds[kStepSort] = 0.080;
+  cpu_bound.seconds[kStepWrite] = 0.010;
+  cpu_bound.subtask_bytes = 1 << 20;
+  ASSERT_TRUE(model::IsCpuBound(cpu_bound));
+  ASSERT_GE(model::Prescribe(cpu_bound).k, 4);
+  ASSERT_GE(db->arbiter()->budget().compute_workers, 4);
+
+  CompactionAdmissionRequest request;
+  request.shard_id = 0;
+  request.profile = cpu_bound;
+  request.advisor_jobs = 16;
+  request.level = 1;
+  CompactionGrant grant =
+      db->arbiter()->Admit(request, [] { return false; });
+  ASSERT_TRUE(grant.granted);
+  EXPECT_LE(grant.decision.compute_parallelism, 2);
+  EXPECT_LE(grant.decision.read_parallelism, 2);
+  EXPECT_LE(db->arbiter()->workers_in_use(), 2);
+  EXPECT_LE(db->arbiter()->lanes_in_use(), 2);
+  db->arbiter()->Release(grant.id);
 }
 
 // Crash-matrix variant: fault rules scoped to shard-0001's files kill

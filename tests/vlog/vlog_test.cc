@@ -22,11 +22,9 @@ class VlogTest : public ::testing::Test {
   VlogTest() { env_.CreateDir("/db"); }
 
   // Fresh manager over /db with its own monotonic number allocator.
-  std::unique_ptr<VlogManager> NewManager(size_t segment_size = 1 << 20,
-                                          double gc_dead_ratio = 0.5) {
+  std::unique_ptr<VlogManager> NewManager(size_t segment_size = 1 << 20) {
     VlogOptions opts;
     opts.segment_size = segment_size;
-    opts.gc_dead_ratio = gc_dead_ratio;
     return std::unique_ptr<VlogManager>(new VlogManager(
         &env_, "/db", opts, nullptr, nullptr, [this] { return next_++; }));
   }
@@ -187,7 +185,7 @@ TEST_F(VlogTest, AppendPendingFencesGcUntilReleased) {
 }
 
 TEST_F(VlogTest, DiscardCreditsDriveGcSelection) {
-  auto vlog = NewManager(1 << 20, /*gc_dead_ratio=*/0.5);
+  auto vlog = NewManager(1 << 20);
   Start(vlog.get());
 
   std::vector<ValueLocation> locs(4);

@@ -40,7 +40,7 @@
 //   --value_threshold=N      key-value separation: values >= N bytes go
 //                            to the value log (0 = off)
 //   --write_buffer_kb=N --file_kb=N --subtask_kb=N --block=N
-//   --compute_parallelism=N --io_parallelism=N --queue_depth=N
+//   --compute_parallelism=N --io_parallelism=N
 //   --adaptive               per-job executor choice by the compaction
 //                            scheduler (Options::adaptive_compaction)
 //   --max_compute_workers=N --max_stripe_width=N
@@ -121,7 +121,6 @@ struct Flags {
   size_t block = 4096;
   int compute_parallelism = 1;
   int io_parallelism = 1;
-  size_t queue_depth = 4;
   bool adaptive = false;
   int max_compute_workers = 4;
   int max_stripe_width = 4;
@@ -225,7 +224,6 @@ class Benchmark {
     options_.block_size = flags_.block;
     options_.compute_parallelism = flags_.compute_parallelism;
     options_.io_parallelism = flags_.io_parallelism;
-    options_.pipeline_queue_depth = flags_.queue_depth;
     options_.adaptive_compaction = flags_.adaptive;
     options_.max_compute_workers = flags_.max_compute_workers;
     options_.max_stripe_width = flags_.max_stripe_width;
@@ -650,7 +648,6 @@ int main(int argc, char** argv) {
         ParseNumFlag(argv[i], "compute_parallelism",
                      &flags.compute_parallelism) ||
         ParseNumFlag(argv[i], "io_parallelism", &flags.io_parallelism) ||
-        ParseNumFlag(argv[i], "queue_depth", &flags.queue_depth) ||
         ParseNumFlag(argv[i], "max_compute_workers",
                      &flags.max_compute_workers) ||
         ParseNumFlag(argv[i], "max_stripe_width", &flags.max_stripe_width) ||

@@ -1,6 +1,6 @@
 // pipelsm_cli: command-line client for a running pipelsm_server.
 //
-//   pipelsm_cli [--host=H] [--port=N] [--timeout_ms=N] COMMAND [args...]
+//   pipelsm_cli [--host=H] [--port=N] COMMAND [args...]
 //
 // Commands:
 //   ping
@@ -34,8 +34,7 @@ namespace {
 
 [[noreturn]] void Usage() {
   std::fprintf(stderr,
-               "usage: pipelsm_cli [--host=H] [--port=N] [--timeout_ms=N] "
-               "COMMAND [args...]\n"
+               "usage: pipelsm_cli [--host=H] [--port=N] COMMAND [args...]\n"
                "commands: ping | put K V | get K | del K |\n"
                "          batch [put K V | del K]... | scan [START [LIMIT]] |"
                " stream [START [LIMIT]] | stats [PROP]\n");
@@ -68,11 +67,6 @@ int main(int argc, char** argv) {
     if (ParseFlag(argv[i], "host", &copts.host)) continue;
     if (ParseFlag(argv[i], "port", &v)) {
       copts.port = std::atoi(v.c_str());
-      continue;
-    }
-    if (ParseFlag(argv[i], "timeout_ms", &v)) {
-      copts.request_timeout_micros =
-          static_cast<uint64_t>(std::strtoull(v.c_str(), nullptr, 10)) * 1000;
       continue;
     }
     if (ParseFlag(argv[i], "pause_ms", &v)) {

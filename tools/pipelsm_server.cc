@@ -18,7 +18,7 @@
 //   --max_subcompactions=N  key-range fan-out per compaction job
 //                           (default 1 = off)
 //   --write_buffer_kb=N --file_kb=N --subtask_kb=N
-//   --compute_parallelism=N --io_parallelism=N --queue_depth=N
+//   --compute_parallelism=N --io_parallelism=N
 //   --group_window_micros=N group-commit gather window (default 100)
 //   --nosync                WriteOptions::sync=false for group commits
 //   --create_if_missing=0|1 (default 1)
@@ -116,7 +116,6 @@ int main(int argc, char** argv) {
   size_t subtask_kb = 512;
   int compute_parallelism = 1;
   int io_parallelism = 1;
-  size_t queue_depth = 4;
   size_t value_threshold = 0;
   size_t cache_size = 8 << 20;
   size_t cache_shards = 0;
@@ -146,7 +145,6 @@ int main(int argc, char** argv) {
         ParseNumFlag(argv[i], "subtask_kb", &subtask_kb) ||
         ParseNumFlag(argv[i], "compute_parallelism", &compute_parallelism) ||
         ParseNumFlag(argv[i], "io_parallelism", &io_parallelism) ||
-        ParseNumFlag(argv[i], "queue_depth", &queue_depth) ||
         ParseNumFlag(argv[i], "group_window_micros",
                      &sopts.group_commit_window_micros) ||
         ParseNumFlag(argv[i], "create_if_missing", &create_if_missing) ||
@@ -200,7 +198,6 @@ int main(int argc, char** argv) {
   options.subtask_bytes = subtask_kb << 10;
   options.compute_parallelism = compute_parallelism;
   options.io_parallelism = io_parallelism;
-  options.pipeline_queue_depth = queue_depth;
   options.value_separation_threshold = value_threshold;
   options.block_cache_size = cache_size;
   options.block_cache_shards = cache_shards;
