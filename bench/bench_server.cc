@@ -268,20 +268,6 @@ struct ServedStats {
   }
 };
 
-// First "hits"/"misses" in the "pipelsm.cache" JSON belong to the block
-// section (it precedes the table section).
-void ParseCacheCounters(const std::string& json, uint64_t* hits,
-                        uint64_t* misses) {
-  const size_t h = json.find("\"hits\":");
-  const size_t m = json.find("\"misses\":");
-  if (h != std::string::npos) {
-    *hits = std::strtoull(json.c_str() + h + 7, nullptr, 10);
-  }
-  if (m != std::string::npos) {
-    *misses = std::strtoull(json.c_str() + m + 9, nullptr, 10);
-  }
-}
-
 LatencySummary SummarizeLatency(obs::MetricsRegistry* registry,
                                 const std::string& name) {
   const Histogram snap = registry->RegisterHistogram(name, "")->Snapshot();
@@ -431,10 +417,12 @@ ServedStats ServedFill(const Flags& flags, const std::string& path) {
   stats.gets =
       srv.metrics_registry()->RegisterCounter("server.req.get", "")->value();
   stats.read_ops_per_sec = seconds > 0 ? stats.gets / seconds : 0;
-  std::string cache_json;
-  if (db->GetProperty("pipelsm.cache", &cache_json)) {
-    ParseCacheCounters(cache_json, &stats.cache_hits, &stats.cache_misses);
-  }
+  // The DB (or the fleet, when sharded) owns its block cache, so the
+  // cache's stats are bound in the registry MetricsHandle() returns.
+  obs::MetricsRegistry* registry = db->MetricsHandle();
+  stats.cache_hits = registry->RegisterCounter("cache.block.hits", "")->value();
+  stats.cache_misses =
+      registry->RegisterCounter("cache.block.misses", "")->value();
   stats.put_latency =
       SummarizeLatency(srv.metrics_registry(), "server.req_micros.put");
   stats.get_latency =

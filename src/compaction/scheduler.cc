@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/obs/metrics.h"
+#include "src/util/json_writer.h"
 
 namespace pipelsm {
 
@@ -17,13 +18,6 @@ constexpr double kMinPipelineGain = 1.02;
 constexpr const char* kModeMetricNames[4] = {
     "scheduler.choice.scp", "scheduler.choice.pcp",
     "scheduler.choice.sppcp", "scheduler.choice.cppcp"};
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
 
 }  // namespace
 
@@ -179,41 +173,32 @@ uint64_t CompactionScheduler::switches() const {
 
 std::string CompactionScheduler::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  char buf[256];
-  std::string out = "{";
-  std::snprintf(buf, sizeof(buf),
-                "\"adaptive\":%s,\"decisions\":%llu,\"switches\":%llu,",
-                opts_.adaptive ? "true" : "false",
-                static_cast<unsigned long long>(decisions_),
-                static_cast<unsigned long long>(switches_));
-  out.append(buf);
-  std::snprintf(buf, sizeof(buf),
-                "\"current\":{\"procedure\":\"%s\",\"read_parallelism\":%d,"
-                "\"compute_parallelism\":%d},",
-                CompactionModeName(current_.mode), current_.read_parallelism,
-                current_.compute_parallelism);
-  out.append(buf);
+  std::string out;
+  JsonWriter w(&out);
+  const auto begin_choice = [&w](const Choice& c) {  // caller closes
+    w.BeginObject().Key("procedure").String(CompactionModeName(c.mode));
+    w.Key("read_parallelism").Int(c.read_parallelism);
+    w.Key("compute_parallelism").Int(c.compute_parallelism);
+  };
+  w.BeginObject().Key("adaptive").Bool(opts_.adaptive);
+  w.Key("decisions").Uint(decisions_).Key("switches").Uint(switches_);
+  w.Key("current");
+  begin_choice(current_);
+  w.EndObject();
   if (candidate_streak_ > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "\"candidate\":{\"procedure\":\"%s\","
-                  "\"read_parallelism\":%d,\"compute_parallelism\":%d,"
-                  "\"streak\":%d,\"needed\":%d},",
-                  CompactionModeName(candidate_.mode),
-                  candidate_.read_parallelism,
-                  candidate_.compute_parallelism, candidate_streak_,
-                  opts_.hysteresis_jobs);
-    out.append(buf);
+    w.Key("candidate");
+    begin_choice(candidate_);
+    w.Key("streak").Int(candidate_streak_);
+    w.Key("needed").Int(opts_.hysteresis_jobs).EndObject();
   }
-  std::snprintf(
-      buf, sizeof(buf),
-      "\"bounds\":{\"compute_workers\":[1,%d],\"stripe_width\":[1,%d]},"
-      "\"hysteresis_jobs\":%d,\"warmup_jobs\":%d,",
-      opts_.max_compute_workers, opts_.max_stripe_width, opts_.hysteresis_jobs,
-      opts_.warmup_jobs);
-  out.append(buf);
-  out.append("\"rationale\":\"");
-  AppendEscaped(&out, last_rationale_);
-  out.append("\"}");
+  w.Key("bounds").BeginObject();
+  w.Key("compute_workers").BeginArray().Int(1);
+  w.Int(opts_.max_compute_workers).EndArray();
+  w.Key("stripe_width").BeginArray().Int(1);
+  w.Int(opts_.max_stripe_width).EndArray().EndObject();
+  w.Key("hysteresis_jobs").Int(opts_.hysteresis_jobs);
+  w.Key("warmup_jobs").Int(opts_.warmup_jobs);
+  w.Key("rationale").String(last_rationale_).EndObject();
   return out;
 }
 

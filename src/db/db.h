@@ -90,27 +90,9 @@ class DB {
   virtual void ReleaseSnapshot(const Snapshot* snapshot) = 0;
 
   // DB implementations can export properties about their state via this
-  // method. Recognized (reference: docs/OBSERVABILITY.md):
-  //   "pipelsm.num-files-at-level<N>"    file count at level N
-  //   "pipelsm.stats"                    full stats report: compaction
-  //                                      summary + metrics registry +
-  //                                      advisor (also what the periodic
-  //                                      stats dump logs)
-  //   "pipelsm.sstables"                 per-level table listing
-  //   "pipelsm.approximate-memory-usage" memtable bytes
-  //   "pipelsm.metrics"                  JSON snapshot of the metrics
-  //                                      registry (queue stalls, step
-  //                                      times, sub-task histograms,
-  //                                      Get/Write latency)
-  //   "pipelsm.advisor"                  JSON verdict of the online
-  //                                      Eq. 1-7 bottleneck advisor
-  //   "pipelsm.background-error"         "OK", or the sticky background
-  //                                      error freezing writes (clear it
-  //                                      with Resume())
-  //   "pipelsm.vlog"                     JSON state of the value log
-  //                                      (segments, dead bytes, GC
-  //                                      counters); only when key-value
-  //                                      separation is active
+  // method: "pipelsm.*" names, most of them JSON. The one reference for
+  // every property and its payload is the "GetProperty strings" table in
+  // docs/OBSERVABILITY.md. Returns false for an unknown property.
   virtual bool GetProperty(const Slice& property, std::string* value) = 0;
 
   // For each i in [0,n-1], store in "sizes[i]" the approximate file

@@ -15,6 +15,7 @@
 #include "src/obs/pipeline_metrics.h"
 #include "src/table/filter_policy.h"
 #include "src/table/merger.h"
+#include "src/util/json_writer.h"
 #include "src/util/string_util.h"
 #include "src/wal/log_reader.h"
 
@@ -206,18 +207,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
   // instruments are only bound when this DB owns the cache — a shared
   // fleet cache is bound once by its owner (ShardedDB) instead.
   if (owned_block_cache_ != nullptr) {
-    owned_block_cache_->BindStats(
-        metrics_registry_.RegisterCounter("cache.block.hits",
-                                          "block cache hits"),
-        metrics_registry_.RegisterCounter("cache.block.misses",
-                                          "block cache misses"),
-        metrics_registry_.RegisterCounter("cache.block.evictions",
-                                          "block cache evictions"),
-        metrics_registry_.RegisterGauge("cache.block.usage_bytes",
-                                        "block cache bytes in use"));
-    metrics_registry_
-        .RegisterGauge("cache.block.capacity_bytes", "block cache capacity")
-        ->Set(static_cast<int64_t>(owned_block_cache_->capacity()));
+    read::BindBlockCacheMetrics(owned_block_cache_.get(), &metrics_registry_);
   }
   table_cache_->store()->BindStats(
       metrics_registry_.RegisterCounter("cache.table.hits",
@@ -1890,28 +1880,12 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
   // "pipelsm.cache" is also answered before taking mutex_: the caches
   // have their own (sharded) locks.
   if (property == Slice("pipelsm.cache")) {
-    read::Cache* block = table_options_.block_cache;
-    read::Cache* table = table_cache_->store();
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"block\":{\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu,"
-        "\"usage\":%llu,\"capacity\":%llu,\"shards\":%llu},"
-        "\"table\":{\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu,"
-        "\"usage\":%llu,\"capacity\":%llu,\"shards\":%llu}}",
-        (unsigned long long)block->hits(),
-        (unsigned long long)block->misses(),
-        (unsigned long long)block->evictions(),
-        (unsigned long long)block->usage(),
-        (unsigned long long)block->capacity(),
-        (unsigned long long)block->num_shards(),
-        (unsigned long long)table->hits(),
-        (unsigned long long)table->misses(),
-        (unsigned long long)table->evictions(),
-        (unsigned long long)table->usage(),
-        (unsigned long long)table->capacity(),
-        (unsigned long long)table->num_shards());
-    *value = buf;
+    JsonWriter w(value);
+    w.BeginObject().Key("block");
+    read::WriteCacheStats(*table_options_.block_cache, &w);
+    w.Key("table");
+    read::WriteCacheStats(*table_cache_->store(), &w);
+    w.EndObject();
     return true;
   }
   std::lock_guard<std::mutex> lock(mutex_);
@@ -1957,33 +1931,23 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     // totals. Runs are counted by interval-stacking depth on the current
     // version.
     Version* v = versions_->current();
-    std::string out = "{";
-    char buf[256];
-    std::snprintf(
-        buf, sizeof(buf),
-        "\"style\":\"%s\",\"picker\":\"%s\",\"tiered_run_count\":%d,"
-        "\"max_subcompactions\":%d,\"last_predicted_write_amp\":%.3f,"
-        "\"subcompacted_jobs\":%llu,\"subcompactions_run\":%llu,"
-        "\"levels\":[",
-        CompactionStyleName(options_.compaction_style),
-        versions_->picker()->Name(), options_.tiered_run_count,
-        options_.max_subcompactions, last_predicted_write_amp_,
-        static_cast<unsigned long long>(subcompaction_jobs_counter_->value()),
-        static_cast<unsigned long long>(
-            subcompaction_runs_counter_->value()));
-    out += buf;
+    JsonWriter w(value);
+    w.BeginObject();
+    w.Key("style").String(CompactionStyleName(options_.compaction_style));
+    w.Key("picker").String(versions_->picker()->Name());
+    w.Key("tiered_run_count").Int(options_.tiered_run_count);
+    w.Key("max_subcompactions").Int(options_.max_subcompactions);
+    w.Key("last_predicted_write_amp").Double(last_predicted_write_amp_, 3);
+    w.Key("subcompacted_jobs").Uint(subcompaction_jobs_counter_->value());
+    w.Key("subcompactions_run").Uint(subcompaction_runs_counter_->value());
+    w.Key("levels").BeginArray();
     for (int level = 0; level < config::kNumLevels; level++) {
       const std::vector<FileMetaData*>& files = v->files(level);
-      std::snprintf(
-          buf, sizeof(buf),
-          "%s{\"level\":%d,\"files\":%d,\"bytes\":%lld,\"runs\":%d}",
-          level > 0 ? "," : "", level, static_cast<int>(files.size()),
-          static_cast<long long>(versions_->NumLevelBytes(level)),
-          CountRuns(internal_comparator_, files));
-      out += buf;
+      w.BeginObject().Key("level").Int(level).Key("files").Uint(files.size());
+      w.Key("bytes").Int(versions_->NumLevelBytes(level));
+      w.Key("runs").Int(CountRuns(internal_comparator_, files)).EndObject();
     }
-    out += "]}";
-    *value = out;
+    w.EndArray().EndObject();
     return true;
   } else if (in == Slice("background-error")) {
     *value = bg_error_.ToString();  // "OK" when healthy

@@ -2,27 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+
+#include "src/util/json_writer.h"
 
 namespace pipelsm::obs {
 
 namespace {
-
-// All advisor numbers are finite by construction, but a denormal device
-// profile (zero bandwidth) can produce inf/NaN ratios; clamp to 0 so the
-// output stays parseable JSON (inf/NaN are not JSON).
-void AppendNumber(std::string* out, double v, const char* fmt = "%.3f") {
-  char buf[64];
-  if (!std::isfinite(v)) v = 0;
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  out->append(buf);
-}
-
-void AppendField(std::string* out, const char* key) {
-  out->push_back('"');
-  out->append(key);
-  out->append("\":");
-}
 
 double ToMbps(double bps) { return bps / (1024.0 * 1024.0); }
 
@@ -77,11 +62,11 @@ std::string BottleneckAdvisor::ToJson() const {
     seq_bps = measured_seq_bps_;
   }
 
-  std::string out = "{";
-  AppendField(&out, "jobs");
-  AppendNumber(&out, static_cast<double>(jobs), "%.0f");
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("jobs").Uint(jobs);
   if (jobs == 0) {
-    out.append(",\"note\":\"no completed compactions yet\"}");
+    w.Key("note").String("no completed compactions yet").EndObject();
     return out;
   }
 
@@ -93,61 +78,39 @@ std::string BottleneckAdvisor::ToJson() const {
   } else if (write >= read && write >= compute) {
     bottleneck = "write";
   }
-  const bool cpu_bound = model::IsCpuBound(t);
-
-  out.append(",");
-  AppendField(&out, "subtask_bytes");
-  AppendNumber(&out, t.subtask_bytes, "%.0f");
-  out.append(",\"step_ms\":{");
-  AppendField(&out, "read");
-  AppendNumber(&out, read * 1e3);
-  out.append(",");
-  AppendField(&out, "compute");
-  AppendNumber(&out, compute * 1e3);
-  out.append(",");
-  AppendField(&out, "write");
-  AppendNumber(&out, write * 1e3);
-  out.append("},");
-  AppendField(&out, "bottleneck");
-  out.append("\"").append(bottleneck).append("\",");
-  AppendField(&out, "regime");
-  out.append(cpu_bound ? "\"cpu-bound\"" : "\"io-bound\"");
+  // A denormal device profile (zero bandwidth) can produce inf/NaN
+  // ratios below; the writer prints those as 0.
+  w.Key("subtask_bytes").Double(t.subtask_bytes, 0);
+  w.Key("step_ms").BeginObject().Key("read").Double(read * 1e3, 3);
+  w.Key("compute").Double(compute * 1e3, 3);
+  w.Key("write").Double(write * 1e3, 3).EndObject();
+  w.Key("bottleneck").String(bottleneck);
+  w.Key("regime").String(model::IsCpuBound(t) ? "cpu-bound" : "io-bound");
 
   // Predictions: Eqs. 1/2 directly; Eqs. 4/6 at the smallest k that
   // saturates (§III-C) — beyond it, added parallelism buys nothing.
   const int sppcp_k = model::SppcpSaturationDisks(t);
   const int cppcp_k = model::CppcpSaturationThreads(t);
-  out.append(",\"predicted_mbps\":{");
-  AppendField(&out, "scp");
-  AppendNumber(&out, ToMbps(model::ScpBandwidth(t)));
-  out.append(",");
-  AppendField(&out, "pcp");
-  AppendNumber(&out, ToMbps(model::PcpBandwidth(t)));
-  out.append(",\"sppcp\":{\"k\":");
-  AppendNumber(&out, sppcp_k, "%.0f");
-  out.append(",\"mbps\":");
-  AppendNumber(&out, ToMbps(model::SppcpBandwidth(t, sppcp_k)));
-  out.append("},\"cppcp\":{\"k\":");
-  AppendNumber(&out, cppcp_k, "%.0f");
-  out.append(",\"mbps\":");
-  AppendNumber(&out, ToMbps(model::CppcpBandwidth(t, cppcp_k)));
-  out.append("}}");
+  w.Key("predicted_mbps").BeginObject();
+  w.Key("scp").Double(ToMbps(model::ScpBandwidth(t)), 3);
+  w.Key("pcp").Double(ToMbps(model::PcpBandwidth(t)), 3);
+  w.Key("sppcp").BeginObject().Key("k").Int(sppcp_k);
+  w.Key("mbps").Double(ToMbps(model::SppcpBandwidth(t, sppcp_k)), 3);
+  w.EndObject();
+  w.Key("cppcp").BeginObject().Key("k").Int(cppcp_k);
+  w.Key("mbps").Double(ToMbps(model::CppcpBandwidth(t, cppcp_k)), 3);
+  w.EndObject().EndObject();
 
-  out.append(",\"measured_mbps\":{");
-  AppendField(&out, "wall");
-  AppendNumber(&out, ToMbps(wall_bps));
-  out.append(",");
-  AppendField(&out, "sequential");
-  AppendNumber(&out, ToMbps(seq_bps));
-  out.append("},");
+  w.Key("measured_mbps").BeginObject();
+  w.Key("wall").Double(ToMbps(wall_bps), 3);
+  w.Key("sequential").Double(ToMbps(seq_bps), 3).EndObject();
   // How far the Eq. 2 prediction sits from the bandwidth the pipelined
   // executor actually achieved (the paper reports ~10%).
-  AppendField(&out, "pcp_model_error_pct");
   const double pcp_pred = model::PcpBandwidth(t);
-  AppendNumber(&out, wall_bps > 0
-                         ? std::fabs(pcp_pred - wall_bps) / wall_bps * 100.0
-                         : 0.0,
-               "%.1f");
+  w.Key("pcp_model_error_pct")
+      .Double(wall_bps > 0 ? std::fabs(pcp_pred - wall_bps) / wall_bps * 100.0
+                           : 0.0,
+              1);
 
   // §III-C prescription: add parallelism to the limiting stage. A
   // compute bottleneck wants C-PPCP compute workers (Eq. 6); an I/O
@@ -157,21 +120,12 @@ std::string BottleneckAdvisor::ToJson() const {
   // (src/compaction/scheduler.h), so this report IS the control loop's
   // input, not a parallel reimplementation of it.
   const model::Prescription rec = model::Prescribe(t);
-  out.append(",\"recommendation\":{");
-  AppendField(&out, "procedure");
-  out.append("\"")
-      .append(model::PrescriptionProcedureName(rec.procedure))
-      .append("\",");
-  AppendField(&out, "k");
-  AppendNumber(&out, rec.k, "%.0f");
-  out.append(",");
-  AppendField(&out, "ideal_speedup_vs_pcp");
-  AppendNumber(&out, rec.gain_vs_pcp, "%.2f");
-  out.append(",");
-  AppendField(&out, "reason");
-  out.push_back('"');
-  out.append(rec.reason);
-  out.append("\"}}");
+  w.Key("recommendation").BeginObject();
+  w.Key("procedure").String(model::PrescriptionProcedureName(rec.procedure));
+  w.Key("k").Int(rec.k);
+  w.Key("ideal_speedup_vs_pcp").Double(rec.gain_vs_pcp, 2);
+  w.Key("reason").String(rec.reason);
+  w.EndObject().EndObject();
   return out;
 }
 

@@ -2,43 +2,11 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
+
+#include "src/util/json_writer.h"
 
 namespace pipelsm::obs {
-
-namespace {
-
-// Metric names are dotted identifiers and help strings are plain ASCII,
-// but escape defensively so the JSON stays loadable whatever callers pass.
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 Counter* MetricsRegistry::RegisterCounter(const std::string& name,
                                           const std::string& help) {
@@ -112,43 +80,33 @@ std::string MetricsRegistry::ToString() const {
 
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string counters, gauges, histograms;
-  char buf[64];
-  for (const auto& [name, entry] : entries_) {
-    switch (entry.kind) {
-      case Kind::kCounter:
-        if (!counters.empty()) counters.push_back(',');
-        AppendJsonString(name, &counters);
-        std::snprintf(buf, sizeof(buf), ":%" PRIu64,
-                      counters_[entry.index].value());
-        counters.append(buf);
-        break;
-      case Kind::kGauge:
-        if (!gauges.empty()) gauges.push_back(',');
-        AppendJsonString(name, &gauges);
-        std::snprintf(buf, sizeof(buf), ":%" PRId64,
-                      gauges_[entry.index].value());
-        gauges.append(buf);
-        break;
-      case Kind::kHistogram: {
-        if (!histograms.empty()) histograms.push_back(',');
-        const Histogram h = histograms_[entry.index].Snapshot();
-        AppendJsonString(name, &histograms);
-        histograms.push_back(':');
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  static constexpr std::pair<Kind, const char*> kSections[] = {
+      {Kind::kCounter, "counters"},
+      {Kind::kGauge, "gauges"},
+      {Kind::kHistogram, "histograms"}};
+  for (const auto& [kind, section] : kSections) {
+    w.Key(section).BeginObject();
+    for (const auto& [name, entry] : entries_) {
+      if (entry.kind != kind) continue;
+      w.Key(name);
+      if (kind == Kind::kCounter) {
+        w.Uint(counters_[entry.index].value());
+      } else if (kind == Kind::kGauge) {
+        w.Int(gauges_[entry.index].value());
+      } else {
         // Summary format and percentile math live in util::Histogram, so
         // the registry and the bench reports can never disagree.
-        h.SummaryToJson(&histograms);
-        break;
+        std::string summary;
+        histograms_[entry.index].Snapshot().SummaryToJson(&summary);
+        w.Raw(summary);
       }
     }
+    w.EndObject();
   }
-  std::string out = "{\"counters\":{";
-  out.append(counters);
-  out.append("},\"gauges\":{");
-  out.append(gauges);
-  out.append("},\"histograms\":{");
-  out.append(histograms);
-  out.append("}}");
+  w.EndObject();
   return out;
 }
 

@@ -1,37 +1,10 @@
 #include "src/obs/trace.h"
 
-#include <cinttypes>
 #include <cstdio>
 
+#include "src/util/json_writer.h"
+
 namespace pipelsm::obs {
-
-namespace {
-
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-      continue;
-    }
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
-// trace_event timestamps are microseconds; keep nanosecond precision as
-// a 3-decimal fraction (both chrome://tracing and Perfetto accept it).
-void AppendMicros(uint64_t nanos, std::string* out) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03u", nanos / 1000,
-                static_cast<unsigned>(nanos % 1000));
-  out->append(buf);
-}
-
-}  // namespace
 
 TraceCollector::TraceCollector() = default;
 
@@ -65,56 +38,38 @@ size_t TraceCollector::span_count() const {
 
 std::string TraceCollector::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  char buf[96];
-  bool first = true;
-  auto comma = [&] {
-    if (!first) out.push_back(',');
-    first = false;
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("displayTimeUnit").String("ms");
+  w.Key("traceEvents").BeginArray();
+  const auto metadata = [&w](uint32_t pid, uint32_t tid, const char* kind,
+                             const std::string& name) {
+    w.BeginObject().Key("ph").String("M").Key("pid").Uint(pid);
+    w.Key("tid").Uint(tid).Key("name").String(kind);
+    w.Key("args").BeginObject().Key("name").String(name).EndObject();
+    w.EndObject();
   };
-
   for (const auto& [pid, name] : job_names_) {
-    comma();
-    std::snprintf(buf, sizeof(buf),
-                  "{\"ph\":\"M\",\"pid\":%u,\"tid\":0,"
-                  "\"name\":\"process_name\",\"args\":{\"name\":",
-                  pid);
-    out.append(buf);
-    AppendEscaped(name, &out);
-    out.append("}}");
+    metadata(pid, 0, "process_name", name);
   }
   for (const auto& [key, name] : lane_names_) {
-    comma();
-    std::snprintf(buf, sizeof(buf),
-                  "{\"ph\":\"M\",\"pid\":%u,\"tid\":%u,"
-                  "\"name\":\"thread_name\",\"args\":{\"name\":",
-                  key.first, key.second);
-    out.append(buf);
-    AppendEscaped(name, &out);
-    out.append("}}");
+    metadata(key.first, key.second, "thread_name", name);
   }
-
+  // trace_event timestamps are microseconds; keep nanosecond precision
+  // as a 3-decimal fraction (both chrome://tracing and Perfetto accept
+  // it). A double resolves 0.001 us exactly below 2^43 us (~100 days).
   for (const Span& span : spans_) {
-    comma();
-    std::snprintf(buf, sizeof(buf), "{\"ph\":\"X\",\"pid\":%u,\"tid\":%u,",
-                  span.pid, span.lane);
-    out.append(buf);
-    out.append("\"name\":");
-    AppendEscaped(span.name, &out);
-    out.append(",\"cat\":");
-    AppendEscaped(span.category, &out);
-    out.append(",\"ts\":");
-    AppendMicros(span.start_ns, &out);
-    out.append(",\"dur\":");
-    AppendMicros(span.dur_ns, &out);
+    w.BeginObject().Key("ph").String("X").Key("pid").Uint(span.pid);
+    w.Key("tid").Uint(span.lane).Key("name").String(span.name);
+    w.Key("cat").String(span.category);
+    w.Key("ts").Double(span.start_ns / 1e3, 3);
+    w.Key("dur").Double(span.dur_ns / 1e3, 3);
     if (span.seq != kNoSeq) {
-      std::snprintf(buf, sizeof(buf), ",\"args\":{\"seq\":%" PRIu64 "}",
-                    span.seq);
-      out.append(buf);
+      w.Key("args").BeginObject().Key("seq").Uint(span.seq).EndObject();
     }
-    out.append("}");
+    w.EndObject();
   }
-  out.append("]}");
+  w.EndArray().EndObject();
   return out;
 }
 

@@ -21,9 +21,12 @@
 
 namespace pipelsm {
 
+class JsonWriter;
+
 namespace obs {
 class Counter;
 class Gauge;
+class MetricsRegistry;
 }  // namespace obs
 
 namespace read {
@@ -84,6 +87,15 @@ class Cache {
 // mutex — the bench baseline.
 std::unique_ptr<Cache> NewShardedLRUCache(size_t capacity,
                                           size_t num_shards = 0);
+
+// Binds a block cache's stats to the five cache.block.* instruments in
+// `registry` (docs/READ_PATH.md). The cache's owner calls it once: a DB
+// for its own cache, a ShardedDB for the fleet cache its shards share.
+void BindBlockCacheMetrics(Cache* cache, obs::MetricsRegistry* registry);
+
+// Writes one section of the "pipelsm.cache" property:
+// {"hits":..,"misses":..,"evictions":..,"usage":..,"capacity":..,"shards":..}
+void WriteCacheStats(const Cache& cache, JsonWriter* w);
 
 }  // namespace read
 }  // namespace pipelsm

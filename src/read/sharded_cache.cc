@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/util/json_writer.h"
 
 namespace pipelsm {
 namespace read {
@@ -199,6 +200,26 @@ class ShardedLRUCache final : public Cache {
 std::unique_ptr<Cache> NewShardedLRUCache(size_t capacity,
                                           size_t num_shards) {
   return std::make_unique<ShardedLRUCache>(capacity, num_shards);
+}
+
+void BindBlockCacheMetrics(Cache* cache, obs::MetricsRegistry* registry) {
+  cache->BindStats(
+      registry->RegisterCounter("cache.block.hits", "block cache hits"),
+      registry->RegisterCounter("cache.block.misses", "block cache misses"),
+      registry->RegisterCounter("cache.block.evictions",
+                                "block cache evictions"),
+      registry->RegisterGauge("cache.block.usage_bytes",
+                              "block cache bytes in use"));
+  registry->RegisterGauge("cache.block.capacity_bytes", "block cache capacity")
+      ->Set(static_cast<int64_t>(cache->capacity()));
+}
+
+void WriteCacheStats(const Cache& cache, JsonWriter* w) {
+  w->BeginObject().Key("hits").Uint(cache.hits());
+  w->Key("misses").Uint(cache.misses());
+  w->Key("evictions").Uint(cache.evictions());
+  w->Key("usage").Uint(cache.usage()).Key("capacity").Uint(cache.capacity());
+  w->Key("shards").Uint(cache.num_shards()).EndObject();
 }
 
 }  // namespace read

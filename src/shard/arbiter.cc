@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "src/obs/metrics.h"
+#include "src/util/json_writer.h"
 #include "src/util/stopwatch.h"
 
 namespace pipelsm::shard {
@@ -241,37 +242,26 @@ void CompactionArbiter::Release(uint64_t grant_id) {
 
 std::string CompactionArbiter::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "\"io_lanes\":{\"budget\":%d,\"in_use\":%d,\"peak\":%d},"
-                "\"compute_workers\":{\"budget\":%d,\"in_use\":%d,"
-                "\"peak\":%d},",
-                opts_.budget.io_lanes, lanes_in_use_, peak_lanes_,
-                opts_.budget.compute_workers, workers_in_use_,
-                peak_workers_);
-  out += buf;
-  out += "\"running\":[";
-  bool first = true;
+  std::string out;
+  JsonWriter w(&out);
+  const auto pool = [&w](const char* name, int budget, int in_use, int peak) {
+    w.Key(name).BeginObject().Key("budget").Int(budget);
+    w.Key("in_use").Int(in_use).Key("peak").Int(peak).EndObject();
+  };
+  w.BeginObject();
+  pool("io_lanes", opts_.budget.io_lanes, lanes_in_use_, peak_lanes_);
+  pool("compute_workers", opts_.budget.compute_workers, workers_in_use_,
+       peak_workers_);
+  w.Key("running").BeginArray();
   for (const auto& [id, g] : running_) {
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"grant\":%llu,\"shard\":%d,\"level\":%d,"
-                  "\"procedure\":\"%s\",\"k\":%d,\"lanes\":%d,"
-                  "\"workers\":%d}",
-                  static_cast<unsigned long long>(id), g.shard_id, g.level,
-                  CompactionModeName(g.mode), g.k, g.lanes, g.workers);
-    out += buf;
+    w.BeginObject().Key("grant").Uint(id).Key("shard").Int(g.shard_id);
+    w.Key("level").Int(g.level);
+    w.Key("procedure").String(CompactionModeName(g.mode)).Key("k").Int(g.k);
+    w.Key("lanes").Int(g.lanes).Key("workers").Int(g.workers).EndObject();
   }
-  out += "],";
-  std::snprintf(buf, sizeof(buf),
-                "\"waiting\":%zu,\"grants\":%llu,\"shrinks\":%llu,"
-                "\"forced_grants\":%llu}",
-                waiters_.size(), static_cast<unsigned long long>(grants_),
-                static_cast<unsigned long long>(shrinks_),
-                static_cast<unsigned long long>(forced_grants_));
-  out += buf;
+  w.EndArray().Key("waiting").Uint(waiters_.size());
+  w.Key("grants").Uint(grants_).Key("shrinks").Uint(shrinks_);
+  w.Key("forced_grants").Uint(forced_grants_).EndObject();
   return out;
 }
 

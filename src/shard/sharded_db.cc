@@ -10,6 +10,7 @@
 #include "src/obs/logger.h"
 #include "src/obs/metrics.h"
 #include "src/util/coding.h"
+#include "src/util/json_writer.h"
 
 namespace pipelsm::shard {
 
@@ -48,13 +49,6 @@ Status DecodeManifest(const std::string& data,
     boundaries->push_back(b.ToString());
   }
   return Status::OK();
-}
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
 }
 
 }  // namespace
@@ -248,18 +242,7 @@ Status ShardedDB::Open(const Options& options, const ShardedOptions& sharded,
   if (options.block_cache == nullptr) {
     db->block_cache_ = read::NewShardedLRUCache(options.block_cache_size,
                                                 options.block_cache_shards);
-    db->block_cache_->BindStats(
-        db->metrics_->RegisterCounter("cache.block.hits",
-                                      "fleet block cache hits"),
-        db->metrics_->RegisterCounter("cache.block.misses",
-                                      "fleet block cache misses"),
-        db->metrics_->RegisterCounter("cache.block.evictions",
-                                      "fleet block cache evictions"),
-        db->metrics_->RegisterGauge("cache.block.usage_bytes",
-                                    "fleet block cache bytes in use"));
-    db->metrics_
-        ->RegisterGauge("cache.block.capacity_bytes", "block cache capacity")
-        ->Set(static_cast<int64_t>(db->block_cache_->capacity()));
+    read::BindBlockCacheMetrics(db->block_cache_.get(), db->metrics_.get());
   }
 
   for (size_t i = 0; i < num_shards; i++) {
@@ -433,34 +416,18 @@ bool ShardedDB::GetProperty(const Slice& property, std::string* value) {
   if (prop == "pipelsm.cache" && block_cache_ != nullptr) {
     // Fleet-wide block cache (shard 0's per-shard answer would miss the
     // shared view; table caches stay per shard).
-    char buf[256];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"block\":{\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu,"
-        "\"usage\":%llu,\"capacity\":%llu,\"shards\":%llu}}",
-        (unsigned long long)block_cache_->hits(),
-        (unsigned long long)block_cache_->misses(),
-        (unsigned long long)block_cache_->evictions(),
-        (unsigned long long)block_cache_->usage(),
-        (unsigned long long)block_cache_->capacity(),
-        (unsigned long long)block_cache_->num_shards());
-    *value = buf;
+    JsonWriter w(value);
+    w.BeginObject().Key("block");
+    read::WriteCacheStats(*block_cache_, &w);
+    w.EndObject();
     return true;
   }
   if (prop == "pipelsm.shards") {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "{\"num_shards\":%zu,\"arbiter\":%s,",
-                  shards_.size(), arbiter_ != nullptr ? "true" : "false");
-    *value = buf;
-    *value += "\"boundaries\":[";
-    const auto& bs = router_->boundaries();
-    for (size_t i = 0; i < bs.size(); i++) {
-      if (i > 0) *value += ",";
-      value->push_back('"');
-      AppendJsonEscaped(value, bs[i]);
-      value->push_back('"');
-    }
-    *value += "]}";
+    JsonWriter w(value);
+    w.BeginObject().Key("num_shards").Uint(shards_.size());
+    w.Key("arbiter").Bool(arbiter_ != nullptr).Key("boundaries").BeginArray();
+    for (const std::string& b : router_->boundaries()) w.String(b);
+    w.EndArray().EndObject();
     return true;
   }
 
@@ -495,17 +462,24 @@ bool ShardedDB::GetProperty(const Slice& property, std::string* value) {
   }
 
   // JSON payloads become a JSON array, one element per shard. (All
-  // shards share one Options, so pipelsm.vlog is all-or-none.)
-  if (prop == "pipelsm.metrics" || prop == "pipelsm.advisor" ||
-      prop == "pipelsm.scheduler" || prop == "pipelsm.vlog") {
-    *value = "[";
-    for (size_t i = 0; i < shards_.size(); i++) {
-      std::string v;
-      if (!shards_[i]->GetProperty(property, &v)) return false;
-      if (i > 0) *value += ",";
-      *value += v;
+  // shards share one Options, so pipelsm.vlog is all-or-none.) The
+  // metrics snapshot also carries the fleet registry: server.*,
+  // arbiter.* and the shared cache.block.* live there.
+  const bool metrics = prop == "pipelsm.metrics";
+  if (metrics || prop == "pipelsm.advisor" || prop == "pipelsm.scheduler" ||
+      prop == "pipelsm.vlog") {
+    JsonWriter w(value);
+    if (metrics) {
+      w.BeginObject().Key("fleet").Raw(metrics_->ToJson()).Key("shards");
     }
-    *value += "]";
+    w.BeginArray();
+    for (auto& shard : shards_) {
+      std::string v;
+      if (!shard->GetProperty(property, &v)) return false;
+      w.Raw(v);
+    }
+    w.EndArray();
+    if (metrics) w.EndObject();
     return true;
   }
 

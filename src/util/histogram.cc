@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/util/json_writer.h"
+
 namespace pipelsm {
 
 namespace {
@@ -103,13 +105,11 @@ double Histogram::StandardDeviation() const {
 }
 
 void Histogram::SummaryToJson(std::string* out) const {
-  char buf[200];
-  std::snprintf(buf, sizeof(buf),
-                "{\"count\":%.0f,\"avg\":%.3f,\"p50\":%.3f,\"p95\":%.3f,"
-                "\"p99\":%.3f,\"max\":%.3f}",
-                num_, Average(), Median(), Percentile(95), Percentile(99),
-                num_ > 0 ? max_ : 0.0);
-  out->append(buf);
+  JsonWriter w(out);
+  w.BeginObject().Key("count").Double(num_, 0);
+  w.Key("avg").Double(Average(), 3).Key("p50").Double(Median(), 3);
+  w.Key("p95").Double(Percentile(95), 3).Key("p99").Double(Percentile(99), 3);
+  w.Key("max").Double(num_ > 0 ? max_ : 0.0, 3).EndObject();
 }
 
 std::vector<std::pair<double, uint64_t>> Histogram::NonzeroBuckets() const {

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cinttypes>
-#include <sstream>
 
 #include "src/db/filename.h"
 #include "src/obs/logger.h"
 #include "src/obs/metrics.h"
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
+#include "src/util/json_writer.h"
 
 namespace pipelsm {
 namespace vlog {
@@ -539,15 +539,13 @@ void VlogManager::SweepRetired(SequenceNumber min_pinned) {
 
 std::string VlogManager::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "{\"active_segment\":" << active_number_
-      << ",\"active_bytes\":" << active_size_ << ",\"gc_runs\":"
-      << gc_runs_.load(std::memory_order_relaxed) << ",\"segments_retired\":"
-      << retired_count_.load(std::memory_order_relaxed) << ",\"segments\":[";
-  bool first = true;
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("active_segment").Uint(active_number_);
+  w.Key("active_bytes").Uint(active_size_);
+  w.Key("gc_runs").Uint(gc_runs()).Key("segments_retired");
+  w.Uint(segments_retired()).Key("segments").BeginArray();
   for (const auto& [number, info] : segments_) {
-    if (!first) out << ",";
-    first = false;
     const char* state = "sealed";
     switch (info.state) {
       case SegmentState::kActive:
@@ -563,13 +561,13 @@ std::string VlogManager::ToJson() const {
         state = "retiring";
         break;
     }
-    out << "{\"number\":" << number << ",\"bytes\":"
-        << (number == active_number_ ? active_size_ : info.size)
-        << ",\"dead_bytes\":" << info.dead << ",\"state\":\"" << state
-        << "\"}";
+    w.BeginObject().Key("number").Uint(number);
+    w.Key("bytes").Uint(number == active_number_ ? active_size_ : info.size);
+    w.Key("dead_bytes").Uint(info.dead).Key("state").String(state);
+    w.EndObject();
   }
-  out << "]}";
-  return out.str();
+  w.EndArray().EndObject();
+  return out;
 }
 
 uint64_t VlogManager::active_segment() const {

@@ -149,6 +149,11 @@ class JsonParser {
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
       if (c == '"') return true;
+      // RFC 8259 section 7: control characters must be escaped.
+      if (static_cast<unsigned char>(c) < 0x20) {
+        pos_--;
+        return Fail("unescaped control character in string");
+      }
       if (c != '\\') {
         out->push_back(c);
         continue;
@@ -175,8 +180,8 @@ class JsonParser {
             else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
             else return Fail("bad \\u escape");
           }
-          // The emitters only escape control characters, so a plain
-          // byte append covers everything they produce.
+          // The emitters escape single bytes (code points up to 0xff),
+          // so a plain byte append restores exactly what they encoded.
           out->push_back(static_cast<char>(code & 0xff));
           break;
         }

@@ -18,7 +18,9 @@
 #include "src/env/fault_env.h"
 #include "src/env/sim_env.h"
 #include "src/model/model.h"
+#include "src/obs/metrics.h"
 #include "src/shard/router.h"
+#include "tests/obs/json_check.h"
 
 namespace pipelsm::shard {
 namespace {
@@ -311,16 +313,61 @@ TEST(ShardedDB, PropertiesFanOutAcrossTheFleet) {
   EXPECT_NE(std::string::npos, value.find("== shard 0 =="));
   EXPECT_NE(std::string::npos, value.find("== shard 3 =="));
 
-  // JSON-array fan-out: one registry snapshot per shard.
+  // Metrics fan-out: the fleet registry plus one snapshot per shard.
   ASSERT_TRUE(db->GetProperty("pipelsm.metrics", &value));
-  EXPECT_EQ('[', value.front());
-  EXPECT_EQ(']', value.back());
-  size_t snapshots = 0;
-  for (size_t pos = value.find("\"counters\":{"); pos != std::string::npos;
-       pos = value.find("\"counters\":{", pos + 1)) {
-    snapshots++;
+  testjson::JsonValue metrics;
+  ASSERT_TRUE(testjson::ParseJson(value, &metrics)) << value;
+  ASSERT_NE(nullptr, metrics.Find("fleet"));
+  EXPECT_NE(nullptr, metrics.Find("fleet")->Find("counters"));
+  const testjson::JsonValue* shards = metrics.Find("shards");
+  ASSERT_NE(nullptr, shards);
+  ASSERT_EQ(4u, shards->array.size());
+  for (const testjson::JsonValue& shard : shards->array) {
+    EXPECT_NE(nullptr, shard.Find("counters"));
   }
-  EXPECT_EQ(4u, snapshots);
+}
+
+// The fleet registry is what DB::MetricsHandle() hands embedding layers
+// (the server registers server.* there), so pipelsm.metrics must show it.
+TEST(ShardedDB, MetricsPropertyIncludesTheFleetRegistry) {
+  SimEnv env;
+  Options options = BaseOptions(&env);
+  std::unique_ptr<ShardedDB> db = MustOpen(options, FourShards(), "/sdb");
+  db->MetricsHandle()->RegisterCounter("server.test_total", "test")->Add(7);
+
+  std::string value;
+  ASSERT_TRUE(db->GetProperty("pipelsm.metrics", &value));
+  testjson::JsonValue metrics;
+  ASSERT_TRUE(testjson::ParseJson(value, &metrics)) << value;
+  const testjson::JsonValue* fleet = metrics.Find("fleet");
+  ASSERT_NE(nullptr, fleet);
+  const testjson::JsonValue* counters = fleet->Find("counters");
+  ASSERT_NE(nullptr, counters);
+  ASSERT_NE(nullptr, counters->Find("server.test_total"));
+  EXPECT_EQ(7, counters->Find("server.test_total")->number_value);
+  EXPECT_NE(nullptr, counters->Find("cache.block.hits"));
+}
+
+// Boundary keys are arbitrary bytes; pipelsm.shards must stay valid JSON
+// and carry each boundary back byte for byte.
+TEST(ShardedDB, ShardsPropertyRoundTripsBinaryBoundaries) {
+  SimEnv env;
+  Options options = BaseOptions(&env);
+  ShardedOptions sharded;
+  sharded.num_shards = 2;
+  const std::string boundary("k\n\x01\"\xff", 5);
+  sharded.boundary_keys = {boundary};
+  std::unique_ptr<ShardedDB> db = MustOpen(options, sharded, "/sdb");
+
+  std::string value;
+  ASSERT_TRUE(db->GetProperty("pipelsm.shards", &value));
+  testjson::JsonValue shards;
+  std::string error;
+  ASSERT_TRUE(testjson::ParseJson(value, &shards, &error)) << error;
+  const testjson::JsonValue* boundaries = shards.Find("boundaries");
+  ASSERT_NE(nullptr, boundaries);
+  ASSERT_EQ(1u, boundaries->array.size());
+  EXPECT_EQ(boundary, boundaries->array[0].string_value);
 }
 
 ShardedOptions TwoShards() {

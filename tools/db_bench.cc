@@ -93,6 +93,7 @@
 #include "src/db/db.h"
 #include "src/db/write_batch.h"
 #include "src/env/sim_env.h"
+#include "src/obs/metrics.h"
 #include "src/table/filter_policy.h"
 #include "src/util/histogram.h"
 #include "src/util/stopwatch.h"
@@ -302,24 +303,18 @@ class Benchmark {
   }
 
  private:
-  // Block-cache hit/miss snapshot from the "pipelsm.cache" property (the
-  // block section is first in the JSON, so the first "hits"/"misses"
-  // occurrences are the block cache's).
-  bool CacheCounters(uint64_t* hits, uint64_t* misses) {
-    std::string json;
-    if (!db_->GetProperty("pipelsm.cache", &json)) return false;
-    const size_t h = json.find("\"hits\":");
-    const size_t m = json.find("\"misses\":");
-    if (h == std::string::npos || m == std::string::npos) return false;
-    *hits = std::strtoull(json.c_str() + h + 7, nullptr, 10);
-    *misses = std::strtoull(json.c_str() + m + 9, nullptr, 10);
-    return true;
+  // Block-cache hit/miss totals, read from the counters the DB's own
+  // block cache is bound to in its metrics registry.
+  void CacheCounters(uint64_t* hits, uint64_t* misses) {
+    obs::MetricsRegistry* registry = db_->MetricsHandle();
+    *hits = registry->RegisterCounter("cache.block.hits", "")->value();
+    *misses = registry->RegisterCounter("cache.block.misses", "")->value();
   }
 
   // Prints the block-cache hit rate over one workload's window.
   void ReportCache(uint64_t hits_before, uint64_t misses_before) {
     uint64_t hits = 0, misses = 0;
-    if (!CacheCounters(&hits, &misses)) return;
+    CacheCounters(&hits, &misses);
     hits -= hits_before;
     misses -= misses_before;
     const uint64_t lookups = hits + misses;
