@@ -12,6 +12,7 @@
 #include "src/db/compaction_job.h"
 #include "src/db/db_iter.h"
 #include "src/db/filename.h"
+#include "src/db/vlog_gc.h"
 #include "src/obs/pipeline_metrics.h"
 #include "src/table/filter_policy.h"
 #include "src/table/merger.h"
@@ -272,7 +273,6 @@ DBImpl::~DBImpl() {
     shutting_down_.store(true, std::memory_order_release);
     background_work_signal_.notify_all();
     stats_cv_.notify_all();
-    vlog_gc_signal_.notify_all();
     while (background_work_active_) {
       background_done_signal_.wait(lock);
     }
@@ -284,9 +284,7 @@ DBImpl::~DBImpl() {
   if (stats_thread_.joinable()) {
     stats_thread_.join();
   }
-  if (vlog_gc_thread_.joinable()) {
-    vlog_gc_thread_.join();
-  }
+  vlog_gc_.reset();  // stops the GC thread, which may hold a read view
 
   if (mem_ != nullptr) mem_->Unref();
   if (imm_ != nullptr) imm_->Unref();
@@ -527,7 +525,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
 
     if (mem->ApproximateMemoryUsage() > options_.write_buffer_size) {
       *save_manifest = true;
-      status = WriteLevel0Table(mem, edit, nullptr);
+      status = WriteLevel0Table(mem, edit, /*pick_level=*/false);
       mem->Unref();
       mem = nullptr;
       if (!status.ok()) {
@@ -541,14 +539,14 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
   // (LevelDB can reuse the last log file; we always roll a fresh one.)
   if (status.ok() && mem != nullptr && mem->ApproximateMemoryUsage() > 0) {
     *save_manifest = true;
-    status = WriteLevel0Table(mem, edit, nullptr);
+    status = WriteLevel0Table(mem, edit, /*pick_level=*/false);
   }
   if (mem != nullptr) mem->Unref();
   return status;
 }
 
 Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
-                                Version* base) {
+                                bool pick_level) {
   FileMetaData meta;
   meta.number = versions_->NewFileNumber();
   pending_outputs_.insert(meta.number);
@@ -579,7 +577,8 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   if (s.ok() && meta.file_size > 0) {
     const Slice min_user_key = meta.smallest.user_key();
     const Slice max_user_key = meta.largest.user_key();
-    if (base != nullptr &&
+    Version* base = versions_->current();
+    if (pick_level &&
         options_.compaction_style == CompactionStyle::kLeveled &&
         !base->OverlapInLevel(0, &min_user_key, &max_user_key)) {
       // Push the new sstable to a lower level if there is no overlap:
@@ -606,10 +605,7 @@ Status DBImpl::CompactMemTable(std::unique_lock<std::mutex>&) {
 
   // Save the contents of the memtable as a new Table.
   VersionEdit edit;
-  Version* base = versions_->current();
-  base->Ref();
-  Status s = WriteLevel0Table(imm_, &edit, base);
-  base->Unref();
+  Status s = WriteLevel0Table(imm_, &edit, /*pick_level=*/true);
 
   if (s.ok() && shutting_down_.load(std::memory_order_acquire)) {
     s = Status::IOError("deleting DB during memtable compaction");
@@ -1059,131 +1055,98 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
 
   // The drop credits above may have pushed a segment past the GC dead
   // ratio; wake the value-log GC thread to check (NeedsGc is lock-free).
-  if (vlog_ != nullptr && vlog_->NeedsGc()) vlog_gc_signal_.notify_one();
+  if (vlog_gc_ != nullptr && vlog_->NeedsGc()) vlog_gc_->Wake();
   return status;
 }
 
-Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
-                                      SequenceNumber* latest_snapshot) {
-  TableReadOptions tro;
-  tro.verify_checksums = options.verify_checksums;
-  tro.fill_cache = options.fill_cache;
+DBImpl::ReadView DBImpl::AcquireReadView(const Snapshot* snapshot,
+                                         bool pin) {
   std::lock_guard<std::mutex> lock(mutex_);
-  *latest_snapshot = versions_->LastSequence();
+  ReadView view;
+  view.mem = mem_;
+  view.imm = imm_;
+  view.current = versions_->current();
+  view.sequence =
+      snapshot != nullptr
+          ? static_cast<const SnapshotImpl*>(snapshot)->sequence_number()
+          : versions_->LastSequence();
+  view.mem->Ref();
+  if (view.imm != nullptr) view.imm->Ref();
+  view.current->Ref();
+  view.pinned = pin && vlog_ != nullptr;
+  if (view.pinned) view.pin = vlog_pins_.insert(view.sequence);
+  return view;
+}
 
-  // Collect together all needed child iterators.
-  std::vector<Iterator*> list;
-  list.push_back(mem_->NewIterator());
-  MemTable* mem = mem_;
-  mem->Ref();
-  MemTable* imm = nullptr;
-  if (imm_ != nullptr) {
-    list.push_back(imm_->NewIterator());
-    imm = imm_;
-    imm->Ref();
+void DBImpl::ReleaseReadView(const ReadView& view) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  view.mem->Unref();
+  if (view.imm != nullptr) view.imm->Unref();
+  view.current->Unref();
+  if (view.pinned) vlog_pins_.erase(view.pin);
+}
+
+Status DBImpl::ReadView::Get(const TableReadOptions& options,
+                             const LookupKey& key, std::string* value,
+                             bool* is_pointer) const {
+  Status s;
+  if (mem->Get(key, value, &s, is_pointer) ||
+      (imm != nullptr && imm->Get(key, value, &s, is_pointer))) {
+    return s;
   }
-  Version* current = versions_->current();
-  current->AddIterators(tro, &list);
-  Iterator* internal_iter =
-      NewMergingIterator(&internal_comparator_, list.data(),
-                         static_cast<int>(list.size()));
-  current->Ref();
+  return current->Get(options, key, value, is_pointer);
+}
 
-  // Pin the latest sequence while the iterator lives so value-log GC
-  // cannot delete a retired segment the iterator may still resolve
-  // pointers from. (Explicit-snapshot reads are covered by snapshots_.)
-  std::multiset<SequenceNumber>::iterator pin;
-  const bool pinned = (vlog_ != nullptr);
-  if (pinned) pin = vlog_pins_.insert(*latest_snapshot);
+SequenceNumber DBImpl::LastSequence() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return versions_->LastSequence();
+}
 
-  internal_iter->RegisterCleanup([this, mem, imm, current, pin, pinned] {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      mem->Unref();
-      if (imm != nullptr) imm->Unref();
-      current->Unref();
-      if (pinned) vlog_pins_.erase(pin);
-    }
-    if (pinned) SweepRetiredVlogSegments();
-  });
-  return internal_iter;
+Status DBImpl::BackgroundError() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return bg_error_;
 }
 
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
                    std::string* value) {
   Stopwatch op_sw;
-  Status s;
-  std::unique_lock<std::mutex> lock(mutex_);
-  SequenceNumber snapshot;
-  if (options.snapshot != nullptr) {
-    snapshot =
-        static_cast<const SnapshotImpl*>(options.snapshot)->sequence_number();
-  } else {
-    snapshot = versions_->LastSequence();
-  }
-
-  MemTable* mem = mem_;
-  MemTable* imm = imm_;
-  Version* current = versions_->current();
-  mem->Ref();
-  if (imm != nullptr) imm->Ref();
-  current->Ref();
-
   // Pin the read sequence so value-log GC cannot delete a retired
   // segment between us reading a pointer and resolving it.
-  std::multiset<SequenceNumber>::iterator pin;
-  if (vlog_ != nullptr) pin = vlog_pins_.insert(snapshot);
-
+  const ReadView view = AcquireReadView(options.snapshot, /*pin=*/true);
+  TableReadOptions tro;
+  tro.verify_checksums = options.verify_checksums;
+  tro.fill_cache = options.fill_cache;
   bool is_pointer = false;
-  {
-    lock.unlock();
-    // First look in the memtable, then in the immutable memtable (if
-    // any), then in the sorted files.
-    LookupKey lkey(key, snapshot);
-    if (mem->Get(lkey, value, &s, &is_pointer)) {
-      // Done
-    } else if (imm != nullptr && imm->Get(lkey, value, &s, &is_pointer)) {
-      // Done
-    } else {
-      TableReadOptions tro;
-      tro.verify_checksums = options.verify_checksums;
-      tro.fill_cache = options.fill_cache;
-      s = current->Get(tro, lkey, value, &is_pointer);
-    }
-    if (s.ok() && is_pointer) {
-      // Swap the encoded location for the value it points at.
-      vlog::ValueLocation loc;
-      if (vlog_ == nullptr || !vlog::DecodeValueLocation(Slice(*value), &loc)) {
-        s = Status::Corruption(
-            "value pointer without a value log to resolve it");
-      } else {
-        std::string resolved;
-        s = vlog_->Read(loc, &resolved);
-        if (s.ok()) value->swap(resolved);
-      }
-    }
-    lock.lock();
+  Status s = view.Get(tro, LookupKey(key, view.sequence), value, &is_pointer);
+  if (s.ok() && is_pointer) {
+    s = vlog::ResolvePointer(vlog_.get(), *value, value);
   }
-
-  mem->Unref();
-  if (imm != nullptr) imm->Unref();
-  current->Unref();
-  if (vlog_ != nullptr) vlog_pins_.erase(pin);
-  lock.unlock();
+  ReleaseReadView(view);
   get_micros_hist_->Observe(op_sw.ElapsedNanos() / 1e3);
   return s;
 }
 
 Iterator* DBImpl::NewIterator(const ReadOptions& options) {
-  SequenceNumber latest_snapshot;
-  Iterator* iter = NewInternalIterator(options, &latest_snapshot);
-  return NewDBIterator(
-      internal_comparator_.user_comparator(), iter,
-      (options.snapshot != nullptr
-           ? static_cast<const SnapshotImpl*>(options.snapshot)
-                 ->sequence_number()
-           : latest_snapshot),
-      vlog_.get());
+  // Pin the read sequence while the iterator lives so value-log GC
+  // cannot delete a retired segment the iterator may still resolve
+  // pointers from, even after the caller releases its snapshot.
+  const ReadView view = AcquireReadView(options.snapshot, /*pin=*/true);
+  TableReadOptions tro;
+  tro.verify_checksums = options.verify_checksums;
+  tro.fill_cache = options.fill_cache;
+  std::vector<Iterator*> list;
+  list.push_back(view.mem->NewIterator());
+  if (view.imm != nullptr) list.push_back(view.imm->NewIterator());
+  view.current->AddIterators(tro, &list);
+  Iterator* internal_iter =
+      NewMergingIterator(&internal_comparator_, list.data(),
+                         static_cast<int>(list.size()));
+  internal_iter->RegisterCleanup([this, view] {
+    ReleaseReadView(view);
+    SweepRetiredVlogSegments();
+  });
+  return NewDBIterator(internal_comparator_.user_comparator(), internal_iter,
+                       view.sequence, vlog_.get());
 }
 
 const Snapshot* DBImpl::GetSnapshot() {
@@ -1224,7 +1187,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   Writer w;
   w.batch = updates;
   w.sync = options.sync;
-  w.done = false;
 
   std::unique_lock<std::mutex> lock(mutex_);
   writers_.push_back(&w);
@@ -1239,79 +1201,16 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
 
   // We are the leader now.
   Status status = MakeRoomForWrite(lock, updates == nullptr);
-  uint64_t last_sequence = versions_->LastSequence();
   Writer* last_writer = &w;
   if (status.ok() && updates != nullptr) {
     // Fold the followers queued behind us into one group.
     WriteBatch* write_batch = BuildBatchGroup(&last_writer);
-    WriteBatchInternal::SetSequence(write_batch, last_sequence + 1);
-    last_sequence += WriteBatchInternal::Count(write_batch);
-
-    // Write to the WAL and apply to the memtable. The mutex can be
-    // released here: &w is the only writer allowed to touch the log and
-    // the memtable while it heads the queue (same protocol as LevelDB).
-    bool sync_error = false;
-    std::vector<uint64_t> vlog_touched;
-    {
-      lock.unlock();
-      WriteBatch* final_batch = write_batch;
-      if (vlog_ != nullptr && options_.value_separation_threshold > 0) {
-        bool any = false;
-        status = SeparateLargeValues(write_batch, &vlog_batch_, &vlog_touched,
-                                     &any);
-        if (status.ok() && any) {
-          // Durability order (docs/VALUE_LOG.md): the value frames must
-          // be on stable storage before their pointers can enter the
-          // WAL, so a WAL-durable pointer never dangles. On failure the
-          // whole group fails; the appended frames become dead bytes GC
-          // reclaims.
-          status = vlog_->Sync();
-          final_batch = &vlog_batch_;
-        }
-      }
-      if (status.ok()) {
-        status = log_->AddRecord(WriteBatchInternal::Contents(final_batch));
-        if (!status.ok()) {
-          sync_error = true;  // AddRecord may have written a partial record
-        } else if (options.sync) {
-          status = logfile_->Sync();
-          sync_error = !status.ok();
-        }
-        if (status.ok()) {
-          status = WriteBatchInternal::InsertInto(final_batch, mem_);
-        }
-      }
-      if (!vlog_touched.empty()) vlog_->ReleaseAppends(vlog_touched);
-      lock.lock();
-    }
-    if (sync_error) {
-      // The state of the log is indeterminate: the record we just tried
-      // to add may or may not be there, and a torn tail can make the log
-      // reader drop *later* records in the same block. Freeze writes
-      // until Resume() rolls the WAL (or the DB is reopened).
-      RecordBackgroundError(status, "wal");
-    }
+    WriteBatchInternal::SetSequence(write_batch,
+                                    versions_->LastSequence() + 1);
+    status = CommitBatch(lock, write_batch, options.sync);
     if (write_batch == &tmp_batch_) tmp_batch_.Clear();
-    vlog_batch_.Clear();
-
-    versions_->SetLastSequence(last_sequence);
   }
-
-  while (true) {
-    Writer* ready = writers_.front();
-    writers_.pop_front();
-    if (ready != &w) {
-      ready->status = status;
-      ready->done = true;
-      ready->cv.notify_one();
-    }
-    if (ready == last_writer) break;
-  }
-
-  // Notify new head of the write queue.
-  if (!writers_.empty()) {
-    writers_.front()->cv.notify_one();
-  }
+  ReleaseWriteLeadership(last_writer, status);
 
   lock.unlock();
   write_micros_hist_->Observe(op_sw.ElapsedNanos() / 1e3);
@@ -1333,13 +1232,16 @@ void DBImpl::AcquireWriteLeadership(Writer* w,
   }
 }
 
-void DBImpl::ReleaseWriteLeadership(Writer* w) {
-  assert(writers_.front() == w);
-  (void)w;
-  writers_.pop_front();
-  if (!writers_.empty()) {
-    writers_.front()->cv.notify_one();
-  }
+void DBImpl::ReleaseWriteLeadership(Writer* last, const Status& status) {
+  Writer* ready;
+  do {
+    ready = writers_.front();
+    writers_.pop_front();
+    ready->status = status;
+    ready->done = true;
+    ready->cv.notify_one();
+  } while (ready != last);
+  if (!writers_.empty()) writers_.front()->cv.notify_one();
 }
 
 // REQUIRES: mutex held; writers_ non-empty; first writer has a non-null
@@ -1443,330 +1345,139 @@ class SeparatingHandler : public WriteBatch::Handler {
 
 }  // namespace
 
-// REQUIRES: called from the write-queue leader, mutex_ NOT held.
-Status DBImpl::SeparateLargeValues(WriteBatch* input, WriteBatch* out,
-                                   std::vector<uint64_t>* touched,
-                                   bool* any) {
-  out->Clear();
-  SeparatingHandler handler(vlog_.get(),
-                            options_.value_separation_threshold, out,
-                            touched);
-  Status s = input->Iterate(&handler);
-  if (s.ok()) s = handler.status();
-  *any = handler.any();
-  if (s.ok() && *any) {
-    WriteBatchInternal::SetSequence(out, WriteBatchInternal::Sequence(input));
+Status DBImpl::CommitBatch(std::unique_lock<std::mutex>& lock,
+                           WriteBatch* batch, bool sync) {
+  const SequenceNumber last_sequence = WriteBatchInternal::Sequence(batch) +
+                                       WriteBatchInternal::Count(batch) - 1;
+  // The mutex can be released here: the caller is the only writer
+  // allowed to touch the log and the memtable while it heads the queue
+  // (same protocol as LevelDB).
+  lock.unlock();
+  Status status;
+  bool wal_error = false;
+  WriteBatch* final_batch = batch;
+  std::vector<uint64_t> vlog_touched;
+  if (vlog_ != nullptr && options_.value_separation_threshold > 0) {
+    SeparatingHandler handler(vlog_.get(), options_.value_separation_threshold,
+                              &vlog_batch_, &vlog_touched);
+    status = batch->Iterate(&handler);
+    if (status.ok()) status = handler.status();
+    if (status.ok() && handler.any()) {
+      WriteBatchInternal::SetSequence(&vlog_batch_,
+                                      WriteBatchInternal::Sequence(batch));
+      // Durability order (docs/VALUE_LOG.md): the value frames must be on
+      // stable storage before their pointers can enter the WAL, so a
+      // WAL-durable pointer never dangles. On failure the whole group
+      // fails; the appended frames become dead bytes GC reclaims.
+      status = vlog_->Sync();
+      final_batch = &vlog_batch_;
+    }
   }
-  return s;
+  if (status.ok()) {
+    status = log_->AddRecord(WriteBatchInternal::Contents(final_batch));
+    // A failed AddRecord may have written a partial record.
+    wal_error = !status.ok();
+    if (status.ok() && sync) {
+      status = logfile_->Sync();
+      wal_error = !status.ok();
+    }
+    if (status.ok()) {
+      status = WriteBatchInternal::InsertInto(final_batch, mem_);
+    }
+  }
+  if (!vlog_touched.empty()) vlog_->ReleaseAppends(vlog_touched);
+  lock.lock();
+  if (wal_error) {
+    // The state of the log is indeterminate: the record we just tried to
+    // add may or may not be there, and a torn tail can make the log
+    // reader drop *later* records in the same block. Freeze writes until
+    // Resume() rolls the WAL (or the DB is reopened).
+    RecordBackgroundError(status, "wal");
+  }
+  vlog_batch_.Clear();
+  versions_->SetLastSequence(last_sequence);
+  return status;
 }
 
-bool DBImpl::GetPointerUnlocked(const Slice& key, SequenceNumber sequence,
-                                MemTable* mem, MemTable* imm,
-                                Version* current,
-                                vlog::ValueLocation* loc) {
-  LookupKey lkey(key, sequence);
-  std::string raw;
-  Status s;
-  bool is_pointer = false;
-  if (mem->Get(lkey, &raw, &s, &is_pointer)) {
-    // Found in the live memtable.
-  } else if (imm != nullptr && imm->Get(lkey, &raw, &s, &is_pointer)) {
-    // Found in the immutable memtable.
-  } else {
-    s = current->Get(TableReadOptions(), lkey, &raw, &is_pointer);
+Status DBImpl::WriteAsLeader(
+    const std::function<void(const ReadView&, WriteBatch*)>& fill,
+    SequenceNumber* last_sequence) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  Writer w;
+  AcquireWriteLeadership(&w, lock);
+  Status status = bg_error_;
+  if (status.ok()) {
+    // As the leader we are the only one who can advance LastSequence, so
+    // the view stays the head state while `fill` runs.
+    lock.unlock();
+    const ReadView view = AcquireReadView(nullptr, /*pin=*/false);
+    WriteBatch batch;
+    fill(view, &batch);
+    ReleaseReadView(view);
+    lock.lock();
+    if (WriteBatchInternal::Count(&batch) > 0) {
+      WriteBatchInternal::SetSequence(&batch, view.sequence + 1);
+      // Always synced: the value-log GC deletes the old segment once
+      // this returns, so losing these records in a crash would lose the
+      // only surviving copies of the values. The batch is tiny (pointers
+      // only), so skipping MakeRoomForWrite cannot meaningfully overfill
+      // the memtable.
+      status = CommitBatch(lock, &batch, /*sync=*/true);
+    }
   }
-  return s.ok() && is_pointer && vlog::DecodeValueLocation(Slice(raw), loc);
-}
-
-SequenceNumber DBImpl::MinPinnedSequenceLocked() const {
-  SequenceNumber min_pinned = kMaxSequenceNumber;
-  if (!snapshots_.empty()) {
-    min_pinned = snapshots_.front()->sequence_number();
-  }
-  if (!vlog_pins_.empty() && *vlog_pins_.begin() < min_pinned) {
-    min_pinned = *vlog_pins_.begin();
-  }
-  return min_pinned;
+  *last_sequence = versions_->LastSequence();
+  ReleaseWriteLeadership(&w, Status::OK());
+  return status;
 }
 
 void DBImpl::SweepRetiredVlogSegments() {
   if (vlog_ == nullptr) return;
-  SequenceNumber min_pinned;
+  // The lowest sequence a snapshot, iterator or Get still reads at.
+  SequenceNumber min_pinned = kMaxSequenceNumber;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    min_pinned = MinPinnedSequenceLocked();
+    if (!snapshots_.empty()) {
+      min_pinned = snapshots_.front()->sequence_number();
+    }
+    if (!vlog_pins_.empty()) {
+      min_pinned = std::min(min_pinned, *vlog_pins_.begin());
+    }
   }
   vlog_->SweepRetired(min_pinned);
 }
 
-void DBImpl::VlogGcThreadMain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!shutting_down_.load(std::memory_order_acquire)) {
-    // Woken by compactions that credited discards; the timeout catches
-    // credits from CreditDiscard paths with nobody to signal.
-    vlog_gc_signal_.wait_for(lock, std::chrono::milliseconds(250));
-    if (shutting_down_.load(std::memory_order_acquire)) break;
-    if (!bg_error_.ok() || !vlog_->NeedsGc()) continue;
-    lock.unlock();
-    uint64_t segment;
-    // A failed pass already logged its status on its vlog_gc_end line.
-    while (!shutting_down_.load(std::memory_order_acquire) &&
-           vlog_->PickGcSegment(&segment)) {
-      if (!VlogGcPass(segment).ok()) break;
-    }
-    SweepRetiredVlogSegments();
-    lock.lock();
-  }
-}
-
-// One GC pass over a sealed segment: scan every frame, consult the LSM
-// for liveness, re-append live values, commit their new pointers through
-// the writer queue, then retire the segment. Runs on the dedicated GC
-// thread (or a caller of CompactValueLog); never holds mutex_ while
-// calling into vlog_.
-Status DBImpl::VlogGcPass(uint64_t segment) {
-  if (!vlog_->BeginGc(segment)) return Status::OK();
-
-  obs::Log(info_log_, "EVENT vlog_gc_begin segment=%llu",
-           static_cast<unsigned long long>(segment));
-
-  // GC competes for the same fleet I/O budget as compactions, at the
-  // lowest admission tier (request.is_gc — see src/shard/arbiter.cc).
-  uint64_t grant_id = 0;
-  CompactionGovernor* const governor = options_.compaction_governor;
-  if (governor != nullptr) {
-    CompactionAdmissionRequest request;
-    request.shard_id = options_.shard_id;
-    request.level = -1;
-    request.is_gc = true;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      request.profile = advisor_.Profile();
-      request.advisor_jobs = advisor_.jobs();
-    }
-    CompactionGrant grant = governor->Admit(request, [this] {
-      return shutting_down_.load(std::memory_order_acquire);
-    });
-    if (!grant.granted) {
-      vlog_->FinishGc(segment, false, 0);
-      return Status::OK();
-    }
-    grant_id = grant.id;
-  }
-
-  // Pin the current state for the liveness prefilter. The prefilter only
-  // rejects frames that are already dead at `seq` (dead entries never
-  // come back to life); survivors are re-checked authoritatively at
-  // commit time under writer-queue leadership.
-  MemTable* mem;
-  MemTable* imm;
-  Version* current;
-  SequenceNumber seq;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    mem = mem_;
-    imm = imm_;
-    current = versions_->current();
-    mem->Ref();
-    if (imm != nullptr) imm->Ref();
-    current->Ref();
-    seq = versions_->LastSequence();
-  }
-
-  // GC is a data-movement job like any compaction, so it reports a
-  // StepProfile to the bottleneck advisor: the segment scan is S1 READ,
-  // the per-frame liveness checks are its (small) compute, the copies +
-  // sync + pointer commit are S7 WRITE. On a separated workload GC moves
-  // the value bytes compaction no longer touches, and folding its
-  // profile in is what lets the advisor's regime verdict track where the
-  // machine's work actually went.
-  std::vector<GcRewrite> rewrites;
-  std::vector<uint64_t> touched;
-  uint64_t live_bytes = 0;
-  uint64_t scanned_bytes = 0;
-  uint64_t liveness_nanos = 0;
-  uint64_t append_nanos = 0;
-  Stopwatch pass_timer;
-  Status s = vlog_->ScanSegment(
-      segment, [&](const Slice& key, const Slice& value,
-                   const vlog::ValueLocation& loc) -> Status {
-        if (shutting_down_.load(std::memory_order_acquire)) {
-          return Status::IOError("deleting DB during vlog GC");
-        }
-        scanned_bytes += key.size() + value.size() + 10;  // ≈ frame header
-        Stopwatch step;
-        vlog::ValueLocation cur;
-        const bool live =
-            GetPointerUnlocked(key, seq, mem, imm, current, &cur) &&
-            cur == loc;
-        liveness_nanos += step.ElapsedNanos();
-        if (!live) return Status::OK();  // dead: deleted or overwritten
-        GcRewrite rw;
-        rw.key.assign(key.data(), key.size());
-        rw.old_loc = loc;
-        step.Restart();
-        Status add = vlog_->Add(key, value, &rw.new_loc);
-        append_nanos += step.ElapsedNanos();
-        if (!add.ok()) return add;
-        touched.push_back(rw.new_loc.segment);
-        live_bytes += value.size();
-        rewrites.push_back(std::move(rw));
-        return Status::OK();
-      });
-  const uint64_t scan_nanos = pass_timer.ElapsedNanos();
-
-  // The copies must be durable before their pointers can commit (same
-  // order as the foreground write path).
-  Stopwatch write_timer;
-  if (s.ok() && !rewrites.empty()) s = vlog_->Sync();
-
-  SequenceNumber commit_seq = 0;
-  std::vector<vlog::ValueLocation> dead_new;
-  if (s.ok()) {
-    if (rewrites.empty()) {
-      // Whole segment dead: safe to retire once readers pinned at or
-      // below the current last sequence are gone.
-      std::lock_guard<std::mutex> lock(mutex_);
-      commit_seq = versions_->LastSequence();
-    } else {
-      s = CommitGcRewrites(rewrites, &commit_seq, &dead_new);
-    }
-  }
-  const uint64_t commit_nanos = write_timer.ElapsedNanos();
-
-  if (s.ok() && scanned_bytes > 0) {
-    StepProfile profile;
-    profile.wall_nanos = pass_timer.ElapsedNanos();
-    profile.input_bytes = scanned_bytes;
-    profile.output_bytes = live_bytes;
-    profile.subtasks =
-        std::max<uint64_t>(1, scanned_bytes / options_.subtask_bytes);
-    // The scan interleaves frame reads with liveness checks and live-copy
-    // appends; subtract those to leave S1's share, and classify the
-    // per-frame liveness lookups as the merge-analog compute step.
-    const uint64_t overlap = liveness_nanos + append_nanos;
-    profile.AddStep(kStepRead, scan_nanos > overlap ? scan_nanos - overlap : 0,
-                    scanned_bytes);
-    profile.AddStep(kStepSort, liveness_nanos, scanned_bytes);
-    profile.AddStep(kStepWrite, append_nanos + commit_nanos, live_bytes);
-    advisor_.AddJob(profile);
-  }
-
-  if (!touched.empty()) vlog_->ReleaseAppends(touched);
-  // Copies whose commit re-check lost a race to a newer write are dead
-  // on arrival in their new segment; credit them so its stats stay true.
-  for (const vlog::ValueLocation& loc : dead_new) {
-    std::string encoded;
-    vlog::EncodeValueLocation(&encoded, loc);
-    vlog_->CreditDiscard(Slice(encoded));
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    mem->Unref();
-    if (imm != nullptr) imm->Unref();
-    current->Unref();
-  }
-
-  vlog_->FinishGc(segment, s.ok(), commit_seq);
-  obs::Log(info_log_,
-           "EVENT vlog_gc_end segment=%llu live_values=%zu "
-           "live_bytes=%llu status=%s",
-           static_cast<unsigned long long>(segment), rewrites.size(),
-           static_cast<unsigned long long>(live_bytes),
-           s.ToString().c_str());
-  if (governor != nullptr) governor->Release(grant_id);
-  return s;
-}
-
-// Install the new pointers of a GC pass. Takes writer-queue leadership
-// (null-batch, like Resume) so it owns log_/mem_ exclusively; re-checks
-// each rewrite's old pointer is still current before installing the new
-// one, so a foreground overwrite that raced the scan always wins.
-// Rewrites that lost the race are reported through *dead_new.
-Status DBImpl::CommitGcRewrites(const std::vector<GcRewrite>& rewrites,
-                                SequenceNumber* commit_seq,
-                                std::vector<vlog::ValueLocation>* dead_new) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  Writer w;
-  AcquireWriteLeadership(&w, lock);
-
-  Status status = bg_error_;
-  if (status.ok()) {
-    MemTable* mem = mem_;
-    MemTable* imm = imm_;
-    Version* current = versions_->current();
-    mem->Ref();
-    if (imm != nullptr) imm->Ref();
-    current->Ref();
-    const SequenceNumber last_sequence = versions_->LastSequence();
-    *commit_seq = last_sequence;
-
-    bool sync_error = false;
-    SequenceNumber new_last = last_sequence;
-    {
-      lock.unlock();
-      WriteBatch batch;
-      std::string encoded;
-      for (const GcRewrite& rw : rewrites) {
-        vlog::ValueLocation cur;
-        if (GetPointerUnlocked(rw.key, last_sequence, mem, imm, current,
-                               &cur) &&
-            cur == rw.old_loc) {
-          encoded.clear();
-          vlog::EncodeValueLocation(&encoded, rw.new_loc);
-          batch.PutPointer(rw.key, Slice(encoded));
-        } else {
-          dead_new->push_back(rw.new_loc);
-        }
-      }
-      if (WriteBatchInternal::Count(&batch) > 0) {
-        WriteBatchInternal::SetSequence(&batch, last_sequence + 1);
-        new_last = last_sequence + WriteBatchInternal::Count(&batch);
-        status = log_->AddRecord(WriteBatchInternal::Contents(&batch));
-        if (!status.ok()) {
-          sync_error = true;
-        } else {
-          // Unconditional sync (even for async workloads): FinishGc will
-          // delete the old segment, so losing these records in a crash
-          // would lose the only surviving copies of the values.
-          status = logfile_->Sync();
-          sync_error = !status.ok();
-        }
-        if (status.ok()) {
-          // The batch is tiny (pointers only), so skipping
-          // MakeRoomForWrite cannot meaningfully overfill the memtable.
-          status = WriteBatchInternal::InsertInto(&batch, mem);
-        }
-      }
-      lock.lock();
-    }
-    if (sync_error) {
-      RecordBackgroundError(status, "wal");
-    }
-    if (status.ok()) {
-      versions_->SetLastSequence(new_last);
-      *commit_seq = new_last;
-    }
-    mem->Unref();
-    if (imm != nullptr) imm->Unref();
-    current->Unref();
-  }
-
-  ReleaseWriteLeadership(&w);
-  return status;
-}
-
 Status DBImpl::CompactValueLog() {
-  if (vlog_ == nullptr) return Status::OK();
-  Status s = vlog_->RollActive();
-  if (!s.ok()) return s;
-  for (uint64_t segment : vlog_->SealedSegments()) {
-    if (shutting_down_.load(std::memory_order_acquire)) break;
-    Status pass = VlogGcPass(segment);
-    if (s.ok()) s = pass;
+  return vlog_gc_ != nullptr ? vlog_gc_->CompactValueLog() : Status::OK();
+}
+
+Status DBImpl::SwitchMemTable() {
+  const uint64_t new_log_number = versions_->NewFileNumber();
+  std::unique_ptr<WritableFile> lfile;
+  Status s =
+      env_->NewWritableFile(LogFileName(dbname_, new_log_number), &lfile);
+  if (!s.ok()) {
+    // Avoid chewing through file number space in a tight loop.
+    versions_->ReuseFileNumber(new_log_number);
+    return s;
   }
-  SweepRetiredVlogSegments();
+  if (logfile_ != nullptr) {
+    // Nothing acked is lost to a failed close (MakeRoomForWrite synced
+    // the old log; after a WAL error Resume abandons it), but surface it.
+    Status cs = logfile_->Close();
+    if (!cs.ok()) {
+      obs::Log(info_log_, "closing old WAL #%llu failed: %s",
+               static_cast<unsigned long long>(logfile_number_),
+               cs.ToString().c_str());
+    }
+  }
+  logfile_ = std::move(lfile);
+  logfile_number_ = new_log_number;
+  log_.reset(new log::Writer(logfile_.get()));
+  imm_ = mem_;
+  has_imm_.store(true, std::memory_order_release);
+  mem_ = new MemTable(internal_comparator_);
+  mem_->Ref();
+  MaybeScheduleCompaction();
   return s;
 }
 
@@ -1832,34 +1543,9 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& lock,
           break;
         }
       }
-      const uint64_t new_log_number = versions_->NewFileNumber();
-      std::unique_ptr<WritableFile> lfile;
-      s = env_->NewWritableFile(LogFileName(dbname_, new_log_number),
-                                &lfile);
-      if (!s.ok()) {
-        // Avoid chewing through file number space in a tight loop.
-        versions_->ReuseFileNumber(new_log_number);
-        break;
-      }
-      if (logfile_ != nullptr) {
-        // The old log's records are synced above; a failed close can
-        // no longer lose acked data, but surface it anyway.
-        Status cs = logfile_->Close();
-        if (!cs.ok()) {
-          obs::Log(info_log_, "closing old WAL #%llu failed: %s",
-                   static_cast<unsigned long long>(logfile_number_),
-                   cs.ToString().c_str());
-        }
-      }
-      logfile_ = std::move(lfile);
-      logfile_number_ = new_log_number;
-      log_.reset(new log::Writer(logfile_.get()));
-      imm_ = mem_;
-      has_imm_.store(true, std::memory_order_release);
-      mem_ = new MemTable(internal_comparator_);
-      mem_->Ref();
+      s = SwitchMemTable();
+      if (!s.ok()) break;
       force = false;  // Do not force another compaction if have room
-      MaybeScheduleCompaction();
     }
   }
   // Whatever path ended the loop, backpressure on this writer is over.
@@ -1966,26 +1652,16 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
 
 void DBImpl::GetApproximateSizes(const Range* range, int n,
                                  uint64_t* sizes) {
-  Version* v;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    v = versions_->current();
-    v->Ref();
-  }
-
+  const ReadView view = AcquireReadView(nullptr, /*pin=*/false);
   for (int i = 0; i < n; i++) {
     // Convert user ranges into appropriate internal key ranges.
     InternalKey k1(range[i].start, kMaxSequenceNumber, kValueTypeForSeek);
     InternalKey k2(range[i].limit, kMaxSequenceNumber, kValueTypeForSeek);
-    const uint64_t start = versions_->ApproximateOffsetOf(v, k1);
-    const uint64_t limit = versions_->ApproximateOffsetOf(v, k2);
+    const uint64_t start = versions_->ApproximateOffsetOf(view.current, k1);
+    const uint64_t limit = versions_->ApproximateOffsetOf(view.current, k2);
     sizes[i] = (limit >= start ? limit - start : 0);
   }
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    v->Unref();
-  }
+  ReleaseReadView(view);
 }
 
 void DBImpl::CompactRange(const Slice* begin, const Slice* end) {
@@ -2079,37 +1755,15 @@ Status DBImpl::Resume() {
   // 2. Roll the WAL. The old log may carry a torn tail (a failed
   // AddRecord/Sync leaves it indeterminate, and a torn record can make
   // the log reader drop later records in the same block), so no new
-  // write may land in it.
+  // write may land in it. 3. Flush the live memtable (even when empty:
+  // the flush installs the new log number in the manifest, obsoleting
+  // the suspect log) so every surviving write is in a table and the
+  // durability chain restarts clean in the fresh WAL.
   if (bg_error_.ok()) {
-    const uint64_t new_log_number = versions_->NewFileNumber();
-    std::unique_ptr<WritableFile> lfile;
-    Status s =
-        env_->NewWritableFile(LogFileName(dbname_, new_log_number), &lfile);
+    Status s = SwitchMemTable();
     if (!s.ok()) {
-      versions_->ReuseFileNumber(new_log_number);
       RecordBackgroundError(s, "resume");
     } else {
-      if (logfile_ != nullptr) {
-        Status cs = logfile_->Close();
-        if (!cs.ok()) {
-          obs::Log(info_log_, "closing old WAL #%llu failed: %s",
-                   static_cast<unsigned long long>(logfile_number_),
-                   cs.ToString().c_str());
-        }
-      }
-      logfile_ = std::move(lfile);
-      logfile_number_ = new_log_number;
-      log_.reset(new log::Writer(logfile_.get()));
-
-      // 3. Flush the live memtable (even when empty: the flush installs
-      // the new log number in the manifest, obsoleting the suspect log)
-      // so every surviving write is in a table and the durability chain
-      // restarts clean in the fresh WAL.
-      imm_ = mem_;
-      has_imm_.store(true, std::memory_order_release);
-      mem_ = new MemTable(internal_comparator_);
-      mem_->Ref();
-      MaybeScheduleCompaction();
       while (imm_ != nullptr && bg_error_.ok() &&
              !shutting_down_.load(std::memory_order_acquire)) {
         background_done_signal_.wait(lock);
@@ -2117,7 +1771,7 @@ Status DBImpl::Resume() {
     }
   }
 
-  ReleaseWriteLeadership(&w);
+  ReleaseWriteLeadership(&w, Status::OK());
 
   Status result = bg_error_;
   if (result.ok()) {
@@ -2198,16 +1852,17 @@ Status DB::Open(const Options& options, const std::string& dbname,
   }
   if (s.ok()) {
     impl->RemoveObsoleteFiles();
+    if (impl->vlog_ != nullptr) {
+      // The GC thread starts only after recovery has fully succeeded, so
+      // it never races the bring-up sequence above.
+      impl->vlog_gc_ = std::make_unique<VlogGarbageCollector>(
+          impl, impl->vlog_.get(), impl->options_, &impl->shutting_down_);
+    }
     impl->MaybeScheduleCompaction();
   }
   lock.unlock();
   if (s.ok()) {
     assert(impl->mem_ != nullptr);
-    if (impl->vlog_ != nullptr) {
-      // The GC thread starts only after recovery has fully succeeded, so
-      // it never races the bring-up sequence above.
-      impl->vlog_gc_thread_ = std::thread([impl] { impl->VlogGcThreadMain(); });
-    }
     *dbptr = impl;
   } else {
     delete impl;

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -34,6 +35,7 @@
 namespace pipelsm {
 
 class CompactionScheduler;
+class VlogGarbageCollector;
 
 class SnapshotImpl : public Snapshot {
  public:
@@ -77,6 +79,47 @@ class DBImpl final : public DB {
 
   obs::MetricsRegistry* MetricsHandle() override { return &metrics_registry_; }
   obs::Logger* InfoLogHandle() override { return info_log_; }
+  obs::BottleneckAdvisor* AdvisorHandle() override { return &advisor_; }
+
+  // A consistent read view: refs on mem_, on imm_ (null when no flush is
+  // pending) and on the current version, plus the sequence to read at.
+  // Every read of the LSM state goes through one: Get, iterators and the
+  // value-log GC's liveness checks.
+  struct ReadView {
+    MemTable* mem = nullptr;
+    MemTable* imm = nullptr;
+    Version* current = nullptr;
+    SequenceNumber sequence = 0;
+    // Set when `sequence` is held in vlog_pins_, which keeps every
+    // retired value-log segment the reader may still resolve alive.
+    bool pinned = false;
+    std::multiset<SequenceNumber>::iterator pin{};
+
+    // Looks `key` up in mem, then imm, then the version.
+    Status Get(const TableReadOptions& options, const LookupKey& key,
+               std::string* value, bool* is_pointer) const;
+  };
+
+  // The calls below take mutex_ themselves; the value-log GC
+  // (src/db/vlog_gc.h) reaches the DB only through them.
+
+  // A view at `snapshot` (null: LastSequence). With `pin` (and a value
+  // log) it also holds its sequence in vlog_pins_.
+  ReadView AcquireReadView(const Snapshot* snapshot, bool pin);
+  void ReleaseReadView(const ReadView& view);
+  // Takes writer-queue leadership, lets `fill` build a batch against a
+  // view at LastSequence (without mutex_), and commits that batch,
+  // synced, through the leader commit step. *last_sequence is
+  // LastSequence afterwards. A sticky background error fails the call
+  // before `fill` runs.
+  Status WriteAsLeader(
+      const std::function<void(const ReadView&, WriteBatch*)>& fill,
+      SequenceNumber* last_sequence);
+  SequenceNumber LastSequence();
+  Status BackgroundError();
+  // Compute the min pin under mutex_ and sweep retired segments without
+  // holding it (never call into vlog_ with mutex_ held).
+  void SweepRetiredVlogSegments();
 
  private:
   friend class DB;
@@ -90,10 +133,17 @@ class DBImpl final : public DB {
   Status RecoverLogFile(uint64_t log_number, bool* save_manifest,
                         VersionEdit* edit, SequenceNumber* max_sequence);
 
-  Status WriteLevel0Table(MemTable* mem, VersionEdit* edit, Version* base)
+  // With `pick_level`, a table that overlaps nothing in the current
+  // version is placed below level 0 (leveled style only).
+  Status WriteLevel0Table(MemTable* mem, VersionEdit* edit, bool pick_level)
       /* REQUIRES: holding mutex_ */;
 
   Status MakeRoomForWrite(std::unique_lock<std::mutex>& lock, bool force);
+
+  // Opens a fresh WAL and turns mem_ into imm_, scheduling its flush.
+  // Changes nothing on failure. REQUIRES: holding mutex_, imm_ == null,
+  // the caller heads writers_.
+  Status SwitchMemTable();
 
   void RemoveObsoleteFiles() /* REQUIRES: holding mutex_ */;
 
@@ -110,48 +160,6 @@ class DBImpl final : public DB {
   // compactions).
   void MaybeFlushImmDuringCompaction();
 
-  // ---- key-value separation (docs/VALUE_LOG.md) ----
-  // One live value GC decided to rewrite: its key and its frame's old
-  // and new locations. The commit step re-checks old_loc is still the
-  // key's current pointer under writer-queue leadership before
-  // installing new_loc.
-  struct GcRewrite {
-    std::string key;
-    vlog::ValueLocation old_loc;
-    vlog::ValueLocation new_loc;
-  };
-
-  // Rewrite the group's large-value Puts as value-log appends +
-  // PutPointer records into *out. Appends one entry per separated value
-  // to *touched (for VlogManager::ReleaseAppends after the commit).
-  // *any is false when nothing crossed the threshold (use the input
-  // batch unchanged).
-  Status SeparateLargeValues(WriteBatch* input, WriteBatch* out,
-                             std::vector<uint64_t>* touched, bool* any);
-
-  // Read key's current entry without resolving pointers. Returns true on
-  // a pointer hit and stores its decoded location.
-  // REQUIRES: mem/imm/current are reffed by the caller; mutex_ NOT held.
-  bool GetPointerUnlocked(const Slice& key, SequenceNumber sequence,
-                          MemTable* mem, MemTable* imm, Version* current,
-                          vlog::ValueLocation* loc);
-
-  // Dedicated GC thread: picks over-threshold segments, scans them,
-  // rewrites live values, retires the segment. Separate from the
-  // background flush/compaction thread so a GC commit waiting in the
-  // writer queue can never deadlock against a stalled leader that needs
-  // the background thread to make progress.
-  void VlogGcThreadMain();
-  Status VlogGcPass(uint64_t segment);
-  Status CommitGcRewrites(const std::vector<GcRewrite>& rewrites,
-                          SequenceNumber* commit_seq,
-                          std::vector<vlog::ValueLocation>* dead_new);
-  SequenceNumber MinPinnedSequenceLocked() const
-      /* REQUIRES: holding mutex_ */;
-  // Compute the min pin under mutex_ and sweep retired segments without
-  // holding it (never call into vlog_ with mutex_ held).
-  void SweepRetiredVlogSegments();
-
   // Group commit: one queued writer becomes the leader, folds the batches
   // of followers behind it into one WAL record + memtable apply, and
   // wakes them with the shared status.
@@ -165,16 +173,24 @@ class DBImpl final : public DB {
 
   // Makes `w` the head of the writer queue as a null-batch writer, so the
   // caller owns log_/mem_ exclusively, like a write-group leader (Resume,
-  // CommitGcRewrites). `lock` holds mutex_ and is released while waiting.
+  // WriteAsLeader). `lock` holds mutex_ and is released while waiting.
   void AcquireWriteLeadership(Writer* w, std::unique_lock<std::mutex>& lock);
-  // Pops `w` off the queue head and wakes the next writer.
-  void ReleaseWriteLeadership(Writer* w) /* REQUIRES: holding mutex_ */;
+  // Pops the leader's group off the queue head, through `last`, hands
+  // each writer in it `status`, and wakes the next writer.
+  void ReleaseWriteLeadership(Writer* last, const Status& status)
+      /* REQUIRES: holding mutex_ */;
 
   // REQUIRES: mutex held, writers_ non-empty, first writer not done.
   WriteBatch* BuildBatchGroup(Writer** last_writer);
 
-  Iterator* NewInternalIterator(const ReadOptions&,
-                                SequenceNumber* latest_snapshot);
+  // The leader's commit step, shared by Write and WriteAsLeader. `batch`
+  // already carries its sequence. With mutex_ released, separates its
+  // large values, appends it to the WAL, syncs the WAL when `sync` and
+  // applies it to mem_; back under mutex_, a failed append or sync
+  // becomes the sticky "wal" error and LastSequence advances past the
+  // batch. REQUIRES: `lock` holds mutex_ and the caller heads writers_.
+  Status CommitBatch(std::unique_lock<std::mutex>& lock, WriteBatch* batch,
+                     bool sync);
 
   // Fires OnBackgroundError on every listener.
   void NotifyBackgroundError(const Status& s, const char* source,
@@ -279,8 +295,8 @@ class DBImpl final : public DB {
   // old pointer can still resolve it. Guarded by mutex_.
   std::multiset<SequenceNumber> vlog_pins_;
 
-  std::thread vlog_gc_thread_;
-  std::condition_variable vlog_gc_signal_;
+  // Value-log GC and its thread; exists iff vlog_ does.
+  std::unique_ptr<VlogGarbageCollector> vlog_gc_;
 
   // Files being generated by in-flight compactions (protected from GC).
   std::set<uint64_t> pending_outputs_;

@@ -71,7 +71,6 @@ class DBIter final : public Iterator {
   void FindNextUserEntry(bool skipping, std::string* skip);
   void FindPrevUserEntry();
   bool ParseKey(ParsedInternalKey* key);
-  bool ResolvePointer(const Slice& raw_location, std::string* out);
 
   inline void SaveKey(const Slice& k, std::string* dst) {
     dst->assign(k.data(), k.size());
@@ -98,21 +97,6 @@ class DBIter final : public Iterator {
   bool valid_;
   bool resolved_ = false;  // forward position is a resolved pointer
 };
-
-bool DBIter::ResolvePointer(const Slice& raw_location, std::string* out) {
-  vlog::ValueLocation loc;
-  if (vlog_ == nullptr || !vlog::DecodeValueLocation(raw_location, &loc)) {
-    status_ = Status::Corruption(
-        "value pointer without a value log to resolve it");
-    return false;
-  }
-  Status s = vlog_->Read(loc, out);
-  if (!s.ok()) {
-    status_ = s;
-    return false;
-  }
-  return true;
-}
 
 inline bool DBIter::ParseKey(ParsedInternalKey* ikey) {
   Slice k = iter_->key();
@@ -181,7 +165,10 @@ void DBIter::FindNextUserEntry(bool skipping, std::string* skip) {
             // Entry hidden.
           } else {
             if (ikey.type == kTypeValuePointer) {
-              if (!ResolvePointer(iter_->value(), &resolved_value_)) {
+              Status s = vlog::ResolvePointer(vlog_, iter_->value(),
+                                              &resolved_value_);
+              if (!s.ok()) {
+                status_ = s;
                 saved_key_.clear();
                 valid_ = false;
                 return;
@@ -268,16 +255,16 @@ void DBIter::FindPrevUserEntry() {
     direction_ = kForward;
   } else {
     if (value_type == kTypeValuePointer) {
-      // saved_value_ holds the raw encoded location; swap in the value.
-      std::string resolved;
-      if (!ResolvePointer(Slice(saved_value_), &resolved)) {
+      // saved_value_ holds the raw encoded location; resolve it in place.
+      Status s = vlog::ResolvePointer(vlog_, saved_value_, &saved_value_);
+      if (!s.ok()) {
+        status_ = s;
         valid_ = false;
         saved_key_.clear();
         ClearSavedValue();
         direction_ = kForward;
         return;
       }
-      saved_value_.swap(resolved);
     }
     valid_ = true;
   }

@@ -50,6 +50,17 @@ model::StepTimes BottleneckAdvisor::Profile() const {
   return ema_;
 }
 
+const char* BottleneckAdvisor::RegimeOf(uint64_t jobs,
+                                        const model::StepTimes& t) {
+  if (jobs == 0) return "none";
+  return model::IsCpuBound(t) ? "cpu-bound" : "io-bound";
+}
+
+const char* BottleneckAdvisor::Regime() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return RegimeOf(jobs_, ema_);
+}
+
 std::string BottleneckAdvisor::ToJson() const {
   model::StepTimes t;
   uint64_t jobs;
@@ -85,7 +96,7 @@ std::string BottleneckAdvisor::ToJson() const {
   w.Key("compute").Double(compute * 1e3, 3);
   w.Key("write").Double(write * 1e3, 3).EndObject();
   w.Key("bottleneck").String(bottleneck);
-  w.Key("regime").String(model::IsCpuBound(t) ? "cpu-bound" : "io-bound");
+  w.Key("regime").String(RegimeOf(jobs, t));
 
   // Predictions: Eqs. 1/2 directly; Eqs. 4/6 at the smallest k that
   // saturates (§III-C) — beyond it, added parallelism buys nothing.

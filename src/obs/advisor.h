@@ -45,12 +45,18 @@ class BottleneckAdvisor {
   // The decayed per-sub-task step times the model is evaluated on.
   model::StepTimes Profile() const;
 
+  // "none" before the first job, then "cpu-bound" or "io-bound": the
+  // "regime" field of ToJson().
+  const char* Regime() const;
+
   // The advisor report (see docs/OBSERVABILITY.md "Bottleneck advisor"
   // for the schema). Always valid JSON; before the first job it carries
   // {"jobs":0} and empty predictions.
   std::string ToJson() const;
 
  private:
+  static const char* RegimeOf(uint64_t jobs, const model::StepTimes& t);
+
   const double decay_;
   mutable std::mutex mu_;
   uint64_t jobs_ = 0;

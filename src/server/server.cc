@@ -13,6 +13,7 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "src/obs/advisor.h"
 #include "src/obs/prometheus.h"
 #include "src/server/http.h"
 #include "src/shard/sharded_db.h"
@@ -461,16 +462,8 @@ std::string Server::RenderPrometheusMetrics() {
                                                     labels) {
     // "none" until the first completed compaction gives the advisor a
     // profile to classify — the series itself is always present.
-    std::string regime = "none";
-    std::string advisor;
-    if (db->GetProperty("pipelsm.advisor", &advisor)) {
-      const size_t key = advisor.find("\"regime\":\"");
-      if (key != std::string::npos) {
-        const size_t start = key + 10;
-        const size_t end = advisor.find('"', start);
-        if (end != std::string::npos) regime = advisor.substr(start, end - start);
-      }
-    }
+    const obs::BottleneckAdvisor* advisor = db->AdvisorHandle();
+    const char* regime = advisor != nullptr ? advisor->Regime() : "none";
     obs::PrometheusLabels with_regime = labels;
     with_regime.emplace_back("regime", regime);
     exposition.AddGauge("advisor.regime_info",

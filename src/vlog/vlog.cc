@@ -82,6 +82,16 @@ bool DecodeValueLocation(const Slice& src, ValueLocation* loc) {
   return true;
 }
 
+Status ResolvePointer(VlogManager* vlog, const Slice& encoded,
+                      std::string* value) {
+  ValueLocation loc;
+  if (vlog == nullptr || !DecodeValueLocation(encoded, &loc)) {
+    return Status::Corruption(
+        "value pointer without a value log to resolve it");
+  }
+  return vlog->Read(loc, value);
+}
+
 VlogManager::VlogManager(Env* env, const std::string& dbname,
                          const VlogOptions& options,
                          obs::MetricsRegistry* metrics, obs::Logger* info_log,

@@ -219,5 +219,12 @@ class VlogManager {
   obs::Gauge* pending_retire_gauge_ = nullptr;
 };
 
+// Resolves the encoded location of a kTypeValuePointer entry into the
+// value it points at (`encoded` may alias *value). A null `vlog` means
+// the DB has no value log, so the pointer is Corruption, as is a
+// malformed location. Shared by DB::Get and DB iterators.
+Status ResolvePointer(VlogManager* vlog, const Slice& encoded,
+                      std::string* value);
+
 }  // namespace vlog
 }  // namespace pipelsm

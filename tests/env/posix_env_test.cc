@@ -11,7 +11,10 @@ class PosixEnvTest : public ::testing::Test {
  protected:
   void SetUp() override {
     env_ = Env::Posix();
-    dir_ = ::testing::TempDir() + "pipelsm_env_test";
+    // One directory per case: ctest -j runs cases in parallel, and each
+    // TearDown removes its whole directory.
+    dir_ = ::testing::TempDir() + "pipelsm_env_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     env_->CreateDir(dir_);
   }
 

@@ -69,6 +69,7 @@ TEST(BottleneckAdvisor, EmptyReportsZeroJobsAndStillParses) {
   EXPECT_EQ(0, Number(v, "jobs"));
   EXPECT_NE(nullptr, v.Find("note"));  // explains the empty verdict
   EXPECT_EQ(nullptr, v.Find("recommendation"));
+  EXPECT_STREQ("none", advisor.Regime());
 }
 
 TEST(BottleneckAdvisor, IgnoresDegenerateProfiles) {
@@ -100,6 +101,7 @@ TEST(BottleneckAdvisor, ReadBoundGoldenProfile) {
   EXPECT_EQ(1, Number(v, "jobs"));
   EXPECT_EQ("read", Text(v, "bottleneck"));
   EXPECT_EQ("io-bound", Text(v, "regime"));
+  EXPECT_STREQ("io-bound", advisor.Regime());
   EXPECT_NEAR(8.0, Number(*v.Find("step_ms"), "read"), 1e-2);
   EXPECT_NEAR(2.0, Number(*v.Find("step_ms"), "compute"), 1e-2);
   EXPECT_NEAR(1.0, Number(*v.Find("step_ms"), "write"), 1e-2);
@@ -143,6 +145,7 @@ TEST(BottleneckAdvisor, ComputeBoundGoldenProfile) {
   JsonValue v = MustParse(advisor);
   EXPECT_EQ("compute", Text(v, "bottleneck"));
   EXPECT_EQ("cpu-bound", Text(v, "regime"));
+  EXPECT_STREQ("cpu-bound", advisor.Regime());
 
   const int cppcp_k = model::CppcpSaturationThreads(t);
   EXPECT_EQ(5, cppcp_k);  // ceil(10/max(2,1))

@@ -27,6 +27,7 @@
 #include "src/server/http.h"
 #include "src/server/server.h"
 #include "src/shard/sharded_db.h"
+#include "tests/obs/json_check.h"
 
 namespace pipelsm::server {
 namespace {
@@ -352,7 +353,35 @@ TEST_F(AdminHttpTest, MetricsExpositionIsConformant) {
             r.body.find("pipelsm_server_req_micros_put{quantile=\"0.99\"}"));
   EXPECT_NE(std::string::npos, r.body.find("pipelsm_db_write_stall_state"));
   EXPECT_NE(std::string::npos, r.body.find("pipelsm_server_draining 0"));
-  EXPECT_NE(std::string::npos, r.body.find("pipelsm_advisor_regime_info{"));
+  // No compaction has run yet, so the advisor has no regime to report.
+  EXPECT_NE(std::string::npos,
+            r.body.find("pipelsm_advisor_regime_info{regime=\"none\"} 1"))
+      << r.body;
+
+  // Two overlapping flushes, then a manual compaction that merges them:
+  // the label now carries the regime pipelsm.advisor reports.
+  for (int round = 0; round < 2; round++) {
+    for (int i = round; i < 400; i += 2) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), "key" + std::to_string(i),
+                           std::string(100, 'v'))
+                      .ok());
+    }
+    db_->CompactRange(nullptr, nullptr);
+  }
+  ASSERT_TRUE(db_->WaitForCompactions().ok());
+  ASSERT_GT(db_->GetCompactionMetrics().compactions, 0u);
+  std::string advisor;
+  ASSERT_TRUE(db_->GetProperty("pipelsm.advisor", &advisor));
+  testjson::JsonValue verdict;
+  std::string err;
+  ASSERT_TRUE(testjson::ParseJson(advisor, &verdict, &err)) << err;
+  const testjson::JsonValue* regime = verdict.Find("regime");
+  ASSERT_NE(nullptr, regime) << advisor;
+  ASSERT_NO_FATAL_FAILURE(Get(server_->admin_port(), "/metrics", &r));
+  EXPECT_NE(std::string::npos,
+            r.body.find("pipelsm_advisor_regime_info{regime=\"" +
+                        regime->string_value + "\"} 1"))
+      << r.body;
 }
 
 TEST_F(AdminHttpTest, MetricsCarryShardLabelsOnATwoShardFleet) {

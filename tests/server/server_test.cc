@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -357,7 +358,15 @@ TEST_F(ServerTest, ProtocolErrorDropsConnection) {
   ASSERT_TRUE(cli->Get("survivor", &value).ok());
   EXPECT_EQ("yes", value);
 
-  const std::string log = ReadLog();
+  // The server logs conn_close just after it closes the socket, so the
+  // line can trail the EOF seen above; give it a moment to land.
+  std::string log = ReadLog();
+  for (int i = 0; i < 500 && log.find("reason=protocol_error") ==
+                                 std::string::npos;
+       i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    log = ReadLog();
+  }
   EXPECT_NE(std::string::npos, log.find("EVENT conn_protocol_error"));
   EXPECT_NE(std::string::npos, log.find("reason=protocol_error"));
 }

@@ -5,9 +5,11 @@
 // until released.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/db/db.h"
@@ -71,6 +73,18 @@ class VlogDbTest : public ::testing::Test {
       }
     }
     return out;
+  }
+
+  // No leaked segments: every .vlog on disk is one the manager reports.
+  void ExpectEveryVlogFileListed() {
+    std::string json;
+    ASSERT_TRUE(db_->GetProperty("pipelsm.vlog", &json));
+    for (const std::string& f : VlogFilesOnDisk()) {
+      const uint64_t number = std::stoull(f.substr(0, f.size() - 5));
+      EXPECT_NE(std::string::npos,
+                json.find("\"number\":" + std::to_string(number)))
+          << f << " on disk but not in " << json;
+    }
   }
 
   SimEnv env_;
@@ -200,16 +214,43 @@ TEST_F(VlogDbTest, CompactValueLogRewritesLiveAndDropsDead) {
     }
   }
 
-  // No leaked segments: every .vlog on disk is one the manager reports.
-  std::string json;
-  ASSERT_TRUE(db_->GetProperty("pipelsm.vlog", &json));
-  for (const std::string& f : VlogFilesOnDisk()) {
-    const std::string number = f.substr(0, f.size() - 5);
-    const uint64_t n64 = std::stoull(number);
-    EXPECT_NE(std::string::npos,
-              json.find("\"number\":" + std::to_string(n64)))
-        << f << " on disk but not in " << json;
+  ExpectEveryVlogFileListed();
+}
+
+// Foreground overwrites race full GC sweeps. The commit re-check must
+// let every overwrite win: a GC copy may only replace the pointer it
+// read, never a newer one.
+TEST_F(VlogDbTest, OverwritesRacingGcWin) {
+  Open();
+  const int kKeys = 16;
+  std::atomic<bool> done{false};
+  std::atomic<int> sweeps{0};
+  std::thread gc([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      Status s = db_->CompactValueLog();
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      sweeps.fetch_add(1, std::memory_order_release);
+    }
+  });
+  // Keep overwriting until several sweeps ran concurrently.
+  int round = 0;
+  for (; round < 12 || (sweeps.load() < 30 && round < 400); round++) {
+    for (int k = 0; k < kKeys; k++) {
+      Status s = db_->Put(WriteOptions(), "key" + std::to_string(k),
+                          LargeValue(round * kKeys + k));
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
   }
+  done.store(true, std::memory_order_release);
+  gc.join();
+
+  EXPECT_GE(sweeps.load(), 1);
+  for (int k = 0; k < kKeys; k++) {
+    EXPECT_EQ(LargeValue((round - 1) * kKeys + k),
+              Get("key" + std::to_string(k)))
+        << k;
+  }
+  ExpectEveryVlogFileListed();
 }
 
 TEST_F(VlogDbTest, SnapshotPinsRetiredSegmentUntilReleased) {
@@ -226,6 +267,58 @@ TEST_F(VlogDbTest, SnapshotPinsRetiredSegmentUntilReleased) {
 
   db_->ReleaseSnapshot(snap);
   EXPECT_EQ(LargeValue(2), Get("k"));
+}
+
+// An iterator pins its read sequence: GC may retire the segments that
+// hold the values it sees, but must not delete them while it lives —
+// also when it reads at a snapshot the caller has since released.
+TEST_F(VlogDbTest, IteratorKeepsResolvingAcrossGc) {
+  Open();
+  const int n = 20;
+  auto key = [](int i) { return "key" + std::to_string(100 + i); };
+  for (int round = 0; round < 2; round++) {
+    const bool at_snapshot = round == 1;
+    SCOPED_TRACE(at_snapshot ? "released snapshot" : "latest sequence");
+    const int old_base = round * 2 * n;
+    const int new_base = old_base + n;
+    for (int i = 0; i < n; i++) {
+      ASSERT_TRUE(
+          db_->Put(WriteOptions(), key(i), LargeValue(old_base + i)).ok());
+    }
+    // Latest: the iterator opens before the overwrites. Snapshot: it
+    // opens after them, reading at a snapshot taken before.
+    ReadOptions ro;
+    std::unique_ptr<Iterator> it;
+    if (at_snapshot) {
+      ro.snapshot = db_->GetSnapshot();
+    } else {
+      it.reset(db_->NewIterator(ro));
+    }
+    for (int i = 0; i < n; i++) {
+      ASSERT_TRUE(
+          db_->Put(WriteOptions(), key(i), LargeValue(new_base + i)).ok());
+    }
+    if (at_snapshot) {
+      it.reset(db_->NewIterator(ro));
+      db_->ReleaseSnapshot(ro.snapshot);
+    }
+    ASSERT_TRUE(db_->CompactValueLog().ok());
+
+    int i = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next(), i++) {
+      ASSERT_LT(i, n);
+      EXPECT_EQ(key(i), it->key().ToString());
+      EXPECT_EQ(LargeValue(old_base + i), it->value().ToString()) << i;
+    }
+    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+    EXPECT_EQ(n, i);
+    it.reset();
+
+    for (int j = 0; j < n; j++) {
+      EXPECT_EQ(LargeValue(new_base + j), Get(key(j)));
+    }
+    ExpectEveryVlogFileListed();
+  }
 }
 
 TEST_F(VlogDbTest, SeparationOffIsUnchanged) {
