@@ -3,20 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-
 namespace pipelsm {
-
-const char* CompactionStyleName(CompactionStyle style) {
-  switch (style) {
-    case CompactionStyle::kLeveled:
-      return "leveled";
-    case CompactionStyle::kTiered:
-      return "tiered";
-    case CompactionStyle::kLazyLeveling:
-      return "lazy_leveling";
-  }
-  return "unknown";
-}
 
 CompactionPicker::~CompactionPicker() = default;
 

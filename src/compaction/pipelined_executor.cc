@@ -275,31 +275,8 @@ std::unique_ptr<CompactionExecutor> NewScpExecutor();  // scp_executor.cc
 
 std::unique_ptr<CompactionExecutor> NewCompactionExecutor(
     CompactionMode mode) {
-  switch (mode) {
-    case CompactionMode::kSCP:
-      return NewScpExecutor();
-    case CompactionMode::kPCP:
-      return std::make_unique<PipelinedExecutor>("PCP");
-    case CompactionMode::kSPPCP:
-      return std::make_unique<PipelinedExecutor>("S-PPCP");
-    case CompactionMode::kCPPCP:
-      return std::make_unique<PipelinedExecutor>("C-PPCP");
-  }
-  return nullptr;
-}
-
-const char* CompactionModeName(CompactionMode mode) {
-  switch (mode) {
-    case CompactionMode::kSCP:
-      return "SCP";
-    case CompactionMode::kPCP:
-      return "PCP";
-    case CompactionMode::kSPPCP:
-      return "S-PPCP";
-    case CompactionMode::kCPPCP:
-      return "C-PPCP";
-  }
-  return "unknown";
+  if (mode == CompactionMode::kSCP) return NewScpExecutor();
+  return std::make_unique<PipelinedExecutor>(CompactionModeName(mode));
 }
 
 }  // namespace pipelsm

@@ -10,11 +10,6 @@ namespace pipelsm {
 
 namespace {
 
-// Below this Eq. 3 ideal speedup, pipelining overlaps essentially
-// nothing (one stage is the whole job) and only pays queue handoffs; the
-// scheduler falls back to the sequential procedure.
-constexpr double kMinPipelineGain = 1.02;
-
 constexpr const char* kModeMetricNames[4] = {
     "scheduler.choice.scp", "scheduler.choice.pcp",
     "scheduler.choice.sppcp", "scheduler.choice.cppcp"};
@@ -62,73 +57,58 @@ CompactionScheduler::CompactionScheduler(const SchedulerOptions& options,
 
 CompactionScheduler::Choice CompactionScheduler::Target(
     const model::StepTimes& t, std::string* why) const {
-  Choice c;
-  if (model::PcpIdealSpeedup(t) < kMinPipelineGain) {
-    c.mode = CompactionMode::kSCP;
-    *why = "Eq. 3 speedup ~1: one stage is the whole job, pipelining only "
-           "pays queue handoffs";
-    return c;
-  }
-  const bool cpu_bound = model::IsCpuBound(t);
-  const int max_k =
-      cpu_bound ? opts_.max_compute_workers : opts_.max_stripe_width;
-  const model::Prescription p = model::Prescribe(t, max_k);
+  const model::Prescription p =
+      model::Prescribe(t, opts_.max_stripe_width, opts_.max_compute_workers);
   *why = p.reason;
-  switch (p.procedure) {
-    case model::Prescription::kSCP:
-      c.mode = CompactionMode::kSCP;
-      break;
-    case model::Prescription::kPCP:
-      c.mode = CompactionMode::kPCP;
-      break;
-    case model::Prescription::kSPPCP:
-      c.mode = CompactionMode::kSPPCP;
-      c.read_parallelism = std::clamp(p.k, 1, opts_.max_stripe_width);
-      break;
-    case model::Prescription::kCPPCP:
-      c.mode = CompactionMode::kCPPCP;
-      c.compute_parallelism = std::clamp(p.k, 1, opts_.max_compute_workers);
-      break;
-  }
+  Choice c;
+  c.mode = p.procedure;
+  if (p.procedure == CompactionMode::kSPPCP) c.read_parallelism = p.k;
+  if (p.procedure == CompactionMode::kCPPCP) c.compute_parallelism = p.k;
   return c;
 }
 
-SchedulerDecision CompactionScheduler::Render(const Choice& choice,
-                                              bool adaptive,
-                                              std::string rationale) const {
-  SchedulerDecision d;
-  d.mode = choice.mode;
-  d.read_parallelism = choice.read_parallelism;
-  d.compute_parallelism = choice.compute_parallelism;
-  d.adaptive = adaptive;
-  d.rationale = std::move(rationale);
+CompactionGrant CompactionScheduler::Render(const Choice& choice,
+                                            bool adaptive,
+                                            std::string rationale) const {
+  CompactionGrant g;
+  g.granted = true;
+  g.mode = choice.mode;
+  g.read_parallelism = choice.read_parallelism;
+  g.compute_parallelism = choice.compute_parallelism;
+  g.adaptive = adaptive;
+  g.rationale = std::move(rationale);
   if (decisions_counter_ != nullptr) decisions_counter_->Add();
   if (mode_counters_[int(choice.mode)] != nullptr) {
     mode_counters_[int(choice.mode)]->Add();
   }
-  return d;
+  return g;
 }
 
-SchedulerDecision CompactionScheduler::Admit(const model::StepTimes& profile,
-                                             uint64_t advisor_jobs) {
+CompactionGrant CompactionScheduler::Admit(
+    const CompactionAdmissionRequest& request, const std::function<bool()>&) {
+  if (request.is_gc) {  // granted, but not a decision
+    CompactionGrant g;
+    g.granted = true;
+    return g;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   decisions_++;
   if (!opts_.adaptive) {
     last_rationale_ = "adaptive_compaction off; static choice";
     return Render(current_, /*adaptive=*/false, last_rationale_);
   }
-  if (advisor_jobs < uint64_t(opts_.warmup_jobs)) {
+  if (request.advisor_jobs < uint64_t(opts_.warmup_jobs)) {
     char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "warming up: advisor has %llu of %d jobs; static choice",
-                  static_cast<unsigned long long>(advisor_jobs),
+                  static_cast<unsigned long long>(request.advisor_jobs),
                   opts_.warmup_jobs);
     last_rationale_ = buf;
     return Render(current_, /*adaptive=*/false, last_rationale_);
   }
 
   std::string why;
-  const Choice target = Target(profile, &why);
+  const Choice target = Target(request.profile, &why);
   if (target == current_) {
     candidate_streak_ = 0;
     last_rationale_ = why;

@@ -13,18 +13,20 @@
 // Decision rule per admission, on the advisor's decayed StepTimes t:
 //   1. Before `warmup_jobs` completed compactions (or with adaptive off)
 //      the static Options choice applies verbatim.
-//   2. model::Prescribe(t) picks S-PPCP/C-PPCP at the Eq. 4/6 saturation
-//      k — clamped into [1, max] stripe width / compute workers — or
+//   2. model::Prescribe(t, max_stripe_width, max_compute_workers) picks
+//      the target: S-PPCP/C-PPCP at the capped Eq. 4/6 saturation k,
 //      plain PCP when neither parallel variant's ideal gain reaches
-//      model::kMinParallelGain.
-//   3. If even pipelining gains ~nothing (Eq. 3 speedup below
-//      kMinPipelineGain: one stage is essentially the whole job), SCP is
-//      chosen — a pipeline that cannot overlap anything only pays queue
-//      handoff costs.
-//   4. Hysteresis: a choice that differs from the current one must be
+//      model::kMinParallelGain, or SCP when even pipelining gains ~nothing
+//      (Eq. 3 speedup below model::kMinPipelineGain). The advisor reports
+//      the same call with the same caps.
+//   3. Hysteresis: a choice that differs from the current one must be
 //      prescribed on `hysteresis_jobs` *consecutive* admissions before
 //      the scheduler switches, so one noisy profile cannot flap the
 //      pipeline shape.
+//
+// It is the DB's default CompactionGovernor: its Admit grants at once,
+// never blocks, and has nothing to release. A value-log GC request is
+// granted without counting as a decision.
 //
 // Thread-safe: Admit (background compaction thread) and ToJson
 // (GetProperty("pipelsm.scheduler"), any thread) may race.
@@ -65,18 +67,7 @@ struct SchedulerOptions {
   static SchedulerOptions FromOptions(const Options& options);
 };
 
-// One per-job verdict. `read_parallelism`/`compute_parallelism` are the
-// values the executor must be handed via CompactionJobOptions — per-job
-// inputs, never read back from mutable shared state mid-run.
-struct SchedulerDecision {
-  CompactionMode mode = CompactionMode::kPCP;
-  int read_parallelism = 1;
-  int compute_parallelism = 1;
-  bool adaptive = false;     // false: static config or warmup fallback
-  std::string rationale;     // one line for EVENT compaction_begin / info
-};
-
-// What one engine tells a fleet-level governor when it wants to compact.
+// What one engine tells its governor when it wants to compact or GC.
 struct CompactionAdmissionRequest {
   int shard_id = -1;                // Options::shard_id (-1: unsharded)
   model::StepTimes profile;         // advisor's decayed per-step times
@@ -97,19 +88,26 @@ struct CompactionAdmissionRequest {
 
 // The governor's answer. `granted == false` means the engine must yield
 // the admission slot (its background loop re-schedules); on success the
-// engine runs `decision` and MUST call Release(id) when the job — or its
-// failure path — finishes.
+// engine runs `mode` with the given parallelism — per-job inputs, never
+// read back from mutable shared state mid-run — and MUST call
+// Release(id) when the job, or its failure path, finishes (ScopedGrant
+// does both).
 struct CompactionGrant {
   bool granted = false;
   uint64_t id = 0;
-  SchedulerDecision decision;
+  CompactionMode mode = CompactionMode::kPCP;
+  int read_parallelism = 1;
+  int compute_parallelism = 1;
+  bool adaptive = false;     // false: static config or warmup fallback
+  std::string rationale;     // one line for EVENT compaction_begin / info
 };
 
-// Fleet-level compaction admission. One instance is shared by every
-// engine in a ShardedDB (Options::compaction_governor); each engine's
-// background thread blocks in Admit() until the governor hands it a
-// budget share or `abort` returns true. Implementations must be
-// thread-safe and must not call back into any DB.
+// Compaction admission. Every engine admits each compaction and value-log
+// GC pass through one governor: Options::compaction_governor (a
+// ShardedDB's CompactionArbiter, shared by every shard), or else the
+// engine's own CompactionScheduler. Admit() blocks until the governor
+// hands out a budget share or `abort` returns true. Implementations must
+// be thread-safe and must not call back into any DB.
 class CompactionGovernor {
  public:
   virtual ~CompactionGovernor();
@@ -126,7 +124,34 @@ class CompactionGovernor {
   virtual void Release(uint64_t grant_id) = 0;
 };
 
-class CompactionScheduler {
+// One admission: Admit() on construction, Release() once, at the latest
+// when it goes out of scope.
+class ScopedGrant {
+ public:
+  ScopedGrant(CompactionGovernor* governor,
+              const CompactionAdmissionRequest& request,
+              const std::function<bool()>& abort)
+      : governor_(governor), grant_(governor->Admit(request, abort)) {}
+  ~ScopedGrant() { Release(); }
+
+  ScopedGrant(const ScopedGrant&) = delete;
+  ScopedGrant& operator=(const ScopedGrant&) = delete;
+
+  bool granted() const { return grant_.granted; }
+  const CompactionGrant& grant() const { return grant_; }
+
+  void Release() {
+    if (grant_.granted && !released_) governor_->Release(grant_.id);
+    released_ = true;
+  }
+
+ private:
+  CompactionGovernor* const governor_;
+  const CompactionGrant grant_;
+  bool released_ = false;
+};
+
+class CompactionScheduler : public CompactionGovernor {
  public:
   // `metrics` (nullable) receives scheduler.* counters: decisions,
   // switches, and per-procedure choice counts.
@@ -136,11 +161,12 @@ class CompactionScheduler {
   CompactionScheduler(const CompactionScheduler&) = delete;
   CompactionScheduler& operator=(const CompactionScheduler&) = delete;
 
-  // Called once per admitted compaction job with the advisor's decayed
-  // profile and how many jobs it has digested. Deterministic given the
-  // same profile sequence.
-  SchedulerDecision Admit(const model::StepTimes& profile,
-                          uint64_t advisor_jobs);
+  // Rules on one compaction with the advisor's decayed profile and how
+  // many jobs it has digested (request.profile / advisor_jobs).
+  // Deterministic given the same profile sequence; `abort` is unused.
+  CompactionGrant Admit(const CompactionAdmissionRequest& request,
+                        const std::function<bool()>& abort) override;
+  void Release(uint64_t) override {}
 
   uint64_t decisions() const;
   uint64_t switches() const;
@@ -165,8 +191,8 @@ class CompactionScheduler {
   // The §III-C target for one profile, bounds applied (no hysteresis).
   Choice Target(const model::StepTimes& t, std::string* why) const;
 
-  SchedulerDecision Render(const Choice& choice, bool adaptive,
-                           std::string rationale) const;
+  CompactionGrant Render(const Choice& choice, bool adaptive,
+                         std::string rationale) const;
 
   const SchedulerOptions opts_;
 

@@ -99,7 +99,7 @@ class CompactionJob::Sink final : public CompactionSink {
 CompactionJob::CompactionJob(uint64_t job_id, const char* style,
                              int max_subcompactions,
                              const CompactionJobOptions& base,
-                             const SchedulerDecision& decision,
+                             const CompactionGrant& grant,
                              const Compaction* c,
                              std::vector<std::shared_ptr<Table>> inputs,
                              const obs::EventListeners& listeners,
@@ -109,7 +109,7 @@ CompactionJob::CompactionJob(uint64_t job_id, const char* style,
       style_(style),
       max_subcompactions_(max_subcompactions),
       base_(base),
-      decision_(decision),
+      grant_(grant),
       c_(c),
       inputs_(std::move(inputs)),
       listeners_(listeners),
@@ -135,8 +135,8 @@ Status CompactionJob::Run() {
   const uint64_t input_bytes = c_->TotalInputBytes();
   std::vector<std::string> splits;
   uint64_t want = static_cast<uint64_t>(
-      std::min(max_subcompactions_, std::max(decision_.read_parallelism,
-                                             decision_.compute_parallelism)));
+      std::min(max_subcompactions_, std::max(grant_.read_parallelism,
+                                             grant_.compute_parallelism)));
   // Size floor: a sub-range under ~2 sub-tasks of input is thread churn,
   // not parallelism.
   const uint64_t floor_bytes = 2 * static_cast<uint64_t>(base_.subtask_bytes);
@@ -164,9 +164,9 @@ Status CompactionJob::Run() {
   for (int i = 0; i < n; i++) {
     SubJob& sub = subs.emplace_back(this);
     sub.options = base_;
-    sub.options.read_parallelism = std::max(1, decision_.read_parallelism / n);
+    sub.options.read_parallelism = std::max(1, grant_.read_parallelism / n);
     sub.options.compute_parallelism =
-        std::max(1, decision_.compute_parallelism / n);
+        std::max(1, grant_.compute_parallelism / n);
     if (i > 0) {
       sub.options.range_unbounded_lo = false;
       sub.options.range_lo_user_key = splits[i - 1];
@@ -175,7 +175,7 @@ Status CompactionJob::Run() {
       sub.options.range_unbounded_hi = false;
       sub.options.range_hi_user_key = splits[i];
     }
-    sub.executor = NewCompactionExecutor(decision_.mode);
+    sub.executor = NewCompactionExecutor(grant_.mode);
   }
 
   obs::CompactionJobInfo info;
@@ -186,10 +186,10 @@ Status CompactionJob::Run() {
   info.style = style_;
   info.predicted_write_amp = c_->predicted_write_amp();
   info.subcompactions = n;
-  info.read_parallelism = decision_.read_parallelism;
-  info.compute_parallelism = decision_.compute_parallelism;
-  info.adaptive = decision_.adaptive;
-  info.scheduler_rationale = decision_.rationale;
+  info.read_parallelism = grant_.read_parallelism;
+  info.compute_parallelism = grant_.compute_parallelism;
+  info.adaptive = grant_.adaptive;
+  info.scheduler_rationale = grant_.rationale;
   info.input_files = c_->num_input_files(0) + c_->num_input_files(1);
   info.input_bytes = input_bytes;
   for (obs::EventListener* l : listeners_) l->OnCompactionBegin(info);

@@ -1,8 +1,8 @@
 // CompactionJob: the run half of one major compaction.
 //
-// DBImpl admits a job (scheduler or fleet governor, under its mutex),
-// opens the input tables and hands them over. The job then runs without
-// the DB mutex, on exactly one path:
+// DBImpl admits a job through its governor (DBImpl::AdmitJob), opens
+// the input tables and hands them over with the grant. The job then runs
+// without the DB mutex, on exactly one path:
 //   1. split the inputs into N >= 1 key-range sub-jobs (N = 1 unsplit);
 //   2. fire OnCompactionBegin once;
 //   3. run every sub-job on its own executor and sink — sub-job 0 on the
@@ -40,10 +40,10 @@ class CompactionJob {
 
   // `base` carries everything but the per-job parallelism, the output
   // file size and the base-level test, which the job derives from
-  // `decision` and `c`. `c` and `listeners` must outlive the job.
+  // `grant` and `c`. `c` and `listeners` must outlive the job.
   CompactionJob(uint64_t job_id, const char* style, int max_subcompactions,
                 const CompactionJobOptions& base,
-                const SchedulerDecision& decision, const Compaction* c,
+                const CompactionGrant& grant, const Compaction* c,
                 std::vector<std::shared_ptr<Table>> inputs,
                 const obs::EventListeners& listeners, obs::Logger* info_log,
                 OutputFileAllocator allocate);
@@ -68,7 +68,7 @@ class CompactionJob {
   const char* const style_;
   const int max_subcompactions_;
   CompactionJobOptions base_;
-  const SchedulerDecision decision_;
+  const CompactionGrant grant_;
   const Compaction* const c_;
   const std::vector<std::shared_ptr<Table>> inputs_;
   const obs::EventListeners& listeners_;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/compaction/picker.h"
-#include "src/compaction/scheduler.h"
 #include "src/db/builder.h"
 #include "src/db/compaction_job.h"
 #include "src/db/db_iter.h"
@@ -169,7 +168,9 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
                                   ? owned_filter_policy_.get()
                                   : raw_options.filter_policy),
       options_(SanitizeOptions(raw_options)),
-      dbname_(dbname) {
+      dbname_(dbname),
+      advisor_(SchedulerOptions::FromOptions(options_).max_stripe_width,
+               SchedulerOptions::FromOptions(options_).max_compute_workers) {
   // Info log first, so every component built below can report to it:
   // the caller-supplied sink, or a LOG file in the DB directory.
   if (options_.info_log != nullptr) {
@@ -223,6 +224,8 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
                                  &internal_comparator_, info_log_));
   scheduler_ = std::make_unique<CompactionScheduler>(
       SchedulerOptions::FromOptions(options_), &metrics_registry_);
+  governor_ = options_.compaction_governor;
+  if (governor_ == nullptr) governor_ = scheduler_.get();
 
   if (!options_.trace_path.empty()) {
     trace_ = std::make_unique<obs::TraceCollector>();
@@ -925,45 +928,33 @@ Status DBImpl::BackgroundCompaction(std::unique_lock<std::mutex>& lock) {
 
 Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
                                 Compaction* c) {
-  // Admission: the scheduler picks the procedure and parallelism the
-  // advisor's decayed profile calls for, and the job gets its own copy of
-  // that decision (docs/TUNING.md). A fleet governor (docs/SHARDING.md)
-  // instead blocks, outside mutex_, until the fleet grants a budget share.
-  // The wait aborts on shutdown, and for non-manual jobs when a flush
-  // becomes pending (the sole background thread must not queue while
-  // writers stall on imm_). A manual job never yields: BackgroundCompaction
-  // advances the manual cursor either way, so yielding would skip a range.
-  SchedulerDecision decision;
-  uint64_t grant_id = 0;
-  CompactionGovernor* const governor = options_.compaction_governor;
-  if (governor != nullptr) {
-    CompactionAdmissionRequest request;
-    request.shard_id = options_.shard_id;
-    request.profile = advisor_.Profile();
-    request.advisor_jobs = advisor_.jobs();
-    request.level = c->level();
-    request.predicted_write_amp = c->predicted_write_amp();
-    request.input_bytes = c->TotalInputBytes();
-    const bool manual = manual_compaction_ != nullptr;
-    lock.unlock();
-    CompactionGrant grant = governor->Admit(request, [this, manual] {
-      return shutting_down_.load(std::memory_order_acquire) ||
-             (!manual && has_imm_.load(std::memory_order_acquire));
-    });
-    lock.lock();
-    if (!grant.granted) {
-      if (shutting_down_.load(std::memory_order_acquire)) {
-        return Status::IOError("deleting DB during compaction");
-      }
-      // Yield the slot to the pending flush; the background loop
-      // re-schedules this compaction right after (`delete c` in the
-      // caller releases the pinned input version).
-      return Status::OK();
+  // Admission (docs/TUNING.md, docs/SHARDING.md): the governor picks the
+  // procedure and parallelism, and the job gets its own copy of that
+  // grant. The DB's own scheduler answers at once; a fleet arbiter may
+  // block, so the wait runs outside mutex_. It aborts on shutdown, and
+  // for non-manual jobs when a flush becomes pending (the sole background
+  // thread must not queue while writers stall on imm_). A manual job
+  // never yields: BackgroundCompaction advances the manual cursor either
+  // way, so yielding would skip a range.
+  CompactionAdmissionRequest request;
+  request.level = c->level();
+  request.predicted_write_amp = c->predicted_write_amp();
+  request.input_bytes = c->TotalInputBytes();
+  const bool manual = manual_compaction_ != nullptr;
+  lock.unlock();
+  ScopedGrant grant = AdmitJob(request, [this, manual] {
+    return shutting_down_.load(std::memory_order_acquire) ||
+           (!manual && has_imm_.load(std::memory_order_acquire));
+  });
+  lock.lock();
+  if (!grant.granted()) {
+    if (shutting_down_.load(std::memory_order_acquire)) {
+      return Status::IOError("deleting DB during compaction");
     }
-    decision = grant.decision;
-    grant_id = grant.id;
-  } else {
-    decision = scheduler_->Admit(advisor_.Profile(), advisor_.jobs());
+    // Yield the slot to the pending flush; the background loop
+    // re-schedules this compaction right after (`delete c` in the
+    // caller releases the pinned input version).
+    return Status::OK();
   }
 
   CompactionJobOptions base;
@@ -1002,7 +993,7 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   CompactionJob job(
       next_job_id_.fetch_add(1, std::memory_order_relaxed),
       CompactionStyleName(options_.compaction_style),
-      options_.max_subcompactions, base, decision, c, std::move(inputs),
+      options_.max_subcompactions, base, grant.grant(), c, std::move(inputs),
       listeners_, info_log_,
       [this](uint64_t* number, std::unique_ptr<WritableFile>* file) {
         MaybeFlushImmDuringCompaction();
@@ -1022,7 +1013,7 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   // The job is over (ran or failed to open inputs): hand the fleet share
   // back before the install, so a waiting shard can start compacting
   // while this one applies its version edit.
-  if (governor != nullptr) governor->Release(grant_id);
+  grant.Release();
 
   if (status.ok() && shutting_down_.load(std::memory_order_acquire)) {
     status = Status::IOError("deleting DB during compaction");
@@ -1444,6 +1435,14 @@ void DBImpl::SweepRetiredVlogSegments() {
     }
   }
   vlog_->SweepRetired(min_pinned);
+}
+
+ScopedGrant DBImpl::AdmitJob(CompactionAdmissionRequest request,
+                             const std::function<bool()>& abort) {
+  request.shard_id = options_.shard_id;
+  request.profile = advisor_.Profile();
+  request.advisor_jobs = advisor_.jobs();
+  return ScopedGrant(governor_, request, abort);
 }
 
 Status DBImpl::CompactValueLog() {

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/compaction/scheduler.h"
 #include "src/db/db.h"
 #include "src/db/dbformat.h"
 #include "src/db/table_cache.h"
@@ -34,7 +35,6 @@
 
 namespace pipelsm {
 
-class CompactionScheduler;
 class VlogGarbageCollector;
 
 class SnapshotImpl : public Snapshot {
@@ -120,6 +120,13 @@ class DBImpl final : public DB {
   // Compute the min pin under mutex_ and sweep retired segments without
   // holding it (never call into vlog_ with mutex_ held).
   void SweepRetiredVlogSegments();
+
+  // The one admission path for compactions and value-log GC passes:
+  // stamps `request` with this shard's id and the advisor's profile, and
+  // blocks in the DB's governor until it grants or `abort()` turns true.
+  // REQUIRES: mutex_ not held.
+  ScopedGrant AdmitJob(CompactionAdmissionRequest request,
+                       const std::function<bool()>& abort);
 
  private:
   friend class DB;
@@ -256,6 +263,8 @@ class DBImpl final : public DB {
   // adaptive_compaction off the choice is Options::compaction_mode on
   // every admission.
   std::unique_ptr<CompactionScheduler> scheduler_;
+  // Admits every job: Options::compaction_governor, else scheduler_.
+  CompactionGovernor* governor_ = nullptr;
 
   std::mutex mutex_;
   std::condition_variable background_work_signal_;

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "src/compaction/scheduler.h"
 #include "src/db/db_impl.h"
 #include "src/obs/advisor.h"
 #include "src/obs/logger.h"
@@ -103,22 +102,14 @@ Status VlogGarbageCollector::CollectSegment(uint64_t segment) {
 
   // GC competes for the same fleet I/O budget as compactions, at the
   // lowest admission tier (request.is_gc — see src/shard/arbiter.cc).
-  uint64_t grant_id = 0;
-  CompactionGovernor* const governor = options_.compaction_governor;
-  if (governor != nullptr) {
-    CompactionAdmissionRequest request;
-    request.shard_id = options_.shard_id;
-    request.level = -1;
-    request.is_gc = true;
-    request.profile = db_->AdvisorHandle()->Profile();
-    request.advisor_jobs = db_->AdvisorHandle()->jobs();
-    CompactionGrant grant =
-        governor->Admit(request, [this] { return shutting_down(); });
-    if (!grant.granted) {
-      vlog_->FinishGc(segment, false, 0);
-      return Status::OK();
-    }
-    grant_id = grant.id;
+  CompactionAdmissionRequest request;
+  request.level = -1;
+  request.is_gc = true;
+  ScopedGrant grant =
+      db_->AdmitJob(request, [this] { return shutting_down(); });
+  if (!grant.granted()) {
+    vlog_->FinishGc(segment, false, 0);
+    return Status::OK();
   }
 
   // A view of the current state for the liveness prefilter. The
@@ -221,14 +212,13 @@ Status VlogGarbageCollector::CollectSegment(uint64_t segment) {
   if (!touched.empty()) vlog_->ReleaseAppends(touched);
   db_->ReleaseReadView(view);
 
-  vlog_->FinishGc(segment, s.ok(), commit_seq);
+  vlog_->FinishGc(segment, s.ok(), commit_seq, live_bytes);
   obs::Log(db_->InfoLogHandle(),
            "EVENT vlog_gc_end segment=%llu live_values=%zu "
            "live_bytes=%llu status=%s",
            static_cast<unsigned long long>(segment), rewrites.size(),
            static_cast<unsigned long long>(live_bytes),
            s.ToString().c_str());
-  if (governor != nullptr) governor->Release(grant_id);
   return s;
 }
 

@@ -4,7 +4,7 @@
 // frame's liveness against a DB read view (the compute step), re-appends
 // the live values and commits their new pointers (S7 write), then
 // retires the segment. It reports that StepProfile to the bottleneck
-// advisor and is admitted by the fleet governor at the GC tier.
+// advisor and is admitted by the DB's governor at the GC tier.
 //
 // It reaches the DB only through DBImpl's read view, leader commit and
 // sweep calls, each of which takes the DB mutex itself, so the GC never

@@ -73,43 +73,36 @@ bool IsCpuBound(const StepTimes& t) {
   return t.compute() >= std::max(t.read(), t.write());
 }
 
-const char* PrescriptionProcedureName(Prescription::Procedure procedure) {
-  switch (procedure) {
-    case Prescription::kSCP:
-      return "SCP";
-    case Prescription::kPCP:
-      return "PCP";
-    case Prescription::kSPPCP:
-      return "S-PPCP";
-    case Prescription::kCPPCP:
-      return "C-PPCP";
-  }
-  return "unknown";
-}
-
-Prescription Prescribe(const StepTimes& t, int max_k) {
+Prescription Prescribe(const StepTimes& t, int max_lanes, int max_workers) {
   Prescription p;
   p.cpu_bound = IsCpuBound(t);
-  const double pcp = PcpBandwidth(t);
+  // Negated so that an empty or garbage (NaN) profile lands here too.
+  if (!(PcpIdealSpeedup(t) >= kMinPipelineGain)) {
+    p.procedure = CompactionMode::kSCP;
+    p.reason =
+        "Eq. 3 speedup ~1: one stage is the whole job, pipelining only "
+        "pays queue handoffs";
+    return p;
+  }
   if (p.cpu_bound) {
-    p.procedure = Prescription::kCPPCP;
+    p.procedure = CompactionMode::kCPPCP;
     p.k = CppcpSaturationThreads(t);
-    if (max_k > 0) p.k = std::min(p.k, max_k);
+    if (max_workers > 0) p.k = std::min(p.k, max_workers);
     p.gain_vs_pcp = CppcpIdealSpeedup(t, p.k);
     p.reason =
         "compute (S2-S6) limits Eq. 2; Eq. 6 says k compute workers lift "
         "it until I/O saturates";
   } else {
-    p.procedure = Prescription::kSPPCP;
+    p.procedure = CompactionMode::kSPPCP;
     p.k = SppcpSaturationDisks(t);
-    if (max_k > 0) p.k = std::min(p.k, max_k);
+    if (max_lanes > 0) p.k = std::min(p.k, max_lanes);
     p.gain_vs_pcp = SppcpIdealSpeedup(t, p.k);
     p.reason =
         "I/O limits Eq. 2; Eq. 4 says k striped devices lift it until "
         "compute saturates";
   }
-  if (p.gain_vs_pcp < kMinParallelGain || pcp <= 0) {
-    p.procedure = Prescription::kPCP;
+  if (p.gain_vs_pcp < kMinParallelGain || PcpBandwidth(t) <= 0) {
+    p.procedure = CompactionMode::kPCP;
     p.k = 1;
     p.gain_vs_pcp = 1.0;
     p.reason =
@@ -125,13 +118,13 @@ namespace {
 // for jobs where pipelining is churn).
 double AllocationBandwidth(const StepTimes& t, const FleetAllocation& a) {
   switch (a.prescription.procedure) {
-    case Prescription::kSCP:
+    case CompactionMode::kSCP:
       return ScpBandwidth(t);
-    case Prescription::kSPPCP:
+    case CompactionMode::kSPPCP:
       return SppcpBandwidth(t, a.lanes);
-    case Prescription::kCPPCP:
+    case CompactionMode::kCPPCP:
       return CppcpBandwidth(t, a.workers);
-    case Prescription::kPCP:
+    case CompactionMode::kPCP:
       break;
   }
   return PcpBandwidth(t);
@@ -141,18 +134,14 @@ void DemoteToFloor(const StepTimes& t, FleetAllocation* a) {
   a->lanes = 1;
   a->workers = 1;
   a->prescription.k = 1;
-  if (t.total() <= 0 || PcpIdealSpeedup(t) < 1.02) {
-    // Pipelining itself is churn (or the profile is empty): Eq. 1.
-    a->prescription.procedure = Prescription::kSCP;
-    a->prescription.gain_vs_pcp = 1.0;
-    a->prescription.reason =
-        "Eq. 3 gain under 2%; the 3-stage pipeline is churn here";
-  } else {
-    a->prescription.procedure = Prescription::kPCP;
-    a->prescription.gain_vs_pcp = 1.0;
-    a->prescription.reason =
-        "fleet floor: 1 lane + 1 worker runs the Eq. 2 pipeline";
-  }
+  a->prescription.gain_vs_pcp = 1.0;
+  // Where pipelining itself is churn (or the profile is empty): Eq. 1.
+  const bool churn = !(PcpIdealSpeedup(t) >= kMinPipelineGain);
+  a->prescription.procedure =
+      churn ? CompactionMode::kSCP : CompactionMode::kPCP;
+  a->prescription.reason =
+      churn ? "Eq. 3 gain under 2%; the 3-stage pipeline is churn here"
+            : "fleet floor: 1 lane + 1 worker runs the Eq. 2 pipeline";
 }
 
 }  // namespace
@@ -174,7 +163,6 @@ std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
       out[i].lanes = 0;
       out[i].workers = 0;
       out[i].prescription.k = 0;
-      out[i].prescription.procedure = Prescription::kPCP;
       out[i].prescription.reason =
           "fleet budget exhausted: min(io_lanes, compute_workers) jobs "
           "already hold their floor";
@@ -187,7 +175,7 @@ std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
   // SCP-floored jobs are not upgraded (their pipeline gain is churn).
   std::vector<bool> eligible(admitted);
   for (size_t i = 0; i < admitted; i++) {
-    eligible[i] = out[i].prescription.procedure != Prescription::kSCP &&
+    eligible[i] = out[i].prescription.procedure != CompactionMode::kSCP &&
                   jobs[i].total() > 0;
   }
   while (true) {
@@ -228,7 +216,7 @@ std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
       if (best_is_lane) {
         a.lanes++;
         free_lanes--;
-        a.prescription.procedure = Prescription::kSPPCP;
+        a.prescription.procedure = CompactionMode::kSPPCP;
         a.prescription.k = a.lanes;
         a.prescription.gain_vs_pcp = SppcpIdealSpeedup(jobs[best], a.lanes);
         a.prescription.reason =
@@ -237,7 +225,7 @@ std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
       } else {
         a.workers++;
         free_workers--;
-        a.prescription.procedure = Prescription::kCPPCP;
+        a.prescription.procedure = CompactionMode::kCPPCP;
         a.prescription.k = a.workers;
         a.prescription.gain_vs_pcp = CppcpIdealSpeedup(jobs[best], a.workers);
         a.prescription.reason =
@@ -251,7 +239,7 @@ std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
     bool demoted = false;
     for (size_t i = 0; i < admitted; i++) {
       if (!eligible[i]) continue;
-      if (out[i].prescription.procedure == Prescription::kPCP) continue;
+      if (out[i].prescription.procedure == CompactionMode::kPCP) continue;
       if (out[i].prescription.gain_vs_pcp < kMinParallelGain) {
         DemoteToFloor(jobs[i], &out[i]);
         eligible[i] = false;

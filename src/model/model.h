@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/db/options.h"
 #include "src/util/stopwatch.h"
 
 namespace pipelsm::model {
@@ -72,35 +73,38 @@ bool IsCpuBound(const StepTimes& t);
 
 // The paper's §III-C prescription as data: which procedure the measured
 // step times call for, at what parallelism, and the ideal gain over plain
-// PCP. Shared by the online advisor (src/obs/advisor.h) and the adaptive
-// compaction scheduler (src/compaction/scheduler.h) so report and control
-// loop can never disagree.
+// PCP. The online advisor (src/obs/advisor.h), the adaptive compaction
+// scheduler (src/compaction/scheduler.h) and the fleet arbiter
+// (src/shard/arbiter.h) all take it from Prescribe(), so report and
+// control loop can never disagree.
 struct Prescription {
-  enum Procedure { kSCP = 0, kPCP = 1, kSPPCP = 2, kCPPCP = 3 };
-
-  Procedure procedure = kPCP;
+  CompactionMode procedure = CompactionMode::kPCP;
   int k = 1;                 // stripe width (S-PPCP) or workers (C-PPCP)
   bool cpu_bound = false;    // IsCpuBound(t) at evaluation time
-  double gain_vs_pcp = 1.0;  // ideal speedup of `procedure` over Eq. 2
+  double gain_vs_pcp = 1.0;  // ideal speedup over Eq. 2 (1.0: PCP, SCP)
   const char* reason = "";   // one-line rationale, static storage
 };
 
-const char* PrescriptionProcedureName(Prescription::Procedure procedure);
-
 // A stage-parallel procedure (S-PPCP/C-PPCP) is only worth its extra
 // lanes or workers when its ideal gain over PCP (Eqs. 5/7) reaches this
-// factor; below it the model says added parallelism is churn. Shared by
-// the per-DB scheduler and the fleet arbiter.
+// factor; below it the model says added parallelism is churn.
 constexpr double kMinParallelGain = 1.1;
 
+// Below this Eq. 3 ideal speedup pipelining overlaps essentially nothing
+// (one stage is the whole job) and only pays queue handoffs, so the
+// sequential procedure (Eq. 1) is prescribed instead.
+constexpr double kMinPipelineGain = 1.02;
+
 // Evaluates Eqs. 1-7 on `t` and picks the procedure §III-C prescribes:
-// a compute bottleneck wants C-PPCP at its Eq. 6 saturation k, an I/O
-// bottleneck wants S-PPCP at its Eq. 4 saturation k. A parallel variant
-// is only prescribed when its ideal gain over PCP reaches
-// kMinParallelGain; `max_k` caps the saturation k (<= 0 = uncapped), and
-// the gain is re-evaluated at the capped k so an out-of-reach saturation
-// point cannot justify a switch.
-Prescription Prescribe(const StepTimes& t, int max_k = 0);
+// SCP when Eq. 3 falls under kMinPipelineGain; otherwise a compute
+// bottleneck wants C-PPCP at its Eq. 6 saturation k, capped at
+// `max_workers`, and an I/O bottleneck wants S-PPCP at its Eq. 4
+// saturation k, capped at `max_lanes` (a cap <= 0 is no cap). The gain
+// is evaluated at the capped k, and a parallel variant whose gain does
+// not reach kMinParallelGain falls back to plain PCP, so an out-of-reach
+// saturation point cannot justify a switch.
+Prescription Prescribe(const StepTimes& t, int max_lanes = 0,
+                       int max_workers = 0);
 
 // Fleet-wide resource pool the arbiter divides among concurrent
 // compactions. A lane is one unit of I/O parallelism (a stripe device in
@@ -123,7 +127,7 @@ struct FleetAllocation {
 
 // Generalizes Prescribe() to K concurrent jobs competing for one
 // FleetBudget. Every job first gets the Eq. 2 floor (1 lane + 1 worker;
-// SCP instead if Eq. 3 says pipelining is churn). Remaining units go one
+// SCP instead if Eq. 3 falls under kMinPipelineGain). Remaining units go one
 // at a time to the job whose next unit buys the largest marginal Eq. 4 /
 // Eq. 6 bandwidth gain — I/O-bound jobs compete for lanes (S-PPCP),
 // CPU-bound jobs for workers (C-PPCP). A job whose final allocation does

@@ -13,8 +13,11 @@ double ToMbps(double bps) { return bps / (1024.0 * 1024.0); }
 
 }  // namespace
 
-BottleneckAdvisor::BottleneckAdvisor(double decay)
-    : decay_(std::clamp(decay, 1e-3, 1.0)) {}
+BottleneckAdvisor::BottleneckAdvisor(int max_lanes, int max_workers,
+                                     double decay)
+    : max_lanes_(max_lanes),
+      max_workers_(max_workers),
+      decay_(std::clamp(decay, 1e-3, 1.0)) {}
 
 void BottleneckAdvisor::AddJob(const StepProfile& profile) {
   if (profile.subtasks == 0 || profile.wall_nanos == 0) return;
@@ -123,16 +126,15 @@ std::string BottleneckAdvisor::ToJson() const {
                            : 0.0,
               1);
 
-  // §III-C prescription: add parallelism to the limiting stage. A
-  // compute bottleneck wants C-PPCP compute workers (Eq. 6); an I/O
-  // bottleneck wants S-PPCP striping (Eq. 4). When neither parallel
-  // variant beats plain PCP by a margin, say so instead of churning.
-  // The same model::Prescribe drives the adaptive compaction scheduler
-  // (src/compaction/scheduler.h), so this report IS the control loop's
-  // input, not a parallel reimplementation of it.
-  const model::Prescription rec = model::Prescribe(t);
+  // §III-C prescription: add parallelism to the limiting stage, capped
+  // at the engine's limits, or fall back to PCP / SCP when that buys
+  // nothing. The adaptive compaction scheduler (src/compaction/
+  // scheduler.h) calls the same model::Prescribe with the same caps, so
+  // this report IS the control loop's target.
+  const model::Prescription rec =
+      model::Prescribe(t, max_lanes_, max_workers_);
   w.Key("recommendation").BeginObject();
-  w.Key("procedure").String(model::PrescriptionProcedureName(rec.procedure));
+  w.Key("procedure").String(CompactionModeName(rec.procedure));
   w.Key("k").Int(rec.k);
   w.Key("ideal_speedup_vs_pcp").Double(rec.gain_vs_pcp, 2);
   w.Key("reason").String(rec.reason);

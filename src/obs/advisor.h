@@ -11,8 +11,11 @@
 //   * the predicted bandwidth of every procedure — B_scp (Eq. 1),
 //     B_pcp (Eq. 2), B_s-ppcp (Eq. 4) and B_c-ppcp (Eq. 6) at their
 //     saturation k — next to the bandwidth actually measured;
-//   * the recommended procedure and parallelism k: the paper's §III-C
-//     prescription of adding parallelism to whichever stage limits Eq. 2.
+//   * the recommended procedure and parallelism k: model::Prescribe, the
+//     paper's §III-C prescription of adding parallelism to whichever
+//     stage limits Eq. 2, called with the engine's per-job caps exactly as
+//     the adaptive CompactionScheduler calls it, so the recommendation is
+//     the scheduler's target for the same profile.
 //
 // Exposed as DB::GetProperty("pipelsm.advisor"); the DB feeds it through
 // its internal EventListener. Thread-safe: AddJob and ToJson may race.
@@ -29,9 +32,13 @@ namespace pipelsm::obs {
 
 class BottleneckAdvisor {
  public:
-  // `decay` is the weight of the newest job in the running profile
-  // (0 < decay <= 1); 0.3 keeps ~the last half-dozen jobs relevant.
-  explicit BottleneckAdvisor(double decay = 0.3);
+  // `max_lanes` / `max_workers` cap the recommended S-PPCP / C-PPCP k
+  // (the engine's Options::max_stripe_width / max_compute_workers; <= 0
+  // is no cap). `decay` is the weight of the newest job in the running
+  // profile (0 < decay <= 1); 0.3 keeps ~the last half-dozen jobs
+  // relevant.
+  explicit BottleneckAdvisor(int max_lanes = 0, int max_workers = 0,
+                             double decay = 0.3);
 
   BottleneckAdvisor(const BottleneckAdvisor&) = delete;
   BottleneckAdvisor& operator=(const BottleneckAdvisor&) = delete;
@@ -57,6 +64,8 @@ class BottleneckAdvisor {
  private:
   static const char* RegimeOf(uint64_t jobs, const model::StepTimes& t);
 
+  const int max_lanes_;
+  const int max_workers_;
   const double decay_;
   mutable std::mutex mu_;
   uint64_t jobs_ = 0;

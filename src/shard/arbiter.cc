@@ -44,26 +44,11 @@ namespace {
 // Force-grant a waiter after it has been passed over this many times.
 constexpr int kMaxPassovers = 3;
 
-CompactionMode ModeOf(model::Prescription::Procedure procedure) {
-  switch (procedure) {
-    case model::Prescription::kSCP:
-      return CompactionMode::kSCP;
-    case model::Prescription::kSPPCP:
-      return CompactionMode::kSPPCP;
-    case model::Prescription::kCPPCP:
-      return CompactionMode::kCPPCP;
-    case model::Prescription::kPCP:
-      break;
-  }
-  return CompactionMode::kPCP;
-}
-
 }  // namespace
 
 model::Prescription CompactionArbiter::SoloPrescription(
     const model::StepTimes& t) const {
-  return model::Prescribe(
-      t, model::IsCpuBound(t) ? max_job_workers_ : max_job_lanes_);
+  return model::Prescribe(t, max_job_lanes_, max_job_workers_);
 }
 
 const CompactionArbiter::Waiter* CompactionArbiter::FrontLocked() const {
@@ -132,7 +117,7 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
   g.level = w.request.level;
   g.lanes = std::max(1, mine.lanes);
   g.workers = std::max(1, mine.workers);
-  g.mode = ModeOf(mine.prescription.procedure);
+  g.mode = mine.prescription.procedure;
   g.k = std::max(1, mine.prescription.k);
 
   lanes_in_use_ += g.lanes;
@@ -144,15 +129,10 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
   if (forced) forced_grants_++;
 
   // Shrink accounting: did the fleet hand out less than the job's solo
-  // saturation k (at the same per-job cap)?
-  if (w.request.profile.total() > 0) {
-    const model::Prescription solo = SoloPrescription(w.request.profile);
-    if ((solo.procedure == model::Prescription::kSPPCP ||
-         solo.procedure == model::Prescription::kCPPCP) &&
-        g.k < solo.k) {
-      shrinks_++;
-      if (shrinks_counter_ != nullptr) shrinks_counter_->Add(1);
-    }
+  // saturation k (at the same per-job cap)? A solo PCP or SCP has k = 1.
+  if (g.k < SoloPrescription(w.request.profile).k) {
+    shrinks_++;
+    if (shrinks_counter_ != nullptr) shrinks_counter_->Add(1);
   }
 
   const uint64_t id = next_grant_id_++;
@@ -168,10 +148,10 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
   CompactionGrant out;
   out.granted = true;
   out.id = id;
-  out.decision.mode = g.mode;
-  out.decision.read_parallelism = g.lanes;
-  out.decision.compute_parallelism = g.workers;
-  out.decision.adaptive = true;
+  out.mode = g.mode;
+  out.read_parallelism = g.lanes;
+  out.compute_parallelism = g.workers;
+  out.adaptive = true;
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "arbiter grant: %s k=%d (%d lanes, %d workers; fleet "
@@ -179,7 +159,7 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
                 CompactionModeName(g.mode), g.k, g.lanes, g.workers,
                 lanes_in_use_, opts_.budget.io_lanes, workers_in_use_,
                 opts_.budget.compute_workers);
-  out.decision.rationale = buf;
+  out.rationale = buf;
   return out;
 }
 
@@ -192,11 +172,9 @@ CompactionGrant CompactionArbiter::Admit(
   Waiter& me = waiters_[seq];
   me.seq = seq;
   me.request = request;
-  // Zero/garbage profiles rank at the PCP floor (gain 1.0): a cold shard
-  // must not outrank warmed-up ones on NaN arithmetic.
-  me.solo_gain = request.profile.total() > 0
-                     ? SoloPrescription(request.profile).gain_vs_pcp
-                     : 1.0;
+  // Zero/garbage profiles prescribe SCP at gain 1.0, the PCP floor's
+  // rank: a cold shard must not outrank warmed-up ones on NaN arithmetic.
+  me.solo_gain = SoloPrescription(request.profile).gain_vs_pcp;
   if (waiting_gauge_ != nullptr) {
     waiting_gauge_->Set(static_cast<int64_t>(waiters_.size()));
   }

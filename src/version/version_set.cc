@@ -524,8 +524,11 @@ class VersionSet::Builder {
     }
   }
 
-  // Save the current state in *v.
-  void SaveTo(Version* v) {
+  // Save the current state in *v. Corruption if the result would put
+  // overlapping files in a level > 0 under leveled style (tiered and
+  // lazy styles stack whole runs in a level by design): a MANIFEST is
+  // input like any other.
+  Status SaveTo(Version* v) {
     BySmallestKey cmp;
     cmp.internal_comparator = &vset_->icmp_;
     for (int level = 0; level < config::kNumLevels; level++) {
@@ -551,37 +554,25 @@ class VersionSet::Builder {
         MaybeAddFile(v, level, *base_iter);
       }
 
-#ifndef NDEBUG
-      // Make sure there is no overlap in levels > 0 (leveled style only;
-      // tiered/lazy styles stack whole runs in a level by design).
-      if (level > 0 && !vset_->overlapping_levels_) {
-        for (size_t i = 1; i < v->files_[level].size(); i++) {
-          const InternalKey& prev_end = v->files_[level][i - 1]->largest;
-          const InternalKey& this_begin = v->files_[level][i]->smallest;
-          if (vset_->icmp_.Compare(prev_end, this_begin) >= 0) {
-            std::fprintf(stderr, "overlapping ranges in same level %s vs. %s\n",
-                         prev_end.DebugString().c_str(),
-                         this_begin.DebugString().c_str());
-            std::abort();
-          }
+      if (level == 0 || vset_->overlapping_levels_) continue;
+      const std::vector<FileMetaData*>& files = v->files_[level];
+      for (size_t i = 1; i < files.size(); i++) {
+        if (vset_->icmp_.Compare(files[i - 1]->largest, files[i]->smallest) >=
+            0) {
+          return Status::Corruption(
+              "overlapping files in level " + std::to_string(level),
+              files[i - 1]->largest.DebugString() + " vs. " +
+                  files[i]->smallest.DebugString());
         }
       }
-#endif
     }
+    return Status::OK();
   }
 
   void MaybeAddFile(Version* v, int level, FileMetaData* f) {
-    if (levels_[level].deleted_files.count(f->number) > 0) {
-      // File is deleted: do nothing.
-    } else {
-      std::vector<FileMetaData*>* files = &v->files_[level];
-      if (level > 0 && !vset_->overlapping_levels_ && !files->empty()) {
-        // Must not overlap.
-        assert(vset_->icmp_.Compare((*files)[files->size() - 1]->largest,
-                                    f->smallest) < 0);
-      }
+    if (levels_[level].deleted_files.count(f->number) == 0) {
       f->refs++;
-      files->push_back(f);
+      v->files_[level].push_back(f);
     }
   }
 };
@@ -639,7 +630,12 @@ Status VersionSet::LogAndApply(VersionEdit* edit, std::mutex* mu) {
   {
     Builder builder(this, current_);
     builder.Apply(edit);
-    builder.SaveTo(v);
+    Status s = builder.SaveTo(v);
+    if (!s.ok()) {
+      obs::Log(info_log_, "version edit rejected: %s", s.ToString().c_str());
+      delete v;
+      return s;
+    }
   }
   Finalize(v);
 
@@ -800,9 +796,13 @@ Status VersionSet::Recover() {
     }
   }
 
-  if (s.ok()) {
-    Version* v = new Version(this);
-    builder.SaveTo(v);
+  Version* v = new Version(this);
+  if (s.ok()) s = builder.SaveTo(v);
+  if (!s.ok()) {
+    obs::Log(info_log_, "MANIFEST %s rejected: %s", dscname.c_str(),
+             s.ToString().c_str());
+    delete v;
+  } else {
     // Install recovered version.
     Finalize(v);
     AppendVersion(v);

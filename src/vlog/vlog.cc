@@ -115,7 +115,7 @@ VlogManager::VlogManager(Env* env, const std::string& dbname,
     gc_runs_counter_ =
         metrics->RegisterCounter("vlog.gc_runs", "Completed GC passes");
     gc_rewritten_counter_ = metrics->RegisterCounter(
-        "vlog.gc_bytes_rewritten", "Live frame bytes GC rewrote");
+        "vlog.gc_bytes_rewritten", "Live value bytes GC rewrote");
     gc_reclaimed_counter_ = metrics->RegisterCounter(
         "vlog.gc_bytes_reclaimed", "Segment bytes GC retired");
     retired_counter_ = metrics->RegisterCounter(
@@ -506,7 +506,8 @@ Status VlogManager::ScanSegment(
 }
 
 void VlogManager::FinishGc(uint64_t segment, bool retire,
-                           SequenceNumber retire_seq) {
+                           SequenceNumber retire_seq,
+                           uint64_t rewritten_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = segments_.find(segment);
   if (it == segments_.end()) return;
@@ -516,6 +517,8 @@ void VlogManager::FinishGc(uint64_t segment, bool retire,
     it->second.retire_seq = retire_seq;
     gc_runs_.fetch_add(1, std::memory_order_relaxed);
     if (gc_runs_counter_ != nullptr) gc_runs_counter_->Add(1);
+    if (gc_rewritten_counter_ != nullptr)
+      gc_rewritten_counter_->Add(rewritten_bytes);
     if (gc_reclaimed_counter_ != nullptr)
       gc_reclaimed_counter_->Add(it->second.size);
   } else {

@@ -144,9 +144,12 @@ class VlogManager {
 
   // End a GC pass. retire=true moves the segment to the pending-retire
   // list; its file is physically deleted by SweepRetired() once no
-  // reader pinned at or below `retire_seq` remains. retire=false just
-  // releases the claim.
-  void FinishGc(uint64_t segment, bool retire, SequenceNumber retire_seq);
+  // reader pinned at or below `retire_seq` remains, and the pass's
+  // `rewritten_bytes` (live value bytes it re-appended and committed)
+  // count toward vlog.gc_bytes_rewritten. retire=false just releases the
+  // claim.
+  void FinishGc(uint64_t segment, bool retire, SequenceNumber retire_seq,
+                uint64_t rewritten_bytes = 0);
 
   // Delete retired segments whose retire sequence is <= min_pinned
   // (pass kMaxSequenceNumber when nothing is pinned).

@@ -1,38 +1,29 @@
-// Adaptive scheduling, end to end: a live DB on a simulated SSD whose
-// workload shifts from small, highly compressible values (little I/O per
-// raw byte, lots of merge/compress work — the CPU-bound regime) to large
-// incompressible values (every byte hits the device — the I/O-bound
-// regime). The CompactionScheduler must track the shift: the executor
-// chosen for the steady-state jobs of each phase must differ, the switch
-// must be visible in GetProperty("pipelsm.scheduler"), and every job's
-// Begin event must carry the scheduler's verdict.
+// Compaction admission, end to end through a live DB. Every job runs
+// exactly what its governor granted: a scripted CompactionGovernor passed
+// through Options::compaction_governor pins the executor and k of each
+// job, and the DB must run them, report them on EVENT compaction_begin,
+// and release every grant. With no governor the DB's own scheduler
+// admits: its adaptive verdicts reach the info LOG, and a static
+// configuration stays pinned. The timing claim (a live phase shift
+// flips the chosen executor) belongs to `bench_adaptive --smoke`; the
+// scheduler's phase flip on injected profiles is unit-tested in
+// tests/compaction/scheduler_test.cc.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/compaction/scheduler.h"
 #include "src/compaction/types.h"
 #include "src/db/db.h"
 #include "src/env/sim_env.h"
 #include "src/obs/event_listener.h"
 #include "src/workload/generator.h"
 #include "tests/obs/json_check.h"
-
-// The phase-shift test is calibrated against real compute speed (the
-// simulated device charges wall time, the compute stages burn CPU);
-// sanitizers inflate compute 2-15x, which moves the regime boundary out
-// of the calibrated window, so that one test is skipped under them.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define PIPELSM_UNDER_SANITIZER 1
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define PIPELSM_UNDER_SANITIZER 1
-#endif
-#endif
 
 namespace pipelsm {
 namespace {
@@ -72,9 +63,59 @@ class DecisionListener : public obs::EventListener {
   std::vector<Decision> decisions_;
 };
 
+// Hands out a fixed script of grants in turn and records every
+// admission and release.
+class ScriptedGovernor : public CompactionGovernor {
+ public:
+  explicit ScriptedGovernor(std::vector<CompactionGrant> script)
+      : script_(std::move(script)) {}
+
+  CompactionGrant Admit(const CompactionAdmissionRequest&,
+                        const std::function<bool()>&) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    CompactionGrant g = script_[granted_.size() % script_.size()];
+    g.granted = true;
+    g.id = granted_.size() + 1;
+    granted_.push_back(g);
+    open_.insert(g.id);
+    return g;
+  }
+
+  void Release(uint64_t grant_id) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    EXPECT_EQ(1u, open_.erase(grant_id)) << "grant " << grant_id;
+  }
+
+  std::vector<CompactionGrant> granted() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return granted_;
+  }
+  size_t open() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return open_.size();
+  }
+
+ private:
+  const std::vector<CompactionGrant> script_;
+  mutable std::mutex mu_;
+  std::vector<CompactionGrant> granted_;
+  std::set<uint64_t> open_;  // granted, not yet released
+};
+
+CompactionGrant Grant(CompactionMode mode, int read_k, int compute_k,
+                      const char* rationale) {
+  CompactionGrant g;
+  g.mode = mode;
+  g.read_parallelism = read_k;
+  g.compute_parallelism = compute_k;
+  g.adaptive = true;
+  g.rationale = rationale;
+  return g;
+}
+
 class AdaptiveDbTest : public ::testing::Test {
  protected:
-  AdaptiveDbTest() : env_(DilatedProfile(DeviceProfile::Ssd(4), 3.0)) {
+  AdaptiveDbTest() : env_(DeviceProfile::Ssd(4)) {
     options_.env = &env_;
     options_.create_if_missing = true;
     options_.compaction_mode = CompactionMode::kPCP;  // static seed choice
@@ -86,16 +127,6 @@ class AdaptiveDbTest : public ::testing::Test {
     options_.write_buffer_size = 16 << 10;
     options_.max_file_size = 16 << 10;
     options_.subtask_bytes = 16 << 10;
-    // Park the compute:I/O regime boundary between the two phases. S1
-    // reads each input table in sub-task-sized windows, and sub-tasks are
-    // sized in stored bytes, so on the 3x-slowed SSD both phases read
-    // ~0.47 ms/sub-task. Undilated compute is ~0.47 ms in phase 1
-    // (10x-compressible values expand tenfold in the merge) and ~0.15 ms
-    // in phase 2, so 2x dilation makes phase 1 compute-bound (0.93 vs
-    // 0.47) and phase 2 I/O-bound (0.3 vs 0.63 before the switch) with
-    // ~2x margin either way against host-speed variation. Measured: any
-    // dilation from 1.2 to 3.5 still flips the executor.
-    options_.compaction_time_dilation = 2.0;
     options_.listeners.push_back(&listener_);
   }
 
@@ -106,17 +137,13 @@ class AdaptiveDbTest : public ::testing::Test {
   }
 
   // One workload phase: `num` values of `value_size` bytes at the given
-  // compressibility, under keys starting with `key_prefix`, then
-  // quiesce. Returns the number of compaction decisions recorded by the
-  // end of the phase.
-  size_t FillPhase(uint64_t num, size_t value_size, double compressibility,
-                   uint32_t seed, const std::string& key_prefix = "") {
+  // compressibility, then quiesce.
+  void FillPhase(uint64_t num, size_t value_size, double compressibility,
+                 uint32_t seed) {
     WorkloadGenerator gen(num, 16, value_size, KeyOrder::kRandom, seed,
                           compressibility);
     for (uint64_t i = 0; i < num; i++) {
-      EXPECT_TRUE(
-          db_->Put(WriteOptions(), key_prefix + gen.Key(i), gen.Value(i))
-              .ok());
+      EXPECT_TRUE(db_->Put(WriteOptions(), gen.Key(i), gen.Value(i)).ok());
       // Quiesce periodically so the phase yields several separate
       // compaction jobs instead of one giant catch-up job at the end.
       if ((i + 1) % (num / 4) == 0) {
@@ -124,7 +151,6 @@ class AdaptiveDbTest : public ::testing::Test {
       }
     }
     EXPECT_TRUE(db_->WaitForCompactions().ok());
-    return listener_.decisions().size();
   }
 
   std::string Property(const std::string& name) {
@@ -139,63 +165,56 @@ class AdaptiveDbTest : public ::testing::Test {
   std::unique_ptr<DB> db_;
 };
 
-TEST_F(AdaptiveDbTest, ValueSizePhaseShiftChangesChosenExecutor) {
-#ifdef PIPELSM_UNDER_SANITIZER
-  GTEST_SKIP() << "regime calibration assumes uninstrumented compute speed";
-#endif
+// The governor's grant is exactly what runs: each job's executor, read
+// and compute k and rationale come from its grant, the job's one
+// compaction_begin line reports them, and every grant is released.
+TEST_F(AdaptiveDbTest, GovernorGrantIsExactlyWhatRuns) {
+  ScriptedGovernor governor({
+      Grant(CompactionMode::kCPPCP, 1, 3, "script: C-PPCP k=3"),
+      Grant(CompactionMode::kSPPCP, 2, 1, "script: S-PPCP k=2"),
+      Grant(CompactionMode::kSCP, 1, 1, "script: SCP"),
+      Grant(CompactionMode::kPCP, 1, 1, "script: PCP"),
+  });
+  options_.compaction_governor = &governor;
   Open();
+  FillPhase(/*num=*/16000, /*value_size=*/100, /*compressibility=*/1.0,
+            /*seed=*/305);
+  db_.reset();  // close: every job finished, LOG complete
 
-  // Phase 1: small, fully compressible values. Compaction inputs shrink
-  // ~10x on disk, so per raw byte the device is cheap and the merge/
-  // compress stages dominate.
-  const size_t phase1_end =
-      FillPhase(/*num=*/16000, /*value_size=*/100, /*compressibility=*/1.0,
-                /*seed=*/301);
-  const std::vector<DecisionListener::Decision> after1 =
-      listener_.decisions();
-  ASSERT_GE(after1.size(), 4u)
-      << "phase 1 must run enough compactions to exit warmup";
+  const std::vector<CompactionGrant> granted = governor.granted();
+  const std::vector<DecisionListener::Decision> ran = listener_.decisions();
+  ASSERT_GE(ran.size(), 4u) << "every scripted executor must run";
+  ASSERT_EQ(granted.size(), ran.size());
+  EXPECT_EQ(0u, governor.open()) << "every grant is released";
 
-  // Phase 2: large, incompressible values. Every raw byte is transferred,
-  // so S1 dominates the dwarfed compute stages. The keys sort after
-  // phase 1's, so phase-2 jobs hold phase-2 data only; interleaved keys
-  // would drag phase 1's compressible data through every early phase-2
-  // merge and keep those jobs compute-bound for thousands of writes.
-  FillPhase(/*num=*/800, /*value_size=*/4096, /*compressibility=*/0.0,
-            /*seed=*/302, /*key_prefix=*/"z");
-  const std::vector<DecisionListener::Decision> all = listener_.decisions();
-  ASSERT_GT(all.size(), phase1_end + 4)
-      << "phase 2 must run enough compactions for the EMA to converge";
-
-  // Every job — both phases — carried the scheduler's verdict.
-  for (const auto& d : all) {
-    EXPECT_FALSE(d.executor.empty());
-    EXPECT_GE(d.read_parallelism, 1);
-    EXPECT_GE(d.compute_parallelism, 1);
-    EXPECT_FALSE(d.rationale.empty());
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(&env_, "/db/LOG", &log).ok());
+  std::vector<std::string> begins;
+  std::istringstream lines(log);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("EVENT compaction_begin") != std::string::npos) {
+      begins.push_back(line);
+    }
   }
+  ASSERT_EQ(granted.size(), begins.size());
 
-  // The steady-state choice of each phase, from its final job.
-  const DecisionListener::Decision& end1 = all[phase1_end - 1];
-  const DecisionListener::Decision& end2 = all.back();
-  EXPECT_TRUE(end1.adaptive) << end1.rationale;
-  EXPECT_TRUE(end2.adaptive) << end2.rationale;
-  EXPECT_NE(end1.executor, end2.executor)
-      << "phase 1 settled on " << end1.executor << " (" << end1.rationale
-      << "); phase 2 must settle elsewhere (" << end2.rationale << ")\n"
-      << "advisor: " << Property("pipelsm.advisor") << "\n"
-      << "scheduler: " << Property("pipelsm.scheduler");
-
-  // The switch shows up in the scheduler report, which must parse.
-  JsonValue v;
-  std::string err;
-  const std::string json = Property("pipelsm.scheduler");
-  ASSERT_TRUE(ParseJson(json, &v, &err)) << err << "\n" << json;
-  EXPECT_NE(nullptr, v.Find("current"));
-  ASSERT_NE(nullptr, v.Find("switches"));
-  EXPECT_GE(v.Find("switches")->number_value, 1);
-  EXPECT_EQ(end2.executor,
-            v.Find("current")->Find("procedure")->string_value);
+  for (size_t i = 0; i < granted.size(); i++) {
+    const CompactionGrant& g = granted[i];
+    SCOPED_TRACE("job " + std::to_string(i) + ": " + g.rationale);
+    EXPECT_EQ(CompactionModeName(g.mode), ran[i].executor);
+    EXPECT_EQ(g.read_parallelism, ran[i].read_parallelism);
+    EXPECT_EQ(g.compute_parallelism, ran[i].compute_parallelism);
+    EXPECT_EQ(g.rationale, ran[i].rationale);
+    EXPECT_TRUE(ran[i].adaptive);
+    const std::string fields =
+        std::string(" executor=") + CompactionModeName(g.mode) +
+        " read_k=" + std::to_string(g.read_parallelism) +
+        " compute_k=" + std::to_string(g.compute_parallelism) + " ";
+    EXPECT_NE(std::string::npos, begins[i].find(fields)) << begins[i];
+    EXPECT_NE(std::string::npos,
+              begins[i].find("rationale=\"" + g.rationale + "\""))
+        << begins[i];
+  }
 }
 
 TEST_F(AdaptiveDbTest, AdaptiveDecisionsReachTheInfoLog) {

@@ -13,7 +13,10 @@
 #include "src/db/options.h"
 #include "src/env/fault_env.h"
 #include "src/env/sim_env.h"
+#include "src/table/comparator.h"
 #include "src/util/random.h"
+#include "src/version/version_edit.h"
+#include "src/wal/log_writer.h"
 #include "src/workload/generator.h"
 
 namespace pipelsm {
@@ -188,6 +191,43 @@ TEST_F(RecoveryTest, MissingTableFileIsCorruption) {
   EXPECT_FALSE(s.ok());
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   delete db;
+}
+
+// A MANIFEST is input like any other: edits that put two overlapping
+// files in L1 under leveled style must fail the reopen with Corruption
+// in every build type, and the LOG must say why.
+TEST_F(RecoveryTest, OverlappingLevelFilesInManifestAreCorruption) {
+  ASSERT_TRUE(env_.CreateDir("/db").ok());
+  VersionEdit new_db;
+  new_db.SetComparatorName(BytewiseComparator()->Name());
+  new_db.SetLogNumber(0);
+  new_db.SetNextFile(20);
+  new_db.SetLastSequence(10);
+  VersionEdit overlap;
+  overlap.AddFile(1, 10, 4096, InternalKey("a", 1, kTypeValue),
+                  InternalKey("m", 2, kTypeValue));
+  overlap.AddFile(1, 11, 4096, InternalKey("k", 3, kTypeValue),
+                  InternalKey("z", 4, kTypeValue));
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env_.NewWritableFile(DescriptorFileName("/db", 1), &file).ok());
+  log::Writer writer(file.get());
+  for (const VersionEdit* edit : {&new_db, &overlap}) {
+    std::string record;
+    edit->EncodeTo(&record);
+    ASSERT_TRUE(writer.AddRecord(record).ok());
+  }
+  ASSERT_TRUE(file->Close().ok());
+  ASSERT_TRUE(SetCurrentFile(&env_, "/db", 1).ok());
+
+  DB* db = nullptr;
+  Status s = DB::Open(options_, "/db", &db);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(nullptr, db);
+  delete db;
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(&env_, InfoLogFileName("/db"), &log).ok());
+  EXPECT_NE(std::string::npos, log.find("overlapping files in level 1"))
+      << log;
 }
 
 TEST_F(RecoveryTest, SequenceNumbersContinueAfterReopen) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace pipelsm::model {
 namespace {
 
@@ -120,6 +122,34 @@ TEST(Model, DescribeMentionsRegime) {
   EXPECT_NE(std::string::npos, d.find("I/O-bound"));
   StepTimes c = Make(0.010, 0.050, 0.010);
   EXPECT_NE(std::string::npos, Describe(c).find("CPU-bound"));
+}
+
+// One Prescribe applies the whole §III-C rule: the cap of the regime's
+// lever, the kMinParallelGain fallback to PCP, and the Eq. 3 fallback to
+// SCP (also for empty and NaN profiles).
+TEST(Model, PrescribeCapsTheRegimeLeverAndFallsBack) {
+  const StepTimes cpu = Make(0.010, 0.080, 0.010);  // saturation k = 8
+  EXPECT_EQ(CompactionMode::kCPPCP, Prescribe(cpu).procedure);
+  EXPECT_EQ(8, Prescribe(cpu).k);
+  EXPECT_EQ(3, Prescribe(cpu, /*max_lanes=*/1, /*max_workers=*/3).k);
+  EXPECT_NEAR(3.0, Prescribe(cpu, 1, 3).gain_vs_pcp, 1e-9);
+
+  const StepTimes io = Make(0.080, 0.010, 0.010);  // saturation k = 8
+  EXPECT_EQ(CompactionMode::kSPPCP, Prescribe(io, 2, 8).procedure);
+  EXPECT_EQ(2, Prescribe(io, 2, 8).k);
+
+  const StepTimes balanced = Make(0.010, 0.010, 0.010);
+  EXPECT_EQ(CompactionMode::kPCP, Prescribe(balanced, 4, 4).procedure);
+
+  // Eq. 3 speedup 1.01: one stage is the whole job.
+  const StepTimes degenerate = Make(0.100, 0.0005, 0.0005);
+  EXPECT_EQ(CompactionMode::kSCP, Prescribe(degenerate, 4, 4).procedure);
+  EXPECT_EQ(1, Prescribe(degenerate, 4, 4).k);
+  EXPECT_EQ(CompactionMode::kSCP, Prescribe(StepTimes()).procedure);
+  StepTimes garbage = cpu;
+  garbage.seconds[kStepSort] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(CompactionMode::kSCP, Prescribe(garbage, 4, 4).procedure);
+  EXPECT_EQ(1.0, Prescribe(garbage, 4, 4).gain_vs_pcp);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 
+#include "src/compaction/scheduler.h"
 #include "src/model/model.h"
 #include "src/util/stopwatch.h"
 #include "tests/obs/json_check.h"
@@ -175,7 +176,7 @@ TEST(BottleneckAdvisor, BalancedPipelineRecommendsPcp) {
 // and the first 1-d, so the profile tracks workload shifts instead of
 // averaging over the DB's whole lifetime.
 TEST(BottleneckAdvisor, DecayedProfileTracksRecentJobs) {
-  BottleneckAdvisor advisor(/*decay=*/0.5);
+  BottleneckAdvisor advisor(0, 0, /*decay=*/0.5);
   advisor.AddJob(MakeProfile(8e-3, 2e-3, 1e-3));
   advisor.AddJob(MakeProfile(4e-3, 2e-3, 1e-3));
   EXPECT_EQ(2u, advisor.jobs());
@@ -210,6 +211,51 @@ TEST(BottleneckAdvisor, ConcurrentAddAndReportStaysParseable) {
   stop.store(true, std::memory_order_relaxed);
   reporter.join();
   EXPECT_EQ(500u, advisor.jobs());
+}
+
+// Report and control loop agree: on every profile of the grid, under
+// both cap settings, the advisor's recommendation {procedure, k} is
+// exactly the target the adaptive scheduler switches to with the same
+// caps — including the Eq. 3-degenerate point (SCP) and points whose
+// saturation k lies above the caps.
+TEST(BottleneckAdvisor, RecommendationIsTheSchedulersTarget) {
+  struct Point {
+    const char* name;
+    double read_ms, compute_ms, write_ms;
+  };
+  const Point grid[] = {
+      {"io-bound", 8, 2, 1},        {"cpu-bound", 2, 10, 1},
+      {"balanced", 3, 3, 3},        {"degenerate", 10, 0.05, 0.05},
+      {"io above caps", 20, 1, 1},  {"cpu above caps", 1, 20, 1},
+  };
+  for (const auto [lanes, workers] : {std::pair{3, 2}, std::pair{8, 8}}) {
+    for (const Point& p : grid) {
+      SCOPED_TRACE(std::string(p.name) + " caps " + std::to_string(lanes) +
+                   "/" + std::to_string(workers));
+      BottleneckAdvisor advisor(lanes, workers);
+      advisor.AddJob(MakeProfile(p.read_ms * 1e-3, p.compute_ms * 1e-3,
+                                 p.write_ms * 1e-3));
+      const JsonValue v = MustParse(advisor);
+      const JsonValue* rec = v.Find("recommendation");
+      ASSERT_NE(nullptr, rec);
+
+      SchedulerOptions o;
+      o.adaptive = true;
+      o.max_stripe_width = lanes;
+      o.max_compute_workers = workers;
+      o.hysteresis_jobs = 1;
+      o.warmup_jobs = 0;
+      CompactionScheduler scheduler(o, nullptr);
+      CompactionAdmissionRequest request;
+      request.profile = advisor.Profile();
+      request.advisor_jobs = advisor.jobs();
+      const CompactionGrant g = scheduler.Admit(request, nullptr);
+      EXPECT_EQ(CompactionModeName(g.mode), Text(*rec, "procedure"));
+      EXPECT_EQ(std::max(g.read_parallelism, g.compute_parallelism),
+                Number(*rec, "k"));
+      EXPECT_LE(Number(*rec, "k"), std::max(lanes, workers));
+    }
+  }
 }
 
 }  // namespace

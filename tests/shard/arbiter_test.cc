@@ -99,15 +99,15 @@ TEST(Arbiter, SecondJobIsShrunkToTheFreeUnits) {
   // Solo, the I/O-bound job saturates at 3 disks and gets them.
   CompactionGrant a = arb.Admit(Request(0, IoBound()), Never);
   ASSERT_TRUE(a.granted);
-  EXPECT_EQ(CompactionMode::kSPPCP, a.decision.mode);
-  EXPECT_EQ(3, a.decision.read_parallelism);
-  EXPECT_TRUE(a.decision.adaptive);
+  EXPECT_EQ(CompactionMode::kSPPCP, a.mode);
+  EXPECT_EQ(3, a.read_parallelism);
+  EXPECT_TRUE(a.adaptive);
 
   // The same job admitted while A runs only finds 1 free lane: granted,
   // but shrunk to the PCP floor — and the shrink is counted.
   CompactionGrant b = arb.Admit(Request(1, IoBound()), Never);
   ASSERT_TRUE(b.granted);
-  EXPECT_EQ(1, b.decision.read_parallelism);
+  EXPECT_EQ(1, b.read_parallelism);
   EXPECT_GE(arb.shrinks(), 1u);
   EXPECT_LE(arb.lanes_in_use(), o.budget.io_lanes);
 

@@ -471,8 +471,8 @@ TEST(ShardedDB, ArbiterGrantsRespectEngineParallelismCaps) {
   CompactionGrant grant =
       db->arbiter()->Admit(request, [] { return false; });
   ASSERT_TRUE(grant.granted);
-  EXPECT_LE(grant.decision.compute_parallelism, 2);
-  EXPECT_LE(grant.decision.read_parallelism, 2);
+  EXPECT_LE(grant.compute_parallelism, 2);
+  EXPECT_LE(grant.read_parallelism, 2);
   EXPECT_LE(db->arbiter()->workers_in_use(), 2);
   EXPECT_LE(db->arbiter()->lanes_in_use(), 2);
   db->arbiter()->Release(grant.id);

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "src/db/filename.h"
 #include "src/db/write_batch.h"
 #include "src/env/sim_env.h"
+#include "src/obs/metrics.h"
 #include "src/shard/sharded_db.h"
 #include "src/table/iterator.h"
 
@@ -215,6 +217,27 @@ TEST_F(VlogDbTest, CompactValueLogRewritesLiveAndDropsDead) {
   }
 
   ExpectEveryVlogFileListed();
+
+  // vlog.gc_bytes_rewritten counts the live value bytes of every
+  // successful pass: the sum of live_bytes over the vlog_gc_end lines.
+  uint64_t counted = 0;
+  for (const obs::MetricSample& m : db_->MetricsHandle()->Snapshot()) {
+    if (m.name == "vlog.gc_bytes_rewritten") counted = m.counter;
+  }
+  db_.reset();  // close: LOG complete
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(&env_, InfoLogFileName("/db"), &log).ok());
+  uint64_t logged = 0;
+  std::istringstream lines(log);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("EVENT vlog_gc_end ") == std::string::npos ||
+        line.find(" status=OK") == std::string::npos) {
+      continue;
+    }
+    logged += std::stoull(line.substr(line.find("live_bytes=") + 11));
+  }
+  EXPECT_GE(counted, (n / 3) * 4096u) << "every survivor was rewritten";
+  EXPECT_EQ(logged, counted) << log;
 }
 
 // Foreground overwrites race full GC sweeps. The commit re-check must
