@@ -28,13 +28,18 @@
 namespace pipelsm::bench {
 namespace {
 
-// Phase calibration, on the 3x-slowed striped SSD with 2x compute
-// dilation. Each phase run alone under static PCP on a 4-core VM gives
-// per-sub-task step times of read 0.42 ms / compute 0.68 ms in phase 1
-// (10x-compressible values expand tenfold in the merge: compute-bound
-// by 1.6x) and read 0.49 ms / compute 0.19 ms in phase 2 (I/O-bound by
-// 2.5x), so each phase sits clear of the regime boundary.
-constexpr double kDeviceDilation = 3.0;
+// Phase calibration, on the 6x-slowed striped SSD with 2x compute
+// dilation. The phases run in order under static PCP on a 4-core VM and
+// give per-sub-task step times of read 0.57 ms / compute 0.92 ms /
+// write 0.43 ms in phase 1 (10x-compressible values expand tenfold in
+// the merge: compute-bound by 1.6x) and read 0.21 ms / compute 0.22 ms /
+// write 0.28 ms in phase 2 (I/O-bound by 1.25x), so each phase sits on
+// its own side of the regime boundary. S1 reads whole device stripes
+// (DESIGN.md decision 12), which took phase 2's read from 0.49 to
+// 0.13 ms at the former 3x slowdown and left it compute-bound; at 5x
+// the smoke run still settled on different procedures, at 7x phase 1
+// sometimes settled on S-PPCP, so 6x is the centre.
+constexpr double kDeviceDilation = 6.0;
 constexpr double kTimeDilation = 2.0;
 constexpr double kGate = 0.90;
 

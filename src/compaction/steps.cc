@@ -39,7 +39,8 @@ WindowedReader::WindowedReader(
     const std::vector<std::shared_ptr<Table>>& inputs,
     const std::vector<SubTaskPlan>& plans)
     : inputs_(inputs),
-      window_bytes_(options.subtask_bytes),
+      window_bytes_(std::max(options.subtask_bytes, options.min_read_bytes)),
+      min_read_bytes_(options.min_read_bytes),
       windowed_(options.coalesce_reads),
       windows_(inputs.size()) {
   for (const SubTaskPlan& plan : plans) {
@@ -102,7 +103,10 @@ Status WindowedReader::ReadRun(size_t begin, size_t end, RawSubTask* out,
     const uint64_t held_end = w.offset + w.data.size();
     if (off < w.offset || off + len > held_end) {
       // Miss: the window restarts at this block, keeping the bytes of it
-      // that are already held, and reads at least a sub-task's worth.
+      // that are already held, and reads at least a window's worth. It
+      // also takes a tail of the table shorter than min_read_bytes: read
+      // on its own, that tail (often one block spilling past a table cut
+      // at max_output_file_size) would pay a whole positioning.
       if (off >= w.offset && off < held_end) {
         w.data.erase(0, off - w.offset);
       } else {
@@ -110,8 +114,8 @@ Status WindowedReader::ReadRun(size_t begin, size_t end, RawSubTask* out,
       }
       w.offset = off;
       const uint64_t from = off + w.data.size();
-      const uint64_t to =
-          std::max(run_end, std::min(w.limit, off + window_bytes_));
+      uint64_t to = std::max(run_end, std::min(w.limit, off + window_bytes_));
+      if (to < w.limit && w.limit - to < min_read_bytes_) to = w.limit;
       std::string tail;
       std::string* dst = w.data.empty() ? &w.data : &tail;
       Status s = table.ReadExtent(from, to - from, dst);

@@ -24,14 +24,20 @@ class Table;
 // it extent by extent would issue one small read per table per sub-task,
 // and re-read boundary blocks listed by two sub-tasks. Instead the reader
 // keeps one window per input table. On a miss it reads
-// [first needed byte, max(end of the request, start + subtask_bytes)),
-// clipped to the table's last planned data byte, so the I/O size is the
-// sub-task size (paper §IV-C), each table is read once per job, and no
+// [first needed byte, max(end of the request, start + window)), clipped
+// to the table's last planned data byte, where window =
+// max(subtask_bytes, min_read_bytes). A read that would leave less than
+// min_read_bytes of the table behind reads on to that last byte, so no
+// short tail becomes a read of its own. With min_read_bytes unset the
+// I/O size is the sub-task size (paper §IV-C); the DB sets it to one
+// device stripe, so small sub-tasks still read every disk of a RAID0 at
+// once. Each table is read once per job, and no
 // read touches the filter, index or footer. A table's window is released
 // after its last planned sub-task has been read, which bounds the job's
-// read-ahead memory to inputs x subtask_bytes. Each window has its own
-// lock, so S-PPCP readers working on different tables never wait on each
-// other. A hit only saves a read: correctness never depends on one.
+// read-ahead memory to inputs x (window + min_read_bytes). Each window
+// has its own lock, so S-PPCP readers working on different tables never
+// wait on each other. A hit only saves a read: correctness never depends
+// on one.
 //
 // With options.coalesce_reads off, every block is its own device read and
 // no window is kept (the per-block ablation).
@@ -65,6 +71,7 @@ class WindowedReader {
 
   const std::vector<std::shared_ptr<Table>>& inputs_;
   const uint64_t window_bytes_;
+  const uint64_t min_read_bytes_;
   const bool windowed_;
   std::vector<Window> windows_;  // one per input table
 };

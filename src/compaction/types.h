@@ -113,10 +113,18 @@ class CompactionSink {
 struct CompactionJobOptions {
   const InternalKeyComparator* icmp = nullptr;
 
-  // Sub-task granularity in (compressed) input bytes. Also the size of
-  // S1's per-table reads, so it bounds a job's read-ahead memory to
-  // inputs x subtask_bytes.
+  // Sub-task granularity in (compressed) input bytes. S1 reads each
+  // input table in windows of max(subtask_bytes, min_read_bytes).
   size_t subtask_bytes = 512 * 1024;
+
+  // Smallest S1 read per input table: windows are at least this long,
+  // and no read leaves a shorter tail of the table for a read of its
+  // own. So a job's read-ahead memory is at most inputs x (window +
+  // min_read_bytes). The DB sets it to its Env's PreferredReadBytes()
+  // (one full stripe on a RAID0), so small sub-tasks still read whole
+  // stripes. 0 (the default, and what the figure benches use) keeps the
+  // I/O size equal to the sub-task size (paper §IV-C).
+  size_t min_read_bytes = 0;
 
   // Output table shape: block size, restart interval, S5 codec, bloom
   // filter policy and partition size (comparator and block_cache are not
@@ -166,9 +174,9 @@ struct CompactionJobOptions {
 
   // Ablation toggle: when false, S1 issues one device read per data block
   // and keeps no read window. When true, S1 reads each input table in
-  // windows of subtask_bytes, the paper's I/O size (§IV-C), so a table is
-  // read once per job whatever the number of overlapping inputs
-  // (WindowedReader in steps.h; bench_ablation A2 measures the gap).
+  // windows of max(subtask_bytes, min_read_bytes), so a table is read once
+  // per job whatever the number of overlapping inputs (WindowedReader in
+  // steps.h; bench_ablation A2 measures the gap).
   bool coalesce_reads = true;
 
   // -------- observability (src/obs, docs/OBSERVABILITY.md) --------

@@ -169,6 +169,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
                                   : raw_options.filter_policy),
       options_(SanitizeOptions(raw_options)),
       dbname_(dbname),
+      min_read_bytes_(env_->PreferredReadBytes()),
       advisor_(SchedulerOptions::FromOptions(options_).max_stripe_width,
                SchedulerOptions::FromOptions(options_).max_compute_workers) {
   // Info log first, so every component built below can report to it:
@@ -178,10 +179,16 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
   } else if (OpenInfoLog(env_, dbname_, &owned_info_log_).ok()) {
     info_log_ = owned_info_log_.get();
   }
-  obs::Log(info_log_, "opening DB %s (mode=%s%s, subtask=%zu KB)",
+  // S1's read window, max(sub-task, the Env's preferred read size), is
+  // logged so an operator can see what the Env reported.
+  obs::Log(info_log_,
+           "opening DB %s (mode=%s%s, subtask=%zu KB, s1_window=%llu KB)",
            dbname_.c_str(), CompactionModeName(options_.compaction_mode),
            options_.adaptive_compaction ? "+adaptive" : "",
-           options_.subtask_bytes >> 10);
+           options_.subtask_bytes >> 10,
+           static_cast<unsigned long long>(
+               std::max<uint64_t>(options_.subtask_bytes, min_read_bytes_) >>
+               10));
 
   if (options_.block_cache == nullptr) {
     owned_block_cache_ = read::NewShardedLRUCache(
@@ -960,6 +967,7 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   CompactionJobOptions base;
   base.icmp = &internal_comparator_;
   base.subtask_bytes = options_.subtask_bytes;
+  base.min_read_bytes = min_read_bytes_;
   base.table = table_options_;
   base.time_dilation = options_.compaction_time_dilation;
   base.metrics = &metrics_registry_;

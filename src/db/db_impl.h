@@ -254,6 +254,9 @@ class DBImpl final : public DB {
   const InternalFilterPolicy internal_filter_policy_;
   const Options options_;
   const std::string dbname_;
+  // Every job's CompactionJobOptions::min_read_bytes: the Env's preferred
+  // read size, asked once at open.
+  const uint64_t min_read_bytes_;
 
   std::unique_ptr<read::Cache> owned_block_cache_;
   TableOptions table_options_;        // derived, for readers/flushes

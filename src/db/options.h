@@ -134,8 +134,10 @@ struct Options {
 
   // Sub-task granularity in input bytes; each sub-task covers one or more
   // data blocks of the upper input. Paper sweeps 64 KB..4 MB; its best PCP
-  // configuration on SSD is 512 KB. Also S1's read size per input table,
-  // so a job holds at most (input tables x subtask_bytes) of read-ahead.
+  // configuration on SSD is 512 KB. S1 reads each input table in windows
+  // of max(subtask_bytes, env->PreferredReadBytes()), so small sub-tasks
+  // still read a full device stripe, and a job holds at most (input
+  // tables x (that window + one stripe)) of read-ahead.
   size_t subtask_bytes = 512 * 1024;
 
   // C-PPCP: number of compute worker threads (1 = plain PCP).

@@ -87,6 +87,12 @@ class Env {
     return Status::OK();
   }
 
+  // The read size at which the storage under this env streams at full
+  // bandwidth, like Linux's queue/optimal_io_size (chunk x data disks on
+  // an md RAID0). Compaction's S1 reads its input tables in windows of at
+  // least this many bytes. 0 (the default) means unknown.
+  virtual uint64_t PreferredReadBytes() { return 0; }
+
   virtual uint64_t NowMicros() = 0;
   virtual void SleepForMicroseconds(int micros) = 0;
 };

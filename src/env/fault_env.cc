@@ -448,6 +448,10 @@ Status FaultInjectionEnv::SyncDir(const std::string& dirname) {
   return s;
 }
 
+uint64_t FaultInjectionEnv::PreferredReadBytes() {
+  return base_->PreferredReadBytes();
+}
+
 uint64_t FaultInjectionEnv::NowMicros() { return base_->NowMicros(); }
 
 void FaultInjectionEnv::SleepForMicroseconds(int micros) {

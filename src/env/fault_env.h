@@ -130,6 +130,7 @@ class FaultInjectionEnv final : public Env {
   Status RenameFile(const std::string& src,
                     const std::string& target) override;
   Status SyncDir(const std::string& dirname) override;
+  uint64_t PreferredReadBytes() override;
   uint64_t NowMicros() override;
   void SleepForMicroseconds(int micros) override;
 

@@ -272,6 +272,13 @@ Status SimEnv::RenameFile(const std::string& src, const std::string& target) {
   return Status::OK();
 }
 
+uint64_t SimEnv::PreferredReadBytes() {
+  const DeviceProfile& p = device_.profile();
+  if (p.is_null()) return 0;
+  return p.stripe_unit_bytes *
+         static_cast<uint64_t>(std::max(1, p.stripe_count));
+}
+
 uint64_t SimEnv::NowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())

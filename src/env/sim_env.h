@@ -46,6 +46,9 @@ class SimEnv final : public Env {
   Status RenameFile(const std::string& src,
                     const std::string& target) override;
 
+  // One full stripe (stripe_unit_bytes x stripe_count) of a timed
+  // device; 0 for DeviceProfile::Null().
+  uint64_t PreferredReadBytes() override;
   uint64_t NowMicros() override;
   void SleepForMicroseconds(int micros) override;
 

@@ -54,8 +54,9 @@ class Table {
   Status ReadRaw(const class BlockHandle& handle, struct RawBlock* out) const;
   // One device read of [offset, offset+size); a short read is Corruption.
   // S1 fills its per-table windows with it (WindowedReader in
-  // src/compaction/steps.h), whose reads are sub-task-sized ("the I/O
-  // size is equal to the sub-task size", paper §IV-C).
+  // src/compaction/steps.h), in reads of at least a sub-task ("the I/O
+  // size is equal to the sub-task size", paper §IV-C) and, in the DB, at
+  // least one device stripe.
   Status ReadExtent(uint64_t offset, uint64_t size, std::string* out) const;
   const TableOptions& options() const;
 

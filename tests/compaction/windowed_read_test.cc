@@ -2,8 +2,9 @@
 // whose inputs overlap heavily: six upper tables that each span the whole
 // key range over four lower tables, so every sub-task lists blocks from
 // at least seven tables. The window must not change a byte of output,
-// must read each planned byte once with one reader in sub-task-sized
-// I/Os, and must leave S2's checksum and the error paths intact.
+// must read each planned byte once with one reader in window-sized I/Os
+// (the sub-task, or a full device stripe when the job asks for one), and
+// must leave S2's checksum and the error paths intact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,20 +55,69 @@ std::string CaseDir(const char* prefix, const ExecCase& c) {
          std::to_string(c.readers) + "-c" + std::to_string(c.computers);
 }
 
+// Stored bytes each table contributes to `plan`, each block counted once.
+std::map<int, uint64_t> PlannedBytesPerTable(const CompactionPlan& plan) {
+  std::map<int, uint64_t> per_table;
+  std::set<std::pair<int, uint64_t>> seen;
+  for (const SubTaskPlan& p : plan.subtasks) {
+    for (const BlockRead& br : p.blocks) {
+      if (seen.insert({br.table_index, br.handle.offset()}).second) {
+        per_table[br.table_index] += br.handle.size() + kBlockTrailerSize;
+      }
+    }
+  }
+  return per_table;
+}
+
+// The most device reads a single reader may issue for `plan` in windows
+// of `window` bytes with the job's min_read_bytes = `min_read`. Each read
+// but a table's last covers a window and leaves at least `min_read`
+// bytes behind it, so a table of `bytes` planned bytes takes at most
+// (bytes - min_read) / window + 1 reads, never more than
+// ceil(bytes / window) + 1.
+uint64_t MaxWindowReads(const CompactionPlan& plan, uint64_t window,
+                        uint64_t min_read) {
+  uint64_t max_ops = 0;
+  for (const auto& [table, bytes] : PlannedBytesPerTable(plan)) {
+    max_ops += (bytes > min_read ? bytes - min_read : 0) / window + 1;
+  }
+  return max_ops;
+}
+
+// Concatenated bytes of the output tables `sink` recorded under `dir`.
+Status ReadOutputs(Env* env, const std::string& dir, const CountingSink& sink,
+                   std::string* out) {
+  out->clear();
+  for (const OutputMeta& m : sink.outputs()) {
+    std::string data;
+    Status s = ReadFileToString(
+        env, dir + "/out-" + std::to_string(m.file_number) + ".pst", &data);
+    if (!s.ok()) return s;
+    *out += data;
+  }
+  return Status::OK();
+}
+
 class WindowedReadTest : public ::testing::Test {
  protected:
-  WindowedReadTest() : icmp_(BytewiseComparator()), fault_(&env_) {}
+  explicit WindowedReadTest(DeviceProfile profile = DeviceProfile::Null())
+      : env_(std::move(profile)), icmp_(BytewiseComparator()), fault_(&env_) {}
 
-  void MakeInputs() {
+  // The job inputs, written through `env`; the same on every env.
+  Status GenerateInputs(Env* env, CompactionInputs* inputs) {
     TableGenOptions gen;
-    gen.env = &fault_;
+    gen.env = env;
     gen.icmp = &icmp_;
     gen.upper_bytes = 768 << 10;
     gen.lower_bytes = 1536 << 10;
     gen.upper_tables = kUpperTables;
-    gen.lower_tables = kLowerTables;
-    ASSERT_TRUE(GenerateCompactionInputs(gen, &inputs_).ok());
-    ASSERT_EQ(static_cast<size_t>(kUpperTables + kLowerTables),
+    gen.lower_tables = lower_tables_;
+    return GenerateCompactionInputs(gen, inputs);
+  }
+
+  void MakeInputs() {
+    ASSERT_TRUE(GenerateInputs(&fault_, &inputs_).ok());
+    ASSERT_EQ(static_cast<size_t>(kUpperTables + lower_tables_),
               inputs_.tables.size());
   }
 
@@ -75,6 +125,7 @@ class WindowedReadTest : public ::testing::Test {
     CompactionJobOptions job;
     job.icmp = &icmp_;
     job.subtask_bytes = kSubtaskBytes;
+    job.min_read_bytes = min_read_bytes_;
     job.max_output_file_size = 256 << 10;
     job.read_parallelism = c.readers;
     job.compute_parallelism = c.computers;
@@ -96,21 +147,15 @@ class WindowedReadTest : public ::testing::Test {
     read_ops_ = env_.device()->stats().read_ops.load();
     read_bytes_ = env_.device()->stats().read_bytes.load();
     if (!s.ok()) return s;
-    out->clear();
-    for (const OutputMeta& m : sink.outputs()) {
-      std::string data;
-      s = ReadFileToString(
-          &env_, dir + "/out-" + std::to_string(m.file_number) + ".pst", &data);
-      if (!s.ok()) return s;
-      *out += data;
-    }
-    return Status::OK();
+    return ReadOutputs(&env_, dir, sink, out);
   }
 
   SimEnv env_;
   InternalKeyComparator icmp_;
   FaultInjectionEnv fault_;
+  int lower_tables_ = kLowerTables;
   CompactionInputs inputs_;
+  size_t min_read_bytes_ = 0;  // every job's min_read_bytes
   StepProfile profile_;
   uint64_t read_ops_ = 0;
   uint64_t read_bytes_ = 0;
@@ -139,36 +184,84 @@ TEST_F(WindowedReadTest, OneReaderReadsEachPlannedByteOnce) {
   CompactionPlan plan;
   ASSERT_TRUE(PlanSubTasks(Job(kScp), inputs_.tables, &plan).ok());
 
-  // Planned bytes per table, each block counted once.
-  std::map<int, uint64_t> per_table;
-  std::set<std::pair<int, uint64_t>> seen;
   size_t widest = 0;  // most tables listed by one sub-task
   for (const SubTaskPlan& p : plan.subtasks) {
     std::set<int> tables;
-    for (const BlockRead& br : p.blocks) {
-      tables.insert(br.table_index);
-      if (seen.insert({br.table_index, br.handle.offset()}).second) {
-        per_table[br.table_index] += br.handle.size() + kBlockTrailerSize;
-      }
-    }
+    for (const BlockRead& br : p.blocks) tables.insert(br.table_index);
     widest = std::max(widest, tables.size());
   }
-  ASSERT_EQ(inputs_.tables.size(), per_table.size());
+  ASSERT_EQ(inputs_.tables.size(), PlannedBytesPerTable(plan).size());
   ASSERT_GE(widest, 6u) << "inputs do not overlap enough to fragment S1";
-  uint64_t max_ops = 0;
-  for (const auto& [table, bytes] : per_table) {
-    max_ops += (bytes + kSubtaskBytes - 1) / kSubtaskBytes + 1;
-  }
 
   std::string out;
   ASSERT_TRUE(Run(kScp, /*coalesce=*/false, "/per-block", &out).ok());
   const uint64_t per_block_ops = read_ops_;
 
-  for (const ExecCase& c : {kScp, kPcp}) {
-    ASSERT_TRUE(Run(c, /*coalesce=*/true, CaseDir("/windowed-", c), &out).ok());
-    EXPECT_EQ(plan.input_bytes, read_bytes_) << CompactionModeName(c.mode);
-    EXPECT_LE(read_ops_, max_ops) << CompactionModeName(c.mode);
-    EXPECT_GE(per_block_ops, 5 * read_ops_) << CompactionModeName(c.mode);
+  // Sub-task windows, without and with the short-tail rule.
+  for (size_t min_read : {size_t{0}, kSubtaskBytes}) {
+    min_read_bytes_ = min_read;
+    const uint64_t max_ops = MaxWindowReads(plan, kSubtaskBytes, min_read);
+    for (const ExecCase& c : {kScp, kPcp}) {
+      const std::string dir =
+          CaseDir("/windowed-", c) + "-m" + std::to_string(min_read);
+      ASSERT_TRUE(Run(c, /*coalesce=*/true, dir, &out).ok());
+      EXPECT_EQ(plan.input_bytes, read_bytes_) << dir;
+      EXPECT_LE(read_ops_, max_ops) << dir;
+      EXPECT_GE(per_block_ops, 5 * read_ops_) << dir;
+    }
+  }
+}
+
+// Jobs of the same shape on a 4-disk RAID0 whose stripe unit equals the
+// sub-task size, so a sub-task-sized read lands on one disk. With
+// min_read_bytes set to the env's full stripe, S1 reads every disk at
+// once. The lower component is split in two, so each lower table is
+// longer than one stripe and only a stripe-sized window reads it in one
+// or two reads; the short-tail rule alone would not.
+class StripeWindowTest : public WindowedReadTest {
+ protected:
+  StripeWindowTest() : WindowedReadTest(DeviceProfile::Hdd(4)) {
+    lower_tables_ = 2;
+  }
+};
+
+TEST_F(StripeWindowTest, PcpReadsWholeStripesAndOutputIsUnchanged) {
+  constexpr uint64_t kStripe = 4 * kSubtaskBytes;
+  ASSERT_EQ(kStripe, env_.PreferredReadBytes());
+  ASSERT_EQ(kStripe, fault_.PreferredReadBytes());
+  MakeInputs();
+  CompactionPlan plan;
+  ASSERT_TRUE(PlanSubTasks(Job(kScp), inputs_.tables, &plan).ok());
+
+  std::string out;
+  ASSERT_TRUE(Run(kPcp, /*coalesce=*/true, "/subtask-window", &out).ok());
+  const uint64_t subtask_window_ops = read_ops_;
+
+  min_read_bytes_ = fault_.PreferredReadBytes();
+  ASSERT_TRUE(Run(kPcp, /*coalesce=*/true, "/stripe-window", &out).ok());
+  EXPECT_EQ(plan.input_bytes, read_bytes_);
+  EXPECT_LE(read_ops_, MaxWindowReads(plan, kStripe, kStripe));
+  EXPECT_LT(read_ops_, subtask_window_ops);
+
+  // Per-block SCP on an untimed env over the same generated inputs is the
+  // reference: on the HDD it would pay a seek per block.
+  SimEnv null_env;
+  CompactionInputs null_inputs;
+  ASSERT_TRUE(GenerateInputs(&null_env, &null_inputs).ok());
+  CountingSink ref_sink(&null_env, "/per-block");
+  StepProfile ref_profile;
+  ASSERT_TRUE(NewCompactionExecutor(CompactionMode::kSCP)
+                  ->Run(Job(kScp, /*coalesce=*/false), null_inputs.tables,
+                        &ref_sink, &ref_profile)
+                  .ok());
+  std::string reference;
+  ASSERT_TRUE(ReadOutputs(&null_env, "/per-block", ref_sink, &reference).ok());
+  ASSERT_FALSE(reference.empty());
+  for (const ExecCase& c : kCases) {
+    const std::string dir = CaseDir("/stripe-", c);
+    std::string got;
+    ASSERT_TRUE(Run(c, /*coalesce=*/true, dir, &got).ok()) << dir;
+    EXPECT_TRUE(got == reference) << dir << " output differs";
   }
 }
 
@@ -342,6 +435,38 @@ TEST_F(WindowedReadTest, ReadErrorOnWindowFillInstallsNothing) {
   ASSERT_TRUE(db->WaitForCompactions().ok());
   EXPECT_NE(before_files, FilesByLevel(db.get()));
   EXPECT_EQ(before, scan());
+}
+
+// The DB takes S1's window from its Env, through any wrapper, and says
+// so on its open LOG line: a full stripe on the RAID0, the sub-task on an
+// env that reports no preferred read size.
+TEST(StripeWindowDbTest, OpenLogReportsTheWindowTheEnvGives) {
+  struct Case {
+    DeviceProfile profile;
+    bool wrapped;
+    const char* want;
+  };
+  const Case cases[] = {
+      {DeviceProfile::Hdd(4), false, "subtask=64 KB, s1_window=256 KB"},
+      {DeviceProfile::Hdd(4), true, "subtask=64 KB, s1_window=256 KB"},
+      {DeviceProfile::Null(), true, "subtask=64 KB, s1_window=64 KB"},
+  };
+  for (const Case& c : cases) {
+    SimEnv sim(c.profile);
+    FaultInjectionEnv fault(&sim);
+    Env* env = c.wrapped ? static_cast<Env*>(&fault) : &sim;
+    Options options;
+    options.env = env;
+    options.create_if_missing = true;
+    options.subtask_bytes = kSubtaskBytes;
+    DB* raw = nullptr;
+    ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+    delete raw;
+    std::string log;
+    ASSERT_TRUE(ReadFileToString(&sim, "/db/LOG", &log).ok());
+    EXPECT_NE(std::string::npos, log.find(c.want))
+        << c.profile.name << (c.wrapped ? " wrapped" : "") << ":\n" << log;
+  }
 }
 
 }  // namespace
