@@ -178,18 +178,17 @@ SubcompactionRun RunSubcompaction(int max_subcompactions) {
   // SCP is deliberate: one SCP job is single-threaded, so key-range
   // fan-out is its only source of concurrency and the speedup isolates
   // what splitting itself buys. (Under the pipelined executors a lone
-  // job already spends the granted read/compute budget internally, so
+  // job already spends the granted compute budget internally, so
   // splitting merely redistributes it.) Four stripes + four granted
-  // readers: max_subcompactions=4 runs 4 concurrent SCP pipelines, one
-  // per stripe. The x8 slow-motion domain lets their compute overlap
-  // genuinely on small hosts, as in A3.
+  // workers: max_subcompactions=4 runs 4 concurrent SCP pipelines over
+  // the striped device. The x8 slow-motion domain lets their compute
+  // overlap genuinely on small hosts, as in A3.
   SimEnv env(DilatedProfile(DeviceProfile::Ssd(4), 8.0));
   Options options;
   options.env = &env;
   options.create_if_missing = true;
   options.compaction_mode = CompactionMode::kSCP;
   options.compaction_time_dilation = 8.0;
-  options.io_parallelism = 4;
   options.compute_parallelism = 4;
   options.write_buffer_size = 256 << 10;
   options.max_file_size = 256 << 10;

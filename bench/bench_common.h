@@ -147,7 +147,6 @@ struct DbRun {
 struct DbBenchConfig {
   DeviceProfile device = DeviceProfile::Ssd();
   CompactionMode mode = CompactionMode::kPCP;
-  int read_parallelism = 1;
   int compute_parallelism = 1;
   double time_dilation = 1.0;
 
@@ -179,7 +178,6 @@ inline DbRun RunDbFill(const DbBenchConfig& cfg) {
   options.env = &env;
   options.create_if_missing = true;
   options.compaction_mode = cfg.mode;
-  options.io_parallelism = cfg.read_parallelism;
   options.compute_parallelism = cfg.compute_parallelism;
   options.compaction_time_dilation = cfg.time_dilation;
   options.write_buffer_size = cfg.write_buffer_size;

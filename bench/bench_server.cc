@@ -39,7 +39,7 @@
 //                    server runs one group-commit thread per shard)
 //   --no_arbiter     disable the fleet CompactionArbiter (free-for-all
 //                    baseline for the EXPERIMENTS.md comparison)
-//   --io_lanes=N --compute_workers=N  arbiter budget (defaults 4/4)
+//   --compute_workers=N  arbiter budget (default 4)
 //   --device=posix|hdd|ssd  storage under the DB (default posix). hdd/ssd
 //                    run on SimEnv with the paper's timed device model:
 //                    transfers charge modeled wall time as real sleeps,
@@ -94,7 +94,6 @@ struct Flags {
   int io_threads = 0;  // 0 = auto: one per shard (min 1)
   size_t shards = 1;
   bool arbiter = true;
-  int io_lanes = 4;
   int compute_workers = 4;
   std::string device = "posix";
   int stripes = 4;
@@ -308,7 +307,6 @@ ServedStats ServedFill(const Flags& flags, const std::string& path) {
     shopts.num_shards = flags.shards;
     shopts.boundary_keys = boundaries;
     shopts.enable_arbiter = flags.arbiter;
-    shopts.arbiter.budget.io_lanes = flags.io_lanes;
     shopts.arbiter.budget.compute_workers = flags.compute_workers;
     shard::ShardedDB::Destroy(path, options);
     shard::ShardedDB* raw = nullptr;
@@ -463,7 +461,6 @@ int main(int argc, char** argv) {
         pipelsm::ParseNumFlag(argv[i], "shards", &flags.shards) ||
         pipelsm::ParseNumFlag(argv[i], "io_threads", &flags.io_threads) ||
         pipelsm::ParseNumFlag(argv[i], "group_max", &flags.group_max) ||
-        pipelsm::ParseNumFlag(argv[i], "io_lanes", &flags.io_lanes) ||
         pipelsm::ParseNumFlag(argv[i], "stripes", &flags.stripes) ||
         pipelsm::ParseNumFlag(argv[i], "compute_workers",
                               &flags.compute_workers) ||

@@ -10,9 +10,10 @@ namespace pipelsm {
 
 namespace {
 
+// Indexed by CompactionMode; the scheduler never grants S-PPCP.
 constexpr const char* kModeMetricNames[4] = {
-    "scheduler.choice.scp", "scheduler.choice.pcp",
-    "scheduler.choice.sppcp", "scheduler.choice.cppcp"};
+    "scheduler.choice.scp", "scheduler.choice.pcp", nullptr,
+    "scheduler.choice.cppcp"};
 
 }  // namespace
 
@@ -24,10 +25,8 @@ SchedulerOptions SchedulerOptions::FromOptions(const Options& options) {
   SchedulerOptions s;
   s.adaptive = options.adaptive_compaction;
   s.static_mode = options.compaction_mode;
-  s.static_read_parallelism = std::max(1, options.io_parallelism);
   s.static_compute_parallelism = std::max(1, options.compute_parallelism);
   s.max_compute_workers = std::max(1, options.max_compute_workers);
-  s.max_stripe_width = std::max(1, options.max_stripe_width);
   s.hysteresis_jobs = std::max(1, options.scheduler_hysteresis_jobs);
   s.warmup_jobs = std::max(0, options.scheduler_warmup_jobs);
   return s;
@@ -37,7 +36,6 @@ CompactionScheduler::CompactionScheduler(const SchedulerOptions& options,
                                          obs::MetricsRegistry* metrics)
     : opts_(options) {
   current_.mode = opts_.static_mode;
-  current_.read_parallelism = opts_.static_read_parallelism;
   current_.compute_parallelism = opts_.static_compute_parallelism;
   last_rationale_ = opts_.adaptive ? "no admissions yet"
                                    : "adaptive_compaction off; static choice";
@@ -48,6 +46,7 @@ CompactionScheduler::CompactionScheduler(const SchedulerOptions& options,
         "scheduler.switches",
         "executor/parallelism changes after the hysteresis window filled");
     for (int m = 0; m < 4; m++) {
+      if (kModeMetricNames[m] == nullptr) continue;
       mode_counters_[m] = metrics->RegisterCounter(
           kModeMetricNames[m], std::string("jobs admitted as ") +
                                    CompactionModeName(CompactionMode(m)));
@@ -57,13 +56,11 @@ CompactionScheduler::CompactionScheduler(const SchedulerOptions& options,
 
 CompactionScheduler::Choice CompactionScheduler::Target(
     const model::StepTimes& t, std::string* why) const {
-  const model::Prescription p =
-      model::Prescribe(t, opts_.max_stripe_width, opts_.max_compute_workers);
+  const model::Prescription p = model::Prescribe(t, opts_.max_compute_workers);
   *why = p.reason;
   Choice c;
   c.mode = p.procedure;
-  if (p.procedure == CompactionMode::kSPPCP) c.read_parallelism = p.k;
-  if (p.procedure == CompactionMode::kCPPCP) c.compute_parallelism = p.k;
+  c.compute_parallelism = p.k;
   return c;
 }
 
@@ -73,7 +70,6 @@ CompactionGrant CompactionScheduler::Render(const Choice& choice,
   CompactionGrant g;
   g.granted = true;
   g.mode = choice.mode;
-  g.read_parallelism = choice.read_parallelism;
   g.compute_parallelism = choice.compute_parallelism;
   g.adaptive = adaptive;
   g.rationale = std::move(rationale);
@@ -131,12 +127,12 @@ CompactionGrant CompactionScheduler::Admit(
   }
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "holding %s: %s(r=%d,c=%d) prescribed %d/%d consecutive "
+                "holding %s: %s(k=%d) prescribed %d/%d consecutive "
                 "admissions",
                 CompactionModeName(current_.mode),
                 CompactionModeName(candidate_.mode),
-                candidate_.read_parallelism, candidate_.compute_parallelism,
-                candidate_streak_, opts_.hysteresis_jobs);
+                candidate_.compute_parallelism, candidate_streak_,
+                opts_.hysteresis_jobs);
   last_rationale_ = buf;
   return Render(current_, /*adaptive=*/true, last_rationale_);
 }
@@ -157,7 +153,6 @@ std::string CompactionScheduler::ToJson() const {
   JsonWriter w(&out);
   const auto begin_choice = [&w](const Choice& c) {  // caller closes
     w.BeginObject().Key("procedure").String(CompactionModeName(c.mode));
-    w.Key("read_parallelism").Int(c.read_parallelism);
     w.Key("compute_parallelism").Int(c.compute_parallelism);
   };
   w.BeginObject().Key("adaptive").Bool(opts_.adaptive);
@@ -173,9 +168,7 @@ std::string CompactionScheduler::ToJson() const {
   }
   w.Key("bounds").BeginObject();
   w.Key("compute_workers").BeginArray().Int(1);
-  w.Int(opts_.max_compute_workers).EndArray();
-  w.Key("stripe_width").BeginArray().Int(1);
-  w.Int(opts_.max_stripe_width).EndArray().EndObject();
+  w.Int(opts_.max_compute_workers).EndArray().EndObject();
   w.Key("hysteresis_jobs").Int(opts_.hysteresis_jobs);
   w.Key("warmup_jobs").Int(opts_.warmup_jobs);
   w.Key("rationale").String(last_rationale_).EndObject();

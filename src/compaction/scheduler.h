@@ -3,22 +3,24 @@
 // PR 2's BottleneckAdvisor evaluates the paper's Eqs. 1-7 on a decayed
 // profile of completed compactions and *reports* which procedure §III-C
 // prescribes. This class closes that loop: at every compaction admission
-// the DB asks it which executor (SCP / PCP / S-PPCP / C-PPCP) and which
-// parallelism degree k the *current* profile calls for, so the procedure
-// tracks workload shifts (value size, compressibility, device regime)
-// instead of freezing at DB::Open. The paper's own evaluation is the
-// motivation: the best procedure flips between S-PPCP and C-PPCP as the
-// pipeline moves between I/O- and CPU-bound (Figures 6 and 12).
+// the DB asks it which executor (SCP / PCP / C-PPCP) and how many compute
+// workers k the *current* profile calls for, so the procedure tracks
+// workload shifts (value size, compressibility, device regime) instead of
+// freezing at DB::Open. The paper's own evaluation is the motivation: the
+// best procedure flips between S-PPCP and C-PPCP as the pipeline moves
+// between I/O- and CPU-bound (Figures 6 and 12). S-PPCP is PCP on a
+// striped device, so an I/O-bound profile gets PCP here and its
+// parallelism from the Env.
 //
 // Decision rule per admission, on the advisor's decayed StepTimes t:
 //   1. Before `warmup_jobs` completed compactions (or with adaptive off)
 //      the static Options choice applies verbatim.
-//   2. model::Prescribe(t, max_stripe_width, max_compute_workers) picks
-//      the target: S-PPCP/C-PPCP at the capped Eq. 4/6 saturation k,
-//      plain PCP when neither parallel variant's ideal gain reaches
-//      model::kMinParallelGain, or SCP when even pipelining gains ~nothing
-//      (Eq. 3 speedup below model::kMinPipelineGain). The advisor reports
-//      the same call with the same caps.
+//   2. model::Prescribe(t, max_compute_workers) picks the target: C-PPCP
+//      at the capped Eq. 6 saturation k when compute limits Eq. 2 and the
+//      gain reaches model::kMinParallelGain, plain PCP otherwise, or SCP
+//      when even pipelining gains ~nothing (Eq. 3 speedup below
+//      model::kMinPipelineGain). The advisor reports the same call with
+//      the same cap.
 //   3. Hysteresis: a choice that differs from the current one must be
 //      prescribed on `hysteresis_jobs` *consecutive* admissions before
 //      the scheduler switches, so one noisy profile cannot flap the
@@ -52,13 +54,11 @@ struct SchedulerOptions {
 
   // The static configuration, used before warmup / with adaptive off.
   CompactionMode static_mode = CompactionMode::kPCP;
-  int static_read_parallelism = 1;
   int static_compute_parallelism = 1;
 
-  // Caps on the k the scheduler may choose (Options::max_*); the lower
-  // bound is always 1.
+  // Cap on the k the scheduler may choose (Options::max_compute_workers);
+  // the lower bound is always 1.
   int max_compute_workers = 4;
-  int max_stripe_width = 4;
 
   int hysteresis_jobs = 3;
   int warmup_jobs = 2;
@@ -80,7 +80,7 @@ struct CompactionAdmissionRequest {
   // against expensive rewrites when ordering its queue.
   double predicted_write_amp = 1.0;
   // Value-log garbage collection (docs/VALUE_LOG.md): competes for the
-  // same lane/worker budget as compactions but ranks below every
+  // same worker budget as compactions but ranks below every
   // non-forced compaction — reclaiming dead value bytes is maintenance,
   // shrinking read amplification is not.
   bool is_gc = false;
@@ -96,7 +96,6 @@ struct CompactionGrant {
   bool granted = false;
   uint64_t id = 0;
   CompactionMode mode = CompactionMode::kPCP;
-  int read_parallelism = 1;
   int compute_parallelism = 1;
   bool adaptive = false;     // false: static config or warmup fallback
   std::string rationale;     // one line for EVENT compaction_begin / info
@@ -118,7 +117,7 @@ class CompactionGovernor {
   virtual CompactionGrant Admit(const CompactionAdmissionRequest& request,
                                 const std::function<bool()>& abort) = 0;
 
-  // Returns the grant's lanes/workers to the pool. Must tolerate ids
+  // Returns the grant's workers to the pool. Must tolerate ids
   // from grants already released (no-op) but is called exactly once per
   // successful Admit.
   virtual void Release(uint64_t grant_id) = 0;
@@ -178,12 +177,10 @@ class CompactionScheduler : public CompactionGovernor {
  private:
   struct Choice {
     CompactionMode mode = CompactionMode::kPCP;
-    int read_parallelism = 1;
     int compute_parallelism = 1;
 
     bool operator==(const Choice& o) const {
-      return mode == o.mode && read_parallelism == o.read_parallelism &&
-             compute_parallelism == o.compute_parallelism;
+      return mode == o.mode && compute_parallelism == o.compute_parallelism;
     }
     bool operator!=(const Choice& o) const { return !(*this == o); }
   };

@@ -135,8 +135,7 @@ Status CompactionJob::Run() {
   const uint64_t input_bytes = c_->TotalInputBytes();
   std::vector<std::string> splits;
   uint64_t want = static_cast<uint64_t>(
-      std::min(max_subcompactions_, std::max(grant_.read_parallelism,
-                                             grant_.compute_parallelism)));
+      std::min(max_subcompactions_, grant_.compute_parallelism));
   // Size floor: a sub-range under ~2 sub-tasks of input is thread churn,
   // not parallelism.
   const uint64_t floor_bytes = 2 * static_cast<uint64_t>(base_.subtask_bytes);
@@ -164,7 +163,6 @@ Status CompactionJob::Run() {
   for (int i = 0; i < n; i++) {
     SubJob& sub = subs.emplace_back(this);
     sub.options = base_;
-    sub.options.read_parallelism = std::max(1, grant_.read_parallelism / n);
     sub.options.compute_parallelism =
         std::max(1, grant_.compute_parallelism / n);
     if (i > 0) {
@@ -186,7 +184,6 @@ Status CompactionJob::Run() {
   info.style = style_;
   info.predicted_write_amp = c_->predicted_write_amp();
   info.subcompactions = n;
-  info.read_parallelism = grant_.read_parallelism;
   info.compute_parallelism = grant_.compute_parallelism;
   info.adaptive = grant_.adaptive;
   info.scheduler_rationale = grant_.rationale;

@@ -97,12 +97,12 @@ class DBImpl::EventLogger final : public obs::EventListener {
   void OnCompactionBegin(const obs::CompactionJobInfo& info) override {
     obs::Log(db_->info_log_,
              "EVENT compaction_begin job=%llu level=%d output_level=%d "
-             "style=%s executor=%s read_k=%d compute_k=%d adaptive=%d "
+             "style=%s executor=%s compute_k=%d adaptive=%d "
              "inputs=%d input_bytes=%llu subcompactions=%d "
              "predicted_write_amp=%.2f rationale=\"%s\"",
              static_cast<unsigned long long>(info.job_id), info.level,
              info.output_level, info.style, info.executor,
-             info.read_parallelism, info.compute_parallelism,
+             info.compute_parallelism,
              info.adaptive ? 1 : 0, info.input_files,
              static_cast<unsigned long long>(info.input_bytes),
              info.subcompactions, info.predicted_write_amp,
@@ -170,8 +170,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       options_(SanitizeOptions(raw_options)),
       dbname_(dbname),
       min_read_bytes_(env_->PreferredReadBytes()),
-      advisor_(SchedulerOptions::FromOptions(options_).max_stripe_width,
-               SchedulerOptions::FromOptions(options_).max_compute_workers) {
+      advisor_(SchedulerOptions::FromOptions(options_).max_compute_workers) {
   // Info log first, so every component built below can report to it:
   // the caller-supplied sink, or a LOG file in the DB directory.
   if (options_.info_log != nullptr) {
@@ -1826,6 +1825,13 @@ CompactionMetrics DBImpl::GetCompactionMetrics() {
 Status DB::Open(const Options& options, const std::string& dbname,
                 DB** dbptr) {
   *dbptr = nullptr;
+  if (options.compaction_mode == CompactionMode::kSPPCP) {
+    // DESIGN.md decision 14: the paper's S-PPCP is PCP on a striped Env.
+    return Status::InvalidArgument(
+        "compaction_mode S-PPCP",
+        "run PCP on a striped Env instead; S1 reads a full stripe per "
+        "request");
+  }
 
   DBImpl* impl = new DBImpl(options, dbname);
   std::unique_lock<std::mutex> lock(impl->mutex_);

@@ -2,7 +2,7 @@
 // memtables rotate to an immutable memtable that a background thread
 // dumps to level 0; when a level exceeds its threshold the background
 // thread runs a major compaction through the configured
-// CompactionExecutor (SCP / PCP / S-PPCP / C-PPCP).
+// CompactionExecutor (SCP / PCP / C-PPCP).
 #pragma once
 
 #include <atomic>

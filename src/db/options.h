@@ -28,7 +28,10 @@ class Cache;
 // Which compaction executor drives major compactions (paper §III):
 //   kSCP   — Sequential Compaction Procedure (the LevelDB baseline),
 //   kPCP   — 3-stage Pipelined Compaction Procedure,
-//   kSPPCP — Storage-Parallel PCP (stripe S1/S7 over multiple devices),
+//   kSPPCP — Storage-Parallel PCP: k executor reader threads. A DB runs
+//            the paper's S-PPCP as kPCP on a striped Env (Eq. 4; DESIGN.md
+//            decision 14), so DB::Open rejects this mode; the executor
+//            keeps it for executor-level benches,
 //   kCPPCP — Computation-Parallel PCP (k compute workers).
 enum class CompactionMode { kSCP = 0, kPCP = 1, kSPPCP = 2, kCPPCP = 3 };
 
@@ -127,7 +130,7 @@ struct Options {
   // sub-ranges, each run by its own executor instance in parallel, and
   // installed atomically as one version edit. The effective fan-out is
   // additionally clamped by the admission grant's parallelism budget
-  // (max of granted read/compute k) and by the job's size (each
+  // (its granted compute k) and by the job's size (each
   // sub-range must carry at least two sub-tasks of input). 1 (default) =
   // off; clamped to [1, 16].
   int max_subcompactions = 1;
@@ -143,10 +146,6 @@ struct Options {
   // C-PPCP: number of compute worker threads (1 = plain PCP).
   int compute_parallelism = 1;
 
-  // S-PPCP: number of reader threads issuing S1 concurrently (pair with a
-  // RAID0 device profile so the transfers actually parallelize).
-  int io_parallelism = 1;
-
   // Slow-motion factor for compaction experiments on hosts with fewer
   // cores than the paper's testbed (see CompactionJobOptions::
   // time_dilation). 1.0 = real time.
@@ -159,18 +158,16 @@ struct Options {
   // the bottleneck advisor's decayed step profile at each admission, so
   // the executor tracks whether the pipeline is currently I/O- or
   // CPU-bound instead of freezing compaction_mode at DB::Open. When
-  // false (default), compaction_mode / io_parallelism /
-  // compute_parallelism above apply verbatim to every job.
+  // false (default), compaction_mode / compute_parallelism above apply
+  // verbatim to every job.
   bool adaptive_compaction = false;
 
-  // Caps on the per-job parallelism the scheduler (or, in a ShardedDB,
-  // the fleet arbiter) may grant. The model's saturation k (Eqs. 4/6) is
-  // clamped into [1, cap]: cap max_stripe_width at the real stripe count
-  // of the device (reader threads beyond it just queue on the same
-  // channels) and max_compute_workers at the cores you can spare for
-  // compaction.
+  // Cap on the compute workers the scheduler (or, in a ShardedDB, the
+  // fleet arbiter) may grant one job: the model's Eq. 6 saturation k is
+  // clamped into [1, cap]. Set it to the cores you can spare for
+  // compaction. An I/O-bound job runs PCP; its S1/S7 parallelism comes
+  // from the Env's stripe (Eq. 4), not from extra threads.
   int max_compute_workers = 4;
-  int max_stripe_width = 4;
 
   // Hysteresis window: the scheduler switches executor only after this
   // many consecutive admissions prescribe the same (procedure, k) that
@@ -187,7 +184,7 @@ struct Options {
   // When non-null, every compaction admission goes through this governor
   // instead of the per-DB scheduler: the background thread blocks in
   // CompactionGovernor::Admit() until the fleet hands it an executor + k
-  // within the shared lane/worker budget, and releases the grant when
+  // within the shared compute-worker budget, and releases the grant when
   // the job finishes. ShardedDB wires its CompactionArbiter here for all
   // member shards. Must be thread-safe and outlive the DB; nullptr
   // (default) keeps per-DB admission.

@@ -73,7 +73,7 @@ bool IsCpuBound(const StepTimes& t) {
   return t.compute() >= std::max(t.read(), t.write());
 }
 
-Prescription Prescribe(const StepTimes& t, int max_lanes, int max_workers) {
+Prescription Prescribe(const StepTimes& t, int max_workers) {
   Prescription p;
   p.cpu_bound = IsCpuBound(t);
   // Negated so that an empty or garbage (NaN) profile lands here too.
@@ -84,164 +84,97 @@ Prescription Prescribe(const StepTimes& t, int max_lanes, int max_workers) {
         "pays queue handoffs";
     return p;
   }
-  if (p.cpu_bound) {
-    p.procedure = CompactionMode::kCPPCP;
-    p.k = CppcpSaturationThreads(t);
-    if (max_workers > 0) p.k = std::min(p.k, max_workers);
-    p.gain_vs_pcp = CppcpIdealSpeedup(t, p.k);
+  if (!p.cpu_bound) {
     p.reason =
-        "compute (S2-S6) limits Eq. 2; Eq. 6 says k compute workers lift "
-        "it until I/O saturates";
-  } else {
-    p.procedure = CompactionMode::kSPPCP;
-    p.k = SppcpSaturationDisks(t);
-    if (max_lanes > 0) p.k = std::min(p.k, max_lanes);
-    p.gain_vs_pcp = SppcpIdealSpeedup(t, p.k);
-    p.reason =
-        "I/O limits Eq. 2; Eq. 4 says k striped devices lift it until "
-        "compute saturates";
+        "I/O limits Eq. 2: run PCP and stripe the device; Eq. 4 says k "
+        "disks lift it until compute saturates";
+    return p;
   }
+  p.procedure = CompactionMode::kCPPCP;
+  p.k = CppcpSaturationThreads(t);
+  if (max_workers > 0) p.k = std::min(p.k, max_workers);
+  p.gain_vs_pcp = CppcpIdealSpeedup(t, p.k);
+  p.reason =
+      "compute (S2-S6) limits Eq. 2; Eq. 6 says k compute workers lift it "
+      "until I/O saturates";
   if (p.gain_vs_pcp < kMinParallelGain || PcpBandwidth(t) <= 0) {
     p.procedure = CompactionMode::kPCP;
     p.k = 1;
     p.gain_vs_pcp = 1.0;
     p.reason =
-        "no stage-parallel variant beats Eq. 2 by the margin; stay on the "
-        "3-stage pipeline";
+        "C-PPCP does not beat Eq. 2 by the margin; stay on the 3-stage "
+        "pipeline";
   }
   return p;
 }
 
-namespace {
-
-// Bandwidth of one job under its current allocation (Eq. 2/4/6; Eq. 1
-// for jobs where pipelining is churn).
-double AllocationBandwidth(const StepTimes& t, const FleetAllocation& a) {
-  switch (a.prescription.procedure) {
-    case CompactionMode::kSCP:
-      return ScpBandwidth(t);
-    case CompactionMode::kSPPCP:
-      return SppcpBandwidth(t, a.lanes);
-    case CompactionMode::kCPPCP:
-      return CppcpBandwidth(t, a.workers);
-    case CompactionMode::kPCP:
-      break;
-  }
-  return PcpBandwidth(t);
-}
-
-void DemoteToFloor(const StepTimes& t, FleetAllocation* a) {
-  a->lanes = 1;
-  a->workers = 1;
-  a->prescription.k = 1;
-  a->prescription.gain_vs_pcp = 1.0;
-  // Where pipelining itself is churn (or the profile is empty): Eq. 1.
-  const bool churn = !(PcpIdealSpeedup(t) >= kMinPipelineGain);
-  a->prescription.procedure =
-      churn ? CompactionMode::kSCP : CompactionMode::kPCP;
-  a->prescription.reason =
-      churn ? "Eq. 3 gain under 2%; the 3-stage pipeline is churn here"
-            : "fleet floor: 1 lane + 1 worker runs the Eq. 2 pipeline";
-}
-
-}  // namespace
-
 std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
                                             const FleetBudget& budget) {
   std::vector<FleetAllocation> out(jobs.size());
-  const int max_jobs =
-      std::max(0, std::min(budget.io_lanes, budget.compute_workers));
-  const size_t admitted = std::min(jobs.size(), size_t(max_jobs));
+  const size_t admitted =
+      std::min(jobs.size(), size_t(std::max(0, budget.compute_workers)));
 
-  // Floor pass: every admitted job holds 1 lane + 1 worker; overflow jobs
+  // Floor pass: every admitted job holds 1 worker and runs its 1-worker
+  // prescription (PCP, or SCP where pipelining is churn); overflow jobs
   // get k=0 so the caller knows to queue them.
+  const auto floor = [&](size_t i) {
+    out[i].workers = 1;
+    out[i].prescription = Prescribe(jobs[i], 1);
+  };
+  std::vector<bool> eligible(admitted);
   for (size_t i = 0; i < out.size(); i++) {
     if (i < admitted) {
-      out[i].prescription.cpu_bound = IsCpuBound(jobs[i]);
-      DemoteToFloor(jobs[i], &out[i]);
+      floor(i);
+      // Only a CPU-bound pipeline has a use for another worker (Eq. 6).
+      eligible[i] = out[i].prescription.procedure != CompactionMode::kSCP &&
+                    out[i].prescription.cpu_bound;
     } else {
-      out[i].lanes = 0;
       out[i].workers = 0;
       out[i].prescription.k = 0;
       out[i].prescription.reason =
-          "fleet budget exhausted: min(io_lanes, compute_workers) jobs "
-          "already hold their floor";
+          "fleet budget exhausted: compute_workers jobs already hold their "
+          "floor";
     }
   }
 
-  // Greedy upgrade pass: hand out remaining units one at a time to the
-  // largest marginal bandwidth gain. A job's bottleneck regime fixes the
-  // dimension it competes in (Eq. 4 wants lanes, Eq. 6 wants workers);
-  // SCP-floored jobs are not upgraded (their pipeline gain is churn).
-  std::vector<bool> eligible(admitted);
-  for (size_t i = 0; i < admitted; i++) {
-    eligible[i] = out[i].prescription.procedure != CompactionMode::kSCP &&
-                  jobs[i].total() > 0;
-  }
+  // Greedy upgrade pass: hand out the remaining workers one at a time to
+  // the largest marginal Eq. 6 gain, then demote any job whose share did
+  // not reach kMinParallelGain (its workers may push another job past the
+  // bar, so loop).
   while (true) {
-    int free_lanes = budget.io_lanes;
     int free_workers = budget.compute_workers;
-    for (size_t i = 0; i < admitted; i++) {
-      free_lanes -= out[i].lanes;
-      free_workers -= out[i].workers;
-    }
-    while (free_lanes > 0 || free_workers > 0) {
+    for (size_t i = 0; i < admitted; i++) free_workers -= out[i].workers;
+    while (free_workers > 0) {
       double best_delta = 0;
       size_t best = admitted;
-      bool best_is_lane = false;
       for (size_t i = 0; i < admitted; i++) {
-        if (!eligible[i]) continue;
-        const double now = AllocationBandwidth(jobs[i], out[i]);
-        if (!out[i].prescription.cpu_bound && free_lanes > 0 &&
-            out[i].lanes < SppcpSaturationDisks(jobs[i])) {
-          const double next = SppcpBandwidth(jobs[i], out[i].lanes + 1);
-          if (next - now > best_delta) {
-            best_delta = next - now;
-            best = i;
-            best_is_lane = true;
-          }
+        if (!eligible[i] ||
+            out[i].workers >= CppcpSaturationThreads(jobs[i])) {
+          continue;
         }
-        if (out[i].prescription.cpu_bound && free_workers > 0 &&
-            out[i].workers < CppcpSaturationThreads(jobs[i])) {
-          const double next = CppcpBandwidth(jobs[i], out[i].workers + 1);
-          if (next - now > best_delta) {
-            best_delta = next - now;
-            best = i;
-            best_is_lane = false;
-          }
+        const double delta = CppcpBandwidth(jobs[i], out[i].workers + 1) -
+                             CppcpBandwidth(jobs[i], out[i].workers);
+        if (delta > best_delta) {
+          best_delta = delta;
+          best = i;
         }
       }
-      if (best == admitted) break;  // nothing left worth a unit
+      if (best == admitted) break;  // nothing left worth a worker
       FleetAllocation& a = out[best];
-      if (best_is_lane) {
-        a.lanes++;
-        free_lanes--;
-        a.prescription.procedure = CompactionMode::kSPPCP;
-        a.prescription.k = a.lanes;
-        a.prescription.gain_vs_pcp = SppcpIdealSpeedup(jobs[best], a.lanes);
-        a.prescription.reason =
-            "fleet share of Eq. 4: lanes granted while their marginal "
-            "bandwidth led the fleet";
-      } else {
-        a.workers++;
-        free_workers--;
-        a.prescription.procedure = CompactionMode::kCPPCP;
-        a.prescription.k = a.workers;
-        a.prescription.gain_vs_pcp = CppcpIdealSpeedup(jobs[best], a.workers);
-        a.prescription.reason =
-            "fleet share of Eq. 6: workers granted while their marginal "
-            "bandwidth led the fleet";
-      }
+      a.workers++;
+      free_workers--;
+      a.prescription.procedure = CompactionMode::kCPPCP;
+      a.prescription.k = a.workers;
+      a.prescription.gain_vs_pcp = CppcpIdealSpeedup(jobs[best], a.workers);
+      a.prescription.reason =
+          "fleet share of Eq. 6: workers granted while their marginal "
+          "bandwidth led the fleet";
     }
-    // Demotion pass: an upgrade that did not reach kMinParallelGain
-    // returns its units (they may push another job past the bar, so
-    // loop).
     bool demoted = false;
     for (size_t i = 0; i < admitted; i++) {
-      if (!eligible[i]) continue;
-      if (out[i].prescription.procedure == CompactionMode::kPCP) continue;
-      if (out[i].prescription.gain_vs_pcp < kMinParallelGain) {
-        DemoteToFloor(jobs[i], &out[i]);
+      if (eligible[i] && out[i].workers > 1 &&
+          out[i].prescription.gain_vs_pcp < kMinParallelGain) {
+        floor(i);
         eligible[i] = false;
         demoted = true;
       }

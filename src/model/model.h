@@ -46,6 +46,7 @@ double PcpBandwidth(const StepTimes& t);
 double PcpIdealSpeedup(const StepTimes& t);
 
 // Eq. 4: B_s-ppcp with k devices = l / max(t_S1/k, compute, t_S7/k).
+// Reported, not prescribed: S-PPCP is PCP on a k-disk striped Env.
 double SppcpBandwidth(const StepTimes& t, int k);
 
 // Eq. 5: ideal S-PPCP speedup over PCP; bounded by
@@ -79,15 +80,15 @@ bool IsCpuBound(const StepTimes& t);
 // control loop can never disagree.
 struct Prescription {
   CompactionMode procedure = CompactionMode::kPCP;
-  int k = 1;                 // stripe width (S-PPCP) or workers (C-PPCP)
+  int k = 1;                 // compute workers (C-PPCP); 1 otherwise
   bool cpu_bound = false;    // IsCpuBound(t) at evaluation time
   double gain_vs_pcp = 1.0;  // ideal speedup over Eq. 2 (1.0: PCP, SCP)
   const char* reason = "";   // one-line rationale, static storage
 };
 
-// A stage-parallel procedure (S-PPCP/C-PPCP) is only worth its extra
-// lanes or workers when its ideal gain over PCP (Eqs. 5/7) reaches this
-// factor; below it the model says added parallelism is churn.
+// C-PPCP is only worth its extra workers when its ideal gain over PCP
+// (Eq. 7) reaches this factor; below it the model says added parallelism
+// is churn.
 constexpr double kMinParallelGain = 1.1;
 
 // Below this Eq. 3 ideal speedup pipelining overlaps essentially nothing
@@ -98,41 +99,35 @@ constexpr double kMinPipelineGain = 1.02;
 // Evaluates Eqs. 1-7 on `t` and picks the procedure §III-C prescribes:
 // SCP when Eq. 3 falls under kMinPipelineGain; otherwise a compute
 // bottleneck wants C-PPCP at its Eq. 6 saturation k, capped at
-// `max_workers`, and an I/O bottleneck wants S-PPCP at its Eq. 4
-// saturation k, capped at `max_lanes` (a cap <= 0 is no cap). The gain
-// is evaluated at the capped k, and a parallel variant whose gain does
-// not reach kMinParallelGain falls back to plain PCP, so an out-of-reach
-// saturation point cannot justify a switch.
-Prescription Prescribe(const StepTimes& t, int max_lanes = 0,
-                       int max_workers = 0);
+// `max_workers` (<= 0 is no cap), and falls back to plain PCP when the
+// gain at the capped k does not reach kMinParallelGain. An I/O bottleneck
+// prescribes PCP: Eq. 4's S-PPCP is PCP on a k-disk striped device, so
+// its lever is the Env's stripe, not the job's threads (the reason says
+// so; SppcpSaturationDisks(t) is the stripe width it asks for).
+Prescription Prescribe(const StepTimes& t, int max_workers = 0);
 
-// Fleet-wide resource pool the arbiter divides among concurrent
-// compactions. A lane is one unit of I/O parallelism (a stripe device in
-// Eq. 4 terms); a worker is one unit of compute parallelism (a core in
-// Eq. 6 terms). Every admitted job holds at least one of each — PCP is a
-// 1-lane/1-worker pipeline — so min(io_lanes, compute_workers) bounds the
-// number of jobs that can run at once.
+// Fleet-wide compute workers the arbiter divides among concurrent
+// compactions. A worker is one unit of compute parallelism (a core in
+// Eq. 6 terms). Every admitted job holds at least one (PCP is a 1-worker
+// pipeline), so compute_workers bounds the number of jobs at once.
 struct FleetBudget {
-  int io_lanes = 4;
   int compute_workers = 4;
 };
 
-// One job's share of the fleet budget. `lanes`/`workers` are the units
-// the job holds (k = max of the two; the non-upgraded dimension stays 1).
+// One job's share of the fleet budget: the workers it holds (k for
+// C-PPCP, 1 otherwise).
 struct FleetAllocation {
   Prescription prescription;
-  int lanes = 1;
   int workers = 1;
 };
 
 // Generalizes Prescribe() to K concurrent jobs competing for one
-// FleetBudget. Every job first gets the Eq. 2 floor (1 lane + 1 worker;
-// SCP instead if Eq. 3 falls under kMinPipelineGain). Remaining units go one
-// at a time to the job whose next unit buys the largest marginal Eq. 4 /
-// Eq. 6 bandwidth gain — I/O-bound jobs compete for lanes (S-PPCP),
-// CPU-bound jobs for workers (C-PPCP). A job whose final allocation does
-// not beat PCP by kMinParallelGain is demoted back to the floor and its
-// units redistributed. If jobs.size() exceeds the budget's job bound the
+// FleetBudget. Every job first gets the Eq. 2 floor (1 worker; SCP
+// instead if Eq. 3 falls under kMinPipelineGain). Remaining workers go
+// one at a time to the CPU-bound job whose next worker buys the largest
+// marginal Eq. 6 bandwidth gain. A job whose final allocation does not
+// beat PCP by kMinParallelGain is demoted back to the floor and its
+// workers redistributed. If jobs.size() exceeds compute_workers the
 // overflow entries get k=0 allocations (caller must queue them).
 std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
                                             const FleetBudget& budget);

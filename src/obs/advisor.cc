@@ -13,10 +13,8 @@ double ToMbps(double bps) { return bps / (1024.0 * 1024.0); }
 
 }  // namespace
 
-BottleneckAdvisor::BottleneckAdvisor(int max_lanes, int max_workers,
-                                     double decay)
-    : max_lanes_(max_lanes),
-      max_workers_(max_workers),
+BottleneckAdvisor::BottleneckAdvisor(int max_workers, double decay)
+    : max_workers_(max_workers),
       decay_(std::clamp(decay, 1e-3, 1.0)) {}
 
 void BottleneckAdvisor::AddJob(const StepProfile& profile) {
@@ -126,13 +124,12 @@ std::string BottleneckAdvisor::ToJson() const {
                            : 0.0,
               1);
 
-  // §III-C prescription: add parallelism to the limiting stage, capped
-  // at the engine's limits, or fall back to PCP / SCP when that buys
-  // nothing. The adaptive compaction scheduler (src/compaction/
-  // scheduler.h) calls the same model::Prescribe with the same caps, so
-  // this report IS the control loop's target.
-  const model::Prescription rec =
-      model::Prescribe(t, max_lanes_, max_workers_);
+  // §III-C prescription: add workers to a limiting compute stage, capped
+  // at the engine's limit, or stay on PCP / SCP when that buys nothing.
+  // The adaptive compaction scheduler (src/compaction/scheduler.h) calls
+  // the same model::Prescribe with the same cap, so this report IS the
+  // control loop's target.
+  const model::Prescription rec = model::Prescribe(t, max_workers_);
   w.Key("recommendation").BeginObject();
   w.Key("procedure").String(CompactionModeName(rec.procedure));
   w.Key("k").Int(rec.k);

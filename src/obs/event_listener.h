@@ -54,7 +54,7 @@ struct CompactionJobInfo {
   uint64_t job_id = 0;
   int level = 0;             // input level
   int output_level = 0;      // install level (level for a self-merge)
-  const char* executor = ""; // "SCP" / "PCP" / "S-PPCP" / "C-PPCP"
+  const char* executor = ""; // "SCP" / "PCP" / "C-PPCP"
   // Which CompactionPicker policy shaped this job (docs/COMPACTION.md)
   // and its predicted bytes-written amplification at pick time.
   const char* style = "leveled";
@@ -62,10 +62,9 @@ struct CompactionJobInfo {
   // Number of disjoint key-range sub-jobs the job runs (1 = not split).
   int subcompactions = 1;
   // The CompactionScheduler's per-job verdict (src/compaction/scheduler.h):
-  // the parallelism the job was granted, whether the choice came from the
-  // adaptive control loop (vs the static Options config), and the
+  // the compute workers the job was granted, whether the choice came from
+  // the adaptive control loop (vs the static Options config), and the
   // scheduler's one-line rationale.
-  int read_parallelism = 1;
   int compute_parallelism = 1;
   bool adaptive = false;
   std::string scheduler_rationale;

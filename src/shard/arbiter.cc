@@ -13,12 +13,9 @@ namespace pipelsm::shard {
 CompactionArbiter::CompactionArbiter(const ArbiterOptions& options,
                                      const Options& engine)
     : opts_(options),
-      max_job_lanes_(SchedulerOptions::FromOptions(engine).max_stripe_width),
       max_job_workers_(
           SchedulerOptions::FromOptions(engine).max_compute_workers) {
   if (opts_.metrics != nullptr) {
-    lanes_gauge_ = opts_.metrics->RegisterGauge(
-        "arbiter.io_lanes_in_use", "fleet I/O lanes currently granted");
     workers_gauge_ = opts_.metrics->RegisterGauge(
         "arbiter.compute_workers_in_use",
         "fleet compute workers currently granted");
@@ -48,7 +45,7 @@ constexpr int kMaxPassovers = 3;
 
 model::Prescription CompactionArbiter::SoloPrescription(
     const model::StepTimes& t) const {
-  return model::Prescribe(t, max_job_lanes_, max_job_workers_);
+  return model::Prescribe(t, max_job_workers_);
 }
 
 const CompactionArbiter::Waiter* CompactionArbiter::FrontLocked() const {
@@ -83,8 +80,7 @@ const CompactionArbiter::Waiter* CompactionArbiter::FrontLocked() const {
 bool CompactionArbiter::EligibleLocked(const Waiter& w) const {
   const Waiter* front = FrontLocked();
   if (front == nullptr || front->seq != w.seq) return false;
-  return lanes_in_use_ + 1 <= opts_.budget.io_lanes &&
-         workers_in_use_ + 1 <= opts_.budget.compute_workers;
+  return workers_in_use_ + 1 <= opts_.budget.compute_workers;
 }
 
 CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
@@ -93,36 +89,24 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
   // the same pool — so one early job cannot swallow units that better
   // jobs just behind it would use.
   model::FleetBudget free;
-  free.io_lanes = opts_.budget.io_lanes - lanes_in_use_;
   free.compute_workers = opts_.budget.compute_workers - workers_in_use_;
 
   std::vector<model::StepTimes> jobs;
   jobs.push_back(w.request.profile);
   for (const auto& [seq, other] : waiters_) {
     if (seq == w.seq) continue;
-    if (int(jobs.size()) >= std::min(free.io_lanes, free.compute_workers)) {
-      break;
-    }
+    if (int(jobs.size()) >= free.compute_workers) break;
     jobs.push_back(other.request.profile);
   }
-  std::vector<model::FleetAllocation> alloc =
-      model::PrescribeFleet(jobs, free);
-  model::FleetAllocation mine = alloc[0];
-  mine.lanes = std::min(mine.lanes, max_job_lanes_);
-  mine.workers = std::min(mine.workers, max_job_workers_);
-  mine.prescription.k = std::max(mine.lanes, mine.workers);
+  const model::FleetAllocation mine = model::PrescribeFleet(jobs, free)[0];
 
   Grant g;
   g.shard_id = w.request.shard_id;
   g.level = w.request.level;
-  g.lanes = std::max(1, mine.lanes);
-  g.workers = std::max(1, mine.workers);
   g.mode = mine.prescription.procedure;
-  g.k = std::max(1, mine.prescription.k);
+  g.workers = std::clamp(mine.workers, 1, max_job_workers_);
 
-  lanes_in_use_ += g.lanes;
   workers_in_use_ += g.workers;
-  peak_lanes_ = std::max(peak_lanes_, lanes_in_use_);
   peak_workers_ = std::max(peak_workers_, workers_in_use_);
   grants_++;
   const bool forced = w.passovers >= kMaxPassovers;
@@ -130,7 +114,7 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
 
   // Shrink accounting: did the fleet hand out less than the job's solo
   // saturation k (at the same per-job cap)? A solo PCP or SCP has k = 1.
-  if (g.k < SoloPrescription(w.request.profile).k) {
+  if (g.workers < SoloPrescription(w.request.profile).k) {
     shrinks_++;
     if (shrinks_counter_ != nullptr) shrinks_counter_->Add(1);
   }
@@ -138,7 +122,6 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
   const uint64_t id = next_grant_id_++;
   running_[id] = g;
 
-  if (lanes_gauge_ != nullptr) lanes_gauge_->Set(lanes_in_use_);
   if (workers_gauge_ != nullptr) workers_gauge_->Set(workers_in_use_);
   if (grants_counter_ != nullptr) grants_counter_->Add(1);
   if (forced_counter_ != nullptr && forced) {
@@ -149,15 +132,12 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
   out.granted = true;
   out.id = id;
   out.mode = g.mode;
-  out.read_parallelism = g.lanes;
   out.compute_parallelism = g.workers;
   out.adaptive = true;
-  char buf[160];
+  char buf[128];
   std::snprintf(buf, sizeof(buf),
-                "arbiter grant: %s k=%d (%d lanes, %d workers; fleet "
-                "%d/%d lanes %d/%d workers in use)",
-                CompactionModeName(g.mode), g.k, g.lanes, g.workers,
-                lanes_in_use_, opts_.budget.io_lanes, workers_in_use_,
+                "arbiter grant: %s k=%d (fleet %d/%d workers in use)",
+                CompactionModeName(g.mode), g.workers, workers_in_use_,
                 opts_.budget.compute_workers);
   out.rationale = buf;
   return out;
@@ -210,10 +190,8 @@ void CompactionArbiter::Release(uint64_t grant_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = running_.find(grant_id);
   if (it == running_.end()) return;
-  lanes_in_use_ -= it->second.lanes;
   workers_in_use_ -= it->second.workers;
   running_.erase(it);
-  if (lanes_gauge_ != nullptr) lanes_gauge_->Set(lanes_in_use_);
   if (workers_gauge_ != nullptr) workers_gauge_->Set(workers_in_use_);
   cv_.notify_all();
 }
@@ -222,20 +200,16 @@ std::string CompactionArbiter::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   JsonWriter w(&out);
-  const auto pool = [&w](const char* name, int budget, int in_use, int peak) {
-    w.Key(name).BeginObject().Key("budget").Int(budget);
-    w.Key("in_use").Int(in_use).Key("peak").Int(peak).EndObject();
-  };
-  w.BeginObject();
-  pool("io_lanes", opts_.budget.io_lanes, lanes_in_use_, peak_lanes_);
-  pool("compute_workers", opts_.budget.compute_workers, workers_in_use_,
-       peak_workers_);
+  w.BeginObject().Key("compute_workers").BeginObject();
+  w.Key("budget").Int(opts_.budget.compute_workers);
+  w.Key("in_use").Int(workers_in_use_).Key("peak").Int(peak_workers_);
+  w.EndObject();
   w.Key("running").BeginArray();
   for (const auto& [id, g] : running_) {
     w.BeginObject().Key("grant").Uint(id).Key("shard").Int(g.shard_id);
     w.Key("level").Int(g.level);
-    w.Key("procedure").String(CompactionModeName(g.mode)).Key("k").Int(g.k);
-    w.Key("lanes").Int(g.lanes).Key("workers").Int(g.workers).EndObject();
+    w.Key("procedure").String(CompactionModeName(g.mode));
+    w.Key("k").Int(g.workers).EndObject();
   }
   w.EndArray().Key("waiting").Uint(waiters_.size());
   w.Key("grants").Uint(grants_).Key("shrinks").Uint(shrinks_);
@@ -243,17 +217,9 @@ std::string CompactionArbiter::ToJson() const {
   return out;
 }
 
-int CompactionArbiter::lanes_in_use() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lanes_in_use_;
-}
 int CompactionArbiter::workers_in_use() const {
   std::lock_guard<std::mutex> lock(mu_);
   return workers_in_use_;
-}
-int CompactionArbiter::peak_lanes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return peak_lanes_;
 }
 int CompactionArbiter::peak_workers() const {
   std::lock_guard<std::mutex> lock(mu_);

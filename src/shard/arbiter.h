@@ -1,18 +1,19 @@
 // CompactionArbiter: fleet-wide compaction admission (docs/SHARDING.md).
 //
-// One arbiter owns a FleetBudget of I/O lanes and compute workers shared
-// by every shard of a ShardedDB. A shard's background thread calls
-// Admit() when it wants to compact; the arbiter ranks the waiting jobs
-// by the Eqs. 1-7 gain model::PrescribeFleet() predicts for them, grants
-// the front-runner an executor + k whose lane/worker cost fits the free
-// budget, and blocks the rest. A grant can be SMALLER than the job's
-// solo Prescribe() k — that is the arbiter shrinking the job to fit the
-// fleet (counted in `shrinks`); the remaining units are effectively
-// revoked until Release() frees them.
+// One arbiter owns a FleetBudget of compute workers shared by every shard
+// of a ShardedDB. A shard's background thread calls Admit() when it wants
+// to compact; the arbiter ranks the waiting jobs by the Eqs. 1-7 gain
+// model::PrescribeFleet() predicts for them, grants the front-runner an
+// executor + k whose worker cost fits the free budget, and blocks the
+// rest. A grant can be SMALLER than the job's solo Prescribe() k — that
+// is the arbiter shrinking the job to fit the fleet (counted in
+// `shrinks`); the remaining workers are effectively revoked until
+// Release() frees them. I/O parallelism is not the arbiter's to hand
+// out: the shards share the Env's stripe (DESIGN.md decision 14).
 //
 // Starvation-freedom: every time a job is granted, every other waiter's
 // passover count rises; a waiter passed over kMaxPassovers (3) times is
-// force-granted the PCP floor (1 lane + 1 worker) as soon as a floor is
+// force-granted the PCP floor (1 worker) as soon as a floor is
 // free, ahead of any higher-gain newcomer. So a long-running big-gain
 // job cannot pin a low-gain shard in the queue forever.
 //
@@ -41,7 +42,7 @@ class MetricsRegistry;
 namespace pipelsm::shard {
 
 struct ArbiterOptions {
-  model::FleetBudget budget;  // io_lanes=4, compute_workers=4
+  model::FleetBudget budget;  // compute_workers=4
 
   // How often a blocked Admit() re-checks its abort predicate.
   uint64_t wait_poll_micros = 10 * 1000;
@@ -53,8 +54,8 @@ struct ArbiterOptions {
 class CompactionArbiter : public CompactionGovernor {
  public:
   // `engine` is the shards' engine configuration: no grant exceeds its
-  // Options::max_stripe_width lanes or max_compute_workers workers, the
-  // same caps one DB's own scheduler applies.
+  // Options::max_compute_workers workers, the same cap one DB's own
+  // scheduler applies.
   explicit CompactionArbiter(const ArbiterOptions& options,
                              const Options& engine = Options());
   ~CompactionArbiter() override;
@@ -67,14 +68,12 @@ class CompactionArbiter : public CompactionGovernor {
   void Release(uint64_t grant_id) override;
 
   // The GetProperty("pipelsm.arbiter") payload: budget, in-use + peak
-  // units, running grants (shard/level/procedure/k/lanes/workers),
-  // waiting count, grant/shrink/forced totals.
+  // workers, running grants (shard/level/procedure/k), waiting
+  // count, grant/shrink/forced totals.
   std::string ToJson() const;
 
   // Test accessors.
-  int lanes_in_use() const;
   int workers_in_use() const;
-  int peak_lanes() const;
   int peak_workers() const;
   uint64_t grants() const;
   uint64_t shrinks() const;
@@ -92,10 +91,8 @@ class CompactionArbiter : public CompactionGovernor {
   struct Grant {
     int shard_id = -1;
     int level = 0;
-    int lanes = 1;
-    int workers = 1;
     CompactionMode mode = CompactionMode::kPCP;
-    int k = 1;
+    int workers = 1;  // the grant's k
   };
 
   // REQUIRES: mu_ held. True iff `w` is the waiter the policy would pick
@@ -110,7 +107,6 @@ class CompactionArbiter : public CompactionGovernor {
   model::Prescription SoloPrescription(const model::StepTimes& t) const;
 
   const ArbiterOptions opts_;
-  const int max_job_lanes_;    // Options::max_stripe_width
   const int max_job_workers_;  // Options::max_compute_workers
 
   mutable std::mutex mu_;
@@ -119,15 +115,12 @@ class CompactionArbiter : public CompactionGovernor {
   std::map<uint64_t, Grant> running_;    // keyed by grant id
   uint64_t next_seq_ = 1;
   uint64_t next_grant_id_ = 1;
-  int lanes_in_use_ = 0;
   int workers_in_use_ = 0;
-  int peak_lanes_ = 0;
   int peak_workers_ = 0;
   uint64_t grants_ = 0;
   uint64_t shrinks_ = 0;
   uint64_t forced_grants_ = 0;
 
-  obs::Gauge* lanes_gauge_ = nullptr;
   obs::Gauge* workers_gauge_ = nullptr;
   obs::Gauge* waiting_gauge_ = nullptr;
   obs::Counter* grants_counter_ = nullptr;

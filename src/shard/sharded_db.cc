@@ -268,10 +268,8 @@ Status ShardedDB::Open(const Options& options, const ShardedOptions& sharded,
   db->write_pool_ = std::make_unique<ThreadPool>(num_shards);
 
   obs::Log(db->info_log_.get(),
-           "EVENT sharded_open shards=%zu arbiter=%d io_lanes=%d "
-           "compute_workers=%d",
+           "EVENT sharded_open shards=%zu arbiter=%d compute_workers=%d",
            num_shards, db->arbiter_ != nullptr ? 1 : 0,
-           sharded.arbiter.budget.io_lanes,
            sharded.arbiter.budget.compute_workers);
 
   *dbptr = db.release();

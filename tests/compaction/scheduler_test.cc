@@ -33,7 +33,7 @@ model::StepTimes Times(double read_s, double compute_s, double write_s) {
   return t;
 }
 
-// HDD regime: reads dominate; Eq. 4 saturation k = ceil(8/2) = 4.
+// HDD regime: reads dominate; Eq. 4 asks for a 4-disk stripe, not threads.
 model::StepTimes IoBound() { return Times(8e-3, 2e-3, 1e-3); }
 // SSD regime: compute dominates; Eq. 6 saturation k = ceil(10/2) = 5.
 model::StepTimes CpuBound() { return Times(2e-3, 10e-3, 1e-3); }
@@ -53,7 +53,6 @@ SchedulerOptions Adaptive(int hysteresis = 1, int warmup = 0) {
   o.adaptive = true;
   o.static_mode = CompactionMode::kPCP;
   o.max_compute_workers = 8;
-  o.max_stripe_width = 8;
   o.hysteresis_jobs = hysteresis;
   o.warmup_jobs = warmup;
   return o;
@@ -62,14 +61,12 @@ SchedulerOptions Adaptive(int hysteresis = 1, int warmup = 0) {
 TEST(CompactionScheduler, StaticPassthroughWhenAdaptiveOff) {
   SchedulerOptions o;
   o.adaptive = false;
-  o.static_mode = CompactionMode::kSPPCP;
-  o.static_read_parallelism = 3;
+  o.static_mode = CompactionMode::kCPPCP;
   o.static_compute_parallelism = 2;
   CompactionScheduler s(o, nullptr);
   for (int i = 0; i < 4; i++) {
-    const CompactionGrant d = Admit(s, CpuBound(), /*advisor_jobs=*/100);
-    EXPECT_EQ(CompactionMode::kSPPCP, d.mode);
-    EXPECT_EQ(3, d.read_parallelism);
+    const CompactionGrant d = Admit(s, IoBound(), /*advisor_jobs=*/100);
+    EXPECT_EQ(CompactionMode::kCPPCP, d.mode);
     EXPECT_EQ(2, d.compute_parallelism);
     EXPECT_FALSE(d.adaptive);
   }
@@ -91,25 +88,29 @@ TEST(CompactionScheduler, WarmupHoldsStaticChoice) {
   EXPECT_TRUE(d.adaptive);
 }
 
-TEST(CompactionScheduler, IoBoundPrescribesSppcpAtSaturationK) {
-  CompactionScheduler s(Adaptive(), nullptr);
+// S-PPCP is PCP on a striped Env: an I/O-bound profile gets PCP with one
+// worker, and the rationale points the operator at the device's stripe.
+TEST(CompactionScheduler, IoBoundPrescribesPcp) {
+  SchedulerOptions o = Adaptive();
+  o.static_mode = CompactionMode::kCPPCP;
+  o.static_compute_parallelism = 4;
+  CompactionScheduler s(o, nullptr);
   // Deterministic: the same profile yields the same verdict every time.
   for (int i = 0; i < 5; i++) {
     const CompactionGrant d = Admit(s, IoBound(), 10);
-    EXPECT_EQ(CompactionMode::kSPPCP, d.mode);
-    EXPECT_EQ(model::SppcpSaturationDisks(IoBound()), d.read_parallelism);
-    EXPECT_EQ(4, d.read_parallelism);  // ceil(max(8,1)/2)
+    EXPECT_EQ(CompactionMode::kPCP, d.mode);
     EXPECT_EQ(1, d.compute_parallelism);
     EXPECT_TRUE(d.adaptive);
+    EXPECT_NE(std::string::npos, d.rationale.find("stripe the device"))
+        << d.rationale;
   }
-  EXPECT_EQ(1u, s.switches());  // PCP -> S-PPCP once, then steady state
+  EXPECT_EQ(1u, s.switches());  // C-PPCP -> PCP once, then steady state
 }
 
 TEST(CompactionScheduler, CpuBoundPrescribesCppcpAtSaturationK) {
   CompactionScheduler s(Adaptive(), nullptr);
   const CompactionGrant d = Admit(s, CpuBound(), 10);
   EXPECT_EQ(CompactionMode::kCPPCP, d.mode);
-  EXPECT_EQ(1, d.read_parallelism);
   EXPECT_EQ(5, d.compute_parallelism);  // ceil(10/max(2,1))
   EXPECT_TRUE(d.adaptive);
 }
@@ -118,7 +119,6 @@ TEST(CompactionScheduler, BalancedProfileStaysOnPcp) {
   CompactionScheduler s(Adaptive(), nullptr);
   const CompactionGrant d = Admit(s, Times(3e-3, 3e-3, 3e-3), 10);
   EXPECT_EQ(CompactionMode::kPCP, d.mode);
-  EXPECT_EQ(1, d.read_parallelism);
   EXPECT_EQ(1, d.compute_parallelism);
   EXPECT_EQ(0u, s.switches());  // PCP was already the static choice
 }
@@ -129,32 +129,28 @@ TEST(CompactionScheduler, DegeneratePipelineFallsBackToScp) {
   CompactionScheduler s(Adaptive(), nullptr);
   const CompactionGrant d = Admit(s, Times(10e-3, 0.05e-3, 0.05e-3), 10);
   EXPECT_EQ(CompactionMode::kSCP, d.mode);
-  EXPECT_EQ(1, d.read_parallelism);
   EXPECT_EQ(1, d.compute_parallelism);
 }
 
 TEST(CompactionScheduler, BoundsClampPrescribedK) {
   SchedulerOptions o = Adaptive();
   o.max_compute_workers = 2;  // saturation says 5
-  o.max_stripe_width = 3;     // saturation says 4
   CompactionScheduler s(o, nullptr);
   EXPECT_EQ(2, Admit(s, CpuBound(), 10).compute_parallelism);
-
-  CompactionScheduler s2(o, nullptr);
-  EXPECT_EQ(3, Admit(s2, IoBound(), 10).read_parallelism);
 }
 
 // The phase shift a live DB sees, on injected profiles: an advisor fed
 // CPU-bound jobs and then I/O-bound ones, decayed as in the DB, drives
 // the scheduler from the static PCP to C-PPCP, and after its profile
-// crosses the regime boundary and the hysteresis window fills, on to
-// S-PPCP (through smaller k while the EMA converges).
+// crosses the regime boundary and the hysteresis window fills, back to
+// PCP (through smaller k while the EMA converges): the I/O-bound phase's
+// parallelism is the Env's stripe.
 TEST(CompactionScheduler, PhaseShiftFlipsTheProcedure) {
   SchedulerOptions o = Adaptive(/*hysteresis=*/2, /*warmup=*/2);
   o.max_compute_workers = 4;
-  o.max_stripe_width = 4;
   CompactionScheduler s(o, nullptr);
-  obs::BottleneckAdvisor advisor(o.max_stripe_width, o.max_compute_workers);
+  obs::BottleneckAdvisor advisor(o.max_compute_workers);
+  std::vector<CompactionMode> procedures;  // each change, in order
   const auto phase = [&](const model::StepTimes& t) {
     StepProfile job;
     job.subtasks = 1;
@@ -167,6 +163,9 @@ TEST(CompactionScheduler, PhaseShiftFlipsTheProcedure) {
     CompactionGrant last;
     for (int i = 0; i < 16; i++) {  // long enough for the EMA to settle
       last = Admit(s, advisor.Profile(), advisor.jobs());
+      if (procedures.empty() || procedures.back() != last.mode) {
+        procedures.push_back(last.mode);
+      }
       advisor.AddJob(job);
     }
     return last;
@@ -177,14 +176,19 @@ TEST(CompactionScheduler, PhaseShiftFlipsTheProcedure) {
   EXPECT_EQ(4, end1.compute_parallelism);
   EXPECT_TRUE(end1.adaptive);
   const CompactionGrant end2 = phase(IoBound());
-  EXPECT_EQ(CompactionMode::kSPPCP, end2.mode) << end2.rationale;
-  EXPECT_EQ(4, end2.read_parallelism);
+  EXPECT_EQ(CompactionMode::kPCP, end2.mode) << end2.rationale;
+  EXPECT_EQ(1, end2.compute_parallelism);
+  EXPECT_TRUE(end2.adaptive);
   EXPECT_GE(s.switches(), 2u);
+  EXPECT_EQ((std::vector<CompactionMode>{CompactionMode::kPCP,
+                                         CompactionMode::kCPPCP,
+                                         CompactionMode::kPCP}),
+            procedures);
 
   JsonValue v;
   std::string err;
   ASSERT_TRUE(ParseJson(s.ToJson(), &v, &err)) << err;
-  EXPECT_EQ("S-PPCP", v.Find("current")->Find("procedure")->string_value);
+  EXPECT_EQ("PCP", v.Find("current")->Find("procedure")->string_value);
 }
 
 TEST(CompactionScheduler, HysteresisRequiresConsecutivePrescriptions) {
@@ -199,13 +203,14 @@ TEST(CompactionScheduler, HysteresisRequiresConsecutivePrescriptions) {
   EXPECT_EQ(1u, s.switches());
 }
 
-// Alternating io-/cpu-bound profiles never accumulate a streak, so the
-// scheduler must hold its current choice forever — no flapping.
+// Alternating profiles that prescribe two different C-PPCP widths (k=5
+// and k=3) never accumulate a streak, so the scheduler must hold its
+// current choice forever — no flapping.
 TEST(CompactionScheduler, NoFlapOnAlternatingProfiles) {
   CompactionScheduler s(Adaptive(/*hysteresis=*/3), nullptr);
   for (int i = 0; i < 12; i++) {
     const CompactionGrant d =
-        Admit(s, i % 2 == 0 ? IoBound() : CpuBound(), 10 + i);
+        Admit(s, i % 2 == 0 ? Times(2e-3, 6e-3, 1e-3) : CpuBound(), 10 + i);
     EXPECT_EQ(CompactionMode::kPCP, d.mode) << "admission " << i;
   }
   EXPECT_EQ(0u, s.switches());
@@ -235,7 +240,6 @@ TEST(CompactionScheduler, DeterministicAcrossInstances) {
     const CompactionGrant da = Admit(a, sequence[i], i);
     const CompactionGrant db = Admit(b, sequence[i], i);
     EXPECT_EQ(da.mode, db.mode) << "admission " << i;
-    EXPECT_EQ(da.read_parallelism, db.read_parallelism) << "admission " << i;
     EXPECT_EQ(da.compute_parallelism, db.compute_parallelism)
         << "admission " << i;
     EXPECT_EQ(da.adaptive, db.adaptive) << "admission " << i;
@@ -289,13 +293,11 @@ TEST(CompactionScheduler, FromOptionsClampsDegenerateBounds) {
   Options options;
   options.adaptive_compaction = true;
   options.max_compute_workers = -3;
-  options.max_stripe_width = 2;
   options.scheduler_hysteresis_jobs = 0;
   options.scheduler_warmup_jobs = -1;
   const SchedulerOptions s = SchedulerOptions::FromOptions(options);
   EXPECT_TRUE(s.adaptive);
   EXPECT_EQ(1, s.max_compute_workers);
-  EXPECT_EQ(2, s.max_stripe_width);
   EXPECT_EQ(1, s.hysteresis_jobs);
   EXPECT_EQ(0, s.warmup_jobs);
 }

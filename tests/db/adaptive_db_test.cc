@@ -36,7 +36,6 @@ class DecisionListener : public obs::EventListener {
  public:
   struct Decision {
     std::string executor;
-    int read_parallelism = 0;
     int compute_parallelism = 0;
     bool adaptive = false;
     std::string rationale;
@@ -45,7 +44,6 @@ class DecisionListener : public obs::EventListener {
   void OnCompactionBegin(const obs::CompactionJobInfo& info) override {
     Decision d;
     d.executor = info.executor;
-    d.read_parallelism = info.read_parallelism;
     d.compute_parallelism = info.compute_parallelism;
     d.adaptive = info.adaptive;
     d.rationale = info.scheduler_rationale;
@@ -102,11 +100,10 @@ class ScriptedGovernor : public CompactionGovernor {
   std::set<uint64_t> open_;  // granted, not yet released
 };
 
-CompactionGrant Grant(CompactionMode mode, int read_k, int compute_k,
+CompactionGrant Grant(CompactionMode mode, int compute_k,
                       const char* rationale) {
   CompactionGrant g;
   g.mode = mode;
-  g.read_parallelism = read_k;
   g.compute_parallelism = compute_k;
   g.adaptive = true;
   g.rationale = rationale;
@@ -121,7 +118,6 @@ class AdaptiveDbTest : public ::testing::Test {
     options_.compaction_mode = CompactionMode::kPCP;  // static seed choice
     options_.adaptive_compaction = true;
     options_.max_compute_workers = 4;
-    options_.max_stripe_width = 4;
     options_.scheduler_hysteresis_jobs = 2;
     options_.scheduler_warmup_jobs = 2;
     options_.write_buffer_size = 16 << 10;
@@ -165,15 +161,14 @@ class AdaptiveDbTest : public ::testing::Test {
   std::unique_ptr<DB> db_;
 };
 
-// The governor's grant is exactly what runs: each job's executor, read
-// and compute k and rationale come from its grant, the job's one
+// The governor's grant is exactly what runs: each job's executor,
+// compute k and rationale come from its grant, the job's one
 // compaction_begin line reports them, and every grant is released.
 TEST_F(AdaptiveDbTest, GovernorGrantIsExactlyWhatRuns) {
   ScriptedGovernor governor({
-      Grant(CompactionMode::kCPPCP, 1, 3, "script: C-PPCP k=3"),
-      Grant(CompactionMode::kSPPCP, 2, 1, "script: S-PPCP k=2"),
-      Grant(CompactionMode::kSCP, 1, 1, "script: SCP"),
-      Grant(CompactionMode::kPCP, 1, 1, "script: PCP"),
+      Grant(CompactionMode::kCPPCP, 3, "script: C-PPCP k=3"),
+      Grant(CompactionMode::kPCP, 1, "script: PCP"),
+      Grant(CompactionMode::kSCP, 1, "script: SCP"),
   });
   options_.compaction_governor = &governor;
   Open();
@@ -183,7 +178,7 @@ TEST_F(AdaptiveDbTest, GovernorGrantIsExactlyWhatRuns) {
 
   const std::vector<CompactionGrant> granted = governor.granted();
   const std::vector<DecisionListener::Decision> ran = listener_.decisions();
-  ASSERT_GE(ran.size(), 4u) << "every scripted executor must run";
+  ASSERT_GE(ran.size(), 3u) << "every scripted executor must run";
   ASSERT_EQ(granted.size(), ran.size());
   EXPECT_EQ(0u, governor.open()) << "every grant is released";
 
@@ -202,13 +197,11 @@ TEST_F(AdaptiveDbTest, GovernorGrantIsExactlyWhatRuns) {
     const CompactionGrant& g = granted[i];
     SCOPED_TRACE("job " + std::to_string(i) + ": " + g.rationale);
     EXPECT_EQ(CompactionModeName(g.mode), ran[i].executor);
-    EXPECT_EQ(g.read_parallelism, ran[i].read_parallelism);
     EXPECT_EQ(g.compute_parallelism, ran[i].compute_parallelism);
     EXPECT_EQ(g.rationale, ran[i].rationale);
     EXPECT_TRUE(ran[i].adaptive);
     const std::string fields =
         std::string(" executor=") + CompactionModeName(g.mode) +
-        " read_k=" + std::to_string(g.read_parallelism) +
         " compute_k=" + std::to_string(g.compute_parallelism) + " ";
     EXPECT_NE(std::string::npos, begins[i].find(fields)) << begins[i];
     EXPECT_NE(std::string::npos,

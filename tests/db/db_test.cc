@@ -10,6 +10,7 @@
 #include "src/db/write_batch.h"
 #include "src/env/sim_env.h"
 #include "src/workload/generator.h"
+#include "tests/db/executor_matrix.h"
 
 namespace pipelsm {
 namespace {
@@ -19,10 +20,9 @@ class DBTest : public ::testing::TestWithParam<CompactionMode> {
   DBTest() {
     options_.env = &env_;
     options_.create_if_missing = true;
-    options_.compaction_mode = GetParam();
+    options_.compaction_mode = test::DbExecutor(GetParam());
     options_.compute_parallelism =
         GetParam() == CompactionMode::kCPPCP ? 3 : 1;
-    options_.io_parallelism = GetParam() == CompactionMode::kSPPCP ? 3 : 1;
     // Small shapes so compactions actually trigger in-test.
     options_.write_buffer_size = 64 << 10;
     options_.max_file_size = 64 << 10;
@@ -53,7 +53,7 @@ class DBTest : public ::testing::TestWithParam<CompactionMode> {
     return value;
   }
 
-  SimEnv env_;
+  SimEnv env_{test::DbDevice(GetParam())};
   Options options_;
   std::unique_ptr<DB> db_;
 };
@@ -260,6 +260,29 @@ TEST_P(DBTest, DestroyDbRemovesFiles) {
   std::vector<std::string> children;
   env_.GetChildren("/db", &children);
   EXPECT_TRUE(children.empty());
+}
+
+// The paper's S-PPCP is PCP on a striped Env (DESIGN.md decision 14): the
+// DB refuses the reader-thread executor, names the replacement, and
+// leaves nothing behind; the same options with PCP open.
+TEST(DBOpenTest, SppcpModeIsRejected) {
+  SimEnv env(test::DbDevice(CompactionMode::kSPPCP));
+  Options options;
+  options.env = &env;
+  options.create_if_missing = true;
+  options.compaction_mode = CompactionMode::kSPPCP;
+  DB* db = nullptr;
+  Status s = DB::Open(options, "/db", &db);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(nullptr, db);
+  EXPECT_NE(std::string::npos, s.ToString().find("PCP on a striped Env"))
+      << s.ToString();
+  EXPECT_FALSE(env.FileExists("/db/CURRENT"));
+
+  options.compaction_mode = CompactionMode::kPCP;
+  s = DB::Open(options, "/db", &db);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  delete db;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, DBTest,

@@ -11,6 +11,7 @@
 #include "src/db/db.h"
 #include "src/env/sim_env.h"
 #include "src/util/random.h"
+#include "tests/db/executor_matrix.h"
 
 namespace pipelsm {
 namespace {
@@ -25,11 +26,9 @@ class DbModelCheck : public ::testing::TestWithParam<ModelParams> {
   DbModelCheck() {
     options_.env = &env_;
     options_.create_if_missing = true;
-    options_.compaction_mode = GetParam().mode;
+    options_.compaction_mode = test::DbExecutor(GetParam().mode);
     options_.compute_parallelism =
         GetParam().mode == CompactionMode::kCPPCP ? 3 : 1;
-    options_.io_parallelism =
-        GetParam().mode == CompactionMode::kSPPCP ? 3 : 1;
     options_.write_buffer_size = 32 << 10;  // rotate often
     options_.max_file_size = 32 << 10;
     options_.subtask_bytes = 8 << 10;
@@ -63,7 +62,7 @@ class DbModelCheck : public ::testing::TestWithParam<ModelParams> {
     ASSERT_EQ(model.end(), m);
   }
 
-  SimEnv env_;
+  SimEnv env_{test::DbDevice(GetParam().mode)};
   Options options_;
   std::unique_ptr<DB> db_;
 };

@@ -18,6 +18,7 @@
 #include "src/version/version_edit.h"
 #include "src/wal/log_writer.h"
 #include "src/workload/generator.h"
+#include "tests/db/executor_matrix.h"
 
 namespace pipelsm {
 namespace {
@@ -489,14 +490,14 @@ TEST_F(FaultRecoveryTest, CrashDuringCurrentInstallKeepsDbOpenable) {
 class CrashMatrixTest : public ::testing::TestWithParam<CompactionMode> {};
 
 TEST_P(CrashMatrixTest, SyncedWritesSurviveRandomCrashPoints) {
-  SimEnv base;
+  SimEnv base(test::DbDevice(GetParam()));
   FaultInjectionEnv fault(&base);
   Options options;
   options.env = &fault;
   options.create_if_missing = true;
   options.write_buffer_size = 8 << 10;
   options.max_file_size = 16 << 10;
-  options.compaction_mode = GetParam();
+  options.compaction_mode = test::DbExecutor(GetParam());
   options.max_background_retries = 1;
   options.background_retry_backoff_micros = 100;
   options.background_retry_backoff_max_micros = 100;

@@ -98,9 +98,8 @@ class SubcompactionDBTest : public ::testing::Test {
     options_.env = &fault_;
     options_.create_if_missing = true;
     options_.compaction_mode = CompactionMode::kPCP;
-    // Four granted readers/computers: the fan-out clamp is
+    // Four granted compute workers: the fan-out clamp is
     // min(max_subcompactions, granted k), so splits actually happen.
-    options_.io_parallelism = 4;
     options_.compute_parallelism = 4;
     options_.max_subcompactions = max_subcompactions;
     // Small shapes so jobs are many files / many subtasks.
@@ -376,7 +375,6 @@ TEST_F(SubcompactionDBTest, SplitComposesWithTieredStyles) {
     options_.env = &fault_;
     options_.create_if_missing = true;
     options_.compaction_mode = CompactionMode::kPCP;
-    options_.io_parallelism = 4;
     options_.compute_parallelism = 4;
     options_.max_subcompactions = 4;
     options_.compaction_style = style;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 namespace pipelsm::model {
 namespace {
@@ -124,32 +126,102 @@ TEST(Model, DescribeMentionsRegime) {
   EXPECT_NE(std::string::npos, Describe(c).find("CPU-bound"));
 }
 
-// One Prescribe applies the whole §III-C rule: the cap of the regime's
-// lever, the kMinParallelGain fallback to PCP, and the Eq. 3 fallback to
-// SCP (also for empty and NaN profiles).
+// One Prescribe applies the whole §III-C rule: the worker cap, the
+// kMinParallelGain fallback to PCP, and the Eq. 3 fallback to SCP (also
+// for empty and NaN profiles).
 TEST(Model, PrescribeCapsTheRegimeLeverAndFallsBack) {
   const StepTimes cpu = Make(0.010, 0.080, 0.010);  // saturation k = 8
   EXPECT_EQ(CompactionMode::kCPPCP, Prescribe(cpu).procedure);
   EXPECT_EQ(8, Prescribe(cpu).k);
-  EXPECT_EQ(3, Prescribe(cpu, /*max_lanes=*/1, /*max_workers=*/3).k);
-  EXPECT_NEAR(3.0, Prescribe(cpu, 1, 3).gain_vs_pcp, 1e-9);
-
-  const StepTimes io = Make(0.080, 0.010, 0.010);  // saturation k = 8
-  EXPECT_EQ(CompactionMode::kSPPCP, Prescribe(io, 2, 8).procedure);
-  EXPECT_EQ(2, Prescribe(io, 2, 8).k);
+  EXPECT_EQ(3, Prescribe(cpu, /*max_workers=*/3).k);
+  EXPECT_NEAR(3.0, Prescribe(cpu, 3).gain_vs_pcp, 1e-9);
+  // One worker is plain PCP: its Eq. 7 gain is 1.0.
+  EXPECT_EQ(CompactionMode::kPCP, Prescribe(cpu, 1).procedure);
 
   const StepTimes balanced = Make(0.010, 0.010, 0.010);
-  EXPECT_EQ(CompactionMode::kPCP, Prescribe(balanced, 4, 4).procedure);
+  EXPECT_EQ(CompactionMode::kPCP, Prescribe(balanced, 4).procedure);
 
   // Eq. 3 speedup 1.01: one stage is the whole job.
   const StepTimes degenerate = Make(0.100, 0.0005, 0.0005);
-  EXPECT_EQ(CompactionMode::kSCP, Prescribe(degenerate, 4, 4).procedure);
-  EXPECT_EQ(1, Prescribe(degenerate, 4, 4).k);
+  EXPECT_EQ(CompactionMode::kSCP, Prescribe(degenerate, 4).procedure);
+  EXPECT_EQ(1, Prescribe(degenerate, 4).k);
   EXPECT_EQ(CompactionMode::kSCP, Prescribe(StepTimes()).procedure);
   StepTimes garbage = cpu;
   garbage.seconds[kStepSort] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(CompactionMode::kSCP, Prescribe(garbage, 4, 4).procedure);
-  EXPECT_EQ(1.0, Prescribe(garbage, 4, 4).gain_vs_pcp);
+  EXPECT_EQ(CompactionMode::kSCP, Prescribe(garbage, 4).procedure);
+  EXPECT_EQ(1.0, Prescribe(garbage, 4).gain_vs_pcp);
+}
+
+// S-PPCP is PCP on a striped device (Eq. 4): an I/O-bound profile is
+// prescribed PCP with one worker whatever the cap, and the reason tells
+// the operator to stripe the device. Eq. 4's disk count stays reported.
+TEST(Model, IoBoundPrescribesPcpAtEveryWorkerCap) {
+  const StepTimes io = Make(0.080, 0.010, 0.010);
+  ASSERT_FALSE(IsCpuBound(io));
+  ASSERT_EQ(8, SppcpSaturationDisks(io));
+  for (int cap : {0, 1, 2, 4, 8, 64}) {
+    SCOPED_TRACE("max_workers " + std::to_string(cap));
+    const Prescription p = Prescribe(io, cap);
+    EXPECT_EQ(CompactionMode::kPCP, p.procedure);
+    EXPECT_EQ(1, p.k);
+    EXPECT_FALSE(p.cpu_bound);
+    EXPECT_EQ(1.0, p.gain_vs_pcp);
+    EXPECT_NE(std::string::npos, std::string(p.reason).find("stripe"))
+        << p.reason;
+    EXPECT_NE(std::string::npos, std::string(p.reason).find("Eq. 4"))
+        << p.reason;
+  }
+}
+
+// The fleet model hands out compute workers only: over every mix of
+// CPU-bound, I/O-bound, balanced and degenerate jobs and every budget,
+// the allocations never sum past compute_workers, no more than
+// compute_workers jobs are admitted, and only C-PPCP jobs hold more than
+// one worker.
+TEST(Model, PrescribeFleetStaysWithinComputeWorkers) {
+  const std::vector<StepTimes> kinds = {
+      Make(0.010, 0.080, 0.010),   // CPU-bound, wants 8
+      Make(0.010, 0.030, 0.012),   // CPU-bound, wants 3
+      Make(0.080, 0.010, 0.010),   // I/O-bound
+      Make(0.010, 0.010, 0.010),   // balanced
+      Make(0.100, 0.0005, 0.0005)  // degenerate (SCP)
+  };
+  for (int budget = 0; budget <= 6; budget++) {
+    for (size_t n = 1; n <= 8; n++) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + " jobs " +
+                   std::to_string(n));
+      std::vector<StepTimes> jobs;
+      for (size_t i = 0; i < n; i++) jobs.push_back(kinds[(i * 3) % 5]);
+      FleetBudget b;
+      b.compute_workers = budget;
+      const std::vector<FleetAllocation> alloc = PrescribeFleet(jobs, b);
+      ASSERT_EQ(n, alloc.size());
+      int workers = 0;
+      size_t admitted = 0;
+      for (size_t i = 0; i < n; i++) {
+        const FleetAllocation& a = alloc[i];
+        workers += a.workers;
+        if (a.workers > 0) admitted++;
+        if (a.workers > 1) {
+          EXPECT_EQ(CompactionMode::kCPPCP, a.prescription.procedure);
+          EXPECT_EQ(a.workers, a.prescription.k);
+          EXPECT_GE(a.prescription.gain_vs_pcp, kMinParallelGain);
+        } else if (a.workers == 1) {
+          EXPECT_NE(CompactionMode::kSPPCP, a.prescription.procedure);
+          EXPECT_EQ(1, a.prescription.k);
+        } else {
+          EXPECT_EQ(0, a.prescription.k);  // queued
+        }
+      }
+      EXPECT_LE(workers, budget);
+      EXPECT_EQ(std::min(n, size_t(budget)), admitted);
+    }
+  }
+  // A lone CPU-bound job takes the workers its Eq. 6 saturation asks for.
+  FleetBudget four;
+  EXPECT_EQ(4, PrescribeFleet({Make(0.010, 0.080, 0.010)}, four)[0].workers);
+  // A lone I/O-bound job runs PCP on one worker; the rest stay free.
+  EXPECT_EQ(1, PrescribeFleet({Make(0.080, 0.010, 0.010)}, four)[0].workers);
 }
 
 }  // namespace

@@ -83,9 +83,10 @@ TEST(BottleneckAdvisor, IgnoresDegenerateProfiles) {
 }
 
 // HDD regime (Figure 6(a)): reads dominate. The advisor must name the
-// read stage, call the regime I/O-bound, and prescribe S-PPCP at the
-// Eq. 4 saturation k, with every predicted bandwidth matching the model
-// library evaluated on the same step times.
+// read stage, call the regime I/O-bound, report S-PPCP's Eq. 4 stripe
+// width and prescribe PCP (S-PPCP is PCP on that striped device), with
+// every predicted bandwidth matching the model library evaluated on the
+// same step times.
 TEST(BottleneckAdvisor, ReadBoundGoldenProfile) {
   const double read_s = 8e-3, compute_s = 2e-3, write_s = 1e-3;
   BottleneckAdvisor advisor;
@@ -130,10 +131,10 @@ TEST(BottleneckAdvisor, ReadBoundGoldenProfile) {
 
   const JsonValue* rec = v.Find("recommendation");
   ASSERT_NE(nullptr, rec);
-  EXPECT_EQ("S-PPCP", Text(*rec, "procedure"));
-  EXPECT_EQ(sppcp_k, Number(*rec, "k"));
-  EXPECT_NEAR(model::SppcpIdealSpeedup(t, sppcp_k),
-              Number(*rec, "ideal_speedup_vs_pcp"), 1e-2);
+  EXPECT_EQ("PCP", Text(*rec, "procedure"));
+  EXPECT_EQ(1, Number(*rec, "k"));
+  EXPECT_NEAR(1.0, Number(*rec, "ideal_speedup_vs_pcp"), 1e-2);
+  EXPECT_NE(std::string::npos, Text(*rec, "reason").find("stripe"));
 }
 
 // SSD regime (Figure 6(b)): compute dominates; the prescription flips
@@ -176,7 +177,7 @@ TEST(BottleneckAdvisor, BalancedPipelineRecommendsPcp) {
 // and the first 1-d, so the profile tracks workload shifts instead of
 // averaging over the DB's whole lifetime.
 TEST(BottleneckAdvisor, DecayedProfileTracksRecentJobs) {
-  BottleneckAdvisor advisor(0, 0, /*decay=*/0.5);
+  BottleneckAdvisor advisor(0, /*decay=*/0.5);
   advisor.AddJob(MakeProfile(8e-3, 2e-3, 1e-3));
   advisor.AddJob(MakeProfile(4e-3, 2e-3, 1e-3));
   EXPECT_EQ(2u, advisor.jobs());
@@ -216,8 +217,8 @@ TEST(BottleneckAdvisor, ConcurrentAddAndReportStaysParseable) {
 // Report and control loop agree: on every profile of the grid, under
 // both cap settings, the advisor's recommendation {procedure, k} is
 // exactly the target the adaptive scheduler switches to with the same
-// caps — including the Eq. 3-degenerate point (SCP) and points whose
-// saturation k lies above the caps.
+// cap — including the Eq. 3-degenerate point (SCP) and points whose
+// saturation k lies above the cap.
 TEST(BottleneckAdvisor, RecommendationIsTheSchedulersTarget) {
   struct Point {
     const char* name;
@@ -228,11 +229,10 @@ TEST(BottleneckAdvisor, RecommendationIsTheSchedulersTarget) {
       {"balanced", 3, 3, 3},        {"degenerate", 10, 0.05, 0.05},
       {"io above caps", 20, 1, 1},  {"cpu above caps", 1, 20, 1},
   };
-  for (const auto [lanes, workers] : {std::pair{3, 2}, std::pair{8, 8}}) {
+  for (const int workers : {2, 8}) {
     for (const Point& p : grid) {
-      SCOPED_TRACE(std::string(p.name) + " caps " + std::to_string(lanes) +
-                   "/" + std::to_string(workers));
-      BottleneckAdvisor advisor(lanes, workers);
+      SCOPED_TRACE(std::string(p.name) + " cap " + std::to_string(workers));
+      BottleneckAdvisor advisor(workers);
       advisor.AddJob(MakeProfile(p.read_ms * 1e-3, p.compute_ms * 1e-3,
                                  p.write_ms * 1e-3));
       const JsonValue v = MustParse(advisor);
@@ -241,7 +241,6 @@ TEST(BottleneckAdvisor, RecommendationIsTheSchedulersTarget) {
 
       SchedulerOptions o;
       o.adaptive = true;
-      o.max_stripe_width = lanes;
       o.max_compute_workers = workers;
       o.hysteresis_jobs = 1;
       o.warmup_jobs = 0;
@@ -251,9 +250,8 @@ TEST(BottleneckAdvisor, RecommendationIsTheSchedulersTarget) {
       request.advisor_jobs = advisor.jobs();
       const CompactionGrant g = scheduler.Admit(request, nullptr);
       EXPECT_EQ(CompactionModeName(g.mode), Text(*rec, "procedure"));
-      EXPECT_EQ(std::max(g.read_parallelism, g.compute_parallelism),
-                Number(*rec, "k"));
-      EXPECT_LE(Number(*rec, "k"), std::max(lanes, workers));
+      EXPECT_EQ(g.compute_parallelism, Number(*rec, "k"));
+      EXPECT_LE(Number(*rec, "k"), workers);
     }
   }
 }

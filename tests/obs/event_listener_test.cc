@@ -19,6 +19,7 @@
 #include "src/env/sim_env.h"
 #include "src/util/stopwatch.h"
 #include "src/workload/generator.h"
+#include "tests/db/executor_matrix.h"
 
 namespace pipelsm {
 namespace {
@@ -99,10 +100,9 @@ class EventListenerTest : public ::testing::TestWithParam<CompactionMode> {
   EventListenerTest() {
     options_.env = &env_;
     options_.create_if_missing = true;
-    options_.compaction_mode = GetParam();
+    options_.compaction_mode = test::DbExecutor(GetParam());
     options_.compute_parallelism =
         GetParam() == CompactionMode::kCPPCP ? 3 : 1;
-    options_.io_parallelism = GetParam() == CompactionMode::kSPPCP ? 3 : 1;
     options_.write_buffer_size = 64 << 10;
     options_.max_file_size = 64 << 10;
     options_.subtask_bytes = 16 << 10;
@@ -120,7 +120,7 @@ class EventListenerTest : public ::testing::TestWithParam<CompactionMode> {
     ASSERT_TRUE(db->WaitForCompactions().ok());
   }
 
-  SimEnv env_;
+  SimEnv env_{test::DbDevice(GetParam())};
   Options options_;
   RecordingListener listener_;
 };
@@ -180,7 +180,7 @@ TEST_P(EventListenerTest, CompletedEventsCarryMeasurements) {
     } else if (e.kind == RecordingListener::kCompactionEnd) {
       const obs::CompactionJobInfo& c = e.compaction;
       ASSERT_TRUE(c.status.ok()) << c.status.ToString();
-      EXPECT_STREQ(ExecutorName(GetParam()), c.executor);
+      EXPECT_STREQ(ExecutorName(test::DbExecutor(GetParam())), c.executor);
       EXPECT_GT(c.input_files, 0);
       EXPECT_GT(c.input_bytes, 0u);
       EXPECT_GT(c.profile.subtasks, 0u);
@@ -216,7 +216,8 @@ TEST_P(EventListenerTest, EventLoggerWritesGrepableLogLines) {
   EXPECT_NE(std::string::npos, log.find("EVENT compaction_begin"));
   EXPECT_NE(std::string::npos, log.find("EVENT compaction_end"));
   EXPECT_NE(std::string::npos,
-            log.find(std::string("executor=") + ExecutorName(GetParam())));
+            log.find(std::string("executor=") +
+                     ExecutorName(test::DbExecutor(GetParam()))));
   EXPECT_NE(std::string::npos, log.find("closing DB"));
 }
 

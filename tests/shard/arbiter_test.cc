@@ -1,5 +1,6 @@
-// CompactionArbiter: the fleet budget is a hard ceiling under concurrent
-// admission, a second job is shrunk to fit the free units, a blocked
+// CompactionArbiter: the fleet's compute workers are a hard ceiling under
+// concurrent admission, a second job is shrunk to fit the free workers, a
+// blocked
 // waiter honors its abort predicate, and a repeatedly passed-over waiter
 // is force-granted (starvation-freedom).
 #include "src/shard/arbiter.h"
@@ -30,10 +31,11 @@ model::StepTimes Make(double read_s, double compute_s, double write_s) {
   return t;
 }
 
-// I/O-bound (HDD regime): saturation at 3 disks, solo gain ~3x.
+// I/O-bound (HDD regime): runs PCP on one worker, solo gain 1.0; its
+// parallelism is the Env's stripe.
 model::StepTimes IoBound() { return Make(0.030, 0.010, 0.020); }
-// CPU-bound (SSD regime): compute dominates, wants workers.
-model::StepTimes CpuBound() { return Make(0.010, 0.040, 0.012); }
+// CPU-bound (SSD regime): Eq. 6 saturates at 3 workers, solo gain 2.5x.
+model::StepTimes CpuBound() { return Make(0.010, 0.030, 0.012); }
 
 CompactionAdmissionRequest Request(int shard, const model::StepTimes& t) {
   CompactionAdmissionRequest r;
@@ -59,7 +61,6 @@ void WaitFor(Pred pred) {
 
 TEST(Arbiter, ConcurrentAdmitsNeverExceedBudget) {
   ArbiterOptions o;
-  o.budget.io_lanes = 2;
   o.budget.compute_workers = 2;
   o.wait_poll_micros = 1000;
   CompactionArbiter arb(o);
@@ -71,7 +72,6 @@ TEST(Arbiter, ConcurrentAdmitsNeverExceedBudget) {
       CompactionGrant g =
           arb.Admit(Request(i, (i % 2) ? IoBound() : CpuBound()), Never);
       EXPECT_TRUE(g.granted);
-      EXPECT_LE(arb.lanes_in_use(), o.budget.io_lanes);
       EXPECT_LE(arb.workers_in_use(), o.budget.compute_workers);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       completed.fetch_add(1);
@@ -82,46 +82,60 @@ TEST(Arbiter, ConcurrentAdmitsNeverExceedBudget) {
 
   EXPECT_EQ(6, completed.load());
   EXPECT_EQ(6u, arb.grants());
-  EXPECT_LE(arb.peak_lanes(), o.budget.io_lanes);
   EXPECT_LE(arb.peak_workers(), o.budget.compute_workers);
-  EXPECT_GE(arb.peak_lanes(), 1);
-  EXPECT_EQ(0, arb.lanes_in_use());
+  EXPECT_GE(arb.peak_workers(), 1);
   EXPECT_EQ(0, arb.workers_in_use());
   EXPECT_EQ(0u, arb.waiting());
 }
 
 TEST(Arbiter, SecondJobIsShrunkToTheFreeUnits) {
   ArbiterOptions o;
-  o.budget.io_lanes = 4;
   o.budget.compute_workers = 4;
   CompactionArbiter arb(o);
 
-  // Solo, the I/O-bound job saturates at 3 disks and gets them.
-  CompactionGrant a = arb.Admit(Request(0, IoBound()), Never);
+  // Solo, the CPU-bound job saturates at 3 workers and gets them.
+  CompactionGrant a = arb.Admit(Request(0, CpuBound()), Never);
   ASSERT_TRUE(a.granted);
-  EXPECT_EQ(CompactionMode::kSPPCP, a.mode);
-  EXPECT_EQ(3, a.read_parallelism);
+  EXPECT_EQ(CompactionMode::kCPPCP, a.mode);
+  EXPECT_EQ(3, a.compute_parallelism);
   EXPECT_TRUE(a.adaptive);
+  EXPECT_EQ(0u, arb.shrinks());
 
-  // The same job admitted while A runs only finds 1 free lane: granted,
+  // The same job admitted while A runs only finds 1 free worker: granted,
   // but shrunk to the PCP floor — and the shrink is counted.
-  CompactionGrant b = arb.Admit(Request(1, IoBound()), Never);
+  CompactionGrant b = arb.Admit(Request(1, CpuBound()), Never);
   ASSERT_TRUE(b.granted);
-  EXPECT_EQ(1, b.read_parallelism);
-  EXPECT_GE(arb.shrinks(), 1u);
-  EXPECT_LE(arb.lanes_in_use(), o.budget.io_lanes);
+  EXPECT_EQ(CompactionMode::kPCP, b.mode);
+  EXPECT_EQ(1, b.compute_parallelism);
+  EXPECT_EQ(1u, arb.shrinks());
+  EXPECT_EQ(o.budget.compute_workers, arb.workers_in_use());
 
-  // A's units come back on release.
+  // A's workers come back on release.
   arb.Release(a.id);
   arb.Release(b.id);
-  EXPECT_EQ(0, arb.lanes_in_use());
   EXPECT_EQ(0, arb.workers_in_use());
-  EXPECT_EQ(4, arb.peak_lanes());  // 3 (A) + 1 (B)
+  EXPECT_EQ(4, arb.peak_workers());  // 3 (A) + 1 (B)
+}
+
+// An I/O-bound job runs PCP on one worker: it is not shrunk (its solo
+// prescription is k = 1 too), and it leaves the rest of the budget free.
+TEST(Arbiter, IoBoundJobHoldsOneWorker) {
+  ArbiterOptions o;
+  o.budget.compute_workers = 4;
+  CompactionArbiter arb(o);
+
+  CompactionGrant g = arb.Admit(Request(0, IoBound()), Never);
+  ASSERT_TRUE(g.granted);
+  EXPECT_EQ(CompactionMode::kPCP, g.mode);
+  EXPECT_EQ(1, g.compute_parallelism);
+  EXPECT_EQ(1, arb.workers_in_use());
+  EXPECT_EQ(0u, arb.shrinks());
+  arb.Release(g.id);
+  EXPECT_EQ(0, arb.workers_in_use());
 }
 
 TEST(Arbiter, AbortedWaiterReturnsUngranted) {
   ArbiterOptions o;
-  o.budget.io_lanes = 1;
   o.budget.compute_workers = 1;
   o.wait_poll_micros = 1000;
   CompactionArbiter arb(o);
@@ -141,19 +155,18 @@ TEST(Arbiter, AbortedWaiterReturnsUngranted) {
   EXPECT_EQ(0u, arb.waiting());
 
   arb.Release(hold.id);
-  EXPECT_EQ(0, arb.lanes_in_use());
+  EXPECT_EQ(0, arb.workers_in_use());
 }
 
 TEST(Arbiter, PassedOverWaiterIsForceGranted) {
   ArbiterOptions o;
-  o.budget.io_lanes = 1;
   o.budget.compute_workers = 1;
   o.wait_poll_micros = 1000;
   CompactionArbiter arb(o);
 
   // The budget is held continuously; a low-gain waiter (empty profile,
-  // gain 1.0) queues behind a stream of high-gain jobs.
-  CompactionGrant hold = arb.Admit(Request(0, IoBound()), Never);
+  // gain 1.0) queues behind a stream of high-gain (CPU-bound) jobs.
+  CompactionGrant hold = arb.Admit(Request(0, CpuBound()), Never);
   ASSERT_TRUE(hold.granted);
 
   std::atomic<bool> low_granted{false};
@@ -171,7 +184,7 @@ TEST(Arbiter, PassedOverWaiterIsForceGranted) {
     std::promise<CompactionGrant> p;
     std::future<CompactionGrant> f = p.get_future();
     std::thread hi([&arb, &p, i] {
-      p.set_value(arb.Admit(Request(1 + i, IoBound()), Never));
+      p.set_value(arb.Admit(Request(1 + i, CpuBound()), Never));
     });
     WaitFor([&] { return arb.waiting() == 2; });
     arb.Release(hold.id);
@@ -187,7 +200,7 @@ TEST(Arbiter, PassedOverWaiterIsForceGranted) {
   std::promise<CompactionGrant> p;
   std::future<CompactionGrant> f = p.get_future();
   std::thread hi([&arb, &p] {
-    p.set_value(arb.Admit(Request(7, IoBound()), Never));
+    p.set_value(arb.Admit(Request(7, CpuBound()), Never));
   });
   WaitFor([&] { return arb.waiting() == 2; });
   arb.Release(hold.id);
@@ -199,23 +212,22 @@ TEST(Arbiter, PassedOverWaiterIsForceGranted) {
   hi.join();
   ASSERT_TRUE(last.granted);
   arb.Release(last.id);
-  EXPECT_EQ(0, arb.lanes_in_use());
-  EXPECT_EQ(1, arb.peak_lanes());  // budget of 1 never exceeded
-  EXPECT_EQ(1, arb.peak_workers());
+  EXPECT_EQ(0, arb.workers_in_use());
+  EXPECT_EQ(1, arb.peak_workers());  // budget of 1 never exceeded
 }
 
 TEST(Arbiter, ToJsonCarriesBudgetAndCounters) {
   ArbiterOptions o;
-  o.budget.io_lanes = 2;
   o.budget.compute_workers = 3;
   CompactionArbiter arb(o);
 
   CompactionGrant g = arb.Admit(Request(0, IoBound()), Never);
   ASSERT_TRUE(g.granted);
   const std::string json = arb.ToJson();
-  EXPECT_NE(std::string::npos, json.find("\"io_lanes\""));
-  EXPECT_NE(std::string::npos, json.find("\"budget\":2"));
-  EXPECT_NE(std::string::npos, json.find("\"compute_workers\""));
+  EXPECT_NE(std::string::npos,
+            json.find("\"compute_workers\":{\"budget\":3,\"in_use\":1"))
+      << json;
+  EXPECT_EQ(std::string::npos, json.find("lanes")) << json;
   EXPECT_NE(std::string::npos, json.find("\"running\":["));
   EXPECT_NE(std::string::npos, json.find("\"shard\":0"));
   arb.Release(g.id);

@@ -299,7 +299,7 @@ TEST(ShardedDB, PropertiesFanOutAcrossTheFleet) {
   EXPECT_NE(std::string::npos, value.find("\"arbiter\":true"));
 
   ASSERT_TRUE(db->GetProperty("pipelsm.arbiter", &value));
-  EXPECT_NE(std::string::npos, value.find("\"io_lanes\""));
+  EXPECT_NE(std::string::npos, value.find("\"compute_workers\""));
   EXPECT_NE(std::string::npos, value.find("\"grants\""));
 
   // Per-shard forwarding: shard 3 answers its own engine properties.
@@ -440,14 +440,13 @@ TEST(ShardedDB, ArbiterOffRunsAndReportsEmpty) {
 }
 
 // The fleet arbiter caps every grant at the engine's own parallelism
-// bounds: a CPU-bound job whose solo prescription wants >= 4 workers gets
-// at most Options::max_compute_workers workers and max_stripe_width lanes,
-// even though the fleet budget (4 + 4) could give it more.
+// bound: a CPU-bound job whose solo prescription wants >= 4 workers gets
+// at most Options::max_compute_workers workers, even though the fleet
+// budget (4) could give it more.
 TEST(ShardedDB, ArbiterGrantsRespectEngineParallelismCaps) {
   SimEnv env;
   Options options = BaseOptions(&env);
   options.max_compute_workers = 2;
-  options.max_stripe_width = 2;
   ShardedOptions sharded;
   sharded.num_shards = 2;
   sharded.boundary_keys = {"m"};
@@ -471,10 +470,9 @@ TEST(ShardedDB, ArbiterGrantsRespectEngineParallelismCaps) {
   CompactionGrant grant =
       db->arbiter()->Admit(request, [] { return false; });
   ASSERT_TRUE(grant.granted);
-  EXPECT_LE(grant.compute_parallelism, 2);
-  EXPECT_LE(grant.read_parallelism, 2);
-  EXPECT_LE(db->arbiter()->workers_in_use(), 2);
-  EXPECT_LE(db->arbiter()->lanes_in_use(), 2);
+  EXPECT_EQ(CompactionMode::kCPPCP, grant.mode);
+  EXPECT_EQ(2, grant.compute_parallelism);
+  EXPECT_EQ(2, db->arbiter()->workers_in_use());
   db->arbiter()->Release(grant.id);
 }
 

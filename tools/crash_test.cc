@@ -22,7 +22,7 @@
 // a crash each key must read back its last synced value or any later
 // unsynced value (background flushes may persist past the sync barrier).
 //
-//   crash_test [--iterations=N] [--ops=N] [--mode=all|scp|pcp|sppcp|cppcp]
+//   crash_test [--iterations=N] [--ops=N] [--mode=all|scp|pcp|cppcp]
 //              [--env=sim|posix] [--db=PATH] [--seed=N] [--sync_every=N]
 //              [--value_threshold=N] [--verbose]
 #include <algorithm>
@@ -147,7 +147,6 @@ const CrashPoint kVlogCrashPoints[] = {
 CompactionMode ModeFromName(const std::string& name) {
   if (name == "scp") return CompactionMode::kSCP;
   if (name == "pcp") return CompactionMode::kPCP;
-  if (name == "sppcp") return CompactionMode::kSPPCP;
   if (name == "cppcp") return CompactionMode::kCPPCP;
   std::fprintf(stderr, "unknown mode '%s'\n", name.c_str());
   std::exit(2);
@@ -403,7 +402,7 @@ int RunAll(const Flags& flags) {
   std::vector<CompactionMode> modes;
   if (flags.mode == "all") {
     modes = {CompactionMode::kSCP, CompactionMode::kPCP,
-             CompactionMode::kSPPCP, CompactionMode::kCPPCP};
+             CompactionMode::kCPPCP};
   } else {
     modes = {ModeFromName(flags.mode)};
   }

@@ -31,7 +31,9 @@
 //   --db=PATH                DB directory (default /tmp/pipelsm_bench)
 //   --device=posix|ssd|hdd|hddx<k>|null
 //                            storage: the real FS or a simulated device
-//   --compaction=scp|pcp|sppcp|cppcp
+//   --compaction=scp|pcp|cppcp
+//                            (sppcp fails DB::Open: the paper's S-PPCP is
+//                            --compaction=pcp on --device=hddx<k>)
 //   --compaction_style=leveled|tiered|lazy
 //                            which-to-compact policy (docs/COMPACTION.md)
 //   --tiered_run_count=N     runs per level before tiered/lazy compacts
@@ -40,11 +42,10 @@
 //   --value_threshold=N      key-value separation: values >= N bytes go
 //                            to the value log (0 = off)
 //   --write_buffer_kb=N --file_kb=N --subtask_kb=N --block=N
-//   --compute_parallelism=N --io_parallelism=N
+//   --compute_parallelism=N
 //   --adaptive               per-job executor choice by the compaction
 //                            scheduler (Options::adaptive_compaction)
-//   --max_compute_workers=N --max_stripe_width=N
-//                            adaptive bounds on the chosen k
+//   --max_compute_workers=N  adaptive bound on the chosen k
 //   --hysteresis=N           consecutive agreeing admissions before the
 //                            scheduler switches executor
 //   --warmup_jobs=N          compactions digested before adapting
@@ -121,10 +122,8 @@ struct Flags {
   size_t subtask_kb = 512;
   size_t block = 4096;
   int compute_parallelism = 1;
-  int io_parallelism = 1;
   bool adaptive = false;
   int max_compute_workers = 4;
-  int max_stripe_width = 4;
   int hysteresis = 3;
   int warmup_jobs = 2;
   int bloom_bits = 0;
@@ -224,10 +223,8 @@ class Benchmark {
     options_.subtask_bytes = flags_.subtask_kb << 10;
     options_.block_size = flags_.block;
     options_.compute_parallelism = flags_.compute_parallelism;
-    options_.io_parallelism = flags_.io_parallelism;
     options_.adaptive_compaction = flags_.adaptive;
     options_.max_compute_workers = flags_.max_compute_workers;
-    options_.max_stripe_width = flags_.max_stripe_width;
     options_.scheduler_hysteresis_jobs = flags_.hysteresis;
     options_.scheduler_warmup_jobs = flags_.warmup_jobs;
     options_.compaction_time_dilation = flags_.dilation;
@@ -642,10 +639,8 @@ int main(int argc, char** argv) {
         ParseNumFlag(argv[i], "block", &flags.block) ||
         ParseNumFlag(argv[i], "compute_parallelism",
                      &flags.compute_parallelism) ||
-        ParseNumFlag(argv[i], "io_parallelism", &flags.io_parallelism) ||
         ParseNumFlag(argv[i], "max_compute_workers",
                      &flags.max_compute_workers) ||
-        ParseNumFlag(argv[i], "max_stripe_width", &flags.max_stripe_width) ||
         ParseNumFlag(argv[i], "hysteresis", &flags.hysteresis) ||
         ParseNumFlag(argv[i], "warmup_jobs", &flags.warmup_jobs) ||
         ParseNumFlag(argv[i], "bloom_bits", &flags.bloom_bits) ||

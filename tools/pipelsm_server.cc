@@ -9,7 +9,8 @@
 //                           binds an ephemeral port and prints it)
 //   --io_threads=N          epoll I/O loops (default 2)
 //   --workers=N             read-path worker threads (default 4)
-//   --compaction=scp|pcp|sppcp|cppcp
+//   --compaction=scp|pcp|cppcp  (sppcp fails DB::Open: run pcp on a
+//                           striped device instead)
 //   --compaction_style=leveled|tiered|lazy
 //                           which CompactionPicker shapes jobs (must not
 //                           change across reopens of one directory)
@@ -18,7 +19,7 @@
 //   --max_subcompactions=N  key-range fan-out per compaction job
 //                           (default 1 = off)
 //   --write_buffer_kb=N --file_kb=N --subtask_kb=N
-//   --compute_parallelism=N --io_parallelism=N
+//   --compute_parallelism=N
 //   --group_window_micros=N group-commit gather window (default 100)
 //   --nosync                WriteOptions::sync=false for group commits
 //   --create_if_missing=0|1 (default 1)
@@ -44,8 +45,8 @@
 //                           sorted; required on first open with
 //                           --shards>1, optional on reopen — the SHARDS
 //                           manifest wins; docs/SHARDING.md)
-//   --arbiter_io_lanes=N --arbiter_compute_workers=N
-//                           fleet compaction budget (defaults 4/4)
+//   --arbiter_compute_workers=N
+//                           fleet compaction budget (default 4)
 //   --no_arbiter            per-shard free-for-all compaction admission
 //   --admin_port=N          HTTP observability endpoint (GET /metrics
 //                           /stats /advisor /arbiter /healthz;
@@ -115,7 +116,6 @@ int main(int argc, char** argv) {
   size_t file_kb = 2048;
   size_t subtask_kb = 512;
   int compute_parallelism = 1;
-  int io_parallelism = 1;
   size_t value_threshold = 0;
   size_t cache_size = 8 << 20;
   size_t cache_shards = 0;
@@ -125,7 +125,6 @@ int main(int argc, char** argv) {
   size_t shards = 1;
   std::string shard_boundaries;
   bool arbiter = true;
-  int arbiter_io_lanes = 4;
   int arbiter_compute_workers = 4;
   std::string trace_file;
   pipelsm::server::ServerOptions sopts;
@@ -144,7 +143,6 @@ int main(int argc, char** argv) {
         ParseNumFlag(argv[i], "file_kb", &file_kb) ||
         ParseNumFlag(argv[i], "subtask_kb", &subtask_kb) ||
         ParseNumFlag(argv[i], "compute_parallelism", &compute_parallelism) ||
-        ParseNumFlag(argv[i], "io_parallelism", &io_parallelism) ||
         ParseNumFlag(argv[i], "group_window_micros",
                      &sopts.group_commit_window_micros) ||
         ParseNumFlag(argv[i], "create_if_missing", &create_if_missing) ||
@@ -160,7 +158,6 @@ int main(int argc, char** argv) {
         ParseNumFlag(argv[i], "max_scan_bytes", &sopts.max_scan_bytes) ||
         ParseNumFlag(argv[i], "shards", &shards) ||
         ParseFlag(argv[i], "shard_boundaries", &shard_boundaries) ||
-        ParseNumFlag(argv[i], "arbiter_io_lanes", &arbiter_io_lanes) ||
         ParseNumFlag(argv[i], "arbiter_compute_workers",
                      &arbiter_compute_workers) ||
         ParseNumFlag(argv[i], "slow_request_micros",
@@ -197,7 +194,6 @@ int main(int argc, char** argv) {
   options.max_file_size = file_kb << 10;
   options.subtask_bytes = subtask_kb << 10;
   options.compute_parallelism = compute_parallelism;
-  options.io_parallelism = io_parallelism;
   options.value_separation_threshold = value_threshold;
   options.block_cache_size = cache_size;
   options.block_cache_shards = cache_shards;
@@ -251,7 +247,6 @@ int main(int argc, char** argv) {
       shopts.num_shards = shopts.boundary_keys.size() + 1;  // inferred
     }
     shopts.enable_arbiter = arbiter;
-    shopts.arbiter.budget.io_lanes = arbiter_io_lanes;
     shopts.arbiter.budget.compute_workers = arbiter_compute_workers;
     pipelsm::shard::ShardedDB* raw = nullptr;
     s = pipelsm::shard::ShardedDB::Open(options, shopts, db_path, &raw);

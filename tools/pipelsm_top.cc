@@ -278,10 +278,8 @@ void RenderDashboard(const Snapshot& cur, const Snapshot& prev,
   std::printf("draining  %s\n",
               cur.Value("pipelsm_server_draining") > 0 ? "YES" : "no");
 
-  if (cur.Find("pipelsm_arbiter_io_lanes_in_use") != nullptr) {
-    std::printf("arbiter   io_lanes %.0f in use   compute %.0f in use   "
-                "waiting %.0f\n",
-                cur.Value("pipelsm_arbiter_io_lanes_in_use"),
+  if (cur.Find("pipelsm_arbiter_compute_workers_in_use") != nullptr) {
+    std::printf("arbiter   compute %.0f in use   waiting %.0f\n",
                 cur.Value("pipelsm_arbiter_compute_workers_in_use"),
                 cur.Value("pipelsm_arbiter_waiting"));
   }
@@ -356,11 +354,10 @@ void RenderOnce(const Snapshot& snap) {
                 snap.Value("pipelsm_server_slow_requests"),
                 snap.Value("pipelsm_server_draining") > 0 ? 1 : 0);
   out += buf;
-  if (snap.Find("pipelsm_arbiter_io_lanes_in_use") != nullptr) {
+  if (snap.Find("pipelsm_arbiter_compute_workers_in_use") != nullptr) {
     std::snprintf(buf, sizeof(buf),
-                  ",\"arbiter\":{\"io_lanes_in_use\":%.0f,"
-                  "\"compute_workers_in_use\":%.0f,\"waiting\":%.0f}",
-                  snap.Value("pipelsm_arbiter_io_lanes_in_use"),
+                  ",\"arbiter\":{\"compute_workers_in_use\":%.0f,"
+                  "\"waiting\":%.0f}",
                   snap.Value("pipelsm_arbiter_compute_workers_in_use"),
                   snap.Value("pipelsm_arbiter_waiting"));
     out += buf;
