@@ -434,6 +434,7 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
     }
     vlog::VlogOptions vopts;
     vopts.segment_size = options_.vlog_segment_size;
+    vopts.cache = table_options_.block_cache;
     vlog_ = std::make_unique<vlog::VlogManager>(
         env_, dbname_, vopts, &metrics_registry_, info_log_, [this] {
           std::lock_guard<std::mutex> l(mutex_);
@@ -1117,7 +1118,7 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   bool is_pointer = false;
   Status s = view.Get(tro, LookupKey(key, view.sequence), value, &is_pointer);
   if (s.ok() && is_pointer) {
-    s = vlog::ResolvePointer(vlog_.get(), *value, value);
+    s = vlog::ResolvePointer(vlog_.get(), *value, value, options.fill_cache);
   }
   ReleaseReadView(view);
   get_micros_hist_->Observe(op_sw.ElapsedNanos() / 1e3);
@@ -1144,7 +1145,7 @@ Iterator* DBImpl::NewIterator(const ReadOptions& options) {
     SweepRetiredVlogSegments();
   });
   return NewDBIterator(internal_comparator_.user_comparator(), internal_iter,
-                       view.sequence, vlog_.get());
+                       view.sequence, vlog_.get(), options.fill_cache);
 }
 
 const Snapshot* DBImpl::GetSnapshot() {
@@ -1311,6 +1312,8 @@ class SeparatingHandler : public WriteBatch::Handler {
       status_ = vlog_->Add(key, value, &loc);
       if (!status_.ok()) return;
       touched_->push_back(loc.segment);
+      // A Get of a hot key usually asks for the version just written.
+      vlog_->CacheValue(loc, value);
       any_ = true;
       encoded_.clear();
       vlog::EncodeValueLocation(&encoded_, loc);

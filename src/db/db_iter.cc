@@ -25,11 +25,12 @@ class DBIter final : public Iterator {
   enum Direction { kForward, kReverse };
 
   DBIter(const Comparator* cmp, Iterator* iter, SequenceNumber s,
-         vlog::VlogManager* vlog)
+         vlog::VlogManager* vlog, bool fill_cache)
       : user_comparator_(cmp),
         iter_(iter),
         sequence_(s),
         vlog_(vlog),
+        fill_cache_(fill_cache),
         direction_(kForward),
         valid_(false) {}
 
@@ -89,6 +90,7 @@ class DBIter final : public Iterator {
   std::unique_ptr<Iterator> iter_;
   SequenceNumber const sequence_;
   vlog::VlogManager* const vlog_;  // null = key-value separation off
+  const bool fill_cache_;          // ReadOptions::fill_cache
   Status status_;
   std::string saved_key_;    // == current key when direction_==kReverse
   std::string saved_value_;  // == current value when direction_==kReverse
@@ -166,7 +168,7 @@ void DBIter::FindNextUserEntry(bool skipping, std::string* skip) {
           } else {
             if (ikey.type == kTypeValuePointer) {
               Status s = vlog::ResolvePointer(vlog_, iter_->value(),
-                                              &resolved_value_);
+                                              &resolved_value_, fill_cache_);
               if (!s.ok()) {
                 status_ = s;
                 saved_key_.clear();
@@ -256,7 +258,8 @@ void DBIter::FindPrevUserEntry() {
   } else {
     if (value_type == kTypeValuePointer) {
       // saved_value_ holds the raw encoded location; resolve it in place.
-      Status s = vlog::ResolvePointer(vlog_, saved_value_, &saved_value_);
+      Status s = vlog::ResolvePointer(vlog_, saved_value_, &saved_value_,
+                                      fill_cache_);
       if (!s.ok()) {
         status_ = s;
         valid_ = false;
@@ -306,8 +309,9 @@ void DBIter::SeekToLast() {
 
 Iterator* NewDBIterator(const Comparator* user_key_comparator,
                         Iterator* internal_iter, SequenceNumber sequence,
-                        vlog::VlogManager* vlog) {
-  return new DBIter(user_key_comparator, internal_iter, sequence, vlog);
+                        vlog::VlogManager* vlog, bool fill_cache) {
+  return new DBIter(user_key_comparator, internal_iter, sequence, vlog,
+                    fill_cache);
 }
 
 }  // namespace pipelsm

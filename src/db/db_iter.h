@@ -19,9 +19,11 @@ class VlogManager;
 // specified `sequence` number into appropriate user keys. When `vlog` is
 // non-null, kTypeValuePointer entries are resolved through it at each
 // yield point so value() always returns the user value; with a null
-// `vlog` a pointer entry surfaces as a Corruption status.
+// `vlog` a pointer entry surfaces as a Corruption status. `fill_cache`
+// (ReadOptions::fill_cache) lets resolved values enter the value cache.
 Iterator* NewDBIterator(const Comparator* user_key_comparator,
                         Iterator* internal_iter, SequenceNumber sequence,
-                        vlog::VlogManager* vlog = nullptr);
+                        vlog::VlogManager* vlog = nullptr,
+                        bool fill_cache = true);
 
 }  // namespace pipelsm

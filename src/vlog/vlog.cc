@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cinttypes>
+#include <cstring>
 
 #include "src/db/filename.h"
 #include "src/obs/logger.h"
 #include "src/obs/metrics.h"
+#include "src/read/cache.h"
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
 #include "src/util/json_writer.h"
@@ -23,6 +25,45 @@ constexpr size_t kFrameMin = 4 + 1 + 1;  // crc + two zero-length varints
 // A sealed segment becomes a GC candidate once this fraction of its bytes
 // is known dead (from compaction discard credits).
 constexpr double kGcDeadRatio = 0.5;
+
+// Value-cache key: fixed64 cache id + fixed64 segment + fixed64 offset.
+// Its first 16 bytes name the segment, so one ErasePrefix drops every
+// cached value of a retired segment.
+constexpr size_t kCacheKeySize = 24;
+constexpr size_t kSegmentPrefixSize = 16;
+
+// What one cache entry costs beyond its value bytes: the key and its heap
+// copy, the LRU and index nodes, the shared_ptr control block and the
+// length prefix, with allocator headers (about 200 bytes, rounded up).
+constexpr size_t kCacheEntryOverhead = 256;
+
+void EncodeCacheKey(uint64_t cache_id, uint64_t segment, uint64_t offset,
+                    char* buf) {
+  EncodeFixed64(buf, cache_id);
+  EncodeFixed64(buf + 8, segment);
+  EncodeFixed64(buf + 16, offset);
+}
+
+// A cached value is one allocation: fixed32 length, then the bytes. A
+// value larger than one shard's capacity slice is not cached: the cache
+// never evicts the entry it just inserted, so it would empty that whole
+// shard of blocks and stay there.
+void InsertValue(read::Cache* cache, const char* key, const Slice& value) {
+  if (value.size() + kCacheEntryOverhead >
+      cache->capacity() / cache->num_shards()) {
+    return;
+  }
+  auto entry = std::make_shared_for_overwrite<char[]>(4 + value.size());
+  EncodeFixed32(entry.get(), static_cast<uint32_t>(value.size()));
+  memcpy(entry.get() + 4, value.data(), value.size());
+  cache->Insert(Slice(key, kCacheKeySize), std::move(entry),
+                value.size() + kCacheEntryOverhead);
+}
+
+Slice CachedValue(const std::shared_ptr<void>& entry) {
+  const char* p = static_cast<const char*>(entry.get());
+  return Slice(p + 4, DecodeFixed32(p));
+}
 
 // Decode one frame starting at `input` (which must hold the full
 // remainder of the segment's valid region). On success sets *key,
@@ -83,13 +124,13 @@ bool DecodeValueLocation(const Slice& src, ValueLocation* loc) {
 }
 
 Status ResolvePointer(VlogManager* vlog, const Slice& encoded,
-                      std::string* value) {
+                      std::string* value, bool fill_cache) {
   ValueLocation loc;
   if (vlog == nullptr || !DecodeValueLocation(encoded, &loc)) {
     return Status::Corruption(
         "value pointer without a value log to resolve it");
   }
-  return vlog->Read(loc, value);
+  return vlog->Read(loc, value, fill_cache);
 }
 
 VlogManager::VlogManager(Env* env, const std::string& dbname,
@@ -100,7 +141,8 @@ VlogManager::VlogManager(Env* env, const std::string& dbname,
       dbname_(dbname),
       opts_(options),
       info_log_(info_log),
-      next_file_number_(std::move(file_number_allocator)) {
+      next_file_number_(std::move(file_number_allocator)),
+      cache_id_(options.cache != nullptr ? options.cache->NewId() : 0) {
   if (metrics != nullptr) {
     appends_counter_ =
         metrics->RegisterCounter("vlog.appends", "Value frames appended");
@@ -110,6 +152,9 @@ VlogManager::VlogManager(Env* env, const std::string& dbname,
         "vlog.resolves", "Value pointers resolved on the read path");
     resolve_error_counter_ = metrics->RegisterCounter(
         "vlog.resolve_errors", "Pointer resolutions that failed");
+    resolve_cache_hit_counter_ = metrics->RegisterCounter(
+        "vlog.resolve_cache_hits",
+        "Value pointers resolved from the block cache");
     rolls_counter_ = metrics->RegisterCounter(
         "vlog.segments_rolled", "Active segments sealed and replaced");
     gc_runs_counter_ =
@@ -332,29 +377,74 @@ Status VlogManager::EnsureReadableLocked(
   return Status::OK();
 }
 
-Status VlogManager::Read(const ValueLocation& loc, std::string* value) {
+Status VlogManager::CheckLocationLocked(const ValueLocation& loc) const {
+  auto it = segments_.find(loc.segment);
+  if (it == segments_.end()) return Status::NotFound("unknown vlog segment");
+  // The pointer comes from an SSTable, so it is checked before it can
+  // size an allocation or reach the cache.
+  const uint64_t size =
+      loc.segment == active_number_ ? active_size_ : it->second.size;
+  if (loc.length < kFrameMin || loc.offset > size ||
+      loc.length > size - loc.offset) {
+    return Status::Corruption("value location outside its segment");
+  }
+  return Status::OK();
+}
+
+void VlogManager::CacheValue(const ValueLocation& loc, const Slice& value) {
+  if (opts_.cache == nullptr ||
+      !any_resolve_.load(std::memory_order_relaxed)) {
+    return;
+  }
+  char key[kCacheKeySize];
+  EncodeCacheKey(cache_id_, loc.segment, loc.offset, key);
+  InsertValue(opts_.cache, key, value);
+}
+
+Status VlogManager::Read(const ValueLocation& loc, std::string* value,
+                         bool fill_cache) {
+  auto fail = [this](Status s) {
+    if (resolve_error_counter_ != nullptr) resolve_error_counter_->Add(1);
+    return s;
+  };
+  Status s;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    s = CheckLocationLocked(loc);
+  }
+  if (!s.ok()) return fail(s);
+  if (!any_resolve_.load(std::memory_order_relaxed)) {  // stored once
+    any_resolve_.store(true, std::memory_order_relaxed);
+  }
+  char cache_key[kCacheKeySize];
+  if (opts_.cache != nullptr) {
+    EncodeCacheKey(cache_id_, loc.segment, loc.offset, cache_key);
+    std::shared_ptr<void> entry =
+        opts_.cache->Lookup(Slice(cache_key, kCacheKeySize));
+    if (entry != nullptr) {
+      const Slice cached = CachedValue(entry);
+      value->assign(cached.data(), cached.size());
+      if (resolves_counter_ != nullptr) resolves_counter_->Add(1);
+      if (resolve_cache_hit_counter_ != nullptr) {
+        resolve_cache_hit_counter_->Add(1);
+      }
+      return Status::OK();
+    }
+  }
   std::shared_ptr<RandomAccessFile> file;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Status s = EnsureReadableLocked(loc.segment, &file);
-    if (!s.ok()) {
-      if (resolve_error_counter_ != nullptr) resolve_error_counter_->Add(1);
-      return s;
-    }
-    if (loc.segment == active_number_ && active_file_ != nullptr) {
+    s = EnsureReadableLocked(loc.segment, &file);
+    if (s.ok() && loc.segment == active_number_ && active_file_ != nullptr) {
       // Re-flush in case frames were appended after the reader was
       // cached; sealed segments never grow.
-      Status fs = active_file_->Flush();
-      if (!fs.ok()) return fs;
+      s = active_file_->Flush();
     }
   }
-  if (loc.length < kFrameMin) {
-    if (resolve_error_counter_ != nullptr) resolve_error_counter_->Add(1);
-    return Status::Corruption("value location length too small");
-  }
+  if (!s.ok()) return fail(s);
   std::string scratch(loc.length, '\0');
   Slice frame;
-  Status s = file->Read(loc.offset, loc.length, &frame, scratch.data());
+  s = file->Read(loc.offset, loc.length, &frame, scratch.data());
   if (s.ok() && frame.size() != loc.length) {
     s = Status::Corruption("short value log read");
   }
@@ -364,11 +454,11 @@ Status VlogManager::Read(const ValueLocation& loc, std::string* value) {
       (!DecodeFrame(frame, &key, &val, &frame_len) || frame_len != loc.length)) {
     s = Status::Corruption("corrupt value log frame");
   }
-  if (!s.ok()) {
-    if (resolve_error_counter_ != nullptr) resolve_error_counter_->Add(1);
-    return s;
-  }
+  if (!s.ok()) return fail(s);
   value->assign(val.data(), val.size());
+  if (opts_.cache != nullptr && fill_cache) {
+    InsertValue(opts_.cache, cache_key, val);
+  }
   if (resolves_counter_ != nullptr) resolves_counter_->Add(1);
   return Status::OK();
 }
@@ -529,25 +619,36 @@ void VlogManager::FinishGc(uint64_t segment, bool retire,
 }
 
 void VlogManager::SweepRetired(SequenceNumber min_pinned) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = segments_.begin(); it != segments_.end();) {
-    if (it->second.state == SegmentState::kRetiring &&
-        it->second.retire_seq <= min_pinned) {
-      const uint64_t number = it->first;
-      readers_.erase(number);  // in-flight reads keep their shared_ptr
-      env_->RemoveFile(VlogFileName(dbname_, number));
-      obs::Log(info_log_,
-               "EVENT vlog_segment_retired segment=%llu bytes=%llu",
-               (unsigned long long)number,
-               (unsigned long long)it->second.size);
-      retired_count_.fetch_add(1, std::memory_order_relaxed);
-      if (retired_counter_ != nullptr) retired_counter_->Add(1);
-      it = segments_.erase(it);
-    } else {
-      ++it;
+  std::vector<uint64_t> swept;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = segments_.begin(); it != segments_.end();) {
+      if (it->second.state == SegmentState::kRetiring &&
+          it->second.retire_seq <= min_pinned) {
+        const uint64_t number = it->first;
+        readers_.erase(number);  // in-flight reads keep their shared_ptr
+        env_->RemoveFile(VlogFileName(dbname_, number));
+        obs::Log(info_log_,
+                 "EVENT vlog_segment_retired segment=%llu bytes=%llu",
+                 (unsigned long long)number,
+                 (unsigned long long)it->second.size);
+        retired_count_.fetch_add(1, std::memory_order_relaxed);
+        if (retired_counter_ != nullptr) retired_counter_->Add(1);
+        swept.push_back(number);
+        it = segments_.erase(it);
+      } else {
+        ++it;
+      }
     }
+    UpdateGaugesLocked();
   }
-  UpdateGaugesLocked();
+  if (opts_.cache == nullptr) return;
+  // Outside mu_: each erase scans every cache shard.
+  for (uint64_t number : swept) {
+    char prefix[kCacheKeySize];
+    EncodeCacheKey(cache_id_, number, 0, prefix);
+    opts_.cache->ErasePrefix(Slice(prefix, kSegmentPrefixSize));
+  }
 }
 
 std::string VlogManager::ToJson() const {

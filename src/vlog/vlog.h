@@ -18,6 +18,16 @@
 // can only orphan frames (dead bytes GC reclaims), never dangle a
 // pointer.
 //
+// Value cache: resolved values live in the DB's block cache (when one is
+// given), so a Get of a recently written or read value skips the device
+// read. Reads fill it, and so does the write path once the value log has
+// served its first read (a bulk load before any read would only churn
+// it); GC re-appends do not (they copy cold values), and retiring a
+// segment erases its entries. A value larger than one cache shard's
+// capacity slice is never cached. A location is never reused within one
+// manager, and each manager draws its own cache id, so an entry can only
+// ever answer the pointer that named it.
+//
 // Locking: VlogManager has one internal mutex. Its file-number allocator
 // callback may take the DB mutex, so code holding the DB mutex must
 // never call into VlogManager (lock order: vlog mutex -> DB mutex).
@@ -38,6 +48,10 @@
 #include "src/util/status.h"
 
 namespace pipelsm {
+
+namespace read {
+class Cache;
+}  // namespace read
 
 namespace obs {
 class Counter;
@@ -68,6 +82,10 @@ bool DecodeValueLocation(const Slice& src, ValueLocation* loc);
 struct VlogOptions {
   // Roll the active segment once an append pushes it past this size.
   size_t segment_size = 32 * 1024 * 1024;
+  // Resolved values are cached here, keyed by fixed64 cache id + fixed64
+  // segment + fixed64 offset; the DB passes its block cache. Null: every
+  // resolve reads the device.
+  read::Cache* cache = nullptr;
 };
 
 class VlogManager {
@@ -108,8 +126,15 @@ class VlogManager {
   // (one entry per Add, in any order).
   void ReleaseAppends(const std::vector<uint64_t>& segments);
 
-  // Resolve a pointer: read + CRC-verify the frame, store the value.
-  Status Read(const ValueLocation& loc, std::string* value);
+  // Cache a value the write path just appended at `loc`, once any pointer
+  // has been resolved. Call outside any lock; a no-op without a cache.
+  void CacheValue(const ValueLocation& loc, const Slice& value);
+
+  // Resolve a pointer: bound-check it against its segment, then serve
+  // the value from the cache or read + CRC-verify the frame (inserting
+  // the value into the cache when `fill_cache`).
+  Status Read(const ValueLocation& loc, std::string* value,
+              bool fill_cache = true);
 
   // Credit discard statistics from a compaction-dropped pointer entry
   // (raw encoded ValueLocation bytes). Unknown segments are ignored.
@@ -180,6 +205,8 @@ class VlogManager {
   };
 
   Status RollActiveLocked() /* REQUIRES: mu_ */;
+  Status CheckLocationLocked(const ValueLocation& loc) const
+      /* REQUIRES: mu_ */;
   Status EnsureReadableLocked(uint64_t segment,
                               std::shared_ptr<RandomAccessFile>* file)
       /* REQUIRES: mu_ */;
@@ -191,6 +218,7 @@ class VlogManager {
   const VlogOptions opts_;
   obs::Logger* const info_log_;
   const std::function<uint64_t()> next_file_number_;
+  const uint64_t cache_id_;  // this manager's key prefix in opts_.cache
 
   mutable std::mutex mu_;
   std::map<uint64_t, SegmentInfo> segments_;  // every known segment
@@ -203,6 +231,8 @@ class VlogManager {
   std::string frame_scratch_;  // append encoding buffer (guarded by mu_)
 
   std::atomic<bool> needs_gc_{false};
+  std::atomic<bool> any_resolve_{false};  // set by the first Read, never
+                                          // cleared; gates CacheValue()
   std::atomic<uint64_t> gc_runs_{0};
   std::atomic<uint64_t> retired_count_{0};
 
@@ -211,6 +241,7 @@ class VlogManager {
   obs::Counter* append_bytes_counter_ = nullptr;
   obs::Counter* resolves_counter_ = nullptr;
   obs::Counter* resolve_error_counter_ = nullptr;
+  obs::Counter* resolve_cache_hit_counter_ = nullptr;
   obs::Counter* rolls_counter_ = nullptr;
   obs::Counter* gc_runs_counter_ = nullptr;
   obs::Counter* gc_rewritten_counter_ = nullptr;
@@ -225,9 +256,10 @@ class VlogManager {
 // Resolves the encoded location of a kTypeValuePointer entry into the
 // value it points at (`encoded` may alias *value). A null `vlog` means
 // the DB has no value log, so the pointer is Corruption, as is a
-// malformed location. Shared by DB::Get and DB iterators.
+// malformed location. Shared by DB::Get and DB iterators; `fill_cache`
+// is ReadOptions::fill_cache.
 Status ResolvePointer(VlogManager* vlog, const Slice& encoded,
-                      std::string* value);
+                      std::string* value, bool fill_cache);
 
 }  // namespace vlog
 }  // namespace pipelsm

@@ -1,12 +1,13 @@
 // End-to-end key-value separation through the DB: writes above the
 // threshold land in the value log as pointers, reads and iterators
-// resolve them transparently (also through ShardedDB), GC rewrites live
-// values and retires dead segments, and snapshots pin retired segments
-// until released.
+// resolve them transparently (also through ShardedDB), resolved values
+// are served from the block cache, GC rewrites live values and retires
+// dead segments, and snapshots pin retired segments until released.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,8 +17,10 @@
 #include "src/db/db.h"
 #include "src/db/filename.h"
 #include "src/db/write_batch.h"
+#include "src/env/fault_env.h"
 #include "src/env/sim_env.h"
 #include "src/obs/metrics.h"
+#include "src/read/cache.h"
 #include "src/shard/sharded_db.h"
 #include "src/table/iterator.h"
 
@@ -33,6 +36,60 @@ std::string LargeValue(int i, size_t size = 4096) {
   v.resize(size);
   return v;
 }
+
+// A block cache that records the value-log traffic through it: every
+// 24-byte key (cache id, segment, offset) inserted, and every hit on one.
+class FrameRecordingCache final : public read::Cache {
+ public:
+  static constexpr size_t kFrameKeySize = 24;
+
+  std::shared_ptr<void> Lookup(const Slice& key) override {
+    std::shared_ptr<void> value = base_->Lookup(key);
+    if (value != nullptr && key.size() == kFrameKeySize) frame_hits_++;
+    return value;
+  }
+  void Insert(const Slice& key, std::shared_ptr<void> value,
+              size_t charge) override {
+    if (key.size() == kFrameKeySize) {
+      std::lock_guard<std::mutex> lock(mu_);
+      frame_keys_.push_back(key.ToString());
+    }
+    base_->Insert(key, std::move(value), charge);
+  }
+  void Erase(const Slice& key) override { base_->Erase(key); }
+  size_t ErasePrefix(const Slice& prefix) override {
+    return base_->ErasePrefix(prefix);
+  }
+  uint64_t NewId() override { return base_->NewId(); }
+  size_t usage() const override { return base_->usage(); }
+  size_t capacity() const override { return base_->capacity(); }
+  size_t num_shards() const override { return base_->num_shards(); }
+  uint64_t hits() const override { return base_->hits(); }
+  uint64_t misses() const override { return base_->misses(); }
+  uint64_t evictions() const override { return base_->evictions(); }
+  void BindStats(obs::Counter* hits, obs::Counter* misses,
+                 obs::Counter* evictions, obs::Gauge* usage) override {
+    base_->BindStats(hits, misses, evictions, usage);
+  }
+
+  std::vector<std::string> frame_keys() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return frame_keys_;
+  }
+  uint64_t frame_hits() const { return frame_hits_.load(); }
+
+  // The (segment, offset) half of a frame key, and its cache id half.
+  static std::string Location(const std::string& key) {
+    return key.substr(8);
+  }
+  static std::string Id(const std::string& key) { return key.substr(0, 8); }
+
+ private:
+  std::unique_ptr<read::Cache> base_ = read::NewShardedLRUCache(8 << 20);
+  mutable std::mutex mu_;
+  std::vector<std::string> frame_keys_;
+  std::atomic<uint64_t> frame_hits_{0};
+};
 
 class VlogDbTest : public ::testing::Test {
  protected:
@@ -63,6 +120,10 @@ class VlogDbTest : public ::testing::Test {
     if (s.IsNotFound()) return "NOT_FOUND";
     if (!s.ok()) return "ERROR: " + s.ToString();
     return value;
+  }
+
+  uint64_t Counter(const std::string& name) {
+    return db_->MetricsHandle()->RegisterCounter(name, "")->value();
   }
 
   std::set<std::string> VlogFilesOnDisk(const std::string& dir = "/db") {
@@ -354,6 +415,154 @@ TEST_F(VlogDbTest, SeparationOffIsUnchanged) {
   EXPECT_FALSE(db_->GetProperty("pipelsm.vlog", &json));
 }
 
+// The write path caches each separated value once the value log is being
+// read, so a Get after an overwrite hits the new version, never the old.
+TEST_F(VlogDbTest, OverwriteReturnsNewValueFromCache) {
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", LargeValue(1)).ok());
+  EXPECT_EQ(LargeValue(1), Get("k"));  // device read, fills
+  EXPECT_EQ(LargeValue(1), Get("k"));
+  EXPECT_EQ(1u, Counter("vlog.resolve_cache_hits"));
+  for (int i = 2; i <= 4; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k", LargeValue(i)).ok());
+    EXPECT_EQ(LargeValue(i), Get("k"));
+  }
+  EXPECT_EQ(4u, Counter("vlog.resolve_cache_hits"));
+  db_->CompactRange(nullptr, nullptr);
+  EXPECT_EQ(LargeValue(4), Get("k"));
+}
+
+TEST_F(VlogDbTest, CacheHitReturnsDeviceReadBytes) {
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", LargeValue(9)).ok());
+  ReadOptions no_fill;
+  no_fill.fill_cache = false;
+  std::string device, first, cached;
+  ASSERT_TRUE(db_->Get(no_fill, "k", &device).ok());
+  ASSERT_TRUE(db_->Get(ReadOptions(), "k", &first).ok());
+  EXPECT_EQ(0u, Counter("vlog.resolve_cache_hits"));
+  ASSERT_TRUE(db_->Get(ReadOptions(), "k", &cached).ok());
+  EXPECT_EQ(1u, Counter("vlog.resolve_cache_hits"));
+  EXPECT_EQ(3u, Counter("vlog.resolves"));
+  EXPECT_EQ(device, first);
+  EXPECT_EQ(device, cached);
+  EXPECT_EQ(LargeValue(9), cached);
+}
+
+TEST_F(VlogDbTest, GcRetirementErasesCachedValues) {
+  FrameRecordingCache cache;
+  options_.block_cache = &cache;
+  Open();
+  const int n = 20;
+  for (int i = 0; i < n; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i),
+                         LargeValue(i))
+                    .ok());
+  }
+  for (int i = 0; i < n; i++) {
+    EXPECT_EQ(LargeValue(i), Get("k" + std::to_string(i)));
+  }
+  const std::vector<std::string> cached = cache.frame_keys();
+  ASSERT_EQ(static_cast<size_t>(n), cached.size());
+  for (const std::string& key : cached) {
+    EXPECT_NE(nullptr, cache.Lookup(key));
+  }
+
+  // A full sweep rewrites every live value and retires every segment that
+  // held one, so none of the cached locations survives.
+  ASSERT_TRUE(db_->CompactValueLog().ok());
+  for (const std::string& key : cached) {
+    EXPECT_EQ(nullptr, cache.Lookup(key));
+  }
+  for (int i = 0; i < n; i++) {
+    EXPECT_EQ(LargeValue(i), Get("k" + std::to_string(i)));
+  }
+  db_.reset();
+}
+
+// The write path caches the value before the group commits; a failed
+// value-log sync fails the write, and its cached value stays unreachable
+// because no committed pointer names its location.
+TEST_F(VlogDbTest, FailedVlogSyncKeepsOldValue) {
+  FrameRecordingCache cache;
+  FaultInjectionEnv fault_env(&env_);
+  options_.env = &fault_env;
+  options_.block_cache = &cache;
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", LargeValue(1)).ok());
+  EXPECT_EQ(LargeValue(1), Get("k"));
+  const size_t inserts = cache.frame_keys().size();
+
+  fault_env.SetPathFilter(FaultOp::kSync, ".vlog");
+  fault_env.FailAfter(FaultOp::kSync, 1);
+  EXPECT_FALSE(db_->Put(WriteOptions(), "k", LargeValue(2)).ok());
+  fault_env.ClearFaults();
+  EXPECT_EQ(inserts + 1, cache.frame_keys().size()) << "the write filled";
+  EXPECT_EQ(LargeValue(1), Get("k"));
+
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", LargeValue(3)).ok());
+  EXPECT_EQ(LargeValue(3), Get("k"));
+  db_.reset();
+}
+
+TEST_F(VlogDbTest, FillCacheFalseInsertsNothing) {
+  FrameRecordingCache cache;
+  options_.block_cache = &cache;
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "a", LargeValue(1)).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "b", LargeValue(2)).ok());
+  ReadOptions no_fill;
+  no_fill.fill_cache = false;
+  std::string value;
+  ASSERT_TRUE(db_->Get(no_fill, "a", &value).ok());
+  EXPECT_EQ(LargeValue(1), value);
+  {
+    std::unique_ptr<Iterator> it(db_->NewIterator(no_fill));
+    int seen = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) seen++;
+    EXPECT_EQ(2, seen);
+    EXPECT_TRUE(it->status().ok());
+  }
+  EXPECT_TRUE(cache.frame_keys().empty());
+
+  // The default does fill, from Get and from iterators alike.
+  EXPECT_EQ(LargeValue(1), Get("a"));
+  EXPECT_EQ(1u, cache.frame_keys().size());
+  {
+    std::unique_ptr<Iterator> it(db_->NewIterator(ReadOptions()));
+    it->Seek("b");
+    ASSERT_TRUE(it->Valid());
+    EXPECT_EQ(LargeValue(2), it->value().ToString());
+  }
+  EXPECT_EQ(2u, cache.frame_keys().size());
+  db_.reset();
+}
+
+// Segment numbers restart when a DB is destroyed and re-created, so the
+// same (segment, offset) names a different value; the per-instance cache
+// id keeps a cache that outlives the first DB from serving its value.
+TEST_F(VlogDbTest, ExternalCacheAcrossDestroyDbNeverServesOldValues) {
+  FrameRecordingCache cache;
+  options_.block_cache = &cache;
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", LargeValue(1)).ok());
+  EXPECT_EQ(LargeValue(1), Get("k"));
+  db_.reset();
+  ASSERT_TRUE(DestroyDB("/db", options_).ok());
+
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", LargeValue(2)).ok());
+  EXPECT_EQ(LargeValue(2), Get("k"));
+  EXPECT_EQ(LargeValue(2), Get("k"));
+  const std::vector<std::string> keys = cache.frame_keys();
+  ASSERT_EQ(2u, keys.size());
+  EXPECT_EQ(FrameRecordingCache::Location(keys[0]),
+            FrameRecordingCache::Location(keys[1]));
+  EXPECT_NE(FrameRecordingCache::Id(keys[0]),
+            FrameRecordingCache::Id(keys[1]));
+  db_.reset();
+}
+
 TEST(VlogShardedTest, SeparationWorksThroughShardedDB) {
   SimEnv env;
   Options options;
@@ -405,6 +614,46 @@ TEST(VlogShardedTest, SeparationWorksThroughShardedDB) {
   EXPECT_TRUE(db->CompactValueLog().ok());
   ASSERT_TRUE(db->Get(ReadOptions(), "apple", &value).ok());
   EXPECT_EQ(LargeValue(1), value);
+}
+
+// Shards number their segments independently, so two shards sharing the
+// fleet cache write values at the same (segment, offset); their cache ids
+// keep each shard's values apart.
+TEST(VlogShardedTest, ShardsSharingTheFleetCacheNeverCollide) {
+  SimEnv env;
+  FrameRecordingCache cache;
+  Options options;
+  options.env = &env;
+  options.create_if_missing = true;
+  options.value_separation_threshold = 1024;
+  options.block_cache = &cache;
+  shard::ShardedOptions sharded;
+  sharded.num_shards = 2;
+  sharded.boundary_keys = {"m"};
+  shard::ShardedDB* raw = nullptr;
+  ASSERT_TRUE(shard::ShardedDB::Open(options, sharded, "/sdb", &raw).ok());
+  std::unique_ptr<shard::ShardedDB> db(raw);
+
+  // The first round of reads misses and fills; the writes of the second
+  // round fill; every read of both rounds sees its own shard's value.
+  for (int round = 0; round < 2; round++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), "apple", LargeValue(round)).ok());
+    ASSERT_TRUE(db->Put(WriteOptions(), "zebra", LargeValue(10 + round)).ok());
+    for (int read = 0; read < 2; read++) {
+      std::string value;
+      ASSERT_TRUE(db->Get(ReadOptions(), "apple", &value).ok());
+      EXPECT_EQ(LargeValue(round), value);
+      ASSERT_TRUE(db->Get(ReadOptions(), "zebra", &value).ok());
+      EXPECT_EQ(LargeValue(10 + round), value);
+    }
+  }
+  EXPECT_EQ(6u, cache.frame_hits());
+  const std::vector<std::string> keys = cache.frame_keys();
+  ASSERT_EQ(4u, keys.size());
+  EXPECT_EQ(FrameRecordingCache::Location(keys[0]),
+            FrameRecordingCache::Location(keys[1]));
+  EXPECT_NE(FrameRecordingCache::Id(keys[0]),
+            FrameRecordingCache::Id(keys[1]));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // VlogManager unit tests: frame encoding, segment rolling, torn-tail
-// recovery, the append-pending protocol that fences GC off segments with
-// in-flight pointer commits, and retirement pinning.
+// recovery, pointer bound checks, the value cache, the append-pending
+// protocol that fences GC off segments with in-flight pointer commits,
+// and retirement pinning.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +11,8 @@
 
 #include "src/db/filename.h"
 #include "src/env/sim_env.h"
+#include "src/obs/metrics.h"
+#include "src/read/cache.h"
 #include "src/util/coding.h"
 #include "src/vlog/vlog.h"
 
@@ -22,11 +25,14 @@ class VlogTest : public ::testing::Test {
   VlogTest() { env_.CreateDir("/db"); }
 
   // Fresh manager over /db with its own monotonic number allocator.
-  std::unique_ptr<VlogManager> NewManager(size_t segment_size = 1 << 20) {
+  std::unique_ptr<VlogManager> NewManager(
+      size_t segment_size = 1 << 20, read::Cache* cache = nullptr,
+      obs::MetricsRegistry* metrics = nullptr) {
     VlogOptions opts;
     opts.segment_size = segment_size;
+    opts.cache = cache;
     return std::unique_ptr<VlogManager>(new VlogManager(
-        &env_, "/db", opts, nullptr, nullptr, [this] { return next_++; }));
+        &env_, "/db", opts, metrics, nullptr, [this] { return next_++; }));
   }
 
   // Recover + open the first active segment, asserting success.
@@ -96,6 +102,144 @@ TEST_F(VlogTest, AddSyncReadRoundTrip) {
   ValueLocation bogus = locs[1];
   bogus.offset += 1;
   EXPECT_FALSE(vlog->Read(bogus, &value).ok());
+}
+
+// A pointer comes from an SSTable: Read bounds it by its segment's size
+// before it can size an allocation or reach the cache, in the active
+// segment and in a sealed one.
+TEST_F(VlogTest, OutOfBoundsPointersAreCorruption) {
+  obs::MetricsRegistry metrics;
+  auto cache = read::NewShardedLRUCache(1 << 20);
+  auto vlog = NewManager(1 << 20, cache.get(), &metrics);
+  Start(vlog.get());
+  ValueLocation loc;
+  ASSERT_TRUE(vlog->Add("k", std::string(100, 'v'), &loc).ok());
+  ASSERT_TRUE(vlog->Sync().ok());
+  vlog->ReleaseAppends({loc.segment});
+
+  for (const bool sealed : {false, true}) {
+    SCOPED_TRACE(sealed ? "sealed" : "active");
+    if (sealed) {
+      ASSERT_TRUE(vlog->RollActive().ok());
+    }
+    ValueLocation huge = loc;
+    huge.length = 0xFFFFFFFF;
+    ValueLocation past_end = loc;
+    past_end.offset = loc.offset + loc.length + 1;
+    ValueLocation wraps = loc;  // offset + length overflows to a small sum
+    wraps.offset = ~uint64_t{0} - 10;
+    wraps.length = 100;
+    for (const ValueLocation& bad : {huge, past_end, wraps}) {
+      std::string value;
+      EXPECT_TRUE(vlog->Read(bad, &value).IsCorruption());
+    }
+  }
+  EXPECT_EQ(6u, metrics.RegisterCounter("vlog.resolve_errors", "")->value());
+  EXPECT_EQ(0u, cache->usage()) << "a bad pointer never fills the cache";
+  std::string value;
+  ASSERT_TRUE(vlog->Read(loc, &value).ok());
+  EXPECT_EQ(std::string(100, 'v'), value);
+}
+
+// Reads and CacheValue fill the cache; a hit serves the bytes a device
+// read returns; fill_cache=false inserts nothing, and GC retirement
+// erases exactly the retired segment's values.
+TEST_F(VlogTest, ValueCacheFillsServesAndErases) {
+  obs::MetricsRegistry metrics;
+  auto cache = read::NewShardedLRUCache(1 << 20);
+  auto vlog = NewManager(1 << 20, cache.get(), &metrics);
+  Start(vlog.get());
+  auto hits = [&] {
+    return metrics.RegisterCounter("vlog.resolve_cache_hits", "")->value();
+  };
+  std::vector<ValueLocation> locs(3);
+  for (int i = 0; i < 3; i++) {
+    ASSERT_TRUE(vlog->Add("k" + std::to_string(i), std::string(500, 'a' + i),
+                          &locs[i])
+                    .ok());
+  }
+  ASSERT_TRUE(vlog->Sync().ok());
+  vlog->ReleaseAppends({locs[0].segment, locs[1].segment, locs[2].segment});
+
+  // Nothing was read yet, so the write path does not fill.
+  vlog->CacheValue(locs[0], std::string(500, 'a'));
+  EXPECT_EQ(0u, cache->usage());
+
+  std::string device, cached;
+  ASSERT_TRUE(vlog->Read(locs[0], &device, /*fill_cache=*/false).ok());
+  EXPECT_EQ(0u, cache->usage());
+  ASSERT_TRUE(vlog->Read(locs[0], &device).ok());
+  EXPECT_GT(cache->usage(), 500u);
+  EXPECT_EQ(0u, hits());
+  ASSERT_TRUE(vlog->Read(locs[0], &cached).ok());
+  EXPECT_EQ(1u, hits());
+  EXPECT_EQ(device, cached);
+
+  // After a read, the write path fills: the next read is a hit.
+  vlog->CacheValue(locs[1], std::string(500, 'b'));
+  ASSERT_TRUE(vlog->Read(locs[1], &cached).ok());
+  EXPECT_EQ(2u, hits());
+  EXPECT_EQ(std::string(500, 'b'), cached);
+
+  // The write path keeps filling after a roll: the first read turned it
+  // on for good.
+  const uint64_t segment = locs[0].segment;
+  ASSERT_TRUE(vlog->RollActive().ok());
+  const size_t old_segment_usage = cache->usage();
+  ValueLocation fresh;
+  ASSERT_TRUE(vlog->Add("k3", std::string(500, 'd'), &fresh).ok());
+  ASSERT_TRUE(vlog->Sync().ok());
+  vlog->ReleaseAppends({fresh.segment});
+  ASSERT_NE(segment, fresh.segment);
+  vlog->CacheValue(fresh, std::string(500, 'd'));
+  const size_t fresh_usage = cache->usage() - old_segment_usage;
+  EXPECT_GT(fresh_usage, 500u);
+  ASSERT_TRUE(vlog->Read(fresh, &cached).ok());
+  EXPECT_EQ(3u, hits());
+  EXPECT_EQ(std::string(500, 'd'), cached);
+
+  // Retiring the segment erases its values, and only its values.
+  ASSERT_TRUE(vlog->BeginGc(segment));
+  vlog->FinishGc(segment, /*retire=*/true, 0);
+  vlog->SweepRetired(kMaxSequenceNumber);
+  EXPECT_EQ(fresh_usage, cache->usage());
+}
+
+// A value larger than one shard's capacity slice is not cached, by a
+// read or by the write path: the cache never evicts the entry it just
+// inserted, so it would empty the shard of its other entries.
+TEST_F(VlogTest, OversizedValueLeavesCacheEntriesInPlace) {
+  obs::MetricsRegistry metrics;
+  auto cache = read::NewShardedLRUCache(64 << 10, /*num_shards=*/1);
+  auto vlog = NewManager(1 << 20, cache.get(), &metrics);
+  Start(vlog.get());
+  auto hits = [&] {
+    return metrics.RegisterCounter("vlog.resolve_cache_hits", "")->value();
+  };
+  ValueLocation small, big;
+  const std::string big_value(100 << 10, 'B');
+  ASSERT_TRUE(vlog->Add("s", std::string(500, 's'), &small).ok());
+  ASSERT_TRUE(vlog->Add("b", big_value, &big).ok());
+  ASSERT_TRUE(vlog->Sync().ok());
+  vlog->ReleaseAppends({small.segment, big.segment});
+
+  std::string value;
+  ASSERT_TRUE(vlog->Read(small, &value).ok());
+  const size_t usage = cache->usage();
+  ASSERT_GT(usage, 500u);
+
+  vlog->CacheValue(big, big_value);
+  EXPECT_EQ(usage, cache->usage());
+  for (int i = 0; i < 2; i++) {
+    ASSERT_TRUE(vlog->Read(big, &value).ok());
+    EXPECT_EQ(big_value, value);
+  }
+  EXPECT_EQ(usage, cache->usage());
+  EXPECT_EQ(0u, hits()) << "the big value is always read from the device";
+
+  ASSERT_TRUE(vlog->Read(small, &value).ok());
+  EXPECT_EQ(1u, hits()) << "the small value was not evicted";
+  EXPECT_EQ(std::string(500, 's'), value);
 }
 
 TEST_F(VlogTest, RollsActiveSegmentWhenFull) {

@@ -311,12 +311,17 @@ void RenderDashboard(const Snapshot& cur, const Snapshot& prev,
   if (cur.Sum("pipelsm_vlog_segments") >= 0) {
     const double bytes = cur.Sum("pipelsm_vlog_bytes");
     const double dead = cur.Sum("pipelsm_vlog_dead_bytes");
+    const double resolves = cur.Sum("pipelsm_vlog_resolves");
+    // A server that predates the hit counter reports -1 for it.
+    const double hits = cur.Sum("pipelsm_vlog_resolve_cache_hits");
     std::printf("vlog      %.0f segs  %.1f MiB (%.0f%% dead)   "
-                "gc %.0f runs   reclaimed %.1f MiB\n",
+                "gc %.0f runs   reclaimed %.1f MiB   "
+                "resolves %.1f%% cached\n",
                 cur.Sum("pipelsm_vlog_segments"), bytes / (1 << 20),
                 bytes > 0 ? 100.0 * dead / bytes : 0.0,
                 cur.Sum("pipelsm_vlog_gc_runs"),
-                cur.Sum("pipelsm_vlog_gc_bytes_reclaimed") / (1 << 20));
+                cur.Sum("pipelsm_vlog_gc_bytes_reclaimed") / (1 << 20),
+                hits >= 0 && resolves > 0 ? 100.0 * hits / resolves : 0.0);
   }
 
   const std::map<int, double> stalls =
