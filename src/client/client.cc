@@ -239,12 +239,8 @@ void Client::ReaderLoop(Connection* conn) {
         break;
       }
       if (result.status.ok()) {
-        if (frame.type == MessageType::kScan) {
-          if (!server::ParseScanPayload(payload, &result.entries)) {
-            result.status = Status::Corruption("malformed scan payload");
-          }
-        } else if (frame.type == MessageType::kScanOpen ||
-                   frame.type == MessageType::kScanNext) {
+        if (frame.type == MessageType::kScanOpen ||
+            frame.type == MessageType::kScanNext) {
           if (!server::ParseScanBatchPayload(payload, &result.cursor_id,
                                              &result.entries, &result.done)) {
             result.status = Status::Corruption("malformed cursor payload");
@@ -414,13 +410,6 @@ std::future<Result> Client::AsyncGet(const Slice& key) {
   return Submit(MessageType::kGet, body, &key);
 }
 
-std::future<Result> Client::AsyncScan(const Slice& start_key, uint32_t limit) {
-  std::string body;
-  PutLengthPrefixedSlice(&body, start_key);
-  PutVarint32(&body, limit);
-  return Submit(MessageType::kScan, body);
-}
-
 std::future<Result> Client::AsyncStats(const Slice& property) {
   std::string body;
   PutLengthPrefixedSlice(&body, property);
@@ -451,9 +440,14 @@ Status Client::Get(const Slice& key, std::string* value) {
 
 Status Client::Scan(const Slice& start_key, uint32_t limit,
                     std::vector<std::pair<std::string, std::string>>* entries) {
-  Result r = SyncWait(AsyncScan(start_key, limit));
-  if (r.status.ok()) *entries = std::move(r.entries);
-  return r.status;
+  CursorBatch batch;
+  const Status s = ScanOpen(start_key, limit, &batch);
+  if (!s.ok()) return s;
+  // The entries are already here; a failed close only leaves the cursor
+  // to the server's connection teardown or TTL sweeper.
+  if (!batch.done) ScanClose(batch.cursor_id);
+  *entries = std::move(batch.entries);
+  return s;
 }
 
 Status Client::Stats(const Slice& property, std::string* value) {

@@ -68,9 +68,8 @@ struct ClientOptions {
   std::vector<std::string> shard_affinity_boundaries;
 };
 
-// Outcome of one request. `value` holds GET/STATS payloads; `entries`
-// holds SCAN / cursor-batch results; `cursor_id`/`done` are set on
-// SCAN_OPEN / SCAN_NEXT replies.
+// Outcome of one request. `value` holds GET/STATS payloads; `entries`,
+// `cursor_id` and `done` are set on SCAN_OPEN / SCAN_NEXT replies.
 struct Result {
   Status status;
   std::string value;
@@ -95,6 +94,11 @@ class Client {
   Status Delete(const Slice& key);
   Status WriteBatch(const std::vector<server::BatchOp>& ops);
   Status Get(const Slice& key, std::string* value);
+  // One-shot scan: the first batch of a server cursor, so at most
+  // min(limit, max_scan_entries) entries (limit 0 = that cap), cut early
+  // at max_scan_bytes. Closes the cursor before returning if the server
+  // still holds it. The cursor counts against the server's max_cursors
+  // while the call runs, so Scan returns Busy when the cap is reached.
   Status Scan(const Slice& start_key, uint32_t limit,
               std::vector<std::pair<std::string, std::string>>* entries);
   Status Stats(const Slice& property, std::string* value);
@@ -130,7 +134,6 @@ class Client {
   std::future<Result> AsyncDelete(const Slice& key);
   std::future<Result> AsyncWriteBatch(const std::vector<server::BatchOp>& ops);
   std::future<Result> AsyncGet(const Slice& key);
-  std::future<Result> AsyncScan(const Slice& start_key, uint32_t limit);
   std::future<Result> AsyncStats(const Slice& property);
 
   // Waits up to 10 s for `future`; a timeout yields Status::Busy without

@@ -159,14 +159,10 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       internal_comparator_(raw_options.comparator != nullptr
                                ? raw_options.comparator
                                : BytewiseComparator()),
-      owned_filter_policy_(raw_options.filter_policy == nullptr &&
-                                   raw_options.bloom_bits_per_key > 0
-                               ? NewBloomFilterPolicy(
-                                     raw_options.bloom_bits_per_key)
-                               : nullptr),
-      internal_filter_policy_(owned_filter_policy_ != nullptr
-                                  ? owned_filter_policy_.get()
-                                  : raw_options.filter_policy),
+      filter_policy_(raw_options.bloom_bits_per_key > 0
+                         ? NewBloomFilterPolicy(raw_options.bloom_bits_per_key)
+                         : nullptr),
+      internal_filter_policy_(filter_policy_.get()),
       options_(SanitizeOptions(raw_options)),
       dbname_(dbname),
       min_read_bytes_(env_->PreferredReadBytes()),
@@ -194,19 +190,15 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
         options_.block_cache_size, options_.block_cache_shards);
   }
 
-  const FilterPolicy* user_filter_policy = owned_filter_policy_ != nullptr
-                                               ? owned_filter_policy_.get()
-                                               : options_.filter_policy;
   table_options_.comparator = &internal_comparator_;
   table_options_.filter_policy =
-      user_filter_policy != nullptr ? &internal_filter_policy_ : nullptr;
+      filter_policy_ != nullptr ? &internal_filter_policy_ : nullptr;
   table_options_.block_cache = options_.block_cache != nullptr
                                    ? options_.block_cache
                                    : owned_block_cache_.get();
   table_options_.filter_partition_bytes = options_.filter_partition_bytes;
   table_options_.block_size = options_.block_size;
   table_options_.compression = options_.compression;
-  table_options_.verify_checksums = options_.verify_checksums;
 
   table_cache_.reset(
       new TableCache(dbname_, table_options_, env_, kMaxOpenTables));
@@ -1113,7 +1105,6 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   // segment between us reading a pointer and resolving it.
   const ReadView view = AcquireReadView(options.snapshot, /*pin=*/true);
   TableReadOptions tro;
-  tro.verify_checksums = options.verify_checksums;
   tro.fill_cache = options.fill_cache;
   bool is_pointer = false;
   Status s = view.Get(tro, LookupKey(key, view.sequence), value, &is_pointer);
@@ -1131,7 +1122,6 @@ Iterator* DBImpl::NewIterator(const ReadOptions& options) {
   // pointers from, even after the caller releases its snapshot.
   const ReadView view = AcquireReadView(options.snapshot, /*pin=*/true);
   TableReadOptions tro;
-  tro.verify_checksums = options.verify_checksums;
   tro.fill_cache = options.fill_cache;
   std::vector<Iterator*> list;
   list.push_back(view.mem->NewIterator());

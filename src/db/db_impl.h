@@ -247,10 +247,9 @@ class DBImpl final : public DB {
   // Constant after construction.
   Env* const env_;
   const InternalKeyComparator internal_comparator_;
-  // Bloom policy owned by the DB when Options::bloom_bits_per_key > 0
-  // and no filter_policy was supplied. Declared before
-  // internal_filter_policy_, which wraps it.
-  std::unique_ptr<const FilterPolicy> owned_filter_policy_;
+  // Bloom policy when Options::bloom_bits_per_key > 0, else null.
+  // Declared before internal_filter_policy_, which wraps it.
+  std::unique_ptr<const FilterPolicy> filter_policy_;
   const InternalFilterPolicy internal_filter_policy_;
   const Options options_;
   const std::string dbname_;

@@ -13,7 +13,6 @@ namespace pipelsm {
 class CompactionGovernor;
 class Comparator;
 class Env;
-class FilterPolicy;
 class Snapshot;
 
 namespace obs {
@@ -95,9 +94,8 @@ struct Options {
   // two; 0 = pick from hardware concurrency; 1 = single-mutex baseline).
   size_t block_cache_shards = 0;
 
-  // When > 0 and filter_policy is null, the DB owns a bloom filter
-  // policy with this many bits per key — the usual way to turn filters
-  // on without managing a FilterPolicy's lifetime.
+  // When > 0, every flushed and compacted table carries a bloom filter
+  // with this many bits per key (src/table/bloom.cc). 0 = no filters.
   int bloom_bits_per_key = 0;
 
   // Target payload bytes of one bloom-filter partition; point reads load
@@ -106,9 +104,6 @@ struct Options {
 
   // S5 codec. Paper default: snappy; here the built-in LZ codec.
   CompressionType compression = CompressionType::kLzCompression;
-
-  // Optional bloom filters on memtable-flush outputs.
-  const FilterPolicy* filter_policy = nullptr;
 
   // -------- compaction procedure (the paper's contribution) --------
   CompactionMode compaction_mode = CompactionMode::kPCP;
@@ -195,9 +190,6 @@ struct Options {
   // this engine is one shard of a ShardedDB; -1 = not sharded.
   int shard_id = -1;
 
-  // Verify block checksums (S2) on every read path.
-  bool verify_checksums = true;
-
   // -------- key-value separation (docs/VALUE_LOG.md) --------
   // Values at least this many bytes are stored in the append-only value
   // log; the LSM keeps a fixed-size location pointer instead, so
@@ -253,12 +245,9 @@ struct Options {
   unsigned int stats_dump_period_sec = 0;
 };
 
-// Options that control read operations.
+// Options that control read operations. Every block read verifies its
+// checksum (S2); there is no opt-out.
 struct ReadOptions {
-  // If true, all data read from underlying storage will be verified
-  // against corresponding checksums.
-  bool verify_checksums = false;
-
   // Should the data read for this iteration be cached in memory?
   bool fill_cache = true;
 

@@ -211,13 +211,11 @@ class Repairer {
     // Walk every entry, validating as we go; the first corruption aborts
     // the table (a partial table would need block-level salvage, which
     // the trailer CRCs make detectable but which we do not attempt).
-    TableReadOptions verify;
-    verify.verify_checksums = true;
     std::shared_ptr<Table> table;
     status = table_cache_->GetTable(t->meta.number, t->meta.file_size, &table);
     if (!status.ok()) return status;
 
-    std::unique_ptr<Iterator> iter(table->NewIterator(verify));
+    std::unique_ptr<Iterator> iter(table->NewIterator(TableReadOptions()));
     int counter = 0;
     bool empty = true;
     ParsedInternalKey parsed;

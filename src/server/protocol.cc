@@ -17,8 +17,6 @@ const char* MessageTypeName(MessageType type) {
       return "DELETE";
     case MessageType::kWriteBatch:
       return "WRITE_BATCH";
-    case MessageType::kScan:
-      return "SCAN";
     case MessageType::kStats:
       return "STATS";
     case MessageType::kScanOpen:
@@ -83,14 +81,6 @@ void EncodeWriteBatchRequest(uint64_t seq, const std::vector<BatchOp>& ops,
     }
   }
   EncodeFrame(MessageType::kWriteBatch, false, seq, body, out);
-}
-
-void EncodeScanRequest(uint64_t seq, const Slice& start_key, uint32_t limit,
-                       std::string* out) {
-  std::string body;
-  PutLengthPrefixedSlice(&body, start_key);
-  PutVarint32(&body, limit);
-  EncodeFrame(MessageType::kScan, false, seq, body, out);
 }
 
 void EncodeStatsRequest(uint64_t seq, const Slice& property,
@@ -174,11 +164,6 @@ bool ParseWriteBatchRequest(Slice body, std::vector<BatchOp>* ops) {
   return body.empty();
 }
 
-bool ParseScanRequest(Slice body, Slice* start_key, uint32_t* limit) {
-  return GetLengthPrefixedSlice(&body, start_key) &&
-         GetVarint32(&body, limit) && body.empty();
-}
-
 bool ParseStatsRequest(Slice body, Slice* property) {
   return GetLengthPrefixedSlice(&body, property) && body.empty();
 }
@@ -208,25 +193,6 @@ bool ParseReply(Slice body, Status* status, Slice* payload) {
   *status = WireCodeToStatus(code, message);
   *payload = Slice();
   return true;
-}
-
-bool ParseScanPayload(Slice payload,
-                      std::vector<std::pair<std::string, std::string>>* out) {
-  out->clear();
-  uint32_t count = 0;
-  if (!GetVarint32(&payload, &count)) return false;
-  if (count > payload.size()) return false;
-  out->reserve(count);
-  for (uint32_t i = 0; i < count; i++) {
-    Slice key, value;
-    if (!GetLengthPrefixedSlice(&payload, &key) ||
-        !GetLengthPrefixedSlice(&payload, &value)) {
-      return false;
-    }
-    out->emplace_back(std::string(key.data(), key.size()),
-                      std::string(value.data(), value.size()));
-  }
-  return payload.empty();
 }
 
 void EncodeScanBatchPayload(

@@ -21,10 +21,10 @@
 //   DELETE       key
 //   WRITE_BATCH  varint32 count, then count × { 1-byte op (0=put 1=del),
 //                key [, value when op=put] }
-//   SCAN         start_key, varint32 limit (0 = server default)
 //   STATS        property name (empty = "pipelsm.stats")
 //   SCAN_OPEN    start_key, varint32 limit (0 = unbounded): opens a
 //                server-side streaming cursor over a pinned snapshot
+//                (a one-shot scan is the first batch of one)
 //   SCAN_NEXT    fixed64 cursor id: next bounded batch
 //   SCAN_CLOSE   fixed64 cursor id: release the cursor (idempotent)
 //
@@ -32,7 +32,6 @@
 // numbering) followed by the error message (status != 0) or the per-type
 // payload (status == 0):
 //   GET          value
-//   SCAN         varint32 count, then count × { key, value }
 //   STATS        property value
 //   PING/PUT/DELETE/WRITE_BATCH   (empty)
 //   SCAN_OPEN /  fixed64 cursor id, varint32 count, count × { key,
@@ -75,23 +74,26 @@ enum class MessageType : uint8_t {
   kPut = 3,
   kDelete = 4,
   kWriteBatch = 5,
-  kScan = 6,
+  // 6 (kRetiredScanType) was the one-shot SCAN; never reuse it.
   kStats = 7,
   kScanOpen = 8,
   kScanNext = 9,
   kScanClose = 10,
 };
 
-// Number of message-type slots (index 0 unused) — sizes the server's
-// per-type instrument arrays.
+// Number of message-type slots (index 0 and the retired 6 unused) — sizes
+// the server's per-type instrument arrays.
 inline constexpr size_t kNumMessageTypes =
     static_cast<size_t>(MessageType::kScanClose) + 1;
 
 const char* MessageTypeName(MessageType type);
 
+inline constexpr uint8_t kRetiredScanType = 6;
+
 inline bool IsValidRequestType(uint8_t raw) {
   return raw >= static_cast<uint8_t>(MessageType::kPing) &&
-         raw <= static_cast<uint8_t>(MessageType::kScanClose);
+         raw <= static_cast<uint8_t>(MessageType::kScanClose) &&
+         raw != kRetiredScanType;
 }
 
 // One decoded update of a WRITE_BATCH request.
@@ -116,8 +118,6 @@ void EncodePutRequest(uint64_t seq, const Slice& key, const Slice& value,
 void EncodeDeleteRequest(uint64_t seq, const Slice& key, std::string* out);
 void EncodeWriteBatchRequest(uint64_t seq, const std::vector<BatchOp>& ops,
                              std::string* out);
-void EncodeScanRequest(uint64_t seq, const Slice& start_key, uint32_t limit,
-                       std::string* out);
 void EncodeStatsRequest(uint64_t seq, const Slice& property, std::string* out);
 void EncodeScanOpenRequest(uint64_t seq, const Slice& start_key,
                            uint32_t limit, std::string* out);
@@ -137,7 +137,6 @@ bool ParseGetRequest(Slice body, Slice* key);
 bool ParsePutRequest(Slice body, Slice* key, Slice* value);
 bool ParseDeleteRequest(Slice body, Slice* key);
 bool ParseWriteBatchRequest(Slice body, std::vector<BatchOp>* ops);
-bool ParseScanRequest(Slice body, Slice* start_key, uint32_t* limit);
 bool ParseStatsRequest(Slice body, Slice* property);
 bool ParseScanOpenRequest(Slice body, Slice* start_key, uint32_t* limit);
 // SCAN_NEXT and SCAN_CLOSE bodies are both a bare fixed64 cursor id.
@@ -148,10 +147,6 @@ bool ParseCursorRequest(Slice body, uint64_t* cursor_id);
 // Splits a reply body into its Status and success payload. Returns false
 // only on a malformed body (which the client treats as a protocol error).
 bool ParseReply(Slice body, Status* status, Slice* payload);
-
-// Decodes a SCAN success payload.
-bool ParseScanPayload(Slice payload,
-                      std::vector<std::pair<std::string, std::string>>* out);
 
 // Encodes/decodes a SCAN_OPEN / SCAN_NEXT success payload (cursor id +
 // one bounded batch + done flag).

@@ -195,10 +195,12 @@ Status Server::Start() {
   requests_inflight_ = metrics_->RegisterGauge(
       "server.requests_inflight",
       "dispatched client requests not yet answered");
+  // Slot 0 and the retired type 6 name no request and get no instruments.
   static const char* kNames[kNumMessageTypes] = {
-      "",     "ping",  "get",  "put",       "del",       "batch",
-      "scan", "stats", "scan_open", "scan_next", "scan_close"};
+      nullptr, "ping",  "get",       "put",       "del",       "batch",
+      nullptr, "stats", "scan_open", "scan_next", "scan_close"};
   for (size_t t = 1; t < kNumMessageTypes; t++) {
+    if (kNames[t] == nullptr) continue;
     req_counters_[t] = metrics_->RegisterCounter(
         std::string("server.req.") + kNames[t], "requests served");
     req_micros_[t] = metrics_->RegisterHistogram(
@@ -235,7 +237,9 @@ Status Server::Start() {
   if (options_.trace != nullptr) {
     trace_pid_ = options_.trace->BeginJob("server requests");
     for (uint32_t t = 1; t < kNumMessageTypes; t++) {
-      options_.trace->SetLaneName(trace_pid_, t, kNames[t]);
+      if (kNames[t] != nullptr) {
+        options_.trace->SetLaneName(trace_pid_, t, kNames[t]);
+      }
     }
   }
 
@@ -842,27 +846,18 @@ void Server::DispatchFrame(const std::shared_ptr<Conn>& conn,
       } else {
         std::vector<BatchOp> ops;
         if ((ok = ParseWriteBatchRequest(body, &ops))) {
-          if (sharded_ == nullptr) {
-            for (const BatchOp& op : ops) {
-              if (op.is_delete) {
-                task.batch.Delete(op.key);
-              } else {
-                task.batch.Put(op.key, op.value);
-              }
+          for (const BatchOp& op : ops) {
+            if (op.is_delete) {
+              task.batch.Delete(op.key);
+            } else {
+              task.batch.Put(op.key, op.value);
             }
-          } else {
+          }
+          std::vector<WriteBatch> split;
+          if (sharded_ != nullptr &&
+              (ok = sharded_->router().SplitBatch(task.batch, &split).ok())) {
             // Split the batch per shard up front; each sub-batch rides
             // its own shard's commit thread and the finisher replies.
-            const shard::ShardRouter& router = sharded_->router();
-            std::vector<WriteBatch> split(sharded_->num_shards());
-            for (const BatchOp& op : ops) {
-              WriteBatch& b = split[router.ShardOf(op.key)];
-              if (op.is_delete) {
-                b.Delete(op.key);
-              } else {
-                b.Put(op.key, op.value);
-              }
-            }
             std::vector<size_t> touched;
             for (size_t i = 0; i < split.size(); i++) {
               if (WriteBatchInternal::Count(&split[i]) > 0) {
@@ -908,7 +903,6 @@ void Server::DispatchFrame(const std::shared_ptr<Conn>& conn,
       return;
     }
     case MessageType::kGet:
-    case MessageType::kScan:
     case MessageType::kStats:
     case MessageType::kScanOpen:
     case MessageType::kScanNext:
@@ -977,39 +971,6 @@ void Server::HandleReadTask(ReadTask& task) {
       s = db_->Get(ReadOptions(), key, &payload);
       break;
     }
-    case MessageType::kScan: {
-      Slice start;
-      uint32_t limit = 0;
-      if (!ParseScanRequest(body, &start, &limit)) {
-        s = Status::InvalidArgument("malformed request body");
-        break;
-      }
-      // Clamp BEFORE any allocation sized from the wire value: limit is
-      // attacker-controlled (a huge varint32 must not size a reserve or
-      // drive the loop), and limit=0 means "server default".
-      if (limit == 0 || limit > options_.max_scan_entries) {
-        limit = options_.max_scan_entries;
-      }
-      std::unique_ptr<Iterator> it(db_->NewIterator(ReadOptions()));
-      std::vector<std::pair<std::string, std::string>> entries;
-      size_t scan_bytes = 0;
-      for (start.empty() ? it->SeekToFirst() : it->Seek(start);
-           it->Valid() && entries.size() < limit &&
-           scan_bytes < options_.max_scan_bytes;
-           it->Next()) {
-        scan_bytes += it->key().size() + it->value().size();
-        entries.emplace_back(it->key().ToString(), it->value().ToString());
-      }
-      s = it->status();
-      if (s.ok()) {
-        PutVarint32(&payload, static_cast<uint32_t>(entries.size()));
-        for (const auto& [k, v] : entries) {
-          PutLengthPrefixedSlice(&payload, k);
-          PutLengthPrefixedSlice(&payload, v);
-        }
-      }
-      break;
-    }
     case MessageType::kStats: {
       Slice property;
       if (!ParseStatsRequest(body, &property)) {
@@ -1033,10 +994,10 @@ void Server::HandleReadTask(ReadTask& task) {
       auto cursor = std::make_shared<Cursor>();
       cursor->id = next_cursor_id_.fetch_add(1, std::memory_order_relaxed);
       cursor->conn_id = task.conn->id;
-      // Unlike one-shot SCAN, limit here is NOT clamped to
-      // max_scan_entries: the caps bound each BATCH, the limit bounds the
-      // whole stream (0 = run to the end of the keyspace). No allocation
-      // is sized from it, so a hostile value costs nothing.
+      // limit is NOT clamped to max_scan_entries: the caps bound each
+      // BATCH, the limit bounds the whole stream (0 = run to the end of
+      // the keyspace). No allocation is sized from it, so a hostile value
+      // costs nothing.
       cursor->remaining = limit == 0 ? UINT64_MAX : limit;
       cursor->snapshot = db_->GetSnapshot();
       ReadOptions ro;

@@ -11,7 +11,7 @@
 //     connections round-robin to the loops; each loop reads its sockets,
 //     feeds a FrameDecoder, and dispatches complete requests:
 //       PING                      answered inline,
-//       GET / SCAN / STATS /
+//       GET / STATS /
 //       SCAN_OPEN|NEXT|CLOSE      -> read queue   (BoundedQueue)
 //       PUT / DELETE / WRITE_BATCH-> write queue  (BoundedQueue)
 //   Worker pool (util/thread_pool) drains the read queue and executes
@@ -139,11 +139,11 @@ struct ServerOptions {
   // WriteOptions::sync for the leader batch — one fsync per group.
   bool sync_writes = true;
 
-  // Hard cap on SCAN result entries (requests asking for more are
-  // truncated to this; limit=0 also means this default).
+  // Hard cap on the entries of one cursor batch (SCAN_OPEN / SCAN_NEXT
+  // reply). Client::Scan returns one batch, so this also caps it.
   uint32_t max_scan_entries = 10000;
 
-  // Hard cap on SCAN result payload bytes (keys + values). A hostile
+  // Hard cap on one cursor batch's payload bytes (keys + values). A hostile
   // limit can otherwise multiply with large (value-log separated)
   // values into an oversized reply allocation that blows straight past
   // the 8 MiB outbox cap in one request. The scan stops early at whichever

@@ -132,10 +132,10 @@ Status DecodeBlock(const Slice& stored, BlockContents* result) {
 }
 
 Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
-                 bool verify_checksum, BlockContents* result) {
+                 BlockContents* result) {
   RawBlock raw;
   Status s = ReadRawBlock(file, handle, &raw);
-  if (s.ok() && verify_checksum) s = VerifyRawBlock(raw);
+  if (s.ok()) s = VerifyRawBlock(raw);
   if (s.ok()) s = DecodeBlock(raw.payload, result);
   if (!s.ok()) return s;
   if (!result->heap_allocated) {

@@ -81,9 +81,9 @@ struct BlockContents {
 
 // Reads the block identified by `handle`, verifies the trailer CRC and
 // decompresses — i.e. performs S1+S2+S3 of the compaction procedure for one
-// block. `verify_checksum` lets read paths opt out.
+// block.
 Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
-                 bool verify_checksum, BlockContents* result);
+                 BlockContents* result);
 
 // The raw compressed payload of one block, as moved between pipeline
 // stages: the compaction executors read raw bytes in the read stage (S1)

@@ -93,8 +93,7 @@ Status Table::Open(const TableOptions& options,
 
   // Read the index block.
   BlockContents index_block_contents;
-  s = ReadBlock(file.get(), footer.index_handle(), options.verify_checksums,
-                &index_block_contents);
+  s = ReadBlock(file.get(), footer.index_handle(), &index_block_contents);
   if (!s.ok()) return s;
 
   auto* rep = new Rep;
@@ -117,9 +116,7 @@ Status Table::ReadMeta(const Footer& footer) {
   }
 
   BlockContents contents;
-  if (!ReadBlock(rep_->file.get(), footer.metaindex_handle(),
-                 rep_->options.verify_checksums, &contents)
-           .ok()) {
+  if (!ReadBlock(rep_->file.get(), footer.metaindex_handle(), &contents).ok()) {
     // The filter is optional: without it every probe may match.
     return Status::OK();
   }
@@ -242,8 +239,6 @@ Iterator* Table::ReadBlockIterator(const TableReadOptions& read_options,
     return NewErrorIterator(s);
   }
 
-  const bool verify =
-      rep_->options.verify_checksums || read_options.verify_checksums;
   std::shared_ptr<Block> block;
   char cache_key_buffer[16];
   if (cache != nullptr) {
@@ -253,7 +248,7 @@ Iterator* Table::ReadBlockIterator(const TableReadOptions& read_options,
     block = cache->LookupAs<Block>(key);
     if (block == nullptr) {
       BlockContents contents;
-      s = ReadBlock(rep_->file.get(), handle, verify, &contents);
+      s = ReadBlock(rep_->file.get(), handle, &contents);
       if (!s.ok()) return NewErrorIterator(s);
       block = std::make_shared<Block>(contents);
       if (contents.cachable && read_options.fill_cache) {
@@ -262,7 +257,7 @@ Iterator* Table::ReadBlockIterator(const TableReadOptions& read_options,
     }
   } else {
     BlockContents contents;
-    s = ReadBlock(rep_->file.get(), handle, verify, &contents);
+    s = ReadBlock(rep_->file.get(), handle, &contents);
     if (!s.ok()) return NewErrorIterator(s);
     block = std::make_shared<Block>(contents);
   }

@@ -28,15 +28,11 @@ struct TableOptions {
 
   // S5 codec for data blocks.
   CompressionType compression = CompressionType::kLzCompression;
-
-  // Verify block trailers (S2) when reading.
-  bool verify_checksums = true;
 };
 
 // Per-read overrides (derived from the DB's ReadOptions).
 struct TableReadOptions {
-  bool verify_checksums = false;  // additionally verify data-block CRCs
-  bool fill_cache = true;         // insert fetched blocks into the cache
+  bool fill_cache = true;  // insert fetched blocks into the cache
 };
 
 }  // namespace pipelsm

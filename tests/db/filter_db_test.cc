@@ -1,4 +1,4 @@
-// End-to-end bloom filters: a DB opened with a filter policy keeps
+// End-to-end bloom filters: a DB opened with bloom_bits_per_key keeps
 // filters working across memtable flushes AND major compactions (both
 // table-building paths), measurably cutting device reads for absent keys.
 #include <gtest/gtest.h>
@@ -7,7 +7,6 @@
 
 #include "src/db/db.h"
 #include "src/env/sim_env.h"
-#include "src/table/filter_policy.h"
 #include "src/workload/generator.h"
 
 namespace pipelsm {
@@ -15,10 +14,10 @@ namespace {
 
 class FilterDbTest : public ::testing::Test {
  protected:
-  FilterDbTest() : policy_(NewBloomFilterPolicy(10)) {
+  FilterDbTest() {
     options_.env = &env_;
     options_.create_if_missing = true;
-    options_.filter_policy = policy_.get();
+    options_.bloom_bits_per_key = 10;
     options_.compaction_mode = CompactionMode::kPCP;
     options_.write_buffer_size = 64 << 10;
     options_.max_file_size = 64 << 10;
@@ -34,7 +33,6 @@ class FilterDbTest : public ::testing::Test {
 
   SimEnv env_;
   Options options_;
-  std::unique_ptr<const FilterPolicy> policy_;
   std::unique_ptr<DB> db_;
 };
 
@@ -73,10 +71,10 @@ TEST_F(FilterDbTest, FiltersSurviveCompactionAndCutReads) {
   };
   const uint64_t with_filter_reads = probe_absent();
 
-  // Reopen WITHOUT the policy: filters are ignored, every probe that
+  // Reopen WITHOUT filters: the stored ones are ignored, every probe that
   // reaches a table now reads a data block.
   db_.reset();
-  options_.filter_policy = nullptr;
+  options_.bloom_bits_per_key = 0;
   Open();
   const uint64_t without_filter_reads = probe_absent();
 

@@ -1,5 +1,5 @@
-// ReadOptions semantics: fill_cache controls block-cache population;
-// verify_checksums turns Get/scan into a checked read.
+// ReadOptions semantics: fill_cache controls block-cache population, and
+// every read, with default options, verifies block checksums.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,7 +21,6 @@ class ReadOptionsTest : public ::testing::Test {
     options_.block_cache = cache_.get();
     options_.write_buffer_size = 64 << 10;
     options_.max_file_size = 64 << 10;
-    options_.verify_checksums = false;  // let per-read options decide
   }
 
   void OpenAndFill() {
@@ -97,20 +96,17 @@ TEST_F(ReadOptionsTest, VerifyChecksumsCatchesCorruptBlock) {
   }
   ASSERT_GT(corrupted, 0);
 
-  // Checked reads must hit Corruption for at least some key; unchecked
-  // reads may return garbage, but every checked read must be either OK
-  // (block untouched), NotFound, or Corruption — never wrong data.
-  ReadOptions checked;
-  checked.verify_checksums = true;
-  checked.fill_cache = false;
+  // Default reads must hit Corruption for at least some key, and every
+  // read must be either OK (block untouched), NotFound, or Corruption —
+  // never wrong data.
   int corruption_errors = 0;
   std::string value;
   for (uint64_t i = 0; i < 2000; i += 10) {
-    Status s = db_->Get(checked, gen.Key(i), &value);
+    Status s = db_->Get(ReadOptions(), gen.Key(i), &value);
     if (s.IsCorruption()) {
       corruption_errors++;
     } else if (s.ok()) {
-      EXPECT_EQ(gen.Value(i), value) << "checked read returned wrong data";
+      EXPECT_EQ(gen.Value(i), value) << "read returned wrong data";
     }
   }
   EXPECT_GT(corruption_errors, 0);

@@ -1,8 +1,9 @@
 // Streaming SCAN cursors end-to-end (docs/READ_PATH.md): the
 // one-shot-oracle equivalence on a pinned snapshot, bounded batches,
 // stream limits, TTL expiry by the sweeper, connection-close and drain
-// teardown, the cursor admission cap, and a cross-shard seam scan with
-// a concurrent writer + compaction.
+// teardown, the cursor admission cap, a one-shot Client::Scan releasing
+// its truncated cursor, and a cross-shard seam scan with a concurrent
+// writer + compaction.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -312,6 +313,40 @@ TEST_F(CursorTest, MaxCursorsAdmissionCap) {
   // Freeing the slot re-admits.
   ASSERT_TRUE(cli->ScanClose(first.cursor_id).ok());
   EXPECT_TRUE(cli->ScanOpen("", 0, &second).ok());
+}
+
+// Client::Scan is the first batch of a cursor. When the cap truncates
+// it, the client closes the cursor before returning, so no snapshot stays
+// pinned. While it runs the cursor counts against max_cursors.
+TEST_F(CursorTest, TruncatedOneShotScanReleasesItsCursor) {
+  ServerOptions sopts;
+  sopts.max_scan_entries = 10;
+  sopts.max_cursors = 1;
+  sopts.cursor_ttl_micros = 0;  // only the client's close can free it
+  StartServer(sopts);
+  client::Client* cli = NewClient();
+  Fill(cli, 100);
+
+  for (int round = 0; round < 3; round++) {
+    std::vector<std::pair<std::string, std::string>> entries;
+    ASSERT_TRUE(cli->Scan("", 0, &entries).ok());
+    ASSERT_EQ(10u, entries.size());
+    EXPECT_EQ(Key(0), entries[0].first);
+    EXPECT_EQ(0, GaugeValue("cursor.active"));
+  }
+  EXPECT_EQ(3u, CounterValue("cursor.opened"));
+  EXPECT_EQ(3u, CounterValue("cursor.closed"));
+
+  // With the only slot held by an open cursor, a one-shot scan is Busy.
+  client::Client::CursorBatch held;
+  ASSERT_TRUE(cli->ScanOpen("", 0, &held).ok());
+  ASSERT_FALSE(held.done);
+  std::vector<std::pair<std::string, std::string>> entries;
+  EXPECT_TRUE(cli->Scan("", 0, &entries).IsBusy());
+  ASSERT_TRUE(cli->ScanClose(held.cursor_id).ok());
+  ASSERT_TRUE(cli->Scan(Key(95), 0, &entries).ok());
+  EXPECT_EQ(5u, entries.size());  // exhausted: the server released it
+  EXPECT_EQ(0, GaugeValue("cursor.active"));
 }
 
 TEST_F(CursorTest, ShardSeamStreamWithConcurrentWritesAndCompaction) {

@@ -94,26 +94,44 @@ TEST(ProtocolTest, WriteBatchRoundTrip) {
 
 TEST(ProtocolTest, ScanRoundTrip) {
   std::string wire;
-  EncodeScanRequest(5, "start", 99, &wire);
-  const DecodedFrame frame = DecodeOne(wire);
+  EncodeScanOpenRequest(5, "start", 99, &wire);
+  EncodeScanNextRequest(6, 0x0123456789abcdefull, &wire);
+  EncodeScanCloseRequest(7, 42, &wire);
+
+  FrameDecoder decoder;
+  decoder.Append(wire.data(), wire.size());
+  DecodedFrame frame;
+  ASSERT_EQ(FrameDecoder::Result::kFrame, decoder.Next(&frame));
+  EXPECT_EQ(MessageType::kScanOpen, frame.type);
   Slice start;
   uint32_t limit = 0;
-  ASSERT_TRUE(ParseScanRequest(Slice(frame.body), &start, &limit));
+  ASSERT_TRUE(ParseScanOpenRequest(Slice(frame.body), &start, &limit));
   EXPECT_EQ("start", start.ToString());
   EXPECT_EQ(99u, limit);
+  uint64_t id = 0;
+  ASSERT_EQ(FrameDecoder::Result::kFrame, decoder.Next(&frame));
+  EXPECT_EQ(MessageType::kScanNext, frame.type);
+  ASSERT_TRUE(ParseCursorRequest(Slice(frame.body), &id));
+  EXPECT_EQ(0x0123456789abcdefull, id);
+  ASSERT_EQ(FrameDecoder::Result::kFrame, decoder.Next(&frame));
+  EXPECT_EQ(MessageType::kScanClose, frame.type);
+  ASSERT_TRUE(ParseCursorRequest(Slice(frame.body), &id));
+  EXPECT_EQ(42u, id);
+  EXPECT_EQ(FrameDecoder::Result::kNeedMore, decoder.Next(&frame));
 }
 
-// Fuzz-style SCAN limit cases: the limit varint is attacker-controlled,
-// so every extreme must parse cleanly (clamping is the server's job) and
-// every malformed encoding must be rejected rather than misread.
+// Fuzz-style SCAN_OPEN limit cases: the limit varint is attacker-
+// controlled, so every extreme must parse cleanly (bounding each batch is
+// the server's job) and every malformed encoding must be rejected rather
+// than misread.
 TEST(ProtocolTest, ScanLimitExtremesParseCleanly) {
   for (uint32_t hostile : {0u, 1u, 0x7fffffffu, 0xffffffffu}) {
     std::string wire;
-    EncodeScanRequest(5, "k", hostile, &wire);
+    EncodeScanOpenRequest(5, "k", hostile, &wire);
     const DecodedFrame frame = DecodeOne(wire);
     Slice start;
     uint32_t limit = 0;
-    ASSERT_TRUE(ParseScanRequest(Slice(frame.body), &start, &limit))
+    ASSERT_TRUE(ParseScanOpenRequest(Slice(frame.body), &start, &limit))
         << hostile;
     EXPECT_EQ(hostile, limit);
   }
@@ -125,25 +143,55 @@ TEST(ProtocolTest, ScanLimitExtremesParseCleanly) {
   body.append(5, '\x80');
   Slice start;
   uint32_t limit = 0;
-  EXPECT_FALSE(ParseScanRequest(Slice(body), &start, &limit));
+  EXPECT_FALSE(ParseScanOpenRequest(Slice(body), &start, &limit));
 
   body.clear();
   PutLengthPrefixedSlice(&body, "k");
   PutVarint32(&body, 10);
   body.append("extra");
-  EXPECT_FALSE(ParseScanRequest(Slice(body), &start, &limit));
+  EXPECT_FALSE(ParseScanOpenRequest(Slice(body), &start, &limit));
+
+  // A cursor id is exactly eight bytes.
+  uint64_t id = 0;
+  EXPECT_FALSE(ParseCursorRequest(Slice("1234567", 7), &id));
+  EXPECT_FALSE(ParseCursorRequest(Slice("123456789", 9), &id));
 }
 
-// A hostile count in a scan REPLY payload must not drive reservation:
-// count is validated against the bytes actually present.
+// Hostile cursor-batch REPLY payloads: a huge count must not drive
+// reservation (it is validated against the bytes actually present), and
+// a short cursor id, a missing or invalid done byte, or trailing bytes
+// are all malformed.
 TEST(ProtocolTest, ScanPayloadHostileCountRejected) {
-  std::string payload;
-  PutVarint32(&payload, 0xffffffff);
-  PutLengthPrefixedSlice(&payload, "k1");
-  PutLengthPrefixedSlice(&payload, "v1");
   std::vector<std::pair<std::string, std::string>> entries;
-  EXPECT_FALSE(ParseScanPayload(Slice(payload), &entries));
+  uint64_t id = 0;
+  bool done = false;
+  auto batch = [](uint32_t count, const std::string& tail) {
+    std::string payload;
+    PutFixed64(&payload, 7);
+    PutVarint32(&payload, count);
+    PutLengthPrefixedSlice(&payload, "k1");
+    PutLengthPrefixedSlice(&payload, "v1");
+    payload.append(tail);
+    return payload;
+  };
+  EXPECT_FALSE(ParseScanBatchPayload(Slice(batch(0xffffffff, "\1")), &id,
+                                     &entries, &done));
   EXPECT_TRUE(entries.empty());
+  EXPECT_FALSE(
+      ParseScanBatchPayload(Slice(batch(2, "\1")), &id, &entries, &done));
+  EXPECT_FALSE(ParseScanBatchPayload(Slice(batch(1, "")), &id, &entries,
+                                     &done));  // no done byte
+  EXPECT_FALSE(ParseScanBatchPayload(Slice(batch(1, "\2")), &id, &entries,
+                                     &done));  // done byte not 0/1
+  EXPECT_FALSE(ParseScanBatchPayload(Slice(batch(1, std::string("\0!", 2))),
+                                     &id, &entries, &done));  // trailing
+  EXPECT_FALSE(
+      ParseScanBatchPayload(Slice("\0\0\0\0", 4), &id, &entries, &done));
+  ASSERT_TRUE(
+      ParseScanBatchPayload(Slice(batch(1, "\1")), &id, &entries, &done));
+  EXPECT_EQ(7u, id);
+  EXPECT_TRUE(done);
+  ASSERT_EQ(1u, entries.size());
 }
 
 TEST(ProtocolTest, ReplyRoundTrip) {
@@ -172,17 +220,20 @@ TEST(ProtocolTest, ErrorReplyRoundTrip) {
 }
 
 TEST(ProtocolTest, ScanPayloadRoundTrip) {
-  std::string payload;
-  PutVarint32(&payload, 2);
-  PutLengthPrefixedSlice(&payload, "k1");
-  PutLengthPrefixedSlice(&payload, "v1");
-  PutLengthPrefixedSlice(&payload, "k2");
-  PutLengthPrefixedSlice(&payload, "v2");
-  std::vector<std::pair<std::string, std::string>> entries;
-  ASSERT_TRUE(ParseScanPayload(Slice(payload), &entries));
-  ASSERT_EQ(2u, entries.size());
-  EXPECT_EQ("k1", entries[0].first);
-  EXPECT_EQ("v2", entries[1].second);
+  const std::vector<std::pair<std::string, std::string>> batch = {
+      {"k1", "v1"}, {"k2", std::string(1000, 'v')}};
+  for (bool done : {false, true}) {
+    std::string payload;
+    EncodeScanBatchPayload(0xfeedull, batch, done, &payload);
+    uint64_t id = 0;
+    bool parsed_done = !done;
+    std::vector<std::pair<std::string, std::string>> entries;
+    ASSERT_TRUE(
+        ParseScanBatchPayload(Slice(payload), &id, &entries, &parsed_done));
+    EXPECT_EQ(0xfeedull, id);
+    EXPECT_EQ(done, parsed_done);
+    EXPECT_EQ(batch, entries);
+  }
 }
 
 TEST(ProtocolTest, StatusCodesRoundTrip) {
@@ -233,6 +284,29 @@ TEST(ProtocolTest, GarbagePreambleIsError) {
   EncodePingRequest(1, &wire);
   decoder.Append(wire.data(), wire.size());
   EXPECT_EQ(FrameDecoder::Result::kError, decoder.Next(&frame));
+}
+
+// Type 6 was the one-shot SCAN. It is retired and never reused, so a
+// well-formed frame carrying it is an unknown type, exactly like 0 or 11.
+TEST(ProtocolTest, RetiredScanTypeIsError) {
+  std::string body;
+  PutLengthPrefixedSlice(&body, "start");
+  PutVarint32(&body, 10);
+  for (uint8_t raw : {uint8_t{0}, kRetiredScanType, uint8_t{11}}) {
+    EXPECT_FALSE(IsValidRequestType(raw)) << int{raw};
+    for (bool reply : {false, true}) {
+      std::string wire;
+      EncodeFrame(static_cast<MessageType>(raw), reply, 5, body, &wire);
+      FrameDecoder decoder;
+      decoder.Append(wire.data(), wire.size());
+      DecodedFrame frame;
+      EXPECT_EQ(FrameDecoder::Result::kError, decoder.Next(&frame))
+          << int{raw};
+      EXPECT_NE(std::string::npos,
+                decoder.error().find("unknown message type " +
+                                     std::to_string(raw)));
+    }
+  }
 }
 
 TEST(ProtocolTest, BadVersionIsError) {

@@ -1,17 +1,20 @@
 // End-to-end tests of the epoll server + pipelined client against a real
 // DB on the posix env: request semantics, group-commit durability under
 // 16 concurrent writers, protocol-error connection drops (with the EVENT
-// line), stall-gate backpressure, and drain.
+// line), stall-gate backpressure, drain, and a WRITE_BATCH split across
+// the seam of a two-shard server.
 #include "src/server/server.h"
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +24,7 @@
 #include "src/db/db.h"
 #include "src/env/env.h"
 #include "src/obs/logger.h"
+#include "src/shard/sharded_db.h"
 #include "tests/obs/json_check.h"
 
 namespace pipelsm::server {
@@ -34,6 +38,7 @@ class ServerTest : public ::testing::Test {
     log_path_ = dbname_ + ".LOG";
     options_.create_if_missing = true;
     DestroyDB(dbname_, options_);
+    shard::ShardedDB::Destroy(dbname_, options_);
     ::unlink(log_path_.c_str());
   }
 
@@ -42,6 +47,7 @@ class ServerTest : public ::testing::Test {
     client_.reset();
     db_.reset();
     DestroyDB(dbname_, options_);
+    shard::ShardedDB::Destroy(dbname_, options_);
     ::unlink(log_path_.c_str());
   }
 
@@ -51,6 +57,39 @@ class ServerTest : public ::testing::Test {
     DB* raw = nullptr;
     ASSERT_TRUE(DB::Open(options_, dbname_, &raw).ok());
     db_.reset(raw);
+  }
+
+  void OpenShardedDB(size_t shards, std::vector<std::string> boundaries) {
+    options_.listeners.clear();
+    options_.listeners.push_back(&gate_);
+    shard::ShardedOptions sharded;
+    sharded.num_shards = shards;
+    sharded.boundary_keys = std::move(boundaries);
+    shard::ShardedDB* raw = nullptr;
+    Status s = shard::ShardedDB::Open(options_, sharded, dbname_, &raw);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    db_.reset(raw);
+  }
+
+  // A plain TCP connection to the server, with a receive timeout so a
+  // missing reply fails the test instead of hanging it.
+  int ConnectRaw() {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    struct timeval tv{};
+    tv.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    struct sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
+    EXPECT_EQ(1, ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr));
+    EXPECT_EQ(0, ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                           sizeof(addr)));
+    return fd;
+  }
+
+  uint64_t CounterValue(const std::string& name) {
+    return server_->metrics_registry()->RegisterCounter(name, "")->value();
   }
 
   void StartServer(ServerOptions sopts = ServerOptions()) {
@@ -428,6 +467,89 @@ TEST_F(ServerTest, DrainAnswersAcceptedRequests) {
   copts.port = server_->port();
   client::Client late(copts);
   EXPECT_FALSE(late.Ping().ok());
+}
+
+// A sharded server splits each WRITE_BATCH per shard. A batch across the
+// seam commits on both shards and its client gets exactly one reply; a
+// batch inside one shard rides only that shard's commit thread.
+TEST_F(ServerTest, ShardedWriteBatchSplitsAtTheSeamAndRepliesOnce) {
+  ASSERT_NO_FATAL_FAILURE(OpenShardedDB(2, {"m"}));
+  StartServer();
+  auto* sharded = static_cast<shard::ShardedDB*>(db_.get());
+
+  std::vector<BatchOp> seam(3);
+  seam[0].key = "apple";  // shard 0
+  seam[0].value = "1";
+  seam[1].key = "zebra";  // shard 1
+  seam[1].value = "2";
+  seam[2].key = "kiwi";  // shard 0
+  seam[2].value = "3";
+  std::vector<BatchOp> left(1);
+  left[0].key = "banana";  // shard 0
+  left[0].value = "4";
+
+  // Seq 1 crosses the seam, seq 2 stays in shard 0, seq 3 crosses again.
+  const int fd = ConnectRaw();
+  std::string wire;
+  EncodeWriteBatchRequest(1, seam, &wire);
+  EncodeWriteBatchRequest(2, left, &wire);
+  EncodeWriteBatchRequest(3, seam, &wire);
+  ASSERT_EQ(static_cast<ssize_t>(wire.size()),
+            ::send(fd, wire.data(), wire.size(), 0));
+  std::map<uint64_t, int> replies;
+  FrameDecoder decoder;
+  auto read_until = [&](std::vector<uint64_t> seqs) {
+    char buf[4096];
+    auto answered = [&] {
+      for (uint64_t seq : seqs) {
+        if (replies[seq] == 0) return false;
+      }
+      return true;
+    };
+    while (!answered()) {
+      const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
+      ASSERT_GT(r, 0) << "server stopped answering";
+      decoder.Append(buf, static_cast<size_t>(r));
+      DecodedFrame frame;
+      while (decoder.Next(&frame) == FrameDecoder::Result::kFrame) {
+        ASSERT_TRUE(frame.reply);
+        EXPECT_EQ(MessageType::kWriteBatch, frame.type);
+        Status status;
+        Slice payload;
+        ASSERT_TRUE(ParseReply(Slice(frame.body), &status, &payload));
+        EXPECT_TRUE(status.ok()) << status.ToString();
+        replies[frame.seq]++;
+      }
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(read_until({1, 2, 3}));
+  // Both commit threads delivered every reply of their earlier groups
+  // before they could commit seq 4, so by the time seq 4 is answered any
+  // second reply to seq 1, 2 or 3 would already be on the wire.
+  wire.clear();
+  EncodeWriteBatchRequest(4, seam, &wire);
+  ASSERT_EQ(static_cast<ssize_t>(wire.size()),
+            ::send(fd, wire.data(), wire.size(), 0));
+  ASSERT_NO_FATAL_FAILURE(read_until({4}));
+  ::close(fd);
+  EXPECT_EQ((std::map<uint64_t, int>{{1, 1}, {2, 1}, {3, 1}, {4, 1}}),
+            replies);
+
+  // Seam batches reached both commit threads, the shard-0 batch only one.
+  EXPECT_EQ(4u, CounterValue("server.shard0.write_ops"));
+  EXPECT_EQ(3u, CounterValue("server.shard1.write_ops"));
+  std::string value;
+  for (const char* key : {"apple", "kiwi", "banana"}) {
+    ASSERT_TRUE(sharded->shard(0)->Get(ReadOptions(), key, &value).ok())
+        << key;
+    EXPECT_TRUE(sharded->shard(1)->Get(ReadOptions(), key, &value)
+                    .IsNotFound())
+        << key;
+  }
+  ASSERT_TRUE(sharded->shard(1)->Get(ReadOptions(), "zebra", &value).ok());
+  EXPECT_EQ("2", value);
+  EXPECT_TRUE(
+      sharded->shard(0)->Get(ReadOptions(), "zebra", &value).IsNotFound());
 }
 
 }  // namespace

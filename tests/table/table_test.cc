@@ -166,7 +166,6 @@ TEST(Table, ChecksumCatchesCorruption) {
   TableFixture f;
   TableOptions opt;
   opt.block_size = 512;
-  opt.verify_checksums = true;
   auto kv = MakeKv(400);
   ASSERT_TRUE(f.Build(kv, opt).ok());
 
@@ -359,8 +358,7 @@ TEST(Table, HostileFilterHandleIsCorruption) {
     std::unique_ptr<RandomAccessFile> raf;
     ASSERT_TRUE(f.env.NewRandomAccessFile(f.fname, &raf).ok());
     BlockContents contents;
-    ASSERT_TRUE(ReadBlock(raf.get(), good.metaindex_handle(), true, &contents)
-                    .ok());
+    ASSERT_TRUE(ReadBlock(raf.get(), good.metaindex_handle(), &contents).ok());
     Block meta(contents);
     std::unique_ptr<Iterator> it(meta.NewIterator(BytewiseComparator()));
     it->SeekToFirst();

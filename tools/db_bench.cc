@@ -49,10 +49,7 @@
 //   --hysteresis=N           consecutive agreeing admissions before the
 //                            scheduler switches executor
 //   --warmup_jobs=N          compactions digested before adapting
-//   --bloom_bits=N           per-key bloom bits (0 = no filters)
-//   --bloom_bits_per_key=N   same, via Options::bloom_bits_per_key (the
-//                            DB owns the policy; exercises the knob the
-//                            server exposes)
+//   --bloom_bits_per_key=N   per-key bloom bits (0 = no filters)
 //   --filter_partition_bytes=N
 //                            partitioned-filter partition size
 //   --cache_size=N           block cache capacity, bytes (default 8MiB)
@@ -95,7 +92,6 @@
 #include "src/db/write_batch.h"
 #include "src/env/sim_env.h"
 #include "src/obs/metrics.h"
-#include "src/table/filter_policy.h"
 #include "src/util/histogram.h"
 #include "src/util/stopwatch.h"
 #include "src/workload/generator.h"
@@ -126,7 +122,6 @@ struct Flags {
   int max_compute_workers = 4;
   int hysteresis = 3;
   int warmup_jobs = 2;
-  int bloom_bits = 0;
   int bloom_bits_per_key = 0;
   size_t filter_partition_bytes = 4096;
   size_t cache_size = 8 << 20;
@@ -232,10 +227,6 @@ class Benchmark {
     options_.trace_path = flags_.trace_path;
     options_.stats_dump_period_sec =
         static_cast<unsigned int>(flags_.stats_interval_seconds);
-    if (flags_.bloom_bits > 0) {
-      filter_policy_.reset(NewBloomFilterPolicy(flags_.bloom_bits));
-      options_.filter_policy = filter_policy_.get();
-    }
     options_.bloom_bits_per_key = flags_.bloom_bits_per_key;
     options_.filter_partition_bytes = flags_.filter_partition_bytes;
     options_.block_cache_size = flags_.cache_size;
@@ -269,7 +260,7 @@ class Benchmark {
     std::printf(
         "  memtable=%zuKB sstable=%zuKB subtask=%zuKB bloom=%d bits\n",
         flags_.write_buffer_kb, flags_.file_kb, flags_.subtask_kb,
-        flags_.bloom_bits > 0 ? flags_.bloom_bits : flags_.bloom_bits_per_key);
+        flags_.bloom_bits_per_key);
     std::printf("  cache=%zuKB shards=%zu filter_partition=%zuB\n",
                 flags_.cache_size >> 10, flags_.cache_shards,
                 flags_.filter_partition_bytes);
@@ -601,7 +592,6 @@ class Benchmark {
   const Flags flags_;
   std::unique_ptr<SimEnv> sim_env_;
   Env* env_ = nullptr;
-  std::unique_ptr<const FilterPolicy> filter_policy_;
   Options options_;
   std::unique_ptr<DB> db_;
   std::thread stats_printer_;
@@ -643,7 +633,6 @@ int main(int argc, char** argv) {
                      &flags.max_compute_workers) ||
         ParseNumFlag(argv[i], "hysteresis", &flags.hysteresis) ||
         ParseNumFlag(argv[i], "warmup_jobs", &flags.warmup_jobs) ||
-        ParseNumFlag(argv[i], "bloom_bits", &flags.bloom_bits) ||
         ParseNumFlag(argv[i], "bloom_bits_per_key",
                      &flags.bloom_bits_per_key) ||
         ParseNumFlag(argv[i], "filter_partition_bytes",

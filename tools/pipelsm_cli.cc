@@ -8,12 +8,13 @@
 //   get KEY
 //   del KEY
 //   batch [put KEY VALUE | del KEY]...   one atomic WRITE_BATCH
-//   scan [START_KEY [LIMIT]]
-//   stream [START_KEY [LIMIT]]           server-side cursor scan
+//   scan [START_KEY [LIMIT]]             first cursor batch only
+//   stream [START_KEY [LIMIT]]           every cursor batch
 //   stats [PROPERTY]                     default pipelsm.stats
 //
-// `stream` iterates through a pinned-snapshot server cursor in bounded
-// batches (docs/READ_PATH.md) instead of one SCAN reply; the global
+// Both scan through a pinned-snapshot server cursor (docs/READ_PATH.md):
+// `scan` prints its first bounded batch and closes it, `stream` iterates
+// every batch; the global
 // --pause_ms=N flag sleeps between entries, which CI uses to hold a
 // cursor open across a server drain.
 //

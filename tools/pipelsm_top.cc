@@ -245,8 +245,8 @@ double Rate(const Snapshot& cur, const Snapshot& prev,
 
 double TotalRequests(const Snapshot& snap) {
   double total = 0;
-  for (const char* op : {"ping", "get", "put", "del", "batch", "scan",
-                         "stats", "scan_open", "scan_next", "scan_close"}) {
+  for (const char* op : {"ping", "get", "put", "del", "batch", "stats",
+                         "scan_open", "scan_next", "scan_close"}) {
     total += snap.Value(std::string("pipelsm_server_req_") + op);
   }
   return total;
@@ -265,7 +265,7 @@ void RenderDashboard(const Snapshot& cur, const Snapshot& prev,
   std::printf("requests  %8.0f/s   (put %.0f/s  get %.0f/s  scan %.0f/s)\n",
               req_rate, Rate(cur, prev, "pipelsm_server_req_put"),
               Rate(cur, prev, "pipelsm_server_req_get"),
-              Rate(cur, prev, "pipelsm_server_req_scan"));
+              Rate(cur, prev, "pipelsm_server_req_scan_open"));
   std::printf("bytes     in %8.0f/s   out %8.0f/s\n",
               Rate(cur, prev, "pipelsm_server_bytes_in"),
               Rate(cur, prev, "pipelsm_server_bytes_out"));
