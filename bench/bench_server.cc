@@ -39,7 +39,9 @@
 //                    server runs one group-commit thread per shard)
 //   --no_arbiter     disable the fleet CompactionArbiter (free-for-all
 //                    baseline for the EXPERIMENTS.md comparison)
-//   --compute_workers=N  arbiter budget (default 4)
+//   --compute_workers=N  compute workers the arbiter rations among the
+//                    shards' chosen jobs (default 4; each shard runs
+//                    static PCP)
 //   --device=posix|hdd|ssd  storage under the DB (default posix). hdd/ssd
 //                    run on SimEnv with the paper's timed device model:
 //                    transfers charge modeled wall time as real sleeps,
@@ -307,7 +309,7 @@ ServedStats ServedFill(const Flags& flags, const std::string& path) {
     shopts.num_shards = flags.shards;
     shopts.boundary_keys = boundaries;
     shopts.enable_arbiter = flags.arbiter;
-    shopts.arbiter.budget.compute_workers = flags.compute_workers;
+    shopts.arbiter.compute_workers = flags.compute_workers;
     shard::ShardedDB::Destroy(path, options);
     shard::ShardedDB* raw = nullptr;
     Status s = shard::ShardedDB::Open(options, shopts, path, &raw);

@@ -11,8 +11,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "src/util/coding.h"
-
 namespace pipelsm::client {
 
 using server::DecodedFrame;
@@ -280,12 +278,12 @@ std::future<Result> Client::FailedFuture(const Status& status) {
   return promise.get_future();
 }
 
-std::future<Result> Client::Submit(MessageType type, const std::string& body,
-                                   const Slice* key, Connection* pinned) {
+std::future<Result> Client::Submit(const Encoder& encode, const Slice* key,
+                                   Connection* pinned) {
   Connection& conn = pinned != nullptr ? *pinned : *PickConnection(key);
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   std::string wire;
-  server::EncodeFrame(type, false, seq, body, &wire);
+  encode(seq, &wire);
 
   int fd;
   uint64_t generation;
@@ -376,44 +374,71 @@ Result Client::Wait(std::future<Result>& future) {
 // ---- async entry points ----
 
 std::future<Result> Client::AsyncPing() {
-  return Submit(MessageType::kPing, std::string());
+  return Submit(server::EncodePingRequest);
 }
 
 std::future<Result> Client::AsyncPut(const Slice& key, const Slice& value) {
-  std::string body;
-  PutLengthPrefixedSlice(&body, key);
-  PutLengthPrefixedSlice(&body, value);
-  return Submit(MessageType::kPut, body, &key);
+  return Submit(
+      [&](uint64_t seq, std::string* wire) {
+        server::EncodePutRequest(seq, key, value, wire);
+      },
+      &key);
 }
 
 std::future<Result> Client::AsyncDelete(const Slice& key) {
-  std::string body;
-  PutLengthPrefixedSlice(&body, key);
-  return Submit(MessageType::kDelete, body, &key);
+  return Submit(
+      [&](uint64_t seq, std::string* wire) {
+        server::EncodeDeleteRequest(seq, key, wire);
+      },
+      &key);
 }
 
 std::future<Result> Client::AsyncWriteBatch(
     const std::vector<server::BatchOp>& ops) {
-  std::string body;
-  PutVarint32(&body, static_cast<uint32_t>(ops.size()));
-  for (const server::BatchOp& op : ops) {
-    body.push_back(op.is_delete ? '\1' : '\0');
-    PutLengthPrefixedSlice(&body, op.key);
-    if (!op.is_delete) PutLengthPrefixedSlice(&body, op.value);
-  }
-  return Submit(MessageType::kWriteBatch, body);
+  return Submit([&](uint64_t seq, std::string* wire) {
+    server::EncodeWriteBatchRequest(seq, ops, wire);
+  });
 }
 
 std::future<Result> Client::AsyncGet(const Slice& key) {
-  std::string body;
-  PutLengthPrefixedSlice(&body, key);
-  return Submit(MessageType::kGet, body, &key);
+  return Submit(
+      [&](uint64_t seq, std::string* wire) {
+        server::EncodeGetRequest(seq, key, wire);
+      },
+      &key);
 }
 
 std::future<Result> Client::AsyncStats(const Slice& property) {
-  std::string body;
-  PutLengthPrefixedSlice(&body, property);
-  return Submit(MessageType::kStats, body);
+  return Submit([&](uint64_t seq, std::string* wire) {
+    server::EncodeStatsRequest(seq, property, wire);
+  });
+}
+
+std::future<Result> Client::SendScanOpen(const Slice& start_key,
+                                          uint32_t limit, Connection* conn) {
+  return Submit(
+      [&](uint64_t seq, std::string* wire) {
+        server::EncodeScanOpenRequest(seq, start_key, limit, wire);
+      },
+      nullptr, conn);
+}
+
+std::future<Result> Client::SendScanNext(uint64_t cursor_id,
+                                          Connection* conn) {
+  return Submit(
+      [&](uint64_t seq, std::string* wire) {
+        server::EncodeScanNextRequest(seq, cursor_id, wire);
+      },
+      nullptr, conn);
+}
+
+std::future<Result> Client::SendScanClose(uint64_t cursor_id,
+                                           Connection* conn) {
+  return Submit(
+      [&](uint64_t seq, std::string* wire) {
+        server::EncodeScanCloseRequest(seq, cursor_id, wire);
+      },
+      nullptr, conn);
 }
 
 // ---- sync wrappers ----
@@ -460,11 +485,8 @@ Status Client::Stats(const Slice& property, std::string* value) {
 
 Status Client::ScanOpen(const Slice& start_key, uint32_t limit,
                         CursorBatch* batch) {
-  std::string body;
-  PutLengthPrefixedSlice(&body, start_key);
-  PutVarint32(&body, limit);
   Connection* conn = PickConnection(nullptr);
-  Result r = SyncWait(Submit(MessageType::kScanOpen, body, nullptr, conn));
+  Result r = SyncWait(SendScanOpen(start_key, limit, conn));
   if (!r.status.ok()) return r.status;
   batch->cursor_id = r.cursor_id;
   batch->done = r.done;
@@ -483,9 +505,7 @@ Status Client::ScanNext(uint64_t cursor_id, CursorBatch* batch) {
     auto it = cursor_conns_.find(cursor_id);
     if (it != cursor_conns_.end()) conn = it->second;
   }
-  std::string body;
-  PutFixed64(&body, cursor_id);
-  Result r = SyncWait(Submit(MessageType::kScanNext, body, nullptr, conn));
+  Result r = SyncWait(SendScanNext(cursor_id, conn));
   if (r.status.ok()) {
     batch->cursor_id = cursor_id;
     batch->done = r.done;
@@ -508,9 +528,7 @@ Status Client::ScanClose(uint64_t cursor_id) {
       cursor_conns_.erase(it);
     }
   }
-  std::string body;
-  PutFixed64(&body, cursor_id);
-  return SyncWait(Submit(MessageType::kScanClose, body, nullptr, conn)).status;
+  return SyncWait(SendScanClose(cursor_id, conn)).status;
 }
 
 std::unique_ptr<ScanStream> Client::NewScanStream(const Slice& start_key,
@@ -521,11 +539,7 @@ std::unique_ptr<ScanStream> Client::NewScanStream(const Slice& start_key,
 ScanStream::ScanStream(Client* client, const Slice& start_key, uint32_t limit)
     : client_(client) {
   conn_ = client_->PickConnection(nullptr);
-  std::string body;
-  PutLengthPrefixedSlice(&body, start_key);
-  PutVarint32(&body, limit);
-  Result r = client_->SyncWait(
-      client_->Submit(MessageType::kScanOpen, body, nullptr, conn_));
+  Result r = client_->SyncWait(client_->SendScanOpen(start_key, limit, conn_));
   status_ = r.status;
   if (!status_.ok()) {
     done_ = true;
@@ -541,9 +555,7 @@ ScanStream::~ScanStream() { Close(); }
 
 void ScanStream::MaybePrefetch() {
   if (done_ || prefetch_active_ || !status_.ok()) return;
-  std::string body;
-  PutFixed64(&body, cursor_id_);
-  prefetch_ = client_->Submit(MessageType::kScanNext, body, nullptr, conn_);
+  prefetch_ = client_->SendScanNext(cursor_id_, conn_);
   // The request must actually reach the wire NOW — with send coalescing
   // on, an unflushed prefetch would deadlock the consumer against its
   // own buffer.
@@ -577,11 +589,7 @@ Status ScanStream::Close() {
     if (r.status.ok()) done_ = r.done;
   }
   if (done_ || cursor_id_ == 0) return Status::OK();
-  std::string body;
-  PutFixed64(&body, cursor_id_);
-  return client_
-      ->SyncWait(client_->Submit(MessageType::kScanClose, body, nullptr, conn_))
-      .status;
+  return client_->SyncWait(client_->SendScanClose(cursor_id_, conn_)).status;
 }
 
 }  // namespace pipelsm::client

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -150,16 +151,28 @@ class Client {
 
   struct Connection;
 
-  // Allocates a sequence number, frames `body` onto a pooled connection
-  // and registers a pending slot; the reader thread completes the future.
-  // The frame goes out immediately unless pipeline_buffer_bytes holds it
-  // back for coalescing. `key` (nullable) steers the connection choice
-  // under shard_affinity_boundaries; it does not change the wire format.
-  // `pinned` (nullable) bypasses PickConnection entirely — cursor ops
-  // must stick to the connection that opened the cursor.
-  std::future<Result> Submit(server::MessageType type, const std::string& body,
-                             const Slice* key = nullptr,
+  // Appends one request frame with the given sequence number: one of the
+  // server::Encode*Request builders, so client and tests share one body
+  // encoder per message type.
+  using Encoder = std::function<void(uint64_t seq, std::string* wire)>;
+
+  // Allocates a sequence number, frames the request with `encode` onto a
+  // pooled connection and registers a pending slot; the reader thread
+  // completes the future. The frame goes out immediately unless
+  // pipeline_buffer_bytes holds it back for coalescing. `key` (nullable)
+  // steers the connection choice under shard_affinity_boundaries; it
+  // does not change the wire format. `pinned` (nullable) bypasses
+  // PickConnection entirely — cursor ops must stick to the connection
+  // that opened the cursor.
+  std::future<Result> Submit(const Encoder& encode, const Slice* key = nullptr,
                              Connection* pinned = nullptr);
+  // The cursor frames on `conn`, the connection that holds (or is to
+  // open) the cursor; ScanOpen/ScanNext/ScanClose and ScanStream share
+  // them.
+  std::future<Result> SendScanOpen(const Slice& start_key, uint32_t limit,
+                                    Connection* conn);
+  std::future<Result> SendScanNext(uint64_t cursor_id, Connection* conn);
+  std::future<Result> SendScanClose(uint64_t cursor_id, Connection* conn);
   // Flush() + Wait(): the sync API lands here so buffered frames always
   // reach the wire before the caller blocks.
   Result SyncWait(std::future<Result> future);

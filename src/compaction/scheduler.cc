@@ -10,7 +10,7 @@ namespace pipelsm {
 
 namespace {
 
-// Indexed by CompactionMode; the scheduler never grants S-PPCP.
+// Indexed by CompactionMode; the scheduler never chooses S-PPCP.
 constexpr const char* kModeMetricNames[4] = {
     "scheduler.choice.scp", "scheduler.choice.pcp", nullptr,
     "scheduler.choice.cppcp"};
@@ -54,61 +54,47 @@ CompactionScheduler::CompactionScheduler(const SchedulerOptions& options,
   }
 }
 
-CompactionScheduler::Choice CompactionScheduler::Target(
-    const model::StepTimes& t, std::string* why) const {
-  const model::Prescription p = model::Prescribe(t, opts_.max_compute_workers);
-  *why = p.reason;
-  Choice c;
-  c.mode = p.procedure;
-  c.compute_parallelism = p.k;
-  return c;
-}
-
-CompactionGrant CompactionScheduler::Render(const Choice& choice,
-                                            bool adaptive,
-                                            std::string rationale) const {
-  CompactionGrant g;
-  g.granted = true;
-  g.mode = choice.mode;
-  g.compute_parallelism = choice.compute_parallelism;
-  g.adaptive = adaptive;
-  g.rationale = std::move(rationale);
+CompactionChoice CompactionScheduler::Render(const Choice& choice,
+                                             bool adaptive,
+                                             double gain) const {
+  CompactionChoice c;
+  c.mode = choice.mode;
+  c.compute_parallelism = choice.compute_parallelism;
+  c.adaptive = adaptive;
+  c.gain = gain;
+  c.rationale = last_rationale_;
   if (decisions_counter_ != nullptr) decisions_counter_->Add();
   if (mode_counters_[int(choice.mode)] != nullptr) {
     mode_counters_[int(choice.mode)]->Add();
   }
-  return g;
+  return c;
 }
 
-CompactionGrant CompactionScheduler::Admit(
-    const CompactionAdmissionRequest& request, const std::function<bool()>&) {
-  if (request.is_gc) {  // granted, but not a decision
-    CompactionGrant g;
-    g.granted = true;
-    return g;
-  }
+CompactionChoice CompactionScheduler::Choose(const model::StepTimes& profile,
+                                             uint64_t advisor_jobs) {
   std::lock_guard<std::mutex> lock(mu_);
   decisions_++;
   if (!opts_.adaptive) {
     last_rationale_ = "adaptive_compaction off; static choice";
-    return Render(current_, /*adaptive=*/false, last_rationale_);
+    return Render(current_, /*adaptive=*/false, 1.0);
   }
-  if (request.advisor_jobs < uint64_t(opts_.warmup_jobs)) {
+  if (advisor_jobs < uint64_t(opts_.warmup_jobs)) {
     char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "warming up: advisor has %llu of %d jobs; static choice",
-                  static_cast<unsigned long long>(request.advisor_jobs),
+                  static_cast<unsigned long long>(advisor_jobs),
                   opts_.warmup_jobs);
     last_rationale_ = buf;
-    return Render(current_, /*adaptive=*/false, last_rationale_);
+    return Render(current_, /*adaptive=*/false, 1.0);
   }
 
-  std::string why;
-  const Choice target = Target(request.profile, &why);
+  const model::Prescription p =
+      model::Prescribe(profile, opts_.max_compute_workers);
+  const Choice target{p.procedure, p.k};
   if (target == current_) {
     candidate_streak_ = 0;
-    last_rationale_ = why;
-    return Render(current_, /*adaptive=*/true, last_rationale_);
+    last_rationale_ = p.reason;
+    return Render(current_, /*adaptive=*/true, p.gain_vs_pcp);
   }
 
   if (candidate_streak_ > 0 && target == candidate_) {
@@ -122,8 +108,8 @@ CompactionGrant CompactionScheduler::Admit(
     candidate_streak_ = 0;
     switches_++;
     if (switches_counter_ != nullptr) switches_counter_->Add();
-    last_rationale_ = why;
-    return Render(current_, /*adaptive=*/true, last_rationale_);
+    last_rationale_ = p.reason;
+    return Render(current_, /*adaptive=*/true, p.gain_vs_pcp);
   }
   char buf[160];
   std::snprintf(buf, sizeof(buf),
@@ -134,7 +120,7 @@ CompactionGrant CompactionScheduler::Admit(
                 candidate_.compute_parallelism, candidate_streak_,
                 opts_.hysteresis_jobs);
   last_rationale_ = buf;
-  return Render(current_, /*adaptive=*/true, last_rationale_);
+  return Render(current_, /*adaptive=*/true, 1.0);
 }
 
 uint64_t CompactionScheduler::decisions() const {

@@ -26,11 +26,12 @@
 //      the scheduler switches, so one noisy profile cannot flap the
 //      pipeline shape.
 //
-// It is the DB's default CompactionGovernor: its Admit grants at once,
-// never blocks, and has nothing to release. A value-log GC request is
-// granted without counting as a decision.
+// It is the one chooser: every engine, sharded or not, asks its own
+// scheduler at each compaction admission. A fleet arbiter only rations
+// workers to the choice (src/shard/arbiter.h); value-log GC passes are
+// not decisions.
 //
-// Thread-safe: Admit (background compaction thread) and ToJson
+// Thread-safe: Choose (background compaction thread) and ToJson
 // (GetProperty("pipelsm.scheduler"), any thread) may race.
 #pragma once
 
@@ -67,46 +68,50 @@ struct SchedulerOptions {
   static SchedulerOptions FromOptions(const Options& options);
 };
 
+// One compaction's procedure and compute workers, as the engine's
+// CompactionScheduler chose them.
+struct CompactionChoice {
+  CompactionMode mode = CompactionMode::kPCP;
+  int compute_parallelism = 1;
+  bool adaptive = false;     // false: static config or warmup fallback
+  // The Eq. 7 gain over PCP that model::Prescribe reported for this
+  // choice; 1.0 for a static, warm-up or held choice. A fleet arbiter
+  // ranks its waiters by it.
+  double gain = 1.0;
+  std::string rationale;     // one line for EVENT compaction_begin / info
+};
+
 // What one engine tells its governor when it wants to compact or GC.
 struct CompactionAdmissionRequest {
   int shard_id = -1;                // Options::shard_id (-1: unsharded)
-  model::StepTimes profile;         // advisor's decayed per-step times
-  uint64_t advisor_jobs = 0;        // jobs the advisor has digested
   int level = 0;                    // compaction input level (-1 for GC)
-  uint64_t input_bytes = 0;         // sum of input file sizes
-  // Picker-predicted bytes-written amplification of the job
-  // (docs/COMPACTION.md): ~1 for tiered pushes, (src+overlap)/src for
-  // leveled spills. Lets a fleet governor weigh cheap reclamation
-  // against expensive rewrites when ordering its queue.
-  double predicted_write_amp = 1.0;
   // Value-log garbage collection (docs/VALUE_LOG.md): competes for the
   // same worker budget as compactions but ranks below every
   // non-forced compaction — reclaiming dead value bytes is maintenance,
   // shrinking read amplification is not.
   bool is_gc = false;
+  // The engine scheduler's choice (the PCP default for a GC pass).
+  CompactionChoice choice;
 };
 
-// The governor's answer. `granted == false` means the engine must yield
-// the admission slot (its background loop re-schedules); on success the
-// engine runs `mode` with the given parallelism — per-job inputs, never
-// read back from mutable shared state mid-run — and MUST call
-// Release(id) when the job, or its failure path, finishes (ScopedGrant
-// does both).
-struct CompactionGrant {
+// The governor's answer: the choice that runs. `granted == false` means
+// the engine must yield the admission slot (its background loop
+// re-schedules); on success the engine runs `mode` with the given
+// parallelism — per-job inputs, never read back from mutable shared
+// state mid-run — and MUST call Release(id) when the job, or its failure
+// path, finishes (ScopedGrant does both).
+struct CompactionGrant : CompactionChoice {
   bool granted = false;
   uint64_t id = 0;
-  CompactionMode mode = CompactionMode::kPCP;
-  int compute_parallelism = 1;
-  bool adaptive = false;     // false: static config or warmup fallback
-  std::string rationale;     // one line for EVENT compaction_begin / info
 };
 
-// Compaction admission. Every engine admits each compaction and value-log
-// GC pass through one governor: Options::compaction_governor (a
-// ShardedDB's CompactionArbiter, shared by every shard), or else the
-// engine's own CompactionScheduler. Admit() blocks until the governor
-// hands out a budget share or `abort` returns true. Implementations must
-// be thread-safe and must not call back into any DB.
+// Fleet admission (docs/SHARDING.md). An engine with
+// Options::compaction_governor set (a ShardedDB's CompactionArbiter,
+// shared by every shard) passes each compaction's choice and each
+// value-log GC pass through it; without one the choice runs at once.
+// Admit() blocks until the governor hands out a budget share or `abort`
+// returns true. Implementations must be thread-safe and must not call
+// back into any DB.
 class CompactionGovernor {
  public:
   virtual ~CompactionGovernor();
@@ -124,13 +129,16 @@ class CompactionGovernor {
 };
 
 // One admission: Admit() on construction, Release() once, at the latest
-// when it goes out of scope.
+// when it goes out of scope. With no governor the request's own choice
+// is granted at once.
 class ScopedGrant {
  public:
   ScopedGrant(CompactionGovernor* governor,
               const CompactionAdmissionRequest& request,
               const std::function<bool()>& abort)
-      : governor_(governor), grant_(governor->Admit(request, abort)) {}
+      : governor_(governor),
+        grant_(governor != nullptr ? governor->Admit(request, abort)
+                                   : CompactionGrant{request.choice, true}) {}
   ~ScopedGrant() { Release(); }
 
   ScopedGrant(const ScopedGrant&) = delete;
@@ -140,7 +148,9 @@ class ScopedGrant {
   const CompactionGrant& grant() const { return grant_; }
 
   void Release() {
-    if (grant_.granted && !released_) governor_->Release(grant_.id);
+    if (grant_.granted && !released_ && governor_ != nullptr) {
+      governor_->Release(grant_.id);
+    }
     released_ = true;
   }
 
@@ -150,7 +160,7 @@ class ScopedGrant {
   bool released_ = false;
 };
 
-class CompactionScheduler : public CompactionGovernor {
+class CompactionScheduler {
  public:
   // `metrics` (nullable) receives scheduler.* counters: decisions,
   // switches, and per-procedure choice counts.
@@ -160,12 +170,11 @@ class CompactionScheduler : public CompactionGovernor {
   CompactionScheduler(const CompactionScheduler&) = delete;
   CompactionScheduler& operator=(const CompactionScheduler&) = delete;
 
-  // Rules on one compaction with the advisor's decayed profile and how
-  // many jobs it has digested (request.profile / advisor_jobs).
-  // Deterministic given the same profile sequence; `abort` is unused.
-  CompactionGrant Admit(const CompactionAdmissionRequest& request,
-                        const std::function<bool()>& abort) override;
-  void Release(uint64_t) override {}
+  // Rules on one compaction with the advisor's decayed profile and the
+  // number of jobs it has digested. Deterministic given the same profile
+  // sequence.
+  CompactionChoice Choose(const model::StepTimes& profile,
+                          uint64_t advisor_jobs);
 
   uint64_t decisions() const;
   uint64_t switches() const;
@@ -185,11 +194,9 @@ class CompactionScheduler : public CompactionGovernor {
     bool operator!=(const Choice& o) const { return !(*this == o); }
   };
 
-  // The §III-C target for one profile, bounds applied (no hysteresis).
-  Choice Target(const model::StepTimes& t, std::string* why) const;
-
-  CompactionGrant Render(const Choice& choice, bool adaptive,
-                         std::string rationale) const;
+  // REQUIRES: mu_ held. `choice` with last_rationale_, counted.
+  CompactionChoice Render(const Choice& choice, bool adaptive,
+                          double gain) const;
 
   const SchedulerOptions opts_;
 

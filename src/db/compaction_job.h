@@ -1,8 +1,9 @@
 // CompactionJob: the run half of one major compaction.
 //
-// DBImpl admits a job through its governor (DBImpl::AdmitJob), opens
-// the input tables and hands them over with the grant. The job then runs
-// without the DB mutex, on exactly one path:
+// DBImpl admits a job (DBImpl::AdmitJob: its scheduler's choice, then
+// the fleet governor if one is set), opens the input tables and hands
+// them over with the grant. The job then runs without the DB mutex, on
+// exactly one path:
 //   1. split the inputs into N >= 1 key-range sub-jobs (N = 1 unsplit);
 //   2. fire OnCompactionBegin once;
 //   3. run every sub-job on its own executor and sink — sub-job 0 on the

@@ -222,8 +222,6 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
                                  &internal_comparator_, info_log_));
   scheduler_ = std::make_unique<CompactionScheduler>(
       SchedulerOptions::FromOptions(options_), &metrics_registry_);
-  governor_ = options_.compaction_governor;
-  if (governor_ == nullptr) governor_ = scheduler_.get();
 
   if (!options_.trace_path.empty()) {
     trace_ = std::make_unique<obs::TraceCollector>();
@@ -927,20 +925,20 @@ Status DBImpl::BackgroundCompaction(std::unique_lock<std::mutex>& lock) {
 
 Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
                                 Compaction* c) {
-  // Admission (docs/TUNING.md, docs/SHARDING.md): the governor picks the
-  // procedure and parallelism, and the job gets its own copy of that
-  // grant. The DB's own scheduler answers at once; a fleet arbiter may
-  // block, so the wait runs outside mutex_. It aborts on shutdown, and
-  // for non-manual jobs when a flush becomes pending (the sole background
-  // thread must not queue while writers stall on imm_). A manual job
-  // never yields: BackgroundCompaction advances the manual cursor either
-  // way, so yielding would skip a range.
+  // Admission (docs/TUNING.md, docs/SHARDING.md): the scheduler picks the
+  // procedure and parallelism, and the job gets its own copy of the
+  // grant. Without a governor the choice runs at once; a fleet arbiter
+  // may shrink it or block, so the wait runs outside mutex_. A wait
+  // aborts on shutdown, and for non-manual jobs when a flush becomes
+  // pending (the sole background thread must not queue while writers
+  // stall on imm_). A manual job never yields: BackgroundCompaction
+  // advances the manual cursor either way, so yielding would skip a
+  // range.
   CompactionAdmissionRequest request;
   request.level = c->level();
-  request.predicted_write_amp = c->predicted_write_amp();
-  request.input_bytes = c->TotalInputBytes();
   const bool manual = manual_compaction_ != nullptr;
   lock.unlock();
+  request.choice = scheduler_->Choose(advisor_.Profile(), advisor_.jobs());
   ScopedGrant grant = AdmitJob(request, [this, manual] {
     return shutting_down_.load(std::memory_order_acquire) ||
            (!manual && has_imm_.load(std::memory_order_acquire));
@@ -1440,9 +1438,7 @@ void DBImpl::SweepRetiredVlogSegments() {
 ScopedGrant DBImpl::AdmitJob(CompactionAdmissionRequest request,
                              const std::function<bool()>& abort) {
   request.shard_id = options_.shard_id;
-  request.profile = advisor_.Profile();
-  request.advisor_jobs = advisor_.jobs();
-  return ScopedGrant(governor_, request, abort);
+  return ScopedGrant(options_.compaction_governor, request, abort);
 }
 
 Status DBImpl::CompactValueLog() {

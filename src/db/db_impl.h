@@ -122,8 +122,9 @@ class DBImpl final : public DB {
   void SweepRetiredVlogSegments();
 
   // The one admission path for compactions and value-log GC passes:
-  // stamps `request` with this shard's id and the advisor's profile, and
-  // blocks in the DB's governor until it grants or `abort()` turns true.
+  // stamps `request` with this shard's id and, with
+  // Options::compaction_governor set, blocks in it until it grants or
+  // `abort()` turns true; without one the request's choice runs.
   // REQUIRES: mutex_ not held.
   ScopedGrant AdmitJob(CompactionAdmissionRequest request,
                        const std::function<bool()>& abort);
@@ -261,12 +262,10 @@ class DBImpl final : public DB {
   TableOptions table_options_;        // derived, for readers/flushes
   std::unique_ptr<TableCache> table_cache_;
 
-  // Picks the procedure and parallelism of each admitted job. With
-  // adaptive_compaction off the choice is Options::compaction_mode on
-  // every admission.
+  // Picks the procedure and parallelism of each compaction, in every
+  // engine. With adaptive_compaction off the choice is
+  // Options::compaction_mode on every admission.
   std::unique_ptr<CompactionScheduler> scheduler_;
-  // Admits every job: Options::compaction_governor, else scheduler_.
-  CompactionGovernor* governor_ = nullptr;
 
   std::mutex mutex_;
   std::condition_variable background_work_signal_;

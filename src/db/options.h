@@ -158,8 +158,8 @@ struct Options {
   // verbatim to every job.
   bool adaptive_compaction = false;
 
-  // Cap on the compute workers the scheduler (or, in a ShardedDB, the
-  // fleet arbiter) may grant one job: the model's Eq. 6 saturation k is
+  // Cap on the compute workers the scheduler may choose for one job,
+  // in every engine and every shard: the model's Eq. 6 saturation k is
   // clamped into [1, cap]. Set it to the cores you can spare for
   // compaction. An I/O-bound job runs PCP; its S1/S7 parallelism comes
   // from the Env's stripe (Eq. 4), not from extra threads.
@@ -177,13 +177,14 @@ struct Options {
   int scheduler_warmup_jobs = 2;
 
   // -------- fleet scheduling (docs/SHARDING.md) --------
-  // When non-null, every compaction admission goes through this governor
-  // instead of the per-DB scheduler: the background thread blocks in
-  // CompactionGovernor::Admit() until the fleet hands it an executor + k
-  // within the shared compute-worker budget, and releases the grant when
-  // the job finishes. ShardedDB wires its CompactionArbiter here for all
-  // member shards. Must be thread-safe and outlive the DB; nullptr
-  // (default) keeps per-DB admission.
+  // When non-null, every compaction the DB's scheduler chooses, and every
+  // value-log GC pass, is admitted through this governor: the background
+  // thread blocks in CompactionGovernor::Admit() until the fleet grants
+  // the choice, or fewer workers, within the shared compute-worker
+  // budget, and releases the grant when the job finishes. ShardedDB
+  // wires its CompactionArbiter here for all member shards. Must be
+  // thread-safe and outlive the DB; nullptr (default) runs each choice
+  // at once.
   CompactionGovernor* compaction_governor = nullptr;
 
   // Identity stamped on governor admission requests and EVENT lines when

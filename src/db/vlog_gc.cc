@@ -100,7 +100,7 @@ Status VlogGarbageCollector::CollectSegment(uint64_t segment) {
   obs::Log(db_->InfoLogHandle(), "EVENT vlog_gc_begin segment=%llu",
            static_cast<unsigned long long>(segment));
 
-  // GC competes for the same fleet I/O budget as compactions, at the
+  // GC competes for the same fleet worker budget as compactions, at the
   // lowest admission tier (request.is_gc — see src/shard/arbiter.cc).
   CompactionAdmissionRequest request;
   request.level = -1;

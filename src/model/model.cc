@@ -108,82 +108,6 @@ Prescription Prescribe(const StepTimes& t, int max_workers) {
   return p;
 }
 
-std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
-                                            const FleetBudget& budget) {
-  std::vector<FleetAllocation> out(jobs.size());
-  const size_t admitted =
-      std::min(jobs.size(), size_t(std::max(0, budget.compute_workers)));
-
-  // Floor pass: every admitted job holds 1 worker and runs its 1-worker
-  // prescription (PCP, or SCP where pipelining is churn); overflow jobs
-  // get k=0 so the caller knows to queue them.
-  const auto floor = [&](size_t i) {
-    out[i].workers = 1;
-    out[i].prescription = Prescribe(jobs[i], 1);
-  };
-  std::vector<bool> eligible(admitted);
-  for (size_t i = 0; i < out.size(); i++) {
-    if (i < admitted) {
-      floor(i);
-      // Only a CPU-bound pipeline has a use for another worker (Eq. 6).
-      eligible[i] = out[i].prescription.procedure != CompactionMode::kSCP &&
-                    out[i].prescription.cpu_bound;
-    } else {
-      out[i].workers = 0;
-      out[i].prescription.k = 0;
-      out[i].prescription.reason =
-          "fleet budget exhausted: compute_workers jobs already hold their "
-          "floor";
-    }
-  }
-
-  // Greedy upgrade pass: hand out the remaining workers one at a time to
-  // the largest marginal Eq. 6 gain, then demote any job whose share did
-  // not reach kMinParallelGain (its workers may push another job past the
-  // bar, so loop).
-  while (true) {
-    int free_workers = budget.compute_workers;
-    for (size_t i = 0; i < admitted; i++) free_workers -= out[i].workers;
-    while (free_workers > 0) {
-      double best_delta = 0;
-      size_t best = admitted;
-      for (size_t i = 0; i < admitted; i++) {
-        if (!eligible[i] ||
-            out[i].workers >= CppcpSaturationThreads(jobs[i])) {
-          continue;
-        }
-        const double delta = CppcpBandwidth(jobs[i], out[i].workers + 1) -
-                             CppcpBandwidth(jobs[i], out[i].workers);
-        if (delta > best_delta) {
-          best_delta = delta;
-          best = i;
-        }
-      }
-      if (best == admitted) break;  // nothing left worth a worker
-      FleetAllocation& a = out[best];
-      a.workers++;
-      free_workers--;
-      a.prescription.procedure = CompactionMode::kCPPCP;
-      a.prescription.k = a.workers;
-      a.prescription.gain_vs_pcp = CppcpIdealSpeedup(jobs[best], a.workers);
-      a.prescription.reason =
-          "fleet share of Eq. 6: workers granted while their marginal "
-          "bandwidth led the fleet";
-    }
-    bool demoted = false;
-    for (size_t i = 0; i < admitted; i++) {
-      if (eligible[i] && out[i].workers > 1 &&
-          out[i].prescription.gain_vs_pcp < kMinParallelGain) {
-        floor(i);
-        eligible[i] = false;
-        demoted = true;
-      }
-    }
-    if (!demoted) break;
-  }
-  return out;
-}
-
 std::string Describe(const StepTimes& t) {
   char buf[512];
   std::snprintf(

@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/db/options.h"
 #include "src/util/stopwatch.h"
@@ -74,10 +73,10 @@ bool IsCpuBound(const StepTimes& t);
 
 // The paper's §III-C prescription as data: which procedure the measured
 // step times call for, at what parallelism, and the ideal gain over plain
-// PCP. The online advisor (src/obs/advisor.h), the adaptive compaction
-// scheduler (src/compaction/scheduler.h) and the fleet arbiter
-// (src/shard/arbiter.h) all take it from Prescribe(), so report and
-// control loop can never disagree.
+// PCP. The online advisor (src/obs/advisor.h) and the compaction
+// scheduler (src/compaction/scheduler.h), the one chooser in every
+// engine, both take it from Prescribe(), so report and control loop can
+// never disagree.
 struct Prescription {
   CompactionMode procedure = CompactionMode::kPCP;
   int k = 1;                 // compute workers (C-PPCP); 1 otherwise
@@ -105,32 +104,6 @@ constexpr double kMinPipelineGain = 1.02;
 // its lever is the Env's stripe, not the job's threads (the reason says
 // so; SppcpSaturationDisks(t) is the stripe width it asks for).
 Prescription Prescribe(const StepTimes& t, int max_workers = 0);
-
-// Fleet-wide compute workers the arbiter divides among concurrent
-// compactions. A worker is one unit of compute parallelism (a core in
-// Eq. 6 terms). Every admitted job holds at least one (PCP is a 1-worker
-// pipeline), so compute_workers bounds the number of jobs at once.
-struct FleetBudget {
-  int compute_workers = 4;
-};
-
-// One job's share of the fleet budget: the workers it holds (k for
-// C-PPCP, 1 otherwise).
-struct FleetAllocation {
-  Prescription prescription;
-  int workers = 1;
-};
-
-// Generalizes Prescribe() to K concurrent jobs competing for one
-// FleetBudget. Every job first gets the Eq. 2 floor (1 worker; SCP
-// instead if Eq. 3 falls under kMinPipelineGain). Remaining workers go
-// one at a time to the CPU-bound job whose next worker buys the largest
-// marginal Eq. 6 bandwidth gain. A job whose final allocation does not
-// beat PCP by kMinParallelGain is demoted back to the floor and its
-// workers redistributed. If jobs.size() exceeds compute_workers the
-// overflow entries get k=0 allocations (caller must queue them).
-std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
-                                            const FleetBudget& budget);
 
 std::string Describe(const StepTimes& t);
 

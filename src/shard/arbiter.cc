@@ -10,11 +10,8 @@
 
 namespace pipelsm::shard {
 
-CompactionArbiter::CompactionArbiter(const ArbiterOptions& options,
-                                     const Options& engine)
-    : opts_(options),
-      max_job_workers_(
-          SchedulerOptions::FromOptions(engine).max_compute_workers) {
+CompactionArbiter::CompactionArbiter(const ArbiterOptions& options)
+    : opts_(options) {
   if (opts_.metrics != nullptr) {
     workers_gauge_ = opts_.metrics->RegisterGauge(
         "arbiter.compute_workers_in_use",
@@ -25,7 +22,7 @@ CompactionArbiter::CompactionArbiter(const ArbiterOptions& options,
         "arbiter.grants", "compaction grants issued");
     shrinks_counter_ = opts_.metrics->RegisterCounter(
         "arbiter.shrinks",
-        "grants smaller than the job's solo Prescribe() k");
+        "grants smaller than the shard scheduler's k");
     forced_counter_ = opts_.metrics->RegisterCounter(
         "arbiter.forced_grants",
         "floor grants forced by the passover (anti-starvation) rule");
@@ -41,20 +38,18 @@ namespace {
 // Force-grant a waiter after it has been passed over this many times.
 constexpr int kMaxPassovers = 3;
 
-}  // namespace
+// How often a blocked Admit() re-checks its abort predicate.
+constexpr auto kWaitPoll = std::chrono::milliseconds(10);
 
-model::Prescription CompactionArbiter::SoloPrescription(
-    const model::StepTimes& t) const {
-  return model::Prescribe(t, max_job_workers_);
-}
+}  // namespace
 
 const CompactionArbiter::Waiter* CompactionArbiter::FrontLocked() const {
   // Ranking: (1) forced waiters (passovers >= max) in FIFO order, so a
   // starving shard is next no matter what arrives; (2) compactions over
   // value-log GC — reclaiming dead value bytes is maintenance and can
   // wait (GC still escapes starvation via the passover rule); (3)
-  // highest predicted solo gain — the fleet's units buy the most
-  // bandwidth there; (4) FIFO.
+  // highest gain the shard's own prescription reported — the fleet's
+  // workers buy the most bandwidth there; (4) FIFO.
   const Waiter* best = nullptr;
   for (const auto& [seq, w] : waiters_) {
     const bool w_forced = w.passovers >= kMaxPassovers;
@@ -72,7 +67,7 @@ const CompactionArbiter::Waiter* CompactionArbiter::FrontLocked() const {
       if (!w.request.is_gc) best = &w;
       continue;
     }
-    if (w.solo_gain > best->solo_gain) best = &w;
+    if (w.request.choice.gain > best->request.choice.gain) best = &w;
   }
   return best;
 }
@@ -80,41 +75,26 @@ const CompactionArbiter::Waiter* CompactionArbiter::FrontLocked() const {
 bool CompactionArbiter::EligibleLocked(const Waiter& w) const {
   const Waiter* front = FrontLocked();
   if (front == nullptr || front->seq != w.seq) return false;
-  return workers_in_use_ + 1 <= opts_.budget.compute_workers;
+  return workers_in_use_ < opts_.compute_workers;
 }
 
 CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
-  // Ask the fleet model what this job's share of the FREE budget is,
-  // with every other current waiter (up to the job bound) competing for
-  // the same pool — so one early job cannot swallow units that better
-  // jobs just behind it would use.
-  model::FleetBudget free;
-  free.compute_workers = opts_.budget.compute_workers - workers_in_use_;
-
-  std::vector<model::StepTimes> jobs;
-  jobs.push_back(w.request.profile);
-  for (const auto& [seq, other] : waiters_) {
-    if (seq == w.seq) continue;
-    if (int(jobs.size()) >= free.compute_workers) break;
-    jobs.push_back(other.request.profile);
-  }
-  const model::FleetAllocation mine = model::PrescribeFleet(jobs, free)[0];
-
+  const CompactionChoice& want = w.request.choice;
   Grant g;
   g.shard_id = w.request.shard_id;
   g.level = w.request.level;
-  g.mode = mine.prescription.procedure;
-  g.workers = std::clamp(mine.workers, 1, max_job_workers_);
+  g.workers = std::clamp(want.compute_parallelism, 1,
+                         opts_.compute_workers - workers_in_use_);
+  g.mode = want.mode == CompactionMode::kCPPCP && g.workers == 1
+               ? CompactionMode::kPCP
+               : want.mode;
 
   workers_in_use_ += g.workers;
   peak_workers_ = std::max(peak_workers_, workers_in_use_);
   grants_++;
   const bool forced = w.passovers >= kMaxPassovers;
   if (forced) forced_grants_++;
-
-  // Shrink accounting: did the fleet hand out less than the job's solo
-  // saturation k (at the same per-job cap)? A solo PCP or SCP has k = 1.
-  if (g.workers < SoloPrescription(w.request.profile).k) {
+  if (g.workers < want.compute_parallelism) {
     shrinks_++;
     if (shrinks_counter_ != nullptr) shrinks_counter_->Add(1);
   }
@@ -128,18 +108,16 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
     forced_counter_->Add(1);
   }
 
-  CompactionGrant out;
-  out.granted = true;
-  out.id = id;
+  CompactionGrant out{want, /*granted=*/true, id};
   out.mode = g.mode;
   out.compute_parallelism = g.workers;
-  out.adaptive = true;
   char buf[128];
   std::snprintf(buf, sizeof(buf),
                 "arbiter grant: %s k=%d (fleet %d/%d workers in use)",
                 CompactionModeName(g.mode), g.workers, workers_in_use_,
-                opts_.budget.compute_workers);
-  out.rationale = buf;
+                opts_.compute_workers);
+  if (!out.rationale.empty()) out.rationale += "; ";
+  out.rationale += buf;
   return out;
 }
 
@@ -152,16 +130,12 @@ CompactionGrant CompactionArbiter::Admit(
   Waiter& me = waiters_[seq];
   me.seq = seq;
   me.request = request;
-  // Zero/garbage profiles prescribe SCP at gain 1.0, the PCP floor's
-  // rank: a cold shard must not outrank warmed-up ones on NaN arithmetic.
-  me.solo_gain = SoloPrescription(request.profile).gain_vs_pcp;
   if (waiting_gauge_ != nullptr) {
     waiting_gauge_->Set(static_cast<int64_t>(waiters_.size()));
   }
 
   CompactionGrant out;
   while (true) {
-    if (abort && abort()) break;
     if (EligibleLocked(me)) {
       // Everyone still waiting has been passed over by this grant.
       for (auto& [s, w] : waiters_) {
@@ -170,8 +144,9 @@ CompactionGrant CompactionArbiter::Admit(
       out = GrantLocked(me);
       break;
     }
-    cv_.wait_for(lock,
-                 std::chrono::microseconds(opts_.wait_poll_micros));
+    // `abort` ends a wait; a job the fleet can run now is granted.
+    if (abort && abort()) break;
+    cv_.wait_for(lock, kWaitPoll);
   }
 
   waiters_.erase(seq);
@@ -201,7 +176,7 @@ std::string CompactionArbiter::ToJson() const {
   std::string out;
   JsonWriter w(&out);
   w.BeginObject().Key("compute_workers").BeginObject();
-  w.Key("budget").Int(opts_.budget.compute_workers);
+  w.Key("budget").Int(opts_.compute_workers);
   w.Key("in_use").Int(workers_in_use_).Key("peak").Int(peak_workers_);
   w.EndObject();
   w.Key("running").BeginArray();

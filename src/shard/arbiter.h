@@ -1,21 +1,21 @@
 // CompactionArbiter: fleet-wide compaction admission (docs/SHARDING.md).
 //
-// One arbiter owns a FleetBudget of compute workers shared by every shard
-// of a ShardedDB. A shard's background thread calls Admit() when it wants
-// to compact; the arbiter ranks the waiting jobs by the Eqs. 1-7 gain
-// model::PrescribeFleet() predicts for them, grants the front-runner an
-// executor + k whose worker cost fits the free budget, and blocks the
-// rest. A grant can be SMALLER than the job's solo Prescribe() k — that
-// is the arbiter shrinking the job to fit the fleet (counted in
-// `shrinks`); the remaining workers are effectively revoked until
-// Release() frees them. I/O parallelism is not the arbiter's to hand
-// out: the shards share the Env's stripe (DESIGN.md decision 14).
+// One arbiter owns a budget of compute workers shared by every shard of
+// a ShardedDB. It chooses nothing: each shard's own CompactionScheduler
+// picks the procedure and k, and the shard's background thread calls
+// Admit() with that choice. The arbiter ranks the waiting jobs, grants
+// the front-runner min(its k, free workers) and blocks the rest. A grant
+// SMALLER than the choice is the arbiter shrinking the job to fit the
+// fleet (counted in `shrinks`; a C-PPCP choice shrunk to one worker runs
+// PCP); the workers come back when Release() frees them. I/O
+// parallelism is not the arbiter's to hand out: the shards share the
+// Env's stripe (DESIGN.md decision 14).
 //
 // Starvation-freedom: every time a job is granted, every other waiter's
 // passover count rises; a waiter passed over kMaxPassovers (3) times is
-// force-granted the PCP floor (1 worker) as soon as a floor is
-// free, ahead of any higher-gain newcomer. So a long-running big-gain
-// job cannot pin a low-gain shard in the queue forever.
+// granted as soon as one worker is free, ahead of any higher-gain
+// newcomer. So a long-running big-gain job cannot pin a low-gain shard
+// in the queue forever.
 //
 // Thread-safe; never calls back into a DB (CompactionGovernor contract).
 // GetProperty("pipelsm.arbiter") on a ShardedDB renders ToJson().
@@ -28,7 +28,6 @@
 #include <string>
 
 #include "src/compaction/scheduler.h"
-#include "src/model/model.h"
 
 namespace pipelsm {
 namespace obs {
@@ -42,10 +41,10 @@ class MetricsRegistry;
 namespace pipelsm::shard {
 
 struct ArbiterOptions {
-  model::FleetBudget budget;  // compute_workers=4
-
-  // How often a blocked Admit() re-checks its abort predicate.
-  uint64_t wait_poll_micros = 10 * 1000;
+  // Fleet-wide compute workers. A worker is one unit of compute
+  // parallelism (a core in Eq. 6 terms); every admitted job holds at
+  // least one, so this also bounds the number of jobs at once.
+  int compute_workers = 4;
 
   // arbiter.* instruments land here (nullable).
   obs::MetricsRegistry* metrics = nullptr;
@@ -53,11 +52,7 @@ struct ArbiterOptions {
 
 class CompactionArbiter : public CompactionGovernor {
  public:
-  // `engine` is the shards' engine configuration: no grant exceeds its
-  // Options::max_compute_workers workers, the same cap one DB's own
-  // scheduler applies.
-  explicit CompactionArbiter(const ArbiterOptions& options,
-                             const Options& engine = Options());
+  explicit CompactionArbiter(const ArbiterOptions& options);
   ~CompactionArbiter() override;
 
   CompactionArbiter(const CompactionArbiter&) = delete;
@@ -79,13 +74,12 @@ class CompactionArbiter : public CompactionGovernor {
   uint64_t shrinks() const;
   uint64_t forced_grants() const;
   size_t waiting() const;
-  const model::FleetBudget& budget() const { return opts_.budget; }
+  int compute_workers() const { return opts_.compute_workers; }
 
  private:
   struct Waiter {
     uint64_t seq = 0;             // FIFO tiebreak
     CompactionAdmissionRequest request;
-    double solo_gain = 1.0;       // Prescribe() gain at the per-job cap
     int passovers = 0;
   };
   struct Grant {
@@ -103,11 +97,7 @@ class CompactionArbiter : public CompactionGovernor {
   // REQUIRES: mu_ held. Builds the grant for `w` with the free budget.
   CompactionGrant GrantLocked(const Waiter& w);
 
-  // The job's solo prescription at the engine's per-job cap.
-  model::Prescription SoloPrescription(const model::StepTimes& t) const;
-
   const ArbiterOptions opts_;
-  const int max_job_workers_;  // Options::max_compute_workers
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

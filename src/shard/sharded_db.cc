@@ -233,7 +233,7 @@ Status ShardedDB::Open(const Options& options, const ShardedOptions& sharded,
   if (sharded.enable_arbiter) {
     ArbiterOptions aopts = sharded.arbiter;
     aopts.metrics = db->metrics_.get();
-    db->arbiter_ = std::make_unique<CompactionArbiter>(aopts, options);
+    db->arbiter_ = std::make_unique<CompactionArbiter>(aopts);
   }
 
   // One fleet-wide block cache shared by every member shard (unless the
@@ -270,7 +270,7 @@ Status ShardedDB::Open(const Options& options, const ShardedOptions& sharded,
   obs::Log(db->info_log_.get(),
            "EVENT sharded_open shards=%zu arbiter=%d compute_workers=%d",
            num_shards, db->arbiter_ != nullptr ? 1 : 0,
-           sharded.arbiter.budget.compute_workers);
+           sharded.arbiter.compute_workers);
 
   *dbptr = db.release();
   return Status::OK();

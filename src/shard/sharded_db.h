@@ -23,10 +23,11 @@
 // returns a concatenation (not a merge) of the per-shard iterators —
 // Seek routes to the owning shard, Next/Prev step across shard seams.
 //
-// Compaction: every shard shares one CompactionArbiter via
+// Compaction: each shard's own scheduler chooses every job's procedure
+// and k, and every shard shares one CompactionArbiter via
 // Options::compaction_governor, so fleet-wide compaction compute stays
-// within ArbiterOptions::budget no matter how many shards want to compact
-// at once (the point of this layer; see arbiter.h).
+// within ArbiterOptions::compute_workers no matter how many shards want
+// to compact at once (the point of this layer; see arbiter.h).
 #pragma once
 
 #include <memory>
@@ -72,8 +73,9 @@ class ShardedDB final : public DB {
   // Opens (creating if Options::create_if_missing) the shard fleet under
   // `name`. `options` is the per-shard engine configuration; fields that
   // must differ per shard (shard_id, compaction_governor, info_log) are
-  // overridden internally. Its max_compute_workers also caps every
-  // arbiter grant. Listeners in options.listeners receive events from
+  // overridden internally; the rest, compaction_mode and the adaptive
+  // scheduler's knobs included, configure every shard's own scheduler.
+  // Listeners in options.listeners receive events from
   // EVERY shard (they were already required to be thread-safe).
   static Status Open(const Options& options, const ShardedOptions& sharded,
                      const std::string& name, ShardedDB** dbptr);

@@ -859,22 +859,6 @@ int64_t VersionSet::NumLevelBytes(int level) const {
   return TotalFileSize(current_->files_[level]);
 }
 
-int64_t VersionSet::MaxNextLevelOverlappingBytes() {
-  int64_t result = 0;
-  std::vector<FileMetaData*> overlaps;
-  for (int level = 1; level < config::kNumLevels - 1; level++) {
-    for (FileMetaData* f : current_->files_[level]) {
-      current_->GetOverlappingInputs(level + 1, &f->smallest, &f->largest,
-                                     &overlaps);
-      const int64_t sum = TotalFileSize(overlaps);
-      if (sum > result) {
-        result = sum;
-      }
-    }
-  }
-  return result;
-}
-
 // Stores the minimal range that covers all entries in inputs in
 // *smallest, *largest.
 // REQUIRES: inputs is not empty.
@@ -1056,11 +1040,7 @@ Compaction::Compaction(const Options* options, int level, int output_level)
     : level_(level),
       output_level_(output_level),
       max_output_file_size_(options->max_file_size),
-      input_version_(nullptr) {
-  for (int i = 0; i < config::kNumLevels; i++) {
-    level_ptrs_[i] = 0;
-  }
-}
+      input_version_(nullptr) {}
 
 Compaction::~Compaction() {
   if (input_version_ != nullptr) {
@@ -1119,38 +1099,6 @@ bool Compaction::IsInputFile(const FileMetaData* f) const {
     }
   }
   return false;
-}
-
-bool Compaction::IsBaseLevelForKey(const Slice& user_key) {
-  // Maybe use binary search to find right entry instead of linear search?
-  const Comparator* user_cmp =
-      input_version_->vset_->icmp_.user_comparator();
-  // Under leveled style the output level's residents are all inputs, so
-  // the scan starts below it. Overlapping styles leave non-input runs at
-  // the output level (tiered pushes merge with nothing), so the scan must
-  // include it, skipping this job's own inputs. The monotone pointer walk
-  // stays valid for overlapping files: they are sorted by smallest key,
-  // so the first file whose largest >= key is also the only candidate
-  // whose range can contain it that the walk has not already rejected.
-  const bool overlapping = input_version_->vset_->overlapping_levels_;
-  const int first = overlapping ? output_level_ : output_level_ + 1;
-  for (int lvl = first; lvl < config::kNumLevels; lvl++) {
-    const std::vector<FileMetaData*>& files = input_version_->files_[lvl];
-    while (level_ptrs_[lvl] < files.size()) {
-      FileMetaData* f = files[level_ptrs_[lvl]];
-      if (user_cmp->Compare(user_key, f->largest.user_key()) <= 0) {
-        // We've advanced far enough.
-        if (user_cmp->Compare(user_key, f->smallest.user_key()) >= 0 &&
-            !(overlapping && IsInputFile(f))) {
-          // Key falls in a resident file's range: not base level.
-          return false;
-        }
-        break;
-      }
-      level_ptrs_[lvl]++;
-    }
-  }
-  return true;
 }
 
 bool Compaction::RangeIsBaseLevel(const Slice* lo_user_key,

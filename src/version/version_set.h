@@ -182,9 +182,6 @@ class VersionSet {
   Compaction* CompactRange(int level, const InternalKey* begin,
                            const InternalKey* end);
 
-  // Maximum overlapping bytes at the next level for any level-(L) file.
-  int64_t MaxNextLevelOverlappingBytes();
-
   bool NeedsCompaction() const {
     Version* v = current_;
     return v->compaction_score_ >= 1;
@@ -309,14 +306,10 @@ class Compaction {
   // Add all inputs to this compaction as delete operations to *edit.
   void AddInputDeletions(VersionEdit* edit);
 
-  // Returns true if the information we have available guarantees that the
-  // compaction is producing data at the output level for which no data
-  // exists below the output level (drop-deletion eligibility).
-  bool IsBaseLevelForKey(const Slice& user_key);
-
-  // Range form used by the sub-task planner: true iff no level below the
-  // output level holds any key in [*lo_user_key, *hi_user_key] (nullptr =
-  // unbounded). Conservative and safe to evaluate per planned sub-range.
+  // Drop-deletion eligibility, asked by the sub-task planner: true iff no
+  // level below the output level holds any key in
+  // [*lo_user_key, *hi_user_key] (nullptr = unbounded). Conservative and
+  // safe to evaluate per planned sub-range.
   bool RangeIsBaseLevel(const Slice* lo_user_key,
                         const Slice* hi_user_key) const;
 
@@ -345,12 +338,6 @@ class Compaction {
   // inputs_[0] comes from level_; inputs_[1] holds the resident files of
   // output_level_ merged in (empty for tiered pushes and self-merges).
   std::vector<FileMetaData*> inputs_[2];
-
-  // State for implementing IsBaseLevelForKey:
-  // level_ptrs_ holds indices into input_version_->files_: our state is
-  // that we are positioned at one of the file ranges for each higher
-  // level than the ones involved in this compaction.
-  size_t level_ptrs_[config::kNumLevels];
 };
 
 }  // namespace pipelsm

@@ -38,16 +38,6 @@ model::StepTimes IoBound() { return Times(8e-3, 2e-3, 1e-3); }
 // SSD regime: compute dominates; Eq. 6 saturation k = ceil(10/2) = 5.
 model::StepTimes CpuBound() { return Times(2e-3, 10e-3, 1e-3); }
 
-// One compaction admission with the advisor's profile and job count, as
-// DBImpl::AdmitJob stamps it.
-CompactionGrant Admit(CompactionScheduler& s, const model::StepTimes& t,
-                      uint64_t advisor_jobs) {
-  CompactionAdmissionRequest request;
-  request.profile = t;
-  request.advisor_jobs = advisor_jobs;
-  return s.Admit(request, nullptr);
-}
-
 SchedulerOptions Adaptive(int hysteresis = 1, int warmup = 0) {
   SchedulerOptions o;
   o.adaptive = true;
@@ -65,10 +55,11 @@ TEST(CompactionScheduler, StaticPassthroughWhenAdaptiveOff) {
   o.static_compute_parallelism = 2;
   CompactionScheduler s(o, nullptr);
   for (int i = 0; i < 4; i++) {
-    const CompactionGrant d = Admit(s, IoBound(), /*advisor_jobs=*/100);
+    const CompactionChoice d = s.Choose(IoBound(), /*advisor_jobs=*/100);
     EXPECT_EQ(CompactionMode::kCPPCP, d.mode);
     EXPECT_EQ(2, d.compute_parallelism);
     EXPECT_FALSE(d.adaptive);
+    EXPECT_EQ(1.0, d.gain);  // a static choice ranks at the PCP floor
   }
   EXPECT_EQ(4u, s.decisions());
   EXPECT_EQ(0u, s.switches());
@@ -77,13 +68,13 @@ TEST(CompactionScheduler, StaticPassthroughWhenAdaptiveOff) {
 TEST(CompactionScheduler, WarmupHoldsStaticChoice) {
   CompactionScheduler s(Adaptive(/*hysteresis=*/1, /*warmup=*/3), nullptr);
   for (uint64_t jobs = 0; jobs < 3; jobs++) {
-    const CompactionGrant d = Admit(s, CpuBound(), jobs);
+    const CompactionChoice d = s.Choose(CpuBound(), jobs);
     EXPECT_EQ(CompactionMode::kPCP, d.mode) << "during warmup";
     EXPECT_FALSE(d.adaptive);
     EXPECT_NE(std::string::npos, d.rationale.find("warming up"))
         << d.rationale;
   }
-  const CompactionGrant d = Admit(s, CpuBound(), /*advisor_jobs=*/3);
+  const CompactionChoice d = s.Choose(CpuBound(), /*advisor_jobs=*/3);
   EXPECT_EQ(CompactionMode::kCPPCP, d.mode) << "warmup over, profile rules";
   EXPECT_TRUE(d.adaptive);
 }
@@ -97,7 +88,7 @@ TEST(CompactionScheduler, IoBoundPrescribesPcp) {
   CompactionScheduler s(o, nullptr);
   // Deterministic: the same profile yields the same verdict every time.
   for (int i = 0; i < 5; i++) {
-    const CompactionGrant d = Admit(s, IoBound(), 10);
+    const CompactionChoice d = s.Choose(IoBound(), 10);
     EXPECT_EQ(CompactionMode::kPCP, d.mode);
     EXPECT_EQ(1, d.compute_parallelism);
     EXPECT_TRUE(d.adaptive);
@@ -109,15 +100,17 @@ TEST(CompactionScheduler, IoBoundPrescribesPcp) {
 
 TEST(CompactionScheduler, CpuBoundPrescribesCppcpAtSaturationK) {
   CompactionScheduler s(Adaptive(), nullptr);
-  const CompactionGrant d = Admit(s, CpuBound(), 10);
+  const CompactionChoice d = s.Choose(CpuBound(), 10);
   EXPECT_EQ(CompactionMode::kCPPCP, d.mode);
   EXPECT_EQ(5, d.compute_parallelism);  // ceil(10/max(2,1))
   EXPECT_TRUE(d.adaptive);
+  EXPECT_EQ(model::Prescribe(CpuBound(), 8).gain_vs_pcp, d.gain);
+  EXPECT_GT(d.gain, model::kMinParallelGain);
 }
 
 TEST(CompactionScheduler, BalancedProfileStaysOnPcp) {
   CompactionScheduler s(Adaptive(), nullptr);
-  const CompactionGrant d = Admit(s, Times(3e-3, 3e-3, 3e-3), 10);
+  const CompactionChoice d = s.Choose(Times(3e-3, 3e-3, 3e-3), 10);
   EXPECT_EQ(CompactionMode::kPCP, d.mode);
   EXPECT_EQ(1, d.compute_parallelism);
   EXPECT_EQ(0u, s.switches());  // PCP was already the static choice
@@ -127,7 +120,7 @@ TEST(CompactionScheduler, BalancedProfileStaysOnPcp) {
 // pipeline-gain floor, so the scheduler prescribes plain sequential SCP.
 TEST(CompactionScheduler, DegeneratePipelineFallsBackToScp) {
   CompactionScheduler s(Adaptive(), nullptr);
-  const CompactionGrant d = Admit(s, Times(10e-3, 0.05e-3, 0.05e-3), 10);
+  const CompactionChoice d = s.Choose(Times(10e-3, 0.05e-3, 0.05e-3), 10);
   EXPECT_EQ(CompactionMode::kSCP, d.mode);
   EXPECT_EQ(1, d.compute_parallelism);
 }
@@ -136,7 +129,7 @@ TEST(CompactionScheduler, BoundsClampPrescribedK) {
   SchedulerOptions o = Adaptive();
   o.max_compute_workers = 2;  // saturation says 5
   CompactionScheduler s(o, nullptr);
-  EXPECT_EQ(2, Admit(s, CpuBound(), 10).compute_parallelism);
+  EXPECT_EQ(2, s.Choose(CpuBound(), 10).compute_parallelism);
 }
 
 // The phase shift a live DB sees, on injected profiles: an advisor fed
@@ -160,9 +153,9 @@ TEST(CompactionScheduler, PhaseShiftFlipsTheProcedure) {
     job.input_bytes = static_cast<uint64_t>(t.subtask_bytes);
     job.wall_nanos = static_cast<uint64_t>(
         std::max({t.read(), t.compute(), t.write()}) * 1e9);
-    CompactionGrant last;
+    CompactionChoice last;
     for (int i = 0; i < 16; i++) {  // long enough for the EMA to settle
-      last = Admit(s, advisor.Profile(), advisor.jobs());
+      last = s.Choose(advisor.Profile(), advisor.jobs());
       if (procedures.empty() || procedures.back() != last.mode) {
         procedures.push_back(last.mode);
       }
@@ -171,11 +164,11 @@ TEST(CompactionScheduler, PhaseShiftFlipsTheProcedure) {
     return last;
   };
 
-  const CompactionGrant end1 = phase(CpuBound());
+  const CompactionChoice end1 = phase(CpuBound());
   EXPECT_EQ(CompactionMode::kCPPCP, end1.mode) << end1.rationale;
   EXPECT_EQ(4, end1.compute_parallelism);
   EXPECT_TRUE(end1.adaptive);
-  const CompactionGrant end2 = phase(IoBound());
+  const CompactionChoice end2 = phase(IoBound());
   EXPECT_EQ(CompactionMode::kPCP, end2.mode) << end2.rationale;
   EXPECT_EQ(1, end2.compute_parallelism);
   EXPECT_TRUE(end2.adaptive);
@@ -194,12 +187,14 @@ TEST(CompactionScheduler, PhaseShiftFlipsTheProcedure) {
 TEST(CompactionScheduler, HysteresisRequiresConsecutivePrescriptions) {
   CompactionScheduler s(Adaptive(/*hysteresis=*/3), nullptr);
   for (int i = 0; i < 2; i++) {
-    const CompactionGrant d = Admit(s, CpuBound(), 10);
+    const CompactionChoice d = s.Choose(CpuBound(), 10);
     EXPECT_EQ(CompactionMode::kPCP, d.mode) << "streak " << i + 1 << "/3";
     EXPECT_NE(std::string::npos, d.rationale.find("holding")) << d.rationale;
+    EXPECT_EQ(1.0, d.gain) << "a held PCP gains nothing over PCP";
   }
-  const CompactionGrant d = Admit(s, CpuBound(), 10);
+  const CompactionChoice d = s.Choose(CpuBound(), 10);
   EXPECT_EQ(CompactionMode::kCPPCP, d.mode) << "third consecutive: switch";
+  EXPECT_GT(d.gain, model::kMinParallelGain);
   EXPECT_EQ(1u, s.switches());
 }
 
@@ -209,8 +204,8 @@ TEST(CompactionScheduler, HysteresisRequiresConsecutivePrescriptions) {
 TEST(CompactionScheduler, NoFlapOnAlternatingProfiles) {
   CompactionScheduler s(Adaptive(/*hysteresis=*/3), nullptr);
   for (int i = 0; i < 12; i++) {
-    const CompactionGrant d =
-        Admit(s, i % 2 == 0 ? Times(2e-3, 6e-3, 1e-3) : CpuBound(), 10 + i);
+    const CompactionChoice d =
+        s.Choose(i % 2 == 0 ? Times(2e-3, 6e-3, 1e-3) : CpuBound(), 10 + i);
     EXPECT_EQ(CompactionMode::kPCP, d.mode) << "admission " << i;
   }
   EXPECT_EQ(0u, s.switches());
@@ -220,11 +215,11 @@ TEST(CompactionScheduler, NoFlapOnAlternatingProfiles) {
 // cpu-bound admissions split 2+1 around a balanced one must not switch.
 TEST(CompactionScheduler, IncumbentPrescriptionResetsStreak) {
   CompactionScheduler s(Adaptive(/*hysteresis=*/3), nullptr);
-  Admit(s, CpuBound(), 10);
-  Admit(s, CpuBound(), 11);
-  Admit(s, Times(3e-3, 3e-3, 3e-3), 12);  // target == current (PCP): reset
-  Admit(s, CpuBound(), 13);
-  const CompactionGrant d = Admit(s, CpuBound(), 14);
+  s.Choose(CpuBound(), 10);
+  s.Choose(CpuBound(), 11);
+  s.Choose(Times(3e-3, 3e-3, 3e-3), 12);  // target == current (PCP): reset
+  s.Choose(CpuBound(), 13);
+  const CompactionChoice d = s.Choose(CpuBound(), 14);
   EXPECT_EQ(CompactionMode::kPCP, d.mode) << "streak was broken";
   EXPECT_EQ(0u, s.switches());
 }
@@ -237,8 +232,8 @@ TEST(CompactionScheduler, DeterministicAcrossInstances) {
       IoBound(), IoBound(), CpuBound(), CpuBound(), CpuBound(),
       Times(3e-3, 3e-3, 3e-3), IoBound(), IoBound(), IoBound()};
   for (size_t i = 0; i < sequence.size(); i++) {
-    const CompactionGrant da = Admit(a, sequence[i], i);
-    const CompactionGrant db = Admit(b, sequence[i], i);
+    const CompactionChoice da = a.Choose(sequence[i], i);
+    const CompactionChoice db = b.Choose(sequence[i], i);
     EXPECT_EQ(da.mode, db.mode) << "admission " << i;
     EXPECT_EQ(da.compute_parallelism, db.compute_parallelism)
         << "admission " << i;
@@ -251,9 +246,9 @@ TEST(CompactionScheduler, DeterministicAcrossInstances) {
 TEST(CompactionScheduler, MetricsCountDecisionsAndSwitches) {
   obs::MetricsRegistry registry;
   CompactionScheduler s(Adaptive(/*hysteresis=*/2), &registry);
-  Admit(s, CpuBound(), 10);  // holding PCP, streak 1/2
-  Admit(s, CpuBound(), 11);  // switch to C-PPCP
-  Admit(s, CpuBound(), 12);  // steady C-PPCP
+  s.Choose(CpuBound(), 10);  // holding PCP, streak 1/2
+  s.Choose(CpuBound(), 11);  // switch to C-PPCP
+  s.Choose(CpuBound(), 12);  // steady C-PPCP
   const std::string snapshot = registry.ToJson();
   EXPECT_NE(std::string::npos, snapshot.find("scheduler.decisions"));
   EXPECT_EQ(3u, s.decisions());
@@ -262,7 +257,7 @@ TEST(CompactionScheduler, MetricsCountDecisionsAndSwitches) {
 
 TEST(CompactionScheduler, ToJsonParsesAndReportsCandidateStreak) {
   CompactionScheduler s(Adaptive(/*hysteresis=*/3), nullptr);
-  Admit(s, CpuBound(), 10);  // candidate C-PPCP, streak 1/3
+  s.Choose(CpuBound(), 10);  // candidate C-PPCP, streak 1/3
 
   JsonValue v;
   std::string err;
@@ -283,7 +278,7 @@ TEST(CompactionScheduler, ToJsonParsesAndReportsCandidateStreak) {
   ASSERT_NE(nullptr, v.Find("rationale"));
 
   // Steady state drops the candidate block again.
-  Admit(s, Times(3e-3, 3e-3, 3e-3), 11);
+  s.Choose(Times(3e-3, 3e-3, 3e-3), 11);
   JsonValue steady;
   ASSERT_TRUE(ParseJson(s.ToJson(), &steady, &err)) << err;
   EXPECT_EQ(nullptr, steady.Find("candidate"));

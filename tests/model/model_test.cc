@@ -6,7 +6,6 @@
 
 #include <limits>
 #include <string>
-#include <vector>
 
 namespace pipelsm::model {
 namespace {
@@ -171,57 +170,6 @@ TEST(Model, IoBoundPrescribesPcpAtEveryWorkerCap) {
     EXPECT_NE(std::string::npos, std::string(p.reason).find("Eq. 4"))
         << p.reason;
   }
-}
-
-// The fleet model hands out compute workers only: over every mix of
-// CPU-bound, I/O-bound, balanced and degenerate jobs and every budget,
-// the allocations never sum past compute_workers, no more than
-// compute_workers jobs are admitted, and only C-PPCP jobs hold more than
-// one worker.
-TEST(Model, PrescribeFleetStaysWithinComputeWorkers) {
-  const std::vector<StepTimes> kinds = {
-      Make(0.010, 0.080, 0.010),   // CPU-bound, wants 8
-      Make(0.010, 0.030, 0.012),   // CPU-bound, wants 3
-      Make(0.080, 0.010, 0.010),   // I/O-bound
-      Make(0.010, 0.010, 0.010),   // balanced
-      Make(0.100, 0.0005, 0.0005)  // degenerate (SCP)
-  };
-  for (int budget = 0; budget <= 6; budget++) {
-    for (size_t n = 1; n <= 8; n++) {
-      SCOPED_TRACE("budget " + std::to_string(budget) + " jobs " +
-                   std::to_string(n));
-      std::vector<StepTimes> jobs;
-      for (size_t i = 0; i < n; i++) jobs.push_back(kinds[(i * 3) % 5]);
-      FleetBudget b;
-      b.compute_workers = budget;
-      const std::vector<FleetAllocation> alloc = PrescribeFleet(jobs, b);
-      ASSERT_EQ(n, alloc.size());
-      int workers = 0;
-      size_t admitted = 0;
-      for (size_t i = 0; i < n; i++) {
-        const FleetAllocation& a = alloc[i];
-        workers += a.workers;
-        if (a.workers > 0) admitted++;
-        if (a.workers > 1) {
-          EXPECT_EQ(CompactionMode::kCPPCP, a.prescription.procedure);
-          EXPECT_EQ(a.workers, a.prescription.k);
-          EXPECT_GE(a.prescription.gain_vs_pcp, kMinParallelGain);
-        } else if (a.workers == 1) {
-          EXPECT_NE(CompactionMode::kSPPCP, a.prescription.procedure);
-          EXPECT_EQ(1, a.prescription.k);
-        } else {
-          EXPECT_EQ(0, a.prescription.k);  // queued
-        }
-      }
-      EXPECT_LE(workers, budget);
-      EXPECT_EQ(std::min(n, size_t(budget)), admitted);
-    }
-  }
-  // A lone CPU-bound job takes the workers its Eq. 6 saturation asks for.
-  FleetBudget four;
-  EXPECT_EQ(4, PrescribeFleet({Make(0.010, 0.080, 0.010)}, four)[0].workers);
-  // A lone I/O-bound job runs PCP on one worker; the rest stay free.
-  EXPECT_EQ(1, PrescribeFleet({Make(0.080, 0.010, 0.010)}, four)[0].workers);
 }
 
 }  // namespace

@@ -245,10 +245,8 @@ TEST(BottleneckAdvisor, RecommendationIsTheSchedulersTarget) {
       o.hysteresis_jobs = 1;
       o.warmup_jobs = 0;
       CompactionScheduler scheduler(o, nullptr);
-      CompactionAdmissionRequest request;
-      request.profile = advisor.Profile();
-      request.advisor_jobs = advisor.jobs();
-      const CompactionGrant g = scheduler.Admit(request, nullptr);
+      const CompactionChoice g =
+          scheduler.Choose(advisor.Profile(), advisor.jobs());
       EXPECT_EQ(CompactionModeName(g.mode), Text(*rec, "procedure"));
       EXPECT_EQ(g.compute_parallelism, Number(*rec, "k"));
       EXPECT_LE(Number(*rec, "k"), workers);

@@ -1,8 +1,8 @@
-// CompactionArbiter: the fleet's compute workers are a hard ceiling under
-// concurrent admission, a second job is shrunk to fit the free workers, a
-// blocked
-// waiter honors its abort predicate, and a repeatedly passed-over waiter
-// is force-granted (starvation-freedom).
+// CompactionArbiter: it grants each shard's own choice, never more; the
+// fleet's compute workers are a hard ceiling under concurrent admission,
+// a second job is shrunk to fit the free workers, a blocked waiter
+// honors its abort predicate, and a repeatedly passed-over waiter is
+// force-granted (starvation-freedom).
 #include "src/shard/arbiter.h"
 
 #include <gtest/gtest.h>
@@ -13,37 +13,32 @@
 #include <thread>
 #include <vector>
 
-#include "src/model/model.h"
-
 namespace pipelsm::shard {
 namespace {
 
-model::StepTimes Make(double read_s, double compute_s, double write_s) {
-  model::StepTimes t;
-  t.seconds[kStepRead] = read_s;
-  t.seconds[kStepChecksum] = compute_s / 5;
-  t.seconds[kStepDecompress] = compute_s / 5;
-  t.seconds[kStepSort] = compute_s / 5;
-  t.seconds[kStepCompress] = compute_s / 5;
-  t.seconds[kStepRechecksum] = compute_s / 5;
-  t.seconds[kStepWrite] = write_s;
-  t.subtask_bytes = 1 << 20;
-  return t;
+// What a shard's scheduler hands the arbiter: a procedure, its k and
+// the gain its prescription reported.
+CompactionChoice Choice(CompactionMode mode, int k, double gain,
+                        bool adaptive = true) {
+  CompactionChoice c;
+  c.mode = mode;
+  c.compute_parallelism = k;
+  c.gain = gain;
+  c.adaptive = adaptive;
+  c.rationale = "shard choice";
+  return c;
 }
 
-// I/O-bound (HDD regime): runs PCP on one worker, solo gain 1.0; its
-// parallelism is the Env's stripe.
-model::StepTimes IoBound() { return Make(0.030, 0.010, 0.020); }
-// CPU-bound (SSD regime): Eq. 6 saturates at 3 workers, solo gain 2.5x.
-model::StepTimes CpuBound() { return Make(0.010, 0.030, 0.012); }
+// A PCP job on one worker (an I/O-bound or static choice), gain 1.0.
+CompactionChoice Pcp() { return Choice(CompactionMode::kPCP, 1, 1.0); }
+// A CPU-bound job: C-PPCP on 3 workers, reported gain 2.5x.
+CompactionChoice Cppcp3() { return Choice(CompactionMode::kCPPCP, 3, 2.5); }
 
-CompactionAdmissionRequest Request(int shard, const model::StepTimes& t) {
+CompactionAdmissionRequest Request(int shard, const CompactionChoice& c) {
   CompactionAdmissionRequest r;
   r.shard_id = shard;
-  r.profile = t;
-  r.advisor_jobs = 16;
   r.level = 1;
-  r.input_bytes = 8 << 20;
+  r.choice = c;
   return r;
 }
 
@@ -61,8 +56,7 @@ void WaitFor(Pred pred) {
 
 TEST(Arbiter, ConcurrentAdmitsNeverExceedBudget) {
   ArbiterOptions o;
-  o.budget.compute_workers = 2;
-  o.wait_poll_micros = 1000;
+  o.compute_workers = 2;
   CompactionArbiter arb(o);
 
   std::atomic<int> completed{0};
@@ -70,9 +64,10 @@ TEST(Arbiter, ConcurrentAdmitsNeverExceedBudget) {
   for (int i = 0; i < 6; i++) {
     threads.emplace_back([&arb, &completed, &o, i] {
       CompactionGrant g =
-          arb.Admit(Request(i, (i % 2) ? IoBound() : CpuBound()), Never);
+          arb.Admit(Request(i, (i % 2) ? Pcp() : Cppcp3()), Never);
       EXPECT_TRUE(g.granted);
-      EXPECT_LE(arb.workers_in_use(), o.budget.compute_workers);
+      EXPECT_LE(g.compute_parallelism, 2);
+      EXPECT_LE(arb.workers_in_use(), o.compute_workers);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       completed.fetch_add(1);
       arb.Release(g.id);
@@ -82,7 +77,7 @@ TEST(Arbiter, ConcurrentAdmitsNeverExceedBudget) {
 
   EXPECT_EQ(6, completed.load());
   EXPECT_EQ(6u, arb.grants());
-  EXPECT_LE(arb.peak_workers(), o.budget.compute_workers);
+  EXPECT_LE(arb.peak_workers(), o.compute_workers);
   EXPECT_GE(arb.peak_workers(), 1);
   EXPECT_EQ(0, arb.workers_in_use());
   EXPECT_EQ(0u, arb.waiting());
@@ -90,25 +85,29 @@ TEST(Arbiter, ConcurrentAdmitsNeverExceedBudget) {
 
 TEST(Arbiter, SecondJobIsShrunkToTheFreeUnits) {
   ArbiterOptions o;
-  o.budget.compute_workers = 4;
+  o.compute_workers = 4;
   CompactionArbiter arb(o);
 
-  // Solo, the CPU-bound job saturates at 3 workers and gets them.
-  CompactionGrant a = arb.Admit(Request(0, CpuBound()), Never);
+  // Alone, the C-PPCP choice gets its 3 workers: the choice, its
+  // adaptive flag and its rationale pass through, plus the fleet note.
+  CompactionGrant a = arb.Admit(Request(0, Cppcp3()), Never);
   ASSERT_TRUE(a.granted);
   EXPECT_EQ(CompactionMode::kCPPCP, a.mode);
   EXPECT_EQ(3, a.compute_parallelism);
   EXPECT_TRUE(a.adaptive);
+  EXPECT_EQ(0u, a.rationale.find("shard choice; arbiter grant: C-PPCP k=3"))
+      << a.rationale;
   EXPECT_EQ(0u, arb.shrinks());
 
-  // The same job admitted while A runs only finds 1 free worker: granted,
-  // but shrunk to the PCP floor — and the shrink is counted.
-  CompactionGrant b = arb.Admit(Request(1, CpuBound()), Never);
+  // The same choice admitted while A runs only finds 1 free worker:
+  // granted, but shrunk to one worker, which runs PCP — and the shrink
+  // is counted.
+  CompactionGrant b = arb.Admit(Request(1, Cppcp3()), Never);
   ASSERT_TRUE(b.granted);
   EXPECT_EQ(CompactionMode::kPCP, b.mode);
   EXPECT_EQ(1, b.compute_parallelism);
   EXPECT_EQ(1u, arb.shrinks());
-  EXPECT_EQ(o.budget.compute_workers, arb.workers_in_use());
+  EXPECT_EQ(o.compute_workers, arb.workers_in_use());
 
   // A's workers come back on release.
   arb.Release(a.id);
@@ -117,14 +116,14 @@ TEST(Arbiter, SecondJobIsShrunkToTheFreeUnits) {
   EXPECT_EQ(4, arb.peak_workers());  // 3 (A) + 1 (B)
 }
 
-// An I/O-bound job runs PCP on one worker: it is not shrunk (its solo
-// prescription is k = 1 too), and it leaves the rest of the budget free.
+// An I/O-bound profile prescribes PCP on one worker: it is not shrunk,
+// and it leaves the rest of the budget free.
 TEST(Arbiter, IoBoundJobHoldsOneWorker) {
   ArbiterOptions o;
-  o.budget.compute_workers = 4;
+  o.compute_workers = 4;
   CompactionArbiter arb(o);
 
-  CompactionGrant g = arb.Admit(Request(0, IoBound()), Never);
+  CompactionGrant g = arb.Admit(Request(0, Pcp()), Never);
   ASSERT_TRUE(g.granted);
   EXPECT_EQ(CompactionMode::kPCP, g.mode);
   EXPECT_EQ(1, g.compute_parallelism);
@@ -134,19 +133,46 @@ TEST(Arbiter, IoBoundJobHoldsOneWorker) {
   EXPECT_EQ(0, arb.workers_in_use());
 }
 
-TEST(Arbiter, AbortedWaiterReturnsUngranted) {
+// A static choice runs as chosen: SCP and PCP on one worker are not
+// shrunk and leave the rest of the budget free, and a static k=2 PCP
+// (two key-range sub-jobs) is never widened to the free workers.
+TEST(Arbiter, StaticChoiceRunsAsChosen) {
   ArbiterOptions o;
-  o.budget.compute_workers = 1;
-  o.wait_poll_micros = 1000;
+  o.compute_workers = 4;
   CompactionArbiter arb(o);
 
-  CompactionGrant hold = arb.Admit(Request(0, IoBound()), Never);
+  CompactionGrant scp = arb.Admit(
+      Request(0, Choice(CompactionMode::kSCP, 1, 1.0, /*adaptive=*/false)),
+      Never);
+  ASSERT_TRUE(scp.granted);
+  EXPECT_EQ(CompactionMode::kSCP, scp.mode);
+  EXPECT_EQ(1, scp.compute_parallelism);
+  EXPECT_FALSE(scp.adaptive);
+  CompactionGrant pcp = arb.Admit(
+      Request(1, Choice(CompactionMode::kPCP, 2, 1.0, /*adaptive=*/false)),
+      Never);
+  ASSERT_TRUE(pcp.granted);
+  EXPECT_EQ(CompactionMode::kPCP, pcp.mode);
+  EXPECT_EQ(2, pcp.compute_parallelism);
+  EXPECT_EQ(3, arb.workers_in_use());
+  EXPECT_EQ(0u, arb.shrinks());
+  arb.Release(scp.id);
+  arb.Release(pcp.id);
+  EXPECT_EQ(0, arb.workers_in_use());
+}
+
+TEST(Arbiter, AbortedWaiterReturnsUngranted) {
+  ArbiterOptions o;
+  o.compute_workers = 1;
+  CompactionArbiter arb(o);
+
+  CompactionGrant hold = arb.Admit(Request(0, Pcp()), Never);
   ASSERT_TRUE(hold.granted);
 
   std::atomic<bool> stop{false};
   std::thread waiter([&] {
     CompactionGrant g =
-        arb.Admit(Request(1, IoBound()), [&] { return stop.load(); });
+        arb.Admit(Request(1, Pcp()), [&] { return stop.load(); });
     EXPECT_FALSE(g.granted);
   });
   WaitFor([&] { return arb.waiting() == 1; });
@@ -160,18 +186,19 @@ TEST(Arbiter, AbortedWaiterReturnsUngranted) {
 
 TEST(Arbiter, PassedOverWaiterIsForceGranted) {
   ArbiterOptions o;
-  o.budget.compute_workers = 1;
-  o.wait_poll_micros = 1000;
+  o.compute_workers = 1;
   CompactionArbiter arb(o);
 
-  // The budget is held continuously; a low-gain waiter (empty profile,
-  // gain 1.0) queues behind a stream of high-gain (CPU-bound) jobs.
-  CompactionGrant hold = arb.Admit(Request(0, CpuBound()), Never);
+  // The budget is held continuously; a low-gain waiter (a static PCP
+  // choice, gain 1.0) queues behind a stream of high-gain (C-PPCP) jobs.
+  CompactionGrant hold = arb.Admit(Request(0, Cppcp3()), Never);
   ASSERT_TRUE(hold.granted);
 
   std::atomic<bool> low_granted{false};
   std::thread low_thread([&] {
-    CompactionGrant g = arb.Admit(Request(9, model::StepTimes()), Never);
+    CompactionGrant g = arb.Admit(
+        Request(9, Choice(CompactionMode::kPCP, 1, 1.0, /*adaptive=*/false)),
+        Never);
     EXPECT_TRUE(g.granted);
     low_granted.store(true);
     arb.Release(g.id);
@@ -184,7 +211,7 @@ TEST(Arbiter, PassedOverWaiterIsForceGranted) {
     std::promise<CompactionGrant> p;
     std::future<CompactionGrant> f = p.get_future();
     std::thread hi([&arb, &p, i] {
-      p.set_value(arb.Admit(Request(1 + i, CpuBound()), Never));
+      p.set_value(arb.Admit(Request(1 + i, Cppcp3()), Never));
     });
     WaitFor([&] { return arb.waiting() == 2; });
     arb.Release(hold.id);
@@ -200,7 +227,7 @@ TEST(Arbiter, PassedOverWaiterIsForceGranted) {
   std::promise<CompactionGrant> p;
   std::future<CompactionGrant> f = p.get_future();
   std::thread hi([&arb, &p] {
-    p.set_value(arb.Admit(Request(7, CpuBound()), Never));
+    p.set_value(arb.Admit(Request(7, Cppcp3()), Never));
   });
   WaitFor([&] { return arb.waiting() == 2; });
   arb.Release(hold.id);
@@ -218,10 +245,10 @@ TEST(Arbiter, PassedOverWaiterIsForceGranted) {
 
 TEST(Arbiter, ToJsonCarriesBudgetAndCounters) {
   ArbiterOptions o;
-  o.budget.compute_workers = 3;
+  o.compute_workers = 3;
   CompactionArbiter arb(o);
 
-  CompactionGrant g = arb.Admit(Request(0, IoBound()), Never);
+  CompactionGrant g = arb.Admit(Request(0, Pcp()), Never);
   ASSERT_TRUE(g.granted);
   const std::string json = arb.ToJson();
   EXPECT_NE(std::string::npos,

@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,7 @@
 #include "src/db/write_batch.h"
 #include "src/env/fault_env.h"
 #include "src/env/sim_env.h"
-#include "src/model/model.h"
+#include "src/obs/event_listener.h"
 #include "src/obs/metrics.h"
 #include "src/shard/router.h"
 #include "tests/obs/json_check.h"
@@ -439,41 +440,135 @@ TEST(ShardedDB, ArbiterOffRunsAndReportsEmpty) {
   EXPECT_EQ("{}", value);
 }
 
-// The fleet arbiter caps every grant at the engine's own parallelism
-// bound: a CPU-bound job whose solo prescription wants >= 4 workers gets
-// at most Options::max_compute_workers workers, even though the fleet
-// budget (4) could give it more.
+// Records the executor, k and provenance of every compaction any shard
+// begins (listeners hear every shard, on the shards' own threads).
+class JobListener : public obs::EventListener {
+ public:
+  struct Job {
+    std::string executor;
+    int compute_parallelism = 0;
+    bool adaptive = false;
+  };
+
+  void OnCompactionBegin(const obs::CompactionJobInfo& info) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    jobs_.push_back({info.executor, info.compute_parallelism, info.adaptive});
+  }
+
+  std::vector<Job> jobs() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return jobs_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<Job> jobs_;
+};
+
+// Fills both shards of a TwoShards() fleet until each has compacted.
+void FillTwoShards(ShardedDB* db) {
+  WriteOptions wo;
+  for (int i = 0; i < 12000; i++) {
+    const std::string key =
+        std::string(1, static_cast<char>('a' + i % 26)) + std::to_string(i);
+    ASSERT_TRUE(db->Put(wo, key, std::string(100, 'v')).ok());
+  }
+  ASSERT_TRUE(db->WaitForCompactions().ok());
+}
+
+// The "pipelsm.shard<N>.scheduler" payload, parsed.
+testjson::JsonValue ShardScheduler(ShardedDB* db, int shard) {
+  std::string json;
+  EXPECT_TRUE(db->GetProperty(
+      "pipelsm.shard" + std::to_string(shard) + ".scheduler", &json));
+  testjson::JsonValue v;
+  std::string err;
+  EXPECT_TRUE(testjson::ParseJson(json, &v, &err)) << err << "\n" << json;
+  return v;
+}
+
+// A fleet runs the engine's configuration: each shard's own scheduler
+// chooses every job, so a static PCP fleet runs PCP on one worker from
+// its first job (a cold shard's zero profile must not turn it into an
+// adaptive SCP), and each shard's scheduler rules once per job it ran.
+TEST(ShardedDB, StaticFleetRunsTheEngineConfiguration) {
+  SimEnv env;
+  Options options = BaseOptions(&env);
+  options.compaction_mode = CompactionMode::kPCP;
+  JobListener listener;
+  options.listeners.push_back(&listener);
+  uint64_t decisions[2] = {0, 0};
+  {
+    std::unique_ptr<ShardedDB> db = MustOpen(options, TwoShards(), "/sdb");
+    FillTwoShards(db.get());
+    for (int i = 0; i < 2; i++) {
+      const testjson::JsonValue v = ShardScheduler(db.get(), i);
+      EXPECT_FALSE(v.Find("adaptive")->bool_value);
+      decisions[i] = static_cast<uint64_t>(v.Find("decisions")->number_value);
+    }
+  }  // closed: every job finished, every LOG complete
+
+  const std::vector<JobListener::Job> jobs = listener.jobs();
+  ASSERT_GE(jobs.size(), 2u);
+  for (const JobListener::Job& job : jobs) {
+    EXPECT_EQ("PCP", job.executor);
+    EXPECT_EQ(1, job.compute_parallelism);
+    EXPECT_FALSE(job.adaptive);
+  }
+  size_t begins_total = 0;
+  for (int i = 0; i < 2; i++) {
+    std::string log;
+    ASSERT_TRUE(ReadFileToString(
+                    &env, "/sdb/shard-000" + std::to_string(i) + "/LOG", &log)
+                    .ok());
+    uint64_t begins = 0;
+    for (size_t pos = log.find("EVENT compaction_begin");
+         pos != std::string::npos;
+         pos = log.find("EVENT compaction_begin", pos + 1)) {
+      begins++;
+    }
+    EXPECT_GT(begins, 0u) << "shard " << i;
+    EXPECT_EQ(decisions[i], begins) << "shard " << i;
+    begins_total += begins;
+  }
+  EXPECT_EQ(jobs.size(), begins_total);
+}
+
+// An adaptive fleet respects the engine's cap: with warm-up 0 every
+// shard's scheduler prescribes from the first job, yet no job is granted
+// more than Options::max_compute_workers, although the fleet budget (4)
+// could give more, and the fleet never exceeds its budget.
 TEST(ShardedDB, ArbiterGrantsRespectEngineParallelismCaps) {
   SimEnv env;
   Options options = BaseOptions(&env);
+  options.adaptive_compaction = true;
+  options.scheduler_warmup_jobs = 0;
+  options.scheduler_hysteresis_jobs = 1;
   options.max_compute_workers = 2;
-  ShardedOptions sharded;
-  sharded.num_shards = 2;
-  sharded.boundary_keys = {"m"};
-  std::unique_ptr<ShardedDB> db = MustOpen(options, sharded, "/sdb");
+  JobListener listener;
+  options.listeners.push_back(&listener);
+  std::unique_ptr<ShardedDB> db = MustOpen(options, TwoShards(), "/sdb");
   ASSERT_NE(nullptr, db->arbiter());
+  ASSERT_GE(db->arbiter()->compute_workers(), 4);
+  FillTwoShards(db.get());
 
-  model::StepTimes cpu_bound;
-  cpu_bound.seconds[kStepRead] = 0.010;
-  cpu_bound.seconds[kStepSort] = 0.080;
-  cpu_bound.seconds[kStepWrite] = 0.010;
-  cpu_bound.subtask_bytes = 1 << 20;
-  ASSERT_TRUE(model::IsCpuBound(cpu_bound));
-  ASSERT_GE(model::Prescribe(cpu_bound).k, 4);
-  ASSERT_GE(db->arbiter()->budget().compute_workers, 4);
-
-  CompactionAdmissionRequest request;
-  request.shard_id = 0;
-  request.profile = cpu_bound;
-  request.advisor_jobs = 16;
-  request.level = 1;
-  CompactionGrant grant =
-      db->arbiter()->Admit(request, [] { return false; });
-  ASSERT_TRUE(grant.granted);
-  EXPECT_EQ(CompactionMode::kCPPCP, grant.mode);
-  EXPECT_EQ(2, grant.compute_parallelism);
-  EXPECT_EQ(2, db->arbiter()->workers_in_use());
-  db->arbiter()->Release(grant.id);
+  const std::vector<JobListener::Job> jobs = listener.jobs();
+  ASSERT_GE(jobs.size(), 2u);
+  for (const JobListener::Job& job : jobs) {
+    EXPECT_TRUE(job.adaptive);
+    EXPECT_GE(job.compute_parallelism, 1);
+    EXPECT_LE(job.compute_parallelism, 2);
+  }
+  for (int i = 0; i < 2; i++) {
+    const testjson::JsonValue v = ShardScheduler(db.get(), i);
+    EXPECT_TRUE(v.Find("adaptive")->bool_value);
+    const testjson::JsonValue* bounds =
+        v.Find("bounds")->Find("compute_workers");
+    EXPECT_EQ(2, bounds->array[1].number_value);
+  }
+  EXPECT_LE(db->arbiter()->peak_workers(), db->arbiter()->compute_workers());
+  EXPECT_EQ(jobs.size(), db->arbiter()->grants());
+  EXPECT_EQ(0, db->arbiter()->workers_in_use());
 }
 
 // Crash-matrix variant: fault rules scoped to shard-0001's files kill

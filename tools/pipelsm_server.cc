@@ -46,7 +46,9 @@
 //                           --shards>1, optional on reopen — the SHARDS
 //                           manifest wins; docs/SHARDING.md)
 //   --arbiter_compute_workers=N
-//                           fleet compaction budget (default 4)
+//                           compute workers the fleet arbiter rations
+//                           among the jobs each shard's scheduler
+//                           chooses (default 4)
 //   --no_arbiter            per-shard free-for-all compaction admission
 //   --admin_port=N          HTTP observability endpoint (GET /metrics
 //                           /stats /advisor /arbiter /healthz;
@@ -247,7 +249,7 @@ int main(int argc, char** argv) {
       shopts.num_shards = shopts.boundary_keys.size() + 1;  // inferred
     }
     shopts.enable_arbiter = arbiter;
-    shopts.arbiter.budget.compute_workers = arbiter_compute_workers;
+    shopts.arbiter.compute_workers = arbiter_compute_workers;
     pipelsm::shard::ShardedDB* raw = nullptr;
     s = pipelsm::shard::ShardedDB::Open(options, shopts, db_path, &raw);
     if (s.ok()) db.reset(raw);
