@@ -1,5 +1,7 @@
 #include "src/compress/lz_codec.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/util/coding.h"
@@ -23,55 +25,110 @@ inline uint32_t HashBytes(uint32_t bytes) {
   return (bytes * 0x1e35a7bdu) >> (32 - kHashBits);
 }
 
+inline uint64_t Load64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+// The emitters write through `op` into a buffer Compress sized to
+// MaxCompressedLength, and return the new end.
+
 // Emit a literal run of [begin, end).
-void EmitLiteral(std::string* out, const char* begin, const char* end) {
+char* EmitLiteral(char* op, const char* begin, const char* end) {
   while (begin < end) {
     size_t len = static_cast<size_t>(end - begin);
     if (len > kMaxLiteralRun) len = kMaxLiteralRun;
     size_t n = len - 1;
     if (n < 60) {
-      out->push_back(static_cast<char>(n << 2));
+      *op++ = static_cast<char>(n << 2);
     } else if (n < 256) {
-      out->push_back(static_cast<char>(60 << 2));
-      out->push_back(static_cast<char>(n));
+      *op++ = static_cast<char>(60 << 2);
+      *op++ = static_cast<char>(n);
     } else {
-      out->push_back(static_cast<char>(61 << 2));
-      out->push_back(static_cast<char>(n & 0xff));
-      out->push_back(static_cast<char>((n >> 8) & 0xff));
+      *op++ = static_cast<char>(61 << 2);
+      *op++ = static_cast<char>(n & 0xff);
+      *op++ = static_cast<char>((n >> 8) & 0xff);
     }
-    out->append(begin, len);
+    std::memcpy(op, begin, len);
+    op += len;
     begin += len;
   }
+  return op;
 }
 
 // Emit one copy element of length <= 64, offset < 2^32.
-void EmitCopyUpTo64(std::string* out, size_t offset, size_t len) {
+char* EmitCopyUpTo64(char* op, size_t offset, size_t len) {
   if (len >= 4 && len <= 11 && offset < 2048) {
-    out->push_back(static_cast<char>(0x01 | ((len - 4) << 2) |
-                                     ((offset >> 8) << 5)));
-    out->push_back(static_cast<char>(offset & 0xff));
+    *op++ = static_cast<char>(0x01 | ((len - 4) << 2) | ((offset >> 8) << 5));
+    *op++ = static_cast<char>(offset & 0xff);
   } else if (offset < 65536) {
-    out->push_back(static_cast<char>(0x02 | ((len - 1) << 2)));
-    out->push_back(static_cast<char>(offset & 0xff));
-    out->push_back(static_cast<char>((offset >> 8) & 0xff));
+    *op++ = static_cast<char>(0x02 | ((len - 1) << 2));
+    *op++ = static_cast<char>(offset & 0xff);
+    *op++ = static_cast<char>((offset >> 8) & 0xff);
   } else {
-    out->push_back(static_cast<char>(0x03 | ((len - 1) << 2)));
-    out->push_back(static_cast<char>(offset & 0xff));
-    out->push_back(static_cast<char>((offset >> 8) & 0xff));
-    out->push_back(static_cast<char>((offset >> 16) & 0xff));
-    out->push_back(static_cast<char>((offset >> 24) & 0xff));
+    *op++ = static_cast<char>(0x03 | ((len - 1) << 2));
+    *op++ = static_cast<char>(offset & 0xff);
+    *op++ = static_cast<char>((offset >> 8) & 0xff);
+    *op++ = static_cast<char>((offset >> 16) & 0xff);
+    *op++ = static_cast<char>((offset >> 24) & 0xff);
   }
+  return op;
 }
 
-void EmitCopy(std::string* out, size_t offset, size_t len) {
+char* EmitCopy(char* op, size_t offset, size_t len) {
   while (len > 64) {
-    EmitCopyUpTo64(out, offset, 64);
+    op = EmitCopyUpTo64(op, offset, 64);
     len -= 64;
   }
   if (len > 0) {
     // Residuals < 4 bytes fall through to copy-2/copy-4 inside
     // EmitCopyUpTo64 (their 6-bit length field covers 1..64).
-    EmitCopyUpTo64(out, offset, len);
+    op = EmitCopyUpTo64(op, offset, len);
+  }
+  return op;
+}
+
+// The end of the match that `candidate` and `ip` begin: the first byte
+// in [ip, ip_end) that differs from its counterpart, compared 8 bytes
+// at a time while 8 remain.
+const char* MatchEnd(const char* candidate, const char* ip,
+                     const char* ip_end) {
+  while (ip_end - ip >= 8) {
+    const uint64_t diff = Load64(ip) ^ Load64(candidate);
+    if (diff != 0) {
+      const int same_bits = std::endian::native == std::endian::little
+                                ? std::countr_zero(diff)
+                                : std::countl_zero(diff);
+      return ip + same_bits / 8;
+    }
+    ip += 8;
+    candidate += 8;
+  }
+  while (ip < ip_end && *ip == *candidate) {
+    ip++;
+    candidate++;
+  }
+  return ip;
+}
+
+// Writes op[0, len) as op[i] = op[i - offset] with offset < len: the
+// output repeats its last `offset` bytes. A run of one byte is a memset.
+// Otherwise each chunk copies from `period` bytes back, a multiple of
+// offset no larger than the bytes written since op - offset, so source
+// and destination never overlap; period doubles after each chunk.
+void CopyOverlapping(char* op, size_t offset, size_t len) {
+  if (offset == 1) {
+    std::memset(op, op[-1], len);
+    return;
+  }
+  char* const end = op + len;
+  size_t period = offset;
+  while (op < end) {
+    const size_t chunk = std::min(period, static_cast<size_t>(end - op));
+    std::memcpy(op, op - period, chunk);
+    op += chunk;
+    period *= 2;
   }
 }
 
@@ -84,13 +141,13 @@ size_t MaxCompressedLength(size_t n) {
 }
 
 void Compress(const char* input, size_t n, std::string* output) {
-  output->clear();
-  output->reserve(MaxCompressedLength(n));
-  PutVarint32(output, static_cast<uint32_t>(n));
-  if (n == 0) return;
+  output->resize(MaxCompressedLength(n));
+  char* const out_begin = output->data();
+  char* op = EncodeVarint32(out_begin, static_cast<uint32_t>(n));
 
   if (n < kMinMatch + 4) {
-    EmitLiteral(output, input, input + n);
+    op = EmitLiteral(op, input, input + n);
+    output->resize(static_cast<size_t>(op - out_begin));
     return;
   }
 
@@ -124,17 +181,12 @@ void Compress(const char* input, size_t n, std::string* output) {
     if (slot != 0) {
       const char* candidate = base + window_base + slot - 1;
       if (candidate < ip && Load32(candidate) == Load32(ip)) {
-        // Extend the match.
-        const char* m = ip + kMinMatch;
-        const char* c = candidate + kMinMatch;
-        while (m < ip_end && *m == *c) {
-          m++;
-          c++;
-        }
+        const char* m =
+            MatchEnd(candidate + kMinMatch, ip + kMinMatch, ip_end);
         const size_t match_len = static_cast<size_t>(m - ip);
         const size_t offset = static_cast<size_t>(ip - candidate);
-        EmitLiteral(output, next_emit, ip);
-        EmitCopy(output, offset, match_len);
+        op = EmitLiteral(op, next_emit, ip);
+        op = EmitCopy(op, offset, match_len);
         ip = m;
         next_emit = ip;
         // Refresh hash at the end of the match to find chained matches.
@@ -150,7 +202,8 @@ void Compress(const char* input, size_t n, std::string* output) {
     }
     ip++;
   }
-  EmitLiteral(output, next_emit, ip_end);
+  op = EmitLiteral(op, next_emit, ip_end);
+  output->resize(static_cast<size_t>(op - out_begin));
 }
 
 // The largest output one input byte can encode: a copy-2 element turns 3
@@ -197,13 +250,19 @@ Status UncompressTo(const char* input, size_t n, char* output, size_t ulen) {
         len = n2 + 1;
         ip += extra;
       }
-      if (static_cast<size_t>(ip_end - ip) < len) {
-        return Status::Corruption("lz: truncated literal data");
+      if (len <= 16 && ip_end - ip >= 16 && op_end - op >= 16) {
+        // Short literal with slack on both sides: one fixed-size copy.
+        // The bytes past len are overwritten by the elements that follow.
+        std::memcpy(op, ip, 16);
+      } else {
+        if (static_cast<size_t>(ip_end - ip) < len) {
+          return Status::Corruption("lz: truncated literal data");
+        }
+        if (static_cast<size_t>(op_end - op) < len) {
+          return Status::Corruption("lz: output exceeds declared length");
+        }
+        std::memcpy(op, ip, len);
       }
-      if (static_cast<size_t>(op_end - op) < len) {
-        return Status::Corruption("lz: output exceeds declared length");
-      }
-      std::memcpy(op, ip, len);
       op += len;
       ip += len;
     } else {
@@ -235,13 +294,15 @@ Status UncompressTo(const char* input, size_t n, char* output, size_t ulen) {
       if (static_cast<size_t>(op_end - op) < len) {
         return Status::Corruption("lz: output overrun");
       }
-      const char* from = op - offset;
-      if (offset >= len) {
-        std::memcpy(op, from, len);
+      if (len <= 16 && offset >= 8 && op_end - op >= 16) {
+        // Short copy with slack: two fixed 8-byte copies, the second
+        // reading bytes the first may have written.
+        std::memcpy(op, op - offset, 8);
+        std::memcpy(op + 8, op + 8 - offset, 8);
+      } else if (offset >= len) {
+        std::memcpy(op, op - offset, len);
       } else {
-        // Overlapping copy (the RLE case): it must replicate bytes it
-        // has just written, so go byte by byte.
-        for (size_t i = 0; i < len; i++) op[i] = from[i];
+        CopyOverlapping(op, offset, len);
       }
       op += len;
     }

@@ -81,10 +81,11 @@ struct Options {
   size_t block_size = 4 * 1024;
 
   // -------- read path (docs/READ_PATH.md) --------
-  // Shared cache of decompressed blocks, filter partitions and value-log
-  // values. nullptr = the DB owns a lock-sharded LRU cache of
-  // block_cache_size bytes; ShardedDB injects one fleet-wide cache here
-  // for all member shards.
+  // Shared cache of stored data blocks (compressed payload plus trailer,
+  // decoded on each hit), filter partitions and value-log values.
+  // nullptr = the DB owns a lock-sharded LRU cache of block_cache_size
+  // bytes; ShardedDB injects one fleet-wide cache here for all member
+  // shards.
   read::Cache* block_cache = nullptr;
 
   // Capacity of the DB-owned block cache when block_cache is nullptr.

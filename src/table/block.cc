@@ -58,7 +58,10 @@ static inline const char* DecodeEntry(const char* p, const char* limit,
     if ((p = GetVarint32Ptr(p, limit, value_length)) == nullptr) return nullptr;
   }
 
-  if (static_cast<uint32_t>(limit - p) < (*non_shared + *value_length)) {
+  // Summed in 64 bits: two lying 32-bit lengths must not wrap to a small
+  // total that fits.
+  if (static_cast<uint64_t>(limit - p) <
+      uint64_t{*non_shared} + uint64_t{*value_length}) {
     return nullptr;
   }
   return p;
@@ -108,7 +111,7 @@ class Block::Iter final : public Iterator {
       restart_index_--;
     }
 
-    SeekToRestartPoint(restart_index_);
+    if (!SeekToRestartPoint(restart_index_)) return;
     do {
       // Loop until end of current entry hits the start of original entry.
     } while (ParseNextKey() && NextEntryOffset() < original);
@@ -124,8 +127,10 @@ class Block::Iter final : public Iterator {
       uint32_t region_offset = GetRestartPoint(mid);
       uint32_t shared, non_shared, value_length;
       const char* key_ptr =
-          DecodeEntry(data_ + region_offset, data_ + restarts_, &shared,
-                      &non_shared, &value_length);
+          region_offset >= restarts_
+              ? nullptr
+              : DecodeEntry(data_ + region_offset, data_ + restarts_, &shared,
+                            &non_shared, &value_length);
       if (key_ptr == nullptr || (shared != 0)) {
         CorruptionError();
         return;
@@ -141,7 +146,7 @@ class Block::Iter final : public Iterator {
     }
 
     // Linear search within restart block for first key >= target.
-    SeekToRestartPoint(left);
+    if (!SeekToRestartPoint(left)) return;
     while (true) {
       if (!ParseNextKey()) {
         return;
@@ -153,12 +158,11 @@ class Block::Iter final : public Iterator {
   }
 
   void SeekToFirst() override {
-    SeekToRestartPoint(0);
-    ParseNextKey();
+    if (SeekToRestartPoint(0)) ParseNextKey();
   }
 
   void SeekToLast() override {
-    SeekToRestartPoint(num_restarts_ - 1);
+    if (!SeekToRestartPoint(num_restarts_ - 1)) return;
     while (ParseNextKey() && NextEntryOffset() < restarts_) {
       // Keep skipping.
     }
@@ -187,12 +191,19 @@ class Block::Iter final : public Iterator {
     return DecodeFixed32(data_ + restarts_ + index * sizeof(uint32_t));
   }
 
-  void SeekToRestartPoint(uint32_t index) {
+  // False, with the iterator in the Corruption state, if the restart
+  // point lies past the entries.
+  bool SeekToRestartPoint(uint32_t index) {
     key_.clear();
     restart_index_ = index;
     // ParseNextKey() starts at the end of value_, so set value_ accordingly.
     uint32_t offset = GetRestartPoint(index);
+    if (offset > restarts_) {
+      CorruptionError();
+      return false;
+    }
     value_ = Slice(data_ + offset, 0);
+    return true;
   }
 
   void CorruptionError() {

@@ -103,7 +103,6 @@ Status VerifyRawBlock(const RawBlock& raw) {
 
 Status DecodeBlock(const Slice& stored, BlockContents* result) {
   result->data = Slice();
-  result->cachable = false;
   result->heap_allocated = false;
   if (stored.size() < kBlockTrailerSize) {
     return Status::Corruption("block too small for trailer");
@@ -145,7 +144,6 @@ Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
     result->data = Slice(buf, result->data.size());
     result->heap_allocated = true;
   }
-  result->cachable = true;
   return Status::OK();
 }
 

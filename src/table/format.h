@@ -75,8 +75,11 @@ void AppendBlockTrailer(CompressionType type, std::string* block);
 
 struct BlockContents {
   Slice data;            // actual contents of the block
-  bool cachable;         // true iff data is heap-allocated
-  bool heap_allocated;   // true iff caller should delete[] data.data()
+  // Read by nothing: the block cache holds stored blocks, never
+  // BlockContents. The member keeps the three-field brace initializers
+  // of existing callers compiling (bench/suite/probes.cc).
+  bool cachable = false;
+  bool heap_allocated = false;  // true iff caller should delete[] data.data()
 };
 
 // Reads the block identified by `handle`, verifies the trailer CRC and

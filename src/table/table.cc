@@ -227,7 +227,10 @@ bool Table::FilterKeyMayMatch(const TableReadOptions& read_options,
 }
 
 // Converts an index-block value (encoded BlockHandle) into an iterator over
-// the corresponding data block, consulting the shared cache first.
+// the corresponding data block. The shared cache holds each block as
+// stored, payload plus trailer, verified once when it was read; every
+// iterator decodes its own copy (S3). An uncompressed block is parsed in
+// place, so its iterator pins the stored bytes instead.
 Iterator* Table::ReadBlockIterator(const TableReadOptions& read_options,
                                    const Slice& index_value) const {
   read::Cache* cache = rep_->options.block_cache;
@@ -239,32 +242,38 @@ Iterator* Table::ReadBlockIterator(const TableReadOptions& read_options,
     return NewErrorIterator(s);
   }
 
-  std::shared_ptr<Block> block;
+  std::shared_ptr<std::string> stored;
   char cache_key_buffer[16];
+  const Slice cache_key(cache_key_buffer, sizeof(cache_key_buffer));
   if (cache != nullptr) {
     EncodeFixed64(cache_key_buffer, rep_->cache_id);
     EncodeFixed64(cache_key_buffer + 8, handle.offset());
-    Slice key(cache_key_buffer, sizeof(cache_key_buffer));
-    block = cache->LookupAs<Block>(key);
-    if (block == nullptr) {
-      BlockContents contents;
-      s = ReadBlock(rep_->file.get(), handle, &contents);
-      if (!s.ok()) return NewErrorIterator(s);
-      block = std::make_shared<Block>(contents);
-      if (contents.cachable && read_options.fill_cache) {
-        cache->Insert(key, block, block->size());
-      }
-    }
-  } else {
-    BlockContents contents;
-    s = ReadBlock(rep_->file.get(), handle, &contents);
+    stored = cache->LookupAs<std::string>(cache_key);
+  }
+  if (stored == nullptr) {
+    RawBlock raw;
+    s = ReadRawBlock(rep_->file.get(), handle, &raw);
+    if (s.ok()) s = VerifyRawBlock(raw);
     if (!s.ok()) return NewErrorIterator(s);
-    block = std::make_shared<Block>(contents);
+    stored = std::make_shared<std::string>(std::move(raw.payload));
+    if (cache != nullptr && read_options.fill_cache) {
+      cache->Insert(cache_key, stored, stored->size());
+    }
   }
 
+  BlockContents contents;
+  s = DecodeBlock(*stored, &contents);
+  if (!s.ok()) return NewErrorIterator(s);
+  Block* block = new Block(contents);
   Iterator* iter = block->NewIterator(rep_->options.comparator);
-  // Pin the block for the iterator's lifetime.
-  iter->RegisterCleanup([block]() mutable { block.reset(); });
+  if (contents.heap_allocated) {
+    iter->RegisterCleanup([block] { delete block; });
+  } else {
+    iter->RegisterCleanup([block, stored]() mutable {
+      delete block;
+      stored.reset();
+    });
+  }
   return iter;
 }
 

@@ -21,7 +21,6 @@ std::shared_ptr<Block> MakeBlock(const std::map<std::string, std::string>& kv) {
   BlockContents contents;
   contents.data = Slice(buf, raw.size());
   contents.heap_allocated = true;
-  contents.cachable = true;
   return std::make_shared<Block>(contents);
 }
 

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "src/env/sim_env.h"
+#include "src/read/cache.h"
 #include "src/table/block.h"
 #include "src/table/block_builder.h"
 #include "src/table/filter_policy.h"
@@ -238,6 +239,150 @@ TEST(Table, IndexIteratorEnumeratesBlocks) {
   EXPECT_GT(blocks, 10);
 }
 
+
+// ---- the block cache holds each data block as stored: payload plus
+// trailer, verified when it was read, charged at that size ----
+
+struct BlockSizes {
+  int blocks = 0;
+  uint64_t stored = 0;   // payload + trailer, as on disk
+  uint64_t decoded = 0;  // what a Block parses
+};
+
+BlockSizes SumBlockSizes(const Table& table) {
+  BlockSizes sizes;
+  std::unique_ptr<Iterator> idx(table.NewIndexIterator());
+  for (idx->SeekToFirst(); idx->Valid(); idx->Next()) {
+    BlockHandle handle;
+    Slice v = idx->value();
+    EXPECT_TRUE(handle.DecodeFrom(&v).ok());
+    RawBlock raw;
+    EXPECT_TRUE(table.ReadRaw(handle, &raw).ok());
+    BlockContents contents;
+    EXPECT_TRUE(DecodeBlock(raw.payload, &contents).ok());
+    Block block(contents);
+    sizes.blocks++;
+    sizes.stored += raw.payload.size();
+    sizes.decoded += block.size();
+  }
+  return sizes;
+}
+
+TEST(Table, CacheChargesStoredBlockSizes) {
+  TableFixture f;
+  auto cache = read::NewShardedLRUCache(64 << 20, 1);
+  TableOptions opt;
+  opt.block_size = 1024;
+  opt.block_cache = cache.get();
+  auto kv = MakeKv(600);
+  ASSERT_TRUE(f.Build(kv, opt).ok());
+  const BlockSizes sizes = SumBlockSizes(*f.table);
+  ASSERT_GT(sizes.blocks, 10);
+  // The values are runs, so the blocks compress: the two sums differ.
+  ASSERT_LT(sizes.stored, sizes.decoded);
+
+  std::unique_ptr<Iterator> it(f.table->NewIterator());
+  size_t n = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
+  ASSERT_TRUE(it->status().ok());
+  EXPECT_EQ(kv.size(), n);
+  EXPECT_EQ(sizes.stored, cache->usage());
+  EXPECT_EQ(0u, cache->hits());
+  EXPECT_EQ(static_cast<uint64_t>(sizes.blocks), cache->misses());
+
+  // A second scan and a point read decode from the cache: no new
+  // charge, one hit per block.
+  it.reset(f.table->NewIterator());
+  n = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
+  EXPECT_EQ(kv.size(), n);
+  std::string got;
+  ASSERT_TRUE(f.table
+                  ->InternalGet({}, kv.begin()->first,
+                                [&](const Slice&, const Slice& v) {
+                                  got = v.ToString();
+                                })
+                  .ok());
+  EXPECT_EQ(kv.begin()->second, got);
+  EXPECT_EQ(sizes.stored, cache->usage());
+  EXPECT_EQ(static_cast<uint64_t>(sizes.blocks) + 1, cache->hits());
+}
+
+TEST(Table, CorruptBlockNeverEntersTheCache) {
+  TableFixture f;
+  auto cache = read::NewShardedLRUCache(64 << 20, 1);
+  TableOptions opt;
+  opt.block_size = 512;
+  opt.block_cache = cache.get();
+  auto kv = MakeKv(400);
+  ASSERT_TRUE(f.Build(kv, opt).ok());
+  const BlockSizes all = SumBlockSizes(*f.table);
+  ASSERT_TRUE(f.env.CorruptFile(f.fname, 10, 8).ok());  // first data block
+  uint64_t size;
+  ASSERT_TRUE(f.env.GetFileSize(f.fname, &size).ok());
+  std::unique_ptr<RandomAccessFile> raf;
+  ASSERT_TRUE(f.env.NewRandomAccessFile(f.fname, &raf).ok());
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(Table::Open(opt, std::move(raf), size, &table).ok());
+
+  // A point read of the corrupt block fails, every time, and leaves
+  // nothing in the cache.
+  for (int attempt = 0; attempt < 2; attempt++) {
+    SCOPED_TRACE(attempt);
+    const Status s = table->InternalGet(
+        {}, kv.begin()->first, [](const Slice&, const Slice&) {});
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_EQ(0u, cache->usage());
+    EXPECT_EQ(0u, cache->hits());
+  }
+
+  // A scan reports it and caches every other block, at its stored size.
+  RawBlock first;
+  std::unique_ptr<Iterator> idx(table->NewIndexIterator());
+  idx->SeekToFirst();
+  ASSERT_TRUE(idx->Valid());
+  BlockHandle first_handle;
+  Slice v = idx->value();
+  ASSERT_TRUE(first_handle.DecodeFrom(&v).ok());
+  ASSERT_TRUE(table->ReadRaw(first_handle, &first).ok());
+  ASSERT_TRUE(VerifyRawBlock(first).IsCorruption());
+  for (int attempt = 0; attempt < 2; attempt++) {
+    SCOPED_TRACE(attempt);
+    std::unique_ptr<Iterator> it(table->NewIterator());
+    size_t n = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
+    EXPECT_LT(n, kv.size());
+    EXPECT_TRUE(it->status().IsCorruption()) << it->status().ToString();
+    EXPECT_EQ(all.stored - first.payload.size(), cache->usage());
+  }
+}
+
+// An uncompressed block is parsed in place, out of the cached bytes: the
+// iterator over it keeps those bytes alive after the cache drops them.
+TEST(Table, UncompressedBlockPinsItsCacheEntry) {
+  TableFixture f;
+  auto cache = read::NewShardedLRUCache(64 << 20, 1);
+  TableOptions opt;
+  opt.block_size = 1024;
+  opt.block_cache = cache.get();
+  opt.compression = CompressionType::kNoCompression;
+  auto kv = MakeKv(200);
+  ASSERT_TRUE(f.Build(kv, opt).ok());
+
+  std::unique_ptr<Iterator> it(f.table->NewIterator());
+  it->SeekToFirst();
+  ASSERT_TRUE(it->Valid());
+  ASSERT_GT(cache->ErasePrefix(Slice()), 0u);
+  ASSERT_EQ(0u, cache->usage());
+  auto expected = kv.begin();
+  for (; it->Valid(); it->Next(), ++expected) {
+    ASSERT_NE(kv.end(), expected);
+    EXPECT_EQ(expected->first, it->key().ToString());
+    EXPECT_EQ(expected->second, it->value().ToString());
+  }
+  EXPECT_TRUE(it->status().ok());
+  EXPECT_EQ(kv.end(), expected);
+}
 
 // ---- hostile handles: the footer has no CRC, so one flipped varint byte
 // can make a handle lie. Each lie must be Corruption from Table::Open,
