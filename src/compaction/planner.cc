@@ -121,16 +121,19 @@ Status PlanSubTasks(const CompactionJobOptions& options,
 
   // Assign blocks. A block whose keys lie in (sep[k-1], sep[k]] (internal)
   // overlaps sub-range (lo, hi] iff user(sep[k]) > lo and
-  // user(sep[k-1]) <= hi. Boundary blocks land in two adjacent sub-tasks;
-  // the merge filters by range so nothing duplicates, and the job's
-  // input_bytes counts them once.
+  // user(sep[k-1]) <= hi; the first block's lower bound is the table's
+  // smallest user key, when given. Boundary blocks land in two adjacent
+  // sub-tasks; the merge filters by range so nothing duplicates, and the
+  // job's input_bytes counts them once.
+  const std::vector<std::string>& smallest = options.input_smallest_user_keys;
   for (size_t t = 0; t < per_table.size(); t++) {
     const auto& entries = per_table[t];
     for (size_t k = 0; k < entries.size(); k++) {
       const Slice upper_user = ExtractUserKey(entries[k].separator);
+      const bool has_lower = k != 0 || t < smallest.size();
       const Slice lower_user =
-          k == 0 ? Slice() : ExtractUserKey(entries[k - 1].separator);
-      const bool has_lower = (k != 0);
+          k != 0 ? ExtractUserKey(entries[k - 1].separator)
+                 : (has_lower ? Slice(smallest[t]) : Slice());
       bool planned = false;
 
       for (SubTaskPlan& p : *plans) {

@@ -144,6 +144,13 @@ struct CompactionJobOptions {
   // Default: yes (standalone/bench usage where there is nothing below).
   std::function<bool(const SubTaskPlan&)> range_is_base_level;
 
+  // Optional, one per input table in the order the executor gets them:
+  // each table's smallest user key (FileMetaData::smallest). It bounds
+  // the table's first data block from below, so the planner lists that
+  // block only in the sub-tasks it overlaps. Empty: first blocks are
+  // unbounded below and land in every sub-task before them as well.
+  std::vector<std::string> input_smallest_user_keys;
+
   // Key-range restriction for sub-compactions (docs/COMPACTION.md): when
   // bounded, this job covers only user keys in (range_lo, range_hi] of
   // its input tables. The planner clamps every sub-task plan to this

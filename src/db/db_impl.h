@@ -138,8 +138,11 @@ class DBImpl final : public DB {
   // Recover the descriptor from persistent storage. May do a significant
   // amount of work to recover recently logged updates.
   Status Recover(VersionEdit* edit, bool* save_manifest);
+  // Sets *stopped when replay met a record whose value frames did not
+  // survive; the caller replays no later log.
   Status RecoverLogFile(uint64_t log_number, bool* save_manifest,
-                        VersionEdit* edit, SequenceNumber* max_sequence);
+                        VersionEdit* edit, SequenceNumber* max_sequence,
+                        bool* stopped);
 
   // With `pick_level`, a table that overlaps nothing in the current
   // version is placed below level 0 (leveled style only).

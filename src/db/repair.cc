@@ -12,6 +12,7 @@
 #include "src/obs/logger.h"
 #include "src/table/table.h"
 #include "src/version/version_edit.h"
+#include "src/vlog/vlog.h"
 #include "src/wal/log_reader.h"
 #include "src/wal/log_writer.h"
 
@@ -44,6 +45,7 @@ class Repairer {
           OpenInfoLog(env_, dbname_, &owned_info_log_).ok()) {
         info_log_ = owned_info_log_.get();
       }
+      RecoverValueLog();
       ConvertLogFilesToTables();
       ExtractMetaData();
       status = WriteDescriptor();
@@ -89,16 +91,35 @@ class Repairer {
             logs_.push_back(number);
           } else if (type == kTableFile) {
             table_numbers_.push_back(number);
+          } else if (type == kVlogFile) {
+            saw_vlog_ = true;
           }
           // kTempFile / kCurrentFile are regenerated or ignored.
-          // kVlogFile segments stay in place untouched: bumping
-          // next_file_number_ past them (above) prevents number reuse,
-          // and VlogManager::Recover re-adopts them at the next open so
-          // rebuilt pointer entries keep resolving.
+          // kVlogFile segments stay in place: bumping next_file_number_
+          // past them (above) prevents number reuse, and the next open
+          // re-adopts them so rebuilt pointer entries keep resolving.
         }
       }
     }
     return Status::OK();
+  }
+
+  // Recovers the value log as DB::Open does, so log conversion stops at
+  // the same record WAL replay would: the first one whose value frames
+  // did not survive. Without it (an unreadable segment) logs convert
+  // whole, and such pointers resolve as errors.
+  void RecoverValueLog() {
+    if (options_.value_separation_threshold == 0 && !saw_vlog_) return;
+    vlog_ = std::make_unique<vlog::VlogManager>(
+        env_, dbname_, vlog::VlogOptions(), nullptr, info_log_,
+        [this] { return next_file_number_++; });
+    uint64_t max_recovered = 0;
+    Status s = vlog_->Recover(&max_recovered);
+    if (!s.ok()) {
+      obs::Log(info_log_, "repair: value log not recovered: %s",
+               s.ToString().c_str());
+      vlog_.reset();
+    }
   }
 
   void ConvertLogFilesToTables() {
@@ -152,6 +173,15 @@ class Repairer {
         continue;
       }
       WriteBatchInternal::SetContents(&batch, record);
+      if (vlog_ != nullptr && !vlog_->PointersRecovered(batch)) {
+        obs::Log(info_log_,
+                 "repair: log #%llu stops at sequence %llu: value frame "
+                 "not recovered",
+                 static_cast<unsigned long long>(log_number),
+                 static_cast<unsigned long long>(
+                     WriteBatchInternal::Sequence(&batch)));
+        break;
+      }
       status = WriteBatchInternal::InsertInto(&batch, mem);
       if (status.ok()) {
         counter += WriteBatchInternal::Count(&batch);
@@ -293,6 +323,8 @@ class Repairer {
   std::unique_ptr<TableCache> table_cache_;
   std::unique_ptr<obs::Logger> owned_info_log_;
   obs::Logger* info_log_ = nullptr;
+  bool saw_vlog_ = false;
+  std::unique_ptr<vlog::VlogManager> vlog_;
 
   std::vector<std::string> manifests_;
   std::vector<uint64_t> table_numbers_;

@@ -219,7 +219,7 @@ Status FaultInjectionEnv::Check(FaultOp op, const std::string& path) {
       return CrashedError();
     }
     Rule& r = rules_[static_cast<size_t>(op)];
-    if (r.armed && !r.path_substr.empty() &&
+    if (!r.path_substr.empty() &&
         path.find(r.path_substr) == std::string::npos) {
       return Status::OK();  // filtered out: not counted, not failed
     }
@@ -271,7 +271,8 @@ void FaultInjectionEnv::OnSync(const std::string& fname) {
   }
 }
 
-Status FaultInjectionEnv::DropUnsyncedAndReset() {
+Status FaultInjectionEnv::DropUnsyncedAndReset(
+    const std::string& keep_unsynced) {
   std::map<std::string, FileState> files;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -281,7 +282,10 @@ Status FaultInjectionEnv::DropUnsyncedAndReset() {
   Status result;
   for (const auto& [fname, state] : files) {
     Status s;
-    if (!state.ever_synced) {
+    if (!keep_unsynced.empty() &&
+        fname.find(keep_unsynced) != std::string::npos) {
+      // Written back before the power loss: nothing to drop.
+    } else if (!state.ever_synced) {
       // Creation never made durable: the file vanishes. (A rename or an
       // explicit SyncDir would have marked it durable.)
       s = base_->RemoveFile(fname);

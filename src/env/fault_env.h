@@ -83,8 +83,8 @@ class FaultInjectionEnv final : public Env {
   // failure rule).
   void SetDelayMicros(FaultOp op, int delay_micros);
 
-  // Restrict the op's rule to paths containing `substr` (counters still
-  // count only matching calls).
+  // Restrict the op's rule to paths containing `substr`. The op's counter
+  // then counts only matching calls, armed or not.
   void SetPathFilter(FaultOp op, std::string substr);
 
   void ClearFaults();
@@ -104,8 +104,10 @@ class FaultInjectionEnv final : public Env {
   // Rewind the wrapped filesystem to the last power-safe state: truncate
   // every tracked file to its last synced size, remove files that were
   // never synced (and not covered by a SyncDir), forget tracking state,
-  // clear the crashed flag. Fault rules stay armed unless cleared.
-  Status DropUnsyncedAndReset();
+  // clear the crashed flag. Fault rules stay armed unless cleared. Files
+  // whose path contains a non-empty `keep_unsynced` keep every byte, as
+  // if the OS had written them back before the power loss.
+  Status DropUnsyncedAndReset(const std::string& keep_unsynced = "");
 
   // Total bytes currently appended-but-unsynced across open files.
   uint64_t UnsyncedBytes() const;

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
 #include "src/env/sim_env.h"
+#include "src/table/iterator.h"
 #include "src/workload/table_gen.h"
 
 namespace pipelsm {
@@ -118,6 +120,74 @@ TEST_F(PlannerTest, EveryInputBlockIsCovered) {
   // The job's input size counts a boundary block once, although two
   // sub-tasks list it.
   EXPECT_EQ(unique_bytes, plan.input_bytes);
+}
+
+// With each table's smallest user key given, a table's first data block
+// is listed only in the sub-tasks that overlap [smallest, first
+// separator], not in every sub-task before it. The job reads the same
+// distinct blocks, so input_bytes does not change.
+TEST_F(PlannerTest, FirstBlockIsBoundedByTheTablesSmallestKey) {
+  auto inputs = MakeInputs();
+  const Comparator* ucmp = icmp_.user_comparator();
+  CompactionJobOptions job = JobOptions(64 << 10);
+  CompactionPlan unbounded;
+  ASSERT_TRUE(PlanSubTasks(job, inputs.tables, &unbounded).ok());
+
+  std::vector<std::string> first_separator;
+  for (const auto& t : inputs.tables) {
+    std::unique_ptr<Iterator> it(t->NewIterator(TableReadOptions()));
+    it->SeekToFirst();
+    ASSERT_TRUE(it->Valid());
+    job.input_smallest_user_keys.push_back(
+        ExtractUserKey(it->key()).ToString());
+    std::unique_ptr<Iterator> index(t->NewIndexIterator());
+    index->SeekToFirst();
+    ASSERT_TRUE(index->Valid());
+    first_separator.push_back(ExtractUserKey(index->key()).ToString());
+  }
+  // A table's first block is listed exactly where it overlaps.
+  auto check = [&](const CompactionJobOptions& j, const CompactionPlan& plan) {
+    for (const auto& p : plan.subtasks) {
+      for (size_t t = 0; t < inputs.tables.size(); t++) {
+        const std::string& smallest = j.input_smallest_user_keys[t];
+        const bool overlaps =
+            (p.unbounded_hi || ucmp->Compare(smallest, p.hi_user_key) <= 0) &&
+            (p.unbounded_lo ||
+             ucmp->Compare(first_separator[t], p.lo_user_key) > 0);
+        bool has_first = false;
+        for (const auto& br : p.blocks) {
+          if (br.table_index == static_cast<int>(t) &&
+              br.handle.offset() == 0) {
+            has_first = true;
+          }
+        }
+        EXPECT_EQ(overlaps, has_first)
+            << "sub-task " << p.seq << " table " << t;
+      }
+    }
+  };
+  CompactionPlan plan;
+  ASSERT_TRUE(PlanSubTasks(job, inputs.tables, &plan).ok());
+  ASSERT_GT(plan.subtasks.size(), 10u);
+  EXPECT_EQ(unbounded.input_bytes, plan.input_bytes);
+  check(job, plan);
+  size_t listed = 0, listed_unbounded = 0;
+  for (const auto& p : unbounded.subtasks) listed_unbounded += p.blocks.size();
+  for (const auto& p : plan.subtasks) listed += p.blocks.size();
+  EXPECT_LT(listed, listed_unbounded);
+
+  // A sub-range that ends exactly at a table's smallest key still reads
+  // that table's first block: the key itself is inside (lo, hi].
+  CompactionJobOptions clipped = job;
+  clipped.range_unbounded_hi = false;
+  clipped.range_hi_user_key = *std::max_element(
+      job.input_smallest_user_keys.begin(), job.input_smallest_user_keys.end());
+  CompactionPlan clipped_plan;
+  ASSERT_TRUE(PlanSubTasks(clipped, inputs.tables, &clipped_plan).ok());
+  ASSERT_FALSE(clipped_plan.subtasks.empty());
+  EXPECT_EQ(clipped.range_hi_user_key,
+            clipped_plan.subtasks.back().hi_user_key);
+  check(clipped, clipped_plan);
 }
 
 TEST_F(PlannerTest, SubTaskSizesNearBudget) {

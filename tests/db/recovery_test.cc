@@ -644,10 +644,12 @@ TEST_F(VlogCrashTest, CrashInsideVlogAppendLosesOnlyTheUnackedWrite) {
     // Crash mid-append (torn vlog frame) or mid-sync (frame never made
     // durable). Either way the write is not acked, so after the power
     // cycle it must be cleanly absent — never a dangling pointer, never
-    // a torn value.
+    // a torn value. Only a synced write syncs the value log.
     fault_.SetPathFilter(op, ".vlog");
     fault_.CrashAfter(op, 1);
-    EXPECT_FALSE(db_->Put(WriteOptions(), tag + "-torn", Big(1)).ok());
+    const WriteOptions torn_wo =
+        op == FaultOp::kSync ? sync_wo : WriteOptions();
+    EXPECT_FALSE(db_->Put(torn_wo, tag + "-torn", Big(1)).ok());
     EXPECT_TRUE(fault_.crashed());
     PowerCycleAndReopen();
 
@@ -660,6 +662,107 @@ TEST_F(VlogCrashTest, CrashInsideVlogAppendLosesOnlyTheUnackedWrite) {
     EXPECT_EQ(Big(2), Get(tag + "-after"));
     Close();
   }
+}
+
+// The OS may write an unsynced WAL record back before the value frame it
+// points at. Replay stops at the first such record: that write and every
+// later one read as absent, and everything before it survives.
+TEST_F(VlogCrashTest, ReplayStopsAtARecordWhoseFrameWasDropped) {
+  Open();
+  WriteOptions sync_wo;
+  sync_wo.sync = true;
+  ASSERT_TRUE(db_->Put(sync_wo, "durable", Big(0)).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "small-before", "s").ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "lost", Big(1)).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "small-after", "t").ok());
+
+  // Power fails before the value log syncs again (the close's sync
+  // crashes), but the WAL's unsynced tail reached the disk.
+  fault_.SetPathFilter(FaultOp::kSync, ".vlog");
+  fault_.CrashAfter(FaultOp::kSync, 1);
+  Close();
+  ASSERT_TRUE(fault_.crashed());
+  fault_.ClearFaults();
+  ASSERT_TRUE(fault_.DropUnsyncedAndReset(".log").ok());
+  Open();
+
+  EXPECT_EQ(Big(0), Get("durable"));
+  EXPECT_EQ("s", Get("small-before"));
+  EXPECT_EQ("NOT_FOUND", Get("lost"));
+  EXPECT_EQ("NOT_FOUND", Get("small-after")) << "replay went on past it";
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(&fault_, "/db/LOG", &log).ok());
+  EXPECT_NE(std::string::npos, log.find("EVENT wal_replay_stopped"));
+  ExpectNoLeakedVlogSegments();
+
+  // The recovered state is durable, and the log accepts new writes.
+  ASSERT_TRUE(db_->Put(sync_wo, "after", Big(2)).ok());
+  PowerCycleAndReopen();
+  EXPECT_EQ(Big(0), Get("durable"));
+  EXPECT_EQ("s", Get("small-before"));
+  EXPECT_EQ(Big(2), Get("after"));
+  EXPECT_EQ("NOT_FOUND", Get("lost"));
+
+  // A frame in a segment that was never synced at all: the segment is
+  // gone after the power loss, and it is numbered above every recovered
+  // one, so replay stops there too.
+  ASSERT_TRUE(db_->Put(WriteOptions(), "lost-too", Big(3)).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "small-last", "u").ok());
+  fault_.SetPathFilter(FaultOp::kSync, ".vlog");
+  fault_.CrashAfter(FaultOp::kSync, 1);
+  Close();
+  fault_.ClearFaults();
+  ASSERT_TRUE(fault_.DropUnsyncedAndReset(".log").ok());
+  Open();
+  EXPECT_EQ(Big(2), Get("after"));
+  EXPECT_EQ("NOT_FOUND", Get("lost-too"));
+  EXPECT_EQ("NOT_FOUND", Get("small-last"));
+  ExpectNoLeakedVlogSegments();
+}
+
+// A WAL rotation syncs the outgoing log, which makes its unsynced pointer
+// records durable, so it syncs their frames first. The crash comes as
+// the rotation opens the new log, before any flush.
+TEST_F(VlogCrashTest, FramesSurviveAPowerCycleAfterARotation) {
+  Open();
+  fault_.SetPathFilter(FaultOp::kNewWritableFile, ".log");
+  fault_.CrashAfter(FaultOp::kNewWritableFile, 1);
+  auto key = [](int i) { return std::string(400, 'k') + std::to_string(i); };
+  int acked = 0;
+  while (acked < 10000 &&
+         db_->Put(WriteOptions(), key(acked), Big(acked)).ok()) {
+    acked++;
+  }
+  ASSERT_TRUE(fault_.crashed());
+  ASSERT_GT(acked, 0);
+  PowerCycleAndReopen();
+  for (int i = 0; i < acked; i++) {
+    ASSERT_EQ(Big(i), Get(key(i))) << "write " << i << " of " << acked;
+  }
+  EXPECT_EQ("NOT_FOUND", Get(key(acked)));
+}
+
+// A flush makes the memtable's pointers durable in a table, so it syncs
+// their frames first. Resume's flush is the one no WAL sync precedes.
+TEST_F(VlogCrashTest, FramesSurviveAPowerCycleAfterAFlush) {
+  Open();
+  for (int i = 0; i < 4; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i), Big(i)).ok());
+  }
+  fault_.SetPathFilter(FaultOp::kAppend, ".log");
+  fault_.FailAfter(FaultOp::kAppend, 1);
+  EXPECT_FALSE(db_->Put(WriteOptions(), "failed", Big(9)).ok());
+  fault_.ClearFaults();
+  ASSERT_TRUE(db_->Resume().ok());
+
+  // Power fails before anything else syncs the value log.
+  fault_.SetPathFilter(FaultOp::kSync, ".vlog");
+  fault_.CrashAfter(FaultOp::kSync, 1);
+  PowerCycleAndReopen();
+  for (int i = 0; i < 4; i++) {
+    EXPECT_EQ(Big(i), Get("k" + std::to_string(i)));
+  }
+  EXPECT_EQ("NOT_FOUND", Get("failed"));
 }
 
 TEST_F(VlogCrashTest, CrashDuringGcRewriteNeitherLosesNorResurrects) {

@@ -7,6 +7,7 @@
 
 #include "src/db/db.h"
 #include "src/db/filename.h"
+#include "src/env/fault_env.h"
 #include "src/env/sim_env.h"
 #include "src/workload/generator.h"
 
@@ -173,6 +174,45 @@ TEST_F(RepairTest, ReportsToTheDbLog) {
   ASSERT_TRUE(
       ReadFileToString(&env_, OldInfoLogFileName("/db"), &old_log).ok());
   EXPECT_NE(std::string::npos, old_log.find("closing DB")) << old_log;
+}
+
+// RepairDB converts a log the way WAL replay does: it stops at the first
+// record whose value frame did not survive, here because the OS wrote the
+// WAL's unsynced tail back but not the frame.
+TEST_F(RepairTest, LogConversionStopsAtADroppedValueFrame) {
+  FaultInjectionEnv fault(&env_);
+  options_.env = &fault;
+  options_.value_separation_threshold = 1024;
+  Open();
+  const std::string big(4096, 'v');
+  WriteOptions sync_wo;
+  sync_wo.sync = true;
+  ASSERT_TRUE(db_->Put(sync_wo, "durable", big).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "small-before", "s").ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "lost", big).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "small-after", "t").ok());
+  fault.SetPathFilter(FaultOp::kSync, ".vlog");
+  fault.CrashAfter(FaultOp::kSync, 1);  // the close's value-log sync
+  db_.reset();
+  ASSERT_TRUE(fault.crashed());
+  fault.ClearFaults();
+  ASSERT_TRUE(fault.DropUnsyncedAndReset(".log").ok());
+
+  RemoveMetadata();
+  ASSERT_TRUE(RepairDB("/db", options_).ok());
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(&env_, "/db/LOG", &log).ok());
+  EXPECT_NE(std::string::npos, log.find("value frame not recovered"));
+
+  Open(/*create=*/false);
+  std::string value;
+  ASSERT_TRUE(db_->Get(ReadOptions(), "durable", &value).ok());
+  EXPECT_EQ(big, value);
+  ASSERT_TRUE(db_->Get(ReadOptions(), "small-before", &value).ok());
+  EXPECT_EQ("s", value);
+  EXPECT_TRUE(db_->Get(ReadOptions(), "lost", &value).IsNotFound());
+  EXPECT_TRUE(db_->Get(ReadOptions(), "small-after", &value).IsNotFound());
+  db_.reset();
 }
 
 TEST_F(RepairTest, EmptyDirFails) {

@@ -136,8 +136,8 @@ const CrashPoint kCrashPoints[] = {
     {FaultOp::kSyncDir, 2},
 };
 // Joined in when --value_threshold is set: crash inside vlog appends
-// (user writes + GC rewrites), vlog syncs (the pre-WAL durability
-// barrier), and segment retirement unlinks.
+// (user writes + GC rewrites), vlog syncs (the barrier before every WAL
+// sync, WAL rotation and flush), and segment retirement unlinks.
 const CrashPoint kVlogCrashPoints[] = {
     {FaultOp::kAppend, 40, ".vlog"},
     {FaultOp::kSync, 10, ".vlog"},
