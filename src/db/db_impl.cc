@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/compaction/picker.h"
-#include "src/db/builder.h"
 #include "src/db/compaction_job.h"
 #include "src/db/db_iter.h"
 #include "src/db/filename.h"
@@ -15,6 +14,8 @@
 #include "src/obs/pipeline_metrics.h"
 #include "src/table/filter_policy.h"
 #include "src/table/merger.h"
+#include "src/table/table.h"
+#include "src/table/table_builder.h"
 #include "src/util/json_writer.h"
 #include "src/util/string_util.h"
 #include "src/wal/log_reader.h"
@@ -322,47 +323,17 @@ void DBImpl::StatsThreadMain() {
   }
 }
 
-Status DBImpl::NewDB() {
-  VersionEdit new_db;
-  new_db.SetComparatorName(internal_comparator_.user_comparator()->Name());
-  new_db.SetLogNumber(0);
-  new_db.SetNextFile(2);
-  new_db.SetLastSequence(0);
-
-  const std::string manifest = DescriptorFileName(dbname_, 1);
-  std::unique_ptr<WritableFile> file;
-  Status s = env_->NewWritableFile(manifest, &file);
-  if (!s.ok()) return s;
-  {
-    log::Writer log(file.get());
-    std::string record;
-    new_db.EncodeTo(&record);
-    s = log.AddRecord(record);
-    if (s.ok()) {
-      s = file->Sync();
-    }
-    if (s.ok()) {
-      s = file->Close();
-    }
-  }
-  if (s.ok()) {
-    // Make "CURRENT" file that points to the new manifest file.
-    s = SetCurrentFile(env_, dbname_, 1);
-  }
-  if (!s.ok()) {
-    // Either the manifest write or the CURRENT install failed: leave no
-    // orphaned manifest behind, so a retried open starts from scratch.
-    env_->RemoveFile(manifest);
-  }
-  return s;
-}
-
 Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
   env_->CreateDir(dbname_);
 
   if (!env_->FileExists(CurrentFileName(dbname_))) {
     if (options_.create_if_missing) {
-      Status s = NewDB();
+      VersionEdit new_db;
+      new_db.SetComparatorName(internal_comparator_.user_comparator()->Name());
+      new_db.SetLogNumber(0);
+      new_db.SetNextFile(2);
+      new_db.SetLastSequence(0);
+      Status s = CreateManifest(env_, dbname_, 1, new_db);
       if (!s.ok()) return s;
     } else {
       return Status::InvalidArgument(
@@ -419,9 +390,7 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
   // created when separation is off but segments exist from a previous
   // run, so old pointers stay resolvable.
   if (options_.value_separation_threshold > 0 || saw_vlog) {
-    while (versions_->NewFileNumber() < max_vlog) {
-      // Advance the shared counter past recovered segment numbers.
-    }
+    versions_->MarkFileNumberUsed(max_vlog);
     vlog::VlogOptions vopts;
     vopts.segment_size = options_.vlog_segment_size;
     vopts.cache = table_options_.block_cache;
@@ -462,9 +431,7 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
     if (versions_->LastSequence() < max_sequence) {
       versions_->SetLastSequence(max_sequence);
     }
-    while (versions_->NewFileNumber() < logs[i]) {
-      // Advance the counter past the log number.
-    }
+    versions_->MarkFileNumberUsed(logs[i]);
   }
 
   return Status::OK();
@@ -474,10 +441,12 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
                               VersionEdit* edit, SequenceNumber* max_sequence,
                               bool* stopped) {
   // Replay is lenient: a corrupt record is logged and skipped, never an
-  // error that fails DB::Open. A record whose value frames did not
-  // survive (its WAL bytes reached the disk, its frames did not) ends
-  // replay, this log's and every later one's, so the recovered state
-  // stays a prefix of the acked writes.
+  // error that fails DB::Open. That holds for a fragment that fails its
+  // CRC and for a CRC-valid record that does not decode as a WriteBatch,
+  // which is decoded whole before any of it reaches the memtable. A
+  // record whose value frames did not survive (its WAL bytes reached the
+  // disk, its frames did not) ends replay, this log's and every later
+  // one's, so the recovered state stays a prefix of the acked writes.
   struct LogReporter : public log::Reader::Reporter {
     obs::Logger* info_log;
     const char* fname;
@@ -499,7 +468,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
   LogReporter reporter;
   reporter.info_log = info_log_;
   reporter.fname = fname.c_str();
-  log::Reader reader(file.get(), &reporter, true /*checksum*/, 0);
+  log::Reader reader(file.get(), &reporter);
   obs::Log(info_log_, "recovering log #%llu",
            static_cast<unsigned long long>(log_number));
 
@@ -508,13 +477,33 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
   Slice record;
   WriteBatch batch;
   MemTable* mem = nullptr;
-  while (reader.ReadRecord(&record, &scratch) && status.ok()) {
+  int entries = 0;
+  // Dumps `mem` into a level-0 table and releases it.
+  auto flush = [&] {
+    *save_manifest = true;
+    FileMetaData meta;
+    status = WriteLevel0Table(mem, edit, /*pick_level=*/false, &meta);
+    if (status.ok() && meta.file_size > 0) {
+      obs::Log(info_log_, "log #%llu -> table #%llu (%d entries)",
+               static_cast<unsigned long long>(log_number),
+               static_cast<unsigned long long>(meta.number), entries);
+    }
+    mem->Unref();
+    mem = nullptr;
+    entries = 0;
+  };
+  while (reader.ReadRecord(&record, &scratch)) {
     if (record.size() < 12) {
       reporter.Corruption(record.size(),
                           Status::Corruption("log record too small"));
       continue;
     }
     WriteBatchInternal::SetContents(&batch, record);
+    Status decoded = WriteBatchInternal::Validate(&batch);
+    if (!decoded.ok()) {
+      reporter.Corruption(record.size(), decoded);
+      continue;
+    }
     bool recovered = true;
     if (vlog_ != nullptr) {
       mutex_.unlock();  // lock order: vlog, then mutex_
@@ -540,6 +529,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
     if (!status.ok()) {
       break;
     }
+    entries += WriteBatchInternal::Count(&batch);
     const SequenceNumber last_seq = WriteBatchInternal::Sequence(&batch) +
                                     WriteBatchInternal::Count(&batch) - 1;
     if (last_seq > *max_sequence) {
@@ -547,10 +537,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
     }
 
     if (mem->ApproximateMemoryUsage() > options_.write_buffer_size) {
-      *save_manifest = true;
-      status = WriteLevel0Table(mem, edit, /*pick_level=*/false);
-      mem->Unref();
-      mem = nullptr;
+      flush();
       if (!status.ok()) {
         // Reflect errors immediately so that conditions like full
         // file-systems cause the DB::Open() to fail.
@@ -561,29 +548,29 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
 
   // (LevelDB can reuse the last log file; we always roll a fresh one.)
   if (status.ok() && mem != nullptr && mem->ApproximateMemoryUsage() > 0) {
-    *save_manifest = true;
-    status = WriteLevel0Table(mem, edit, /*pick_level=*/false);
+    flush();
   }
   if (mem != nullptr) mem->Unref();
   return status;
 }
 
 Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
-                                bool pick_level) {
-  FileMetaData meta;
-  meta.number = versions_->NewFileNumber();
-  pending_outputs_.insert(meta.number);
+                                bool pick_level, FileMetaData* meta) {
+  meta->number = versions_->NewFileNumber();
+  meta->file_size = 0;
+  pending_outputs_.insert(meta->number);
   std::unique_ptr<Iterator> iter(mem->NewIterator());
 
   Status s;
   obs::FlushJobInfo flush_info;
   flush_info.job_id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
+  flush_info.file_number = meta->number;
   {
     // Unlock while doing the actual dump.
     mutex_.unlock();
     uint32_t flush_pid = 0;
     if (trace_ != nullptr) {
-      flush_pid = trace_->BeginJob("flush #" + std::to_string(meta.number));
+      flush_pid = trace_->BeginJob("flush #" + std::to_string(meta->number));
       trace_->SetLaneName(flush_pid, 0, "memtable dump");
     }
     obs::TraceSpan span(trace_.get(), flush_pid, 0, "flush memtable",
@@ -592,19 +579,54 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
     // must be durable first (docs/VALUE_LOG.md).
     if (vlog_ != nullptr) s = vlog_->Sync();
     if (s.ok()) {
-      s = BuildTable(dbname_, env_, table_options_, table_cache_.get(),
-                     iter.get(), &meta, &listeners_, &flush_info);
+      Stopwatch wall;
+      for (obs::EventListener* l : listeners_) l->OnFlushBegin(flush_info);
+      const std::string fname = TableFileName(dbname_, meta->number);
+      iter->SeekToFirst();
+      if (iter->Valid()) {
+        std::unique_ptr<WritableFile> file;
+        s = env_->NewWritableFile(fname, &file);
+        if (s.ok()) {
+          TableBuilder builder(table_options_, file.get());
+          meta->smallest.DecodeFrom(iter->key());
+          Slice key;
+          for (; iter->Valid(); iter->Next()) {
+            key = iter->key();
+            builder.Add(key, iter->value());
+            flush_info.entries++;
+          }
+          meta->largest.DecodeFrom(key);
+          s = builder.Finish();
+          if (s.ok()) meta->file_size = builder.FileSize();
+          if (s.ok()) s = file->Sync();
+          if (s.ok()) s = file->Close();
+          if (s.ok()) {
+            // Verify that the table is usable.
+            std::shared_ptr<Table> table;
+            s = table_cache_->GetTable(meta->number, meta->file_size, &table);
+          }
+        }
+      }
+      if (!iter->status().ok()) s = iter->status();
+      // An empty memtable or a failed dump leaves no file behind.
+      if (!s.ok() || meta->file_size == 0) env_->RemoveFile(fname);
+      flush_info.output_bytes = meta->file_size;
+      flush_info.micros = wall.ElapsedNanos() / 1000;
+      flush_info.status = s;
+      for (obs::EventListener* l : listeners_) {
+        l->OnFlushCompleted(flush_info);
+      }
     }
     mutex_.lock();
   }
-  pending_outputs_.erase(meta.number);
+  pending_outputs_.erase(meta->number);
 
   // Note that if file_size is zero, the file has been deleted and should
   // not be added to the manifest.
   int level = 0;
-  if (s.ok() && meta.file_size > 0) {
-    const Slice min_user_key = meta.smallest.user_key();
-    const Slice max_user_key = meta.largest.user_key();
+  if (s.ok() && meta->file_size > 0) {
+    const Slice min_user_key = meta->smallest.user_key();
+    const Slice max_user_key = meta->largest.user_key();
     Version* base = versions_->current();
     if (pick_level &&
         options_.compaction_style == CompactionStyle::kLeveled &&
@@ -618,12 +640,12 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
         level++;
       }
     }
-    edit->AddFile(level, meta.number, meta.file_size, meta.smallest,
-                  meta.largest);
+    edit->AddFile(level, meta->number, meta->file_size, meta->smallest,
+                  meta->largest);
   }
 
   flush_runs_counter_->Add(1);
-  if (s.ok()) flush_bytes_counter_->Add(meta.file_size);
+  if (s.ok()) flush_bytes_counter_->Add(meta->file_size);
   return s;
 }
 
@@ -633,7 +655,8 @@ Status DBImpl::CompactMemTable(std::unique_lock<std::mutex>&) {
 
   // Save the contents of the memtable as a new Table.
   VersionEdit edit;
-  Status s = WriteLevel0Table(imm_, &edit, /*pick_level=*/true);
+  FileMetaData meta;
+  Status s = WriteLevel0Table(imm_, &edit, /*pick_level=*/true, &meta);
 
   if (s.ok() && shutting_down_.load(std::memory_order_acquire)) {
     s = Status::IOError("deleting DB during memtable compaction");

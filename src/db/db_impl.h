@@ -133,8 +133,6 @@ class DBImpl final : public DB {
   friend class DB;
   class EventLogger;
 
-  Status NewDB();
-
   // Recover the descriptor from persistent storage. May do a significant
   // amount of work to recover recently logged updates.
   Status Recover(VersionEdit* edit, bool* save_manifest);
@@ -144,10 +142,12 @@ class DBImpl final : public DB {
                         VersionEdit* edit, SequenceNumber* max_sequence,
                         bool* stopped);
 
-  // With `pick_level`, a table that overlaps nothing in the current
-  // version is placed below level 0 (leveled style only).
-  Status WriteLevel0Table(MemTable* mem, VersionEdit* edit, bool pick_level)
-      /* REQUIRES: holding mutex_ */;
+  // Dumps `mem` into a new table, fills *meta and adds the table to
+  // *edit; an empty memtable leaves no file (meta->file_size == 0). With
+  // `pick_level`, a table that overlaps nothing in the current version is
+  // placed below level 0 (leveled style only).
+  Status WriteLevel0Table(MemTable* mem, VersionEdit* edit, bool pick_level,
+                          FileMetaData* meta) /* REQUIRES: holding mutex_ */;
 
   Status MakeRoomForWrite(std::unique_lock<std::mutex>& lock, bool force);
 

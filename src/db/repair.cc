@@ -3,18 +3,13 @@
 #include <memory>
 #include <vector>
 
-#include "src/db/builder.h"
 #include "src/db/dbformat.h"
 #include "src/db/filename.h"
 #include "src/db/table_cache.h"
-#include "src/db/write_batch.h"
-#include "src/memtable/memtable.h"
 #include "src/obs/logger.h"
 #include "src/table/table.h"
 #include "src/version/version_edit.h"
-#include "src/vlog/vlog.h"
-#include "src/wal/log_reader.h"
-#include "src/wal/log_writer.h"
+#include "src/version/version_set.h"
 
 namespace pipelsm {
 
@@ -30,8 +25,6 @@ class Repairer {
         options_(options),
         next_file_number_(1) {
     table_options_.comparator = &icmp_;
-    table_options_.block_size = options.block_size;
-    table_options_.compression = options.compression;
     table_cache_.reset(new TableCache(dbname_, table_options_, env_, 100));
   }
 
@@ -45,8 +38,7 @@ class Repairer {
           OpenInfoLog(env_, dbname_, &owned_info_log_).ok()) {
         info_log_ = owned_info_log_.get();
       }
-      RecoverValueLog();
-      ConvertLogFilesToTables();
+      CheckLogFiles();
       ExtractMetaData();
       status = WriteDescriptor();
     }
@@ -81,138 +73,42 @@ class Repairer {
     FileType type;
     for (const std::string& filename : filenames) {
       if (ParseFileName(filename, &number, &type)) {
+        // Past every file, stale MANIFESTs too, so the new MANIFEST
+        // overwrites none of the files it replaces.
+        if (number + 1 > next_file_number_) {
+          next_file_number_ = number + 1;
+        }
         if (type == kDescriptorFile) {
           manifests_.push_back(filename);
-        } else {
-          if (number + 1 > next_file_number_) {
-            next_file_number_ = number + 1;
-          }
-          if (type == kLogFile) {
-            logs_.push_back(number);
-          } else if (type == kTableFile) {
-            table_numbers_.push_back(number);
-          } else if (type == kVlogFile) {
-            saw_vlog_ = true;
-          }
-          // kTempFile / kCurrentFile are regenerated or ignored.
-          // kVlogFile segments stay in place: bumping next_file_number_
-          // past them (above) prevents number reuse, and the next open
-          // re-adopts them so rebuilt pointer entries keep resolving.
+        } else if (type == kLogFile) {
+          logs_.push_back(number);
+        } else if (type == kTableFile) {
+          table_numbers_.push_back(number);
         }
+        // kTempFile / kCurrentFile are regenerated or ignored.
+        // kVlogFile segments stay in place: bumping next_file_number_
+        // past them (above) prevents number reuse, and the next open
+        // re-adopts them so rebuilt pointer entries keep resolving.
       }
     }
     return Status::OK();
   }
 
-  // Recovers the value log as DB::Open does, so log conversion stops at
-  // the same record WAL replay would: the first one whose value frames
-  // did not survive. Without it (an unreadable segment) logs convert
-  // whole, and such pointers resolve as errors.
-  void RecoverValueLog() {
-    if (options_.value_separation_threshold == 0 && !saw_vlog_) return;
-    vlog_ = std::make_unique<vlog::VlogManager>(
-        env_, dbname_, vlog::VlogOptions(), nullptr, info_log_,
-        [this] { return next_file_number_++; });
-    uint64_t max_recovered = 0;
-    Status s = vlog_->Recover(&max_recovered);
-    if (!s.ok()) {
-      obs::Log(info_log_, "repair: value log not recovered: %s",
-               s.ToString().c_str());
-      vlog_.reset();
-    }
-  }
-
-  void ConvertLogFilesToTables() {
+  // The logs stay for the next DB::Open to replay (the new MANIFEST's log
+  // number is 0); only a log that cannot be opened, which would fail that
+  // open, is reported and removed here.
+  void CheckLogFiles() {
     for (uint64_t log_number : logs_) {
-      std::string logname = LogFileName(dbname_, log_number);
-      Status status = ConvertLogToTable(log_number);
+      const std::string logname = LogFileName(dbname_, log_number);
+      std::unique_ptr<SequentialFile> file;
+      Status status = env_->NewSequentialFile(logname, &file);
       if (!status.ok()) {
         obs::Log(info_log_, "repair: log #%llu ignored: %s",
                  static_cast<unsigned long long>(log_number),
                  status.ToString().c_str());
-      }
-      // The log is consumed (or unreadable) either way.
-      env_->RemoveFile(logname);
-    }
-  }
-
-  Status ConvertLogToTable(uint64_t log_number) {
-    struct LogReporter : public log::Reader::Reporter {
-      obs::Logger* info_log;
-      uint64_t lognum;
-      void Corruption(size_t bytes, const Status& s) override {
-        obs::Log(info_log, "repair: log #%llu dropping %d bytes: %s",
-                 static_cast<unsigned long long>(lognum),
-                 static_cast<int>(bytes), s.ToString().c_str());
-      }
-    };
-
-    // Open the log file.
-    std::string logname = LogFileName(dbname_, log_number);
-    std::unique_ptr<SequentialFile> lfile;
-    Status status = env_->NewSequentialFile(logname, &lfile);
-    if (!status.ok()) return status;
-
-    LogReporter reporter;
-    reporter.info_log = info_log_;
-    reporter.lognum = log_number;
-    // Keep reading even if we hit corruptions: salvage what we can.
-    log::Reader reader(lfile.get(), &reporter, false /*do not checksum*/, 0);
-
-    // Replay into a memtable.
-    std::string scratch;
-    Slice record;
-    WriteBatch batch;
-    MemTable* mem = new MemTable(icmp_);
-    mem->Ref();
-    int counter = 0;
-    while (reader.ReadRecord(&record, &scratch)) {
-      if (record.size() < 12) {
-        reporter.Corruption(record.size(),
-                            Status::Corruption("log record too small"));
-        continue;
-      }
-      WriteBatchInternal::SetContents(&batch, record);
-      if (vlog_ != nullptr && !vlog_->PointersRecovered(batch)) {
-        obs::Log(info_log_,
-                 "repair: log #%llu stops at sequence %llu: value frame "
-                 "not recovered",
-                 static_cast<unsigned long long>(log_number),
-                 static_cast<unsigned long long>(
-                     WriteBatchInternal::Sequence(&batch)));
-        break;
-      }
-      status = WriteBatchInternal::InsertInto(&batch, mem);
-      if (status.ok()) {
-        counter += WriteBatchInternal::Count(&batch);
-        const SequenceNumber last =
-            WriteBatchInternal::Sequence(&batch) +
-            WriteBatchInternal::Count(&batch) - 1;
-        if (last > max_sequence_) max_sequence_ = last;
-      } else {
-        obs::Log(info_log_, "repair: log #%llu ignoring bad batch: %s",
-                 static_cast<unsigned long long>(log_number),
-                 status.ToString().c_str());
-        status = Status::OK();  // Keep going with rest of file
+        env_->RemoveFile(logname);
       }
     }
-    lfile.reset();
-
-    // Dump the memtable to a new table file.
-    FileMetaData meta;
-    meta.number = next_file_number_++;
-    std::unique_ptr<Iterator> iter(mem->NewIterator());
-    status = BuildTable(dbname_, env_, table_options_, table_cache_.get(),
-                        iter.get(), &meta);
-    iter.reset();
-    mem->Unref();
-    if (status.ok() && meta.file_size > 0) {
-      table_numbers_.push_back(meta.number);
-      obs::Log(info_log_, "repair: log #%llu -> table #%llu (%d entries)",
-               static_cast<unsigned long long>(log_number),
-               static_cast<unsigned long long>(meta.number), counter);
-    }
-    return status;
   }
 
   void ExtractMetaData() {
@@ -290,29 +186,14 @@ class Repairer {
                    t.meta.largest);
     }
 
-    const uint64_t manifest_number = next_file_number_++;
-    const std::string manifest = DescriptorFileName(dbname_, manifest_number);
-    std::unique_ptr<WritableFile> file;
-    Status status = env_->NewWritableFile(manifest, &file);
+    Status status = CreateManifest(env_, dbname_, next_file_number_, edit);
     if (!status.ok()) return status;
-    {
-      log::Writer log(file.get());
-      std::string record;
-      edit.EncodeTo(&record);
-      status = log.AddRecord(record);
-    }
-    if (status.ok()) status = file->Sync();
-    if (status.ok()) status = file->Close();
-    if (!status.ok()) {
-      env_->RemoveFile(manifest);
-      return status;
-    }
 
-    // Discard the stale manifests and point CURRENT at the new one.
+    // CURRENT names the new MANIFEST, so the stale ones can go.
     for (const std::string& old : manifests_) {
       env_->RemoveFile(dbname_ + "/" + old);
     }
-    return SetCurrentFile(env_, dbname_, manifest_number);
+    return Status::OK();
   }
 
   const std::string dbname_;
@@ -323,8 +204,6 @@ class Repairer {
   std::unique_ptr<TableCache> table_cache_;
   std::unique_ptr<obs::Logger> owned_info_log_;
   obs::Logger* info_log_ = nullptr;
-  bool saw_vlog_ = false;
-  std::unique_ptr<vlog::VlogManager> vlog_;
 
   std::vector<std::string> manifests_;
   std::vector<uint64_t> table_numbers_;

@@ -133,6 +133,23 @@ Status WriteBatchInternal::InsertInto(const WriteBatch* b,
   return b->Iterate(&inserter);
 }
 
+Status WriteBatchInternal::Validate(const WriteBatch* b) {
+  struct Decoder final : public WriteBatch::Handler {
+    void Put(const Slice&, const Slice&) override {}
+    void Delete(const Slice&) override {}
+    void PutPointer(const Slice&, const Slice&) override {}
+  };
+  Decoder decoder;
+  Status s = b->Iterate(&decoder);
+  if (!s.ok()) return s;
+  // Iterate proved Count() matches the records, so it is small and >= 0.
+  const uint64_t sequence = Sequence(b);
+  if (sequence == 0 || sequence - 1 > kMaxSequenceNumber - Count(b)) {
+    return Status::Corruption("WriteBatch sequence out of range");
+  }
+  return Status::OK();
+}
+
 void WriteBatchInternal::SetContents(WriteBatch* b, const Slice& contents) {
   assert(contents.size() >= kHeader);
   b->rep_.assign(contents.data(), contents.size());

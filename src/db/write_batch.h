@@ -75,6 +75,11 @@ class WriteBatchInternal {
   static Slice Contents(const WriteBatch* batch) { return Slice(batch->rep_); }
   static size_t ByteSize(const WriteBatch* batch) { return batch->rep_.size(); }
   static void SetContents(WriteBatch* batch, const Slice& contents);
+  // Decodes every record without applying any: OK iff the whole batch is
+  // well formed, its count is right, and its sequence numbers start past
+  // 0 and fit in a SequenceNumber. WAL replay checks each record with it
+  // before any of the record reaches the memtable.
+  static Status Validate(const WriteBatch* batch);
   static Status InsertInto(const WriteBatch* batch, MemTable* memtable);
   static void Append(WriteBatch* dst, const WriteBatch* src);
 };

@@ -29,7 +29,6 @@ class SequentialFile {
   // Read up to n bytes. Sets *result to the data read (may point into
   // scratch, which must stay alive while *result is used).
   virtual Status Read(size_t n, Slice* result, char* scratch) = 0;
-  virtual Status Skip(uint64_t n) = 0;
 };
 
 // Random-access read (SSTable blocks). Must be thread-safe.

@@ -50,8 +50,6 @@ class FaultSequentialFile final : public SequentialFile {
     return base_->Read(n, result, scratch);
   }
 
-  Status Skip(uint64_t n) override { return base_->Skip(n); }
-
  private:
   FaultInjectionEnv* const env_;
   const std::string fname_;

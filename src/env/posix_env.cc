@@ -41,13 +41,6 @@ class PosixSequentialFile final : public SequentialFile {
     }
   }
 
-  Status Skip(uint64_t n) override {
-    if (::lseek(fd_, n, SEEK_CUR) == static_cast<off_t>(-1)) {
-      return PosixError(fname_, errno);
-    }
-    return Status::OK();
-  }
-
  private:
   const std::string fname_;
   const int fd_;

@@ -79,11 +79,6 @@ class SimEnv::SimSequentialFile final : public SequentialFile {
     return s;
   }
 
-  Status Skip(uint64_t n) override {
-    pos_ += n;
-    return Status::OK();
-  }
-
  private:
   std::shared_ptr<FileState> file_;
   SimDevice* device_;

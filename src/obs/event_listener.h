@@ -28,9 +28,10 @@
 
 namespace pipelsm::obs {
 
-// One memtable dump (minor compaction). Fired from BuildTable: Begin
-// before the first block is built (only job_id / file_number are
-// meaningful), Completed after the output file is finished and verified.
+// One memtable dump (minor compaction). Fired from
+// DBImpl::WriteLevel0Table: Begin before the first block is built (only
+// job_id / file_number are meaningful), Completed after the output file
+// is finished and verified.
 struct FlushJobInfo {
   uint64_t job_id = 0;
   uint64_t file_number = 0;  // table file the memtable dumps into

@@ -72,12 +72,13 @@ void VersionEdit::EncodeTo(std::string* dst) const {
   }
 }
 
+// Only a whole internal key (user key plus an 8-byte tag with a known
+// type) is accepted: a shorter one would underflow ExtractUserKey.
 static bool GetInternalKey(Slice* input, InternalKey* dst) {
   Slice str;
-  if (GetLengthPrefixedSlice(input, &str)) {
-    return dst->DecodeFrom(str);
-  }
-  return false;
+  ParsedInternalKey parsed;
+  return GetLengthPrefixedSlice(input, &str) &&
+         ParseInternalKey(str, &parsed) && dst->DecodeFrom(str);
 }
 
 static bool GetLevel(Slice* input, int* level) {

@@ -748,8 +748,7 @@ Status VersionSet::Recover() {
     };
     LogReporter reporter;
     reporter.status = &s;
-    log::Reader reader(file.get(), &reporter, true /*checksum*/,
-                       0 /*initial_offset*/);
+    log::Reader reader(file.get(), &reporter);
     Slice record;
     std::string scratch;
     while (reader.ReadRecord(&record, &scratch) && s.ok()) {
@@ -1126,6 +1125,25 @@ void Compaction::ReleaseInputs() {
     input_version_->Unref();
     input_version_ = nullptr;
   }
+}
+
+Status CreateManifest(Env* env, const std::string& dbname,
+                      uint64_t manifest_number, const VersionEdit& edit) {
+  const std::string manifest = DescriptorFileName(dbname, manifest_number);
+  std::unique_ptr<WritableFile> file;
+  Status s = env->NewWritableFile(manifest, &file);
+  if (!s.ok()) return s;
+  {
+    log::Writer log(file.get());
+    std::string record;
+    edit.EncodeTo(&record);
+    s = log.AddRecord(record);
+  }
+  if (s.ok()) s = file->Sync();
+  if (s.ok()) s = file->Close();
+  if (s.ok()) s = SetCurrentFile(env, dbname, manifest_number);
+  if (!s.ok()) env->RemoveFile(manifest);
+  return s;
 }
 
 }  // namespace pipelsm

@@ -154,6 +154,14 @@ class VersionSet {
   // Allocate and return a new file number.
   uint64_t NewFileNumber() { return next_file_number_++; }
 
+  // Arrange for NewFileNumber() to return numbers past "number" (files
+  // found on disk that no MANIFEST record accounts for).
+  void MarkFileNumberUsed(uint64_t number) {
+    if (next_file_number_ <= number) {
+      next_file_number_ = number + 1;
+    }
+  }
+
   // Arrange to reuse "file_number" unless a newer file number has already
   // been allocated (for abandoned compaction outputs).
   void ReuseFileNumber(uint64_t file_number) {
@@ -339,5 +347,11 @@ class Compaction {
   // output_level_ merged in (empty for tiered pushes and self-merges).
   std::vector<FileMetaData*> inputs_[2];
 };
+
+// Writes `edit` as the one record of MANIFEST-`manifest_number`, syncs it
+// and points CURRENT at it. On failure the new MANIFEST is removed, so a
+// retry starts clean. A new DB and RepairDB both start from this.
+Status CreateManifest(Env* env, const std::string& dbname,
+                      uint64_t manifest_number, const VersionEdit& edit);
 
 }  // namespace pipelsm

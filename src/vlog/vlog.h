@@ -114,7 +114,7 @@ class VlogManager {
   // *max_recovered.
   Status Recover(uint64_t* max_recovered);
 
-  // WAL replay (DB open and RepairDB): false if `batch` holds a pointer
+  // WAL replay (DB open): false if `batch` holds a pointer
   // to a frame Recover() did not find. That is a pointer past the
   // recovered size of its segment, or into an unknown segment numbered
   // above every recovered one: its frames were never synced. An unknown

@@ -28,10 +28,8 @@ class Reader {
   // remain live while this Reader is in use.
   //
   // If "reporter" is non-null, it is notified whenever data is dropped.
-  // If "checksum" is true, verify checksums when available.
-  // Starts reading at the first record at or past initial_offset.
-  Reader(SequentialFile* file, Reporter* reporter, bool checksum,
-         uint64_t initial_offset);
+  // Every fragment's checksum is verified; reading starts at offset 0.
+  Reader(SequentialFile* file, Reporter* reporter);
 
   Reader(const Reader&) = delete;
   Reader& operator=(const Reader&) = delete;
@@ -42,20 +40,14 @@ class Reader {
   // false on EOF. *scratch may be used as temporary storage.
   bool ReadRecord(Slice* record, std::string* scratch);
 
-  // Offset of the last record returned by ReadRecord.
-  uint64_t LastRecordOffset();
-
  private:
   // Extend record types with the following special values.
   enum {
     kEof = kMaxRecordType + 1,
     // Returned whenever we find an invalid physical record (bad CRC, bad
-    // length, or payload in the skip region).
+    // length, or a zeroed region).
     kBadRecord = kMaxRecordType + 2
   };
-
-  // Skips all blocks that are completely before "initial_offset_".
-  bool SkipToInitialBlock();
 
   // Return type, or one of the preceding special values.
   unsigned int ReadPhysicalRecord(Slice* result);
@@ -65,23 +57,9 @@ class Reader {
 
   SequentialFile* const file_;
   Reporter* const reporter_;
-  bool const checksum_;
   char* const backing_store_;
   Slice buffer_;
   bool eof_;  // Last Read() indicated EOF by returning < kBlockSize
-
-  // Offset of the last record returned by ReadRecord.
-  uint64_t last_record_offset_;
-  // Offset of the first location past the end of buffer_.
-  uint64_t end_of_buffer_offset_;
-
-  // Offset at which to start looking for the first record to return.
-  uint64_t const initial_offset_;
-
-  // True if we are resynchronizing after a seek (initial_offset_ > 0). In
-  // particular, a run of kMiddleType and kLastType records can be silently
-  // skipped in this mode.
-  bool resyncing_;
 };
 
 }  // namespace pipelsm::log

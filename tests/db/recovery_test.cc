@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -11,11 +12,16 @@
 #include "src/db/db.h"
 #include "src/db/filename.h"
 #include "src/db/options.h"
+#include "src/db/repair.h"
+#include "src/db/write_batch.h"
 #include "src/env/fault_env.h"
 #include "src/env/sim_env.h"
 #include "src/table/comparator.h"
+#include "src/util/coding.h"
+#include "src/util/crc32c.h"
 #include "src/util/random.h"
 #include "src/version/version_edit.h"
+#include "src/wal/log_format.h"
 #include "src/wal/log_writer.h"
 #include "src/workload/generator.h"
 #include "tests/db/executor_matrix.h"
@@ -229,6 +235,58 @@ TEST_F(RecoveryTest, OverlappingLevelFilesInManifestAreCorruption) {
   ASSERT_TRUE(ReadFileToString(&env_, InfoLogFileName("/db"), &log).ok());
   EXPECT_NE(std::string::npos, log.find("overlapping files in level 1"))
       << log;
+}
+
+// A MANIFEST is hostile input too: a record that fails its CRC fails the
+// open with Corruption, and a bit flipped anywhere in it never crashes the
+// open; it yields Corruption or, where the flip only tears the tail, an
+// open that refuses the missing table files or needs none of them.
+TEST_F(RecoveryTest, ManifestRecordFailingItsCrcIsCorruption) {
+  Open();
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
+  }
+  db_->CompactRange(nullptr, nullptr);
+  Close();
+  std::string current;
+  ASSERT_TRUE(ReadFileToString(&env_, CurrentFileName("/db"), &current).ok());
+  const std::string manifest = "/db/" + current.substr(0, current.size() - 1);
+  std::string good;
+  ASSERT_TRUE(ReadFileToString(&env_, manifest, &good).ok());
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_.GetChildren("/db", &children).ok());
+
+  Random rnd(301);
+  for (int trial = 0; trial < 25; trial++) {
+    // A copy of the DB with one MANIFEST bit flipped; trial 0 garbles the
+    // last record's payload, which only its CRC can catch.
+    const std::string dir = "/flip" + std::to_string(trial);
+    ASSERT_TRUE(env_.CreateDir(dir).ok());
+    for (const std::string& c : children) {
+      std::string contents;
+      ASSERT_TRUE(ReadFileToString(&env_, "/db/" + c, &contents).ok());
+      ASSERT_TRUE(WriteStringToFile(&env_, contents, dir + "/" + c).ok());
+    }
+    std::string flipped = good;
+    const size_t at = trial == 0 ? flipped.size() - 2
+                                 : rnd.Uniform(static_cast<int>(good.size()));
+    flipped[at] ^= static_cast<char>(1 << rnd.Uniform(8));
+    ASSERT_TRUE(WriteStringToFile(&env_, flipped,
+                                  dir + manifest.substr(3)).ok());
+
+    DB* db = nullptr;
+    Status s = DB::Open(options_, dir, &db);
+    delete db;
+    if (trial == 0) {
+      EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+      std::string log;
+      ASSERT_TRUE(ReadFileToString(&env_, InfoLogFileName(dir), &log).ok());
+      EXPECT_NE(std::string::npos, log.find("checksum mismatch")) << log;
+    } else {
+      EXPECT_TRUE(s.ok() || s.IsCorruption())
+          << "flip at " << at << ": " << s.ToString();
+    }
+  }
 }
 
 TEST_F(RecoveryTest, SequenceNumbersContinueAfterReopen) {
@@ -943,6 +1001,273 @@ INSTANTIATE_TEST_SUITE_P(AllModes, CrashMatrixTest,
                                       name.end());
                            return name;
                          });
+
+// Hostile WAL records on DB::Open's one replay path, which RepairDB leaves
+// its logs to. A record that fails its CRC is dropped with the rest of its
+// block; a CRC-valid record that does not decode as a WriteBatch is
+// skipped whole. Either way the LOG reports it, the open succeeds, every
+// record the damage does not touch still replays, no value is garbled,
+// and RepairDB + Open ends in the state Open alone does. A truncation is
+// a torn tail: the records before the cut replay and nothing is reported.
+class HostileWalTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  // One WAL record. `key` is empty for a hostile record, which must not
+  // replay; [begin, end) spans its fragments in the file.
+  struct Record {
+    std::string key;
+    std::string value;
+    std::string payload;
+    std::vector<uint64_t> headers;  // file offset of each fragment header
+    uint64_t begin = 0;
+    uint64_t end = 0;
+  };
+
+  HostileWalTest() : rnd_(GetParam()) {
+    options_.env = &env_;
+    options_.create_if_missing = true;
+  }
+
+  // A batch at `sequence` that puts key -> value.
+  static std::string PutBatch(SequenceNumber sequence, const std::string& key,
+                              const std::string& value) {
+    WriteBatch batch;
+    batch.Put(key, value);
+    WriteBatchInternal::SetSequence(&batch, sequence);
+    return WriteBatchInternal::Contents(&batch).ToString();
+  }
+
+  // Appends `n` good records; skewed value sizes make some of them span
+  // blocks.
+  void AddGood(int n) {
+    for (int i = 0; i < n; i++) {
+      Record r;
+      r.key = "wal" + std::to_string(1000 + records_.size());
+      const uint32_t size = rnd_.Skewed(15);
+      for (uint32_t j = 0; j < size; j++) {
+        r.value.push_back(static_cast<char>(' ' + rnd_.Uniform(95)));
+      }
+      r.payload = PutBatch(next_sequence_++, r.key, r.value);
+      records_.push_back(r);
+    }
+  }
+
+  void AddHostile(std::string payload) {
+    Record r;
+    r.payload = std::move(payload);
+    records_.push_back(r);
+    next_sequence_ += 2;
+  }
+
+  // Encodes records_ as a WAL and notes where each fragment lands.
+  std::string EncodeWal() {
+    std::unique_ptr<WritableFile> file;
+    EXPECT_TRUE(env_.NewWritableFile("/wal", &file).ok());
+    log::Writer writer(file.get());
+    uint64_t offset = 0;  // follows log::Writer's fragmenting
+    for (Record& r : records_) {
+      EXPECT_TRUE(writer.AddRecord(r.payload).ok());
+      size_t left = r.payload.size();
+      do {
+        const uint64_t room = log::kBlockSize - offset % log::kBlockSize;
+        if (room < log::kHeaderSize) offset += room;  // block trailer
+        const size_t fragment = std::min<size_t>(
+            left,
+            log::kBlockSize - offset % log::kBlockSize - log::kHeaderSize);
+        r.headers.push_back(offset);
+        offset += log::kHeaderSize + fragment;
+        left -= fragment;
+      } while (left > 0);
+      r.begin = r.headers.front();
+      r.end = offset;
+    }
+    EXPECT_TRUE(file->Close().ok());
+    std::string wal;
+    EXPECT_TRUE(ReadFileToString(&env_, "/wal", &wal).ok());
+    EXPECT_EQ(offset, wal.size());
+    return wal;
+  }
+
+  // Creates `dir` with one table of base keys and `wal` as its live log.
+  void MakeDb(const std::string& dir, const std::string& wal) {
+    {
+      DB* raw = nullptr;
+      ASSERT_TRUE(DB::Open(options_, dir, &raw).ok());
+      std::unique_ptr<DB> db(raw);
+      for (int i = 0; i < 20; i++) {
+        ASSERT_TRUE(
+            db->Put(WriteOptions(), "base" + std::to_string(i), "b").ok());
+      }
+      db->CompactRange(nullptr, nullptr);
+    }
+    std::vector<std::string> children;
+    ASSERT_TRUE(env_.GetChildren(dir, &children).ok());
+    uint64_t live = 0, number;
+    FileType type;
+    for (const std::string& c : children) {
+      if (ParseFileName(c, &number, &type) && type == kLogFile) {
+        live = std::max(live, number);
+      }
+    }
+    ASSERT_GT(live, 0u);
+    ASSERT_TRUE(WriteStringToFile(&env_, wal, LogFileName(dir, live)).ok());
+  }
+
+  static std::map<std::string, std::string> Scan(DB* db) {
+    std::map<std::string, std::string> state;
+    std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      state[it->key().ToString()] = it->value().ToString();
+    }
+    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+    return state;
+  }
+
+  // Opens `wal` with and without a RepairDB first. `lost` says which
+  // records the damage may cost; every other good record must replay.
+  // Sets *missing to the number of good records that did not.
+  void Check(const std::string& wal,
+             const std::function<bool(const Record&)>& lost, int* missing) {
+    MakeDb("/open", wal);
+    MakeDb("/repair", wal);
+    ASSERT_TRUE(RepairDB("/repair", options_).ok());
+    std::map<std::string, std::string> states[2];
+    int i = 0;
+    for (const char* dir : {"/open", "/repair"}) {
+      DB* raw = nullptr;
+      Status s = DB::Open(options_, dir, &raw);
+      ASSERT_TRUE(s.ok()) << dir << ": " << s.ToString();
+      std::unique_ptr<DB> db(raw);
+      states[i++] = Scan(db.get());
+    }
+    EXPECT_TRUE(states[0] == states[1]) << "RepairDB + Open differs from Open";
+
+    const std::map<std::string, std::string>& state = states[0];
+    for (int b = 0; b < 20; b++) {
+      EXPECT_EQ(1u, state.count("base" + std::to_string(b)));
+    }
+    *missing = 0;
+    for (const Record& r : records_) {
+      if (r.key.empty()) continue;
+      auto it = state.find(r.key);
+      if (it == state.end()) {
+        (*missing)++;
+        EXPECT_TRUE(lost(r)) << r.key << " at [" << r.begin << ", " << r.end
+                             << ") did not replay";
+      } else {
+        EXPECT_EQ(r.value, it->second) << r.key;
+      }
+    }
+    for (const auto& [key, value] : state) {
+      EXPECT_TRUE(key.rfind("base", 0) == 0 || key.rfind("wal", 0) == 0)
+          << "a hostile record replayed " << key;
+    }
+  }
+
+  // True when the open's LOG reports a dropped record.
+  bool LogReportsDrop() {
+    std::string log;
+    EXPECT_TRUE(ReadFileToString(&env_, InfoLogFileName("/open"), &log).ok());
+    return log.find("dropping ") != std::string::npos;
+  }
+
+  // True when `r` has a byte in the block that holds file offset `at`.
+  static bool Touches(const Record& r, uint64_t at) {
+    const uint64_t block = at / log::kBlockSize;
+    return r.begin / log::kBlockSize <= block &&
+           block <= (r.end - 1) / log::kBlockSize;
+  }
+
+  SimEnv env_;
+  Options options_;
+  Random rnd_;
+  std::vector<Record> records_;
+  SequenceNumber next_sequence_ = 1000;
+};
+
+// CRC-valid records that are not WriteBatches. Each starts with a good
+// Put of a "hostile" key, so a replay that applied a prefix would show.
+TEST_P(HostileWalTest, UndecodableBatchIsSkippedWhole) {
+  auto hostile = [this](int count, const std::string& tail) {
+    std::string b = PutBatch(next_sequence_, "hostile", "h") + tail;
+    EncodeFixed32(&b[8], count);
+    return b;
+  };
+  std::vector<std::string> cases = {
+      hostile(2, "\x7f"),                       // unknown tag
+      hostile(2, std::string(1, kTypeValue) + "\x80"),  // cut-off varint
+      hostile(2, std::string(1, kTypeValue) + "\x05" "ab"),  // length lies
+      hostile(2, ""),                           // count too high
+      hostile(0, ""),                           // count too low
+      hostile(-1, ""),                          // count 2^32 - 1
+      PutBatch(0, "hostile", "h"),              // sequence 0
+      PutBatch(kMaxSequenceNumber + 1, "hostile", "h"),  // past the max
+  };
+  AddGood(3);
+  for (int i = 0; i < 4; i++) {
+    AddHostile(cases[rnd_.Uniform(static_cast<int>(cases.size()))]);
+    AddGood(1 + rnd_.Uniform(4));
+  }
+  int missing = 0;
+  Check(EncodeWal(), [](const Record&) { return false; }, &missing);
+  EXPECT_TRUE(LogReportsDrop());
+}
+
+TEST_P(HostileWalTest, BitFlipLosesOnlyRecordsInItsBlock) {
+  AddGood(40);
+  std::string wal = EncodeWal();
+  const uint64_t at = rnd_.Uniform(static_cast<int>(wal.size()));
+  wal[at] ^= static_cast<char>(1 << rnd_.Uniform(8));
+  const bool last_block = at / log::kBlockSize ==
+                          (wal.size() - 1) / log::kBlockSize;
+  int missing = 0;
+  Check(wal, [at](const Record& r) { return Touches(r, at); }, &missing);
+  // Outside the last block a loss is a reported corruption, never a torn
+  // tail.
+  if (missing > 0 && !last_block) {
+    EXPECT_TRUE(LogReportsDrop());
+  }
+}
+
+TEST_P(HostileWalTest, FragmentLengthThatLiesLosesOnlyRecordsInItsBlock) {
+  AddGood(40);
+  std::string wal = EncodeWal();
+  const Record& victim =
+      records_[rnd_.Uniform(static_cast<int>(records_.size()))];
+  const uint64_t at = victim.headers[rnd_.Uniform(
+      static_cast<int>(victim.headers.size()))];
+  const uint32_t length = static_cast<uint8_t>(wal[at + 4]) |
+                          static_cast<uint8_t>(wal[at + 5]) << 8;
+  uint32_t lie = rnd_.Uniform(1 << 16);
+  if (lie == length) lie ^= 1;
+  wal[at + 4] = static_cast<char>(lie & 0xff);
+  wal[at + 5] = static_cast<char>(lie >> 8);
+  if (rnd_.OneIn(2) && at + log::kHeaderSize + lie <= wal.size()) {
+    // Make the lie CRC-valid: only the fragment's block or the record's
+    // decode can catch it.
+    EncodeFixed32(&wal[at],
+                  crc32c::Mask(crc32c::Value(&wal[at + 6], 1 + lie)));
+  }
+  const bool last_block = at / log::kBlockSize ==
+                          (wal.size() - 1) / log::kBlockSize;
+  int missing = 0;
+  Check(wal, [at](const Record& r) { return Touches(r, at); }, &missing);
+  if (!last_block) {
+    EXPECT_TRUE(LogReportsDrop());
+  }
+}
+
+TEST_P(HostileWalTest, TruncationReplaysEveryRecordBeforeTheCut) {
+  AddGood(40);
+  std::string wal = EncodeWal();
+  const uint64_t cut = rnd_.Uniform(static_cast<int>(wal.size()));
+  wal.resize(cut);
+  int missing = 0;
+  Check(wal, [cut](const Record& r) { return r.end > cut; }, &missing);
+  EXPECT_FALSE(LogReportsDrop());  // a torn tail is not a corruption
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HostileWalTest,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 }  // namespace
 }  // namespace pipelsm

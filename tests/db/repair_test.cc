@@ -142,6 +142,54 @@ TEST_F(RepairTest, DropsCorruptTableKeepsRest) {
   EXPECT_GT(found, 400);  // the bulk survived
 }
 
+// Repair leaves logs to the open after it, which checks every record's
+// CRC: a record that fails it is dropped and reported, never written into
+// a table unverified, and the records on both sides of it survive.
+TEST_F(RepairTest, CrcCorruptLogRecordIsDroppedAndItsNeighboursKept) {
+  options_.write_buffer_size = 1 << 20;  // no flush: all 60 stay in the log
+  Open();
+  const std::string value(1000, 'v');
+  auto key = [](int i) { return "key" + std::to_string(10000 + i); };
+  for (int i = 0; i < 60; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), key(i), value).ok());
+  }
+  db_.reset();
+
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_.GetChildren("/db", &children).ok());
+  std::string wal;
+  uint64_t number;
+  FileType type;
+  for (const auto& c : children) {
+    if (ParseFileName(c, &number, &type) && type == kLogFile) wal = "/db/" + c;
+  }
+  ASSERT_FALSE(wal.empty());
+  // Each record is a 7-byte header and a 1024-byte batch (12-byte header,
+  // tag, key length, 8-byte key, 2-byte value length, value). Record 31
+  // starts in the first 32 KiB block and ends in the second, so garbling
+  // its first fragment costs that record alone.
+  constexpr uint64_t kRecord = 7 + 1024;
+  constexpr int kBad = 32768 / kRecord;
+  ASSERT_TRUE(env_.CorruptFile(wal, kBad * kRecord + 100, 4).ok());
+
+  RemoveMetadata();
+  ASSERT_TRUE(RepairDB("/db", options_).ok());
+  Open(/*create=*/false);
+  std::string got;
+  for (int i = 0; i < 60; i++) {
+    Status s = db_->Get(ReadOptions(), key(i), &got);
+    if (i == kBad) {
+      EXPECT_TRUE(s.IsNotFound()) << s.ToString();
+    } else {
+      ASSERT_TRUE(s.ok()) << i << ": " << s.ToString();
+      EXPECT_EQ(value, got);
+    }
+  }
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(&env_, InfoLogFileName("/db"), &log).ok());
+  EXPECT_NE(std::string::npos, log.find("checksum mismatch")) << log;
+}
+
 TEST_F(RepairTest, RepairedDbAcceptsNewWrites) {
   Open();
   Fill(500);
@@ -165,20 +213,30 @@ TEST_F(RepairTest, ReportsToTheDbLog) {
   RemoveMetadata();
   ASSERT_TRUE(RepairDB("/db", options_).ok());
 
+  // Repair salvages tables only; the WAL stays for the next open.
   std::string log;
   ASSERT_TRUE(ReadFileToString(&env_, InfoLogFileName("/db"), &log).ok());
-  EXPECT_NE(std::string::npos, log.find("-> table #")) << log;
-  EXPECT_NE(std::string::npos, log.find("repair: recovered 1 tables")) << log;
+  EXPECT_NE(std::string::npos, log.find("repair: recovered 0 tables")) << log;
   // The closed DB's own LOG is kept, not overwritten.
   std::string old_log;
   ASSERT_TRUE(
       ReadFileToString(&env_, OldInfoLogFileName("/db"), &old_log).ok());
   EXPECT_NE(std::string::npos, old_log.find("closing DB")) << old_log;
+
+  // The open replays the WAL into a table and keeps repair's LOG.
+  Open(/*create=*/false);
+  ASSERT_TRUE(ReadFileToString(&env_, InfoLogFileName("/db"), &log).ok());
+  EXPECT_NE(std::string::npos, log.find("-> table #")) << log;
+  ASSERT_TRUE(
+      ReadFileToString(&env_, OldInfoLogFileName("/db"), &old_log).ok());
+  EXPECT_NE(std::string::npos, old_log.find("repair: recovered 0 tables"))
+      << old_log;
+  VerifyFill(100, /*stride=*/1);
 }
 
-// RepairDB converts a log the way WAL replay does: it stops at the first
-// record whose value frame did not survive, here because the OS wrote the
-// WAL's unsynced tail back but not the frame.
+// Repair leaves the logs to the open after it, whose replay stops at the
+// first record whose value frame did not survive, here because the OS
+// wrote the WAL's unsynced tail back but not the frame.
 TEST_F(RepairTest, LogConversionStopsAtADroppedValueFrame) {
   FaultInjectionEnv fault(&env_);
   options_.env = &fault;
@@ -200,11 +258,11 @@ TEST_F(RepairTest, LogConversionStopsAtADroppedValueFrame) {
 
   RemoveMetadata();
   ASSERT_TRUE(RepairDB("/db", options_).ok());
+  Open(/*create=*/false);
   std::string log;
   ASSERT_TRUE(ReadFileToString(&env_, "/db/LOG", &log).ok());
   EXPECT_NE(std::string::npos, log.find("value frame not recovered"));
 
-  Open(/*create=*/false);
   std::string value;
   ASSERT_TRUE(db_->Get(ReadOptions(), "durable", &value).ok());
   EXPECT_EQ(big, value);

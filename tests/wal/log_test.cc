@@ -23,8 +23,7 @@ class LogTest : public ::testing::Test {
   }
 
   // Reads back every record; "EOF" terminates.
-  std::vector<std::string> ReadAll(bool checksum = true,
-                                   size_t* dropped_bytes = nullptr) {
+  std::vector<std::string> ReadAll(size_t* dropped_bytes = nullptr) {
     struct Reporter : public Reader::Reporter {
       size_t dropped = 0;
       void Corruption(size_t bytes, const Status&) override {
@@ -34,7 +33,7 @@ class LogTest : public ::testing::Test {
     Reporter reporter;
     std::unique_ptr<SequentialFile> src;
     EXPECT_TRUE(env_.NewSequentialFile("/wal", &src).ok());
-    Reader reader(src.get(), &reporter, checksum, 0);
+    Reader reader(src.get(), &reporter);
     std::vector<std::string> records;
     Slice record;
     std::string scratch;
@@ -107,7 +106,7 @@ TEST_F(LogTest, TornTailIsSilentlyIgnored) {
   ASSERT_TRUE(env_.TruncateFile("/wal", size - 4).ok());
 
   size_t dropped = 0;
-  auto records = ReadAll(true, &dropped);
+  auto records = ReadAll(&dropped);
   ASSERT_EQ(1u, records.size());
   EXPECT_EQ("complete", records[0]);
   EXPECT_EQ(0u, dropped);  // torn tail is not corruption
@@ -120,7 +119,7 @@ TEST_F(LogTest, CorruptPayloadDetected) {
   ASSERT_TRUE(env_.CorruptFile("/wal", kHeaderSize + 5 + kHeaderSize + 3, 4)
                   .ok());
   size_t dropped = 0;
-  auto records = ReadAll(true, &dropped);
+  auto records = ReadAll(&dropped);
   ASSERT_EQ(1u, records.size());
   EXPECT_EQ("first", records[0]);
   EXPECT_GT(dropped, 0u);
@@ -134,7 +133,7 @@ TEST_F(LogTest, CorruptLengthNeverYieldsBadRecords) {
   // silently; either way it must never return a record built from the
   // corrupted length.
   ASSERT_TRUE(env_.CorruptFile("/wal", 4, 2).ok());
-  auto records = ReadAll(true);
+  auto records = ReadAll();
   EXPECT_TRUE(records.empty());
 }
 
@@ -145,7 +144,7 @@ TEST_F(LogTest, CorruptLengthMidFileReportsCorruption) {
   // Corrupt the first header's length: the whole first block is dropped.
   ASSERT_TRUE(env_.CorruptFile("/wal", 4, 2).ok());
   size_t dropped = 0;
-  auto records = ReadAll(true, &dropped);
+  auto records = ReadAll(&dropped);
   EXPECT_GT(dropped, 0u);
   // The tail record lives in a later block and may or may not survive
   // resynchronization, but no garbage record may appear.
@@ -195,7 +194,7 @@ TEST_P(LogSizesSweep, RoundTrips) {
 
   std::unique_ptr<SequentialFile> src;
   ASSERT_TRUE(env.NewSequentialFile("/w", &src).ok());
-  Reader reader(src.get(), nullptr, true, 0);
+  Reader reader(src.get(), nullptr);
   Slice record;
   std::string scratch;
   for (const std::string& want : expected) {
