@@ -4,100 +4,63 @@
 // sequentially, pipelined, storage- or computation-parallel. The picker
 // decides WHICH files form a job and where the output lands, which
 // Sarkar et al. ("Constructing and Analyzing the LSM Compaction Design
-// Space", PAPERS.md) show dominates write amplification per workload:
+// Space", PAPERS.md) show dominates write amplification. In their terms
+// one policy covers all three styles: a level above the largest occupied
+// one holds up to K sorted runs, the largest occupied level up to Z, and
+// Options::compaction_style only names a preset over
+// T = Options::tiered_run_count:
 //
-//   LeveledCompactionPicker       LevelDB's size-ratio policy: one
-//                                 sorted run per level, spills merge
-//                                 with the overlapping next-level files.
-//   TieredCompactionPicker        up to Options::tiered_run_count
-//                                 overlapping runs per level; a full
-//                                 level merges into ONE new run at the
-//                                 next level without touching resident
-//                                 data (write-amp ~1 per level). The
-//                                 last level self-merges in place.
-//   LazyLevelingCompactionPicker  Dostoevsky's hybrid: tiered above,
-//                                 leveled at the largest occupied level.
+//   style          K  Z
+//   kLeveled       1  1  LevelDB's size-ratio policy: one sorted run per
+//                        level, spills merge with the overlapping
+//                        next-level files.
+//   kTiered        T  T  a full level merges into ONE new run at the next
+//                        level without touching resident data (write-amp
+//                        ~1 per level); the last level self-merges.
+//   kLazyLeveling  T  1  Dostoevsky's hybrid: tiered above, leveled at
+//                        the largest occupied level.
 //
-// Every picked Compaction carries a predicted write amplification
-// (total input bytes / bytes entering from the source level), reported
-// through the admission request and the pipelsm.compaction property so
-// the scheduler/advisor stack can reason about picker choice alongside
-// executor + k.
+// Every picked Compaction reports a predicted write amplification (total
+// input bytes / bytes entering from the source level) through the
+// admission request and the pipelsm.compaction property, so the
+// scheduler/advisor stack can reason about policy alongside executor + k.
 //
-// Pickers run under the DB mutex (they are called from Finalize /
-// PickCompaction) and keep no per-job state of their own.
+// The picker runs under the DB mutex (VersionSet::Finalize /
+// PickCompaction) and keeps no per-job state.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
-
-#include "src/version/version_set.h"
 
 namespace pipelsm {
 
+class Compaction;
+class InternalKeyComparator;
+class Version;
+class VersionSet;
+struct FileMetaData;
+struct Options;
+
 class CompactionPicker {
  public:
-  explicit CompactionPicker(const Options* options) : options_(options) {}
-  virtual ~CompactionPicker();
+  // Derives (K, Z) from options.compaction_style and tiered_run_count.
+  explicit CompactionPicker(const Options& options);
 
-  CompactionPicker(const CompactionPicker&) = delete;
-  CompactionPicker& operator=(const CompactionPicker&) = delete;
-
-  virtual const char* Name() const = 0;
-  virtual CompactionStyle Style() const = 0;
-
-  // True when this policy installs overlapping sorted runs in levels > 0
-  // (the version tree then treats every level like level-0 on the read
-  // and overlap-query paths).
-  virtual bool AllowsOverlappingLevels() const = 0;
+  // True when levels > 0 may hold overlapping sorted runs (K > 1); the
+  // version tree then treats every level like level-0 on the read and
+  // overlap-query paths.
+  bool overlapping_levels() const { return upper_runs_ > 1; }
 
   // Score `v`, filling its compaction_level_/compaction_score_ (score
   // >= 1 means a compaction is due). Called on every version install.
-  virtual void ComputeScore(Version* v) const = 0;
+  void ComputeScore(Version* v) const;
 
   // Pick the next compaction from vset->current(); nullptr = none due.
   // The caller owns the result. REQUIRES: DB mutex held.
-  virtual Compaction* Pick(VersionSet* vset) = 0;
+  Compaction* Pick(VersionSet* vset) const;
 
- protected:
-  // Friendship does not inherit, so subclasses reach Version / VersionSet
-  // / Compaction internals through these base-class helpers.
-  static std::vector<FileMetaData*>& Files(Version* v, int level) {
-    return v->files_[level];
-  }
-  static VersionSet* VSet(Version* v) { return v->vset_; }
-  static double Score(const Version* v) { return v->compaction_score_; }
-  static int ScoreLevel(const Version* v) { return v->compaction_level_; }
-  static void SetScore(Version* v, int level, double score) {
-    v->compaction_level_ = level;
-    v->compaction_score_ = score;
-  }
-  static double MaxLevelBytes(const VersionSet* vset, int level) {
-    return vset->MaxBytesForLevel(level);
-  }
-  static const std::string& CompactPointer(VersionSet* vset, int level) {
-    return vset->compact_pointer_[level];
-  }
-  static void SetupOtherInputs(VersionSet* vset, Compaction* c) {
-    vset->SetupOtherInputs(c);
-  }
-  static void GetInputRange(VersionSet* vset,
-                            const std::vector<FileMetaData*>& inputs,
-                            InternalKey* smallest, InternalKey* largest) {
-    vset->GetRange(inputs, smallest, largest);
-  }
-  // A Compaction pinned to vset's current version with empty inputs.
-  static Compaction* MakeCompaction(VersionSet* vset, int level,
-                                    int output_level);
-  static void SetPredictedWriteAmp(Compaction* c, double wa) {
-    c->predicted_write_amp_ = wa;
-  }
-  static std::vector<FileMetaData*>* MutableInputs(Compaction* c, int which) {
-    return &c->inputs_[which];
-  }
-
-  const Options* const options_;
+ private:
+  int upper_runs_;  // K: run cap of a level above the largest occupied one
+  int last_runs_;   // Z: run cap of the largest occupied level
 };
 
 // Number of overlapping sorted runs in a level's file list: the maximum
@@ -108,9 +71,5 @@ class CompactionPicker {
 // merges. `files` must be sorted by smallest key (Version order).
 int CountRuns(const InternalKeyComparator& icmp,
               const std::vector<FileMetaData*>& files);
-
-// Factory; `options` must outlive the picker.
-std::unique_ptr<CompactionPicker> NewCompactionPicker(CompactionStyle style,
-                                                      const Options* options);
 
 }  // namespace pipelsm

@@ -628,13 +628,12 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
     const Slice min_user_key = meta->smallest.user_key();
     const Slice max_user_key = meta->largest.user_key();
     Version* base = versions_->current();
-    if (pick_level &&
-        options_.compaction_style == CompactionStyle::kLeveled &&
+    if (pick_level && !versions_->overlapping_levels() &&
         !base->OverlapInLevel(0, &min_user_key, &max_user_key)) {
       // Push the new sstable to a lower level if there is no overlap:
-      // avoids expensive L0 merges for sequential loads. Leveled only —
-      // tiered/lazy pickers count runs per level and expect flushes to
-      // enter at L0 so data ages strictly downward.
+      // avoids expensive L0 merges for sequential loads. One-run levels
+      // only — presets with overlapping runs count runs per level and
+      // expect flushes to enter at L0 so data ages strictly downward.
       while (level < config::kNumLevels - 2 &&
              !base->OverlapInLevel(level + 1, &min_user_key, &max_user_key)) {
         level++;
@@ -1681,7 +1680,7 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     *value = metrics_registry_.ToJson();
     return true;
   } else if (in == Slice("compaction")) {
-    // Compaction-policy snapshot (docs/COMPACTION.md): active picker,
+    // Compaction-policy snapshot (docs/COMPACTION.md): the style preset,
     // per-level file/byte/run counts, and the registry's sub-compaction
     // totals. Runs are counted by interval-stacking depth on the current
     // version.
@@ -1689,7 +1688,6 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     JsonWriter w(value);
     w.BeginObject();
     w.Key("style").String(CompactionStyleName(options_.compaction_style));
-    w.Key("picker").String(versions_->picker()->Name());
     w.Key("tiered_run_count").Int(options_.tiered_run_count);
     w.Key("max_subcompactions").Int(options_.max_subcompactions);
     w.Key("last_predicted_write_amp").Double(last_predicted_write_amp_, 3);

@@ -16,6 +16,24 @@ const char* CompactionModeName(CompactionMode mode) {
   return "unknown";
 }
 
+Status ParseCompactionMode(const std::string& name, CompactionMode* mode) {
+  if (name == "scp") {
+    *mode = CompactionMode::kSCP;
+  } else if (name == "pcp") {
+    *mode = CompactionMode::kPCP;
+  } else if (name == "cppcp") {
+    *mode = CompactionMode::kCPPCP;
+  } else if (name == "sppcp") {
+    return Status::InvalidArgument(
+        "compaction mode 'sppcp'",
+        "DB::Open refuses S-PPCP; run --compaction=pcp on a striped device");
+  } else {
+    return Status::InvalidArgument("compaction mode '" + name + "'",
+                                   "expected scp|pcp|cppcp");
+  }
+  return Status::OK();
+}
+
 const char* CompactionStyleName(CompactionStyle style) {
   switch (style) {
     case CompactionStyle::kLeveled:
@@ -26,6 +44,20 @@ const char* CompactionStyleName(CompactionStyle style) {
       return "lazy_leveling";
   }
   return "unknown";
+}
+
+Status ParseCompactionStyle(const std::string& name, CompactionStyle* style) {
+  if (name == "leveled") {
+    *style = CompactionStyle::kLeveled;
+  } else if (name == "tiered") {
+    *style = CompactionStyle::kTiered;
+  } else if (name == "lazy") {
+    *style = CompactionStyle::kLazyLeveling;
+  } else {
+    return Status::InvalidArgument("compaction style '" + name + "'",
+                                   "expected leveled|tiered|lazy");
+  }
+  return Status::OK();
 }
 
 }  // namespace pipelsm

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/compress/codec.h"
+#include "src/util/status.h"
 
 namespace pipelsm {
 
@@ -36,10 +37,18 @@ enum class CompactionMode { kSCP = 0, kPCP = 1, kSPPCP = 2, kCPPCP = 3 };
 
 const char* CompactionModeName(CompactionMode mode);
 
-// Which *picker* decides what gets compacted (docs/COMPACTION.md). The
+// Parses a tool's --compaction value: scp, pcp or cppcp. "sppcp" is
+// InvalidArgument, as DB::Open refuses kSPPCP: the paper's S-PPCP is pcp
+// on a striped device.
+Status ParseCompactionMode(const std::string& name, CompactionMode* mode);
+
+// Which *policy* decides what gets compacted (docs/COMPACTION.md). The
 // executor above decides HOW one job runs; the style decides WHICH files
 // form a job and where the output lands — the axis Sarkar et al. show
-// dominates write amplification:
+// dominates write amplification. Each style is a preset of the one
+// CompactionPicker's run caps (K per upper level, Z at the largest
+// occupied level, T = tiered_run_count): leveled (1, 1), tiered (T, T),
+// lazy leveling (T, 1).
 //   kLeveled      — LevelDB size-ratio leveling: every level is one
 //                   sorted run; level-L spills merge with the
 //                   overlapping level-(L+1) files. Lowest space/read
@@ -56,6 +65,9 @@ const char* CompactionModeName(CompactionMode mode);
 enum class CompactionStyle { kLeveled = 0, kTiered = 1, kLazyLeveling = 2 };
 
 const char* CompactionStyleName(CompactionStyle style);
+
+// Parses a tool's --compaction_style value: leveled, tiered or lazy.
+Status ParseCompactionStyle(const std::string& name, CompactionStyle* style);
 
 struct Options {
   // -------- general --------
@@ -110,7 +122,7 @@ struct Options {
   CompactionMode compaction_mode = CompactionMode::kPCP;
 
   // -------- compaction policy (docs/COMPACTION.md) --------
-  // Which CompactionPicker decides the shape of every job (see the enum
+  // Which picker preset decides the shape of every job (see the enum
   // above). Must be the same across DB openings of one directory: tiered
   // styles install overlapping runs in levels > 0 that a leveled reopen
   // would reject.

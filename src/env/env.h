@@ -35,6 +35,8 @@ class SequentialFile {
 class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;
+  // Reads up to n bytes at `offset`. Near or past the end of the file the
+  // result is short (possibly empty) and the status OK.
   virtual Status Read(uint64_t offset, size_t n, Slice* result,
                       char* scratch) const = 0;
 };

@@ -27,12 +27,11 @@ class SimEnv::FileState {
 
   Status Read(uint64_t offset, size_t n, Slice* result, char* scratch) const {
     std::lock_guard<std::mutex> lock(mu_);
-    if (offset > data_.size()) {
-      return Status::IOError("read past end of file");
-    }
-    const size_t avail = data_.size() - offset;
-    const size_t len = std::min(n, avail);
-    std::memcpy(scratch, data_.data() + offset, len);
+    // Like pread: a read at or past the end returns what the file holds
+    // (possibly nothing), so callers see a short read, not an I/O error.
+    const size_t start = std::min<uint64_t>(offset, data_.size());
+    const size_t len = std::min(n, data_.size() - start);
+    std::memcpy(scratch, data_.data() + start, len);
     *result = Slice(scratch, len);
     return Status::OK();
   }

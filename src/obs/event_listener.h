@@ -56,7 +56,7 @@ struct CompactionJobInfo {
   int level = 0;             // input level
   int output_level = 0;      // install level (level for a self-merge)
   const char* executor = ""; // "SCP" / "PCP" / "C-PPCP"
-  // Which CompactionPicker policy shaped this job (docs/COMPACTION.md)
+  // Which compaction_style preset shaped this job (docs/COMPACTION.md)
   // and its predicted bytes-written amplification at pick time.
   const char* style = "leveled";
   double predicted_write_amp = 1.0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "src/compaction/picker.h"
 #include "src/db/filename.h"
 #include "src/env/env.h"
 #include "src/obs/logger.h"
@@ -586,8 +585,8 @@ VersionSet::VersionSet(std::string dbname, const Options* options,
       table_cache_(table_cache),
       icmp_(*cmp),
       info_log_(info_log),
-      picker_(NewCompactionPicker(options->compaction_style, options)),
-      overlapping_levels_(picker_->AllowsOverlappingLevels()),
+      picker_(*options),
+      overlapping_levels_(picker_.overlapping_levels()),
       dummy_versions_(this),
       current_(nullptr) {
   AppendVersion(new Version(this));
@@ -815,9 +814,8 @@ Status VersionSet::Recover() {
 }
 
 void VersionSet::Finalize(Version* v) {
-  // Precompute the best level for the next compaction; the policy lives
-  // in the picker selected by Options::compaction_style.
-  picker_->ComputeScore(v);
+  // Precompute the best level for the next compaction (picker.cc).
+  picker_.ComputeScore(v);
 }
 
 Status VersionSet::WriteSnapshot(log::Writer* log) {
@@ -944,8 +942,8 @@ uint64_t VersionSet::ApproximateOffsetOf(Version* v, const InternalKey& ikey) {
 }
 
 Compaction* VersionSet::PickCompaction() {
-  // Delegate file selection to the active policy (picker.cc).
-  return picker_->Pick(this);
+  // Delegate file selection to the policy (picker.cc).
+  return picker_.Pick(this);
 }
 
 void VersionSet::SetupOtherInputs(Compaction* c) {
@@ -991,14 +989,6 @@ void VersionSet::SetupOtherInputs(Compaction* c) {
   // key range next time.
   compact_pointer_[level] = largest.Encode().ToString();
   c->edit_.SetCompactPointer(level, largest);
-
-  // Rewriting the overlapping next-level residents is the leveled
-  // policy's write cost; record the prediction for admission/obs.
-  const int64_t in0 = TotalFileSize(c->inputs_[0]);
-  c->predicted_write_amp_ =
-      in0 > 0 ? static_cast<double>(c->TotalInputBytes()) /
-                    static_cast<double>(in0)
-              : 1.0;
 }
 
 Compaction* VersionSet::CompactRange(int level, const InternalKey* begin,
@@ -1055,6 +1045,12 @@ uint64_t Compaction::TotalInputBytes() const {
     }
   }
   return total;
+}
+
+double Compaction::predicted_write_amp() const {
+  const int64_t in0 = TotalFileSize(inputs_[0]);
+  if (in0 <= 0) return 1.0;
+  return static_cast<double>(TotalInputBytes()) / static_cast<double>(in0);
 }
 
 bool Compaction::IsTrivialMove() const {

@@ -4,12 +4,13 @@
 // A Version is an immutable snapshot of which SSTables form each level.
 // VersionSet chains versions; LogAndApply applies a VersionEdit, persists
 // it to the MANIFEST and installs the result as current. Compaction
-// picking is delegated to the CompactionPicker selected by
-// Options::compaction_style (src/compaction/picker.h): leveled size-ratio
-// (the paper's LevelDB substrate), tiered, or lazy-leveling. Non-leveled
-// styles install overlapping sorted runs in levels > 0; the read and
-// overlap-query paths then treat every level like level-0, relying on
-// newest-first file-number order for correctness.
+// picking is delegated to the CompactionPicker (src/compaction/picker.h),
+// whose run caps come from the Options::compaction_style preset: leveled
+// size-ratio (the paper's LevelDB substrate), tiered, or lazy-leveling.
+// Presets with more than one run per upper level install overlapping
+// sorted runs in levels > 0; the read and overlap-query paths then treat
+// every level like level-0, relying on newest-first file-number order
+// for correctness.
 #pragma once
 
 #include <map>
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/compaction/picker.h"
 #include "src/db/dbformat.h"
 #include "src/db/options.h"
 #include "src/db/table_cache.h"
@@ -30,7 +32,6 @@ class Writer;
 }
 
 class Compaction;
-class CompactionPicker;
 class Iterator;
 class TableCache;
 class Version;
@@ -203,11 +204,8 @@ class VersionSet {
   const Options* options() const { return options_; }
   const std::string& dbname() const { return dbname_; }
 
-  // The policy object picked by Options::compaction_style.
-  CompactionPicker* picker() const { return picker_.get(); }
-
-  // True when the active picker installs overlapping runs in levels > 0;
-  // gates the L0-style read/overlap handling for all levels.
+  // True when the compaction_style preset installs overlapping runs in
+  // levels > 0; gates the L0-style read/overlap handling for all levels.
   bool overlapping_levels() const { return overlapping_levels_; }
 
   // One-line summary of files per level, e.g. "files[ 2 4 0 0 0 0 0 ]".
@@ -249,7 +247,7 @@ class VersionSet {
   TableCache* const table_cache_;
   const InternalKeyComparator icmp_;
   obs::Logger* const info_log_;
-  const std::unique_ptr<CompactionPicker> picker_;
+  const CompactionPicker picker_;
   const bool overlapping_levels_;
   uint64_t next_file_number_ = 2;
   uint64_t manifest_file_number_ = 0;
@@ -281,11 +279,11 @@ class Compaction {
   int output_level() const { return output_level_; }
 
   // Predicted bytes-written amplification of this job: total input bytes
-  // divided by the bytes entering from the source level (~1 for tiered
-  // pushes, (src+overlap)/src for leveled spills). Filled by the picker;
-  // reported through admission requests, CompactionJobInfo and the
-  // pipelsm.compaction property.
-  double predicted_write_amp() const { return predicted_write_amp_; }
+  // divided by the bytes entering from the source level (1 for tiered
+  // pushes, (src+overlap)/src for leveled spills). Reported through
+  // admission requests, CompactionJobInfo and the pipelsm.compaction
+  // property.
+  double predicted_write_amp() const;
 
   // Return the object that holds the edits to the descriptor done by this
   // compaction.
@@ -338,7 +336,6 @@ class Compaction {
 
   int level_;
   int output_level_;
-  double predicted_write_amp_ = 1.0;
   uint64_t max_output_file_size_;
   Version* input_version_;
   VersionEdit edit_;

@@ -213,7 +213,7 @@ class SubcompactionDBTest : public ::testing::Test {
     std::string prop;
     ASSERT_TRUE(db_->GetProperty("pipelsm.compaction", &prop));
     for (const char* key :
-         {"style", "picker", "tiered_run_count", "max_subcompactions",
+         {"style", "tiered_run_count", "max_subcompactions",
           "last_predicted_write_amp", "subcompacted_jobs",
           "subcompactions_run", "levels"}) {
       EXPECT_NE(std::string::npos,

@@ -1,9 +1,10 @@
 // VlogManager unit tests: frame encoding, segment rolling, torn-tail
 // recovery, pointer bound checks, the value cache, the append-pending
 // protocol that fences GC off segments with in-flight pointer commits,
-// and retirement pinning.
+// retirement pinning, and hostile segment bytes on every frame decoder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -15,6 +16,8 @@
 #include "src/obs/metrics.h"
 #include "src/read/cache.h"
 #include "src/util/coding.h"
+#include "src/util/crc32c.h"
+#include "src/util/random.h"
 #include "src/vlog/vlog.h"
 
 namespace pipelsm {
@@ -499,6 +502,214 @@ TEST_F(VlogTest, ToJsonListsSegments) {
   EXPECT_NE(std::string::npos, json.find("\"active_segment\""));
   EXPECT_NE(std::string::npos, json.find("\"segments\""));
   EXPECT_NE(std::string::npos, json.find("\"dead_bytes\""));
+}
+
+// ---------------------------------------------------------------------
+// Hostile frames. A valid segment with bit flips, truncations or lying
+// varint lengths goes through the three frame decoders: Read on a sealed
+// segment whose bytes changed under it, GC's ScanSegment, and the
+// recovery scan. Each must return Corruption (NotFound once recovery has
+// dropped the segment) or stop at the last good frame, and never read
+// past the segment; the ASan job runs this suite.
+// ---------------------------------------------------------------------
+
+class VlogHostileTest : public VlogTest {
+ protected:
+  struct Frame {
+    std::string key;
+    std::string value;
+    ValueLocation loc;
+  };
+
+  // Writes one segment of frames with 1-20 byte keys and 0-300 byte
+  // values (one- and two-byte varints) and keeps its bytes.
+  void WriteGolden(Random* rnd) {
+    auto vlog = NewManager();
+    Start(vlog.get());
+    std::vector<uint64_t> touched;
+    for (int i = 0; i < 16; i++) {
+      Frame f;
+      for (uint32_t n = 1 + rnd->Uniform(20); n > 0; n--) {
+        f.key.push_back(static_cast<char>('a' + rnd->Uniform(26)));
+      }
+      for (uint32_t n = rnd->Uniform(301); n > 0; n--) {
+        f.value.push_back(static_cast<char>(rnd->Uniform(256)));
+      }
+      ASSERT_TRUE(vlog->Add(f.key, f.value, &f.loc).ok());
+      touched.push_back(f.loc.segment);
+      frames_.push_back(f);
+    }
+    ASSERT_TRUE(vlog->Sync().ok());
+    vlog->ReleaseAppends(touched);
+    vlog.reset();
+    path_ = VlogFileName("/db", frames_[0].loc.segment);
+    ASSERT_TRUE(ReadFileToString(&env_, path_, &golden_).ok());
+  }
+
+  // Rewrites frame `f`'s header with `varints` claiming `claimed` key +
+  // value bytes. The CRC covers the new varints and the claimed bytes the
+  // segment holds, so a lie that fits in the segment passes the CRC.
+  std::string Lie(const Frame& f, const std::string& varints,
+                  uint64_t claimed) const {
+    const size_t header = 4 + VarintLength(f.key.size()) +
+                          VarintLength(f.value.size());
+    const std::string rest = golden_.substr(f.loc.offset + header);
+    const std::string covered =
+        varints + rest.substr(0, std::min<uint64_t>(claimed, rest.size()));
+    std::string crc(4, '\0');
+    EncodeFixed32(crc.data(),
+                  crc32c::Mask(crc32c::Value(covered.data(), covered.size())));
+    return golden_.substr(0, f.loc.offset) + crc + varints + rest;
+  }
+
+  // One seeded mutation of the golden segment. Sets *first_changed to the
+  // first byte offset that may differ from the golden one.
+  std::string Mutate(Random* rnd, int kind, uint64_t* first_changed) const {
+    std::string bytes = golden_;
+    if (kind == 0) {  // bit flips
+      *first_changed = bytes.size();
+      for (uint32_t n = 1 + rnd->Uniform(3); n > 0; n--) {
+        const uint64_t pos = rnd->Uniform(bytes.size());
+        bytes[pos] ^= static_cast<char>(1 << rnd->Uniform(8));
+        *first_changed = std::min(*first_changed, pos);
+      }
+      return bytes;
+    }
+    if (kind == 1) {  // truncation
+      *first_changed = rnd->Uniform(bytes.size());
+      bytes.resize(*first_changed);
+      return bytes;
+    }
+    const Frame& f = frames_[rnd->Uniform(frames_.size())];
+    *first_changed = f.loc.offset;
+    const uint64_t klen = f.key.size();
+    const uint64_t vlen = f.value.size();
+    const uint64_t after = golden_.size() - (f.loc.offset + f.loc.length);
+    std::string varints;
+    uint64_t claimed = 0;
+    switch (rnd->Uniform(5)) {
+      case 0:  // a key longer than any segment
+        PutVarint32(&varints, 0xFFFFFFFFu);
+        PutVarint32(&varints, static_cast<uint32_t>(vlen));
+        claimed = 0xFFFFFFFFu + vlen;
+        break;
+      case 1:  // lengths whose 32-bit sum wraps to 0
+        PutVarint32(&varints, 0x80000000u);
+        PutVarint32(&varints, 0x80000000u);
+        claimed = uint64_t{1} << 32;
+        break;
+      case 2: {  // shorter than the frame, CRC-consistent
+        claimed = rnd->Uniform(klen + vlen);
+        const uint64_t k = std::min(klen, claimed);
+        PutVarint32(&varints, static_cast<uint32_t>(k));
+        PutVarint32(&varints, static_cast<uint32_t>(claimed - k));
+        break;
+      }
+      case 3: {  // longer, swallowing later frames when any follow
+        const uint64_t extra = 1 + rnd->Uniform(after + 1);
+        claimed = klen + vlen + extra;
+        PutVarint32(&varints, static_cast<uint32_t>(klen));
+        PutVarint32(&varints, static_cast<uint32_t>(vlen + extra));
+        break;
+      }
+      default:  // a varint that never terminates
+        varints = "\xff\xff\xff\xff\xff";
+        PutVarint32(&varints, static_cast<uint32_t>(vlen));
+        claimed = vlen;
+        break;
+    }
+    return Lie(f, varints, claimed);
+  }
+
+  // Reads every frame back: one wholly before `first_changed` must come
+  // back right; any other may only come back right or fail as corrupt
+  // or unknown.
+  void ExpectReadback(VlogManager* vlog, uint64_t first_changed) {
+    for (const Frame& f : frames_) {
+      std::string value;
+      Status s = vlog->Read(f.loc, &value, false);
+      if (f.loc.offset + f.loc.length <= first_changed) {
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        EXPECT_EQ(f.value, value);
+      } else if (s.ok()) {
+        EXPECT_EQ(f.value, value);
+      } else {
+        EXPECT_TRUE(s.IsCorruption() || s.IsNotFound()) << s.ToString();
+      }
+    }
+  }
+
+  void RemoveVlogFiles() {
+    for (const std::string& name : VlogFilesOnDisk()) {
+      ASSERT_TRUE(env_.RemoveFile("/db/" + name).ok());
+    }
+  }
+
+  std::vector<Frame> frames_;
+  std::string path_;
+  std::string golden_;
+};
+
+TEST_F(VlogHostileTest, CorruptSegmentsFailCleanlyOnEveryDecoder) {
+  Random rnd(2024);
+  WriteGolden(&rnd);
+  const uint64_t segment = frames_[0].loc.segment;
+  for (int iter = 0; iter < 300; iter++) {
+    const int kind = iter % 3;
+    SCOPED_TRACE("iteration " + std::to_string(iter) + " kind " +
+                 std::to_string(kind));
+    uint64_t first_changed = 0;
+    const std::string bytes = Mutate(&rnd, kind, &first_changed);
+    uint64_t intact_bytes = 0;
+    size_t intact_frames = 0;
+    for (const Frame& f : frames_) {
+      if (f.loc.offset + f.loc.length > first_changed) break;
+      intact_bytes += f.loc.length;
+      intact_frames++;
+    }
+
+    // A manager that recovered the golden segment sees its bytes change.
+    RemoveVlogFiles();
+    ASSERT_TRUE(WriteStringToFile(&env_, golden_, path_, true).ok());
+    auto sealed = NewManager();
+    Start(sealed.get());
+    ASSERT_TRUE(env_.RemoveFile(path_).ok());
+    ASSERT_TRUE(WriteStringToFile(&env_, bytes, path_, true).ok());
+    ExpectReadback(sealed.get(), first_changed);
+
+    ASSERT_TRUE(sealed->BeginGc(segment));
+    size_t scanned = 0;
+    Status s = sealed->ScanSegment(
+        segment, [&](const Slice& key, const Slice& value,
+                     const ValueLocation& loc) -> Status {
+          EXPECT_LE(loc.offset + loc.length, golden_.size());
+          if (loc.offset + loc.length <= first_changed) {
+            EXPECT_TRUE(loc == frames_[scanned].loc);
+            EXPECT_EQ(frames_[scanned].key, key.ToString());
+            EXPECT_EQ(frames_[scanned].value, value.ToString());
+          }
+          scanned++;
+          return Status::OK();
+        });
+    EXPECT_TRUE(s.ok() || s.IsCorruption()) << s.ToString();
+    if (bytes.size() >= golden_.size()) {
+      EXPECT_GE(scanned, intact_frames);  // stops at a bad frame, not before
+    }
+    sealed->FinishGc(segment, false, 0);
+    sealed.reset();
+
+    // Recovery keeps the intact prefix and drops or truncates the rest.
+    auto recovered = NewManager();
+    Start(recovered.get());
+    uint64_t size = 0;
+    if (env_.GetFileSize(path_, &size).ok()) {
+      EXPECT_GE(size, intact_bytes);
+      EXPECT_LE(size, bytes.size());
+    } else {
+      EXPECT_EQ(0u, intact_bytes);
+    }
+    ExpectReadback(recovered.get(), first_changed);
+  }
 }
 
 }  // namespace

@@ -144,14 +144,6 @@ const CrashPoint kVlogCrashPoints[] = {
     {FaultOp::kRemoveFile, 2, ".vlog"},
 };
 
-CompactionMode ModeFromName(const std::string& name) {
-  if (name == "scp") return CompactionMode::kSCP;
-  if (name == "pcp") return CompactionMode::kPCP;
-  if (name == "cppcp") return CompactionMode::kCPPCP;
-  std::fprintf(stderr, "unknown mode '%s'\n", name.c_str());
-  std::exit(2);
-}
-
 class CrashTester {
  public:
   CrashTester(const Flags& flags, CompactionMode mode, Env* base)
@@ -404,7 +396,13 @@ int RunAll(const Flags& flags) {
     modes = {CompactionMode::kSCP, CompactionMode::kPCP,
              CompactionMode::kCPPCP};
   } else {
-    modes = {ModeFromName(flags.mode)};
+    CompactionMode mode;
+    Status s = ParseCompactionMode(flags.mode, &mode);
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 2;
+    }
+    modes = {mode};
   }
 
   int failures = 0;

@@ -32,8 +32,6 @@
 //   --device=posix|ssd|hdd|hddx<k>|null
 //                            storage: the real FS or a simulated device
 //   --compaction=scp|pcp|cppcp
-//                            (sppcp fails DB::Open: the paper's S-PPCP is
-//                            --compaction=pcp on --device=hddx<k>)
 //   --compaction_style=leveled|tiered|lazy
 //                            which-to-compact policy (docs/COMPACTION.md)
 //   --tiered_run_count=N     runs per level before tiered/lazy compacts
@@ -187,28 +185,14 @@ class Benchmark {
 
     options_.env = env_;
     options_.create_if_missing = true;
-    if (flags_.compaction == "scp") {
-      options_.compaction_mode = CompactionMode::kSCP;
-    } else if (flags_.compaction == "pcp") {
-      options_.compaction_mode = CompactionMode::kPCP;
-    } else if (flags_.compaction == "sppcp") {
-      options_.compaction_mode = CompactionMode::kSPPCP;
-    } else if (flags_.compaction == "cppcp") {
-      options_.compaction_mode = CompactionMode::kCPPCP;
-    } else {
-      std::fprintf(stderr, "unknown --compaction=%s\n",
-                   flags_.compaction.c_str());
-      std::exit(2);
+    Status parsed =
+        ParseCompactionMode(flags_.compaction, &options_.compaction_mode);
+    if (parsed.ok()) {
+      parsed = ParseCompactionStyle(flags_.compaction_style,
+                                    &options_.compaction_style);
     }
-    if (flags_.compaction_style == "leveled") {
-      options_.compaction_style = CompactionStyle::kLeveled;
-    } else if (flags_.compaction_style == "tiered") {
-      options_.compaction_style = CompactionStyle::kTiered;
-    } else if (flags_.compaction_style == "lazy") {
-      options_.compaction_style = CompactionStyle::kLazyLeveling;
-    } else {
-      std::fprintf(stderr, "unknown --compaction_style=%s\n",
-                   flags_.compaction_style.c_str());
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
       std::exit(2);
     }
     options_.tiered_run_count = flags_.tiered_run_count;

@@ -9,10 +9,9 @@
 //                           binds an ephemeral port and prints it)
 //   --io_threads=N          epoll I/O loops (default 2)
 //   --workers=N             read-path worker threads (default 4)
-//   --compaction=scp|pcp|cppcp  (sppcp fails DB::Open: run pcp on a
-//                           striped device instead)
+//   --compaction=scp|pcp|cppcp
 //   --compaction_style=leveled|tiered|lazy
-//                           which CompactionPicker shapes jobs (must not
+//                           which picker preset shapes jobs (must not
 //                           change across reopens of one directory)
 //   --tiered_run_count=N    sorted runs a tiered/lazy level accumulates
 //                           before merging (default 4)
@@ -203,27 +202,13 @@ int main(int argc, char** argv) {
   options.filter_partition_bytes = filter_partition_bytes;
   options.tiered_run_count = tiered_run_count;
   options.max_subcompactions = max_subcompactions;
-  if (compaction_style == "leveled") {
-    options.compaction_style = pipelsm::CompactionStyle::kLeveled;
-  } else if (compaction_style == "tiered") {
-    options.compaction_style = pipelsm::CompactionStyle::kTiered;
-  } else if (compaction_style == "lazy") {
-    options.compaction_style = pipelsm::CompactionStyle::kLazyLeveling;
-  } else {
-    std::fprintf(stderr, "unknown --compaction_style=%s\n",
-                 compaction_style.c_str());
-    return 2;
+  pipelsm::Status parsed = pipelsm::ParseCompactionStyle(
+      compaction_style, &options.compaction_style);
+  if (parsed.ok()) {
+    parsed = pipelsm::ParseCompactionMode(compaction, &options.compaction_mode);
   }
-  if (compaction == "scp") {
-    options.compaction_mode = pipelsm::CompactionMode::kSCP;
-  } else if (compaction == "pcp") {
-    options.compaction_mode = pipelsm::CompactionMode::kPCP;
-  } else if (compaction == "sppcp") {
-    options.compaction_mode = pipelsm::CompactionMode::kSPPCP;
-  } else if (compaction == "cppcp") {
-    options.compaction_mode = pipelsm::CompactionMode::kCPPCP;
-  } else {
-    std::fprintf(stderr, "unknown --compaction=%s\n", compaction.c_str());
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
     return 2;
   }
 
