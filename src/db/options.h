@@ -95,7 +95,7 @@ struct Options {
   // -------- read path (docs/READ_PATH.md) --------
   // Shared cache of stored data blocks (compressed payload plus trailer,
   // decoded on each hit), filter partitions and value-log values.
-  // nullptr = the DB owns a lock-sharded LRU cache of block_cache_size
+  // nullptr = the DB owns a lock-sharded SIEVE cache of block_cache_size
   // bytes; ShardedDB injects one fleet-wide cache here for all member
   // shards.
   read::Cache* block_cache = nullptr;

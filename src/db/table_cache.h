@@ -1,6 +1,6 @@
 // TableCache: cache of open SSTable readers, keyed by file number.
 //
-// Backed by the same lock-sharded LRU store as the block cache
+// Backed by the same lock-sharded SIEVE store as the block cache
 // (src/read/cache.h), charged one unit per open table so capacity =
 // max_open_tables. Lookups on different files take different shard
 // mutexes; a returned shared_ptr pins the reader across eviction.

@@ -3,10 +3,17 @@
 // One abstraction backs both hot read-path caches: the block cache
 // (data blocks + filter partitions, charged by byte size) and the
 // table-cache store (open Table readers, charged one unit each). The
-// production implementation is a lock-sharded LRU — the key hashes to
-// one of a power-of-two set of shards, each with its own mutex, LRU
-// list, and capacity slice — so concurrent point reads on different
-// keys never serialize on a single cache mutex.
+// production implementation is lock-sharded — the key hashes to one of
+// a power-of-two set of shards, each with its own mutex, SIEVE queue
+// and capacity slice — so concurrent point reads on different keys
+// never serialize on a single cache mutex.
+//
+// Eviction is SIEVE (Zhang et al., NSDI '24): each shard keeps its
+// entries in insertion order, and a hit only sets the entry's visited
+// bit. A hand walks from the oldest entry toward the newest, clearing
+// visited bits, and evicts the first entry it finds unvisited. One-use
+// entries (a scan's blocks, a cold miss) leave before entries that
+// were hit again, and a hit never reorders the queue.
 //
 // Values are type-erased shared_ptrs: a Lookup hands out a reference
 // that pins the value for as long as the caller holds it, so eviction
@@ -35,15 +42,18 @@ class Cache {
  public:
   virtual ~Cache() = default;
 
-  // Returns the cached value for `key`, promoting it to MRU, or nullptr.
+  // Returns the cached value for `key`, marking it visited, or nullptr.
   virtual std::shared_ptr<void> Lookup(const Slice& key) = 0;
 
-  // Inserts (replacing any existing entry for `key`) and evicts LRU
-  // entries until usage fits capacity again. The just-inserted entry is
-  // never the eviction victim, so an over-capacity value still serves
-  // the caller that loaded it.
+  // Inserts (replacing any existing entry for `key`) and evicts
+  // unvisited entries until usage fits capacity again. The
+  // just-inserted entry is never the eviction victim, so an
+  // over-capacity value still serves the caller that loaded it.
+  // `referenced` enters the entry already visited, so it survives one
+  // pass of the hand: for a value written now that readers will want
+  // soon, which no read has touched yet.
   virtual void Insert(const Slice& key, std::shared_ptr<void> value,
-                      size_t charge) = 0;
+                      size_t charge, bool referenced = false) = 0;
 
   // Drops `key` if present. In-flight references stay valid.
   virtual void Erase(const Slice& key) = 0;
@@ -81,10 +91,12 @@ class Cache {
   }
 };
 
-// A lock-sharded LRU cache holding up to `capacity` total charge.
+// A lock-sharded SIEVE cache holding up to `capacity` total charge.
 // `num_shards` is rounded up to a power of two; 0 picks a default from
 // the hardware concurrency. `num_shards == 1` degenerates to a single
-// mutex — the bench baseline.
+// mutex — the bench baseline. The name is historical: the shards were
+// LRU lists before they were SIEVE queues, and the benchmark harness
+// still calls it by this name.
 std::unique_ptr<Cache> NewShardedLRUCache(size_t capacity,
                                           size_t num_shards = 0);
 

@@ -33,9 +33,9 @@ size_t DefaultShardCount() {
   return shards > 16 ? 16 : shards;
 }
 
-class ShardedLRUCache final : public Cache {
+class ShardedSieveCache final : public Cache {
  public:
-  ShardedLRUCache(size_t capacity, size_t num_shards)
+  ShardedSieveCache(size_t capacity, size_t num_shards)
       : capacity_(capacity),
         num_shards_(RoundUpToPowerOfTwo(
             num_shards == 0 ? DefaultShardCount() : num_shards)),
@@ -56,29 +56,27 @@ class ShardedLRUCache final : public Cache {
       miss_counter_->Add();
       return nullptr;
     }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    it->second->visited = true;
     hit_counter_->Add();
     return it->second->value;
   }
 
-  void Insert(const Slice& key, std::shared_ptr<void> value,
-              size_t charge) override {
+  void Insert(const Slice& key, std::shared_ptr<void> value, size_t charge,
+              bool referenced) override {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(KeyView(key));
-    if (it != shard.index.end()) {
-      AdjustUsage(shard, -static_cast<int64_t>(it->second->charge));
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
-    }
-    shard.lru.push_front(Entry{key.ToString(), std::move(value), charge});
-    shard.index[std::string_view(shard.lru.front().key)] = shard.lru.begin();
+    if (it != shard.index.end()) UnlinkLocked(shard, it->second);
+    shard.queue.push_front(
+        Entry{key.ToString(), std::move(value), charge, referenced});
+    const auto inserted = shard.queue.begin();
+    shard.index[std::string_view(inserted->key)] = inserted;
     AdjustUsage(shard, static_cast<int64_t>(charge));
-    // Evict from the cold end until this shard fits its capacity slice,
-    // but never the entry just inserted: an over-capacity value must
-    // still serve the caller that paid to load it.
-    while (shard.usage > shard.capacity && shard.lru.size() > 1) {
-      EvictLocked(shard, std::prev(shard.lru.end()));
+    // Evict until this shard fits its capacity slice, but never the
+    // entry just inserted: an over-capacity value must still serve the
+    // caller that paid to load it.
+    while (shard.usage > shard.capacity && shard.queue.size() > 1) {
+      EvictLocked(shard, inserted);
     }
   }
 
@@ -86,26 +84,21 @@ class ShardedLRUCache final : public Cache {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(KeyView(key));
-    if (it == shard.index.end()) return;
-    AdjustUsage(shard, -static_cast<int64_t>(it->second->charge));
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+    if (it != shard.index.end()) UnlinkLocked(shard, it->second);
   }
 
   size_t ErasePrefix(const Slice& prefix) override {
     size_t erased = 0;
     for (auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      for (auto it = shard.lru.begin(); it != shard.lru.end();) {
+      for (auto it = shard.queue.begin(); it != shard.queue.end();) {
+        const auto next = std::next(it);
         if (it->key.size() >= prefix.size() &&
             memcmp(it->key.data(), prefix.data(), prefix.size()) == 0) {
-          AdjustUsage(shard, -static_cast<int64_t>(it->charge));
-          shard.index.erase(std::string_view(it->key));
-          it = shard.lru.erase(it);
+          UnlinkLocked(shard, it);
           erased++;
-        } else {
-          ++it;
         }
+        it = next;
       }
     }
     return erased;
@@ -146,14 +139,20 @@ class ShardedLRUCache final : public Cache {
     std::string key;
     std::shared_ptr<void> value;
     size_t charge;
+    bool visited;  // set by a hit, cleared by the hand passing over
   };
+
+  using Queue = std::list<Entry>;
 
   struct Shard {
     std::mutex mu;
-    std::list<Entry> lru;  // front = MRU
+    Queue queue;  // insertion order: front = newest; never reordered
     // Views point into the owning Entry's key string; list nodes are
-    // stable so the views survive splices.
-    std::unordered_map<std::string_view, std::list<Entry>::iterator> index;
+    // stable so the views live as long as their entries.
+    std::unordered_map<std::string_view, Queue::iterator> index;
+    // The next eviction candidate. It walks from the back toward the
+    // front and wraps; queue.end() means "start again at the back".
+    Queue::iterator hand = queue.end();
     size_t usage = 0;   // guarded by mu
     size_t capacity = 0;
   };
@@ -173,10 +172,32 @@ class ShardedLRUCache final : public Cache {
     usage_gauge_->Add(delta);
   }
 
-  void EvictLocked(Shard& shard, std::list<Entry>::iterator victim) {
-    AdjustUsage(shard, -static_cast<int64_t>(victim->charge));
-    shard.index.erase(std::string_view(victim->key));
-    shard.lru.erase(victim);
+  // Drops `it` from the shard. A hand resting on it steps one entry
+  // toward the front first, so the hand never dangles.
+  void UnlinkLocked(Shard& shard, Queue::iterator it) {
+    if (shard.hand == it) {
+      shard.hand = it == shard.queue.begin() ? shard.queue.end()
+                                             : std::prev(it);
+    }
+    AdjustUsage(shard, -static_cast<int64_t>(it->charge));
+    shard.index.erase(std::string_view(it->key));
+    shard.queue.erase(it);
+  }
+
+  // SIEVE: the hand clears visited bits until it finds an unvisited
+  // entry, evicts that one and rests on its neighbour toward the front.
+  // `keep` is skipped with its bit intact. Needs queue.size() > 1; the
+  // walk ends within two passes, since the first clears every bit but
+  // keep's.
+  void EvictLocked(Shard& shard, Queue::iterator keep) {
+    Queue& queue = shard.queue;
+    auto it = shard.hand == queue.end() ? std::prev(queue.end()) : shard.hand;
+    while (it == keep || it->visited) {
+      if (it != keep) it->visited = false;
+      it = it == queue.begin() ? std::prev(queue.end()) : std::prev(it);
+    }
+    shard.hand = it;
+    UnlinkLocked(shard, it);
     eviction_counter_->Add();
   }
 
@@ -199,7 +220,7 @@ class ShardedLRUCache final : public Cache {
 
 std::unique_ptr<Cache> NewShardedLRUCache(size_t capacity,
                                           size_t num_shards) {
-  return std::make_unique<ShardedLRUCache>(capacity, num_shards);
+  return std::make_unique<ShardedSieveCache>(capacity, num_shards);
 }
 
 void BindBlockCacheMetrics(Cache* cache, obs::MetricsRegistry* registry) {

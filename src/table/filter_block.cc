@@ -104,8 +104,10 @@ bool FilterIndex::ParseTail(const Slice& tail, uint64_t block_size) {
   partitions_.clear();
   const size_t n = tail.size();
   if (n < kFilterTailBytes || n > block_size) return false;
-  base_lg_ = static_cast<unsigned char>(tail[n - 1]);
-  if (base_lg_ > 30) return false;
+  // The builder always writes kFilterBaseLg. Any other value would map
+  // block offsets to the wrong windows, whose intact filters would then
+  // reject keys of other blocks.
+  if (static_cast<unsigned char>(tail[n - 1]) != kFilterBaseLg) return false;
   const uint32_t num_partitions = DecodeFixed32(tail.data() + n - 5);
   const uint32_t index_offset = DecodeFixed32(tail.data() + n - 9);
   const uint64_t index_bytes =
@@ -120,6 +122,7 @@ bool FilterIndex::ParseTail(const Slice& tail, uint64_t block_size) {
   const char* p = tail.data() + (index_offset - tail_start);
   partitions_.reserve(num_partitions);
   uint64_t next_window = 0;
+  uint64_t next_offset = 0;
   for (uint32_t i = 0; i < num_partitions; i++) {
     FilterPartitionInfo info;
     info.first_window = DecodeFixed32(p);
@@ -127,18 +130,26 @@ bool FilterIndex::ParseTail(const Slice& tail, uint64_t block_size) {
     info.offset = DecodeFixed32(p + 8);
     info.size = DecodeFixed32(p + 12);
     p += kFilterIndexEntryBytes;
-    // Partitions must cover contiguous, ascending window ranges and lie
-    // before the index.
-    if (info.first_window != next_window || info.num_windows == 0) {
-      partitions_.clear();
-      return false;
-    }
-    if (static_cast<uint64_t>(info.offset) + info.size > index_offset) {
+    // Partitions cover contiguous, ascending window ranges, and tile the
+    // bytes before the index back to back, as the builder lays them
+    // out; each holds at least its offset array and CRC. The index has
+    // no checksum of its own, so a lying entry must fail here or fail
+    // its partition's CRC.
+    const uint64_t min_size =
+        (static_cast<uint64_t>(info.num_windows) + 1) * 4 + 4;
+    if (info.first_window != next_window || info.num_windows == 0 ||
+        info.offset != next_offset || info.size < min_size ||
+        info.size > index_offset - next_offset) {
       partitions_.clear();
       return false;
     }
     next_window = static_cast<uint64_t>(info.first_window) + info.num_windows;
+    next_offset += info.size;
     partitions_.push_back(info);
+  }
+  if (next_offset != index_offset) {
+    partitions_.clear();
+    return false;
   }
   valid_ = true;
   return true;
@@ -177,6 +188,13 @@ bool FilterPartitionKeyMayMatch(const FilterPolicy* policy,
   }
   const size_t array_start = partition.size() - offsets_and_crc;
   const char* offsets = partition.data() + array_start;
+  // The last offset is the end of the filter data, i.e. array_start. A
+  // window count that disagrees with the partition's own layout reads
+  // the array from the wrong place.
+  if (DecodeFixed32(offsets + static_cast<size_t>(num_windows) * 4) !=
+      array_start) {
+    return true;
+  }
   const uint32_t start = DecodeFixed32(offsets + window_in_partition * 4);
   const uint32_t limit = DecodeFixed32(offsets + window_in_partition * 4 + 4);
   if (start == limit) return false;  // Empty filters do not match any keys
@@ -204,7 +222,7 @@ FilterBlockReader::FilterBlockReader(const FilterPolicy* policy,
 
 bool FilterBlockReader::KeyMayMatch(uint64_t block_offset, const Slice& key) {
   if (!index_.valid()) return true;
-  const uint64_t window = block_offset >> index_.base_lg();
+  const uint64_t window = block_offset >> kFilterBaseLg;
   FilterPartitionInfo p;
   if (!index_.Lookup(window, &p)) {
     // Beyond the covered range: no filter was built for this offset.
@@ -213,8 +231,10 @@ bool FilterBlockReader::KeyMayMatch(uint64_t block_offset, const Slice& key) {
   if (static_cast<uint64_t>(p.offset) + p.size > contents_.size()) {
     return true;
   }
+  const Slice partition(contents_.data() + p.offset, p.size);
+  if (!FilterPartitionCrcOk(partition)) return true;
   return FilterPartitionKeyMayMatch(
-      policy_, Slice(contents_.data() + p.offset, p.size), p.num_windows,
+      policy_, partition, p.num_windows,
       static_cast<uint32_t>(window - p.first_window), key);
 }
 

@@ -7,7 +7,7 @@
 //   [top index: P x { first_window | num_windows | offset | size } (fixed32 each)]
 //   [offset of top index (fixed32)]
 //   [P (fixed32)]
-//   [lg(base) (1 byte)]
+//   [lg(base) (1 byte): always kFilterBaseLg; readers reject others]
 //
 // Each partition is self-contained:
 //
@@ -114,7 +114,6 @@ class FilterIndex {
   bool Lookup(uint64_t window, FilterPartitionInfo* out) const;
 
   bool valid() const { return valid_; }
-  size_t base_lg() const { return base_lg_; }
   size_t num_partitions() const { return partitions_.size(); }
   const FilterPartitionInfo& partition(size_t i) const {
     return partitions_[i];
@@ -122,7 +121,6 @@ class FilterIndex {
 
  private:
   std::vector<FilterPartitionInfo> partitions_;
-  size_t base_lg_ = 0;
   bool valid_ = false;
 };
 
@@ -139,8 +137,8 @@ bool FilterPartitionKeyMayMatch(const FilterPolicy* policy,
 bool FilterPartitionCrcOk(const Slice& partition);
 
 // Whole-block in-memory reader: parses the index once and probes
-// partitions in place. "contents" and *policy must stay live while
-// *this is in use.
+// partitions in place, checking each probed partition's CRC first.
+// "contents" and *policy must stay live while *this is in use.
 class FilterBlockReader {
  public:
   FilterBlockReader(const FilterPolicy* policy, const Slice& contents);

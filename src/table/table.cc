@@ -165,7 +165,8 @@ Status Table::ReadFilter(const Slice& filter_handle_value) {
            ->Read(filter_handle.offset() + block_size - kTailBytes -
                       index_bytes,
                   index_bytes + kTailBytes, &index_region, index_buf.data())
-           .ok()) {
+           .ok() ||
+      index_region.size() != index_bytes + kTailBytes) {
     return Status::OK();
   }
   if (rep_->filter_index.ParseTail(index_region, block_size)) {
@@ -183,7 +184,7 @@ Status Table::ReadFilter(const Slice& filter_handle_value) {
 bool Table::FilterKeyMayMatch(const TableReadOptions& read_options,
                               uint64_t block_offset, const Slice& key) const {
   if (!rep_->has_filter) return true;
-  const uint64_t window = block_offset >> rep_->filter_index.base_lg();
+  const uint64_t window = block_offset >> kFilterBaseLg;
   FilterPartitionInfo part;
   if (!rep_->filter_index.Lookup(window, &part)) return true;
 

@@ -34,7 +34,7 @@ constexpr size_t kCacheKeySize = 24;
 constexpr size_t kSegmentPrefixSize = 16;
 
 // What one cache entry costs beyond its value bytes: the key and its heap
-// copy, the LRU and index nodes, the shared_ptr control block and the
+// copy, the queue and index nodes, the shared_ptr control block and the
 // length prefix, with allocator headers (about 200 bytes, rounded up).
 constexpr size_t kCacheEntryOverhead = 256;
 
@@ -48,8 +48,10 @@ void EncodeCacheKey(uint64_t cache_id, uint64_t segment, uint64_t offset,
 // A cached value is one allocation: fixed32 length, then the bytes. A
 // value larger than one shard's capacity slice is not cached: the cache
 // never evicts the entry it just inserted, so it would empty that whole
-// shard of blocks and stay there.
-void InsertValue(read::Cache* cache, const char* key, const Slice& value) {
+// shard of blocks and stay there. `referenced` is the cache's hint for a
+// frame just written: readers of a fresh value tend to come soon.
+void InsertValue(read::Cache* cache, const char* key, const Slice& value,
+                 bool referenced) {
   if (value.size() + kCacheEntryOverhead >
       cache->capacity() / cache->num_shards()) {
     return;
@@ -58,7 +60,7 @@ void InsertValue(read::Cache* cache, const char* key, const Slice& value) {
   EncodeFixed32(entry.get(), static_cast<uint32_t>(value.size()));
   memcpy(entry.get() + 4, value.data(), value.size());
   cache->Insert(Slice(key, kCacheKeySize), std::move(entry),
-                value.size() + kCacheEntryOverhead);
+                value.size() + kCacheEntryOverhead, referenced);
 }
 
 Slice CachedValue(const std::shared_ptr<void>& entry) {
@@ -443,7 +445,7 @@ void VlogManager::CacheValue(const ValueLocation& loc, const Slice& value) {
   }
   char key[kCacheKeySize];
   EncodeCacheKey(cache_id_, loc.segment, loc.offset, key);
-  InsertValue(opts_.cache, key, value);
+  InsertValue(opts_.cache, key, value, /*referenced=*/true);
 }
 
 Status VlogManager::Read(const ValueLocation& loc, std::string* value,
@@ -502,7 +504,7 @@ Status VlogManager::Read(const ValueLocation& loc, std::string* value,
   if (!s.ok()) return fail(s);
   value->assign(val.data(), val.size());
   if (opts_.cache != nullptr && fill_cache) {
-    InsertValue(opts_.cache, cache_key, val);
+    InsertValue(opts_.cache, cache_key, val, /*referenced=*/false);
   }
   if (resolves_counter_ != nullptr) resolves_counter_->Add(1);
   return Status::OK();

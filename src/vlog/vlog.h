@@ -150,7 +150,9 @@ class VlogManager {
   void ReleaseAppends(const std::vector<uint64_t>& segments);
 
   // Cache a value the write path just appended at `loc`, once any pointer
-  // has been resolved. Call outside any lock; a no-op without a cache.
+  // has been resolved. It enters the cache as referenced, so it outlives
+  // one pass of the eviction hand. Call outside any lock; a no-op
+  // without a cache.
   void CacheValue(const ValueLocation& loc, const Slice& value);
 
   // Resolve a pointer: bound-check it against its segment, then serve

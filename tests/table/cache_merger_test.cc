@@ -24,7 +24,7 @@ std::shared_ptr<Block> MakeBlock(const std::map<std::string, std::string>& kv) {
   return std::make_shared<Block>(contents);
 }
 
-// Single-shard instances give deterministic global LRU order; the
+// Single-shard instances give a deterministic global eviction order; the
 // sharded behavior is covered by tests/read/sharded_cache_test.cc.
 TEST(BlockCache, InsertLookup) {
   auto cache = read::NewShardedLRUCache(1 << 20, 1);
@@ -41,7 +41,7 @@ TEST(BlockCache, EvictsLruWhenFull) {
   cache->Insert("a", MakeBlock({{"a", "1"}}), 100);
   cache->Insert("b", MakeBlock({{"b", "1"}}), 100);
   cache->Insert("c", MakeBlock({{"c", "1"}}), 100);
-  // Touch "a" so "b" is LRU.
+  // Touch "a" so "b" is the oldest unvisited entry.
   EXPECT_NE(nullptr, cache->Lookup("a").get());
   cache->Insert("d", MakeBlock({{"d", "1"}}), 100);
   EXPECT_EQ(nullptr, cache->Lookup("b").get());  // evicted

@@ -11,6 +11,7 @@
 #include "src/table/filter_policy.h"
 #include "src/table/format.h"
 #include "src/table/table_builder.h"
+#include "src/util/coding.h"
 #include "src/util/random.h"
 
 namespace pipelsm {
@@ -388,17 +389,22 @@ TEST(Table, UncompressedBlockPinsItsCacheEntry) {
 // can make a handle lie. Each lie must be Corruption from Table::Open,
 // found before any buffer is sized from it. ----
 
-// Writes `bytes` as a table file and opens it.
-Status OpenBytes(SimEnv* env, const std::string& bytes,
-                 const TableOptions& opt) {
+// Writes `bytes` as a table file and opens it into *table.
+Status OpenTable(SimEnv* env, const std::string& bytes,
+                 const TableOptions& opt, std::unique_ptr<Table>* table) {
   const std::string fname = "/hostile.pst";
   Status s = WriteStringToFile(env, bytes, fname);
   if (!s.ok()) return s;
   std::unique_ptr<RandomAccessFile> raf;
   s = env->NewRandomAccessFile(fname, &raf);
   if (!s.ok()) return s;
+  return Table::Open(opt, std::move(raf), bytes.size(), table);
+}
+
+Status OpenBytes(SimEnv* env, const std::string& bytes,
+                 const TableOptions& opt) {
   std::unique_ptr<Table> table;
-  return Table::Open(opt, std::move(raf), bytes.size(), &table);
+  return OpenTable(env, bytes, opt, &table);
 }
 
 Footer DecodeFooter(const std::string& file) {
@@ -462,6 +468,53 @@ TEST(Table, HostileFooterHandlesAreCorruption) {
   }
 }
 
+// The filter handle in the metaindex of the table file `fname`.
+BlockHandle FilterHandle(SimEnv* env, const std::string& fname,
+                         const Footer& footer) {
+  BlockHandle handle;
+  std::unique_ptr<RandomAccessFile> raf;
+  EXPECT_TRUE(env->NewRandomAccessFile(fname, &raf).ok());
+  BlockContents contents;
+  EXPECT_TRUE(ReadBlock(raf.get(), footer.metaindex_handle(), &contents).ok());
+  Block meta(contents);
+  std::unique_ptr<Iterator> it(meta.NewIterator(BytewiseComparator()));
+  it->SeekToFirst();
+  EXPECT_TRUE(it->Valid());
+  if (!it->Valid()) return handle;
+  Slice v = it->value();
+  EXPECT_TRUE(handle.DecodeFrom(&v).ok());
+  return handle;
+}
+
+// Rebuilds `file` (whose footer is `good`) with a metaindex (valid CRC)
+// whose filter handle is `filter`, followed by the original index block
+// and a new footer.
+std::string WithFilterHandle(const std::string& file, const Footer& good,
+                             const FilterPolicy& policy,
+                             const BlockHandle& filter) {
+  const BlockHandle index = good.index_handle();
+  std::string encoding;
+  filter.EncodeTo(&encoding);
+  BlockBuilder meta(16);
+  meta.Add(std::string("filter.") + policy.Name(), encoding);
+  std::string meta_block = meta.Finish().ToString();
+  AppendBlockTrailer(CompressionType::kNoCompression, &meta_block);
+
+  std::string bytes = file.substr(0, good.metaindex_handle().offset());
+  BlockHandle meta_handle, index_handle;
+  meta_handle.set_offset(bytes.size());
+  meta_handle.set_size(meta_block.size() - kBlockTrailerSize);
+  bytes += meta_block;
+  index_handle.set_offset(bytes.size());
+  index_handle.set_size(index.size());
+  bytes.append(file, index.offset(), index.size() + kBlockTrailerSize);
+  Footer footer;
+  footer.set_metaindex_handle(meta_handle);
+  footer.set_index_handle(index_handle);
+  footer.EncodeTo(&bytes);
+  return bytes;
+}
+
 TEST(Table, HostileFilterHandleIsCorruption) {
   TableFixture f;
   std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
@@ -471,48 +524,13 @@ TEST(Table, HostileFilterHandleIsCorruption) {
   std::string file;
   ASSERT_TRUE(ReadFileToString(&f.env, f.fname, &file).ok());
   const Footer good = DecodeFooter(file);
-  const BlockHandle index = good.index_handle();
-
-  // Rebuilds the file with a metaindex (valid CRC) whose filter handle
-  // is `filter`, followed by the original index block and a new footer.
   auto with_filter_handle = [&](const BlockHandle& filter) {
-    std::string encoding;
-    filter.EncodeTo(&encoding);
-    BlockBuilder meta(16);
-    meta.Add(std::string("filter.") + policy->Name(), encoding);
-    std::string meta_block = meta.Finish().ToString();
-    AppendBlockTrailer(CompressionType::kNoCompression, &meta_block);
-
-    std::string bytes = file.substr(0, good.metaindex_handle().offset());
-    BlockHandle meta_handle, index_handle;
-    meta_handle.set_offset(bytes.size());
-    meta_handle.set_size(meta_block.size() - kBlockTrailerSize);
-    bytes += meta_block;
-    index_handle.set_offset(bytes.size());
-    index_handle.set_size(index.size());
-    bytes.append(file, index.offset(), index.size() + kBlockTrailerSize);
-    Footer footer;
-    footer.set_metaindex_handle(meta_handle);
-    footer.set_index_handle(index_handle);
-    footer.EncodeTo(&bytes);
-    return bytes;
+    return WithFilterHandle(file, good, *policy, filter);
   };
 
   // The rebuild itself is sound: the real filter handle opens.
-  {
-    std::unique_ptr<RandomAccessFile> raf;
-    ASSERT_TRUE(f.env.NewRandomAccessFile(f.fname, &raf).ok());
-    BlockContents contents;
-    ASSERT_TRUE(ReadBlock(raf.get(), good.metaindex_handle(), &contents).ok());
-    Block meta(contents);
-    std::unique_ptr<Iterator> it(meta.NewIterator(BytewiseComparator()));
-    it->SeekToFirst();
-    ASSERT_TRUE(it->Valid());
-    Slice v = it->value();
-    BlockHandle real;
-    ASSERT_TRUE(real.DecodeFrom(&v).ok());
-    ASSERT_TRUE(OpenBytes(&f.env, with_filter_handle(real), opt).ok());
-  }
+  const BlockHandle real = FilterHandle(&f.env, f.fname, good);
+  ASSERT_TRUE(OpenBytes(&f.env, with_filter_handle(real), opt).ok());
 
   Random rnd(1402);
   for (int i = 0; i < 30; i++) {
@@ -521,6 +539,91 @@ TEST(Table, HostileFilterHandleIsCorruption) {
     EXPECT_TRUE(s.IsCorruption()) << "offset=" << bad.offset()
                                   << " size=" << bad.size() << ": "
                                   << s.ToString();
+  }
+}
+
+// ---- hostile filter block contents: Table::ReadFilter reads only the
+// tail words and the top index, and each probe loads one partition, so
+// no trailer CRC covers what they decode. Damage there must leave the
+// table without a filter or make a probe answer may-match: every key
+// stays readable. ----
+TEST(Table, HostileFilterBlockNeverHidesAKey) {
+  TableFixture f;
+  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
+  TableOptions opt;
+  opt.filter_policy = policy.get();
+  // Uncompressed 2 KiB blocks give one block per filter window, so each
+  // window has a selective filter rather than a shared match-all one.
+  opt.block_size = 2048;
+  opt.compression = CompressionType::kNoCompression;
+  opt.filter_partition_bytes = 64;  // many partitions
+  const std::map<std::string, std::string> kv = MakeKv(1500);
+  ASSERT_TRUE(f.Build(kv, opt).ok());
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(&f.env, f.fname, &file).ok());
+  const Footer good = DecodeFooter(file);
+  const BlockHandle filter = FilterHandle(&f.env, f.fname, good);
+  ASSERT_GT(filter.size(), 64u * 4);
+  const uint64_t num_partitions =
+      DecodeFixed32(file.data() + filter.offset() + filter.size() - 5);
+  ASSERT_GT(num_partitions, 4u);
+  const uint64_t index_bytes = num_partitions * 16 + 9;
+
+  // Opens `bytes` with and without a block cache (the cached and the
+  // pinned partition paths) and reads every fifth key back.
+  auto expect_every_key = [&](const std::string& bytes,
+                              const std::string& what) {
+    for (bool cached : {false, true}) {
+      std::unique_ptr<read::Cache> cache = read::NewShardedLRUCache(1 << 20, 1);
+      TableOptions o = opt;
+      if (cached) o.block_cache = cache.get();
+      std::unique_ptr<Table> table;
+      const Status s = OpenTable(&f.env, bytes, o, &table);
+      ASSERT_TRUE(s.ok()) << what << ": " << s.ToString();
+      int i = 0;
+      for (const auto& [k, v] : kv) {
+        if (i++ % 5 != 0) continue;
+        bool found = false;
+        ASSERT_TRUE(table
+                        ->InternalGet({}, k,
+                                      [&](const Slice& fk, const Slice&) {
+                                        found = found || fk == Slice(k);
+                                      })
+                        .ok())
+            << what;
+        ASSERT_TRUE(found) << what << " cached=" << cached << " " << k;
+      }
+    }
+  };
+
+  expect_every_key(file, "intact");
+  Random rnd(3702);
+  for (int i = 0; i < 400 && !testing::Test::HasFatalFailure(); i++) {
+    // Half the flips land in the top index and tail words.
+    const uint64_t lo = i % 2 == 0 ? filter.size() - index_bytes : 0;
+    const uint64_t pos = filter.offset() + lo +
+                         rnd.Uniform(static_cast<int>(filter.size() - lo));
+    std::string bytes = file;
+    bytes[pos] ^= static_cast<char>(1 << rnd.Uniform(8));
+    expect_every_key(bytes, "flip@" + std::to_string(pos));
+  }
+  // A filter handle that claims fewer bytes makes ReadFilter's tail read
+  // land early (the block is cut at its end) or lie about every offset
+  // (the block starts late).
+  for (uint64_t d : {uint64_t{1}, uint64_t{4}, uint64_t{5}, uint64_t{9},
+                     uint64_t{16}, uint64_t{17}, index_bytes - 1, index_bytes,
+                     index_bytes + 1, filter.size() / 2, filter.size() - 9,
+                     filter.size() - 1}) {
+    if (testing::Test::HasFatalFailure()) break;
+    BlockHandle cut = filter;
+    cut.set_size(filter.size() - d);
+    expect_every_key(WithFilterHandle(file, good, *policy, cut),
+                     "cut " + std::to_string(d));
+    BlockHandle late = filter;
+    late.set_offset(filter.offset() + d);
+    late.set_size(filter.size() - d);
+    expect_every_key(WithFilterHandle(file, good, *policy, late),
+                     "late " + std::to_string(d));
   }
 }
 

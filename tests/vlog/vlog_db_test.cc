@@ -48,13 +48,13 @@ class FrameRecordingCache final : public read::Cache {
     if (value != nullptr && key.size() == kFrameKeySize) frame_hits_++;
     return value;
   }
-  void Insert(const Slice& key, std::shared_ptr<void> value,
-              size_t charge) override {
+  void Insert(const Slice& key, std::shared_ptr<void> value, size_t charge,
+              bool referenced) override {
     if (key.size() == kFrameKeySize) {
       std::lock_guard<std::mutex> lock(mu_);
       frame_keys_.push_back(key.ToString());
     }
-    base_->Insert(key, std::move(value), charge);
+    base_->Insert(key, std::move(value), charge, referenced);
   }
   void Erase(const Slice& key) override { base_->Erase(key); }
   size_t ErasePrefix(const Slice& prefix) override {
