@@ -6,12 +6,15 @@
 // Phase 2 starts a Server on an ephemeral loopback port and drives the
 // same number of PUTs through the pipelined client: --connections pooled
 // sockets shared by --threads driver threads, each keeping --window
-// async requests in flight. Group commit folds the concurrent PUTs into
-// leader batches, so the server amortizes WAL work the in-process
-// single-writer loop cannot — that, plus pipelining, is what keeps the
-// served number close to the in-process one despite the framing + TCP
+// async requests in flight. The server's writing worker turns each
+// connection's queued PUTs into one batch and hands every waiting
+// connection's batch to one DB::WriteMany, which the engine's writer
+// queue folds into one WAL record, so with --sync the server amortizes
+// the WAL sync the in-process single-writer loop pays per PUT; that and
+// pipelining are what the served side has against the framing + TCP
 // tax. A final report prints both rates, the served/in-process ratio,
-// and the group-commit batch-size histogram.
+// and the histogram of writes (connection batches) per WAL record
+// (db.write_group_size).
 //
 // Flags:
 //   --num=N          PUTs per phase (default 200000)
@@ -31,12 +34,13 @@
 //   --cache_shards=N block cache lock shards (0 = auto; 1 = the
 //                    single-mutex baseline for the read-scaling gate)
 //   --bloom_bits_per_key=N  bloom filters for served Gets (default 0)
-//   --sync           sync WAL on every group commit (default off, to
+//   --sync           sync the WAL for every write group (default off, to
 //                    match the in-process fillrandom baseline)
 //   --shards=N       serve a ShardedDB of N key-range shards (default 1;
 //                    boundaries split the bench's decimal keyspace
-//                    evenly, the client rides shard affinity, and the
-//                    server runs one group-commit thread per shard)
+//                    evenly, and the client rides shard affinity, so
+//                    each shard's writer queue fills from its own
+//                    sockets)
 //   --no_arbiter     disable the fleet CompactionArbiter (free-for-all
 //                    baseline for the EXPERIMENTS.md comparison)
 //   --compute_workers=N  compute workers the arbiter rations among the
@@ -92,7 +96,6 @@ struct Flags {
   int read_ratio = 0;
   bool sync = false;
   uint32_t seed = 301;
-  size_t group_max = 1024;
   int io_threads = 0;  // 0 = auto: one per shard (min 1)
   size_t shards = 1;
   bool arbiter = true;
@@ -329,12 +332,6 @@ ServedStats ServedFill(const Flags& flags, const std::string& path) {
   sopts.port = 0;  // ephemeral
   sopts.sync_writes = flags.sync;
   sopts.stall_gate = flags.shards <= 1 ? &gate : nullptr;
-  // Throughput-tuned: deep leader batches amortize both the DB write and
-  // the per-connection reply send (more frames coalesced per send()).
-  // --group_max bounds the batch; with --sync that makes the WAL fsync
-  // cadence the bottleneck, which is the regime where per-shard commit
-  // threads (N parallel fsync streams) show their scaling.
-  sopts.group_commit_max_requests = flags.group_max;
   sopts.request_queue_depth = 4096;
   sopts.num_io_threads = flags.io_threads > 0
                              ? flags.io_threads
@@ -355,7 +352,7 @@ ServedStats ServedFill(const Flags& flags, const std::string& path) {
   copts.connection_stride = 16;
   copts.pipeline_buffer_bytes = 16 * 1024;
   // Keyed requests stick to their shard's connection group, so each
-  // commit thread's group-commit window fills from dedicated sockets.
+  // shard's writer queue fills from dedicated sockets.
   copts.shard_affinity_boundaries = boundaries;
   client::Client cli(copts);
 
@@ -397,16 +394,19 @@ ServedStats ServedFill(const Flags& flags, const std::string& path) {
     std::exit(1);
   }
 
-  // Pull the group-commit histogram straight from the server's registry
-  // (also visible via GetProperty("pipelsm.metrics") since the server
-  // registers into the DB's registry).
-  const obs::HistogramMetric* h = srv.metrics_registry()->RegisterHistogram(
-      "server.group_commit.batch_size", "");
-  const Histogram snap = h->Snapshot();
+  // Writes per group, from the engines' writer queues (merged over the
+  // shards of a fleet).
+  Histogram snap;
+  const size_t engines = sharded != nullptr ? sharded->num_shards() : 1;
+  for (size_t i = 0; i < engines; i++) {
+    DB* engine = sharded != nullptr ? sharded->shard(i) : db.get();
+    snap.Merge(engine->MetricsHandle()
+                   ->RegisterHistogram("db.write_group_size", "")
+                   ->Snapshot());
+  }
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "group-commit batch size: count=%llu avg=%.1f p95=%.0f "
-                "max=%.0f",
+                "write group size: count=%llu avg=%.1f p95=%.0f max=%.0f",
                 static_cast<unsigned long long>(snap.Num()), snap.Average(),
                 snap.Percentile(95), snap.Max());
 
@@ -462,7 +462,6 @@ int main(int argc, char** argv) {
         pipelsm::ParseNumFlag(argv[i], "seed", &flags.seed) ||
         pipelsm::ParseNumFlag(argv[i], "shards", &flags.shards) ||
         pipelsm::ParseNumFlag(argv[i], "io_threads", &flags.io_threads) ||
-        pipelsm::ParseNumFlag(argv[i], "group_max", &flags.group_max) ||
         pipelsm::ParseNumFlag(argv[i], "stripes", &flags.stripes) ||
         pipelsm::ParseNumFlag(argv[i], "compute_workers",
                               &flags.compute_workers) ||

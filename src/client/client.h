@@ -61,9 +61,9 @@ struct ClientOptions {
   // server's boundary keys, sorted ascending. When non-empty, the pool
   // is partitioned into boundaries.size() + 1 groups (connection i
   // serves shard i % groups) and every KEYED request (put/delete/get)
-  // rides a connection of its key's group — so each server commit
-  // thread's group-commit window fills from dedicated sockets instead
-  // of interleaving all shards over all sockets. Keyless requests
+  // rides a connection of its key's group — so each shard's writes
+  // arrive on dedicated sockets instead of interleaving all shards over
+  // all sockets. Keyless requests
   // (ping/scan/stats/batch) still round-robin over the whole pool.
   // Size num_connections as a multiple of the shard count.
   std::vector<std::string> shard_affinity_boundaries;
@@ -130,6 +130,10 @@ class Client {
                                             uint32_t limit);
 
   // ---- async API ----
+  // The server commits one connection's writes in the order it reads
+  // them. Consecutive calls may ride different pooled connections, so
+  // two async writes to one key are ordered only with num_connections =
+  // 1 (or by waiting for the first reply).
   std::future<Result> AsyncPing();
   std::future<Result> AsyncPut(const Slice& key, const Slice& value);
   std::future<Result> AsyncDelete(const Slice& key);

@@ -77,6 +77,15 @@ class DB {
                      const Slice& value) = 0;
   virtual Status Delete(const WriteOptions& options, const Slice& key) = 0;
   virtual Status Write(const WriteOptions& options, WriteBatch* updates) = 0;
+  // Applies batches[0..n) as n writes, in that order, and stores the
+  // status of write i in statuses[i]. The writes join the writer queue
+  // together, so they fold with each other and with concurrent writers
+  // into as few WAL records (and, with options.sync, WAL syncs) as group
+  // commit allows. Each batch is atomic; the n writes are not atomic as a
+  // whole.
+  virtual void WriteMany(const WriteOptions& options,
+                         WriteBatch* const* batches, size_t n,
+                         Status* statuses) = 0;
 
   // If the database contains an entry for "key" store the corresponding
   // value in *value and return OK. Returns NotFound if absent.

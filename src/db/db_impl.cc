@@ -252,6 +252,10 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       "db.get_micros", "foreground Get latency");
   write_micros_hist_ = metrics_registry_.RegisterHistogram(
       "db.write_micros", "foreground Write latency incl. queueing/stalls");
+  write_group_size_hist_ = metrics_registry_.RegisterHistogram(
+      "db.write_group_size", "writes folded into one WAL record");
+  write_queue_depth_gauge_ = metrics_registry_.RegisterGauge(
+      "db.write_queue_depth", "writers queued, the leader included");
   stall_state_gauge_ = metrics_registry_.RegisterGauge(
       "db.write_stall_state", "0 normal, 1 delayed (L0 slowdown), 2 stopped");
 
@@ -1222,38 +1226,59 @@ Status DBImpl::Delete(const WriteOptions& o, const Slice& key) {
 }
 
 Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
+  Status s;
+  WriteMany(options, &updates, 1, &s);
+  return s;
+}
+
+void DBImpl::WriteMany(const WriteOptions& options, WriteBatch* const* batches,
+                       size_t n, Status* statuses) {
+  if (n == 0) return;
   Stopwatch op_sw;
-  Writer w;
-  w.batch = updates;
-  w.sync = options.sync;
+  Writer one;
+  std::unique_ptr<Writer[]> many;
+  Writer* ws = &one;
+  if (n > 1) {
+    many = std::make_unique<Writer[]>(n);
+    ws = many.get();
+  }
 
   std::unique_lock<std::mutex> lock(mutex_);
-  writers_.push_back(&w);
-  while (!w.done && &w != writers_.front()) {
-    w.cv.wait(lock);
+  for (size_t i = 0; i < n; i++) {
+    ws[i].batch = batches[i];
+    ws[i].sync = options.sync;
+    writers_.push_back(&ws[i]);
   }
-  if (w.done) {
-    lock.unlock();
-    write_micros_hist_->Observe(op_sw.ElapsedNanos() / 1e3);
-    return w.status;
-  }
+  write_queue_depth_gauge_->Set(static_cast<int64_t>(writers_.size()));
+  // Each of our writers rides a group another leader commits or, once it
+  // heads the queue, leads one (which folds our later writers too).
+  for (size_t i = 0; i < n; i++) {
+    Writer& w = ws[i];
+    while (!w.done && &w != writers_.front()) {
+      w.cv.wait(lock);
+    }
+    if (w.done) continue;
 
-  // We are the leader now.
-  Status status = MakeRoomForWrite(lock, updates == nullptr);
-  Writer* last_writer = &w;
-  if (status.ok() && updates != nullptr) {
-    // Fold the followers queued behind us into one group.
-    WriteBatch* write_batch = BuildBatchGroup(&last_writer);
-    WriteBatchInternal::SetSequence(write_batch,
-                                    versions_->LastSequence() + 1);
-    status = CommitBatch(lock, write_batch, options.sync);
-    if (write_batch == &tmp_batch_) tmp_batch_.Clear();
+    // We are the leader now.
+    Status status = MakeRoomForWrite(lock, w.batch == nullptr);
+    Writer* last_writer = &w;
+    size_t group_size = 0;
+    if (status.ok() && w.batch != nullptr) {
+      // Fold the followers queued behind us into one group.
+      WriteBatch* write_batch = BuildBatchGroup(&last_writer, &group_size);
+      WriteBatchInternal::SetSequence(write_batch,
+                                      versions_->LastSequence() + 1);
+      status = CommitBatch(lock, write_batch, options.sync);
+      if (write_batch == &tmp_batch_) tmp_batch_.Clear();
+    }
+    ReleaseWriteLeadership(last_writer, status);
+    if (group_size > 0) {
+      write_group_size_hist_->Observe(static_cast<double>(group_size));
+    }
   }
-  ReleaseWriteLeadership(last_writer, status);
-
   lock.unlock();
+  for (size_t i = 0; i < n; i++) statuses[i] = ws[i].status;
   write_micros_hist_->Observe(op_sw.ElapsedNanos() / 1e3);
-  return status;
 }
 
 void DBImpl::AcquireWriteLeadership(Writer* w,
@@ -1264,6 +1289,7 @@ void DBImpl::AcquireWriteLeadership(Writer* w,
   for (;;) {
     w->done = false;
     writers_.push_back(w);
+    write_queue_depth_gauge_->Set(static_cast<int64_t>(writers_.size()));
     while (!w->done && w != writers_.front()) {
       w->cv.wait(lock);
     }
@@ -1280,12 +1306,14 @@ void DBImpl::ReleaseWriteLeadership(Writer* last, const Status& status) {
     ready->done = true;
     ready->cv.notify_one();
   } while (ready != last);
+  write_queue_depth_gauge_->Set(static_cast<int64_t>(writers_.size()));
   if (!writers_.empty()) writers_.front()->cv.notify_one();
 }
 
 // REQUIRES: mutex held; writers_ non-empty; first writer has a non-null
 // batch.
-WriteBatch* DBImpl::BuildBatchGroup(Writer** last_writer) {
+WriteBatch* DBImpl::BuildBatchGroup(Writer** last_writer,
+                                    size_t* group_size) {
   assert(!writers_.empty());
   Writer* first = writers_.front();
   WriteBatch* result = first->batch;
@@ -1302,6 +1330,7 @@ WriteBatch* DBImpl::BuildBatchGroup(Writer** last_writer) {
   }
 
   *last_writer = first;
+  *group_size = 1;
   auto iter = writers_.begin();
   ++iter;  // Advance past "first"
   for (; iter != writers_.end(); ++iter) {
@@ -1327,6 +1356,7 @@ WriteBatch* DBImpl::BuildBatchGroup(Writer** last_writer) {
         WriteBatchInternal::Append(result, first->batch);
       }
       WriteBatchInternal::Append(result, w->batch);
+      ++*group_size;
     }
     *last_writer = w;
   }

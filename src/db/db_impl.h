@@ -63,6 +63,8 @@ class DBImpl final : public DB {
              const Slice& value) override;
   Status Delete(const WriteOptions&, const Slice& key) override;
   Status Write(const WriteOptions& options, WriteBatch* updates) override;
+  void WriteMany(const WriteOptions& options, WriteBatch* const* batches,
+                 size_t n, Status* statuses) override;
   Status Get(const ReadOptions& options, const Slice& key,
              std::string* value) override;
   Iterator* NewIterator(const ReadOptions&) override;
@@ -192,7 +194,9 @@ class DBImpl final : public DB {
       /* REQUIRES: holding mutex_ */;
 
   // REQUIRES: mutex held, writers_ non-empty, first writer not done.
-  WriteBatch* BuildBatchGroup(Writer** last_writer);
+  // Sets *group_size to the number of writes (Write calls, WriteMany
+  // batches) folded into the group.
+  WriteBatch* BuildBatchGroup(Writer** last_writer, size_t* group_size);
 
   // The leader's commit step, shared by Write and WriteAsLeader. `batch`
   // already carries its sequence. With mutex_ released, separates its
@@ -348,6 +352,8 @@ class DBImpl final : public DB {
   obs::Counter* subcompaction_runs_counter_ = nullptr;  // sub-jobs run
   obs::HistogramMetric* get_micros_hist_ = nullptr;
   obs::HistogramMetric* write_micros_hist_ = nullptr;
+  obs::HistogramMetric* write_group_size_hist_ = nullptr;  // per group
+  obs::Gauge* write_queue_depth_gauge_ = nullptr;  // writers_.size()
   obs::Gauge* stall_state_gauge_ = nullptr;  // 0 normal / 1 delayed / 2 stopped
 
   // Info log: Options::info_log, or a LOG file the DB creates in its own

@@ -33,7 +33,7 @@
 
 namespace pipelsm::obs {
 
-// "server.group_commit.commits" -> "pipelsm_server_group_commit_commits".
+// "db.write_group_size" -> "pipelsm_db_write_group_size".
 // Any byte outside [a-zA-Z0-9_:] becomes '_'; a leading digit gets a '_'
 // prefix. Names are already prefixed "pipelsm_" by the exposition.
 std::string PrometheusMetricName(const std::string& dotted);

@@ -8,11 +8,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <unordered_map>
 
+#include "src/db/write_batch.h"
 #include "src/obs/advisor.h"
 #include "src/obs/prometheus.h"
 #include "src/server/http.h"
@@ -31,23 +33,40 @@ Status Errno(const std::string& context) {
 
 size_t TypeIndex(MessageType type) { return static_cast<size_t>(type); }
 
+bool IsWrite(MessageType type) {
+  return type == MessageType::kPut || type == MessageType::kDelete ||
+         type == MessageType::kWriteBatch;
+}
+
 // Reads pause on a connection holding this many unanswered requests, or
 // whose pending response bytes exceed kMaxOutboxBytes.
 constexpr size_t kMaxInflightPerConn = 128;
 constexpr size_t kMaxOutboxBytes = 8 * 1024 * 1024;
-
-// A group-commit batch closes at this many batch bytes (or at
-// group_commit_max_requests requests).
-constexpr size_t kGroupCommitMaxBytes = 1 * 1024 * 1024;
 
 // How long Drain() waits for outboxes to reach the wire.
 constexpr uint64_t kDrainFlushTimeoutNanos = 5ull * 1000 * 1000 * 1000;
 
 }  // namespace
 
+// One dispatched request. Writes wait in their connection's lane
+// (Conn::writes) with `conn` empty, since the Conn owns them; a write
+// type in the request queue carries nothing and wakes a writing worker.
+struct Server::Request {
+  std::shared_ptr<Conn> conn;
+  MessageType type = MessageType::kPing;
+  uint64_t seq = 0;
+  std::string body;
+  Stopwatch queued;  // starts at dispatch; latency includes queue wait
+  ReqTiming timing;
+  // Writes only: a parse error (answered instead of the commit status),
+  // and the one shard the write touched (-1 unsharded or for several).
+  Status error;
+  int shard = -1;
+};
+
 // One accepted connection. The owning I/O loop is the only thread that
-// reads the socket and the only one that closes the fd; response writers
-// (workers, the commit thread) share the fd for send() under mu.
+// reads the socket and the only one that closes the fd; the workers
+// share the fd for send() under mu.
 struct Server::Conn {
   uint64_t id = 0;
   size_t loop_index = 0;
@@ -72,6 +91,14 @@ struct Server::Conn {
   bool error = false;  // response write failed; owner loop must close
   bool closed = false;
   bool close_after_flush = false;  // admin: reply queued, close on drain
+
+  // Write lane: the connection's writes not yet taken by the writing
+  // worker, in arrival order. `writes_scheduled` is true from the moment
+  // a write finds the lane idle until the writing worker finds it empty
+  // again; meanwhile the lane waits in write_lanes_ or is being committed,
+  // never both.
+  std::vector<Request> writes;
+  bool writes_scheduled = false;
 };
 
 struct Server::IoLoop {
@@ -84,48 +111,6 @@ struct Server::IoLoop {
   std::mutex mu;  // guards conns + incoming
   std::unordered_map<int, std::shared_ptr<Conn>> conns;
   std::vector<std::shared_ptr<Conn>> incoming;
-};
-
-struct Server::ReadTask {
-  std::shared_ptr<Conn> conn;
-  MessageType type = MessageType::kPing;
-  uint64_t seq = 0;
-  std::string body;
-  Stopwatch queued;  // starts at dispatch; latency includes queue wait
-  ReqTiming timing;
-};
-
-// One client WRITE_BATCH that spans shards: split into per-shard
-// sub-tasks, each committed by its shard's group-commit thread. The LAST
-// sub-task to finish sends the single reply, carrying the first error
-// any shard hit. Cross-shard batches are not atomic (each shard commits
-// its own WAL) — same contract as ShardedDB::Write.
-struct Server::MultiReply {
-  std::mutex mu;
-  size_t remaining = 0;
-  Status status;
-
-  // Folds one shard's result in; true for the finisher.
-  bool Complete(const Status& s) {
-    std::lock_guard<std::mutex> l(mu);
-    if (status.ok() && !s.ok()) status = s;
-    return --remaining == 0;
-  }
-  Status Final() {
-    std::lock_guard<std::mutex> l(mu);
-    return status;
-  }
-};
-
-struct Server::WriteTask {
-  std::shared_ptr<Conn> conn;
-  MessageType type = MessageType::kPut;
-  uint64_t seq = 0;
-  WriteBatch batch;
-  size_t shard = 0;  // which write queue / engine commits this
-  std::shared_ptr<MultiReply> multi;  // set only for cross-shard batches
-  Stopwatch queued;
-  ReqTiming timing;
 };
 
 // One open streaming cursor: a DB iterator over a pinned snapshot,
@@ -178,10 +163,6 @@ Status Server::Start() {
       "server.protocol_errors", "connections dropped on malformed frames");
   read_pauses_ = metrics_->RegisterCounter(
       "server.read_pauses", "times a connection's reads were parked");
-  gc_commits_ = metrics_->RegisterCounter("server.group_commit.commits",
-                                          "leader batches committed");
-  gc_batch_size_ = metrics_->RegisterHistogram(
-      "server.group_commit.batch_size", "write requests folded per commit");
   admin_conns_active_ = metrics_->RegisterGauge("server.admin.conns_active",
                                                 "open admin connections");
   admin_requests_ = metrics_->RegisterCounter("server.admin.requests",
@@ -218,13 +199,12 @@ Status Server::Start() {
       "cursor.batches", "cursor batches served (SCAN_OPEN + SCAN_NEXT)");
   cursors_active_ =
       metrics_->RegisterGauge("cursor.active", "open streaming cursors");
-  const size_t num_write_queues =
-      sharded_ != nullptr ? sharded_->num_shards() : 1;
+  const size_t num_shards = sharded_ != nullptr ? sharded_->num_shards() : 1;
   if (sharded_ != nullptr) {
-    for (size_t i = 0; i < num_write_queues; i++) {
+    for (size_t i = 0; i < num_shards; i++) {
       shard_write_ops_.push_back(metrics_->RegisterCounter(
           "server.shard" + std::to_string(i) + ".write_ops",
-          "write requests routed to this shard's commit thread"));
+          "write requests that touched this shard"));
     }
   }
 
@@ -243,12 +223,8 @@ Status Server::Start() {
     }
   }
 
-  read_queue_ =
-      std::make_unique<BoundedQueue<ReadTask>>(options_.request_queue_depth);
-  for (size_t i = 0; i < num_write_queues; i++) {
-    write_queues_.push_back(std::make_unique<BoundedQueue<WriteTask>>(
-        options_.request_queue_depth));
-  }
+  request_queue_ =
+      std::make_unique<BoundedQueue<Request>>(options_.request_queue_depth);
 
   const int num_loops = options_.num_io_threads > 0 ? options_.num_io_threads
                                                     : 1;
@@ -300,18 +276,13 @@ Status Server::Start() {
   for (int i = 0; i < num_workers; i++) {
     workers_->Submit([this] { WorkerPump(); });
   }
-  for (size_t i = 0; i < write_queues_.size(); i++) {
-    commit_threads_.emplace_back([this, i] { GroupCommitLoop(i); });
-  }
   cursor_sweeper_ = std::thread([this] { CursorSweeperMain(); });
 
   obs::Log(info_log_,
            "EVENT server_start host=%s port=%d admin_port=%d io_threads=%zu "
-           "workers=%d sync_writes=%d group_window_micros=%llu shards=%zu",
+           "workers=%d sync_writes=%d shards=%zu",
            options_.host.c_str(), port_, admin_port_, loops_.size(),
-           num_workers, options_.sync_writes ? 1 : 0,
-           static_cast<unsigned long long>(options_.group_commit_window_micros),
-           num_write_queues);
+           num_workers, options_.sync_writes ? 1 : 0, num_shards);
   return Status::OK();
 }
 
@@ -796,7 +767,7 @@ void Server::DispatchFrame(const std::shared_ptr<Conn>& conn,
                            DecodedFrame&& frame) {
   req_counters_[TypeIndex(frame.type)]->Add();
   // Decode stamp + in-flight gauge: every dispatched request gets
-  // exactly one FinishRequest (for cross-shard batches, the finisher's).
+  // exactly one FinishRequest.
   ReqTiming timing;
   timing.decode_ns = NowNs();
   requests_inflight_->Set(
@@ -811,157 +782,164 @@ void Server::DispatchFrame(const std::shared_ptr<Conn>& conn,
       UpdateInterestLocked(*conn);
     }
   }
-  switch (frame.type) {
-    case MessageType::kPing:
-      SendReply(conn, frame.type, frame.seq, Status::OK(), Slice());
-      timing.op_start_ns = timing.op_end_ns = timing.decode_ns;
-      FinishRequest(frame.type, conn->id, -1, timing, NowNs());
-      return;
-    case MessageType::kPut:
-    case MessageType::kDelete:
-    case MessageType::kWriteBatch: {
-      WriteTask task;
-      task.conn = conn;
-      task.type = frame.type;
-      task.seq = frame.seq;
-      task.timing = timing;
-      Slice body(frame.body);
-      bool ok = false;
-      if (frame.type == MessageType::kPut) {
-        Slice key, value;
-        if ((ok = ParsePutRequest(body, &key, &value))) {
-          task.batch.Put(key, value);
-          if (sharded_ != nullptr) {
-            task.shard = sharded_->router().ShardOf(key);
-          }
-        }
-      } else if (frame.type == MessageType::kDelete) {
-        Slice key;
-        if ((ok = ParseDeleteRequest(body, &key))) {
-          task.batch.Delete(key);
-          if (sharded_ != nullptr) {
-            task.shard = sharded_->router().ShardOf(key);
-          }
-        }
-      } else {
-        std::vector<BatchOp> ops;
-        if ((ok = ParseWriteBatchRequest(body, &ops))) {
-          for (const BatchOp& op : ops) {
-            if (op.is_delete) {
-              task.batch.Delete(op.key);
-            } else {
-              task.batch.Put(op.key, op.value);
-            }
-          }
-          std::vector<WriteBatch> split;
-          if (sharded_ != nullptr &&
-              (ok = sharded_->router().SplitBatch(task.batch, &split).ok())) {
-            // Split the batch per shard up front; each sub-batch rides
-            // its own shard's commit thread and the finisher replies.
-            std::vector<size_t> touched;
-            for (size_t i = 0; i < split.size(); i++) {
-              if (WriteBatchInternal::Count(&split[i]) > 0) {
-                touched.push_back(i);
-              }
-            }
-            if (touched.empty()) {
-              SendReply(conn, frame.type, frame.seq, Status::OK(), Slice());
-              timing.op_start_ns = timing.op_end_ns = NowNs();
-              FinishRequest(frame.type, conn->id, -1, timing, NowNs());
-              return;
-            }
-            if (touched.size() == 1) {
-              task.shard = touched[0];
-              task.batch = std::move(split[touched[0]]);
-            } else {
-              auto multi = std::make_shared<MultiReply>();
-              multi->remaining = touched.size();
-              for (size_t i : touched) {
-                WriteTask sub;
-                sub.conn = conn;
-                sub.type = frame.type;
-                sub.seq = frame.seq;
-                sub.timing = timing;
-                sub.batch = std::move(split[i]);
-                sub.shard = i;
-                sub.multi = multi;
-                EnqueueWrite(std::move(sub));
-              }
-              return;
-            }
-          }
-        }
-      }
-      if (!ok) {
-        SendReply(conn, frame.type, frame.seq,
-                  Status::InvalidArgument("malformed request body"), Slice());
-        timing.op_start_ns = timing.op_end_ns = NowNs();
-        FinishRequest(frame.type, conn->id, -1, timing, NowNs());
-        return;
-      }
-      EnqueueWrite(std::move(task));
-      return;
+  if (frame.type == MessageType::kPing) {
+    SendReply(conn, frame.type, frame.seq, Status::OK(), Slice());
+    timing.op_start_ns = timing.op_end_ns = timing.decode_ns;
+    FinishRequest(frame.type, conn->id, -1, timing, NowNs());
+    return;
+  }
+  Request request;
+  request.type = frame.type;
+  request.seq = frame.seq;
+  request.timing = timing;
+  request.body = std::move(frame.body);
+  if (IsWrite(frame.type)) {
+    DispatchWrite(conn, std::move(request));
+    return;
+  }
+  request.conn = conn;
+  if (request_queue_->Push(std::move(request))) return;
+  RefuseDraining(conn, &request, 1);
+}
+
+void Server::DispatchWrite(const std::shared_ptr<Conn>& conn,
+                           Request&& request) {
+  const MessageType type = request.type;
+  {
+    std::lock_guard<std::mutex> l(conn->mu);
+    conn->writes.push_back(std::move(request));
+    if (conn->writes_scheduled) return;
+    conn->writes_scheduled = true;
+  }
+  {
+    std::lock_guard<std::mutex> l(write_mu_);
+    write_lanes_.push_back(conn);
+    if (writing_) return;  // the writing worker takes it next round
+    writing_ = true;
+  }
+  // No worker is writing: a write entry in the request queue makes one.
+  Request wake;
+  wake.type = type;
+  if (request_queue_->Push(std::move(wake))) return;
+  // Draining, so no worker will write: refuse every waiting lane.
+  std::vector<std::shared_ptr<Conn>> lanes;
+  {
+    std::lock_guard<std::mutex> l(write_mu_);
+    lanes.swap(write_lanes_);
+    writing_ = false;
+  }
+  for (const std::shared_ptr<Conn>& c : lanes) {
+    std::vector<Request> writes;
+    {
+      std::lock_guard<std::mutex> l(c->mu);
+      writes.swap(c->writes);
+      c->writes_scheduled = false;
     }
-    case MessageType::kGet:
-    case MessageType::kStats:
-    case MessageType::kScanOpen:
-    case MessageType::kScanNext:
-    case MessageType::kScanClose: {
-      ReadTask task;
-      task.conn = conn;
-      task.type = frame.type;
-      task.seq = frame.seq;
-      task.timing = timing;
-      task.body = std::move(frame.body);
-      if (!read_queue_->Push(std::move(task))) {
-        SendReply(conn, frame.type, frame.seq,
-                  Status::Busy("server draining"), Slice());
-        timing.op_start_ns = timing.op_end_ns = NowNs();
-        FinishRequest(frame.type, conn->id, -1, timing, NowNs());
-      }
-      return;
-    }
+    RefuseDraining(c, writes.data(), writes.size());
   }
 }
 
-void Server::EnqueueWrite(WriteTask&& task) {
-  const size_t shard = task.shard < write_queues_.size() ? task.shard : 0;
-  if (!shard_write_ops_.empty()) shard_write_ops_[shard]->Add();
-  // Keep reply coordinates: Push consumes the task, but a refused push
-  // (draining) must still answer the client.
-  const std::shared_ptr<Conn> conn = task.conn;
-  const std::shared_ptr<MultiReply> multi = task.multi;
-  const MessageType type = task.type;
-  const uint64_t seq = task.seq;
-  ReqTiming timing = task.timing;
-  if (!write_queues_[shard]->Push(std::move(task))) {
-    const Status busy = Status::Busy("server draining");
-    const bool replies = multi == nullptr || multi->Complete(busy);
-    if (replies) {
-      SendReply(conn, type, seq, multi != nullptr ? multi->Final() : busy,
-                Slice());
-      timing.op_start_ns = timing.op_end_ns = NowNs();
-      FinishRequest(type, conn->id,
-                    sharded_ != nullptr ? static_cast<int>(shard) : -1, timing,
-                    NowNs());
-    }
+void Server::RefuseDraining(const std::shared_ptr<Conn>& conn,
+                            Request* requests, size_t n) {
+  for (size_t i = 0; i < n; i++) {
+    Request& r = requests[i];
+    SendReply(conn, r.type, r.seq, Status::Busy("server draining"), Slice());
+    r.timing.op_start_ns = r.timing.op_end_ns = NowNs();
+    FinishRequest(r.type, conn->id, -1, r.timing, NowNs());
   }
 }
 
 void Server::WorkerPump() {
   while (true) {
-    std::optional<ReadTask> task = read_queue_->Pop();
-    if (!task.has_value()) return;  // closed and drained
-    HandleReadTask(*task);
+    std::optional<Request> request = request_queue_->Pop();
+    if (!request.has_value()) return;  // closed and drained
+    if (IsWrite(request->type)) {
+      ServeWrites();
+    } else {
+      HandleRequest(*request);
+    }
   }
 }
 
-void Server::HandleReadTask(ReadTask& task) {
-  task.timing.op_start_ns = NowNs();
-  Slice body(task.body);
+void Server::ServeWrites() {
+  std::unique_lock<std::mutex> l(write_mu_);
+  std::vector<std::shared_ptr<Conn>> lanes;
+  while (!write_lanes_.empty()) {
+    lanes.swap(write_lanes_);
+    l.unlock();
+    CommitWrites(&lanes);
+    l.lock();
+    // Lanes that refilled go behind the ones that waited.
+    for (std::shared_ptr<Conn>& c : lanes) {
+      write_lanes_.push_back(std::move(c));
+    }
+    lanes.clear();
+  }
+  writing_ = false;
+}
+
+void Server::CommitWrites(std::vector<std::shared_ptr<Conn>>* lanes) {
+  // One WriteBatch per lane, its writes in arrival order, so a connection's
+  // writes commit in the order it sent them. A malformed request is left
+  // out and answered with its parse error.
+  const size_t n = lanes->size();
+  std::vector<std::vector<Request>> writes(n);
+  std::vector<WriteBatch> batches(n);
+  std::vector<WriteBatch*> batch_ptrs(n);
+  for (size_t c = 0; c < n; c++) {
+    Conn& conn = *(*lanes)[c];
+    {
+      std::lock_guard<std::mutex> l(conn.mu);
+      writes[c].swap(conn.writes);
+    }
+    for (Request& w : writes[c]) {
+      if (!AddWrite(w.type, w.body, &batches[c], &w.shard)) {
+        w.error = Status::InvalidArgument("malformed request body");
+      }
+    }
+    batch_ptrs[c] = &batches[c];
+  }
+  WriteOptions wo;
+  wo.sync = options_.sync_writes;
+  std::vector<Status> statuses(n);
+  const uint64_t op_start_ns = NowNs();
+  db_->WriteMany(wo, batch_ptrs.data(), n, statuses.data());
+  const uint64_t op_end_ns = NowNs();
+
+  std::string frames;
+  size_t refilled = 0;
+  for (size_t c = 0; c < n; c++) {
+    const std::shared_ptr<Conn>& conn = (*lanes)[c];
+    frames.clear();
+    for (Request& w : writes[c]) {
+      w.timing.op_start_ns = op_start_ns;
+      w.timing.op_end_ns = op_end_ns;
+      ObserveLatency(w.type, w.queued.ElapsedNanos() / 1000);
+      EncodeReply(w.type, w.seq, w.error.ok() ? statuses[c] : w.error,
+                  Slice(), &frames);
+    }
+    DeliverReplies(conn, frames, writes[c].size());
+    const uint64_t end_ns = NowNs();
+    for (const Request& w : writes[c]) {
+      FinishRequest(w.type, conn->id, w.shard, w.timing, end_ns);
+    }
+    bool more;
+    {
+      std::lock_guard<std::mutex> l(conn->mu);
+      more = !conn->writes.empty();
+      if (!more) conn->writes_scheduled = false;
+    }
+    if (more) (*lanes)[refilled++] = conn;
+  }
+  lanes->resize(refilled);
+}
+
+void Server::HandleRequest(Request& request) {
+  request.timing.op_start_ns = NowNs();
+  Slice body(request.body);
   Status s;
   std::string payload;
-  switch (task.type) {
+  switch (request.type) {
     case MessageType::kGet: {
       Slice key;
       if (!ParseGetRequest(body, &key)) {
@@ -993,7 +971,7 @@ void Server::HandleReadTask(ReadTask& task) {
       }
       auto cursor = std::make_shared<Cursor>();
       cursor->id = next_cursor_id_.fetch_add(1, std::memory_order_relaxed);
-      cursor->conn_id = task.conn->id;
+      cursor->conn_id = request.conn->id;
       // limit is NOT clamped to max_scan_entries: the caps bound each
       // BATCH, the limit bounds the whole stream (0 = run to the end of
       // the keyspace). No allocation is sized from it, so a hostile value
@@ -1061,13 +1039,47 @@ void Server::HandleReadTask(ReadTask& task) {
       break;
     }
     default:
-      s = Status::NotSupported("unexpected read task");
+      s = Status::NotSupported("unexpected request type");
       break;
   }
-  task.timing.op_end_ns = NowNs();
-  ObserveLatency(task.type, task.queued.ElapsedNanos() / 1000);
-  SendReply(task.conn, task.type, task.seq, s, payload);
-  FinishRequest(task.type, task.conn->id, -1, task.timing, NowNs());
+  request.timing.op_end_ns = NowNs();
+  ObserveLatency(request.type, request.queued.ElapsedNanos() / 1000);
+  SendReply(request.conn, request.type, request.seq, s, payload);
+  FinishRequest(request.type, request.conn->id, -1, request.timing,
+                NowNs());
+}
+
+bool Server::AddWrite(MessageType type, const Slice& body, WriteBatch* batch,
+                      int* shard) {
+  std::vector<size_t> touched;  // sharded only: shards the write reaches
+  auto add = [&](bool is_delete, const Slice& key, const Slice& value) {
+    if (is_delete) {
+      batch->Delete(key);
+    } else {
+      batch->Put(key, value);
+    }
+    if (sharded_ == nullptr) return;
+    const size_t i = sharded_->router().ShardOf(key);
+    if (std::find(touched.begin(), touched.end(), i) == touched.end()) {
+      touched.push_back(i);
+    }
+  };
+  if (type == MessageType::kPut) {
+    Slice key, value;
+    if (!ParsePutRequest(body, &key, &value)) return false;
+    add(false, key, value);
+  } else if (type == MessageType::kDelete) {
+    Slice key;
+    if (!ParseDeleteRequest(body, &key)) return false;
+    add(true, key, Slice());
+  } else {
+    std::vector<BatchOp> ops;
+    if (!ParseWriteBatchRequest(body, &ops)) return false;
+    for (const BatchOp& op : ops) add(op.is_delete, op.key, op.value);
+  }
+  for (size_t i : touched) shard_write_ops_[i]->Add();
+  if (touched.size() == 1) *shard = static_cast<int>(touched[0]);
+  return true;
 }
 
 std::shared_ptr<Server::Cursor> Server::FindCursor(uint64_t id) {
@@ -1190,94 +1202,12 @@ void Server::CursorSweeperMain() {
   }
 }
 
-void Server::GroupCommitLoop(size_t index) {
-  BoundedQueue<WriteTask>& queue = *write_queues_[index];
-  // Sharded servers commit straight against the member engine — the
-  // routing already happened at dispatch, so going through ShardedDB::
-  // Write would just re-split every leader batch.
-  DB* const target = sharded_ != nullptr ? sharded_->shard(index) : db_;
-  std::vector<WriteTask> group;
-  WriteBatch leader;
-  // Reply frames coalesced per connection, so a saturated batch fanned
-  // over many sockets costs one send() per socket, not per request.
-  struct ConnReplies {
-    std::shared_ptr<Conn> conn;
-    std::string frames;
-    size_t count = 0;
-  };
-  std::vector<ConnReplies> replies;
-  std::unordered_map<Conn*, size_t> reply_index;
-  std::vector<const WriteTask*> replied;
-  while (true) {
-    std::optional<WriteTask> first = queue.Pop();
-    if (!first.has_value()) return;  // closed and drained
-    group.clear();
-    size_t bytes = first->batch.ApproximateSize();
-    group.push_back(std::move(*first));
-    auto gather = [&] {
-      while (group.size() < options_.group_commit_max_requests &&
-             bytes < kGroupCommitMaxBytes) {
-        std::optional<WriteTask> t = queue.TryPop();
-        if (!t.has_value()) return;
-        bytes += t->batch.ApproximateSize();
-        group.push_back(std::move(*t));
-      }
-    };
-    gather();
-    if (group.size() == 1 && options_.group_commit_window_micros > 0 &&
-        !draining_.load(std::memory_order_acquire)) {
-      // Solo leader: hold the commit open one window so concurrent
-      // writers share the WAL sync instead of paying one each.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.group_commit_window_micros));
-      gather();
-    }
-    leader.Clear();
-    for (const WriteTask& t : group) leader.Append(t.batch);
-    WriteOptions wo;
-    wo.sync = options_.sync_writes;
-    const uint64_t op_start_ns = NowNs();
-    const Status s = target->Write(wo, &leader);
-    const uint64_t op_end_ns = NowNs();
-    gc_commits_->Add();
-    gc_batch_size_->Observe(static_cast<double>(group.size()));
-    replies.clear();
-    reply_index.clear();
-    replied.clear();
-    for (WriteTask& t : group) {
-      Status reply_status = s;
-      if (t.multi != nullptr) {
-        // Cross-shard batch: only the last shard to commit replies, and
-        // with the folded fleet status — the others just retire their
-        // sub-task silently (the frame's in_flight slot belongs to the
-        // one reply).
-        if (!t.multi->Complete(s)) continue;
-        reply_status = t.multi->Final();
-      }
-      // All members share the leader's DB window (they committed in it).
-      t.timing.op_start_ns = op_start_ns;
-      t.timing.op_end_ns = op_end_ns;
-      replied.push_back(&t);
-      ObserveLatency(t.type, t.queued.ElapsedNanos() / 1000);
-      auto ins = reply_index.emplace(t.conn.get(), replies.size());
-      if (ins.second) replies.push_back(ConnReplies{t.conn, {}, 0});
-      ConnReplies& r = replies[ins.first->second];
-      EncodeReply(t.type, t.seq, reply_status, Slice(), &r.frames);
-      r.count++;
-    }
-    for (ConnReplies& r : replies) DeliverReplies(r.conn, r.frames, r.count);
-    const uint64_t flush_ns = NowNs();
-    const int shard_label = sharded_ != nullptr ? static_cast<int>(index) : -1;
-    for (const WriteTask* t : replied) {
-      FinishRequest(t->type, t->conn->id, shard_label, t->timing, flush_ns);
-    }
-  }
-}
-
 void Server::ObserveLatency(MessageType type, uint64_t micros) {
   req_micros_[TypeIndex(type)]->Observe(static_cast<double>(micros));
 }
 
+// Appends one reply frame to the outbox, sends what the socket takes
+// and retires one in-flight request.
 void Server::SendReply(const std::shared_ptr<Conn>& conn, MessageType type,
                        uint64_t seq, const Status& status,
                        const Slice& payload) {
@@ -1286,11 +1216,6 @@ void Server::SendReply(const std::shared_ptr<Conn>& conn, MessageType type,
   DeliverReplies(conn, frame, 1);
 }
 
-// Append pre-encoded reply frames to the outbox and flush once,
-// retiring `count` in-flight requests: one lock acquisition and at most
-// one send() no matter how many frames ride along. The group-commit
-// thread answers a whole leader batch per connection through this —
-// paying a syscall per request there caps served throughput.
 void Server::DeliverReplies(const std::shared_ptr<Conn>& conn,
                             const std::string& frames, size_t count) {
   std::lock_guard<std::mutex> l(conn->mu);
@@ -1421,16 +1346,12 @@ void Server::Drain() {
   draining_.store(true, std::memory_order_release);
   WakeAllLoops();  // loop 0 closes the listen fd; all loops park reads
 
-  // The queues drain to empty before the consumers exit, so every
+  // The queue drains to empty before the workers exit, so every
   // accepted request still gets its reply.
-  read_queue_->Close();
-  for (auto& q : write_queues_) q->Close();
-  for (std::thread& t : commit_threads_) {
-    if (t.joinable()) t.join();
-  }
+  request_queue_->Close();
   if (workers_) workers_->Shutdown();
 
-  // Cursors: every queued SCAN_NEXT was answered above (the read queue
+  // Cursors: every queued SCAN_NEXT was answered above (the queue
   // drained before the workers exited — mid-stream clients get their
   // in-flight batch). Now no thread can touch a cursor, so hand every
   // pinned snapshot back to the DB, which must outlive the server.

@@ -3,8 +3,8 @@
 //
 // The design mirrors the paper's pipeline argument at request scope: the
 // read (socket), compute (DB), and write (socket) stages of every request
-// are independent, so they run on different threads connected by bounded
-// queues, and the slowest stage — not the sum — governs throughput:
+// are independent, so they run on different threads connected by a
+// bounded queue, and the slowest stage — not the sum — governs throughput:
 //
 //   I/O threads (epoll, level-triggered, non-blocking)
 //     thread 0 also owns the listen socket and accepts, handing new
@@ -12,16 +12,22 @@
 //     feeds a FrameDecoder, and dispatches complete requests:
 //       PING                      answered inline,
 //       GET / STATS /
-//       SCAN_OPEN|NEXT|CLOSE      -> read queue   (BoundedQueue)
-//       PUT / DELETE / WRITE_BATCH-> write queue  (BoundedQueue)
-//   Worker pool (util/thread_pool) drains the read queue and executes
-//     against the DB.
-//   Group-commit thread drains the write queue: the first popped request
-//     becomes the leader, everything already queued (plus anything
-//     arriving within group_commit_window_micros) is folded into ONE
-//     WriteBatch and ONE DB::Write — so a WAL sync is amortized over every
-//     connection that wrote in the window.
-//   Responses are written back by whichever thread produced them (under
+//       SCAN_OPEN|NEXT|CLOSE      -> request queue (BoundedQueue)
+//       PUT / DELETE / WRITE_BATCH-> the connection's write lane; when
+//                                    no worker is writing, one write
+//                                    entry in the request queue
+//   Worker pool (util/thread_pool) drains the request queue and executes
+//     against the DB. At most one worker writes at a time, so reads keep
+//     the others even while that one waits in a WAL sync. Each round, the
+//     writing worker takes every waiting lane, parses each lane's writes,
+//     in arrival order, into one WriteBatch, hands all the batches to one
+//     DB::WriteMany, and sends each lane's replies in one send(). The
+//     engine's writer queue (DBImpl::WriteMany) folds those batches, and
+//     any other writer's, into ONE WAL record and, with sync_writes, ONE
+//     WAL sync; a lone write never waits for company or a timer. A
+//     connection's writes are in one batch per round, so they commit in
+//     the order they were sent.
+//   Responses are written back by the worker that produced them (under
 //     the connection's lock); what does not fit in the socket buffer lands
 //     in a per-connection outbox flushed by the owning loop via EPOLLOUT.
 //
@@ -35,7 +41,7 @@
 //     while the DB reports kStopped, surfacing the stall to clients as
 //     TCP backpressure instead of heap growth.
 //
-// Drain (SIGTERM path): stop accepting, park reads, let the queues run
+// Drain (SIGTERM path): stop accepting, park reads, let the queue run
 // dry (every accepted request is answered), flush outboxes, close
 // connections, join threads. EVENT lines server_start / conn_open /
 // conn_close / drain_begin / drain_end land in the info log.
@@ -124,19 +130,16 @@ struct ServerOptions {
   int port = 7380;  // 0 = ephemeral; read the bound port via port()
 
   int num_io_threads = 2;
+  // Request workers. At most one of them writes at a time, so with two or
+  // more, reads always find a worker.
   int num_workers = 4;
 
-  // Depth of the read/write dispatch queues. A full queue blocks the
-  // pushing I/O loop, which stops socket reads — backpressure, not OOM.
+  // Depth of the request queue. A full queue blocks the pushing I/O
+  // loop, which stops socket reads — backpressure, not OOM.
   size_t request_queue_depth = 1024;
 
-  // Group commit: after the leader pops, wait this long for followers
-  // when the write queue is otherwise empty. 0 = never wait. A group
-  // also closes at this many requests or at 1 MiB of batch bytes.
-  uint64_t group_commit_window_micros = 100;
-  size_t group_commit_max_requests = 256;
-
-  // WriteOptions::sync for the leader batch — one fsync per group.
+  // WriteOptions::sync for every served write. Writes that reach the
+  // engine's writer queue together share one WAL sync.
   bool sync_writes = true;
 
   // Hard cap on the entries of one cursor batch (SCAN_OPEN / SCAN_NEXT
@@ -216,7 +219,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds, listens, spawns I/O loops + workers + the commit thread.
+  // Binds, listens, spawns the I/O loops and the workers.
   Status Start();
 
   // Graceful shutdown; idempotent. Blocks until every accepted request is
@@ -244,9 +247,7 @@ class Server {
  private:
   struct Conn;
   struct IoLoop;
-  struct ReadTask;
-  struct WriteTask;
-  struct MultiReply;
+  struct Request;
   struct Cursor;
 
   // End-to-end request timestamps (NowNs clock): decode at dispatch,
@@ -290,15 +291,31 @@ class Server {
   void FinishRequest(MessageType type, uint64_t conn_id, int shard,
                      const ReqTiming& timing, uint64_t end_ns);
   void DispatchFrame(const std::shared_ptr<Conn>& conn, DecodedFrame&& frame);
-  // Routes one parsed write to its shard's queue (queue 0 unsharded).
-  void EnqueueWrite(WriteTask&& task);
   void WorkerPump();
-  void HandleReadTask(ReadTask& task);
-  // One per write queue: shard `index`'s group-commit thread. Unsharded
-  // servers run exactly one, against the whole DB.
-  void GroupCommitLoop(size_t index);
+  void HandleRequest(Request& request);
+  // Appends a write to `conn`'s lane. A lane that was idle joins
+  // write_lanes_, and if no worker is writing, a write entry in the
+  // request queue makes the worker that pops it the writing worker.
+  void DispatchWrite(const std::shared_ptr<Conn>& conn, Request&& request);
+  // Answers n requests Busy: the server is draining.
+  void RefuseDraining(const std::shared_ptr<Conn>& conn, Request* requests,
+                      size_t n);
+  // The writing worker: commits every waiting lane, round after round,
+  // until none is waiting.
+  void ServeWrites();
+  // Commits the writes queued on every lane in *lanes with one
+  // DB::WriteMany (one batch per lane) and replies to each, one send()
+  // per lane. Leaves in *lanes the lanes that refilled meanwhile; the
+  // others are idle again.
+  void CommitWrites(std::vector<std::shared_ptr<Conn>>* lanes);
+  // Parses a PUT / DELETE / WRITE_BATCH body into *batch; false if it is
+  // malformed. Sharded, counts the write against every shard it touches
+  // and sets *shard when that is exactly one.
+  bool AddWrite(MessageType type, const Slice& body, WriteBatch* batch,
+                int* shard);
   void SendReply(const std::shared_ptr<Conn>& conn, MessageType type,
                  uint64_t seq, const Status& status, const Slice& payload);
+  // Queues `count` encoded reply frames for one send().
   void DeliverReplies(const std::shared_ptr<Conn>& conn,
                       const std::string& frames, size_t count);
   void CloseConn(IoLoop& loop, const std::shared_ptr<Conn>& conn,
@@ -311,7 +328,7 @@ class Server {
 
   // Streaming cursor plumbing (SCAN_OPEN / SCAN_NEXT / SCAN_CLOSE; see
   // docs/READ_PATH.md). Handlers run on worker threads via
-  // HandleReadTask.
+  // HandleRequest.
   std::shared_ptr<Cursor> FindCursor(uint64_t id);
   // Pulls one bounded batch (max_scan_entries / max_scan_bytes) and
   // encodes the reply payload; sets *done when the iterator is exhausted
@@ -329,9 +346,9 @@ class Server {
   void CursorSweeperMain();
 
   DB* const db_;
-  // Non-null when db_ is a ShardedDB: writes are routed per shard onto
-  // per-shard group-commit threads, so N shards sync N WALs in parallel
-  // instead of serializing behind one commit thread (docs/SHARDING.md).
+  // Non-null when db_ is a ShardedDB: writes are counted per shard
+  // (server.shard<i>.write_ops); ShardedDB::WriteMany routes them, so N
+  // shards sync N WALs in parallel (docs/SHARDING.md).
   shard::ShardedDB* sharded_ = nullptr;
   const ServerOptions options_;
 
@@ -345,11 +362,14 @@ class Server {
   int admin_port_ = -1;
 
   std::vector<std::unique_ptr<IoLoop>> loops_;
-  std::unique_ptr<BoundedQueue<ReadTask>> read_queue_;
-  // One write queue + commit thread per shard (exactly one unsharded).
-  std::vector<std::unique_ptr<BoundedQueue<WriteTask>>> write_queues_;
+  std::unique_ptr<BoundedQueue<Request>> request_queue_;
   std::unique_ptr<ThreadPool> workers_;
-  std::vector<std::thread> commit_threads_;
+  // Write lanes waiting for the writing worker. writing_ is true while a
+  // worker commits lanes or a write entry in request_queue_ will start
+  // one, so at most one worker writes at a time.
+  std::mutex write_mu_;
+  std::vector<std::shared_ptr<Conn>> write_lanes_;  // guarded by write_mu_
+  bool writing_ = false;                            // guarded by write_mu_
   WriteStallGate own_gate_;
   WriteStallGate* gate_ = nullptr;
 
@@ -372,11 +392,9 @@ class Server {
   obs::Counter* bytes_out_ = nullptr;
   obs::Counter* protocol_errors_ = nullptr;
   obs::Counter* read_pauses_ = nullptr;
-  obs::Counter* gc_commits_ = nullptr;
-  obs::HistogramMetric* gc_batch_size_ = nullptr;
   obs::Counter* req_counters_[kNumMessageTypes] = {};
   obs::HistogramMetric* req_micros_[kNumMessageTypes] = {};
-  // Sharded only: write requests routed to each shard's queue.
+  // Sharded only: write requests that touched each shard.
   std::vector<obs::Counter*> shard_write_ops_;
   // Admin endpoint + request tracing instruments.
   obs::Gauge* admin_conns_active_ = nullptr;

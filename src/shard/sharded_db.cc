@@ -313,51 +313,74 @@ Status ShardedDB::Delete(const WriteOptions& options, const Slice& key) {
 }
 
 Status ShardedDB::Write(const WriteOptions& options, WriteBatch* updates) {
-  std::vector<WriteBatch> split;
-  Status s = router_->SplitBatch(*updates, &split);
-  if (!s.ok()) return s;
+  Status s;
+  WriteMany(options, &updates, 1, &s);
+  return s;
+}
 
-  // Single-shard batches (the common case under keyed traffic) skip the
-  // fan-out entirely.
-  size_t touched = 0;
-  size_t only = 0;
-  for (size_t i = 0; i < split.size(); i++) {
-    if (WriteBatchInternal::Count(&split[i]) > 0) {
-      touched++;
-      only = i;
+void ShardedDB::WriteMany(const WriteOptions& options,
+                          WriteBatch* const* batches, size_t n,
+                          Status* statuses) {
+  // parts[s] holds shard s's part of every batch that reaches it, in
+  // batch order; owners[s][k] is the batch that parts[s][k] came from.
+  std::vector<std::vector<WriteBatch>> parts(shards_.size());
+  std::vector<std::vector<size_t>> owners(shards_.size());
+  std::vector<WriteBatch> split;
+  for (size_t i = 0; i < n; i++) {
+    statuses[i] = router_->SplitBatch(*batches[i], &split);
+    if (!statuses[i].ok()) continue;
+    for (size_t s = 0; s < split.size(); s++) {
+      if (WriteBatchInternal::Count(&split[s]) == 0) continue;
+      parts[s].push_back(std::move(split[s]));
+      owners[s].push_back(i);
     }
   }
-  if (touched == 0) return Status::OK();
-  if (touched == 1) return shards_[only]->Write(options, &split[only]);
+  std::vector<size_t> touched;
+  for (size_t s = 0; s < parts.size(); s++) {
+    if (!parts[s].empty()) touched.push_back(s);
+  }
 
-  // Parallel fan-out: each touched shard commits its sub-batch in its
-  // own WAL (group-committed with that shard's other writers). NOT
-  // atomic across shards — documented in the header.
-  std::mutex mu;
+  std::mutex mu;  // guards statuses and pending once shards run in parallel
+  auto write_shard = [&](size_t s) {
+    std::vector<WriteBatch*> ptrs;
+    for (WriteBatch& b : parts[s]) ptrs.push_back(&b);
+    std::vector<Status> results(ptrs.size());
+    shards_[s]->WriteMany(options, ptrs.data(), ptrs.size(), results.data());
+    std::lock_guard<std::mutex> l(mu);
+    for (size_t k = 0; k < results.size(); k++) {
+      const size_t i = owners[s][k];
+      if (statuses[i].ok() && !results[k].ok()) statuses[i] = results[k];
+    }
+  };
+  // One shard (the common case under keyed traffic) skips the fan-out.
+  if (touched.size() <= 1) {
+    if (!touched.empty()) write_shard(touched[0]);
+    return;
+  }
+
+  // Parallel fan-out: each touched shard commits its parts in its own WAL
+  // (group-committed with that shard's other writers). NOT atomic across
+  // shards — documented in the header.
   std::condition_variable cv;
-  size_t pending = touched;
-  Status first_error;
-  for (size_t i = 0; i < split.size(); i++) {
-    if (WriteBatchInternal::Count(&split[i]) == 0) continue;
-    DB* shard = shards_[i].get();
-    WriteBatch* batch = &split[i];
-    const bool submitted = write_pool_->Submit([&, shard, batch] {
-      Status ws = shard->Write(options, batch);
+  size_t pending = touched.size();
+  for (size_t s : touched) {
+    const bool submitted = write_pool_->Submit([&, s] {
+      write_shard(s);
       std::lock_guard<std::mutex> l(mu);
-      if (first_error.ok() && !ws.ok()) first_error = ws;
       if (--pending == 0) cv.notify_one();
     });
     if (!submitted) {  // pool shut down mid-write (DB closing)
       std::lock_guard<std::mutex> l(mu);
-      if (first_error.ok()) {
-        first_error = Status::IOError("sharded DB shutting down");
+      for (size_t i : owners[s]) {
+        if (statuses[i].ok()) {
+          statuses[i] = Status::IOError("sharded DB shutting down");
+        }
       }
       if (--pending == 0) cv.notify_one();
     }
   }
   std::unique_lock<std::mutex> l(mu);
   cv.wait(l, [&] { return pending == 0; });
-  return first_error;
 }
 
 ReadOptions ShardedDB::ForShard(const ReadOptions& options, size_t i) const {

@@ -89,6 +89,11 @@ class ShardedDB final : public DB {
              const Slice& value) override;
   Status Delete(const WriteOptions& options, const Slice& key) override;
   Status Write(const WriteOptions& options, WriteBatch* updates) override;
+  // Splits every batch at the shard seams and hands each shard its parts
+  // in one WriteMany, the shards in parallel. statuses[i] is the first
+  // error among batch i's parts.
+  void WriteMany(const WriteOptions& options, WriteBatch* const* batches,
+                 size_t n, Status* statuses) override;
   Status Get(const ReadOptions& options, const Slice& key,
              std::string* value) override;
   Iterator* NewIterator(const ReadOptions& options) override;

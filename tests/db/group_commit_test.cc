@@ -1,8 +1,11 @@
 // Group commit: many threads writing concurrently must all commit
-// atomically, with unique sequence numbers and full recoverability.
+// atomically, with unique sequence numbers and full recoverability, and
+// writers that queue behind a leader fold into one group and one WAL
+// sync.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -10,6 +13,8 @@
 #include "src/db/db.h"
 #include "src/db/write_batch.h"
 #include "src/env/sim_env.h"
+#include "src/obs/metrics.h"
+#include "tests/db/wal_sync_latch_env.h"
 
 namespace pipelsm {
 namespace {
@@ -126,6 +131,93 @@ TEST_F(GroupCommitTest, MixedSyncAndAsyncWriters) {
   std::string value;
   ASSERT_TRUE(db_->Get(ReadOptions(), "m0-299", &value).ok());
   ASSERT_TRUE(db_->Get(ReadOptions(), "m3-299", &value).ok());
+}
+
+// WriteMany queues its batches together: with no other writer they fold
+// into one group, applied in order, and each batch gets its own status.
+TEST_F(GroupCommitTest, WriteManyFoldsItsBatchesInOrder) {
+  Open();
+  obs::HistogramMetric* groups =
+      db_->MetricsHandle()->RegisterHistogram("db.write_group_size", "");
+  const uint64_t groups_before = groups->Snapshot().Num();
+  WriteBatch first, second, third;
+  first.Put("k", "a");
+  first.Put("gone", "x");
+  second.Put("k", "b");
+  third.Delete("gone");
+  WriteBatch* batches[] = {&first, &second, &third};
+  Status statuses[3];
+  db_->WriteMany(WriteOptions(), batches, 3, statuses);
+  for (const Status& s : statuses) EXPECT_TRUE(s.ok()) << s.ToString();
+
+  const Histogram sizes = groups->Snapshot();
+  EXPECT_EQ(groups_before + 1, sizes.Num());
+  EXPECT_EQ(3, sizes.Max());
+  std::string value;
+  ASSERT_TRUE(db_->Get(ReadOptions(), "k", &value).ok());
+  EXPECT_EQ("b", value);
+  EXPECT_TRUE(db_->Get(ReadOptions(), "gone", &value).IsNotFound());
+}
+
+// The writer queue is the batcher. A sync leader parked in its WAL sync
+// holds the queue head; the writers that arrive meanwhile fold into
+// exactly one follow-up group, and that group pays exactly one WAL sync.
+// Every wait is on state (a parked sync, the queue depth); nothing is
+// timed.
+TEST(GroupCommitBatchingTest, WritersQueuedBehindAParkedLeaderShareOneSync) {
+  SimEnv sim;
+  WalSyncLatchEnv env(&sim);
+  Options options;
+  options.env = &env;
+  options.create_if_missing = true;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  obs::MetricsRegistry* registry = db->MetricsHandle();
+  obs::HistogramMetric* groups =
+      registry->RegisterHistogram("db.write_group_size", "");
+  const obs::Gauge* queued =
+      registry->RegisterGauge("db.write_queue_depth", "");
+  ASSERT_EQ(0, groups->Snapshot().Num());
+
+  WriteOptions sync;
+  sync.sync = true;
+  env.Block();
+  const uint64_t syncs_before = env.wal_syncs();
+  std::thread leader(
+      [&] { EXPECT_TRUE(db->Put(sync, "leader", "v").ok()); });
+  env.WaitForParkedSync();
+
+  constexpr int kFollowers = 8;
+  std::vector<std::thread> followers;
+  for (int i = 0; i < kFollowers; i++) {
+    followers.emplace_back([&, i] {
+      EXPECT_TRUE(db->Put(sync, "follower" + std::to_string(i), "v").ok());
+    });
+  }
+  // The deadline only turns a broken queue into a failure, not a hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (queued->value() < kFollowers + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(kFollowers + 1, queued->value());
+  env.Unblock();
+  leader.join();
+  for (std::thread& t : followers) t.join();
+
+  const Histogram sizes = groups->Snapshot();
+  EXPECT_EQ(2, sizes.Num()) << "the leader's group, then one follow-up";
+  EXPECT_EQ(kFollowers, sizes.Max());
+  EXPECT_EQ(kFollowers + 1, sizes.Sum());
+  EXPECT_EQ(2u, env.wal_syncs() - syncs_before);
+  EXPECT_EQ(0, queued->value());
+  std::string value;
+  for (int i = 0; i < kFollowers; i++) {
+    ASSERT_TRUE(
+        db->Get(ReadOptions(), "follower" + std::to_string(i), &value).ok());
+  }
 }
 
 }  // namespace

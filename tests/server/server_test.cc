@@ -1,8 +1,9 @@
 // End-to-end tests of the epoll server + pipelined client against a real
 // DB on the posix env: request semantics, group-commit durability under
-// 16 concurrent writers, protocol-error connection drops (with the EVENT
-// line), stall-gate backpressure, drain, and a WRITE_BATCH split across
-// the seam of a two-shard server.
+// 16 concurrent writers, reads answered while a write waits in its WAL
+// sync, protocol-error connection drops (with the EVENT line), stall-gate
+// backpressure, drain, and a WRITE_BATCH split across the seam of a
+// two-shard server.
 #include "src/server/server.h"
 
 #include <arpa/inet.h>
@@ -14,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,6 +27,7 @@
 #include "src/env/env.h"
 #include "src/obs/logger.h"
 #include "src/shard/sharded_db.h"
+#include "tests/db/wal_sync_latch_env.h"
 #include "tests/obs/json_check.h"
 
 namespace pipelsm::server {
@@ -43,6 +46,7 @@ class ServerTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    latch_env_.Unblock();  // a failed test may leave a write parked
     server_.reset();  // drains before the DB goes away
     client_.reset();
     db_.reset();
@@ -108,6 +112,21 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(server_->Start().ok());
   }
 
+  // Waits until `n` requests have been dispatched and not yet answered
+  // (server.requests_inflight). The deadline only turns a lost request
+  // into a failure instead of a hang.
+  void WaitForInflight(int64_t n) {
+    const obs::Gauge* inflight =
+        db_->MetricsHandle()->RegisterGauge("server.requests_inflight", "");
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (inflight->value() < n &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(n, inflight->value());
+  }
+
   client::Client* NewClient(int connections = 1) {
     client::ClientOptions copts;
     copts.host = "127.0.0.1";
@@ -125,6 +144,8 @@ class ServerTest : public ::testing::Test {
 
   std::string dbname_;
   std::string log_path_;
+  // Tests that park WAL syncs point options_.env here before OpenDB().
+  WalSyncLatchEnv latch_env_{Env::Posix()};
   Options options_;
   WriteStallGate gate_;
   std::unique_ptr<obs::Logger> log_;
@@ -294,12 +315,16 @@ TEST_F(ServerTest, BufferedClientFlush) {
   EXPECT_EQ("tail", value);
 }
 
-// The ISSUE's group-commit gate: 16 concurrent writers, every acked
-// write durable across a reopen, and a non-trivial batch-size histogram.
+// Group commit through the engine's writer queue: 16 concurrent
+// writers, every acked write durable across a reopen, and writes that
+// shared a WAL record. The first write's sync is parked until the other
+// 15 writers' PUTs have reached the server, so the next round commits
+// all 15 lanes in one group.
 TEST_F(ServerTest, GroupCommitConcurrentWritersDurable) {
+  options_.env = &latch_env_;
+  OpenDB();
   ServerOptions sopts;
-  sopts.group_commit_window_micros = 2000;  // encourage folding
-  sopts.sync_writes = false;
+  sopts.sync_writes = true;
   StartServer(sopts);
 
   constexpr int kWriters = 16;
@@ -313,6 +338,7 @@ TEST_F(ServerTest, GroupCommitConcurrentWritersDurable) {
     copts.port = server_->port();
     clients.push_back(std::make_unique<client::Client>(copts));
   }
+  latch_env_.Block();
   for (int w = 0; w < kWriters; w++) {
     writers.emplace_back([&, w] {
       for (int i = 0; i < kPerWriter; i++) {
@@ -324,12 +350,14 @@ TEST_F(ServerTest, GroupCommitConcurrentWritersDurable) {
       }
     });
   }
+  latch_env_.WaitForParkedSync();
+  WaitForInflight(kWriters);
+  latch_env_.Unblock();
   for (auto& t : writers) t.join();
   ASSERT_EQ(0, failures.load());
 
-  // Batch-size histogram: commits happened, and at least one leader
-  // folded followers (16 writers against a 2ms window make a singleton-
-  // only history effectively impossible).
+  // Group-size histogram: groups committed, and the group behind the
+  // parked leader folded the other workers' writes.
   std::string json;
   ASSERT_TRUE(db_->GetProperty("pipelsm.metrics", &json));
   testjson::JsonValue root;
@@ -337,15 +365,15 @@ TEST_F(ServerTest, GroupCommitConcurrentWritersDurable) {
   ASSERT_TRUE(testjson::ParseJson(json, &root, &error)) << error;
   const testjson::JsonValue* hist = root.Find("histograms");
   ASSERT_NE(nullptr, hist);
-  const testjson::JsonValue* batch =
-      hist->Find("server.group_commit.batch_size");
+  const testjson::JsonValue* batch = hist->Find("db.write_group_size");
   ASSERT_NE(nullptr, batch);
   const testjson::JsonValue* count = batch->Find("count");
   const testjson::JsonValue* max = batch->Find("max");
   ASSERT_NE(nullptr, count);
   ASSERT_NE(nullptr, max);
   EXPECT_GT(count->number_value, 0);
-  EXPECT_GT(max->number_value, 1) << "no write requests were ever folded";
+  EXPECT_GE(max->number_value, kWriters - 1)
+      << "the lanes that waited on the parked sync did not share a group";
 
   // Durability of every acked write: drain the server, close the DB,
   // reopen, and look every key up.
@@ -364,6 +392,120 @@ TEST_F(ServerTest, GroupCommitConcurrentWritersDurable) {
       ASSERT_TRUE(db_->Get(ReadOptions(), key, &value).ok())
           << "acked write lost: " << key;
       EXPECT_EQ(key, value);
+    }
+  }
+}
+
+// Reads keep moving while a write waits: with one PUT parked inside
+// DB::Write (its WAL sync held by the latch), a GET on another
+// connection is answered by the other worker.
+TEST_F(ServerTest, GetAnswersWhileAPutWaitsInItsWalSync) {
+  options_.env = &latch_env_;
+  OpenDB();
+  ServerOptions sopts;
+  sopts.sync_writes = true;
+  sopts.num_workers = 2;
+  StartServer(sopts);
+  client::Client* reader = NewClient();
+  ASSERT_TRUE(reader->Put("ready", "yes").ok());
+
+  client::ClientOptions copts;
+  copts.host = "127.0.0.1";
+  copts.port = server_->port();
+  client::Client writer(copts);
+  latch_env_.Block();
+  auto parked = writer.AsyncPut("parked", "x");
+  latch_env_.WaitForParkedSync();
+
+  std::string value;
+  ASSERT_TRUE(reader->Get("ready", &value).ok());
+  EXPECT_EQ("yes", value);
+  // The parked write is not applied before its sync returns.
+  EXPECT_TRUE(reader->Get("parked", &value).IsNotFound());
+
+  latch_env_.Unblock();
+  EXPECT_TRUE(writer.Wait(parked).status.ok());
+  ASSERT_TRUE(reader->Get("parked", &value).ok());
+  EXPECT_EQ("x", value);
+}
+
+// At most one worker writes. With the first connection's PUT parked in
+// its WAL sync, three more connections' PUTs wait for that worker, so the
+// other three workers still answer a GET. (The GET's client times out
+// after 10 s if every worker holds a write.) Once the sync returns, the
+// writing worker commits the three waiting lanes as one group.
+TEST_F(ServerTest, GetAnswersWhileWritesWaitBehindAParkedSync) {
+  options_.env = &latch_env_;
+  OpenDB();
+  ServerOptions sopts;
+  sopts.sync_writes = true;
+  sopts.num_workers = 4;
+  StartServer(sopts);
+  client::Client* reader = NewClient();
+  ASSERT_TRUE(reader->Put("ready", "yes").ok());
+  obs::HistogramMetric* groups =
+      db_->MetricsHandle()->RegisterHistogram("db.write_group_size", "");
+  const uint64_t groups_before = groups->Snapshot().Num();
+
+  std::vector<std::unique_ptr<client::Client>> writers;
+  std::vector<std::future<client::Result>> puts;
+  latch_env_.Block();
+  for (int i = 0; i < sopts.num_workers; i++) {
+    client::ClientOptions copts;
+    copts.host = "127.0.0.1";
+    copts.port = server_->port();
+    writers.push_back(std::make_unique<client::Client>(copts));
+    puts.push_back(writers.back()->AsyncPut("w" + std::to_string(i), "x"));
+    if (i == 0) latch_env_.WaitForParkedSync();
+  }
+  WaitForInflight(sopts.num_workers);
+
+  std::string value;
+  ASSERT_TRUE(reader->Get("ready", &value).ok());
+  EXPECT_EQ("yes", value);
+
+  latch_env_.Unblock();
+  for (int i = 0; i < sopts.num_workers; i++) {
+    EXPECT_TRUE(writers[i]->Wait(puts[i]).status.ok());
+    ASSERT_TRUE(reader->Get("w" + std::to_string(i), &value).ok());
+  }
+  const Histogram sizes = groups->Snapshot();
+  EXPECT_EQ(groups_before + 2, sizes.Num());
+  EXPECT_EQ(sopts.num_workers - 1, sizes.Max());
+}
+
+// Writes pipelined on one connection commit in the order they were sent,
+// though four workers serve the connection: every key ends at its last
+// PUT, and a key whose last write is a DELETE is gone.
+TEST_F(ServerTest, PipelinedWritesOnOneConnectionCommitInSendOrder) {
+  ServerOptions sopts;
+  sopts.sync_writes = false;
+  sopts.num_workers = 4;
+  StartServer(sopts);
+  client::Client* cli = NewClient(1);
+
+  constexpr int kKeys = 200;
+  constexpr int kRounds = 5;
+  std::vector<std::future<client::Result>> acks;
+  for (int k = 0; k < kKeys; k++) {
+    const std::string key = "k" + std::to_string(k);
+    for (int r = 0; r < kRounds; r++) {
+      acks.push_back(cli->AsyncPut(key, "v" + std::to_string(r)));
+    }
+    if (k % 2 == 1) acks.push_back(cli->AsyncDelete(key));
+  }
+  cli->Flush();
+  for (auto& f : acks) ASSERT_TRUE(cli->Wait(f).status.ok());
+
+  std::string value;
+  for (int k = 0; k < kKeys; k++) {
+    const std::string key = "k" + std::to_string(k);
+    const Status s = db_->Get(ReadOptions(), key, &value);
+    if (k % 2 == 1) {
+      EXPECT_TRUE(s.IsNotFound()) << key << " = " << value;
+    } else {
+      ASSERT_TRUE(s.ok()) << key;
+      EXPECT_EQ("v" + std::to_string(kRounds - 1), value) << key;
     }
   }
 }

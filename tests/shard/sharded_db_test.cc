@@ -88,6 +88,37 @@ TEST(ShardedDB, RoutesPointOpsAndBatchesAcrossShards) {
   EXPECT_TRUE(db->shard(0)->Get(ro, "kiwi", &value).IsNotFound());
 }
 
+// WriteMany splits every batch at the seams and hands each shard its
+// parts in order: later batches win per key on every shard, and a batch
+// that reaches no shard (empty) still reports OK.
+TEST(ShardedDB, WriteManySplitsEveryBatchInOrder) {
+  SimEnv env;
+  Options options = BaseOptions(&env);
+  std::unique_ptr<ShardedDB> db = MustOpen(options, FourShards(), "/sdb");
+
+  WriteBatch first, second, empty;
+  first.Put("apple", "1");   // shard 0
+  first.Put("kiwi", "1");    // shard 1
+  first.Put("zebra", "1");   // shard 3
+  second.Put("kiwi", "2");   // shard 1
+  second.Delete("zebra");    // shard 3
+  second.Put("mango", "2");  // shard 2
+  WriteBatch* batches[] = {&first, &empty, &second};
+  Status statuses[3];
+  db->WriteMany(WriteOptions(), batches, 3, statuses);
+  for (const Status& s : statuses) EXPECT_TRUE(s.ok()) << s.ToString();
+
+  ReadOptions ro;
+  std::string value;
+  ASSERT_TRUE(db->Get(ro, "apple", &value).ok());
+  EXPECT_EQ("1", value);
+  ASSERT_TRUE(db->Get(ro, "kiwi", &value).ok());
+  EXPECT_EQ("2", value);
+  ASSERT_TRUE(db->Get(ro, "mango", &value).ok());
+  EXPECT_EQ("2", value);
+  EXPECT_TRUE(db->Get(ro, "zebra", &value).IsNotFound());
+}
+
 TEST(ShardedDB, ScanWalksShardSeamsInBothDirections) {
   SimEnv env;
   Options options = BaseOptions(&env);

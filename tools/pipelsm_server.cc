@@ -8,7 +8,8 @@
 //   --host=ADDR --port=N    listen address (default 0.0.0.0:7380; port 0
 //                           binds an ephemeral port and prints it)
 //   --io_threads=N          epoll I/O loops (default 2)
-//   --workers=N             read-path worker threads (default 4)
+//   --workers=N             request worker threads (default 4); at most
+//                           one of them writes at a time
 //   --compaction=scp|pcp|cppcp
 //   --compaction_style=leveled|tiered|lazy
 //                           which picker preset shapes jobs (must not
@@ -19,8 +20,7 @@
 //                           (default 1 = off)
 //   --write_buffer_kb=N --file_kb=N --subtask_kb=N
 //   --compute_parallelism=N
-//   --group_window_micros=N group-commit gather window (default 100)
-//   --nosync                WriteOptions::sync=false for group commits
+//   --nosync                WriteOptions::sync=false for served writes
 //   --create_if_missing=0|1 (default 1)
 //   --value_threshold=N     key-value separation: values >= N bytes live
 //                           in the value log (0 = off, docs/VALUE_LOG.md)
@@ -144,8 +144,6 @@ int main(int argc, char** argv) {
         ParseNumFlag(argv[i], "file_kb", &file_kb) ||
         ParseNumFlag(argv[i], "subtask_kb", &subtask_kb) ||
         ParseNumFlag(argv[i], "compute_parallelism", &compute_parallelism) ||
-        ParseNumFlag(argv[i], "group_window_micros",
-                     &sopts.group_commit_window_micros) ||
         ParseNumFlag(argv[i], "create_if_missing", &create_if_missing) ||
         ParseNumFlag(argv[i], "value_threshold", &value_threshold) ||
         ParseNumFlag(argv[i], "cache_size", &cache_size) ||
