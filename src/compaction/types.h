@@ -104,8 +104,11 @@ class CompactionSink {
   virtual Status NewOutputFile(uint64_t* file_number,
                                std::unique_ptr<WritableFile>* file) = 0;
 
-  // Called once per completed output table, in key order.
-  virtual void OutputFinished(const OutputMeta& meta) = 0;
+  // Called once per completed output table, in key order, after the
+  // table is synced and closed. A non-OK status fails the job: the DB's
+  // sink opens the table here, so a table that does not read back is
+  // never installed.
+  virtual Status OutputFinished(const OutputMeta& meta) = 0;
 };
 
 // Per-job knobs, derived from Options by the DB (or set directly by

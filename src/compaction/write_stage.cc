@@ -79,24 +79,31 @@ Status WriteStage::RotateIfNeeded() {
 
 Status WriteStage::FinishCurrentFile() {
   if (!have_current_) return Status::OK();
-  obs::TraceSpan span(options_.trace, options_.trace_pid,
-                      options_.trace_write_lane, "S7 finish file", "write");
-  Stopwatch sw;
-  Status s = writer_->Finish();
-  if (s.ok()) {
-    s = file_->Sync();
+  Status s;
+  {
+    obs::TraceSpan span(options_.trace, options_.trace_pid,
+                        options_.trace_write_lane, "S7 finish file", "write");
+    Stopwatch sw;
+    s = writer_->Finish();
+    if (s.ok()) {
+      s = file_->Sync();
+    }
+    if (s.ok()) {
+      s = file_->Close();
+    }
+    profile_.AddStep(kStepWrite, sw.ElapsedNanos(), 0);
   }
-  if (s.ok()) {
-    s = file_->Close();
-  }
-  profile_.AddStep(kStepWrite, sw.ElapsedNanos(), 0);
   if (!s.ok()) return s;
   current_.file_size = writer_->FileSize();
-  sink_->OutputFinished(current_);
   writer_.reset();
   file_.reset();
   have_current_ = false;
-  return Status::OK();
+  // The sink may read the closed table back (the DB opens it through its
+  // table cache). That read is not the paper's write step, so it stays
+  // out of t_S7 and gets a span of its own.
+  obs::TraceSpan span(options_.trace, options_.trace_pid,
+                      options_.trace_write_lane, "S7 open output", "write");
+  return sink_->OutputFinished(current_);
 }
 
 Status WriteStage::Close() {

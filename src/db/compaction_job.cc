@@ -69,7 +69,8 @@ std::vector<std::string> PickSubcompactionSplits(const Compaction* c,
 }  // namespace
 
 // One sub-job's output sink: file creation goes through the job's
-// allocator, finished tables collect here in key order.
+// allocator, and finished tables are opened through the job's opener and
+// collect here in key order.
 class CompactionJob::Sink final : public CompactionSink {
  public:
   explicit Sink(CompactionJob* job) : job_(job) {}
@@ -86,8 +87,10 @@ class CompactionJob::Sink final : public CompactionSink {
     return s;
   }
 
-  void OutputFinished(const OutputMeta& meta) override {
-    outputs.push_back(meta);
+  Status OutputFinished(const OutputMeta& meta) override {
+    Status s = job_->open_output_(meta);
+    if (s.ok()) outputs.push_back(meta);
+    return s;
   }
 
   std::vector<OutputMeta> outputs;
@@ -104,7 +107,8 @@ CompactionJob::CompactionJob(uint64_t job_id, const char* style,
                              std::vector<std::shared_ptr<Table>> inputs,
                              const obs::EventListeners& listeners,
                              obs::Logger* info_log,
-                             OutputFileAllocator allocate)
+                             OutputFileAllocator allocate,
+                             OutputOpener open_output)
     : job_id_(job_id),
       style_(style),
       max_subcompactions_(max_subcompactions),
@@ -114,7 +118,8 @@ CompactionJob::CompactionJob(uint64_t job_id, const char* style,
       inputs_(std::move(inputs)),
       listeners_(listeners),
       info_log_(info_log),
-      allocate_(std::move(allocate)) {
+      allocate_(std::move(allocate)),
+      open_output_(std::move(open_output)) {
   base_.max_output_file_size = c->MaxOutputFileSize();
   // Tombstones in a sub-range may be dropped iff no level below the
   // output holds any key of that range. Evaluated at plan time on the

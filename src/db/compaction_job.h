@@ -1,9 +1,9 @@
 // CompactionJob: the run half of one major compaction.
 //
 // DBImpl admits a job (DBImpl::AdmitJob: its scheduler's choice, then
-// the fleet governor if one is set), opens the input tables and hands
-// them over with the grant. The job then runs without the DB mutex, on
-// exactly one path:
+// the fleet governor if one is set), releases the DB mutex, opens the
+// input tables and hands them over with the grant. The job then runs
+// without the DB mutex, on exactly one path:
 //   1. split the inputs into N >= 1 key-range sub-jobs (N = 1 unsplit);
 //   2. fire OnCompactionBegin once;
 //   3. run every sub-job on its own executor and sink — sub-job 0 on the
@@ -39,6 +39,10 @@ class CompactionJob {
   using OutputFileAllocator = std::function<Status(
       uint64_t* number, std::unique_ptr<WritableFile>* file)>;
 
+  // Opens a finished (synced, closed) output table, from S7 of the
+  // sub-job that wrote it. A non-OK status fails the job.
+  using OutputOpener = std::function<Status(const OutputMeta& meta)>;
+
   // `base` carries everything but the per-job parallelism, the output
   // file size and the base-level test, which the job derives from
   // `grant` and `c`. `c` and `listeners` must outlive the job.
@@ -47,7 +51,7 @@ class CompactionJob {
                 const CompactionGrant& grant, const Compaction* c,
                 std::vector<std::shared_ptr<Table>> inputs,
                 const obs::EventListeners& listeners, obs::Logger* info_log,
-                OutputFileAllocator allocate);
+                OutputFileAllocator allocate, OutputOpener open_output);
 
   CompactionJob(const CompactionJob&) = delete;
   CompactionJob& operator=(const CompactionJob&) = delete;
@@ -75,6 +79,7 @@ class CompactionJob {
   const obs::EventListeners& listeners_;
   obs::Logger* const info_log_;
   const OutputFileAllocator allocate_;
+  const OutputOpener open_output_;
 
   std::mutex allocated_mu_;  // sub-jobs allocate output files concurrently
   std::vector<uint64_t> allocated_;

@@ -604,11 +604,7 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
           if (s.ok()) meta->file_size = builder.FileSize();
           if (s.ok()) s = file->Sync();
           if (s.ok()) s = file->Close();
-          if (s.ok()) {
-            // Verify that the table is usable.
-            std::shared_ptr<Table> table;
-            s = table_cache_->GetTable(meta->number, meta->file_size, &table);
-          }
+          if (s.ok()) s = OpenNewTable(meta->number, meta->file_size);
         }
       }
       if (!iter->status().ok()) s = iter->status();
@@ -650,6 +646,11 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   flush_runs_counter_->Add(1);
   if (s.ok()) flush_bytes_counter_->Add(meta->file_size);
   return s;
+}
+
+Status DBImpl::OpenNewTable(uint64_t number, uint64_t file_size) {
+  std::shared_ptr<Table> table;
+  return table_cache_->GetTable(number, file_size, &table);
 }
 
 Status DBImpl::CompactMemTable(std::unique_lock<std::mutex>&) {
@@ -1028,6 +1029,10 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
     };
   }
 
+  // c pins its input version, so the input files stay live and their
+  // metadata stays put while mutex_ is released. Each input is normally
+  // a cache hit: the flush or compaction that wrote it left it open.
+  lock.unlock();
   std::vector<std::shared_ptr<Table>> inputs;
   Status status;
   for (int which = 0; which < 2 && status.ok(); which++) {
@@ -1043,7 +1048,8 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
 
   // Outputs are protected from GC from allocation until the install. The
   // allocator first flushes a pending immutable memtable, so writers do
-  // not stall for the whole of a long compaction (as LevelDB does).
+  // not stall for the whole of a long compaction (as LevelDB does). S7
+  // opens each finished output, so the next job over it starts open.
   CompactionJob job(
       next_job_id_.fetch_add(1, std::memory_order_relaxed),
       CompactionStyleName(options_.compaction_style),
@@ -1057,12 +1063,12 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
           pending_outputs_.insert(*number);
         }
         return env_->NewWritableFile(TableFileName(dbname_, *number), file);
+      },
+      [this](const OutputMeta& out) {
+        return OpenNewTable(out.file_number, out.file_size);
       });
-  if (status.ok()) {
-    lock.unlock();  // the job runs (the expensive part) without mutex_
-    status = job.Run();
-    lock.lock();
-  }
+  if (status.ok()) status = job.Run();
+  lock.lock();
 
   // The job is over (ran or failed to open inputs): hand the fleet share
   // back before the install, so a waiting shard can start compacting
@@ -1093,8 +1099,13 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
 
   // Installed or not, stop protecting every output the job allocated,
   // half-written ones included: RemoveObsoleteFiles collects the
-  // uninstalled ones (on a sticky error, the next reopen's sweep).
-  for (uint64_t number : job.allocated_files()) pending_outputs_.erase(number);
+  // uninstalled ones (on a sticky error, the next reopen's sweep). An
+  // uninstalled output's reader leaves the table cache now, since the
+  // sweep that would evict it does not run under a sticky error.
+  for (uint64_t number : job.allocated_files()) {
+    pending_outputs_.erase(number);
+    if (!status.ok()) table_cache_->Evict(number);
+  }
 
   c->ReleaseInputs();
 

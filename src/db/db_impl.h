@@ -151,6 +151,13 @@ class DBImpl final : public DB {
   Status WriteLevel0Table(MemTable* mem, VersionEdit* edit, bool pick_level,
                           FileMetaData* meta) /* REQUIRES: holding mutex_ */;
 
+  // Opens table `number`, which this DB just wrote and closed, through the
+  // table cache. That verifies its footer, index and filter tail before
+  // any edit names it, and leaves the reader cached, so the compaction
+  // or read that comes next finds it open. Flush and compaction outputs
+  // both come here. Called without mutex_.
+  Status OpenNewTable(uint64_t number, uint64_t file_size);
+
   Status MakeRoomForWrite(std::unique_lock<std::mutex>& lock, bool force);
 
   // Opens a fresh WAL and turns mem_ into imm_, scheduling its flush.
@@ -164,8 +171,8 @@ class DBImpl final : public DB {
   void BackgroundThreadMain();
   Status BackgroundCompaction(std::unique_lock<std::mutex>& lock);
   Status CompactMemTable(std::unique_lock<std::mutex>& lock);
-  // Admits *c, runs it as a CompactionJob with mutex_ released, and
-  // installs its outputs.
+  // Admits *c, opens its inputs and runs it as a CompactionJob with
+  // mutex_ released, and installs its outputs.
   Status DoCompactionWork(std::unique_lock<std::mutex>& lock, Compaction* c);
 
   // Flush a pending immutable memtable from a running compaction's output

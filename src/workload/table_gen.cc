@@ -116,9 +116,10 @@ Status CountingSink::NewOutputFile(uint64_t* file_number,
   return env_->NewWritableFile(fname, file);
 }
 
-void CountingSink::OutputFinished(const OutputMeta& meta) {
+Status CountingSink::OutputFinished(const OutputMeta& meta) {
   outputs_.push_back(meta);
   total_bytes_ += meta.file_size;
+  return Status::OK();
 }
 
 }  // namespace pipelsm

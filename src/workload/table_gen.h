@@ -56,7 +56,7 @@ class CountingSink : public CompactionSink {
 
   Status NewOutputFile(uint64_t* file_number,
                        std::unique_ptr<WritableFile>* file) override;
-  void OutputFinished(const OutputMeta& meta) override;
+  Status OutputFinished(const OutputMeta& meta) override;
 
   const std::vector<OutputMeta>& outputs() const { return outputs_; }
   uint64_t total_output_bytes() const { return total_bytes_; }

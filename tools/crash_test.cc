@@ -134,6 +134,8 @@ const CrashPoint kCrashPoints[] = {
     {FaultOp::kClose, 8},
     {FaultOp::kRenameFile, 2},      // CURRENT install
     {FaultOp::kSyncDir, 2},
+    {FaultOp::kRead, 12, ".pst"},   // table opens: flush + S7 read-back,
+                                    // compaction inputs; S1 reads
 };
 // Joined in when --value_threshold is set: crash inside vlog appends
 // (user writes + GC rewrites), vlog syncs (the barrier before every WAL
