@@ -2,9 +2,9 @@
 // library's public compaction API.
 //
 // Builds an upper/lower component pair on a simulated device, runs the
-// same compaction through all four executors, and prints each one's
+// same compaction through all four procedures, and prints each one's
 // per-step breakdown, bandwidth and the analytic model's prediction —
-// a minimal template for anyone extending the executors.
+// a minimal template for anyone extending the executor.
 //
 //   ./compaction_lab [hdd|ssd]    (default ssd)
 #include <cstdio>

@@ -1,8 +1,11 @@
 // CompactionExecutor: runs one planned compaction end to end.
 //
-// Four implementations reproduce the paper's procedures:
+// One executor runs the paper's four procedures. They share the seven
+// steps and the planned sub-tasks, and differ only in how the steps are
+// scheduled:
 //   SCP    — the LevelDB baseline: sub-tasks strictly sequential, the
-//            seven steps of each executed back to back (§III-A).
+//            seven steps of each executed back to back on the calling
+//            thread (§III-A).
 //   PCP    — 3-stage pipeline read/compute/write, one thread per stage,
 //            bounded queues between stages (§III-B).
 //   S-PPCP — PCP with k reader threads issuing S1 concurrently; pair with
@@ -27,23 +30,27 @@ class Table;
 
 class CompactionExecutor {
  public:
-  virtual ~CompactionExecutor() = default;
+  explicit CompactionExecutor(CompactionMode mode) : mode_(mode) {}
 
-  virtual const char* name() const = 0;
+  const char* name() const { return CompactionModeName(mode_); }
 
   // Plans sub-tasks from `inputs` and runs them to completion, writing
   // outputs through `sink` and accumulating step timings in *profile
   // (wall_nanos covers the whole run including planning). A run that
   // fails after planning still adds what it measured to *profile, but
-  // publishes nothing to CompactionJobOptions::metrics. Executors fire
-  // no listener events and keep no state between runs.
-  virtual Status Run(const CompactionJobOptions& options,
-                     const std::vector<std::shared_ptr<Table>>& inputs,
-                     CompactionSink* sink, StepProfile* profile) = 0;
+  // publishes nothing to CompactionJobOptions::metrics. The executor
+  // fires no listener events and keeps no state between runs.
+  Status Run(const CompactionJobOptions& options,
+             const std::vector<std::shared_ptr<Table>>& inputs,
+             CompactionSink* sink, StepProfile* profile) const;
+
+ private:
+  const CompactionMode mode_;
 };
 
 // Factory. For kPCP/kSPPCP/kCPPCP the parallelism comes from
-// CompactionJobOptions (read_parallelism / compute_parallelism).
+// CompactionJobOptions (read_parallelism / compute_parallelism); SCP
+// ignores both.
 std::unique_ptr<CompactionExecutor> NewCompactionExecutor(CompactionMode mode);
 
 }  // namespace pipelsm

@@ -1,8 +1,8 @@
 // DBImpl: the LSM engine. Writes land in the WAL + memtable; full
 // memtables rotate to an immutable memtable that a background thread
 // dumps to level 0; when a level exceeds its threshold the background
-// thread runs a major compaction through the configured
-// CompactionExecutor (SCP / PCP / C-PPCP).
+// thread runs a major compaction through the CompactionExecutor, under
+// the procedure (SCP / PCP / C-PPCP) the scheduler grants it.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,7 @@
 // Standalone compaction-input builder: constructs the "upper component /
 // lower component" table pairs the executor-level benches and tests feed
-// straight into a CompactionExecutor, without going through a DB.
+// straight into the CompactionExecutor, under any procedure, without
+// going through a DB.
 #pragma once
 
 #include <memory>

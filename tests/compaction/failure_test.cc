@@ -1,6 +1,7 @@
 // Failure injection across the compaction path: corrupt blocks must be
-// caught by S2 (CHECKSUM) in every executor, and the error must propagate
-// cleanly out of the pipeline (threads joined, no partial state).
+// caught by S2 (CHECKSUM) and a failing sink by S7 in every procedure, and
+// the error must propagate cleanly out of the pipeline (threads joined, no
+// partial state).
 #include <gtest/gtest.h>
 
 #include "src/compaction/executor.h"
@@ -70,6 +71,73 @@ TEST_F(CompactionFailureTest, CorruptInputFailsEveryExecutor) {
     EXPECT_GT(profile.nanos[kStepRead], 0u) << executor->name();
     EXPECT_EQ(0u, metrics.RegisterCounter("compaction.runs", "")->value())
         << executor->name();
+  }
+}
+
+// A sink that fails on the S7 side: creating an output file, or reading a
+// finished one back (the DB's sink opens each output through its table
+// cache, so a table that does not read back fails the job).
+class FailingSink : public CountingSink {
+ public:
+  enum class Where { kNewOutputFile, kOutputFinished };
+
+  FailingSink(Env* env, std::string dir, Where where, Status error)
+      : CountingSink(env, std::move(dir)), where_(where), error_(error) {}
+
+  Status NewOutputFile(uint64_t* file_number,
+                       std::unique_ptr<WritableFile>* file) override {
+    if (where_ == Where::kNewOutputFile) return error_;
+    return CountingSink::NewOutputFile(file_number, file);
+  }
+  Status OutputFinished(const OutputMeta& meta) override {
+    if (where_ == Where::kOutputFinished) return error_;
+    return CountingSink::OutputFinished(meta);
+  }
+
+ private:
+  const Where where_;
+  const Status error_;
+};
+
+TEST_F(CompactionFailureTest, SinkFailureFailsEveryExecutor) {
+  MakeInputs();
+  struct SinkCase {
+    FailingSink::Where where;
+    Status error;
+  } sink_cases[] = {
+      {FailingSink::Where::kNewOutputFile,
+       Status::IOError("injected", "NewOutputFile")},
+      {FailingSink::Where::kOutputFinished,
+       Status::Corruption("injected", "output does not read back")},
+  };
+  struct Case {
+    CompactionMode mode;
+    int readers;
+    int computers;
+  } cases[] = {
+      {CompactionMode::kSCP, 1, 1},
+      {CompactionMode::kPCP, 1, 1},
+      {CompactionMode::kSPPCP, 3, 1},
+      {CompactionMode::kCPPCP, 1, 3},
+  };
+  for (const SinkCase& sc : sink_cases) {
+    for (const Case& c : cases) {
+      auto executor = NewCompactionExecutor(c.mode);
+      const std::string what =
+          std::string(executor->name()) + " / " + sc.error.ToString();
+      FailingSink sink(&env_, std::string("/out-") + executor->name(),
+                       sc.where, sc.error);
+      obs::MetricsRegistry metrics;
+      CompactionJobOptions job = JobOptions(c.readers, c.computers);
+      job.metrics = &metrics;
+      StepProfile profile;
+      // Returning at all shows the pipelined procedures joined their
+      // threads after S7 broke.
+      Status s = executor->Run(job, inputs_.tables, &sink, &profile);
+      EXPECT_EQ(sc.error.ToString(), s.ToString()) << what;
+      EXPECT_EQ(0u, metrics.RegisterCounter("compaction.runs", "")->value())
+          << what;
+    }
   }
 }
 

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -235,6 +237,60 @@ TEST(TraceCollector, ScpRunTracesSequentialLane) {
   EXPECT_EQ(1u, span_names.count("S1 read"));
   EXPECT_EQ(1u, span_names.count("S2-S6 compute"));
   EXPECT_EQ(1u, span_names.count("S7 write"));
+
+  // SCP starts no stage threads: one lane, whose S1, S2-S6 and S7 spans
+  // follow one another in sub-task order without overlapping.
+  struct StepSpan {
+    uint64_t start_ns;
+    uint64_t end_ns;
+    std::string name;
+    uint64_t seq;
+  };
+  std::vector<StepSpan> steps;
+  std::set<uint64_t> lanes;
+  int lane_names = 0;
+  for (const JsonValue& ev : root.Find("traceEvents")->array) {
+    const std::string& ph = ev.Find("ph")->string_value;
+    const std::string& name = ev.Find("name")->string_value;
+    if (ph == "M") {
+      if (name == "thread_name") lane_names++;
+      continue;
+    }
+    lanes.insert(static_cast<uint64_t>(ev.Find("tid")->number_value));
+    if (name != "S1 read" && name != "S2-S6 compute" && name != "S7 write") {
+      continue;  // "S7 finish file" / "S7 open output" nest inside S7
+    }
+    // ts and dur are microseconds printed to the nanosecond.
+    const uint64_t start = std::llround(ev.Find("ts")->number_value * 1e3);
+    const uint64_t dur = std::llround(ev.Find("dur")->number_value * 1e3);
+    steps.push_back(StepSpan{
+        start, start + dur, name,
+        static_cast<uint64_t>(ev.Find("args")->Find("seq")->number_value)});
+  }
+  EXPECT_EQ(1, lane_names);
+  EXPECT_EQ(std::set<uint64_t>{0}, lanes);
+
+  std::sort(steps.begin(), steps.end(),
+            [](const StepSpan& a, const StepSpan& b) {
+              return a.start_ns < b.start_ns;
+            });
+  const char* const kOrder[] = {"S1 read", "S2-S6 compute", "S7 write"};
+  ASSERT_GE(steps.size(), 6u);  // at least two sub-tasks
+  ASSERT_EQ(0u, steps.size() % 3);
+  for (size_t i = 0; i < steps.size(); i++) {
+    EXPECT_EQ(kOrder[i % 3], steps[i].name) << "span " << i;
+    EXPECT_EQ(i / 3, steps[i].seq) << "span " << i;
+    if (i > 0) {
+      EXPECT_LE(steps[i - 1].end_ns, steps[i].start_ns)
+          << steps[i - 1].name << " " << steps[i - 1].seq << " overlaps "
+          << steps[i].name << " " << steps[i].seq;
+    }
+  }
+
+  // No queues, so no queue instruments.
+  for (const obs::MetricSample& sample : run.registry.Snapshot()) {
+    EXPECT_NE(0u, sample.name.rfind("compaction.queue.", 0)) << sample.name;
+  }
 }
 
 // Acceptance: on an I/O-bound device profile the metrics registry must
