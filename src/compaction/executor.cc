@@ -58,10 +58,17 @@ Status CompactionExecutor::Run(
     const CompactionJobOptions& options,
     const std::vector<std::shared_ptr<Table>>& inputs, CompactionSink* sink,
     StepProfile* profile) const {
-  Stopwatch wall;
-  CompactionPlan job_plan;
-  Status s = PlanSubTasks(options, inputs, &job_plan);
+  CompactionPlan plan;
+  Status s = PlanSubTasks(options, inputs, &plan);
   if (!s.ok()) return s;
+  return Run(options, inputs, std::move(plan), sink, profile);
+}
+
+Status CompactionExecutor::Run(
+    const CompactionJobOptions& options,
+    const std::vector<std::shared_ptr<Table>>& inputs, CompactionPlan job_plan,
+    CompactionSink* sink, StepProfile* profile) const {
+  Stopwatch wall;
   std::vector<SubTaskPlan>& plans = job_plan.subtasks;
 
   const bool sequential = mode_ == CompactionMode::kSCP;
@@ -140,6 +147,7 @@ Status CompactionExecutor::Run(
     return write_stage.PushReordered(std::move(computed));
   };
 
+  Status s;
   if (sequential) {
     // SCP: each sub-task's seven steps back to back on lane 0.
     for (SubTaskPlan& plan : plans) {
@@ -285,7 +293,7 @@ Status CompactionExecutor::Run(
   run_profile.nanos[kStepWrite] += wp.nanos[kStepWrite];
   run_profile.bytes[kStepWrite] += wp.bytes[kStepWrite];
   run_profile.input_bytes += job_plan.input_bytes;
-  run_profile.wall_nanos += wall.ElapsedNanos();
+  run_profile.wall_nanos += job_plan.plan_nanos + wall.ElapsedNanos();
   profile->Merge(run_profile);
   // The registry's run and step counters cover successful runs only.
   if (s.ok()) obs::AddStepMetrics(job.metrics, run_profile);

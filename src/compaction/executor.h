@@ -34,15 +34,21 @@ class CompactionExecutor {
 
   const char* name() const { return CompactionModeName(mode_); }
 
-  // Plans sub-tasks from `inputs` and runs them to completion, writing
-  // outputs through `sink` and accumulating step timings in *profile
-  // (wall_nanos covers the whole run including planning). A run that
-  // fails after planning still adds what it measured to *profile, but
-  // publishes nothing to CompactionJobOptions::metrics. The executor
-  // fires no listener events and keeps no state between runs.
+  // Plans sub-tasks from `inputs` (PlanSubTasks) and runs the plan.
   Status Run(const CompactionJobOptions& options,
              const std::vector<std::shared_ptr<Table>>& inputs,
              CompactionSink* sink, StepProfile* profile) const;
+
+  // Runs `plan` to completion: PlanSubTasks' plan of `inputs`, or one
+  // sub-job's group of it (SplitPlan). Writes outputs through `sink` and
+  // accumulates step timings in *profile (wall_nanos covers the run and
+  // plan.plan_nanos). A run that fails still adds what it measured to
+  // *profile, but publishes nothing to CompactionJobOptions::metrics. The
+  // executor fires no listener events and keeps no state between runs.
+  Status Run(const CompactionJobOptions& options,
+             const std::vector<std::shared_ptr<Table>>& inputs,
+             CompactionPlan plan, CompactionSink* sink,
+             StepProfile* profile) const;
 
  private:
   const CompactionMode mode_;

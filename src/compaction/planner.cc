@@ -1,6 +1,8 @@
 #include "src/compaction/planner.h"
 
 #include <algorithm>
+#include <set>
+#include <utility>
 
 #include "src/table/iterator.h"
 #include "src/table/table.h"
@@ -16,11 +18,21 @@ struct IndexEntry {
   BlockHandle handle;
 };
 
+// The stored bytes S1 reads for one sub-task.
+uint64_t PlannedBytes(const SubTaskPlan& p) {
+  uint64_t bytes = 0;
+  for (const BlockRead& br : p.blocks) {
+    bytes += br.handle.size() + kBlockTrailerSize;
+  }
+  return bytes;
+}
+
 }  // namespace
 
 Status PlanSubTasks(const CompactionJobOptions& options,
                     const std::vector<std::shared_ptr<Table>>& inputs,
                     CompactionPlan* plan) {
+  Stopwatch timer;
   std::vector<SubTaskPlan>* const plans = &plan->subtasks;
   plans->clear();
   plan->input_bytes = 0;
@@ -48,7 +60,6 @@ Status PlanSubTasks(const CompactionJobOptions& options,
     }
     if (!it->status().ok()) return it->status();
   }
-  if (all.empty()) return Status::OK();
 
   // Walk block extents in merged key order; cut a boundary whenever the
   // accumulated input reaches subtask_bytes. Boundaries are user keys and
@@ -76,28 +87,7 @@ Status PlanSubTasks(const CompactionJobOptions& options,
     }
   }
 
-  // A sub-compaction restricts the whole job to (range_lo, range_hi]:
-  // keep only boundaries strictly inside the window, then pin the first
-  // plan's lo and the last plan's hi to the window edges so block
-  // assignment and the merge's range filter clamp to it automatically.
-  if (!options.range_unbounded_lo || !options.range_unbounded_hi) {
-    boundaries.erase(
-        std::remove_if(
-            boundaries.begin(), boundaries.end(),
-            [&](const std::string& b) {
-              if (!options.range_unbounded_lo &&
-                  ucmp->Compare(b, options.range_lo_user_key) <= 0)
-                return true;
-              if (!options.range_unbounded_hi &&
-                  ucmp->Compare(b, options.range_hi_user_key) >= 0)
-                return true;
-              return false;
-            }),
-        boundaries.end());
-  }
-
-  // Build the sub-task ranges: (lo, b0], (b0, b1], ..., (b_last, hi]
-  // where lo/hi are the job range edges (unbounded by default).
+  // Build the sub-task ranges: (-inf, b0], (b0, b1], ..., (b_last, +inf).
   const size_t num_tasks = boundaries.size() + 1;
   plans->resize(num_tasks);
   for (size_t i = 0; i < num_tasks; i++) {
@@ -106,16 +96,10 @@ Status PlanSubTasks(const CompactionJobOptions& options,
     if (i > 0) {
       p.unbounded_lo = false;
       p.lo_user_key = boundaries[i - 1];
-    } else if (!options.range_unbounded_lo) {
-      p.unbounded_lo = false;
-      p.lo_user_key = options.range_lo_user_key;
     }
     if (i < boundaries.size()) {
       p.unbounded_hi = false;
       p.hi_user_key = boundaries[i];
-    } else if (!options.range_unbounded_hi) {
-      p.unbounded_hi = false;
-      p.hi_user_key = options.range_hi_user_key;
     }
   }
 
@@ -171,7 +155,53 @@ Status PlanSubTasks(const CompactionJobOptions& options,
                                      ? options.range_is_base_level((*plans)[i])
                                      : true;
   }
+  plan->plan_nanos = timer.ElapsedNanos();
   return Status::OK();
+}
+
+std::vector<CompactionPlan> SplitPlan(CompactionPlan plan, int want) {
+  std::vector<SubTaskPlan>& tasks = plan.subtasks;
+  const size_t m = tasks.size();
+  const size_t n = std::min<size_t>(std::max(want, 1), m / 2);
+  if (n < 2) {
+    std::vector<CompactionPlan> whole(1);
+    whole[0] = std::move(plan);
+    return whole;
+  }
+  std::vector<uint64_t> prefix(m + 1, 0);  // planned bytes of tasks [0, i)
+  for (size_t i = 0; i < m; i++) {
+    prefix[i + 1] = prefix[i] + PlannedBytes(tasks[i]);
+  }
+  // Each group ends at the sub-task boundary closest to an even share of
+  // the bytes not yet dealt out, leaving two sub-tasks for every group.
+  std::vector<size_t> cuts = {0};
+  for (size_t j = 1; j < n; j++) {
+    const size_t from = cuts.back();
+    const uint64_t target =
+        prefix[from] + (prefix[m] - prefix[from]) / (n - j + 1);
+    const size_t last = m - 2 * (n - j);
+    size_t c = from + 2;
+    while (c < last && prefix[c] + prefix[c + 1] < 2 * target) c++;
+    cuts.push_back(c);
+  }
+  cuts.push_back(m);
+
+  // A block listed by two groups counts in the first one's input_bytes.
+  std::vector<CompactionPlan> groups(cuts.size() - 1);
+  std::set<std::pair<int, uint64_t>> counted;
+  for (size_t j = 0; j < groups.size(); j++) {
+    for (size_t i = cuts[j]; i < cuts[j + 1]; i++) {
+      for (const BlockRead& br : tasks[i].blocks) {
+        if (counted.insert({br.table_index, br.handle.offset()}).second) {
+          groups[j].input_bytes += br.handle.size() + kBlockTrailerSize;
+        }
+      }
+      tasks[i].seq = i - cuts[j];
+      groups[j].subtasks.push_back(std::move(tasks[i]));
+    }
+  }
+  groups[0].plan_nanos = plan.plan_nanos;
+  return groups;
 }
 
 }  // namespace pipelsm

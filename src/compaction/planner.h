@@ -5,7 +5,9 @@
 //
 // Boundaries are drawn at data-block separator keys, truncated to user
 // keys, so every version of a user key lands in exactly one sub-task and
-// the merge's shadowing/tombstone logic stays sub-task-local.
+// the merge's shadowing/tombstone logic stays sub-task-local. The same
+// boundaries are the only seams of a key-range sub-compaction: SplitPlan
+// deals a job's one plan out to its sub-jobs (docs/COMPACTION.md).
 #pragma once
 
 #include <memory>
@@ -23,5 +25,14 @@ class Table;
 Status PlanSubTasks(const CompactionJobOptions& options,
                     const std::vector<std::shared_ptr<Table>>& inputs,
                     CompactionPlan* plan);
+
+// Cuts `plan` into N = min(want, sub-tasks / 2) contiguous groups of its
+// sub-tasks, one per sub-job, or returns `plan` alone when N < 2. Every
+// group holds at least two sub-tasks and ends at the sub-task boundary
+// closest to an even share of the planned block bytes not yet dealt out.
+// Each group is renumbered from seq 0 and counts in input_bytes only the
+// blocks no earlier group lists, so the groups' input_bytes sum to
+// plan.input_bytes; the first group keeps plan_nanos.
+std::vector<CompactionPlan> SplitPlan(CompactionPlan plan, int want);
 
 }  // namespace pipelsm

@@ -61,9 +61,12 @@ struct SubTaskPlan {
 // A planned compaction job: its sub-tasks in key order, and the job's
 // input size l — the stored bytes (payload + trailer) of the distinct
 // data blocks the sub-tasks list, so a boundary block counts once.
+// plan_nanos is the time planning took; the executor that runs the plan
+// counts it in StepProfile::wall_nanos.
 struct CompactionPlan {
   std::vector<SubTaskPlan> subtasks;
   uint64_t input_bytes = 0;
+  uint64_t plan_nanos = 0;
 };
 
 // S1 output: the sub-task's raw (still compressed + trailered) blocks.
@@ -153,17 +156,6 @@ struct CompactionJobOptions {
   // block only in the sub-tasks it overlaps. Empty: first blocks are
   // unbounded below and land in every sub-task before them as well.
   std::vector<std::string> input_smallest_user_keys;
-
-  // Key-range restriction for sub-compactions (docs/COMPACTION.md): when
-  // bounded, this job covers only user keys in (range_lo, range_hi] of
-  // its input tables. The planner clamps every sub-task plan to this
-  // window, so the merge's existing range filter drops everything
-  // outside it and neighboring sub-jobs' outputs never overlap at the
-  // seams. Unbounded on both ends by default (whole-job semantics).
-  bool range_unbounded_lo = true;
-  bool range_unbounded_hi = true;
-  std::string range_lo_user_key;
-  std::string range_hi_user_key;
 
   // Optional: invoked for every in-range entry the merge drops (hidden
   // by a newer entry or a droppable tombstone) with the entry's type and

@@ -4,10 +4,13 @@
 // the fleet governor if one is set), releases the DB mutex, opens the
 // input tables and hands them over with the grant. The job then runs
 // without the DB mutex, on exactly one path:
-//   1. split the inputs into N >= 1 key-range sub-jobs (N = 1 unsplit);
+//   1. plan the sub-tasks once (PlanSubTasks) and deal them out to
+//      N >= 1 key-range sub-jobs in contiguous groups (SplitPlan; N = 1
+//      unsplit), so sub-job seams are sub-task boundaries;
 //   2. fire OnCompactionBegin once;
-//   3. run every sub-job on its own executor and sink — sub-job 0 on the
-//      calling thread, the others on threads of their own;
+//   3. run every sub-job's group through one executor, each on a sink of
+//      its own — sub-job 0 on the calling thread, the others on threads
+//      of their own;
 //   4. fire OnCompactionCompleted once, with the merged StepProfile whose
 //      wall_nanos is the job's elapsed time between the two callbacks.
 // DBImpl then installs outputs() in one VersionEdit and releases every
@@ -66,6 +69,9 @@ class CompactionJob {
   // run abandoned half-written.
   const std::vector<uint64_t>& allocated_files() const { return allocated_; }
 
+  // How many key-range sub-jobs Run() split the job into (1 unsplit).
+  int subjobs() const { return subjobs_; }
+
  private:
   class Sink;
 
@@ -84,6 +90,7 @@ class CompactionJob {
   std::mutex allocated_mu_;  // sub-jobs allocate output files concurrently
   std::vector<uint64_t> allocated_;
   std::vector<OutputMeta> outputs_;
+  int subjobs_ = 1;
 };
 
 }  // namespace pipelsm

@@ -1068,6 +1068,10 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
         return OpenNewTable(out.file_number, out.file_size);
       });
   if (status.ok()) status = job.Run();
+  if (job.subjobs() > 1) {
+    subcompaction_jobs_counter_->Add(1);
+    subcompaction_runs_counter_->Add(job.subjobs());
+  }
   lock.lock();
 
   // The job is over (ran or failed to open inputs): hand the fleet share

@@ -134,14 +134,12 @@ struct Options {
   // al.'s T; clamped to [2, 32].
   int tiered_run_count = 4;
 
-  // Upper bound on key-range sub-compactions per job: a large job is
-  // split at input-table boundary keys into up to this many disjoint
-  // sub-ranges, each run by its own executor instance in parallel, and
-  // installed atomically as one version edit. The effective fan-out is
-  // additionally clamped by the admission grant's parallelism budget
-  // (its granted compute k) and by the job's size (each
-  // sub-range must carry at least two sub-tasks of input). 1 (default) =
-  // off; clamped to [1, 16].
+  // Upper bound on key-range sub-compactions per job: the job's planned
+  // sub-tasks are dealt out in up to this many contiguous groups, run in
+  // parallel and installed atomically as one version edit. The effective
+  // fan-out is additionally clamped by the admission grant's parallelism
+  // budget (its granted compute k) and by the plan (each group must hold
+  // at least two sub-tasks). 1 (default) = off; clamped to [1, 16].
   int max_subcompactions = 1;
 
   // Sub-task granularity in input bytes; each sub-task covers one or more

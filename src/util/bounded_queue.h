@@ -35,7 +35,7 @@ class BoundedQueue {
   // All counters are cumulative since construction.
   struct Stats {
     uint64_t pushes = 0;            // items accepted
-    uint64_t pops = 0;              // items handed out (Pop + TryPop)
+    uint64_t pops = 0;              // items handed out
     uint64_t push_stalls = 0;       // Push calls that had to block
     uint64_t pop_stalls = 0;        // Pop calls that had to block
     uint64_t push_stall_nanos = 0;  // total time producers sat blocked
@@ -77,17 +77,6 @@ class BoundedQueue {
     WaitCounted(lock, not_empty_, &stats_.pop_stalls, &stats_.pop_stall_nanos,
                 [this] { return closed_ || !items_.empty(); });
     if (items_.empty()) return std::nullopt;  // closed and drained
-    T item = std::move(items_.front());
-    items_.pop_front();
-    stats_.pops++;
-    not_full_.notify_one();
-    return item;
-  }
-
-  // Non-blocking pop; returns nullopt immediately when empty.
-  std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();
     stats_.pops++;

@@ -84,10 +84,6 @@ class Version {
   bool OverlapInLevel(int level, const Slice* smallest_user_key,
                       const Slice* largest_user_key);
 
-  int NumFiles(int level) const {
-    return static_cast<int>(files_[level].size());
-  }
-
   const std::vector<FileMetaData*>& files(int level) const {
     return files_[level];
   }

@@ -270,6 +270,55 @@ TEST_F(SubcompactionDBTest, SplitAndSerialRunsAreByteIdentical) {
   EXPECT_EQ(serial, split);
 }
 
+// Seams are sub-task boundaries, not input-table boundaries: a job over
+// two large tables still splits as wide as asked.
+TEST_F(SubcompactionDBTest, TwoTableJobSplitsAsWideAsAsked) {
+  db_.reset();
+  options_ = Options();
+  options_.env = &fault_;
+  options_.create_if_missing = true;
+  options_.compaction_mode = CompactionMode::kPCP;
+  options_.compute_parallelism = 4;
+  options_.max_subcompactions = 4;
+  options_.write_buffer_size = 256 << 10;
+  options_.max_file_size = 4 << 20;
+  options_.subtask_bytes = 16 << 10;
+  options_.listeners.push_back(&counter_);
+  DB* db = nullptr;
+  ASSERT_TRUE(DB::Open(options_, "/db", &db).ok());
+  db_.reset(db);
+
+  // One memtable's worth rolls over into the first table, which the flush
+  // pushes down to the lowest free level; CompactRange flushes the rest
+  // into the second, one level up, and compacts the two in one job.
+  std::map<std::string, std::string> oracle;
+  uint32_t rng = 17;
+  for (int i = 0; i < 3000; i++) {
+    rng = rng * 1664525u + 1013904223u;
+    char key[32];
+    std::snprintf(key, sizeof(key), "k%06u", rng % 100000);
+    std::string value;
+    for (int c = 0; c < 100; c++) {
+      rng = rng * 1664525u + 1013904223u;
+      value.push_back(static_cast<char>('a' + (rng >> 16) % 26));
+    }
+    ASSERT_TRUE(db_->Put(WriteOptions(), key, value).ok());
+    oracle[key] = value;
+  }
+  ASSERT_TRUE(db_->WaitForCompactions().ok());
+  ASSERT_EQ(0, counter_.begins_.load());
+
+  db_->CompactRange(nullptr, nullptr);
+  ASSERT_TRUE(db_->WaitForCompactions().ok());
+  EXPECT_EQ(1, counter_.begins_.load());
+  EXPECT_EQ(1u, SubcompactedJobs());
+  EXPECT_EQ(4u, JsonNumber("pipelsm.compaction", "subcompactions_run"));
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(&fault_, "/db/LOG", &log).ok());
+  EXPECT_NE(std::string::npos, log.find(" inputs=2 "));
+  EXPECT_EQ(OracleDump(oracle), Scan(db_.get()));
+}
+
 TEST_F(SubcompactionDBTest, OneListenerPairPerSplitJob) {
   Open(/*max_subcompactions=*/4);
   std::map<std::string, std::string> oracle;

@@ -24,15 +24,6 @@ TEST(BoundedQueue, FifoSingleThread) {
   }
 }
 
-TEST(BoundedQueue, TryPopEmpty) {
-  BoundedQueue<int> q(4);
-  EXPECT_FALSE(q.TryPop().has_value());
-  q.Push(7);
-  auto v = q.TryPop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(7, *v);
-}
-
 TEST(BoundedQueue, CloseDrainsThenFails) {
   BoundedQueue<int> q(4);
   q.Push(1);
@@ -127,10 +118,10 @@ TEST(BoundedQueue, StatsCountTraffic) {
   q.Push(2);
   q.Push(3);
   EXPECT_EQ(1, *q.Pop());
-  EXPECT_EQ(2, *q.TryPop());
+  EXPECT_EQ(2, *q.Pop());
   const auto stats = q.stats();
   EXPECT_EQ(3u, stats.pushes);
-  EXPECT_EQ(2u, stats.pops);  // Pop and TryPop both count
+  EXPECT_EQ(2u, stats.pops);
   EXPECT_EQ(3u, stats.depth_highwater);
   // Nothing ever blocked: the stall clock must not have started.
   EXPECT_EQ(0u, stats.push_stalls);
