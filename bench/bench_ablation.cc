@@ -40,53 +40,6 @@ CompactionBenchConfig BaseCfg(const DeviceProfile& device) {
   return cfg;
 }
 
-// RunCompaction variant honoring extra job fields via a thin copy of the
-// helper (bench_common's RunCompaction does not expose queue depth,
-// coalescing or the input shape). `upper_tables` splits the upper
-// component into that many whole-range tables; *read_ops, when set,
-// receives the run's device read count. With `stripe_window`, S1 reads at
-// least the env's PreferredReadBytes(), as in the DB.
-CompactionRun RunWith(const CompactionBenchConfig& cfg, size_t queue_depth,
-                      bool coalesce, int upper_tables = 1,
-                      uint64_t* read_ops = nullptr,
-                      bool stripe_window = false) {
-  SimEnv env(DilatedProfile(cfg.device, cfg.time_dilation));
-  InternalKeyComparator icmp(BytewiseComparator());
-
-  TableGenOptions gen;
-  gen.env = &env;
-  gen.icmp = &icmp;
-  gen.upper_bytes = cfg.upper_bytes;
-  gen.lower_bytes = cfg.lower_bytes;
-  gen.upper_tables = upper_tables;
-  CompactionInputs inputs;
-  Status s = GenerateCompactionInputs(gen, &inputs);
-  if (!s.ok()) std::exit(1);
-  env.device()->ResetStats();
-
-  CompactionJobOptions job;
-  job.icmp = &icmp;
-  job.subtask_bytes = cfg.subtask_bytes;
-  job.read_parallelism = cfg.read_parallelism;
-  job.compute_parallelism = cfg.compute_parallelism;
-  job.time_dilation = cfg.time_dilation;
-  job.queue_depth = queue_depth;
-  job.coalesce_reads = coalesce;
-  if (stripe_window) job.min_read_bytes = env.PreferredReadBytes();
-
-  auto executor = NewCompactionExecutor(cfg.mode);
-  CountingSink sink(&env, "/out");
-  CompactionRun run;
-  s = executor->Run(job, inputs.tables, &sink, &run.profile);
-  if (!s.ok()) std::exit(1);
-  if (read_ops != nullptr) *read_ops = env.device()->stats().read_ops.load();
-  run.wall_seconds = run.profile.wall_nanos * 1e-9;
-  run.bandwidth_mib_s =
-      run.wall_seconds > 0 ? ToMiB(run.profile.input_bytes) / run.wall_seconds
-                           : 0;
-  return run;
-}
-
 // ---- A6 helper: overwrite-heavy DB fill under one compaction policy ----
 
 struct StyleWaRun {
@@ -97,22 +50,16 @@ struct StyleWaRun {
 };
 
 StyleWaRun RunOverwriteFill(CompactionStyle style) {
-  SimEnv env(DeviceProfile::Ssd());
-  Options options;
-  options.env = &env;
-  options.create_if_missing = true;
-  options.compaction_mode = CompactionMode::kPCP;
-  options.write_buffer_size = 64 << 10;  // many flushes -> deep tree
-  options.max_file_size = 64 << 10;
-  options.subtask_bytes = 32 << 10;
-  options.block_size = 4 << 10;
-  options.compaction_style = style;
-  options.tiered_run_count = 4;
-
-  DB* raw = nullptr;
-  Status s = DB::Open(options, "/db", &raw);
-  if (!s.ok()) std::exit(1);
-  std::unique_ptr<DB> db(raw);
+  DbBenchConfig cfg;
+  cfg.device = DeviceProfile::Ssd();
+  cfg.mode = CompactionMode::kPCP;
+  cfg.write_buffer_size = 64 << 10;  // many flushes -> deep tree
+  cfg.max_file_size = 64 << 10;
+  cfg.subtask_bytes = 32 << 10;
+  cfg.style = style;
+  cfg.tiered_run_count = 4;
+  SimEnv env(cfg.device);
+  std::unique_ptr<DB> db = OpenBenchDb(cfg, &env);
 
   // Each distinct key is rewritten ~15x on average, so most compaction
   // input is shadowed versions — the regime where policy choice moves
@@ -128,8 +75,7 @@ StyleWaRun RunOverwriteFill(CompactionStyle style) {
     const std::string key = gen.Key(k);
     const std::string value = gen.Value(k);
     user_bytes += key.size() + value.size();
-    s = db->Put(WriteOptions(), key, value);
-    if (!s.ok()) std::exit(1);
+    if (!db->Put(WriteOptions(), key, value).ok()) std::exit(1);
   }
   db->WaitForCompactions();
 
@@ -183,32 +129,19 @@ SubcompactionRun RunSubcompaction(int max_subcompactions) {
   // workers: max_subcompactions=4 runs 4 concurrent SCP pipelines over
   // the striped device. The x8 slow-motion domain lets their compute
   // overlap genuinely on small hosts, as in A3.
-  SimEnv env(DilatedProfile(DeviceProfile::Ssd(4), 8.0));
-  Options options;
-  options.env = &env;
-  options.create_if_missing = true;
-  options.compaction_mode = CompactionMode::kSCP;
-  options.compaction_time_dilation = 8.0;
-  options.compute_parallelism = 4;
-  options.write_buffer_size = 256 << 10;
-  options.max_file_size = 256 << 10;
-  options.subtask_bytes = 64 << 10;
-  options.block_size = 4 << 10;
-  options.max_subcompactions = max_subcompactions;
-
-  DB* raw = nullptr;
-  Status s = DB::Open(options, "/db", &raw);
-  if (!s.ok()) std::exit(1);
-  std::unique_ptr<DB> db(raw);
+  DbBenchConfig cfg;
+  cfg.device = DeviceProfile::Ssd(4);
+  cfg.mode = CompactionMode::kSCP;
+  cfg.time_dilation = 8.0;
+  cfg.compute_parallelism = 4;
+  cfg.max_subcompactions = max_subcompactions;
+  SimEnv env(DilatedProfile(cfg.device, cfg.time_dilation));
+  std::unique_ptr<DB> db = OpenBenchDb(cfg, &env);
 
   FillOptions fill;
   fill.num_entries = static_cast<uint64_t>(30000 * Scale());
-  fill.key_size = 16;
-  fill.value_size = 100;
-  fill.order = KeyOrder::kRandom;
   FillResult result;
-  s = RunFill(db.get(), fill, &result);
-  if (!s.ok()) std::exit(1);
+  if (!RunFill(db.get(), fill, &result).ok()) std::exit(1);
 
   SubcompactionRun run;
   Stopwatch sw;
@@ -237,7 +170,9 @@ int main() {
   std::printf("\nA1. inter-stage queue depth (SSD, PCP, 256 KB sub-tasks)\n");
   std::printf("%-8s %14s\n", "depth", "PCP MiB/s");
   for (size_t depth : {1, 2, 4, 8, 16}) {
-    CompactionRun run = RunWith(BaseCfg(DeviceProfile::Ssd()), depth, true);
+    CompactionBenchConfig cfg = BaseCfg(DeviceProfile::Ssd());
+    cfg.queue_depth = depth;
+    CompactionRun run = RunCompaction(cfg);
     std::printf("%-8zu %14.1f\n", depth, run.bandwidth_mib_s);
   }
 
@@ -260,12 +195,13 @@ int main() {
     for (int upper_tables : {1, 8}) {
       CompactionBenchConfig cfg = BaseCfg(device);
       cfg.mode = CompactionMode::kSCP;
-      uint64_t block_ops = 0;
-      uint64_t window_ops = 0;
-      CompactionRun per_block =
-          RunWith(cfg, 4, false, upper_tables, &block_ops);
-      CompactionRun windowed =
-          RunWith(cfg, 4, true, upper_tables, &window_ops);
+      cfg.upper_tables = upper_tables;
+      cfg.coalesce_reads = false;
+      CompactionRun per_block = RunCompaction(cfg);
+      cfg.coalesce_reads = true;
+      CompactionRun windowed = RunCompaction(cfg);
+      const uint64_t block_ops = per_block.read_ops;
+      const uint64_t window_ops = windowed.read_ops;
       const double mib = ToMiB(windowed.profile.input_bytes);
       const double gain =
           per_block.bandwidth_mib_s > 0
@@ -303,13 +239,13 @@ int main() {
                 "reads/MiB sub", "reads/MiB str", "MiB/s sub", "MiB/s str",
                 "gain");
     for (int upper_tables : {1, 8}) {
-      uint64_t subtask_ops = 0;
-      uint64_t stripe_ops = 0;
-      CompactionRun subtask =
-          RunWith(cfg, 4, true, upper_tables, &subtask_ops);
-      CompactionRun stripe =
-          RunWith(cfg, 4, true, upper_tables, &stripe_ops,
-                  /*stripe_window=*/true);
+      cfg.upper_tables = upper_tables;
+      cfg.stripe_window = false;
+      CompactionRun subtask = RunCompaction(cfg);
+      cfg.stripe_window = true;
+      CompactionRun stripe = RunCompaction(cfg);
+      const uint64_t subtask_ops = subtask.read_ops;
+      const uint64_t stripe_ops = stripe.read_ops;
       const double mib = ToMiB(stripe.profile.input_bytes);
       const double gain = subtask.bandwidth_mib_s > 0
                               ? stripe.bandwidth_mib_s /
@@ -364,7 +300,7 @@ int main() {
     cfg.read_parallelism = c.readers;
     cfg.compute_parallelism = c.computers;
     cfg.time_dilation = 8.0;
-    CompactionRun run = RunWith(cfg, 4, true);
+    CompactionRun run = RunCompaction(cfg);
     std::printf("%-22s %14.1f\n", c.name, run.bandwidth_mib_s);
   }
 

@@ -1,11 +1,13 @@
-// Shared plumbing for the figure-reproduction benches.
+// The one bench harness: fresh compaction inputs through one executor
+// (RunCompaction) and fresh DBs on a simulated device (OpenBenchDb,
+// RunDbFill).
 //
-// Every bench binary regenerates one table/figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index) and prints the
-// same series the figure plots, plus the analytic model's prediction.
-// Absolute numbers will differ from the paper's 2013 testbed; the shapes
-// (who wins, by what factor, where crossovers fall) are the reproduction
-// target.
+// bench_paper regenerates the paper's evaluation with it, one figure per
+// id (see DESIGN.md §3 for the experiment index), printing the series the
+// figure plots plus the analytic model's prediction. Absolute numbers
+// will differ from the paper's 2013 testbed; the shapes (who wins, by
+// what factor, where crossovers fall) are the reproduction target.
+// bench_model, bench_ablation and bench_adaptive build on it too.
 #pragma once
 
 #include <algorithm>
@@ -54,6 +56,7 @@ struct CompactionRun {
   double bandwidth_mib_s = 0;  // input bytes / wall seconds
   uint64_t output_files = 0;
   uint64_t output_bytes = 0;
+  uint64_t read_ops = 0;       // device reads the run issued
   std::string metrics_json;    // registry snapshot for this run
 };
 
@@ -76,6 +79,12 @@ struct CompactionBenchConfig {
   size_t block_size = 4 << 10;
   uint64_t max_output_file_size = 2 << 20;
   uint32_t seed = 301;
+
+  // Input shape and S1 read shape (bench_ablation A1, A2).
+  int upper_tables = 1;        // whole-range tables in the upper component
+  size_t queue_depth = 4;      // each inter-stage queue
+  bool coalesce_reads = true;  // false: one device read per block
+  bool stripe_window = false;  // S1 reads >= the Env's stripe, as the DB
 };
 
 // Generates fresh inputs on a simulated device and runs one compaction
@@ -93,6 +102,7 @@ inline CompactionRun RunCompaction(const CompactionBenchConfig& cfg) {
   gen.value_size = cfg.value_size;
   gen.block_size = cfg.block_size;
   gen.seed = cfg.seed;
+  gen.upper_tables = cfg.upper_tables;
   CompactionInputs inputs;
   Status s = GenerateCompactionInputs(gen, &inputs);
   if (!s.ok()) {
@@ -113,6 +123,9 @@ inline CompactionRun RunCompaction(const CompactionBenchConfig& cfg) {
   job.read_parallelism = cfg.read_parallelism;
   job.compute_parallelism = cfg.compute_parallelism;
   job.time_dilation = cfg.time_dilation;
+  job.queue_depth = cfg.queue_depth;
+  job.coalesce_reads = cfg.coalesce_reads;
+  if (cfg.stripe_window) job.min_read_bytes = env.PreferredReadBytes();
 
   obs::MetricsRegistry registry;
   job.metrics = &registry;
@@ -126,6 +139,7 @@ inline CompactionRun RunCompaction(const CompactionBenchConfig& cfg) {
     std::fprintf(stderr, "compaction failed: %s\n", s.ToString().c_str());
     std::exit(1);
   }
+  run.read_ops = env.device()->stats().read_ops.load();
   run.metrics_json = registry.ToJson();
   MaybePrintMetrics(CompactionModeName(cfg.mode), run.metrics_json);
   run.wall_seconds = run.profile.wall_nanos * 1e-9;
@@ -170,12 +184,11 @@ struct DbBenchConfig {
   int max_subcompactions = 1;
 };
 
-// Fills a fresh DB on a simulated device and reports system throughput +
-// compaction bandwidth (Figs 10 and 12, panels (a)(b)(d)(e)).
-inline DbRun RunDbFill(const DbBenchConfig& cfg) {
-  SimEnv env(DilatedProfile(cfg.device, cfg.time_dilation));
+// Opens a fresh DB with cfg's settings on `env`, a SimEnv over
+// DilatedProfile(cfg.device, cfg.time_dilation). Exits on error.
+inline std::unique_ptr<DB> OpenBenchDb(const DbBenchConfig& cfg, Env* env) {
   Options options;
-  options.env = &env;
+  options.env = env;
   options.create_if_missing = true;
   options.compaction_mode = cfg.mode;
   options.compute_parallelism = cfg.compute_parallelism;
@@ -194,7 +207,14 @@ inline DbRun RunDbFill(const DbBenchConfig& cfg) {
     std::fprintf(stderr, "DB::Open failed: %s\n", s.ToString().c_str());
     std::exit(1);
   }
-  std::unique_ptr<DB> db(raw);
+  return std::unique_ptr<DB>(raw);
+}
+
+// Fills a fresh DB on a simulated device and reports system throughput +
+// compaction bandwidth (Figs 10 and 12, panels (a)(b)(d)(e)).
+inline DbRun RunDbFill(const DbBenchConfig& cfg) {
+  SimEnv env(DilatedProfile(cfg.device, cfg.time_dilation));
+  std::unique_ptr<DB> db = OpenBenchDb(cfg, &env);
 
   FillOptions fill;
   fill.num_entries = cfg.num_entries;
@@ -202,7 +222,7 @@ inline DbRun RunDbFill(const DbBenchConfig& cfg) {
   fill.value_size = cfg.value_size;
   fill.order = cfg.order;
   FillResult result;
-  s = RunFill(db.get(), fill, &result);
+  Status s = RunFill(db.get(), fill, &result);
   if (!s.ok()) {
     std::fprintf(stderr, "fill failed: %s\n", s.ToString().c_str());
     std::exit(1);

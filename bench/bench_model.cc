@@ -47,7 +47,7 @@ void RunDevice(const char* label, const DeviceProfile& single,
       RunCompaction(sp_cfg));
 
   // C-PPCP needs the slow-motion domain on this 1-core host (see
-  // bench_cppcp.cc): measure a dilated SCP profile and compare a dilated
+  // bench_paper's E8): measure a dilated SCP profile and compare a dilated
   // C-PPCP run against the prediction *in that same domain*.
   CompactionBenchConfig dil_scp = base;
   dil_scp.time_dilation = 8.0;

@@ -75,15 +75,14 @@ Status CompactionExecutor::Run(
   const int num_readers = std::max(1, options.read_parallelism);
   const int num_computers = std::max(1, options.compute_parallelism);
 
-  // The executor's private copy of the job options carries pid/lane down
-  // into the write stage, which draws on lane 0 in both schedules.
+  // The executor's private copy of the job options carries the trace pid
+  // down into the write stage, which draws on lane 0 in both schedules.
   CompactionJobOptions job = options;
   obs::TraceCollector* const trace = job.trace;
   if (trace != nullptr) {
     job.trace_pid = trace->BeginJob(std::string(name()) + " compaction (" +
                                     std::to_string(plans.size()) +
                                     " sub-tasks)");
-    job.trace_write_lane = 0;
     if (sequential) {
       trace->SetLaneName(job.trace_pid, 0, "S1-S7 sequential");
     } else {

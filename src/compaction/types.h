@@ -196,10 +196,9 @@ struct CompactionJobOptions {
   obs::TraceCollector* trace = nullptr;
 
   // Set by the executor on its own copy of the options (callers leave
-  // them alone): which trace process the run belongs to and which lane
-  // the write stage draws its S7 spans in.
+  // it alone): which trace process the run belongs to. The write stage
+  // draws its S7 spans on lane 0 of that process.
   uint32_t trace_pid = 0;
-  uint32_t trace_write_lane = 0;
 
   // Slow-motion factor for hosts with fewer cores than the paper's
   // testbed (see DESIGN.md §"Substitutions"). When > 1, each sub-task's

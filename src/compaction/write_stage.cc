@@ -36,9 +36,8 @@ Status WriteStage::WriteOrdered(ComputedSubTask& task) {
   // The span covers the real device writes of this sub-task; a sub-task
   // that sat in the reorder buffer gets its span only now, when S7
   // actually consumes it (so traces show true write-lane occupancy).
-  obs::TraceSpan span(options_.trace, options_.trace_pid,
-                      options_.trace_write_lane, "S7 write", "write",
-                      task.seq);
+  obs::TraceSpan span(options_.trace, options_.trace_pid, /*lane=*/0,
+                      "S7 write", "write", task.seq);
   for (EncodedBlock& block : task.blocks) {
     Status s = RotateIfNeeded();
     if (!s.ok()) return s;
@@ -82,7 +81,7 @@ Status WriteStage::FinishCurrentFile() {
   Status s;
   {
     obs::TraceSpan span(options_.trace, options_.trace_pid,
-                        options_.trace_write_lane, "S7 finish file", "write");
+                        /*lane=*/0, "S7 finish file", "write");
     Stopwatch sw;
     s = writer_->Finish();
     if (s.ok()) {
@@ -102,7 +101,7 @@ Status WriteStage::FinishCurrentFile() {
   // table cache). That read is not the paper's write step, so it stays
   // out of t_S7 and gets a span of its own.
   obs::TraceSpan span(options_.trace, options_.trace_pid,
-                      options_.trace_write_lane, "S7 open output", "write");
+                      /*lane=*/0, "S7 open output", "write");
   return sink_->OutputFinished(current_);
 }
 

@@ -1,5 +1,6 @@
-// ThreadPool: fixed-size worker pool used by the C-PPCP compute stage and by
-// the DB's background compaction scheduler.
+// ThreadPool: fixed-size worker pool. Its users are the server's worker
+// pumps (src/server/server.cc) and ShardedDB's per-shard write fan-out
+// (src/shard/sharded_db.cc).
 #pragma once
 
 #include <condition_variable>
