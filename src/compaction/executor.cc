@@ -10,11 +10,11 @@
 // out-of-order completion, so every procedure emits byte-identical
 // SSTables.
 //
-// Observability (src/obs): a traced run is one trace process. A pipelined
-// run has a lane per stage thread, plus "stall" spans wherever a lane
-// blocked on an inter-stage queue — a live rendering of the paper's
-// Fig. 4. Queue stall totals and per-step times are published under the
-// names in docs/OBSERVABILITY.md.
+// Observability (src/obs): a traced run is one trace process (a flush
+// when it merges a memtable). A pipelined run has a lane per stage
+// thread, plus "stall" spans wherever a lane blocked on an inter-stage
+// queue — a live rendering of the paper's Fig. 4. Queue stall totals and
+// per-step times are published under the names in docs/OBSERVABILITY.md.
 #include "src/compaction/executor.h"
 
 #include <atomic>
@@ -80,9 +80,9 @@ Status CompactionExecutor::Run(
   CompactionJobOptions job = options;
   obs::TraceCollector* const trace = job.trace;
   if (trace != nullptr) {
-    job.trace_pid = trace->BeginJob(std::string(name()) + " compaction (" +
-                                    std::to_string(plans.size()) +
-                                    " sub-tasks)");
+    job.trace_pid = trace->BeginJob(
+        std::string(name()) + (job.memtable ? " flush (" : " compaction (") +
+        std::to_string(plans.size()) + " sub-tasks)");
     if (sequential) {
       trace->SetLaneName(job.trace_pid, 0, "S1-S7 sequential");
     } else {

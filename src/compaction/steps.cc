@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "src/memtable/memtable.h"
 #include "src/table/block.h"
 #include "src/table/table.h"
 #include "src/util/coding.h"
@@ -155,24 +156,25 @@ class SeekComparator final : public Comparator {
   const Comparator* const icmp_;
 };
 
-// Forward-only cursor over one input table's run of decoded blocks within
-// a sub-task. Blocks of one table are disjoint and sorted, so chaining
-// them yields that table's sorted entries. The current entry's user key
-// and 8-byte tag are cached, so the merge compares user keys once and
-// tags as integers.
+// Forward-only cursor over one sorted run within a sub-task: an input
+// table's run of decoded blocks, or a memtable's iterator. Blocks of one
+// table are disjoint and sorted, so chaining them yields that table's
+// sorted entries. The current entry's user key and 8-byte tag are cached,
+// so the merge compares user keys once and tags as integers.
 class RunCursor {
  public:
   RunCursor(const Comparator* cmp, std::vector<std::unique_ptr<Block>> blocks,
             int order)
-      : cmp_(cmp), blocks_(std::move(blocks)), order_(order) {}
+      : cmp_(cmp), blocks_(std::move(blocks)), order_(order), next_block_(1),
+        iter_(blocks_[0]->NewIterator(cmp)) {}
+  RunCursor(Iterator* iter, int order)
+      : cmp_(nullptr), order_(order), iter_(iter) {}
 
   // Positions the cursor on the run's first entry whose user key is past
   // `lo` (its first entry when lo is null). The planner lists a block only
   // if its last key is past lo, so only the first block can hold keys at
   // or below lo: it is binary-searched, and the loop covers other plans.
   Status Start(const Comparator* ucmp, const Slice* lo) {
-    iter_.reset(blocks_[0]->NewIterator(cmp_));
-    next_block_ = 1;
     if (lo == nullptr) {
       iter_->SeekToFirst();
       return Load();
@@ -223,7 +225,7 @@ class RunCursor {
   }
 
   const Comparator* const cmp_;
-  std::vector<std::unique_ptr<Block>> blocks_;  // non-empty
+  std::vector<std::unique_ptr<Block>> blocks_;  // empty for an iterator run
   const int order_;  // table order: breaks ties between equal keys
   size_t next_block_ = 0;
   std::unique_ptr<Iterator> iter_;  // null once exhausted
@@ -348,14 +350,20 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
     const Slice lo(plan.lo_user_key);
     const Slice hi(plan.hi_user_key);
     std::vector<RunCursor> cursors;
-    cursors.reserve(runs.size());  // never reallocates: the heap points in
-    MergeHeap heap(ucmp);
+    cursors.reserve(runs.size() + 1);  // the heap points into it
     for (size_t t = 0; t < runs.size(); t++) {
       if (runs[t].empty()) continue;
       cursors.emplace_back(&seek_cmp, std::move(runs[t]), static_cast<int>(t));
-      Status s = cursors.back().Start(ucmp, plan.unbounded_lo ? nullptr : &lo);
+    }
+    if (options.memtable != nullptr) {
+      cursors.emplace_back(options.memtable->NewIterator(),
+                           static_cast<int>(runs.size()));
+    }
+    MergeHeap heap(ucmp);
+    for (RunCursor& cursor : cursors) {
+      Status s = cursor.Start(ucmp, plan.unbounded_lo ? nullptr : &lo);
       if (!s.ok()) return s;
-      if (cursors.back().Valid()) heap.Push(&cursors.back());
+      if (cursor.Valid()) heap.Push(&cursor);
     }
 
     BlockEncoder encoder(options.table);

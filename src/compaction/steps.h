@@ -78,7 +78,8 @@ class WindowedReader {
 
 // S2..S6: verify, decompress, merge (dropping shadowed entries and — when
 // the plan allows — tombstones), rebuild blocks, compress, re-checksum.
-// Per-step times go into out->profile.
+// The merge takes options.memtable as one more run. Per-step times go
+// into out->profile.
 Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
                       ComputedSubTask* out);
 

@@ -29,6 +29,8 @@
 
 namespace pipelsm {
 
+class MemTable;
+
 namespace obs {
 class MetricsRegistry;
 class TraceCollector;
@@ -134,10 +136,10 @@ struct CompactionJobOptions {
 
   // Output table shape: block size, restart interval, S5 codec, bloom
   // filter policy and partition size (comparator and block_cache are not
-  // read). Flushes write with the same struct, so both produce one
-  // layout. The filter policy, when set, must be the same (wrapped)
-  // policy the table readers use; the compute stage builds one filter
-  // per output block, so S7 stays write-only.
+  // read). Flushes run through the executor too (memtable below), so
+  // every table has one layout. The filter policy, when set, must be the
+  // same (wrapped) policy the table readers use; the compute stage builds
+  // one filter per output block, so S7 stays write-only.
   TableOptions table;
   uint64_t max_output_file_size = 2 * 1024 * 1024;
 
@@ -156,6 +158,11 @@ struct CompactionJobOptions {
   // block only in the sub-tasks it overlaps. Empty: first blocks are
   // unbounded below and land in every sub-task before them as well.
   std::vector<std::string> input_smallest_user_keys;
+
+  // Optional: a memtable S4 merges as one more sorted run (no blocks, so
+  // S1-S3 pass it by). Must outlive the run, unchanged. A flush is a
+  // one-sub-task run over a memtable and no tables (WriteLevel0Table).
+  MemTable* memtable = nullptr;
 
   // Optional: invoked for every in-range entry the merge drops (hidden
   // by a newer entry or a droppable tombstone) with the entry's type and

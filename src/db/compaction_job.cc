@@ -10,36 +10,19 @@
 
 namespace pipelsm {
 
-// One sub-job's output sink: file creation goes through the job's
-// allocator, and finished tables are opened through the job's opener and
-// collect here in key order.
-class CompactionJob::Sink final : public CompactionSink {
- public:
-  explicit Sink(CompactionJob* job) : job_(job) {}
+Status TableSink::NewOutputFile(uint64_t* file_number,
+                                std::unique_ptr<WritableFile>* file) {
+  *file_number = 0;
+  Status s = allocate_(file_number, file);
+  if (*file_number != 0) allocated.push_back(*file_number);
+  return s;
+}
 
-  Status NewOutputFile(uint64_t* file_number,
-                       std::unique_ptr<WritableFile>* file) override {
-    uint64_t number = 0;
-    Status s = job_->allocate_(&number, file);
-    if (number != 0) {
-      std::lock_guard<std::mutex> lock(job_->allocated_mu_);
-      job_->allocated_.push_back(number);
-    }
-    if (s.ok()) *file_number = number;
-    return s;
-  }
-
-  Status OutputFinished(const OutputMeta& meta) override {
-    Status s = job_->open_output_(meta);
-    if (s.ok()) outputs.push_back(meta);
-    return s;
-  }
-
-  std::vector<OutputMeta> outputs;
-
- private:
-  CompactionJob* const job_;
-};
+Status TableSink::OutputFinished(const OutputMeta& meta) {
+  Status s = open_(meta);
+  if (s.ok()) outputs.push_back(meta);
+  return s;
+}
 
 CompactionJob::CompactionJob(uint64_t job_id, const char* style,
                              int max_subcompactions,
@@ -49,8 +32,7 @@ CompactionJob::CompactionJob(uint64_t job_id, const char* style,
                              std::vector<std::shared_ptr<Table>> inputs,
                              const obs::EventListeners& listeners,
                              obs::Logger* info_log,
-                             OutputFileAllocator allocate,
-                             OutputOpener open_output)
+                             const TableSink& sink)
     : job_id_(job_id),
       style_(style),
       max_subcompactions_(max_subcompactions),
@@ -60,8 +42,7 @@ CompactionJob::CompactionJob(uint64_t job_id, const char* style,
       inputs_(std::move(inputs)),
       listeners_(listeners),
       info_log_(info_log),
-      allocate_(std::move(allocate)),
-      open_output_(std::move(open_output)) {
+      sink_(sink) {
   base_.max_output_file_size = c->MaxOutputFileSize();
   // Tombstones in a sub-range may be dropped iff no level below the
   // output holds any key of that range. Evaluated at plan time on the
@@ -93,11 +74,11 @@ Status CompactionJob::Run() {
   // Each sub-job runs its group on an equal share of the granted
   // parallelism (floor 1) and writes through a sink of its own.
   struct SubJob {
-    explicit SubJob(CompactionJob* job) : sink(job) {}
+    explicit SubJob(const TableSink& s) : sink(s) {}
     CompactionJobOptions options;
     CompactionPlan plan;
     std::string lo, hi;  // the group's key range, for the EVENT line
-    Sink sink;
+    TableSink sink;
     StepProfile profile;
     Status status;
   };
@@ -105,7 +86,7 @@ Status CompactionJob::Run() {
   std::vector<SubJob> subs;
   subs.reserve(groups.size());
   for (CompactionPlan& group : groups) {
-    SubJob& sub = subs.emplace_back(this);
+    SubJob& sub = subs.emplace_back(sink_);
     sub.options = base_;
     sub.options.compute_parallelism =
         std::max(1, grant_.compute_parallelism / n);
@@ -152,6 +133,8 @@ Status CompactionJob::Run() {
     info.profile.Merge(sub.profile);
     outputs_.insert(outputs_.end(), sub.sink.outputs.begin(),
                     sub.sink.outputs.end());
+    allocated_.insert(allocated_.end(), sub.sink.allocated.begin(),
+                      sub.sink.allocated.end());
     if (n > 1) {
       obs::Log(info_log_,
                "EVENT subcompaction job=%llu sub=%d/%d lo=%s hi=%s "

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/compaction/scheduler.h"
@@ -34,27 +33,45 @@ namespace pipelsm {
 class Compaction;
 class Table;
 
+// The DB's output sink, one per flush and per compaction sub-job: the
+// allocator creates each output file, and each finished (synced, closed)
+// table is opened through the opener, failing the run if it does not
+// open, and collects in `outputs` in key order.
+class TableSink final : public CompactionSink {
+ public:
+  // Sets *number whenever it allocated one, even if creating the file
+  // then failed. The sinks of one job call it concurrently.
+  using Allocator = std::function<Status(uint64_t* number,
+                                         std::unique_ptr<WritableFile>* file)>;
+  using Opener = std::function<Status(const OutputMeta& meta)>;
+
+  TableSink(Allocator allocate, Opener open)
+      : allocate_(std::move(allocate)), open_(std::move(open)) {}
+
+  Status NewOutputFile(uint64_t* file_number,
+                       std::unique_ptr<WritableFile>* file) override;
+  Status OutputFinished(const OutputMeta& meta) override;
+
+  std::vector<OutputMeta> outputs;
+  std::vector<uint64_t> allocated;  // with files a failed run abandoned
+
+ private:
+  const Allocator allocate_;
+  const Opener open_;
+};
+
 class CompactionJob {
  public:
-  // Creates the next output table file. Sets *number whenever it
-  // allocated one, even when creating the file then failed, so the job
-  // can report it in allocated_files(). Sub-jobs call it concurrently.
-  using OutputFileAllocator = std::function<Status(
-      uint64_t* number, std::unique_ptr<WritableFile>* file)>;
-
-  // Opens a finished (synced, closed) output table, from S7 of the
-  // sub-job that wrote it. A non-OK status fails the job.
-  using OutputOpener = std::function<Status(const OutputMeta& meta)>;
-
   // `base` carries everything but the per-job parallelism, the output
   // file size and the base-level test, which the job derives from
-  // `grant` and `c`. `c` and `listeners` must outlive the job.
+  // `grant` and `c`. Each sub-job writes through a copy of `sink`. `c`
+  // and `listeners` must outlive the job.
   CompactionJob(uint64_t job_id, const char* style, int max_subcompactions,
                 const CompactionJobOptions& base,
                 const CompactionGrant& grant, const Compaction* c,
                 std::vector<std::shared_ptr<Table>> inputs,
                 const obs::EventListeners& listeners, obs::Logger* info_log,
-                OutputFileAllocator allocate, OutputOpener open_output);
+                const TableSink& sink);
 
   CompactionJob(const CompactionJob&) = delete;
   CompactionJob& operator=(const CompactionJob&) = delete;
@@ -73,8 +90,6 @@ class CompactionJob {
   int subjobs() const { return subjobs_; }
 
  private:
-  class Sink;
-
   const uint64_t job_id_;
   const char* const style_;
   const int max_subcompactions_;
@@ -84,10 +99,8 @@ class CompactionJob {
   const std::vector<std::shared_ptr<Table>> inputs_;
   const obs::EventListeners& listeners_;
   obs::Logger* const info_log_;
-  const OutputFileAllocator allocate_;
-  const OutputOpener open_output_;
+  const TableSink sink_;
 
-  std::mutex allocated_mu_;  // sub-jobs allocate output files concurrently
   std::vector<uint64_t> allocated_;
   std::vector<OutputMeta> outputs_;
   int subjobs_ = 1;

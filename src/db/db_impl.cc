@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <thread>
 #include <vector>
 
+#include "src/compaction/executor.h"
 #include "src/compaction/picker.h"
 #include "src/db/compaction_job.h"
 #include "src/db/db_iter.h"
@@ -15,7 +17,6 @@
 #include "src/table/filter_policy.h"
 #include "src/table/merger.h"
 #include "src/table/table.h"
-#include "src/table/table_builder.h"
 #include "src/util/json_writer.h"
 #include "src/util/string_util.h"
 #include "src/wal/log_reader.h"
@@ -77,10 +78,8 @@ class DBImpl::EventLogger final : public obs::EventListener {
   explicit EventLogger(DBImpl* db) : db_(db) {}
 
   void OnFlushBegin(const obs::FlushJobInfo& info) override {
-    obs::Log(db_->info_log_,
-             "EVENT flush_begin job=%llu file=%llu",
-             static_cast<unsigned long long>(info.job_id),
-             static_cast<unsigned long long>(info.file_number));
+    obs::Log(db_->info_log_, "EVENT flush_begin job=%llu",
+             static_cast<unsigned long long>(info.job_id));
   }
 
   void OnFlushCompleted(const obs::FlushJobInfo& info) override {
@@ -560,69 +559,53 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
 
 Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
                                 bool pick_level, FileMetaData* meta) {
-  meta->number = versions_->NewFileNumber();
   meta->file_size = 0;
-  pending_outputs_.insert(meta->number);
-  std::unique_ptr<Iterator> iter(mem->NewIterator());
-
-  Status s;
   obs::FlushJobInfo flush_info;
   flush_info.job_id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
-  flush_info.file_number = meta->number;
-  {
-    // Unlock while doing the actual dump.
-    mutex_.unlock();
-    uint32_t flush_pid = 0;
-    if (trace_ != nullptr) {
-      flush_pid = trace_->BeginJob("flush #" + std::to_string(meta->number));
-      trace_->SetLaneName(flush_pid, 0, "memtable dump");
-    }
-    obs::TraceSpan span(trace_.get(), flush_pid, 0, "flush memtable",
-                        "flush");
-    // The table makes the memtable's pointers durable, so their frames
-    // must be durable first (docs/VALUE_LOG.md).
-    if (vlog_ != nullptr) s = vlog_->Sync();
-    if (s.ok()) {
-      Stopwatch wall;
-      for (obs::EventListener* l : listeners_) l->OnFlushBegin(flush_info);
-      const std::string fname = TableFileName(dbname_, meta->number);
-      iter->SeekToFirst();
-      if (iter->Valid()) {
-        std::unique_ptr<WritableFile> file;
-        s = env_->NewWritableFile(fname, &file);
-        if (s.ok()) {
-          TableBuilder builder(table_options_, file.get());
-          meta->smallest.DecodeFrom(iter->key());
-          Slice key;
-          for (; iter->Valid(); iter->Next()) {
-            key = iter->key();
-            builder.Add(key, iter->value());
-            flush_info.entries++;
-          }
-          meta->largest.DecodeFrom(key);
-          s = builder.Finish();
-          if (s.ok()) meta->file_size = builder.FileSize();
-          if (s.ok()) s = file->Sync();
-          if (s.ok()) s = file->Close();
-          if (s.ok()) s = OpenNewTable(meta->number, meta->file_size);
-        }
-      }
-      if (!iter->status().ok()) s = iter->status();
-      // An empty memtable or a failed dump leaves no file behind.
-      if (!s.ok() || meta->file_size == 0) env_->RemoveFile(fname);
-      flush_info.output_bytes = meta->file_size;
-      flush_info.micros = wall.ElapsedNanos() / 1000;
-      flush_info.status = s;
-      for (obs::EventListener* l : listeners_) {
-        l->OnFlushCompleted(flush_info);
-      }
-    }
-    mutex_.lock();
-  }
-  pending_outputs_.erase(meta->number);
 
-  // Note that if file_size is zero, the file has been deleted and should
-  // not be added to the manifest.
+  // A flush is a one-sub-task SCP run of the compaction executor whose
+  // only sorted run is the memtable. Sequences start at 1, so a snapshot
+  // of 0 drops nothing; the plan drops no tombstone, the output never
+  // rotates, and no compaction.* metric counts the run.
+  CompactionJobOptions job;
+  job.icmp = &internal_comparator_;
+  job.table = table_options_;
+  job.max_output_file_size = std::numeric_limits<uint64_t>::max();
+  job.smallest_snapshot = 0;
+  job.memtable = mem;
+  job.trace = trace_.get();
+  TableSink sink(std::bind_front(&DBImpl::NewOutputTable, this),
+                 std::bind_front(&DBImpl::OpenOutputTable, this));
+
+  Status s;
+  mutex_.unlock();
+  // The table makes the memtable's pointers durable, so their frames
+  // must be durable first (docs/VALUE_LOG.md).
+  if (vlog_ != nullptr) s = vlog_->Sync();
+  if (s.ok()) {
+    Stopwatch wall;
+    for (obs::EventListener* l : listeners_) l->OnFlushBegin(flush_info);
+    StepProfile profile;
+    s = CompactionExecutor(CompactionMode::kSCP)
+            .Run(job, {}, {.subtasks = {SubTaskPlan{}}}, &sink, &profile);
+    if (s.ok() && !sink.outputs.empty()) {  // empty memtable: no table
+      const OutputMeta& out = sink.outputs[0];
+      *meta = {.number = out.file_number, .file_size = out.file_size,
+               .smallest = out.smallest, .largest = out.largest};
+      flush_info.entries = out.entries;
+    }
+    if (!sink.allocated.empty()) flush_info.file_number = sink.allocated[0];
+    flush_info.output_bytes = meta->file_size;
+    flush_info.micros = wall.ElapsedNanos() / 1000;
+    flush_info.status = s;
+    for (obs::EventListener* l : listeners_) {
+      l->OnFlushCompleted(flush_info);
+    }
+  }
+  mutex_.lock();
+  // A failed flush's file is collected by RemoveObsoleteFiles.
+  for (uint64_t number : sink.allocated) pending_outputs_.erase(number);
+
   int level = 0;
   if (s.ok() && meta->file_size > 0) {
     const Slice min_user_key = meta->smallest.user_key();
@@ -643,14 +626,28 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
                   meta->largest);
   }
 
-  flush_runs_counter_->Add(1);
-  if (s.ok()) flush_bytes_counter_->Add(meta->file_size);
+  // A failed attempt is not a flush: its retry counts once it succeeds.
+  if (s.ok()) {
+    flush_runs_counter_->Add(1);
+    flush_bytes_counter_->Add(meta->file_size);
+  }
   return s;
 }
 
-Status DBImpl::OpenNewTable(uint64_t number, uint64_t file_size) {
+Status DBImpl::NewOutputTable(uint64_t* number,
+                              std::unique_ptr<WritableFile>* file) {
+  MaybeFlushImmDuringCompaction();
+  {
+    std::lock_guard<std::mutex> l(mutex_);
+    *number = versions_->NewFileNumber();
+    pending_outputs_.insert(*number);
+  }
+  return env_->NewWritableFile(TableFileName(dbname_, *number), file);
+}
+
+Status DBImpl::OpenOutputTable(const OutputMeta& out) {
   std::shared_ptr<Table> table;
-  return table_cache_->GetTable(number, file_size, &table);
+  return table_cache_->GetTable(out.file_number, out.file_size, &table);
 }
 
 Status DBImpl::CompactMemTable(std::unique_lock<std::mutex>&) {
@@ -1055,18 +1052,8 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
       CompactionStyleName(options_.compaction_style),
       options_.max_subcompactions, base, grant.grant(), c, std::move(inputs),
       listeners_, info_log_,
-      [this](uint64_t* number, std::unique_ptr<WritableFile>* file) {
-        MaybeFlushImmDuringCompaction();
-        {
-          std::lock_guard<std::mutex> l(mutex_);
-          *number = versions_->NewFileNumber();
-          pending_outputs_.insert(*number);
-        }
-        return env_->NewWritableFile(TableFileName(dbname_, *number), file);
-      },
-      [this](const OutputMeta& out) {
-        return OpenNewTable(out.file_number, out.file_size);
-      });
+      TableSink(std::bind_front(&DBImpl::NewOutputTable, this),
+                std::bind_front(&DBImpl::OpenOutputTable, this)));
   if (status.ok()) status = job.Run();
   if (job.subjobs() > 1) {
     subcompaction_jobs_counter_->Add(1);

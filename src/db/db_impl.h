@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/compaction/scheduler.h"
+#include "src/compaction/types.h"
 #include "src/db/db.h"
 #include "src/db/dbformat.h"
 #include "src/db/table_cache.h"
@@ -144,19 +145,21 @@ class DBImpl final : public DB {
                         VersionEdit* edit, SequenceNumber* max_sequence,
                         bool* stopped);
 
-  // Dumps `mem` into a new table, fills *meta and adds the table to
-  // *edit; an empty memtable leaves no file (meta->file_size == 0). With
-  // `pick_level`, a table that overlaps nothing in the current version is
-  // placed below level 0 (leveled style only).
+  // Flushes `mem` into a new table through the compaction executor,
+  // fills *meta and adds the table to *edit; an empty memtable leaves no
+  // file (meta->file_size == 0). With `pick_level`, a table that overlaps
+  // nothing in the current version is placed below level 0 (leveled).
   Status WriteLevel0Table(MemTable* mem, VersionEdit* edit, bool pick_level,
                           FileMetaData* meta) /* REQUIRES: holding mutex_ */;
 
-  // Opens table `number`, which this DB just wrote and closed, through the
-  // table cache. That verifies its footer, index and filter tail before
-  // any edit names it, and leaves the reader cached, so the compaction
-  // or read that comes next finds it open. Flush and compaction outputs
-  // both come here. Called without mutex_.
-  Status OpenNewTable(uint64_t number, uint64_t file_size);
+  // The allocator and opener of every TableSink, called without mutex_.
+  // NewOutputTable first flushes a pending immutable memtable (a no-op
+  // inside a flush), then protects the number in pending_outputs_ until
+  // the caller releases it. OpenOutputTable opens a finished table
+  // through the table cache, which verifies its footer, index and filter
+  // tail before any edit names it and keeps the reader for the next job.
+  Status NewOutputTable(uint64_t* number, std::unique_ptr<WritableFile>* file);
+  Status OpenOutputTable(const OutputMeta& out);
 
   Status MakeRoomForWrite(std::unique_lock<std::mutex>& lock, bool force);
 

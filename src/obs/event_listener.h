@@ -2,7 +2,7 @@
 //
 // Where PR 1's metrics registry and trace collector are *pull* surfaces —
 // somebody has to ask for a snapshot — listeners are *pushed* to as the
-// pipeline runs: the builder announces every memtable dump, the DB's
+// pipeline runs: the DB announces every memtable flush, the DB's
 // compaction job announces every major compaction (with the measured
 // per-step S1–S7 times the paper's Eqs. 1–7 consume), and the write path
 // announces every backpressure transition. The DB itself installs one
@@ -28,16 +28,16 @@
 
 namespace pipelsm::obs {
 
-// One memtable dump (minor compaction). Fired from
-// DBImpl::WriteLevel0Table: Begin before the first block is built (only
-// job_id / file_number are meaningful), Completed after the output file
-// is finished and verified.
+// One memtable flush, a one-sub-task run of the compaction executor.
+// Fired from DBImpl::WriteLevel0Table: Begin before the run (only job_id
+// is meaningful: S7 allocates the file), Completed after it, on success
+// (the table written and opened) and on failure alike.
 struct FlushJobInfo {
   uint64_t job_id = 0;
-  uint64_t file_number = 0;  // table file the memtable dumps into
+  uint64_t file_number = 0;  // table file (Completed only; 0: none made)
   uint64_t output_bytes = 0; // final file size (Completed only)
   uint64_t entries = 0;      // internal keys written (Completed only)
-  uint64_t micros = 0;       // wall time of the dump (Completed only)
+  uint64_t micros = 0;       // wall time of the flush (Completed only)
   Status status;             // Completed only
 };
 

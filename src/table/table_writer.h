@@ -3,11 +3,11 @@
 // BlockEncoder cuts sorted entries into data blocks and encodes each one:
 // its bloom filter, S5 compression and the S6 trailer. TableWriter
 // appends encoded blocks (S7) and finishes the file with the filter,
-// metaindex and index blocks and the footer. TableBuilder (flushes,
-// repair, generated inputs) chains the two on one thread; compaction runs
-// the encoder in its compute stage and the writer in its write stage.
-// Both paths cut blocks at the same points and index each block by its
-// exact last key, so the same entries give the same bytes.
+// metaindex and index blocks and the footer. The compaction executor,
+// which runs every flush too, calls the encoder in its compute stage and
+// the writer in its write stage; TableBuilder (generated inputs, tests)
+// chains the two on one thread. Both cut blocks at the same points and
+// index each block by its exact last key: same entries, same bytes.
 #pragma once
 
 #include <cstdint>

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "src/compaction/types.h"
 #include "src/env/sim_env.h"
+#include "src/memtable/memtable.h"
 #include "src/table/filter_policy.h"
 #include "src/table/table_builder.h"
 #include "src/workload/table_gen.h"
@@ -402,6 +404,79 @@ TEST(ExecutorEquivalence, CompactedTableMatchesBuiltTableByteForByte) {
   ASSERT_EQ(built.size(), compacted.size());
   const auto diff =
       std::mismatch(built.begin(), built.end(), compacted.begin());
+  EXPECT_TRUE(diff.first == built.end())
+      << "first differing byte at offset " << (diff.first - built.begin())
+      << " of " << built.size();
+}
+
+// A flush is a one-sub-task SCP run over a memtable and no tables, with
+// snapshot 0, no tombstone drop and no rotation (DBImpl::WriteLevel0Table).
+// It must write what a TableBuilder dump of the same memtable iterator
+// writes, byte for byte: a flush drops no version, no tombstone and no
+// value pointer.
+TEST(ExecutorEquivalence, FlushedTableMatchesBuiltTableByteForByte) {
+  SimEnv env;
+  InternalKeyComparator icmp(BytewiseComparator());
+  std::unique_ptr<const FilterPolicy> bloom(NewBloomFilterPolicy(10));
+  InternalFilterPolicy policy(bloom.get());
+  TableOptions topt;
+  topt.comparator = &icmp;
+  topt.filter_policy = &policy;
+
+  // 500 user keys, each written six times over: values, tombstones and
+  // value-log pointers, interleaved.
+  MemTable* mem = new MemTable(icmp);
+  mem->Ref();
+  WorkloadGenerator gen(500, 16, 100, KeyOrder::kRandom);
+  const uint64_t kEntries = 3000;
+  for (uint64_t i = 0; i < kEntries; i++) {
+    const ValueType type = i % 7 == 3   ? kTypeDeletion
+                           : i % 5 == 1 ? kTypeValuePointer
+                                        : kTypeValue;
+    mem->Add(i + 1, type, gen.Key(i % 500),
+             type == kTypeDeletion ? Slice() : Slice(gen.Value(i)));
+  }
+
+  std::string built;
+  {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env.NewWritableFile("/built.pst", &file).ok());
+    TableBuilder builder(topt, file.get());
+    std::unique_ptr<Iterator> it(mem->NewIterator());
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      builder.Add(it->key(), it->value());
+    }
+    ASSERT_TRUE(builder.Finish().ok());
+    ASSERT_TRUE(file->Close().ok());
+    ASSERT_TRUE(ReadFileToString(&env, "/built.pst", &built).ok());
+  }
+
+  CompactionJobOptions job;
+  job.icmp = &icmp;
+  job.table = topt;
+  job.max_output_file_size = std::numeric_limits<uint64_t>::max();
+  job.smallest_snapshot = 0;
+  job.memtable = mem;
+  CompactionPlan plan;
+  plan.subtasks.emplace_back();
+  CountingSink sink(&env, "/out");
+  StepProfile profile;
+  ASSERT_TRUE(CompactionExecutor(CompactionMode::kSCP)
+                  .Run(job, {}, std::move(plan), &sink, &profile)
+                  .ok());
+  mem->Unref();
+  ASSERT_EQ(1u, sink.outputs().size());
+  EXPECT_EQ(kEntries, sink.outputs()[0].entries);
+  std::string flushed;
+  ASSERT_TRUE(ReadFileToString(
+                  &env,
+                  "/out/out-" + std::to_string(sink.outputs()[0].file_number) +
+                      ".pst",
+                  &flushed)
+                  .ok());
+
+  ASSERT_EQ(built.size(), flushed.size());
+  const auto diff = std::mismatch(built.begin(), built.end(), flushed.begin());
   EXPECT_TRUE(diff.first == built.end())
       << "first differing byte at offset " << (diff.first - built.begin())
       << " of " << built.size();

@@ -6,10 +6,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/db/db.h"
+#include "src/db/dbformat.h"
 #include "src/db/filename.h"
 #include "src/db/options.h"
 #include "src/db/repair.h"
@@ -386,6 +388,60 @@ class FaultRecoveryTest : public ::testing::Test {
     return acked;
   }
 
+  // Flushes that wrote their table, by the LOG's EVENT flush_end lines.
+  uint64_t OkFlushesInLog() {
+    std::string log;
+    EXPECT_TRUE(ReadFileToString(&env_, InfoLogFileName("/db"), &log).ok());
+    std::istringstream lines(log);
+    uint64_t n = 0;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("EVENT flush_end") != std::string::npos &&
+          line.find("status=ok") != std::string::npos) {
+        n++;
+      }
+    }
+    return n;
+  }
+
+  // Tables the current version lists, and table files on disk beside
+  // them.
+  int LiveTables() {
+    int live = 0;
+    for (int level = 0; level < config::kNumLevels; level++) {
+      std::string files;
+      EXPECT_TRUE(db_->GetProperty(
+          "pipelsm.num-files-at-level" + std::to_string(level), &files));
+      live += std::stoi(files);
+    }
+    return live;
+  }
+  int TableFilesOnDisk() {
+    std::vector<std::string> children;
+    EXPECT_TRUE(env_.GetChildren("/db", &children).ok());
+    uint64_t number;
+    FileType type;
+    return static_cast<int>(std::count_if(
+        children.begin(), children.end(), [&](const std::string& c) {
+          return ParseFileName(c, &number, &type) && type == kTableFile;
+        }));
+  }
+
+  // The first write or sync of a flush's table fails once. The flush
+  // must retry and install one table, and RemoveObsoleteFiles must
+  // collect the abandoned file.
+  void ExpectFailedFlushLeavesNoOrphan(FaultOp op) {
+    Open();
+    fault_.SetPathFilter(op, ".pst");
+    fault_.FailAfter(op, 1, Status::IOError("transient table write error"));
+    FillPastFlush("o", 600);
+    ASSERT_TRUE(db_->WaitForCompactions().ok()) << BackgroundError();
+    EXPECT_EQ("OK", BackgroundError());
+    EXPECT_EQ(1u, fault_.injected_failures());
+    EXPECT_EQ(1, LiveTables());
+    EXPECT_EQ(1, TableFilesOnDisk());
+    EXPECT_EQ(std::string(100, 'x'), Get("o-0"));
+  }
+
   SimEnv env_;
   FaultInjectionEnv fault_;
   Options options_;
@@ -404,6 +460,17 @@ TEST_F(FaultRecoveryTest, TransientFlushErrorRetriesWithoutGoingSticky) {
   EXPECT_EQ("OK", BackgroundError());
   EXPECT_GE(fault_.injected_failures(), 1u);
   EXPECT_EQ(std::string(100, 'x'), Get("t-0"));
+  // flush.runs counts the flush once, not its failed attempt.
+  EXPECT_GE(OkFlushesInLog(), 1u);
+  EXPECT_EQ(OkFlushesInLog(), db_->GetCompactionMetrics().memtable_flushes);
+}
+
+TEST_F(FaultRecoveryTest, FailedFlushAppendLeavesNoOrphanTable) {
+  ExpectFailedFlushLeavesNoOrphan(FaultOp::kAppend);
+}
+
+TEST_F(FaultRecoveryTest, FailedFlushSyncLeavesNoOrphanTable) {
+  ExpectFailedFlushLeavesNoOrphan(FaultOp::kSync);
 }
 
 TEST_F(FaultRecoveryTest, ManifestSyncFailureIsReportedInLog) {
