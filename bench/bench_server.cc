@@ -427,11 +427,12 @@ ServedStats ServedFill(const Flags& flags, const std::string& path) {
       SummarizeLatency(srv.metrics_registry(), "server.req_micros.put");
   stats.get_latency =
       SummarizeLatency(srv.metrics_registry(), "server.req_micros.get");
-  if (flags.shards > 1) {
-    for (size_t i = 0; i < flags.shards; i++) {
-      const obs::Counter* c = srv.metrics_registry()->RegisterCounter(
-          "server.shard" + std::to_string(i) + ".write_ops", "");
-      stats.shard_write_ops.push_back(c->value());
+  if (sharded != nullptr) {
+    for (size_t i = 0; i < sharded->num_shards(); i++) {
+      stats.shard_write_ops.push_back(sharded->shard(i)
+                                          ->MetricsHandle()
+                                          ->RegisterCounter("db.write_ops", "")
+                                          ->value());
     }
   }
 
@@ -535,7 +536,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(served.get_latency.count));
   }
   for (size_t i = 0; i < served.shard_write_ops.size(); i++) {
-    std::printf("shard %zu: %llu write ops routed\n", i,
+    std::printf("shard %zu: %llu entries written (db.write_ops)\n", i,
                 static_cast<unsigned long long>(served.shard_write_ops[i]));
   }
   if (served.gets > 0) {

@@ -39,18 +39,17 @@ CompactionScheduler::CompactionScheduler(const SchedulerOptions& options,
   current_.compute_parallelism = opts_.static_compute_parallelism;
   last_rationale_ = opts_.adaptive ? "no admissions yet"
                                    : "adaptive_compaction off; static choice";
-  if (metrics != nullptr) {
-    decisions_counter_ = metrics->RegisterCounter(
-        "scheduler.decisions", "compaction admissions the scheduler ruled on");
-    switches_counter_ = metrics->RegisterCounter(
-        "scheduler.switches",
-        "executor/parallelism changes after the hysteresis window filled");
-    for (int m = 0; m < 4; m++) {
-      if (kModeMetricNames[m] == nullptr) continue;
-      mode_counters_[m] = metrics->RegisterCounter(
-          kModeMetricNames[m], std::string("jobs admitted as ") +
-                                   CompactionModeName(CompactionMode(m)));
-    }
+  if (metrics == nullptr) metrics = &own_metrics_;
+  decisions_counter_ = metrics->RegisterCounter(
+      "scheduler.decisions", "compaction admissions the scheduler ruled on");
+  switches_counter_ = metrics->RegisterCounter(
+      "scheduler.switches",
+      "executor/parallelism changes after the hysteresis window filled");
+  for (int m = 0; m < 4; m++) {
+    if (kModeMetricNames[m] == nullptr) continue;
+    mode_counters_[m] = metrics->RegisterCounter(
+        kModeMetricNames[m], std::string("jobs admitted as ") +
+                                 CompactionModeName(CompactionMode(m)));
   }
 }
 
@@ -63,17 +62,14 @@ CompactionChoice CompactionScheduler::Render(const Choice& choice,
   c.adaptive = adaptive;
   c.gain = gain;
   c.rationale = last_rationale_;
-  if (decisions_counter_ != nullptr) decisions_counter_->Add();
-  if (mode_counters_[int(choice.mode)] != nullptr) {
-    mode_counters_[int(choice.mode)]->Add();
-  }
+  decisions_counter_->Add();
+  if (obs::Counter* mode = mode_counters_[int(choice.mode)]) mode->Add();
   return c;
 }
 
 CompactionChoice CompactionScheduler::Choose(const model::StepTimes& profile,
                                              uint64_t advisor_jobs) {
   std::lock_guard<std::mutex> lock(mu_);
-  decisions_++;
   if (!opts_.adaptive) {
     last_rationale_ = "adaptive_compaction off; static choice";
     return Render(current_, /*adaptive=*/false, 1.0);
@@ -106,8 +102,7 @@ CompactionChoice CompactionScheduler::Choose(const model::StepTimes& profile,
   if (candidate_streak_ >= opts_.hysteresis_jobs) {
     current_ = candidate_;
     candidate_streak_ = 0;
-    switches_++;
-    if (switches_counter_ != nullptr) switches_counter_->Add();
+    switches_counter_->Add();
     last_rationale_ = p.reason;
     return Render(current_, /*adaptive=*/true, p.gain_vs_pcp);
   }
@@ -124,13 +119,11 @@ CompactionChoice CompactionScheduler::Choose(const model::StepTimes& profile,
 }
 
 uint64_t CompactionScheduler::decisions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return decisions_;
+  return decisions_counter_->value();
 }
 
 uint64_t CompactionScheduler::switches() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return switches_;
+  return switches_counter_->value();
 }
 
 std::string CompactionScheduler::ToJson() const {
@@ -142,7 +135,8 @@ std::string CompactionScheduler::ToJson() const {
     w.Key("compute_parallelism").Int(c.compute_parallelism);
   };
   w.BeginObject().Key("adaptive").Bool(opts_.adaptive);
-  w.Key("decisions").Uint(decisions_).Key("switches").Uint(switches_);
+  w.Key("decisions").Uint(decisions_counter_->value());
+  w.Key("switches").Uint(switches_counter_->value());
   w.Key("current");
   begin_choice(current_);
   w.EndObject();

@@ -42,13 +42,9 @@
 
 #include "src/db/options.h"
 #include "src/model/model.h"
+#include "src/obs/metrics.h"
 
 namespace pipelsm {
-
-namespace obs {
-class Counter;
-class MetricsRegistry;
-}  // namespace obs
 
 struct SchedulerOptions {
   bool adaptive = false;
@@ -162,8 +158,9 @@ class ScopedGrant {
 
 class CompactionScheduler {
  public:
-  // `metrics` (nullable) receives scheduler.* counters: decisions,
-  // switches, and per-procedure choice counts.
+  // scheduler.* counters (decisions, switches, per-procedure choice
+  // counts) land in `metrics`, or in a registry of the scheduler's own
+  // when it is null.
   CompactionScheduler(const SchedulerOptions& options,
                       obs::MetricsRegistry* metrics);
 
@@ -204,10 +201,9 @@ class CompactionScheduler {
   Choice current_;           // what jobs run as right now
   Choice candidate_;         // differing target accumulating a streak
   int candidate_streak_ = 0; // consecutive admissions prescribing it
-  uint64_t decisions_ = 0;
-  uint64_t switches_ = 0;
   std::string last_rationale_;
 
+  obs::MetricsRegistry own_metrics_;  // used when none was given
   obs::Counter* decisions_counter_ = nullptr;
   obs::Counter* switches_counter_ = nullptr;
   obs::Counter* mode_counters_[4] = {nullptr, nullptr, nullptr, nullptr};

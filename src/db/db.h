@@ -26,7 +26,6 @@ namespace pipelsm {
 class WriteBatch;
 
 namespace obs {
-class BottleneckAdvisor;
 class Logger;
 class MetricsRegistry;
 }  // namespace obs
@@ -147,11 +146,6 @@ class DB {
   // The DB's info log, so embedding layers can interleave their EVENT
   // lines with the DB's. nullptr if the DB has no log.
   virtual obs::Logger* InfoLogHandle() { return nullptr; }
-
-  // The DB's bottleneck advisor, so embedding layers can read its
-  // verdict without parsing GetProperty("pipelsm.advisor"). nullptr if
-  // the DB has none.
-  virtual obs::BottleneckAdvisor* AdvisorHandle() { return nullptr; }
 };
 
 // Destroy the contents of the specified database. Be very careful.

@@ -166,7 +166,8 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       options_(SanitizeOptions(raw_options)),
       dbname_(dbname),
       min_read_bytes_(env_->PreferredReadBytes()),
-      advisor_(SchedulerOptions::FromOptions(options_).max_compute_workers) {
+      advisor_(SchedulerOptions::FromOptions(options_).max_compute_workers,
+               obs::BottleneckAdvisor::kDefaultDecay, &metrics_registry_) {
   // Info log first, so every component built below can report to it:
   // the caller-supplied sink, or a LOG file in the DB directory.
   if (options_.info_log != nullptr) {
@@ -247,6 +248,8 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
   subcompaction_runs_counter_ = metrics_registry_.RegisterCounter(
       "compaction.subcompaction.runs",
       "key-range sub-jobs run across split compactions");
+  write_ops_counter_ = metrics_registry_.RegisterCounter(
+      "db.write_ops", "entries (puts and deletes) of committed write groups");
   get_micros_hist_ = metrics_registry_.RegisterHistogram(
       "db.get_micros", "foreground Get latency");
   write_micros_hist_ = metrics_registry_.RegisterHistogram(
@@ -1271,6 +1274,9 @@ void DBImpl::WriteMany(const WriteOptions& options, WriteBatch* const* batches,
       WriteBatchInternal::SetSequence(write_batch,
                                       versions_->LastSequence() + 1);
       status = CommitBatch(lock, write_batch, options.sync);
+      if (status.ok()) {
+        write_ops_counter_->Add(WriteBatchInternal::Count(write_batch));
+      }
       if (write_batch == &tmp_batch_) tmp_batch_.Clear();
     }
     ReleaseWriteLeadership(last_writer, status);

@@ -82,7 +82,8 @@ class DBImpl final : public DB {
 
   obs::MetricsRegistry* MetricsHandle() override { return &metrics_registry_; }
   obs::Logger* InfoLogHandle() override { return info_log_; }
-  obs::BottleneckAdvisor* AdvisorHandle() override { return &advisor_; }
+  // The value-log GC feeds its passes to the advisor (vlog_gc.cc).
+  obs::BottleneckAdvisor* advisor() { return &advisor_; }
 
   // A consistent read view: refs on mem_, on imm_ (null when no flush is
   // pending) and on the current version, plus the sequence to read at.
@@ -356,6 +357,7 @@ class DBImpl final : public DB {
   obs::Counter* pause_micros_counter_ = nullptr;
   obs::Counter* flush_runs_counter_ = nullptr;
   obs::Counter* flush_bytes_counter_ = nullptr;
+  obs::Counter* write_ops_counter_ = nullptr;  // entries of committed groups
   obs::Counter* compaction_jobs_counter_ = nullptr;   // installed jobs
   obs::Counter* compaction_bytes_counter_ = nullptr;  // their output bytes
   obs::Counter* subcompaction_jobs_counter_ = nullptr;  // jobs that split

@@ -206,7 +206,7 @@ Status VlogGarbageCollector::CollectSegment(uint64_t segment) {
                     scanned_bytes);
     profile.AddStep(kStepSort, liveness_nanos, scanned_bytes);
     profile.AddStep(kStepWrite, append_nanos + commit_nanos, live_bytes);
-    db_->AdvisorHandle()->AddJob(profile);
+    db_->advisor()->AddJob(profile);
   }
 
   if (!touched.empty()) vlog_->ReleaseAppends(touched);

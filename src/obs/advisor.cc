@@ -13,9 +13,13 @@ double ToMbps(double bps) { return bps / (1024.0 * 1024.0); }
 
 }  // namespace
 
-BottleneckAdvisor::BottleneckAdvisor(int max_workers, double decay)
-    : max_workers_(max_workers),
-      decay_(std::clamp(decay, 1e-3, 1.0)) {}
+BottleneckAdvisor::BottleneckAdvisor(int max_workers, double decay,
+                                     MetricsRegistry* metrics)
+    : max_workers_(max_workers), decay_(std::clamp(decay, 1e-3, 1.0)) {
+  if (metrics == nullptr) metrics = &own_metrics_;
+  regime_gauge_ = metrics->RegisterGauge(
+      "advisor.regime", "0 none (no job yet), 1 io-bound, 2 cpu-bound");
+}
 
 void BottleneckAdvisor::AddJob(const StepProfile& profile) {
   if (profile.subtasks == 0 || profile.wall_nanos == 0) return;
@@ -39,6 +43,7 @@ void BottleneckAdvisor::AddJob(const StepProfile& profile) {
     measured_seq_bps_ = keep * measured_seq_bps_ + decay_ * seq_bps;
   }
   jobs_++;
+  regime_gauge_->Set(model::IsCpuBound(ema_) ? 2 : 1);
 }
 
 uint64_t BottleneckAdvisor::jobs() const {

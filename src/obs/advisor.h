@@ -20,7 +20,10 @@
 //     stripe width to give its Env (Eq. 4).
 //
 // Exposed as DB::GetProperty("pipelsm.advisor"); the DB feeds it through
-// its internal EventListener. Thread-safe: AddJob and ToJson may race.
+// its internal EventListener. The regime is also the `advisor.regime`
+// gauge in the DB's metrics registry (0 none, 1 io-bound, 2 cpu-bound),
+// set each time AddJob takes in a job, which is how /metrics shows it.
+// Thread-safe: AddJob and ToJson may race.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +31,7 @@
 #include <string>
 
 #include "src/model/model.h"
+#include "src/obs/metrics.h"
 #include "src/util/stopwatch.h"
 
 namespace pipelsm::obs {
@@ -37,8 +41,12 @@ class BottleneckAdvisor {
   // `max_workers` caps the recommended C-PPCP k (the engine's
   // Options::max_compute_workers; <= 0 is no cap). `decay` is the weight
   // of the newest job in the running profile (0 < decay <= 1); 0.3 keeps
-  // ~the last half-dozen jobs relevant.
-  explicit BottleneckAdvisor(int max_workers = 0, double decay = 0.3);
+  // ~the last half-dozen jobs relevant. The `advisor.regime` gauge lands
+  // in `metrics`, or in a registry of the advisor's own when it is null.
+  static constexpr double kDefaultDecay = 0.3;
+  explicit BottleneckAdvisor(int max_workers = 0,
+                             double decay = kDefaultDecay,
+                             MetricsRegistry* metrics = nullptr);
 
   BottleneckAdvisor(const BottleneckAdvisor&) = delete;
   BottleneckAdvisor& operator=(const BottleneckAdvisor&) = delete;
@@ -66,6 +74,8 @@ class BottleneckAdvisor {
 
   const int max_workers_;
   const double decay_;
+  MetricsRegistry own_metrics_;  // used when none was given
+  Gauge* regime_gauge_ = nullptr;
   mutable std::mutex mu_;
   uint64_t jobs_ = 0;
   model::StepTimes ema_;          // decayed per-sub-task step seconds

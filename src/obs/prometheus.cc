@@ -1,6 +1,5 @@
 #include "src/obs/prometheus.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -39,35 +38,6 @@ void AppendHelpEscaped(const std::string& s, std::string* out) {
       out->push_back(c);
     }
   }
-}
-
-// Splits "prefix.shard<N>.rest" into family "prefix.rest" + shard "N".
-// Returns false when the name has no embedded shard component.
-bool FoldShardComponent(const std::string& name, std::string* folded,
-                        std::string* shard) {
-  size_t pos = 0;
-  while ((pos = name.find(".shard", pos)) != std::string::npos) {
-    size_t digits = pos + 6;
-    size_t end = digits;
-    while (end < name.size() && std::isdigit(
-               static_cast<unsigned char>(name[end]))) {
-      end++;
-    }
-    if (end > digits && end < name.size() && name[end] == '.') {
-      *folded = name.substr(0, pos) + name.substr(end);
-      *shard = name.substr(digits, end - digits);
-      return true;
-    }
-    pos = end;
-  }
-  return false;
-}
-
-bool HasLabelKey(const PrometheusLabels& labels, const char* key) {
-  for (const auto& [k, v] : labels) {
-    if (k == key) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -150,25 +120,17 @@ void PrometheusExposition::AddSample(Family* family,
 void PrometheusExposition::AddRegistry(const MetricsRegistry& registry,
                                        const PrometheusLabels& labels) {
   for (const MetricSample& s : registry.Snapshot()) {
-    std::string dotted = s.name;
-    PrometheusLabels sample_labels = labels;
-    std::string folded, shard;
-    if (!HasLabelKey(labels, "shard") &&
-        FoldShardComponent(s.name, &folded, &shard)) {
-      dotted = folded;
-      sample_labels.emplace_back("shard", shard);
-    }
-    const std::string family = "pipelsm_" + PrometheusMetricName(dotted);
+    const std::string family = "pipelsm_" + PrometheusMetricName(s.name);
     switch (s.kind) {
       case MetricSample::Kind::kCounter: {
         Family* f = Upsert(family, s.help, "counter");
-        AddSample(f, family, sample_labels, nullptr, "", "",
+        AddSample(f, family, labels, nullptr, "", "",
                   static_cast<double>(s.counter));
         break;
       }
       case MetricSample::Kind::kGauge: {
         Family* f = Upsert(family, s.help, "gauge");
-        AddSample(f, family, sample_labels, nullptr, "", "",
+        AddSample(f, family, labels, nullptr, "", "",
                   static_cast<double>(s.gauge));
         break;
       }
@@ -177,36 +139,18 @@ void PrometheusExposition::AddRegistry(const MetricsRegistry& registry,
         const Histogram& h = s.histogram;
         // Percentile() returns 0 on an empty histogram; never emit a
         // literal `nan`, which breaks strict exposition parsers.
-        AddSample(f, family, sample_labels, "quantile", "0.5", "",
+        AddSample(f, family, labels, "quantile", "0.5", "",
                   h.Median());
-        AddSample(f, family, sample_labels, "quantile", "0.95", "",
+        AddSample(f, family, labels, "quantile", "0.95", "",
                   h.Percentile(95));
-        AddSample(f, family, sample_labels, "quantile", "0.99", "",
+        AddSample(f, family, labels, "quantile", "0.99", "",
                   h.Percentile(99));
-        AddSample(f, family, sample_labels, nullptr, "", "_sum", h.Sum());
-        AddSample(f, family, sample_labels, nullptr, "", "_count", h.Num());
+        AddSample(f, family, labels, nullptr, "", "_sum", h.Sum());
+        AddSample(f, family, labels, nullptr, "", "_count", h.Num());
         break;
       }
     }
   }
-}
-
-void PrometheusExposition::AddGauge(const std::string& dotted_name,
-                                    const std::string& help,
-                                    const PrometheusLabels& labels,
-                                    double value) {
-  const std::string family = "pipelsm_" + PrometheusMetricName(dotted_name);
-  Family* f = Upsert(family, help, "gauge");
-  AddSample(f, family, labels, nullptr, "", "", value);
-}
-
-void PrometheusExposition::AddCounter(const std::string& dotted_name,
-                                      const std::string& help,
-                                      const PrometheusLabels& labels,
-                                      double value) {
-  const std::string family = "pipelsm_" + PrometheusMetricName(dotted_name);
-  Family* f = Upsert(family, help, "counter");
-  AddSample(f, family, labels, nullptr, "", "", value);
 }
 
 std::string PrometheusExposition::Render() const {

@@ -14,9 +14,10 @@
 //   Gauge      -> `gauge` family
 //   Histogram  -> `summary` family: quantile-labeled samples at
 //                 quantile="0.5"/"0.95"/"0.99" plus `_sum` and `_count`
-// Embedded shard names ("server.shard3.write_ops") are folded into a
-// shard label on the common family, so per-shard fleet counters query
-// like any other shard-labeled series.
+// Every series is a registry instrument: a per-shard total is an
+// engine's own instrument under its {shard="N"} label, and an
+// enum-valued state is a numeric gauge (db.write_stall_state,
+// advisor.regime).
 //
 // Families are emitted sorted by name, each preceded by exactly one
 // # HELP / # TYPE pair; label values are escaped per the exposition
@@ -50,18 +51,8 @@ class PrometheusExposition {
   PrometheusExposition() = default;
 
   // Adds every instrument of `registry`, with `labels` on each sample.
-  // Instruments named "<prefix>.shard<N>.<rest>" are folded into family
-  // "<prefix>.<rest>" with a shard="N" label appended (unless `labels`
-  // already carries a shard key).
   void AddRegistry(const MetricsRegistry& registry,
                    const PrometheusLabels& labels);
-
-  // Adds one synthetic gauge sample (used for derived series such as the
-  // advisor regime, which are not registry instruments).
-  void AddGauge(const std::string& dotted_name, const std::string& help,
-                const PrometheusLabels& labels, double value);
-  void AddCounter(const std::string& dotted_name, const std::string& help,
-                  const PrometheusLabels& labels, double value);
 
   // The exposition document: families sorted by name, one HELP/TYPE pair
   // per family, then its samples in insertion order. Text ends with a

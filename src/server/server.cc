@@ -58,10 +58,8 @@ struct Server::Request {
   std::string body;
   Stopwatch queued;  // starts at dispatch; latency includes queue wait
   ReqTiming timing;
-  // Writes only: a parse error (answered instead of the commit status),
-  // and the one shard the write touched (-1 unsharded or for several).
+  // Writes only: a parse error (answered instead of the commit status).
   Status error;
-  int shard = -1;
 };
 
 // One accepted connection. The owning I/O loop is the only thread that
@@ -139,12 +137,12 @@ Server::Server(DB* db, const ServerOptions& options)
 Server::~Server() { Drain(); }
 
 size_t Server::active_connections() const {
-  const int64_t n = active_conns_.load(std::memory_order_relaxed);
+  const int64_t n = conns_active_ != nullptr ? conns_active_->value() : 0;
   return n > 0 ? static_cast<size_t>(n) : 0;
 }
 
 Status Server::Start() {
-  // A ShardedDB gets per-shard write routing; RTTI is how the server
+  // A ShardedDB's shard registries join /metrics; RTTI is how the server
   // stays a plain DB* consumer everywhere else.
   sharded_ = dynamic_cast<shard::ShardedDB*>(db_);
   info_log_ = options_.info_log ? options_.info_log : db_->InfoLogHandle();
@@ -176,6 +174,8 @@ Status Server::Start() {
   requests_inflight_ = metrics_->RegisterGauge(
       "server.requests_inflight",
       "dispatched client requests not yet answered");
+  draining_gauge_ = metrics_->RegisterGauge(
+      "server.draining", "1 while a graceful drain is in progress");
   // Slot 0 and the retired type 6 name no request and get no instruments.
   static const char* kNames[kNumMessageTypes] = {
       nullptr, "ping",  "get",       "put",       "del",       "batch",
@@ -200,13 +200,6 @@ Status Server::Start() {
   cursors_active_ =
       metrics_->RegisterGauge("cursor.active", "open streaming cursors");
   const size_t num_shards = sharded_ != nullptr ? sharded_->num_shards() : 1;
-  if (sharded_ != nullptr) {
-    for (size_t i = 0; i < num_shards; i++) {
-      shard_write_ops_.push_back(metrics_->RegisterCounter(
-          "server.shard" + std::to_string(i) + ".write_ops",
-          "write requests that touched this shard"));
-    }
-  }
 
   Status s = Listen(options_.port, 511, "client", &listen_fd_, &port_);
   if (!s.ok()) return s;
@@ -420,41 +413,20 @@ void Server::SendAdminResponse(const std::shared_ptr<Conn>& conn, int status,
 }
 
 std::string Server::RenderPrometheusMetrics() {
+  // The server's registry (server.*; the fleet's arbiter.* when sharded)
+  // unlabeled, then every engine's registry: each shard's under its
+  // shard label, or the one DB's when the server counts elsewhere.
   obs::PrometheusExposition exposition;
-  // Fleet-level registry (server.*, and arbiter.* when sharded); the
-  // embedded server.shard<N>.* instruments fold into shard labels.
   exposition.AddRegistry(*metrics_, {});
-  if (sharded_ != nullptr) {
-    for (size_t i = 0; i < sharded_->num_shards(); i++) {
-      obs::MetricsRegistry* reg = sharded_->shard(i)->MetricsHandle();
-      if (reg == nullptr || reg == metrics_) continue;
-      exposition.AddRegistry(*reg, {{"shard", std::to_string(i)}});
-    }
+  const size_t engines = sharded_ != nullptr ? sharded_->num_shards() : 1;
+  for (size_t i = 0; i < engines; i++) {
+    DB* engine = sharded_ != nullptr ? sharded_->shard(i) : db_;
+    obs::MetricsRegistry* reg = engine->MetricsHandle();
+    if (reg == nullptr || reg == metrics_) continue;
+    obs::PrometheusLabels labels;
+    if (sharded_ != nullptr) labels.emplace_back("shard", std::to_string(i));
+    exposition.AddRegistry(*reg, labels);
   }
-  // Advisor regime as an info-style series: value is constant 1, the
-  // regime rides a label (the standard pattern for enum-valued state).
-  const auto add_regime = [&exposition](DB* db, const obs::PrometheusLabels&
-                                                    labels) {
-    // "none" until the first completed compaction gives the advisor a
-    // profile to classify — the series itself is always present.
-    const obs::BottleneckAdvisor* advisor = db->AdvisorHandle();
-    const char* regime = advisor != nullptr ? advisor->Regime() : "none";
-    obs::PrometheusLabels with_regime = labels;
-    with_regime.emplace_back("regime", regime);
-    exposition.AddGauge("advisor.regime_info",
-                        "active bottleneck-advisor regime (value always 1)",
-                        with_regime, 1.0);
-  };
-  if (sharded_ != nullptr) {
-    for (size_t i = 0; i < sharded_->num_shards(); i++) {
-      add_regime(sharded_->shard(i), {{"shard", std::to_string(i)}});
-    }
-  } else {
-    add_regime(db_, {});
-  }
-  exposition.AddGauge("server.draining",
-                      "1 while a graceful drain is in progress",
-                      {}, draining_.load(std::memory_order_acquire) ? 1 : 0);
   return exposition.Render();
 }
 
@@ -463,10 +435,9 @@ uint64_t Server::NowNs() const {
                                    : epoch_.ElapsedNanos();
 }
 
-void Server::FinishRequest(MessageType type, uint64_t conn_id, int shard,
+void Server::FinishRequest(MessageType type, uint64_t conn_id,
                            const ReqTiming& timing, uint64_t end_ns) {
-  requests_inflight_->Set(
-      inflight_total_.fetch_sub(1, std::memory_order_relaxed) - 1);
+  requests_inflight_->Add(-1);
   const uint64_t total_micros = (end_ns - timing.decode_ns) / 1000;
   if (options_.trace != nullptr && options_.trace_sample_every > 0 &&
       trace_sampler_.fetch_add(1, std::memory_order_relaxed) %
@@ -490,10 +461,10 @@ void Server::FinishRequest(MessageType type, uint64_t conn_id, int shard,
   const uint64_t db_micros = (timing.op_end_ns - timing.op_start_ns) / 1000;
   const uint64_t reply_micros = (end_ns - timing.op_end_ns) / 1000;
   obs::Log(info_log_,
-           "EVENT slow_request type=%s conn=%llu shard=%d total_micros=%llu "
+           "EVENT slow_request type=%s conn=%llu total_micros=%llu "
            "queue_micros=%llu db_micros=%llu reply_micros=%llu",
            MessageTypeName(type), static_cast<unsigned long long>(conn_id),
-           shard, static_cast<unsigned long long>(total_micros),
+           static_cast<unsigned long long>(total_micros),
            static_cast<unsigned long long>(queue_micros),
            static_cast<unsigned long long>(db_micros),
            static_cast<unsigned long long>(reply_micros));
@@ -633,7 +604,7 @@ void Server::AcceptConnections(bool admin) {
     // Admin conns keep working during drain (for /healthz) but a cap
     // bounds what a hostile scraper can pin; over it, refuse outright.
     const bool refuse =
-        admin ? active_admin_conns_.load(std::memory_order_relaxed) >=
+        admin ? admin_conns_active_->value() >=
                     static_cast<int64_t>(options_.max_admin_conns)
               : draining_.load(std::memory_order_acquire);
     if (refuse) {
@@ -656,12 +627,10 @@ void Server::AcceptConnections(bool admin) {
       target.incoming.push_back(conn);
     }
     if (admin) {
-      admin_conns_active_->Set(
-          active_admin_conns_.fetch_add(1, std::memory_order_relaxed) + 1);
+      admin_conns_active_->Add(1);
     } else {
       conns_total_->Add();
-      conns_active_->Set(
-          active_conns_.fetch_add(1, std::memory_order_relaxed) + 1);
+      conns_active_->Add(1);
       obs::Log(info_log_, "EVENT conn_open id=%llu loop=%zu",
                static_cast<unsigned long long>(conn->id), conn->loop_index);
     }
@@ -689,13 +658,7 @@ void Server::RegisterIncoming(IoLoop& loop) {
       ::close(conn->fd);
       conn->fd = -1;
       conn->closed = true;
-      if (conn->admin) {
-        admin_conns_active_->Set(
-            active_admin_conns_.fetch_sub(1, std::memory_order_relaxed) - 1);
-      } else {
-        conns_active_->Set(
-            active_conns_.fetch_sub(1, std::memory_order_relaxed) - 1);
-      }
+      (conn->admin ? admin_conns_active_ : conns_active_)->Add(-1);
       continue;
     }
     conn->armed = EPOLLIN;
@@ -770,8 +733,7 @@ void Server::DispatchFrame(const std::shared_ptr<Conn>& conn,
   // exactly one FinishRequest.
   ReqTiming timing;
   timing.decode_ns = NowNs();
-  requests_inflight_->Set(
-      inflight_total_.fetch_add(1, std::memory_order_relaxed) + 1);
+  requests_inflight_->Add(1);
   {
     std::lock_guard<std::mutex> l(conn->mu);
     conn->in_flight++;
@@ -785,7 +747,7 @@ void Server::DispatchFrame(const std::shared_ptr<Conn>& conn,
   if (frame.type == MessageType::kPing) {
     SendReply(conn, frame.type, frame.seq, Status::OK(), Slice());
     timing.op_start_ns = timing.op_end_ns = timing.decode_ns;
-    FinishRequest(frame.type, conn->id, -1, timing, NowNs());
+    FinishRequest(frame.type, conn->id, timing, NowNs());
     return;
   }
   Request request;
@@ -845,7 +807,7 @@ void Server::RefuseDraining(const std::shared_ptr<Conn>& conn,
     Request& r = requests[i];
     SendReply(conn, r.type, r.seq, Status::Busy("server draining"), Slice());
     r.timing.op_start_ns = r.timing.op_end_ns = NowNs();
-    FinishRequest(r.type, conn->id, -1, r.timing, NowNs());
+    FinishRequest(r.type, conn->id, r.timing, NowNs());
   }
 }
 
@@ -893,7 +855,7 @@ void Server::CommitWrites(std::vector<std::shared_ptr<Conn>>* lanes) {
       writes[c].swap(conn.writes);
     }
     for (Request& w : writes[c]) {
-      if (!AddWrite(w.type, w.body, &batches[c], &w.shard)) {
+      if (!AddWrite(w.type, w.body, &batches[c])) {
         w.error = Status::InvalidArgument("malformed request body");
       }
     }
@@ -921,7 +883,7 @@ void Server::CommitWrites(std::vector<std::shared_ptr<Conn>>* lanes) {
     DeliverReplies(conn, frames, writes[c].size());
     const uint64_t end_ns = NowNs();
     for (const Request& w : writes[c]) {
-      FinishRequest(w.type, conn->id, w.shard, w.timing, end_ns);
+      FinishRequest(w.type, conn->id, w.timing, end_ns);
     }
     bool more;
     {
@@ -1045,23 +1007,16 @@ void Server::HandleRequest(Request& request) {
   request.timing.op_end_ns = NowNs();
   ObserveLatency(request.type, request.queued.ElapsedNanos() / 1000);
   SendReply(request.conn, request.type, request.seq, s, payload);
-  FinishRequest(request.type, request.conn->id, -1, request.timing,
-                NowNs());
+  FinishRequest(request.type, request.conn->id, request.timing, NowNs());
 }
 
-bool Server::AddWrite(MessageType type, const Slice& body, WriteBatch* batch,
-                      int* shard) {
-  std::vector<size_t> touched;  // sharded only: shards the write reaches
-  auto add = [&](bool is_delete, const Slice& key, const Slice& value) {
+bool Server::AddWrite(MessageType type, const Slice& body,
+                      WriteBatch* batch) {
+  auto add = [batch](bool is_delete, const Slice& key, const Slice& value) {
     if (is_delete) {
       batch->Delete(key);
     } else {
       batch->Put(key, value);
-    }
-    if (sharded_ == nullptr) return;
-    const size_t i = sharded_->router().ShardOf(key);
-    if (std::find(touched.begin(), touched.end(), i) == touched.end()) {
-      touched.push_back(i);
     }
   };
   if (type == MessageType::kPut) {
@@ -1077,8 +1032,6 @@ bool Server::AddWrite(MessageType type, const Slice& body, WriteBatch* batch,
     if (!ParseWriteBatchRequest(body, &ops)) return false;
     for (const BatchOp& op : ops) add(op.is_delete, op.key, op.value);
   }
-  for (size_t i : touched) shard_write_ops_[i]->Add();
-  if (touched.size() == 1) *shard = static_cast<int>(touched[0]);
   return true;
 }
 
@@ -1191,10 +1144,16 @@ void Server::SweepExpiredCursors() {
 }
 
 void Server::CursorSweeperMain() {
+  // A quarter of the TTL, at most a second: a cursor expires within
+  // 1.25 TTLs of going idle (a second past it for TTLs over 4 s).
+  constexpr uint64_t kMaxPeriodMicros = 1000 * 1000;
+  const uint64_t ttl = options_.cursor_ttl_micros;
+  const auto period = std::chrono::microseconds(
+      ttl > 0 ? std::clamp<uint64_t>(ttl / 4, 1, kMaxPeriodMicros)
+              : kMaxPeriodMicros);
   std::unique_lock<std::mutex> l(sweeper_mu_);
   while (!sweeper_stop_) {
-    sweeper_cv_.wait_for(
-        l, std::chrono::microseconds(options_.cursor_sweep_period_micros));
+    sweeper_cv_.wait_for(l, period);
     if (sweeper_stop_) break;
     l.unlock();
     SweepExpiredCursors();
@@ -1314,11 +1273,9 @@ void Server::CloseConn(IoLoop& loop, const std::shared_ptr<Conn>& conn,
     loop.conns.erase(fd);
   }
   if (conn->admin) {
-    admin_conns_active_->Set(
-        active_admin_conns_.fetch_sub(1, std::memory_order_relaxed) - 1);
+    admin_conns_active_->Add(-1);
   } else {
-    conns_active_->Set(
-        active_conns_.fetch_sub(1, std::memory_order_relaxed) - 1);
+    conns_active_->Add(-1);
     // A dead client can never SCAN_NEXT again; release its pinned
     // snapshots now instead of waiting out the TTL.
     CloseCursorsForConn(conn->id);
@@ -1342,8 +1299,9 @@ void Server::Drain() {
     return;
   }
   obs::Log(info_log_, "EVENT drain_begin conns=%lld",
-           static_cast<long long>(active_conns_.load()));
+           static_cast<long long>(conns_active_->value()));
   draining_.store(true, std::memory_order_release);
+  draining_gauge_->Set(1);
   WakeAllLoops();  // loop 0 closes the listen fd; all loops park reads
 
   // The queue drains to empty before the workers exit, so every

@@ -156,16 +156,13 @@ struct ServerOptions {
   // -------- streaming SCAN cursors (SCAN_OPEN / SCAN_NEXT / SCAN_CLOSE)
   // Every open cursor pins a DB snapshot, so an abandoned one holds
   // memtables and table files alive forever; the sweeper expires any
-  // cursor idle longer than this (its next SCAN_NEXT gets NotFound).
-  // 0 = never expire (tests only).
+  // cursor idle longer than this (its next SCAN_NEXT gets NotFound). It
+  // wakes every min(1 s, ttl / 4). 0 = never expire (tests only).
   uint64_t cursor_ttl_micros = 60 * 1000 * 1000;
 
   // Server-wide cap on simultaneously open cursors; SCAN_OPEN beyond it
   // is refused with Busy.
   size_t max_cursors = 1024;
-
-  // Sweeper wake period. Expiry precision is ttl + one period.
-  uint64_t cursor_sweep_period_micros = 1000 * 1000;
 
   // EVENT sink; nullptr falls back to the DB's own info log
   // (DB::InfoLogHandle), then to silence.
@@ -286,9 +283,8 @@ class Server {
   // on (spans must share it), a private stopwatch otherwise.
   uint64_t NowNs() const;
   // Stamps the reply-flush end of one request: samples a trace span and
-  // emits the slow-request line when over threshold. `shard` is -1 for
-  // reads/unsharded.
-  void FinishRequest(MessageType type, uint64_t conn_id, int shard,
+  // emits the slow-request line when over threshold.
+  void FinishRequest(MessageType type, uint64_t conn_id,
                      const ReqTiming& timing, uint64_t end_ns);
   void DispatchFrame(const std::shared_ptr<Conn>& conn, DecodedFrame&& frame);
   void WorkerPump();
@@ -309,10 +305,8 @@ class Server {
   // others are idle again.
   void CommitWrites(std::vector<std::shared_ptr<Conn>>* lanes);
   // Parses a PUT / DELETE / WRITE_BATCH body into *batch; false if it is
-  // malformed. Sharded, counts the write against every shard it touches
-  // and sets *shard when that is exactly one.
-  bool AddWrite(MessageType type, const Slice& body, WriteBatch* batch,
-                int* shard);
+  // malformed.
+  bool AddWrite(MessageType type, const Slice& body, WriteBatch* batch);
   void SendReply(const std::shared_ptr<Conn>& conn, MessageType type,
                  uint64_t seq, const Status& status, const Slice& payload);
   // Queues `count` encoded reply frames for one send().
@@ -346,9 +340,9 @@ class Server {
   void CursorSweeperMain();
 
   DB* const db_;
-  // Non-null when db_ is a ShardedDB: writes are counted per shard
-  // (server.shard<i>.write_ops); ShardedDB::WriteMany routes them, so N
-  // shards sync N WALs in parallel (docs/SHARDING.md).
+  // Non-null when db_ is a ShardedDB: /metrics renders each shard's
+  // registry under its shard label. ShardedDB::WriteMany routes writes,
+  // so N shards sync N WALs in parallel (docs/SHARDING.md).
   shard::ShardedDB* sharded_ = nullptr;
   const ServerOptions options_;
 
@@ -378,9 +372,6 @@ class Server {
   std::atomic<bool> drained_{false};
   std::atomic<uint64_t> next_conn_id_{1};
   std::atomic<size_t> next_loop_{0};
-  std::atomic<int64_t> active_conns_{0};
-  std::atomic<int64_t> active_admin_conns_{0};
-  std::atomic<int64_t> inflight_total_{0};
   std::atomic<uint64_t> trace_sampler_{0};
   Stopwatch epoch_;  // NowNs clock when no trace collector is attached
   uint32_t trace_pid_ = 0;  // server's trace process (0 = no collector)
@@ -394,14 +385,13 @@ class Server {
   obs::Counter* read_pauses_ = nullptr;
   obs::Counter* req_counters_[kNumMessageTypes] = {};
   obs::HistogramMetric* req_micros_[kNumMessageTypes] = {};
-  // Sharded only: write requests that touched each shard.
-  std::vector<obs::Counter*> shard_write_ops_;
   // Admin endpoint + request tracing instruments.
   obs::Gauge* admin_conns_active_ = nullptr;
   obs::Counter* admin_requests_ = nullptr;
   obs::Counter* admin_http_errors_ = nullptr;
   obs::Counter* slow_requests_ = nullptr;
   obs::Gauge* requests_inflight_ = nullptr;
+  obs::Gauge* draining_gauge_ = nullptr;
 
   // Streaming cursor registry: id -> open cursor. Lock order is
   // cursors_mu_ THEN Cursor::mu (lookups drop cursors_mu_ before

@@ -12,23 +12,22 @@ namespace pipelsm::shard {
 
 CompactionArbiter::CompactionArbiter(const ArbiterOptions& options)
     : opts_(options) {
-  if (opts_.metrics != nullptr) {
-    workers_gauge_ = opts_.metrics->RegisterGauge(
-        "arbiter.compute_workers_in_use",
-        "fleet compute workers currently granted");
-    waiting_gauge_ = opts_.metrics->RegisterGauge(
-        "arbiter.waiting", "shards blocked in compaction admission");
-    grants_counter_ = opts_.metrics->RegisterCounter(
-        "arbiter.grants", "compaction grants issued");
-    shrinks_counter_ = opts_.metrics->RegisterCounter(
-        "arbiter.shrinks",
-        "grants smaller than the shard scheduler's k");
-    forced_counter_ = opts_.metrics->RegisterCounter(
-        "arbiter.forced_grants",
-        "floor grants forced by the passover (anti-starvation) rule");
-    wait_micros_ = opts_.metrics->RegisterHistogram(
-        "arbiter.wait_micros", "time shards spend blocked in Admit()");
-  }
+  obs::MetricsRegistry* metrics =
+      opts_.metrics != nullptr ? opts_.metrics : &own_metrics_;
+  workers_gauge_ = metrics->RegisterGauge(
+      "arbiter.compute_workers_in_use",
+      "fleet compute workers currently granted");
+  waiting_gauge_ = metrics->RegisterGauge(
+      "arbiter.waiting", "shards blocked in compaction admission");
+  grants_counter_ =
+      metrics->RegisterCounter("arbiter.grants", "compaction grants issued");
+  shrinks_counter_ = metrics->RegisterCounter(
+      "arbiter.shrinks", "grants smaller than the shard scheduler's k");
+  forced_counter_ = metrics->RegisterCounter(
+      "arbiter.forced_grants",
+      "floor grants forced by the passover (anti-starvation) rule");
+  wait_micros_ = metrics->RegisterHistogram(
+      "arbiter.wait_micros", "time shards spend blocked in Admit()");
 }
 
 CompactionArbiter::~CompactionArbiter() = default;
@@ -91,22 +90,13 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
 
   workers_in_use_ += g.workers;
   peak_workers_ = std::max(peak_workers_, workers_in_use_);
-  grants_++;
-  const bool forced = w.passovers >= kMaxPassovers;
-  if (forced) forced_grants_++;
-  if (g.workers < want.compute_parallelism) {
-    shrinks_++;
-    if (shrinks_counter_ != nullptr) shrinks_counter_->Add(1);
-  }
+  grants_counter_->Add();
+  if (w.passovers >= kMaxPassovers) forced_counter_->Add();
+  if (g.workers < want.compute_parallelism) shrinks_counter_->Add();
 
   const uint64_t id = next_grant_id_++;
   running_[id] = g;
-
-  if (workers_gauge_ != nullptr) workers_gauge_->Set(workers_in_use_);
-  if (grants_counter_ != nullptr) grants_counter_->Add(1);
-  if (forced_counter_ != nullptr && forced) {
-    forced_counter_->Add(1);
-  }
+  workers_gauge_->Set(workers_in_use_);
 
   CompactionGrant out{want, /*granted=*/true, id};
   out.mode = g.mode;
@@ -130,9 +120,7 @@ CompactionGrant CompactionArbiter::Admit(
   Waiter& me = waiters_[seq];
   me.seq = seq;
   me.request = request;
-  if (waiting_gauge_ != nullptr) {
-    waiting_gauge_->Set(static_cast<int64_t>(waiters_.size()));
-  }
+  waiting_gauge_->Set(static_cast<int64_t>(waiters_.size()));
 
   CompactionGrant out;
   while (true) {
@@ -150,14 +138,10 @@ CompactionGrant CompactionArbiter::Admit(
   }
 
   waiters_.erase(seq);
-  if (waiting_gauge_ != nullptr) {
-    waiting_gauge_->Set(static_cast<int64_t>(waiters_.size()));
-  }
+  waiting_gauge_->Set(static_cast<int64_t>(waiters_.size()));
   // A departing waiter may have been the blocking front-runner.
   cv_.notify_all();
-  if (wait_micros_ != nullptr) {
-    wait_micros_->Observe(sw.ElapsedNanos() * 1e-3);
-  }
+  wait_micros_->Observe(sw.ElapsedNanos() * 1e-3);
   return out;
 }
 
@@ -167,7 +151,7 @@ void CompactionArbiter::Release(uint64_t grant_id) {
   if (it == running_.end()) return;
   workers_in_use_ -= it->second.workers;
   running_.erase(it);
-  if (workers_gauge_ != nullptr) workers_gauge_->Set(workers_in_use_);
+  workers_gauge_->Set(workers_in_use_);
   cv_.notify_all();
 }
 
@@ -187,8 +171,8 @@ std::string CompactionArbiter::ToJson() const {
     w.Key("k").Int(g.workers).EndObject();
   }
   w.EndArray().Key("waiting").Uint(waiters_.size());
-  w.Key("grants").Uint(grants_).Key("shrinks").Uint(shrinks_);
-  w.Key("forced_grants").Uint(forced_grants_).EndObject();
+  w.Key("grants").Uint(grants()).Key("shrinks").Uint(shrinks());
+  w.Key("forced_grants").Uint(forced_grants()).EndObject();
   return out;
 }
 
@@ -201,16 +185,13 @@ int CompactionArbiter::peak_workers() const {
   return peak_workers_;
 }
 uint64_t CompactionArbiter::grants() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return grants_;
+  return grants_counter_->value();
 }
 uint64_t CompactionArbiter::shrinks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shrinks_;
+  return shrinks_counter_->value();
 }
 uint64_t CompactionArbiter::forced_grants() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return forced_grants_;
+  return forced_counter_->value();
 }
 size_t CompactionArbiter::waiting() const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -28,15 +28,7 @@
 #include <string>
 
 #include "src/compaction/scheduler.h"
-
-namespace pipelsm {
-namespace obs {
-class Counter;
-class Gauge;
-class HistogramMetric;
-class MetricsRegistry;
-}  // namespace obs
-}  // namespace pipelsm
+#include "src/obs/metrics.h"
 
 namespace pipelsm::shard {
 
@@ -46,7 +38,8 @@ struct ArbiterOptions {
   // least one, so this also bounds the number of jobs at once.
   int compute_workers = 4;
 
-  // arbiter.* instruments land here (nullable).
+  // arbiter.* instruments land here, or in a registry of the arbiter's
+  // own when null.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -107,10 +100,8 @@ class CompactionArbiter : public CompactionGovernor {
   uint64_t next_grant_id_ = 1;
   int workers_in_use_ = 0;
   int peak_workers_ = 0;
-  uint64_t grants_ = 0;
-  uint64_t shrinks_ = 0;
-  uint64_t forced_grants_ = 0;
 
+  obs::MetricsRegistry own_metrics_;  // used when opts_.metrics is null
   obs::Gauge* workers_gauge_ = nullptr;
   obs::Gauge* waiting_gauge_ = nullptr;
   obs::Counter* grants_counter_ = nullptr;

@@ -533,9 +533,9 @@ bool ShardedDB::GetProperty(const Slice& property, std::string* value) {
     return true;
   }
 
-  // Anything else: recognized iff every shard recognizes it; the first
-  // shard's payload is returned (sstables and friends are per-shard —
-  // use the pipelsm.shard<N>. prefix for a specific one).
+  // Anything else is the first shard's answer: recognized iff shard 0
+  // recognizes it, with shard 0's payload (sstables and friends are
+  // per-shard — use the pipelsm.shard<N>. prefix for a specific one).
   return shards_[0]->GetProperty(property, value);
 }
 

@@ -146,37 +146,36 @@ VlogManager::VlogManager(Env* env, const std::string& dbname,
       info_log_(info_log),
       next_file_number_(std::move(file_number_allocator)),
       cache_id_(options.cache != nullptr ? options.cache->NewId() : 0) {
-  if (metrics != nullptr) {
-    appends_counter_ =
-        metrics->RegisterCounter("vlog.appends", "Value frames appended");
-    append_bytes_counter_ = metrics->RegisterCounter(
-        "vlog.append_bytes", "Frame bytes appended to the value log");
-    resolves_counter_ = metrics->RegisterCounter(
-        "vlog.resolves", "Value pointers resolved on the read path");
-    resolve_error_counter_ = metrics->RegisterCounter(
-        "vlog.resolve_errors", "Pointer resolutions that failed");
-    resolve_cache_hit_counter_ = metrics->RegisterCounter(
-        "vlog.resolve_cache_hits",
-        "Value pointers resolved from the block cache");
-    rolls_counter_ = metrics->RegisterCounter(
-        "vlog.segments_rolled", "Active segments sealed and replaced");
-    gc_runs_counter_ =
-        metrics->RegisterCounter("vlog.gc_runs", "Completed GC passes");
-    gc_rewritten_counter_ = metrics->RegisterCounter(
-        "vlog.gc_bytes_rewritten", "Live value bytes GC rewrote");
-    gc_reclaimed_counter_ = metrics->RegisterCounter(
-        "vlog.gc_bytes_reclaimed", "Segment bytes GC retired");
-    retired_counter_ = metrics->RegisterCounter(
-        "vlog.segments_retired", "Segments retired and deleted by GC");
-    segments_gauge_ =
-        metrics->RegisterGauge("vlog.segments", "Live segment files");
-    dead_bytes_gauge_ = metrics->RegisterGauge(
-        "vlog.dead_bytes", "Bytes known dead across sealed segments");
-    live_bytes_gauge_ = metrics->RegisterGauge(
-        "vlog.bytes", "Total valid frame bytes across segments");
-    pending_retire_gauge_ = metrics->RegisterGauge(
-        "vlog.pending_retire", "Retired segments awaiting reader drain");
-  }
+  if (metrics == nullptr) metrics = &own_metrics_;
+  appends_counter_ =
+      metrics->RegisterCounter("vlog.appends", "Value frames appended");
+  append_bytes_counter_ = metrics->RegisterCounter(
+      "vlog.append_bytes", "Frame bytes appended to the value log");
+  resolves_counter_ = metrics->RegisterCounter(
+      "vlog.resolves", "Value pointers resolved on the read path");
+  resolve_error_counter_ = metrics->RegisterCounter(
+      "vlog.resolve_errors", "Pointer resolutions that failed");
+  resolve_cache_hit_counter_ = metrics->RegisterCounter(
+      "vlog.resolve_cache_hits",
+      "Value pointers resolved from the block cache");
+  rolls_counter_ = metrics->RegisterCounter(
+      "vlog.segments_rolled", "Active segments sealed and replaced");
+  gc_runs_counter_ =
+      metrics->RegisterCounter("vlog.gc_runs", "Completed GC passes");
+  gc_rewritten_counter_ = metrics->RegisterCounter(
+      "vlog.gc_bytes_rewritten", "Live value bytes GC rewrote");
+  gc_reclaimed_counter_ = metrics->RegisterCounter(
+      "vlog.gc_bytes_reclaimed", "Segment bytes GC retired");
+  retired_counter_ = metrics->RegisterCounter(
+      "vlog.segments_retired", "Segments retired and deleted by GC");
+  segments_gauge_ =
+      metrics->RegisterGauge("vlog.segments", "Live segment files");
+  dead_bytes_gauge_ = metrics->RegisterGauge(
+      "vlog.dead_bytes", "Bytes known dead across sealed segments");
+  live_bytes_gauge_ = metrics->RegisterGauge(
+      "vlog.bytes", "Total valid frame bytes across segments");
+  pending_retire_gauge_ = metrics->RegisterGauge(
+      "vlog.pending_retire", "Retired segments awaiting reader drain");
 }
 
 VlogManager::~VlogManager() {
@@ -327,7 +326,7 @@ Status VlogManager::RollActiveLocked() {
   SegmentInfo info;
   info.state = SegmentState::kActive;
   segments_[number] = info;
-  if (rolls_counter_ != nullptr) rolls_counter_->Add(1);
+  rolls_counter_->Add(1);
   obs::Log(info_log_, "EVENT vlog_segment_rolled segment=%llu",
            (unsigned long long)number);
   RecomputeGcFlagLocked();
@@ -362,9 +361,8 @@ Status VlogManager::Add(const Slice& key, const Slice& value,
   unsynced_ = true;
   if (acked_unsynced) acked_unsynced_ = true;
   segments_[active_number_].append_pending++;
-  if (appends_counter_ != nullptr) appends_counter_->Add(1);
-  if (append_bytes_counter_ != nullptr)
-    append_bytes_counter_->Add(frame_scratch_.size());
+  appends_counter_->Add(1);
+  append_bytes_counter_->Add(frame_scratch_.size());
   // Keep vlog.bytes tracking the active segment between rolls; the
   // segment count stays small, so the walk is cheap.
   UpdateGaugesLocked();
@@ -451,7 +449,7 @@ void VlogManager::CacheValue(const ValueLocation& loc, const Slice& value) {
 Status VlogManager::Read(const ValueLocation& loc, std::string* value,
                          bool fill_cache) {
   auto fail = [this](Status s) {
-    if (resolve_error_counter_ != nullptr) resolve_error_counter_->Add(1);
+    resolve_error_counter_->Add(1);
     return s;
   };
   Status s;
@@ -471,10 +469,8 @@ Status VlogManager::Read(const ValueLocation& loc, std::string* value,
     if (entry != nullptr) {
       const Slice cached = CachedValue(entry);
       value->assign(cached.data(), cached.size());
-      if (resolves_counter_ != nullptr) resolves_counter_->Add(1);
-      if (resolve_cache_hit_counter_ != nullptr) {
-        resolve_cache_hit_counter_->Add(1);
-      }
+      resolves_counter_->Add(1);
+      resolve_cache_hit_counter_->Add(1);
       return Status::OK();
     }
   }
@@ -506,7 +502,7 @@ Status VlogManager::Read(const ValueLocation& loc, std::string* value,
   if (opts_.cache != nullptr && fill_cache) {
     InsertValue(opts_.cache, cache_key, val, /*referenced=*/false);
   }
-  if (resolves_counter_ != nullptr) resolves_counter_->Add(1);
+  resolves_counter_->Add(1);
   return Status::OK();
 }
 
@@ -539,7 +535,6 @@ void VlogManager::RecomputeGcFlagLocked() {
 }
 
 void VlogManager::UpdateGaugesLocked() {
-  if (segments_gauge_ == nullptr) return;
   int64_t total = 0;
   int64_t dead = 0;
   int64_t pending = 0;
@@ -652,12 +647,9 @@ void VlogManager::FinishGc(uint64_t segment, bool retire,
   if (retire) {
     it->second.state = SegmentState::kRetiring;
     it->second.retire_seq = retire_seq;
-    gc_runs_.fetch_add(1, std::memory_order_relaxed);
-    if (gc_runs_counter_ != nullptr) gc_runs_counter_->Add(1);
-    if (gc_rewritten_counter_ != nullptr)
-      gc_rewritten_counter_->Add(rewritten_bytes);
-    if (gc_reclaimed_counter_ != nullptr)
-      gc_reclaimed_counter_->Add(it->second.size);
+    gc_runs_counter_->Add(1);
+    gc_rewritten_counter_->Add(rewritten_bytes);
+    gc_reclaimed_counter_->Add(it->second.size);
   } else {
     it->second.state = SegmentState::kSealed;
   }
@@ -679,8 +671,7 @@ void VlogManager::SweepRetired(SequenceNumber min_pinned) {
                  "EVENT vlog_segment_retired segment=%llu bytes=%llu",
                  (unsigned long long)number,
                  (unsigned long long)it->second.size);
-        retired_count_.fetch_add(1, std::memory_order_relaxed);
-        if (retired_counter_ != nullptr) retired_counter_->Add(1);
+        retired_counter_->Add(1);
         swept.push_back(number);
         it = segments_.erase(it);
       } else {

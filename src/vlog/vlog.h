@@ -46,6 +46,7 @@
 
 #include "src/db/dbformat.h"
 #include "src/env/env.h"
+#include "src/obs/metrics.h"
 #include "src/util/slice.h"
 #include "src/util/status.h"
 
@@ -58,10 +59,7 @@ class Cache;
 }  // namespace read
 
 namespace obs {
-class Counter;
-class Gauge;
 class Logger;
-class MetricsRegistry;
 }  // namespace obs
 
 namespace vlog {
@@ -96,7 +94,8 @@ class VlogManager {
  public:
   // `file_number_allocator` hands out fresh file numbers from the DB's
   // shared counter (it may lock the DB mutex — see the lock-order note
-  // above). `metrics` and `info_log` may be null.
+  // above). vlog.* instruments land in `metrics`, or in a registry of
+  // the manager's own when it is null. `info_log` may be null.
   VlogManager(Env* env, const std::string& dbname, const VlogOptions& options,
               obs::MetricsRegistry* metrics, obs::Logger* info_log,
               std::function<uint64_t()> file_number_allocator);
@@ -213,10 +212,8 @@ class VlogManager {
   size_t segment_count() const;       // sealed + active (not yet retired)
   size_t pending_retire_count() const;
   uint64_t dead_bytes() const;
-  uint64_t gc_runs() const { return gc_runs_.load(std::memory_order_relaxed); }
-  uint64_t segments_retired() const {
-    return retired_count_.load(std::memory_order_relaxed);
-  }
+  uint64_t gc_runs() const { return gc_runs_counter_->value(); }
+  uint64_t segments_retired() const { return retired_counter_->value(); }
 
  private:
   enum class SegmentState { kActive, kSealed, kGcInProgress, kRetiring };
@@ -262,10 +259,8 @@ class VlogManager {
   std::atomic<bool> needs_gc_{false};
   std::atomic<bool> any_resolve_{false};  // set by the first Read, never
                                           // cleared; gates CacheValue()
-  std::atomic<uint64_t> gc_runs_{0};
-  std::atomic<uint64_t> retired_count_{0};
 
-  // Metrics (null when no registry was given).
+  obs::MetricsRegistry own_metrics_;  // used when none was given
   obs::Counter* appends_counter_ = nullptr;
   obs::Counter* append_bytes_counter_ = nullptr;
   obs::Counter* resolves_counter_ = nullptr;

@@ -137,6 +137,25 @@ TEST(BottleneckAdvisor, ReadBoundGoldenProfile) {
   EXPECT_NE(std::string::npos, Text(*rec, "reason").find("stripe"));
 }
 
+// The regime is also a gauge in the registry the advisor is given: 0
+// before any job, then the code of the regime the JSON names, tracking
+// the decayed profile across a shift; a degenerate job leaves it alone.
+TEST(BottleneckAdvisor, RegimeGaugeFollowsTheVerdict) {
+  MetricsRegistry registry;
+  BottleneckAdvisor advisor(0, /*decay=*/1.0, &registry);
+  Gauge* regime = registry.RegisterGauge("advisor.regime", "");
+  EXPECT_EQ(0, regime->value());
+  advisor.AddJob(MakeProfile(8e-3, 2e-3, 1e-3));
+  EXPECT_EQ("io-bound", Text(MustParse(advisor), "regime"));
+  EXPECT_EQ(1, regime->value());
+  advisor.AddJob(MakeProfile(2e-3, 10e-3, 1e-3));
+  EXPECT_EQ("cpu-bound", Text(MustParse(advisor), "regime"));
+  EXPECT_EQ(2, regime->value());
+  StepProfile empty;
+  advisor.AddJob(empty);
+  EXPECT_EQ(2, regime->value());
+}
+
 // SSD regime (Figure 6(b)): compute dominates; the prescription flips
 // to C-PPCP with Eq. 6's saturation thread count.
 TEST(BottleneckAdvisor, ComputeBoundGoldenProfile) {

@@ -242,38 +242,17 @@ TEST(PrometheusExpositionTest, ShardLabelsDistinguishRegistries) {
   EXPECT_EQ(parsed.type.count("pipelsm_db_writes"), 1u);
 }
 
-TEST(PrometheusExpositionTest, EmbeddedShardNamesFoldIntoLabels) {
-  MetricsRegistry fleet;
-  fleet.RegisterCounter("server.shard0.write_ops", "Shard writes")->Add(7);
-  fleet.RegisterCounter("server.shard1.write_ops", "Shard writes")->Add(9);
-  fleet.RegisterCounter("server.shardless", "Not a shard name")->Add(1);
-
-  PrometheusExposition exp;
-  exp.AddRegistry(fleet, {});
-  ParsedExposition parsed;
-  ASSERT_NO_FATAL_FAILURE(ParseExpositionInto(exp.Render(), &parsed));
-
-  auto folded = SamplesNamed(parsed, "pipelsm_server_write_ops");
-  ASSERT_EQ(folded.size(), 2u);
-  std::map<std::string, double> by_shard;
-  for (const ParsedSample& s : folded) {
-    by_shard[s.labels.at("shard")] = s.value;
-  }
-  EXPECT_EQ(by_shard.at("0"), 7);
-  EXPECT_EQ(by_shard.at("1"), 9);
-  // "shardless" has no digits+dot component: left alone.
-  EXPECT_EQ(SamplesNamed(parsed, "pipelsm_server_shardless").size(), 1u);
-}
-
 TEST(PrometheusExpositionTest, SyntheticSeriesAndEscaping) {
+  MetricsRegistry registry;
+  registry.RegisterGauge("advisor.regime", "Active advisor regime")->Set(1);
   PrometheusExposition exp;
-  exp.AddGauge("advisor.regime_info", "Active advisor regime",
-               {{"shard", "0"}, {"regime", "io\"bound\\now"}}, 1);
+  exp.AddRegistry(registry, {{"shard", "0"}, {"host", "io\"bound\\now"}});
   ParsedExposition parsed;
   ASSERT_NO_FATAL_FAILURE(ParseExpositionInto(exp.Render(), &parsed));
-  auto regime = SamplesNamed(parsed, "pipelsm_advisor_regime_info");
+  auto regime = SamplesNamed(parsed, "pipelsm_advisor_regime");
   ASSERT_EQ(regime.size(), 1u);
-  EXPECT_EQ(regime[0].labels.at("regime"), "io\"bound\\now");
+  EXPECT_EQ(regime[0].labels.at("shard"), "0");
+  EXPECT_EQ(regime[0].labels.at("host"), "io\"bound\\now");
   EXPECT_EQ(regime[0].value, 1);
 }
 

@@ -210,7 +210,6 @@ TEST_F(CursorTest, TtlExpiryBySweeper) {
   ServerOptions sopts;
   sopts.max_scan_entries = 10;
   sopts.cursor_ttl_micros = 50 * 1000;
-  sopts.cursor_sweep_period_micros = 10 * 1000;
   StartServer(sopts);
   client::Client* cli = NewClient();
   Fill(cli, 100);
@@ -235,7 +234,6 @@ TEST_F(CursorTest, ActiveStreamOutlivesTtlBecauseBatchesRefresh) {
   ServerOptions sopts;
   sopts.max_scan_entries = 5;
   sopts.cursor_ttl_micros = 80 * 1000;
-  sopts.cursor_sweep_period_micros = 10 * 1000;
   StartServer(sopts);
   client::Client* cli = NewClient();
   const int n = 60;

@@ -14,6 +14,7 @@
 
 #include <cctype>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -353,13 +354,15 @@ TEST_F(AdminHttpTest, MetricsExpositionIsConformant) {
             r.body.find("pipelsm_server_req_micros_put{quantile=\"0.99\"}"));
   EXPECT_NE(std::string::npos, r.body.find("pipelsm_db_write_stall_state"));
   EXPECT_NE(std::string::npos, r.body.find("pipelsm_server_draining 0"));
-  // No compaction has run yet, so the advisor has no regime to report.
-  EXPECT_NE(std::string::npos,
-            r.body.find("pipelsm_advisor_regime_info{regime=\"none\"} 1"))
+  // No compaction has run yet, so the advisor has no regime to report
+  // (0 none, 1 io-bound, 2 cpu-bound), and every series is a registry
+  // instrument: no info-style family.
+  EXPECT_NE(std::string::npos, r.body.find("\npipelsm_advisor_regime 0\n"))
       << r.body;
+  EXPECT_EQ(std::string::npos, r.body.find("_info")) << r.body;
 
   // Two overlapping flushes, then a manual compaction that merges them:
-  // the label now carries the regime pipelsm.advisor reports.
+  // the gauge now carries the regime pipelsm.advisor reports.
   for (int round = 0; round < 2; round++) {
     for (int i = round; i < 400; i += 2) {
       ASSERT_TRUE(db_->Put(WriteOptions(), "key" + std::to_string(i),
@@ -377,10 +380,13 @@ TEST_F(AdminHttpTest, MetricsExpositionIsConformant) {
   ASSERT_TRUE(testjson::ParseJson(advisor, &verdict, &err)) << err;
   const testjson::JsonValue* regime = verdict.Find("regime");
   ASSERT_NE(nullptr, regime) << advisor;
+  const std::map<std::string, std::string> codes = {
+      {"io-bound", "1"}, {"cpu-bound", "2"}};
+  ASSERT_EQ(1u, codes.count(regime->string_value)) << advisor;
   ASSERT_NO_FATAL_FAILURE(Get(server_->admin_port(), "/metrics", &r));
   EXPECT_NE(std::string::npos,
-            r.body.find("pipelsm_advisor_regime_info{regime=\"" +
-                        regime->string_value + "\"} 1"))
+            r.body.find("\npipelsm_advisor_regime " +
+                        codes.at(regime->string_value) + "\n"))
       << r.body;
 }
 
@@ -400,11 +406,17 @@ TEST_F(AdminHttpTest, MetricsCarryShardLabelsOnATwoShardFleet) {
             r.body.find("pipelsm_db_write_stall_state{shard=\"0\"}"));
   EXPECT_NE(std::string::npos,
             r.body.find("pipelsm_db_write_stall_state{shard=\"1\"}"));
-  // The server's own per-shard write counters fold into shard labels.
+  // Each shard counts the writes routed to it, and reports its own
+  // advisor regime.
   EXPECT_NE(std::string::npos,
-            r.body.find("pipelsm_server_write_ops{shard=\"0\"}"));
+            r.body.find("\npipelsm_db_write_ops{shard=\"0\"} 1\n"));
   EXPECT_NE(std::string::npos,
-            r.body.find("pipelsm_server_write_ops{shard=\"1\"}"));
+            r.body.find("\npipelsm_db_write_ops{shard=\"1\"} 1\n"));
+  EXPECT_NE(std::string::npos,
+            r.body.find("\npipelsm_advisor_regime{shard=\"0\"} "));
+  EXPECT_NE(std::string::npos,
+            r.body.find("\npipelsm_advisor_regime{shard=\"1\"} "));
+  EXPECT_EQ(std::string::npos, r.body.find("_info")) << r.body;
   // Sharded fleets have an arbiter; its JSON endpoint serves too.
   ASSERT_NO_FATAL_FAILURE(Get(server_->admin_port(), "/arbiter", &r));
   EXPECT_EQ(200, r.status);
@@ -552,6 +564,19 @@ TEST_F(AdminHttpTest, ConnectionCapRefusesExtras) {
 
 TEST_F(AdminHttpTest, ActiveGaugesReturnToZeroAfterChurn) {
   StartServer();
+  const auto wait_for_zero = [this] {
+    // Closes are processed by the I/O loops asynchronously; poll.
+    bool zero = false;
+    for (int i = 0; i < 500 && !zero; i++) {
+      zero = GaugeValue("server.conns_active") == 0 &&
+             GaugeValue("server.admin.conns_active") == 0 &&
+             GaugeValue("server.requests_inflight") == 0;
+      if (!zero) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(0, GaugeValue("server.conns_active"));
+    EXPECT_EQ(0, GaugeValue("server.admin.conns_active"));
+    EXPECT_EQ(0, GaugeValue("server.requests_inflight"));
+  };
   for (int round = 0; round < 3; round++) {
     client::Client* cli = NewClient(2);
     ASSERT_TRUE(cli->Put("k" + std::to_string(round), "v").ok());
@@ -572,23 +597,51 @@ TEST_F(AdminHttpTest, ActiveGaugesReturnToZeroAfterChurn) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     ::close(half_open);  // client walks away mid-head
   }
-  // Closes are processed by the I/O loops asynchronously; poll.
-  bool zero = false;
-  for (int i = 0; i < 500 && !zero; i++) {
-    zero = GaugeValue("server.conns_active") == 0 &&
-           GaugeValue("server.admin.conns_active") == 0 &&
-           GaugeValue("server.requests_inflight") == 0;
-    if (!zero) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(0, GaugeValue("server.conns_active"));
-  EXPECT_EQ(0, GaugeValue("server.admin.conns_active"));
-  EXPECT_EQ(0, GaugeValue("server.requests_inflight"));
+  wait_for_zero();
   // The churn really exercised the hostile paths.
   bool saw_errors = false;
   for (const obs::MetricSample& s : server_->metrics_registry()->Snapshot()) {
     if (s.name == "server.admin.http_errors") saw_errors = s.counter >= 6;
   }
   EXPECT_TRUE(saw_errors);
+
+  // Concurrent churn: clients whose two connections land on both I/O
+  // loops pipeline requests that the loops dispatch and the workers
+  // answer, while scrapers open and close admin connections, so every
+  // gauge moves on several threads at once.
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; t++) {
+    threads.emplace_back([this, t] {
+      for (int round = 0; round < 5; round++) {
+        client::ClientOptions copts;
+        copts.host = "127.0.0.1";
+        copts.port = server_->port();
+        copts.num_connections = 2;
+        client::Client cli(copts);
+        std::vector<std::future<client::Result>> futures;
+        for (int i = 0; i < 64; i++) {
+          const std::string key =
+              "c" + std::to_string(t) + "_" + std::to_string(i);
+          futures.push_back(i % 2 == 0 ? cli.AsyncPut(key, "v")
+                                       : cli.AsyncGet(key));
+        }
+        for (auto& f : futures) {
+          const Status st = cli.Wait(f).status;  // a Get may miss its Put
+          EXPECT_TRUE(st.ok() || st.IsNotFound()) << st.ToString();
+        }
+      }
+    });
+  }
+  for (int t = 0; t < 2; t++) {
+    threads.emplace_back([this] {
+      for (int i = 0; i < 20; i++) {
+        HttpResponse r;
+        Get(server_->admin_port(), "/healthz", &r);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  wait_for_zero();
 }
 
 // ---------------------------------------------------------------------

@@ -119,6 +119,61 @@ TEST(ShardedDB, WriteManySplitsEveryBatchInOrder) {
   EXPECT_TRUE(db->Get(ro, "zebra", &value).IsNotFound());
 }
 
+// Each engine counts the entries of the write groups it commits
+// (db.write_ops), so a fleet's per-shard write counts are the shards'
+// own: every entry of a batch that crosses the seams counts once, on
+// the shard it was routed to, and an unsharded DB counts the same way.
+TEST(ShardedDB, EachShardCountsTheEntriesRoutedToIt) {
+  SimEnv env;
+  Options options = BaseOptions(&env);
+  std::unique_ptr<ShardedDB> fleet = MustOpen(options, FourShards(), "/sdb");
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/single", &raw).ok());
+  std::unique_ptr<DB> single(raw);
+
+  // Boundaries f, m, s: a boundary key belongs to the shard above.
+  const auto shard_of = [](const std::string& key) {
+    return key < "f" ? 0 : key < "m" ? 1 : key < "s" ? 2 : 3;
+  };
+  uint64_t want[4] = {0, 0, 0, 0};
+  uint64_t total = 0;
+  std::srand(7);
+  for (int call = 0; call < 20; call++) {
+    std::vector<WriteBatch> batches(1 + std::rand() % 4);
+    std::vector<WriteBatch*> ptrs;
+    for (WriteBatch& b : batches) {
+      const int entries = std::rand() % 6;  // some batches stay empty
+      for (int e = 0; e < entries; e++) {
+        const std::string key(1, static_cast<char>('a' + std::rand() % 26));
+        if (std::rand() % 4 == 0) {
+          b.Delete(key);
+        } else {
+          b.Put(key, "v");
+        }
+        want[shard_of(key)]++;
+        total++;
+      }
+      ptrs.push_back(&b);
+    }
+    std::vector<Status> statuses(ptrs.size());
+    fleet->WriteMany(WriteOptions(), ptrs.data(), ptrs.size(),
+                     statuses.data());
+    for (const Status& st : statuses) ASSERT_TRUE(st.ok()) << st.ToString();
+    single->WriteMany(WriteOptions(), ptrs.data(), ptrs.size(),
+                      statuses.data());
+    for (const Status& st : statuses) ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+
+  const auto write_ops = [](DB* db) {
+    return db->MetricsHandle()->RegisterCounter("db.write_ops", "")->value();
+  };
+  for (size_t i = 0; i < 4; i++) {
+    EXPECT_EQ(want[i], write_ops(fleet->shard(i))) << "shard " << i;
+  }
+  EXPECT_EQ(total, write_ops(single.get()));
+  EXPECT_GT(want[0] * want[1] * want[2] * want[3], 0u);
+}
+
 TEST(ShardedDB, ScanWalksShardSeamsInBothDirections) {
   SimEnv env;
   Options options = BaseOptions(&env);

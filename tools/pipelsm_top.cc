@@ -214,23 +214,28 @@ const char* StallName(double state) {
   return "normal";
 }
 
-// The regime rides a label on the info series; value is always 1.
-std::string Regime(const Snapshot& snap, int shard) {
-  for (const Sample& s : snap.samples) {
-    if (s.name != "pipelsm_advisor_regime_info") continue;
-    auto it = s.labels.find("shard");
-    if (shard >= 0) {
-      if (it == s.labels.end() ||
-          std::atoi(it->second.c_str()) != shard) {
-        continue;
-      }
-    } else if (it != s.labels.end()) {
-      continue;
-    }
-    auto r = s.labels.find("regime");
-    if (r != s.labels.end()) return r->second;
+// The advisor.regime gauge's codes (src/obs/advisor.h).
+const char* RegimeName(double code) {
+  if (code >= 2) return "cpu-bound";
+  if (code >= 1) return "io-bound";
+  return "none";
+}
+
+// One engine row per shard label, or one unlabeled row for an unsharded
+// server; every per-engine series is read with the row's labels.
+struct EngineRow {
+  int shard = -1;
+  std::map<std::string, std::string> labels;
+};
+
+std::vector<EngineRow> EngineRows(const Snapshot& snap) {
+  std::vector<EngineRow> rows;
+  for (const auto& [shard, stall] :
+       snap.PerShard("pipelsm_db_write_stall_state")) {
+    rows.push_back({shard, {{"shard", std::to_string(shard)}}});
   }
-  return "?";
+  if (rows.empty()) rows.push_back({});
+  return rows;
 }
 
 double Rate(const Snapshot& cur, const Snapshot& prev,
@@ -324,23 +329,15 @@ void RenderDashboard(const Snapshot& cur, const Snapshot& prev,
                 hits >= 0 && resolves > 0 ? 100.0 * hits / resolves : 0.0);
   }
 
-  const std::map<int, double> stalls =
-      cur.PerShard("pipelsm_db_write_stall_state");
-  if (!stalls.empty()) {
-    std::printf("\n%-6s %12s %10s %-10s %s\n", "shard", "writes/s",
-                "stall", "regime", "");
-    for (const auto& [shard, stall] : stalls) {
-      const std::map<std::string, std::string> label = {
-          {"shard", std::to_string(shard)}};
-      std::printf("%-6d %12.0f %10s %-10s\n", shard,
-                  Rate(cur, prev, "pipelsm_server_write_ops", label),
-                  StallName(stall), Regime(cur, shard).c_str());
-    }
-  } else {
-    std::printf("\nengine    writes %8.0f/s   stall %s   regime %s\n",
-                Rate(cur, prev, "pipelsm_server_req_put"),
-                StallName(cur.Value("pipelsm_db_write_stall_state")),
-                Regime(cur, -1).c_str());
+  std::printf("\n%-6s %12s %10s %-10s\n", "shard", "writes/s", "stall",
+              "regime");
+  for (const EngineRow& row : EngineRows(cur)) {
+    std::printf("%-6s %12.0f %10s %-10s\n",
+                row.shard >= 0 ? std::to_string(row.shard).c_str() : "-",
+                Rate(cur, prev, "pipelsm_db_write_ops", row.labels),
+                StallName(cur.Value("pipelsm_db_write_stall_state",
+                                    row.labels)),
+                RegimeName(cur.Value("pipelsm_advisor_regime", row.labels)));
   }
   std::fflush(stdout);
 }
@@ -401,28 +398,18 @@ void RenderOnce(const Snapshot& snap) {
     out += buf;
   }
   out += ",\"shards\":[";
-  const std::map<int, double> stalls =
-      snap.PerShard("pipelsm_db_write_stall_state");
-  if (stalls.empty()) {
+  bool first = true;
+  for (const EngineRow& row : EngineRows(snap)) {
     std::snprintf(buf, sizeof(buf),
-                  "{\"shard\":-1,\"stall_state\":%.0f,\"regime\":\"%s\"}",
-                  snap.Value("pipelsm_db_write_stall_state"),
-                  Regime(snap, -1).c_str());
+                  "%s{\"shard\":%d,\"stall_state\":%.0f,"
+                  "\"write_ops\":%.0f,\"regime\":\"%s\"}",
+                  first ? "" : ",", row.shard,
+                  snap.Value("pipelsm_db_write_stall_state", row.labels),
+                  snap.Value("pipelsm_db_write_ops", row.labels),
+                  RegimeName(
+                      snap.Value("pipelsm_advisor_regime", row.labels)));
     out += buf;
-  } else {
-    bool first = true;
-    for (const auto& [shard, stall] : stalls) {
-      const std::map<std::string, std::string> label = {
-          {"shard", std::to_string(shard)}};
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"shard\":%d,\"stall_state\":%.0f,"
-                    "\"write_ops\":%.0f,\"regime\":\"%s\"}",
-                    first ? "" : ",", shard, stall,
-                    snap.Value("pipelsm_server_write_ops", label),
-                    Regime(snap, shard).c_str());
-      out += buf;
-      first = false;
-    }
+    first = false;
   }
   out += "]}";
   std::printf("%s\n", out.c_str());
