@@ -50,6 +50,34 @@ inline void MaybePrintMetrics(const char* what, const std::string& json) {
   std::printf("METRICS %s %s\n", what, json.c_str());
 }
 
+// Device requests and wake lateness (DeviceStats::late_nanos) summed over
+// every run since the last PrintLateness(): RunCompaction and RunDbFill add
+// their SimEnv's totals when the run ends, so a figure can report how far
+// its device waits overslept the model.
+struct Lateness {
+  uint64_t requests = 0;
+  uint64_t late_nanos = 0;
+};
+
+inline Lateness& DeviceLateness() {
+  static Lateness total;
+  return total;
+}
+
+inline void AddLateness(const DeviceStats& stats) {
+  DeviceLateness().requests += stats.read_ops.load() + stats.write_ops.load();
+  DeviceLateness().late_nanos += stats.late_nanos.load();
+}
+
+// Prints the sum and starts a new one.
+inline void PrintLateness() {
+  Lateness& l = DeviceLateness();
+  std::printf("lateness: %llu device requests, %.2f us late per request\n",
+              static_cast<unsigned long long>(l.requests),
+              l.requests > 0 ? l.late_nanos * 1e-3 / l.requests : 0.0);
+  l = Lateness();
+}
+
 struct CompactionRun {
   StepProfile profile;
   double wall_seconds = 0;
@@ -140,6 +168,7 @@ inline CompactionRun RunCompaction(const CompactionBenchConfig& cfg) {
     std::exit(1);
   }
   run.read_ops = env.device()->stats().read_ops.load();
+  AddLateness(env.device()->stats());
   run.metrics_json = registry.ToJson();
   MaybePrintMetrics(CompactionModeName(cfg.mode), run.metrics_json);
   run.wall_seconds = run.profile.wall_nanos * 1e-9;
@@ -234,6 +263,8 @@ inline DbRun RunDbFill(const DbBenchConfig& cfg) {
   run.metrics = result.compaction;
   db->GetProperty("pipelsm.metrics", &run.metrics_json);
   MaybePrintMetrics(CompactionModeName(cfg.mode), run.metrics_json);
+  db.reset();  // its last background writes count too
+  AddLateness(env.device()->stats());
   return run;
 }
 

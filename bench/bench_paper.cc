@@ -3,8 +3,10 @@
 //
 // Usage: bench_paper --figure=<id>|all. Each figure prints the series the
 // paper plots under its "reproduces:" and "expect:" lines, plus the
-// analytic model's prediction where the paper gives one; EXPERIMENTS.md
-// records what each showed. PIPELSM_BENCH_SCALE scales every dataset.
+// analytic model's prediction where the paper gives one, then a
+// "lateness:" line: the figure's device requests and how late, on
+// average, each woke past its modelled completion. EXPERIMENTS.md records
+// what each showed. PIPELSM_BENCH_SCALE scales every dataset.
 #include <cstring>
 #include <functional>
 #include <initializer_list>
@@ -381,6 +383,7 @@ int main(int argc, char** argv) {
     const std::string title = std::string(f.id) + " — " + f.title;
     PrintHeader(title.c_str(), f.reproduces, f.expect);
     f.run();
+    PrintLateness();
     ran = true;
   }
   if (ran) return 0;

@@ -1,12 +1,12 @@
 #include "src/compaction/steps.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "src/memtable/memtable.h"
 #include "src/table/block.h"
 #include "src/table/table.h"
 #include "src/util/coding.h"
+#include "src/util/stopwatch.h"
 
 namespace pipelsm {
 
@@ -445,11 +445,14 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
   if (options.time_dilation > 1.0) {
     // Slow-motion mode: stretch this sub-task's compute phase uniformly.
     // The extra time is spent sleeping, so concurrent compute workers
-    // overlap even on a single physical core.
+    // overlap even on a single physical core. SleepUntil wakes on time:
+    // compute threads never charge the device, so their timer slack
+    // would otherwise add up to 50 µs to each dilated sub-task.
     const uint64_t real_ns = profile->ComputeNanos();
     const uint64_t extra =
         static_cast<uint64_t>(real_ns * (options.time_dilation - 1.0));
-    std::this_thread::sleep_for(std::chrono::nanoseconds(extra));
+    SleepUntil(std::chrono::steady_clock::now() +
+               std::chrono::nanoseconds(extra));
     for (CompactionStep s : {kStepChecksum, kStepDecompress, kStepSort,
                              kStepCompress, kStepRechecksum}) {
       profile->nanos[s] = static_cast<uint64_t>(profile->nanos[s] *

@@ -1,7 +1,8 @@
 #include "src/env/sim_device.h"
 
 #include <algorithm>
-#include <thread>
+
+#include "src/util/stopwatch.h"
 
 namespace pipelsm {
 
@@ -59,6 +60,7 @@ void SimDevice::ResetStats() {
   stats_.write_ops.store(0);
   stats_.write_bytes.store(0);
   stats_.busy_nanos.store(0);
+  stats_.late_nanos.store(0);
 }
 
 void SimDevice::ChargeRead(uint64_t offset, uint64_t n) {
@@ -148,7 +150,10 @@ void SimDevice::Charge(uint64_t offset, uint64_t n, bool is_write) {
           std::memory_order_relaxed);
     }
   }
-  std::this_thread::sleep_until(completion);
+  // The wake's lateness is counted, never credited to the next request:
+  // a real device completes on time, so the channels keep their schedule.
+  stats_.late_nanos.fetch_add(SleepUntil(completion),
+                              std::memory_order_relaxed);
 }
 
 }  // namespace pipelsm

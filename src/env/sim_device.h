@@ -17,6 +17,17 @@
 //     requests genuinely queue per channel;
 //   * the caller sleeps until the max completion time over its chunks.
 //
+// The sleep wakes on time. It goes through SleepUntil
+// (src/util/stopwatch.h), which sets the calling thread's timer slack to
+// 1 ns before its first wait; the kernel default of 50 µs would otherwise
+// let every request complete up to 50 µs late, about half a 4 KiB SSD
+// read. Slack is per thread and new threads inherit it, so once a thread
+// has charged the device its other timed waits, and those of threads it
+// starts later, wake tighter too. Whatever lateness remains (wake-up and
+// scheduling delay) is summed in DeviceStats::late_nanos and never
+// credited to the next request: a real device completes on time, so
+// crediting it would let a channel idle less than the model says.
+//
 // Because the time is spent in a real sleep while the CPU steps (checksum,
 // compress, merge) burn real cycles, the I/O-vs-CPU overlap the paper
 // exploits is a genuine wall-clock effect even on a 1-core host.
@@ -90,6 +101,7 @@ struct DeviceStats {
   std::atomic<uint64_t> write_ops{0};
   std::atomic<uint64_t> write_bytes{0};
   std::atomic<uint64_t> busy_nanos{0};  // modeled device-busy time
+  std::atomic<uint64_t> late_nanos{0};  // woken past the modeled completion
 };
 
 class SimDevice {

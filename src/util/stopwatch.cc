@@ -1,8 +1,27 @@
 #include "src/util/stopwatch.h"
 
 #include <cstdio>
+#include <thread>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 namespace pipelsm {
+
+uint64_t SleepUntil(std::chrono::steady_clock::time_point deadline) {
+#ifdef __linux__
+  thread_local const bool slack_set =
+      prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL) == 0;
+  (void)slack_set;
+#endif
+  std::this_thread::sleep_until(deadline);
+  const auto late = std::chrono::steady_clock::now() - deadline;
+  return late.count() > 0
+             ? std::chrono::duration_cast<std::chrono::nanoseconds>(late)
+                   .count()
+             : 0;
+}
 
 const char* CompactionStepName(CompactionStep step) {
   switch (step) {

@@ -2,7 +2,9 @@
 //
 // Every compaction executor fills a StepProfile with the wall time and byte
 // volume of S1..S7 so the breakdown benches (Figs 5/8/9) and the analytic
-// model (Eqs 1-7) run off the same measurements.
+// model (Eqs 1-7) run off the same measurements. SleepUntil is the one
+// modelled wait: a simulated device charge and a slow-motion compute stage
+// both end in it.
 #pragma once
 
 #include <array>
@@ -31,6 +33,13 @@ class Stopwatch {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+// Sleeps until `deadline` and returns how many nanoseconds late the thread
+// woke (0 if on time). On Linux the first call on a thread sets that
+// thread's timer slack to 1 ns, so the kernel wakes it at the deadline
+// instead of up to 50 µs (the default slack) after it. Slack is per thread
+// and inherited by threads it starts later.
+uint64_t SleepUntil(std::chrono::steady_clock::time_point deadline);
 
 // The paper's seven compaction steps (Section II-A).
 enum CompactionStep : int {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "src/util/stopwatch.h"
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 namespace pipelsm {
 namespace {
@@ -135,6 +140,67 @@ TEST(SimDevice, StatsAccumulate) {
   dev.ResetStats();
   EXPECT_EQ(0u, dev.stats().read_ops.load());
 }
+
+TEST(SimDevice, ResetStatsClearsLateNanos) {
+  SimDevice dev(DeviceProfile::Ssd());
+  for (int i = 0; i < 4; i++) dev.ChargeRead(0, 4096);
+  dev.ResetStats();
+  EXPECT_EQ(0u, dev.stats().late_nanos.load());
+  EXPECT_EQ(0u, dev.stats().busy_nanos.load());
+}
+
+TEST(SimDevice, NullDeviceIsNeverLate) {
+  SimDevice dev(DeviceProfile::Null());
+  for (int i = 0; i < 100; i++) {
+    dev.ChargeRead(static_cast<uint64_t>(i) << 20, 4096);
+    dev.ChargeWrite(static_cast<uint64_t>(i) << 20, 4096);
+  }
+  EXPECT_EQ(0u, dev.stats().late_nanos.load());
+}
+
+TEST(SleepUntil, NeverWakesBeforeItsDeadline) {
+  for (int64_t micros : {0, 1, 50, 200}) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(micros);
+    const uint64_t late = SleepUntil(deadline);
+    const auto woke = std::chrono::steady_clock::now();
+    EXPECT_GE(woke, deadline) << micros << " us";
+    EXPECT_LE(std::chrono::nanoseconds(late), woke - deadline) << micros;
+  }
+  // A deadline already passed returns at once, counted as late.
+  const auto past = std::chrono::steady_clock::now() -
+                    std::chrono::milliseconds(1);
+  EXPECT_GE(SleepUntil(past), 1000000u);
+}
+
+#ifdef __linux__
+// Threads inherit their creator's slack, so each case's thread first
+// restores the kernel default: an earlier charge on the test's main
+// thread would otherwise leave 1 ns behind and make the check vacuous.
+constexpr unsigned long kDefaultSlackNanos = 50000;
+
+unsigned long SlackAfterCharges(const DeviceProfile& profile) {
+  unsigned long slack = 0;
+  std::thread t([&] {
+    prctl(PR_SET_TIMERSLACK, kDefaultSlackNanos, 0UL, 0UL, 0UL);
+    SimDevice dev(profile);
+    dev.ChargeRead(0, 4096);
+    dev.ChargeWrite(0, 4096);
+    slack = static_cast<unsigned long>(
+        prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL));
+  });
+  t.join();
+  return slack;
+}
+
+TEST(SimDevice, ChargingThreadWakesWithoutTimerSlack) {
+  EXPECT_EQ(1u, SlackAfterCharges(DeviceProfile::Ssd()));
+}
+
+TEST(SimDevice, NullDeviceLeavesTimerSlackAlone) {
+  EXPECT_EQ(kDefaultSlackNanos, SlackAfterCharges(DeviceProfile::Null()));
+}
+#endif  // __linux__
 
 TEST(SimDevice, ProfilesMatchPaperRegimes) {
   // The paper's premise: HDD seeks dominate (I/O-bound), SSD positioning
