@@ -16,7 +16,6 @@
 //                            adaptive_decision line per compaction for
 //                            CI to grep, and exits 1 unless the two
 //                            phases settle on different procedures
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "bench_common.h"
 #include "src/obs/event_listener.h"
 #include "src/workload/generator.h"
+#include "tools/flags.h"
 
 namespace pipelsm::bench {
 namespace {
@@ -197,9 +197,10 @@ RunResult RunPhased(const RunConfig& cfg,
 
 int Main(int argc, char** argv) {
   bool smoke = false;
-  for (int i = 1; i < argc; i++) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  flags::FlagSet set("bench_adaptive [--smoke]");
+  set.Switch("smoke", &smoke,
+             "adaptive-only run; exit 1 unless the phases settle apart");
+  set.ParseFlags(argc, argv);
 
   // The smoke run halves only the I/O-bound phase (see the calibration
   // note above kDeviceDilation).

@@ -7,7 +7,7 @@
 // figure plots plus the analytic model's prediction. Absolute numbers
 // will differ from the paper's 2013 testbed; the shapes (who wins, by
 // what factor, where crossovers fall) are the reproduction target.
-// bench_model, bench_ablation and bench_adaptive build on it too.
+// bench_ablation and bench_adaptive build on it too.
 #pragma once
 
 #include <algorithm>

@@ -1,5 +1,5 @@
 // bench_paper — the paper's evaluation (§IV), one figure per id of
-// DESIGN.md §3's experiment index (kFigures below; E9 is bench_model).
+// DESIGN.md §3's experiment index (kFigures below).
 //
 // Usage: bench_paper --figure=<id>|all. Each figure prints the series the
 // paper plots under its "reproduces:" and "expect:" lines, plus the
@@ -12,6 +12,7 @@
 #include <initializer_list>
 
 #include "bench_common.h"
+#include "tools/flags.h"
 
 using namespace pipelsm;
 using namespace pipelsm::bench;
@@ -240,6 +241,49 @@ void CppcpSweep() {
             });
 }
 
+// E9: Eqs. 1-7 against measurement. One SCP run's step times predict
+// each executor's bandwidth, which a run of that executor then measures,
+// on a single disk and (for S-PPCP) a 3-disk array of the same kind.
+void ModelVsMeasured(const char* label, const DeviceProfile& single,
+                     const DeviceProfile& striped3) {
+  std::printf("\n--- %s ---\n", label);
+  const CompactionBenchConfig base = Input(single);
+  const CompactionRun scp = RunCompaction(base);
+  const model::StepTimes t = model::StepTimes::FromProfile(scp.profile);
+
+  std::printf("measured step times: %s\n", model::Describe(t).c_str());
+  std::printf("%-28s %16s %16s %9s\n", "executor", "predicted MiB/s",
+              "measured MiB/s", "ratio");
+  auto row = [](const char* name, double predicted, const CompactionRun& run) {
+    std::printf("%-28s %16.1f %16.1f %8.2f\n", name, ToMiB(predicted),
+                run.bandwidth_mib_s,
+                predicted > 0 ? run.bandwidth_mib_s / ToMiB(predicted) : 0);
+  };
+  row("SCP (Eq.1)", model::ScpBandwidth(t), scp);
+
+  CompactionBenchConfig pcp = base;
+  pcp.mode = CompactionMode::kPCP;
+  row("PCP (Eq.2)", model::PcpBandwidth(t), RunCompaction(pcp));
+
+  CompactionBenchConfig sppcp = base;
+  sppcp.device = striped3;
+  sppcp.mode = CompactionMode::kSPPCP;
+  sppcp.read_parallelism = 3;
+  row("S-PPCP k=3 (Eq.4)", model::SppcpBandwidth(t, 3), RunCompaction(sppcp));
+
+  // C-PPCP is compared in the x8 slow-motion domain (as in E8), against
+  // a prediction from a dilated SCP run's step times.
+  CompactionBenchConfig dilated = base;
+  dilated.time_dilation = 8.0;
+  const model::StepTimes td =
+      model::StepTimes::FromProfile(RunCompaction(dilated).profile);
+  CompactionBenchConfig cppcp = dilated;
+  cppcp.mode = CompactionMode::kCPPCP;
+  cppcp.compute_parallelism = 3;
+  row("C-PPCP k=3 (Eq.6, x8 domain)", model::CppcpBandwidth(td, 3),
+      RunCompaction(cppcp));
+}
+
 // E10: the paper's "+77% bandwidth / +62% throughput" (PCP) and "+89% /
 // +64%" (PPCP) over SCP on SSD. Bandwidth is measured at the executor
 // level (isolated, like §IV-C): SCP and PCP in real time, and the C-PPCP
@@ -360,6 +404,13 @@ const Figure kFigures[] = {
      "expect: big gain at 2 threads, then an I/O-bound plateau at the "
      "knee predicted by Eq. 6/7 (printed as 'model knee')",
      CppcpSweep},
+    {"E9", "analytic model vs measurement", "Equations 1-7 (Section III)",
+     "expect: measured/predicted ratio near 1.0, measured a bit below "
+     "prediction (pipeline fill/drain; paper: ~-10%)",
+     [] {
+       ModelVsMeasured("HDD", DeviceProfile::Hdd(), DeviceProfile::Hdd(3));
+       ModelVsMeasured("SSD", DeviceProfile::Ssd(), DeviceProfile::Ssd(3));
+     }},
     {"E10", "the paper's headline improvements (SSD)",
      "Section I / Section IV headline numbers",
      "expect: PCP bandwidth ~ +77%, IOPS ~ +62%; C-PPCP adds a "
@@ -370,16 +421,13 @@ const Figure kFigures[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* want = nullptr;
-  if (argc == 2 && std::strncmp(argv[1], "--figure=", 9) == 0) {
-    want = argv[1] + 9;
-  }
+  std::string want;
+  flags::FlagSet set("bench_paper --figure=<id>|all");
+  set.Add("figure", &want, "the figure to run: an id below, or all");
+  set.ParseFlags(argc, argv);
   bool ran = false;
   for (const Figure& f : kFigures) {
-    if (want == nullptr ||
-        (std::strcmp(want, "all") != 0 && std::strcmp(want, f.id) != 0)) {
-      continue;
-    }
+    if (want != "all" && want != f.id) continue;
     const std::string title = std::string(f.id) + " — " + f.title;
     PrintHeader(title.c_str(), f.reproduces, f.expect);
     f.run();
@@ -387,9 +435,9 @@ int main(int argc, char** argv) {
     ran = true;
   }
   if (ran) return 0;
-  std::fprintf(stderr, "usage: bench_paper --figure=<id>|all\nids:\n");
+  std::string ids = "--figure=" + want + " names no figure; ids:";
   for (const Figure& f : kFigures) {
-    std::fprintf(stderr, "  %-4s %s\n", f.id, f.reproduces);
+    ids += std::string("\n  ") + f.id + "  " + f.reproduces;
   }
-  return 2;
+  set.Fail(ids);
 }

@@ -2,7 +2,7 @@
 // same workload in-process (the ISSUE 4 acceptance gate: served fills
 // with group commit should hold >= 50% of in-process fillrandom).
 //
-// Phase 1 fills a fresh DB in-process (the db_bench fillrandom loop).
+// Phase 1 fills a fresh DB in-process (RunFill, db_bench's fillrandom).
 // Phase 2 starts a Server on an ephemeral loopback port and drives the
 // same number of PUTs through the pipelined client: --connections pooled
 // sockets shared by --threads driver threads, each keeping --window
@@ -16,45 +16,11 @@
 // and the histogram of writes (connection batches) per WAL record
 // (db.write_group_size).
 //
-// Flags:
-//   --num=N          PUTs per phase (default 200000)
-//   --connections=N  pooled sockets (default 64)
-//   --threads=N      driver threads (default 8)
-//   --window=N       async requests in flight per driver (default 128)
-//   --key_size=N --value_size=N (defaults 16/100)
-//   --read_ratio=N   percent of served ops that are GETs (default 0,
-//                    i.e. pure fill; use 50 for a mixed comparison
-//                    against db_bench mixedwhilewriting)
-//   --dist=uniform|zipfian
-//                    GET key distribution (default uniform). zipfian
-//                    concentrates reads on hot keys — the block-cache
-//                    regime the sharded-cache gate measures
-//   --zipf_theta=X   Zipfian skew (default 0.99)
-//   --cache_size=N   block cache capacity in bytes (default 8MiB)
-//   --cache_shards=N block cache lock shards (0 = auto; 1 = the
-//                    single-mutex baseline for the read-scaling gate)
-//   --bloom_bits_per_key=N  bloom filters for served Gets (default 0)
-//   --sync           sync the WAL for every write group (default off, to
-//                    match the in-process fillrandom baseline)
-//   --shards=N       serve a ShardedDB of N key-range shards (default 1;
-//                    boundaries split the bench's decimal keyspace
-//                    evenly, and the client rides shard affinity, so
-//                    each shard's writer queue fills from its own
-//                    sockets)
-//   --no_arbiter     disable the fleet CompactionArbiter (free-for-all
-//                    baseline for the EXPERIMENTS.md comparison)
-//   --compute_workers=N  compute workers the arbiter rations among the
-//                    shards' chosen jobs (default 4; each shard runs
-//                    static PCP)
-//   --device=posix|hdd|ssd  storage under the DB (default posix). hdd/ssd
-//                    run on SimEnv with the paper's timed device model:
-//                    transfers charge modeled wall time as real sleeps,
-//                    so multi-shard I/O overlap is a genuine wall-clock
-//                    effect even on a 1-core host (see sim_device.h).
-//                    The profile is FIXED across shard counts (same
-//                    modeled array) so scaling numbers are comparable.
-//   --stripes=N      RAID0 member count of the simulated device
-//                    (default 4, matching the paper's md arrays)
+// Flags: the table in main(), one help line each. --device runs both
+// phases on the same storage; a simulated device (hdd, ssd, hddx<k>,
+// ssdx<k>) charges its modelled time as real sleeps, so multi-shard I/O
+// overlap is a wall-clock effect even on one core, and the profile stays
+// fixed across shard counts so scaling numbers compare.
 //
 // The report ends with one machine-readable line:
 //   RESULT {"shards":...,"served_ops_s":...,"per_shard":[...],...}
@@ -63,7 +29,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <future>
 #include <memory>
@@ -73,15 +38,14 @@
 
 #include "src/client/client.h"
 #include "src/db/db.h"
-#include "src/db/write_batch.h"
-#include "src/env/env.h"
-#include "src/env/sim_env.h"
 #include "src/server/server.h"
 #include "src/shard/router.h"
 #include "src/shard/sharded_db.h"
 #include "src/util/histogram.h"
 #include "src/util/stopwatch.h"
+#include "src/workload/driver.h"
 #include "src/workload/generator.h"
+#include "tools/engine_flags.h"
 
 namespace pipelsm {
 namespace {
@@ -98,54 +62,22 @@ struct Flags {
   uint32_t seed = 301;
   int io_threads = 0;  // 0 = auto: one per shard (min 1)
   size_t shards = 1;
-  bool arbiter = true;
+  bool no_arbiter = false;
   int compute_workers = 4;
   std::string device = "posix";
-  int stripes = 4;
   std::string dist = "uniform";
   double zipf_theta = 0.99;
-  size_t cache_size = 8 << 20;
-  size_t cache_shards = 0;
-  int bloom_bits_per_key = 0;
+  EngineFlags engine;  // the read-path three: cache size, shards, bloom
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) == 0) {
-    *out = arg + prefix.size();
-    return true;
-  }
-  return false;
-}
-
-template <typename T>
-bool ParseNumFlag(const char* arg, const char* name, T* out) {
-  std::string v;
-  if (!ParseFlag(arg, name, &v)) return false;
-  *out = static_cast<T>(std::strtoull(v.c_str(), nullptr, 10));
-  return true;
-}
-
-// nullptr for --device=posix; otherwise a fresh SimEnv per phase (each
-// phase starts from an empty simulated disk, like DestroyDB on posix).
-std::unique_ptr<Env> MakeSimEnv(const Flags& flags) {
-  if (flags.device == "hdd") {
-    return std::make_unique<SimEnv>(DeviceProfile::Hdd(flags.stripes));
-  }
-  if (flags.device == "ssd") {
-    return std::make_unique<SimEnv>(DeviceProfile::Ssd(flags.stripes));
-  }
-  return nullptr;
-}
-
-Options MakeDbOptions(const Flags& flags, Env* env) {
+// Each phase starts from an empty disk: a fresh SimEnv per call (or
+// posix, which DestroyDB empties). `device` outlives the DB.
+Options MakeDbOptions(const Flags& flags, Device* device) {
   Options options;
-  options.env = env != nullptr ? env : Env::Posix();
+  OpenDevice(flags.device, device);  // main() checked the spelling
+  flags.engine.ApplyTo(&options);    // and the compaction mode (pcp)
+  options.env = device->env;
   options.create_if_missing = true;
-  options.compaction_mode = CompactionMode::kPCP;
-  options.block_cache_size = flags.cache_size;
-  options.block_cache_shards = flags.cache_shards;
-  options.bloom_bits_per_key = flags.bloom_bits_per_key;
   return options;
 }
 
@@ -161,26 +93,25 @@ std::unique_ptr<DB> OpenFresh(const std::string& path,
   return std::unique_ptr<DB>(raw);
 }
 
-// Phase 1: the db_bench fillrandom loop, verbatim shape.
+// Phase 1: db_bench's fillrandom, one synced-or-not Put per entry.
 double InProcessFill(const Flags& flags, const std::string& path) {
-  std::unique_ptr<Env> sim = MakeSimEnv(flags);  // outlives the DB
-  Options options = MakeDbOptions(flags, sim.get());
-  std::unique_ptr<DB> db = OpenFresh(path, options);
-  WorkloadGenerator gen(flags.num, flags.key_size, flags.value_size,
-                        KeyOrder::kRandom, flags.seed);
-  Stopwatch total;
-  WriteOptions wo;
-  wo.sync = flags.sync;
-  for (uint64_t i = 0; i < flags.num; i++) {
-    Status s = db->Put(wo, gen.Key(i), gen.Value(i));
-    if (!s.ok()) {
-      std::fprintf(stderr, "in-process put: %s\n", s.ToString().c_str());
-      std::exit(1);
-    }
+  Device device;
+  std::unique_ptr<DB> db = OpenFresh(path, MakeDbOptions(flags, &device));
+  FillOptions fill;
+  fill.num_entries = flags.num;
+  fill.key_size = flags.key_size;
+  fill.value_size = flags.value_size;
+  fill.seed = flags.seed;
+  fill.wait_for_compactions = false;
+  fill.sync = flags.sync;
+  FillResult result;
+  Status s = RunFill(db.get(), fill, &result);
+  if (!s.ok()) {
+    std::fprintf(stderr, "in-process put: %s\n", s.ToString().c_str());
+    std::exit(1);
   }
-  const double seconds = total.ElapsedSeconds();
   db->WaitForCompactions();
-  return flags.num / seconds;
+  return result.ops_per_sec;
 }
 
 // One driver thread, keeping `window` futures in flight.
@@ -287,8 +218,8 @@ LatencySummary SummarizeLatency(obs::MetricsRegistry* registry,
 
 // Phase 2: the same workload through the loopback server.
 ServedStats ServedFill(const Flags& flags, const std::string& path) {
-  std::unique_ptr<Env> sim = MakeSimEnv(flags);  // outlives the DB
-  Options options = MakeDbOptions(flags, sim.get());
+  Device device;
+  Options options = MakeDbOptions(flags, &device);
   // Unsharded, the DB-wide stall gate is the right backpressure. Sharded,
   // it is NOT wired: one shard's hard stall would park reads on EVERY
   // connection and serialize the whole fleet on the slowest shard. The
@@ -311,7 +242,7 @@ ServedStats ServedFill(const Flags& flags, const std::string& path) {
     shard::ShardedOptions shopts;
     shopts.num_shards = flags.shards;
     shopts.boundary_keys = boundaries;
-    shopts.enable_arbiter = flags.arbiter;
+    shopts.enable_arbiter = !flags.no_arbiter;
     shopts.arbiter.compute_workers = flags.compute_workers;
     shard::ShardedDB::Destroy(path, options);
     shard::ShardedDB* raw = nullptr;
@@ -452,56 +383,40 @@ ServedStats ServedFill(const Flags& flags, const std::string& path) {
 
 int main(int argc, char** argv) {
   pipelsm::Flags flags;
-  for (int i = 1; i < argc; i++) {
-    if (pipelsm::ParseNumFlag(argv[i], "num", &flags.num) ||
-        pipelsm::ParseNumFlag(argv[i], "connections", &flags.connections) ||
-        pipelsm::ParseNumFlag(argv[i], "threads", &flags.threads) ||
-        pipelsm::ParseNumFlag(argv[i], "window", &flags.window) ||
-        pipelsm::ParseNumFlag(argv[i], "key_size", &flags.key_size) ||
-        pipelsm::ParseNumFlag(argv[i], "value_size", &flags.value_size) ||
-        pipelsm::ParseNumFlag(argv[i], "read_ratio", &flags.read_ratio) ||
-        pipelsm::ParseNumFlag(argv[i], "seed", &flags.seed) ||
-        pipelsm::ParseNumFlag(argv[i], "shards", &flags.shards) ||
-        pipelsm::ParseNumFlag(argv[i], "io_threads", &flags.io_threads) ||
-        pipelsm::ParseNumFlag(argv[i], "stripes", &flags.stripes) ||
-        pipelsm::ParseNumFlag(argv[i], "compute_workers",
-                              &flags.compute_workers) ||
-        pipelsm::ParseNumFlag(argv[i], "cache_size", &flags.cache_size) ||
-        pipelsm::ParseNumFlag(argv[i], "cache_shards", &flags.cache_shards) ||
-        pipelsm::ParseNumFlag(argv[i], "bloom_bits_per_key",
-                              &flags.bloom_bits_per_key)) {
-      continue;
-    }
-    if (pipelsm::ParseFlag(argv[i], "device", &flags.device)) continue;
-    if (pipelsm::ParseFlag(argv[i], "dist", &flags.dist)) continue;
-    std::string theta;
-    if (pipelsm::ParseFlag(argv[i], "zipf_theta", &theta)) {
-      flags.zipf_theta = std::atof(theta.c_str());
-      continue;
-    }
-    if (std::strcmp(argv[i], "--sync") == 0) {
-      flags.sync = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--no_arbiter") == 0) {
-      flags.arbiter = false;
-      continue;
-    }
-    std::fprintf(stderr, "unrecognized flag: %s\n", argv[i]);
-    return 2;
-  }
+  pipelsm::flags::FlagSet set("bench_server [--flag=value ...]");
+  set.Add("num", &flags.num, "PUTs per phase");
+  set.Add("connections", &flags.connections, "pooled client sockets");
+  set.Add("threads", &flags.threads, "driver threads");
+  set.Add("window", &flags.window, "async requests in flight per driver");
+  set.Add("key_size", &flags.key_size, "key bytes");
+  set.Add("value_size", &flags.value_size, "value bytes");
+  set.Add("read_ratio", &flags.read_ratio,
+          "percent of served ops that are GETs (50 compares against "
+          "db_bench mixedwhilewriting)");
+  set.Add("dist", &flags.dist, "GET keys: uniform or zipfian (hot keys)");
+  set.Add("zipf_theta", &flags.zipf_theta, "Zipfian skew");
+  flags.engine.Register(&set,
+                        {"cache_size", "cache_shards", "bloom_bits_per_key"});
+  set.Switch("sync", &flags.sync,
+             "sync the WAL for every write group, in both phases");
+  set.Add("seed", &flags.seed, "workload generator seed");
+  set.Add("shards", &flags.shards,
+          "serve a ShardedDB of N key-range shards splitting the keyspace "
+          "evenly; the client rides shard affinity");
+  set.Add("io_threads", &flags.io_threads,
+          "server epoll loops (0 = one per shard)");
+  set.Switch("no_arbiter", &flags.no_arbiter,
+             "disable the fleet CompactionArbiter (free-for-all baseline)");
+  set.Add("compute_workers", &flags.compute_workers,
+          "compute workers the arbiter rations among the shards' jobs");
+  set.Add("device", &flags.device, pipelsm::kDeviceHelp);
+  set.ParseFlags(argc, argv);
   if (flags.shards < 1) flags.shards = 1;
-  if (flags.stripes < 1) flags.stripes = 1;
-  if (flags.device != "posix" && flags.device != "hdd" &&
-      flags.device != "ssd") {
-    std::fprintf(stderr, "unknown --device=%s (posix|hdd|ssd)\n",
-                 flags.device.c_str());
-    return 2;
-  }
+  pipelsm::Device check;
+  const pipelsm::Status s = pipelsm::OpenDevice(flags.device, &check);
+  if (!s.ok()) set.Fail(s.ToString());
   if (flags.dist != "uniform" && flags.dist != "zipfian") {
-    std::fprintf(stderr, "unknown --dist=%s (uniform|zipfian)\n",
-                 flags.dist.c_str());
-    return 2;
+    set.Fail("unknown --dist=" + flags.dist + " (uniform|zipfian)");
   }
 
   std::printf("bench_server: %llu ops, %d connections, %d threads, "
@@ -510,9 +425,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(flags.num), flags.connections,
               flags.threads, flags.window, flags.read_ratio,
               flags.dist.c_str(), flags.sync ? 1 : 0, flags.shards,
-              flags.arbiter ? 1 : 0, flags.device.c_str(),
-              flags.cache_size >> 10, flags.cache_shards,
-              flags.bloom_bits_per_key);
+              flags.no_arbiter ? 0 : 1, flags.device.c_str(),
+              flags.engine.cache_size >> 10, flags.engine.cache_shards,
+              flags.engine.bloom_bits_per_key);
 
   const double local =
       pipelsm::InProcessFill(flags, "/tmp/pipelsm_bench_server_local");
@@ -557,7 +472,7 @@ int main(int argc, char** argv) {
                 "RESULT {\"shards\":%zu,\"arbiter\":%s,\"sync\":%s,"
                 "\"device\":\"%s\",\"num\":%llu,\"in_process_ops_s\":%.0f,"
                 "\"served_ops_s\":%.0f,\"ratio\":%.3f,\"per_shard\":[",
-                flags.shards, flags.arbiter ? "true" : "false",
+                flags.shards, flags.no_arbiter ? "false" : "true",
                 flags.sync ? "true" : "false", flags.device.c_str(),
                 static_cast<unsigned long long>(flags.num), local,
                 served.ops_per_sec, ratio);
@@ -585,7 +500,8 @@ int main(int argc, char** argv) {
   std::snprintf(cache, sizeof(cache),
                 ",\"dist\":\"%s\",\"cache_shards\":%zu,\"read_ops_s\":%.0f,"
                 "\"cache\":{\"hits\":%llu,\"misses\":%llu,\"hit_rate\":%.4f}",
-                flags.dist.c_str(), flags.cache_shards, served.read_ops_per_sec,
+                flags.dist.c_str(), flags.engine.cache_shards,
+                served.read_ops_per_sec,
                 static_cast<unsigned long long>(served.cache_hits),
                 static_cast<unsigned long long>(served.cache_misses),
                 served.hit_rate());

@@ -7,7 +7,10 @@ namespace pipelsm {
 
 Status RunFill(DB* db, const FillOptions& options, FillResult* result) {
   WorkloadGenerator gen(options.num_entries, options.key_size,
-                        options.value_size, options.order, options.seed);
+                        options.value_size, options.order, options.seed,
+                        options.value_compressibility);
+  WriteOptions write_options;
+  write_options.sync = options.sync;
 
   Stopwatch total;
   WriteBatch batch;
@@ -17,7 +20,7 @@ Status RunFill(DB* db, const FillOptions& options, FillResult* result) {
     batch.Put(gen.Key(i), gen.Value(i));
     in_batch++;
     if (in_batch >= options.batch_size || i + 1 == options.num_entries) {
-      Status s = db->Write(WriteOptions(), &batch);
+      Status s = db->Write(write_options, &batch);
       if (!s.ok()) return s;
       batch.Clear();
       in_batch = 0;
@@ -37,27 +40,6 @@ Status RunFill(DB* db, const FillOptions& options, FillResult* result) {
   result->compaction = db->GetCompactionMetrics();
   const StepProfile& p = result->compaction.profile;
   result->compaction_bandwidth = p.WallBandwidth();
-  return Status::OK();
-}
-
-Status RunReadCheck(DB* db, const FillOptions& fill, uint64_t num_reads,
-                    double* ops_per_sec) {
-  WorkloadGenerator gen(fill.num_entries, fill.key_size, fill.value_size,
-                        fill.order, fill.seed);
-  Random rnd(fill.seed + 17);
-  Stopwatch total;
-  std::string value;
-  for (uint64_t i = 0; i < num_reads; i++) {
-    const uint64_t index = rnd.Next() % fill.num_entries;
-    Status s = db->Get(ReadOptions(), gen.Key(index), &value);
-    if (!s.ok()) return s;
-    if (value != gen.Value(index)) {
-      return Status::Corruption("read-check value mismatch at index ",
-                                std::to_string(index));
-    }
-  }
-  const double seconds = total.ElapsedSeconds();
-  *ops_per_sec = seconds > 0 ? num_reads / seconds : 0;
   return Status::OK();
 }
 

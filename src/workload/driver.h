@@ -30,16 +30,13 @@ struct FillOptions {
   size_t value_size = 100;  // paper §IV-A
   KeyOrder order = KeyOrder::kRandom;
   uint32_t seed = 301;
-  bool wait_for_compactions = true;  // drain before measuring bandwidth
-  uint64_t batch_size = 1;           // entries per WriteBatch
+  double value_compressibility = 0.5;  // see WorkloadGenerator
+  bool wait_for_compactions = true;    // drain before measuring bandwidth
+  uint64_t batch_size = 1;             // entries per WriteBatch
+  bool sync = false;                   // WriteOptions::sync of each batch
 };
 
 // Inserts `num_entries` key-value pairs and gathers metrics.
 Status RunFill(DB* db, const FillOptions& options, FillResult* result);
-
-// Reads back `num_reads` random keys from a previous fill; returns the
-// achieved ops/sec and verifies values (returns Corruption on mismatch).
-Status RunReadCheck(DB* db, const FillOptions& fill, uint64_t num_reads,
-                    double* ops_per_sec);
 
 }  // namespace pipelsm

@@ -22,14 +22,11 @@
 // a crash each key must read back its last synced value or any later
 // unsynced value (background flushes may persist past the sync barrier).
 //
-//   crash_test [--iterations=N] [--ops=N] [--mode=all|scp|pcp|cppcp]
-//              [--env=sim|posix] [--db=PATH] [--seed=N] [--sync_every=N]
-//              [--value_threshold=N] [--verbose]
+//   crash_test [--flag=value ...]    (the table in main())
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -42,6 +39,7 @@
 #include "src/env/fault_env.h"
 #include "src/env/sim_env.h"
 #include "src/util/random.h"
+#include "tools/engine_flags.h"
 
 namespace pipelsm {
 namespace {
@@ -60,22 +58,6 @@ struct Flags {
   int value_threshold = 0;
   bool verbose = false;
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) == 0) {
-    *out = arg + prefix.size();
-    return true;
-  }
-  return false;
-}
-
-bool ParseIntFlag(const char* arg, const char* name, int* out) {
-  std::string v;
-  if (!ParseFlag(arg, name, &v)) return false;
-  *out = std::atoi(v.c_str());
-  return true;
-}
 
 // What a key may legally read back after a crash: the value at the last
 // successful sync barrier plus everything acknowledged since (any
@@ -160,8 +142,7 @@ class CrashTester {
     options_.background_retry_backoff_max_micros = 100;
     crash_points_.assign(std::begin(kCrashPoints), std::end(kCrashPoints));
     if (flags.value_threshold > 0) {
-      options_.value_separation_threshold =
-          static_cast<size_t>(flags.value_threshold);
+      options_.value_separation_threshold = flags.value_threshold;
       options_.vlog_segment_size = 64 << 10;  // several segments per iter
       crash_points_.insert(crash_points_.end(), std::begin(kVlogCrashPoints),
                            std::end(kVlogCrashPoints));
@@ -257,8 +238,10 @@ class CrashTester {
         // value-log path instead.
         const bool separated =
             flags_.value_threshold > 0 && rng_.OneIn(2);
-        value = "v" + std::to_string(iter) + "-" + std::to_string(op) +
-                std::string(separated ? 4096 : 80, 'p');
+        // Built in place: GCC 12 gives a false -Wrestrict on "v" + ....
+        value = std::to_string(iter) + "-" + std::to_string(op);
+        value.insert(value.begin(), 'v');
+        value.append(separated ? 4096 : 80, 'p');
         s = db->Put(wo, key, value);
       }
       if (!s.ok()) {
@@ -438,26 +421,21 @@ int RunAll(const Flags& flags) {
 
 int main(int argc, char** argv) {
   pipelsm::Flags flags;
-  for (int i = 1; i < argc; i++) {
-    std::string v;
-    if (pipelsm::ParseIntFlag(argv[i], "iterations", &flags.iterations) ||
-        pipelsm::ParseIntFlag(argv[i], "ops", &flags.ops) ||
-        pipelsm::ParseFlag(argv[i], "mode", &flags.mode) ||
-        pipelsm::ParseFlag(argv[i], "env", &flags.env) ||
-        pipelsm::ParseFlag(argv[i], "db", &flags.db) ||
-        pipelsm::ParseIntFlag(argv[i], "sync_every", &flags.sync_every) ||
-        pipelsm::ParseIntFlag(argv[i], "value_threshold",
-                              &flags.value_threshold)) {
-      continue;
-    } else if (pipelsm::ParseFlag(argv[i], "seed", &v)) {
-      flags.seed = static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--verbose") == 0) {
-      flags.verbose = true;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
-    }
-  }
+  pipelsm::EngineFlags engine;
+  pipelsm::flags::FlagSet set("crash_test [--flag=value ...]");
+  set.Add("iterations", &flags.iterations,
+          "crash/reopen rounds, split over the modes");
+  set.Add("ops", &flags.ops,
+          "puts and deletes per iteration, unless it crashes first");
+  set.Add("mode", &flags.mode, "executors to test: all, scp, pcp or cppcp");
+  set.Add("env", &flags.env, "sim (in memory) or posix (the host FS)");
+  set.Add("db", &flags.db, "DB path (posix default /tmp/pipelsm_crash_test)");
+  set.Add("seed", &flags.seed, "random seed");
+  set.Add("sync_every", &flags.sync_every, "every Nth write syncs the WAL");
+  engine.Register(&set, {"value_threshold"});
+  set.Switch("verbose", &flags.verbose, "dump the live version on a leak");
+  set.ParseFlags(argc, argv);
+  flags.value_threshold = engine.value_threshold;
   if (flags.env == "posix" && flags.db == "/crashdb") {
     flags.db = "/tmp/pipelsm_crash_test";
   }

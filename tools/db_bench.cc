@@ -27,59 +27,12 @@
 //   metrics      print the pipeline metrics registry as JSON
 //                (GetProperty "pipelsm.metrics" — see docs/OBSERVABILITY.md)
 //
-// Key flags:
-//   --db=PATH                DB directory (default /tmp/pipelsm_bench)
-//   --device=posix|ssd|hdd|hddx<k>|null
-//                            storage: the real FS or a simulated device
-//   --compaction=scp|pcp|cppcp
-//   --compaction_style=leveled|tiered|lazy
-//                            which-to-compact policy (docs/COMPACTION.md)
-//   --tiered_run_count=N     runs per level before tiered/lazy compacts
-//   --max_subcompactions=N   key-range fan-out ceiling for one job
-//   --num=N --reads=N --key_size=N --value_size=N --batch=N
-//   --value_threshold=N      key-value separation: values >= N bytes go
-//                            to the value log (0 = off)
-//   --write_buffer_kb=N --file_kb=N --subtask_kb=N --block=N
-//   --compute_parallelism=N
-//   --adaptive               per-job executor choice by the compaction
-//                            scheduler (Options::adaptive_compaction)
-//   --max_compute_workers=N  adaptive bound on the chosen k
-//   --hysteresis=N           consecutive agreeing admissions before the
-//                            scheduler switches executor
-//   --warmup_jobs=N          compactions digested before adapting
-//   --bloom_bits_per_key=N   per-key bloom bits (0 = no filters)
-//   --filter_partition_bytes=N
-//                            partitioned-filter partition size
-//   --cache_size=N           block cache capacity, bytes (default 8MiB)
-//   --cache_shards=N         block cache lock shards (0 = auto,
-//                            1 = single-mutex baseline)
-//   --read_ratio=N           mixedwhilewriting: percent of ops that are
-//                            Gets (default 50)
-//   --dist=uniform|zipfian   mixedwhilewriting key distribution
-//   --zipf_theta=X           Zipfian skew (default 0.99)
-//   --value_compressibility=X
-//                            fraction of each value that compresses away
-//                            (default 0.5; 0 = incompressible)
-//   --dilation=X             compaction slow-motion factor
-//   --histogram              print full latency histograms
-//   --trace_path=PATH        write a Chrome trace_event JSON of every
-//                            compaction/flush pipeline (load the file in
-//                            chrome://tracing or https://ui.perfetto.dev)
-//   --metrics_json=PATH      dump the final metrics registry JSON to PATH
-//   --stats_interval_seconds=N
-//                            print pipelsm.stats to stdout every N seconds
-//                            while workloads run, and turn on the DB's own
-//                            periodic stats dump (Options::
-//                            stats_dump_period_sec) so LOG gets them too
-//   --advisor                print `ADVISOR <json>` (the pipelsm.advisor
-//                            bottleneck verdict) and `SCHEDULER <json>`
-//                            (the pipelsm.scheduler decision state) after
-//                            every workload
+// Flags: the table in main(), one help line each; an unknown flag (--help
+// included) or a malformed value prints it and exits 2.
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -87,12 +40,12 @@
 #include <vector>
 
 #include "src/db/db.h"
-#include "src/db/write_batch.h"
-#include "src/env/sim_env.h"
 #include "src/obs/metrics.h"
 #include "src/util/histogram.h"
 #include "src/util/stopwatch.h"
+#include "src/workload/driver.h"
 #include "src/workload/generator.h"
+#include "tools/engine_flags.h"
 
 namespace pipelsm {
 namespace {
@@ -101,29 +54,17 @@ struct Flags {
   std::string benchmarks = "fillrandom,readrandom,overwrite,readseq,stats";
   std::string db = "/tmp/pipelsm_bench";
   std::string device = "posix";
-  std::string compaction = "pcp";
-  std::string compaction_style = "leveled";
-  int tiered_run_count = 4;
-  int max_subcompactions = 1;
+  EngineFlags engine;
   uint64_t num = 100000;
   uint64_t reads = 10000;
   size_t key_size = 16;
   size_t value_size = 100;
-  size_t value_threshold = 0;  // 0 = key-value separation off
   uint64_t batch = 1;
-  size_t write_buffer_kb = 4096;
-  size_t file_kb = 2048;
-  size_t subtask_kb = 512;
   size_t block = 4096;
-  int compute_parallelism = 1;
   bool adaptive = false;
   int max_compute_workers = 4;
   int hysteresis = 3;
   int warmup_jobs = 2;
-  int bloom_bits_per_key = 0;
-  size_t filter_partition_bytes = 4096;
-  size_t cache_size = 8 << 20;
-  size_t cache_shards = 0;
   int read_ratio = 50;
   std::string dist = "uniform";
   double zipf_theta = 0.99;
@@ -137,84 +78,22 @@ struct Flags {
   bool advisor = false;
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) == 0) {
-    *out = arg + prefix.size();
-    return true;
-  }
-  return false;
-}
-
-template <typename T>
-bool ParseNumFlag(const char* arg, const char* name, T* out) {
-  std::string v;
-  if (!ParseFlag(arg, name, &v)) return false;
-  *out = static_cast<T>(std::strtoull(v.c_str(), nullptr, 10));
-  return true;
-}
-
-[[noreturn]] void Usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [--flag=value ...] (see header comment)\n",
-               argv0);
-  std::exit(2);
-}
-
 class Benchmark {
  public:
-  explicit Benchmark(const Flags& flags) : flags_(flags) {
-    if (flags_.device == "posix") {
-      env_ = Env::Posix();
-    } else {
-      DeviceProfile profile;
-      if (flags_.device == "ssd") {
-        profile = DeviceProfile::Ssd();
-      } else if (flags_.device == "hdd") {
-        profile = DeviceProfile::Hdd();
-      } else if (flags_.device.rfind("hddx", 0) == 0) {
-        profile = DeviceProfile::Hdd(std::atoi(flags_.device.c_str() + 4));
-      } else if (flags_.device == "null") {
-        profile = DeviceProfile::Null();
-      } else {
-        std::fprintf(stderr, "unknown --device=%s\n", flags_.device.c_str());
-        std::exit(2);
-      }
-      sim_env_ = std::make_unique<SimEnv>(profile);
-      env_ = sim_env_.get();
-    }
-
-    options_.env = env_;
+  // `options` carries the engine flags; `device` is the parsed --device.
+  Benchmark(const Flags& flags, Device device, Options options)
+      : flags_(flags), device_(std::move(device)), options_(options) {
+    options_.env = device_.env;
     options_.create_if_missing = true;
-    Status parsed =
-        ParseCompactionMode(flags_.compaction, &options_.compaction_mode);
-    if (parsed.ok()) {
-      parsed = ParseCompactionStyle(flags_.compaction_style,
-                                    &options_.compaction_style);
-    }
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
-      std::exit(2);
-    }
-    options_.tiered_run_count = flags_.tiered_run_count;
-    options_.max_subcompactions = flags_.max_subcompactions;
-    options_.write_buffer_size = flags_.write_buffer_kb << 10;
-    options_.max_file_size = flags_.file_kb << 10;
-    options_.subtask_bytes = flags_.subtask_kb << 10;
     options_.block_size = flags_.block;
-    options_.compute_parallelism = flags_.compute_parallelism;
     options_.adaptive_compaction = flags_.adaptive;
     options_.max_compute_workers = flags_.max_compute_workers;
     options_.scheduler_hysteresis_jobs = flags_.hysteresis;
     options_.scheduler_warmup_jobs = flags_.warmup_jobs;
     options_.compaction_time_dilation = flags_.dilation;
-    options_.value_separation_threshold = flags_.value_threshold;
     options_.trace_path = flags_.trace_path;
     options_.stats_dump_period_sec =
         static_cast<unsigned int>(flags_.stats_interval_seconds);
-    options_.bloom_bits_per_key = flags_.bloom_bits_per_key;
-    options_.filter_partition_bytes = flags_.filter_partition_bytes;
-    options_.block_cache_size = flags_.cache_size;
-    options_.block_cache_shards = flags_.cache_shards;
 
     DestroyDB(flags_.db, options_);
     DB* raw = nullptr;
@@ -230,24 +109,25 @@ class Benchmark {
       stats_printer_ = std::thread([this] { StatsPrinterMain(); });
     }
 
+    const EngineFlags& engine = flags_.engine;
     std::printf("pipelsm db_bench\n");
     std::printf("  db=%s device=%s compaction=%s%s style=%s"
                 " max_subcompactions=%d\n",
                 flags_.db.c_str(), flags_.device.c_str(),
-                flags_.compaction.c_str(), flags_.adaptive ? " (adaptive)" : "",
+                engine.compaction.c_str(), flags_.adaptive ? " (adaptive)" : "",
                 CompactionStyleName(options_.compaction_style),
-                flags_.max_subcompactions);
+                engine.max_subcompactions);
     std::printf("  entries=%llu (%zuB key + %zuB value), reads=%llu\n",
                 static_cast<unsigned long long>(flags_.num), flags_.key_size,
                 flags_.value_size,
                 static_cast<unsigned long long>(flags_.reads));
     std::printf(
         "  memtable=%zuKB sstable=%zuKB subtask=%zuKB bloom=%d bits\n",
-        flags_.write_buffer_kb, flags_.file_kb, flags_.subtask_kb,
-        flags_.bloom_bits_per_key);
+        engine.write_buffer_kb, engine.file_kb, engine.subtask_kb,
+        engine.bloom_bits_per_key);
     std::printf("  cache=%zuKB shards=%zu filter_partition=%zuB\n",
-                flags_.cache_size >> 10, flags_.cache_shards,
-                flags_.filter_partition_bytes);
+                engine.cache_size >> 10, engine.cache_shards,
+                engine.filter_partition_bytes);
     std::printf("--------------------------------------------------\n");
   }
 
@@ -325,25 +205,20 @@ class Benchmark {
   }
 
   void Fill(const std::string& name, KeyOrder order) {
-    WorkloadGenerator gen = Gen(order);
-    Histogram latency;
-    Stopwatch total;
-    WriteBatch batch;
-    uint64_t in_batch = 0;
-    uint64_t bytes = 0;
-    for (uint64_t i = 0; i < flags_.num; i++) {
-      Stopwatch op;
-      batch.Put(gen.Key(i), gen.Value(i));
-      bytes += flags_.key_size + flags_.value_size;
-      if (++in_batch >= flags_.batch || i + 1 == flags_.num) {
-        Status s = db_->Write(WriteOptions(), &batch);
-        if (!s.ok()) Fail(name, s);
-        batch.Clear();
-        in_batch = 0;
-      }
-      latency.Add(op.ElapsedNanos() / 1000.0);
-    }
-    Report(name, flags_.num, total.ElapsedSeconds(), latency, bytes);
+    FillOptions fill;
+    fill.num_entries = flags_.num;
+    fill.key_size = flags_.key_size;
+    fill.value_size = flags_.value_size;
+    fill.order = order;
+    fill.seed = flags_.seed;
+    fill.value_compressibility = flags_.value_compressibility;
+    fill.wait_for_compactions = false;
+    fill.batch_size = flags_.batch;
+    FillResult result;
+    Status s = RunFill(db_.get(), fill, &result);
+    if (!s.ok()) Fail(name, s);
+    Report(name, flags_.num, result.seconds, result.latency_micros,
+           flags_.num * (flags_.key_size + flags_.value_size));
   }
 
   void ReadRandom(const std::string& name, bool missing) {
@@ -574,8 +449,7 @@ class Benchmark {
   }
 
   const Flags flags_;
-  std::unique_ptr<SimEnv> sim_env_;
-  Env* env_ = nullptr;
+  Device device_;  // outlives db_
   Options options_;
   std::unique_ptr<DB> db_;
   std::thread stats_printer_;
@@ -590,78 +464,53 @@ class Benchmark {
 using namespace pipelsm;
 
 int main(int argc, char** argv) {
-  pipelsm::Flags flags;
-  for (int i = 1; i < argc; i++) {
-    std::string unused_bool;
-    if (ParseFlag(argv[i], "benchmarks", &flags.benchmarks) ||
-        ParseFlag(argv[i], "db", &flags.db) ||
-        ParseFlag(argv[i], "device", &flags.device) ||
-        ParseFlag(argv[i], "compaction", &flags.compaction) ||
-        ParseFlag(argv[i], "compaction_style", &flags.compaction_style) ||
-        ParseNumFlag(argv[i], "tiered_run_count", &flags.tiered_run_count) ||
-        ParseNumFlag(argv[i], "max_subcompactions",
-                     &flags.max_subcompactions) ||
-        ParseNumFlag(argv[i], "num", &flags.num) ||
-        ParseNumFlag(argv[i], "reads", &flags.reads) ||
-        ParseNumFlag(argv[i], "key_size", &flags.key_size) ||
-        ParseNumFlag(argv[i], "value_size", &flags.value_size) ||
-        ParseNumFlag(argv[i], "value_threshold", &flags.value_threshold) ||
-        ParseNumFlag(argv[i], "batch", &flags.batch) ||
-        ParseNumFlag(argv[i], "write_buffer_kb", &flags.write_buffer_kb) ||
-        ParseNumFlag(argv[i], "file_kb", &flags.file_kb) ||
-        ParseNumFlag(argv[i], "subtask_kb", &flags.subtask_kb) ||
-        ParseNumFlag(argv[i], "block", &flags.block) ||
-        ParseNumFlag(argv[i], "compute_parallelism",
-                     &flags.compute_parallelism) ||
-        ParseNumFlag(argv[i], "max_compute_workers",
-                     &flags.max_compute_workers) ||
-        ParseNumFlag(argv[i], "hysteresis", &flags.hysteresis) ||
-        ParseNumFlag(argv[i], "warmup_jobs", &flags.warmup_jobs) ||
-        ParseNumFlag(argv[i], "bloom_bits_per_key",
-                     &flags.bloom_bits_per_key) ||
-        ParseNumFlag(argv[i], "filter_partition_bytes",
-                     &flags.filter_partition_bytes) ||
-        ParseNumFlag(argv[i], "cache_size", &flags.cache_size) ||
-        ParseNumFlag(argv[i], "cache_shards", &flags.cache_shards) ||
-        ParseNumFlag(argv[i], "read_ratio", &flags.read_ratio) ||
-        ParseFlag(argv[i], "dist", &flags.dist) ||
-        ParseNumFlag(argv[i], "seed", &flags.seed) ||
-        ParseFlag(argv[i], "trace_path", &flags.trace_path) ||
-        ParseFlag(argv[i], "metrics_json", &flags.metrics_json) ||
-        ParseNumFlag(argv[i], "stats_interval_seconds",
-                     &flags.stats_interval_seconds)) {
-      continue;
-    }
-    if (std::strcmp(argv[i], "--advisor") == 0) {
-      flags.advisor = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--adaptive") == 0) {
-      flags.adaptive = true;
-      continue;
-    }
-    std::string v;
-    if (ParseFlag(argv[i], "dilation", &v)) {
-      flags.dilation = std::atof(v.c_str());
-      continue;
-    }
-    if (ParseFlag(argv[i], "value_compressibility", &v)) {
-      flags.value_compressibility = std::atof(v.c_str());
-      continue;
-    }
-    if (ParseFlag(argv[i], "zipf_theta", &v)) {
-      flags.zipf_theta = std::atof(v.c_str());
-      continue;
-    }
-    if (std::strcmp(argv[i], "--histogram") == 0) {
-      flags.histogram = true;
-      continue;
-    }
-    std::fprintf(stderr, "unrecognized flag: %s\n", argv[i]);
-    pipelsm::Usage(argv[0]);
-  }
+  Flags f;
+  flags::FlagSet set("db_bench [--flag=value ...]");
+  set.Add("benchmarks", &f.benchmarks,
+          "comma-separated workloads, run left to right (header comment)");
+  set.Add("db", &f.db, "DB directory");
+  set.Add("device", &f.device, kDeviceHelp);
+  f.engine.Register(&set);
+  set.Add("num", &f.num, "entries a fill inserts; the key space");
+  set.Add("reads", &f.reads, "ops of each read, delete and mixed workload");
+  set.Add("key_size", &f.key_size, "key bytes");
+  set.Add("value_size", &f.value_size, "value bytes");
+  set.Add("batch", &f.batch, "entries per WriteBatch in a fill");
+  set.Add("block", &f.block, "SSTable block size, bytes");
+  set.Switch("adaptive", &f.adaptive,
+             "the compaction scheduler picks each job's executor");
+  set.Add("max_compute_workers", &f.max_compute_workers,
+          "adaptive: bound on the chosen compute k");
+  set.Add("hysteresis", &f.hysteresis,
+          "adaptive: agreeing admissions before the executor switches");
+  set.Add("warmup_jobs", &f.warmup_jobs,
+          "adaptive: compactions digested before adapting");
+  set.Add("read_ratio", &f.read_ratio,
+          "mixedwhilewriting: percent of ops that are Gets");
+  set.Add("dist", &f.dist, "mixedwhilewriting keys: uniform or zipfian");
+  set.Add("zipf_theta", &f.zipf_theta, "Zipfian skew");
+  set.Add("value_compressibility", &f.value_compressibility,
+          "fraction of each value that compresses away (0 = none)");
+  set.Add("dilation", &f.dilation, "compaction slow-motion factor");
+  set.Switch("histogram", &f.histogram, "print full latency histograms");
+  set.Add("seed", &f.seed, "workload generator seed");
+  set.Add("trace_path", &f.trace_path,
+          "write a Chrome trace_event JSON of every compaction and flush");
+  set.Add("metrics_json", &f.metrics_json,
+          "dump the final metrics registry JSON here");
+  set.Add("stats_interval_seconds", &f.stats_interval_seconds,
+          "print pipelsm.stats every N seconds, and dump it to LOG (0 = off)");
+  set.Switch("advisor", &f.advisor,
+             "print ADVISOR and SCHEDULER JSON after every workload");
+  set.ParseFlags(argc, argv);
 
-  pipelsm::Benchmark bench(flags);
+  Options options;
+  Device device;
+  Status s = f.engine.ApplyTo(&options);
+  if (s.ok()) s = OpenDevice(f.device, &device);
+  if (!s.ok()) set.Fail(s.ToString());
+
+  Benchmark bench(f, std::move(device), options);
   bench.Run();
   bench.Finish();
   return 0;

@@ -14,42 +14,22 @@
 //
 // Both scan through a pinned-snapshot server cursor (docs/READ_PATH.md):
 // `scan` prints its first bounded batch and closes it, `stream` iterates
-// every batch; the global
-// --pause_ms=N flag sleeps between entries, which CI uses to hold a
-// cursor open across a server drain.
+// every batch. Flags (the table in main()) come before COMMAND; the
+// arguments after it are taken verbatim, so a key may start with "--".
 //
 // Exit status: 0 on OK, 1 on any error (NotFound included, so scripts
-// can test key presence).
+// can test key presence), 2 on a malformed command line.
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/client/client.h"
+#include "tools/flags.h"
 
 namespace {
-
-[[noreturn]] void Usage() {
-  std::fprintf(stderr,
-               "usage: pipelsm_cli [--host=H] [--port=N] COMMAND [args...]\n"
-               "commands: ping | put K V | get K | del K |\n"
-               "          batch [put K V | del K]... | scan [START [LIMIT]] |"
-               " stream [START [LIMIT]] | stats [PROP]\n");
-  std::exit(2);
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) == 0) {
-    *out = arg + prefix.size();
-    return true;
-  }
-  return false;
-}
 
 int Finish(const pipelsm::Status& s) {
   if (s.ok()) return 0;
@@ -62,22 +42,20 @@ int Finish(const pipelsm::Status& s) {
 int main(int argc, char** argv) {
   pipelsm::client::ClientOptions copts;
   int pause_ms = 0;
-  int i = 1;
-  for (; i < argc; i++) {
-    std::string v;
-    if (ParseFlag(argv[i], "host", &copts.host)) continue;
-    if (ParseFlag(argv[i], "port", &v)) {
-      copts.port = std::atoi(v.c_str());
-      continue;
-    }
-    if (ParseFlag(argv[i], "pause_ms", &v)) {
-      pause_ms = std::atoi(v.c_str());
-      continue;
-    }
-    break;  // first non-flag = command
-  }
-  if (i >= argc) Usage();
-  const std::string cmd = argv[i++];
+  pipelsm::flags::FlagSet set(
+      "pipelsm_cli [--flag=value ...] COMMAND [args...]\n"
+      "commands: ping | put K V | get K | del K |\n"
+      "          batch [put K V | del K]... | scan [START [LIMIT]] |"
+      " stream [START [LIMIT]] | stats [PROP]");
+  set.Add("host", &copts.host, "server address");
+  set.Add("port", &copts.port, "server port");
+  set.Add("pause_ms", &pause_ms,
+          "stream: sleep between entries (holds a cursor open)");
+  const std::vector<std::string> args = set.Parse(argc, argv);
+  auto usage = [&]() { set.Fail("bad command line"); };
+  if (args.empty()) usage();
+  const std::string& cmd = args[0];
+  const size_t n = args.size() - 1;  // the command's own arguments
 
   pipelsm::client::Client client(copts);
 
@@ -87,64 +65,58 @@ int main(int argc, char** argv) {
     return Finish(s);
   }
   if (cmd == "put") {
-    if (i + 2 != argc) Usage();
-    return Finish(client.Put(argv[i], argv[i + 1]));
+    if (n != 2) usage();
+    return Finish(client.Put(args[1], args[2]));
   }
   if (cmd == "get") {
-    if (i + 1 != argc) Usage();
+    if (n != 1) usage();
     std::string value;
-    const pipelsm::Status s = client.Get(argv[i], &value);
+    const pipelsm::Status s = client.Get(args[1], &value);
     if (s.ok()) std::printf("%s\n", value.c_str());
     return Finish(s);
   }
   if (cmd == "del") {
-    if (i + 1 != argc) Usage();
-    return Finish(client.Delete(argv[i]));
+    if (n != 1) usage();
+    return Finish(client.Delete(args[1]));
   }
   if (cmd == "batch") {
     std::vector<pipelsm::server::BatchOp> ops;
-    while (i < argc) {
+    for (size_t i = 1; i < args.size();) {
       pipelsm::server::BatchOp op;
-      if (std::strcmp(argv[i], "put") == 0 && i + 2 < argc) {
-        op.key = argv[i + 1];
-        op.value = argv[i + 2];
+      if (args[i] == "put" && i + 2 < args.size()) {
+        op.key = args[i + 1];
+        op.value = args[i + 2];
         i += 3;
-      } else if (std::strcmp(argv[i], "del") == 0 && i + 1 < argc) {
+      } else if (args[i] == "del" && i + 1 < args.size()) {
         op.is_delete = true;
-        op.key = argv[i + 1];
+        op.key = args[i + 1];
         i += 2;
       } else {
-        Usage();
+        usage();
       }
       ops.push_back(std::move(op));
     }
-    if (ops.empty()) Usage();
+    if (ops.empty()) usage();
     const pipelsm::Status s = client.WriteBatch(ops);
     if (s.ok()) std::printf("OK (%zu ops)\n", ops.size());
     return Finish(s);
   }
-  if (cmd == "scan") {
-    std::string start;
-    uint32_t limit = 0;
-    if (i < argc) start = argv[i++];
-    if (i < argc) limit = static_cast<uint32_t>(std::atoi(argv[i++]));
-    if (i != argc) Usage();
-    std::vector<std::pair<std::string, std::string>> entries;
-    const pipelsm::Status s = client.Scan(start, limit, &entries);
-    if (s.ok()) {
-      for (const auto& [k, v] : entries) {
-        std::printf("%s\t%s\n", k.c_str(), v.c_str());
+  if (cmd == "scan" || cmd == "stream") {
+    if (n > 2) usage();
+    const std::string start = n >= 1 ? args[1] : "";
+    const uint32_t limit =
+        n == 2 ? set.Number<uint32_t>("LIMIT", args[2]) : 0;
+    if (cmd == "scan") {
+      std::vector<std::pair<std::string, std::string>> entries;
+      const pipelsm::Status s = client.Scan(start, limit, &entries);
+      if (s.ok()) {
+        for (const auto& [k, v] : entries) {
+          std::printf("%s\t%s\n", k.c_str(), v.c_str());
+        }
+        std::fprintf(stderr, "(%zu entries)\n", entries.size());
       }
-      std::fprintf(stderr, "(%zu entries)\n", entries.size());
+      return Finish(s);
     }
-    return Finish(s);
-  }
-  if (cmd == "stream") {
-    std::string start;
-    uint32_t limit = 0;
-    if (i < argc) start = argv[i++];
-    if (i < argc) limit = static_cast<uint32_t>(std::atoi(argv[i++]));
-    if (i != argc) Usage();
     std::unique_ptr<pipelsm::client::ScanStream> stream =
         client.NewScanStream(start, limit);
     size_t count = 0;
@@ -157,13 +129,11 @@ int main(int argc, char** argv) {
     return Finish(stream->status());
   }
   if (cmd == "stats") {
-    std::string property;
-    if (i < argc) property = argv[i++];
-    if (i != argc) Usage();
+    if (n > 1) usage();
     std::string value;
-    const pipelsm::Status s = client.Stats(property, &value);
+    const pipelsm::Status s = client.Stats(n == 1 ? args[1] : "", &value);
     if (s.ok()) std::printf("%s\n", value.c_str());
     return Finish(s);
   }
-  Usage();
+  set.Fail("unknown command '" + cmd + "'");
 }

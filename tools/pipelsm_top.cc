@@ -6,13 +6,7 @@
 //   pipelsm_top --port=ADMIN_PORT [--host=ADDR] [--interval_ms=N]
 //               [--iterations=N] [--once]
 //
-// Flags:
-//   --port=N          the server's --admin_port (required)
-//   --host=ADDR       default 127.0.0.1
-//   --interval_ms=N   poll period (default 1000)
-//   --iterations=N    exit after N refreshes (default 0 = run until ^C)
-//   --once            one poll, one machine-readable "TOP {json}" line on
-//                     stdout, exit 0 — for scripts and CI smoke tests
+// Flags: the table in main(), one help line each.
 //
 // The dashboard shows fleet request throughput (rates are deltas between
 // polls), per-shard write throughput and stall state, arbiter lane/worker
@@ -27,11 +21,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "tools/flags.h"
 
 namespace {
 
@@ -415,15 +410,6 @@ void RenderOnce(const Snapshot& snap) {
   std::printf("%s\n", out.c_str());
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) == 0) {
-    *out = arg + prefix.size();
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -432,35 +418,17 @@ int main(int argc, char** argv) {
   int interval_ms = 1000;
   int iterations = 0;
   bool once = false;
-  for (int i = 1; i < argc; i++) {
-    std::string v;
-    if (ParseFlag(argv[i], "host", &host)) continue;
-    if (ParseFlag(argv[i], "port", &v)) {
-      port = std::atoi(v.c_str());
-      continue;
-    }
-    if (ParseFlag(argv[i], "interval_ms", &v)) {
-      interval_ms = std::atoi(v.c_str());
-      continue;
-    }
-    if (ParseFlag(argv[i], "iterations", &v)) {
-      iterations = std::atoi(v.c_str());
-      continue;
-    }
-    if (std::strcmp(argv[i], "--once") == 0) {
-      once = true;
-      continue;
-    }
-    std::fprintf(stderr, "unrecognized flag: %s (see header comment)\n",
-                 argv[i]);
-    return 2;
-  }
-  if (port <= 0) {
-    std::fprintf(stderr,
-                 "usage: pipelsm_top --port=ADMIN_PORT [--host=ADDR] "
-                 "[--interval_ms=N] [--iterations=N] [--once]\n");
-    return 2;
-  }
+  pipelsm::flags::FlagSet set(
+      "pipelsm_top --port=ADMIN_PORT [--host=ADDR] [--interval_ms=N] "
+      "[--iterations=N] [--once]");
+  set.Add("port", &port, "the server's --admin_port (required)");
+  set.Add("host", &host, "the server's address");
+  set.Add("interval_ms", &interval_ms, "poll period");
+  set.Add("iterations", &iterations, "exit after N refreshes (0 = until ^C)");
+  set.Switch("once", &once,
+             "one poll, one machine-readable TOP {json} line, exit 0");
+  set.ParseFlags(argc, argv);
+  if (port <= 0) set.Fail("--port is required");
   if (interval_ms < 10) interval_ms = 10;
 
   if (once) {
