@@ -23,7 +23,7 @@
 // Every picked Compaction reports a predicted write amplification (total
 // input bytes / bytes entering from the source level) through the
 // admission request and the pipelsm.compaction property, so the
-// scheduler/advisor stack can reason about policy alongside executor + k.
+// compaction controller can reason about policy alongside executor + k.
 //
 // The picker runs under the DB mutex (VersionSet::Finalize /
 // PickCompaction) and keeps no per-job state.

@@ -1,38 +1,36 @@
-// CompactionScheduler: the advisor's verdict, acted on.
+// CompactionScheduler: the engine's one compaction controller. It learns
+// the step profile, chooses each job's procedure from it, and admits the
+// job.
 //
-// PR 2's BottleneckAdvisor evaluates the paper's Eqs. 1-7 on a decayed
-// profile of completed compactions and *reports* which procedure §III-C
-// prescribes. This class closes that loop: at every compaction admission
-// the DB asks it which executor (SCP / PCP / C-PPCP) and how many compute
-// workers k the *current* profile calls for, so the procedure tracks
-// workload shifts (value size, compressibility, device regime) instead of
-// freezing at DB::Open. The paper's own evaluation is the motivation: the
-// best procedure flips between S-PPCP and C-PPCP as the pipeline moves
-// between I/O- and CPU-bound (Figures 6 and 12). S-PPCP is PCP on a
-// striped device, so an I/O-bound profile gets PCP here and its
-// parallelism from the Env.
+// Learning: every completed compaction's and value-log GC pass's
+// StepProfile is folded into an exponentially decayed per-sub-task
+// profile (AddJob), so it tracks workload shifts. AdvisorJson() evaluates
+// the paper's Eqs. 1-7 on it: the Eq. 2 bottleneck, every procedure's
+// predicted bandwidth next to the measured one, and the §III-C
+// recommendation (GetProperty("pipelsm.advisor")). The regime is also the
+// `advisor.regime` gauge (0 none, 1 io-bound, 2 cpu-bound).
 //
-// Decision rule per admission, on the advisor's decayed StepTimes t:
-//   1. Before `warmup_jobs` completed compactions (or with adaptive off)
-//      the static Options choice applies verbatim.
+// Choosing, at every compaction admission, on the decayed StepTimes t
+// (the best procedure flips as the pipeline moves between I/O- and
+// CPU-bound, Figures 6 and 12):
+//   1. Before scheduler_warmup_jobs digested jobs (or with
+//      adaptive_compaction off) the static Options choice applies.
 //   2. model::Prescribe(t, max_compute_workers) picks the target: C-PPCP
 //      at the capped Eq. 6 saturation k when compute limits Eq. 2 and the
-//      gain reaches model::kMinParallelGain, plain PCP otherwise, or SCP
-//      when even pipelining gains ~nothing (Eq. 3 speedup below
-//      model::kMinPipelineGain). The advisor reports the same call with
-//      the same cap.
-//   3. Hysteresis: a choice that differs from the current one must be
-//      prescribed on `hysteresis_jobs` *consecutive* admissions before
-//      the scheduler switches, so one noisy profile cannot flap the
-//      pipeline shape.
+//      gain reaches model::kMinParallelGain, SCP when Eq. 3 falls below
+//      model::kMinPipelineGain, PCP otherwise. S-PPCP is PCP on a striped
+//      device, so an I/O-bound profile gets PCP and its parallelism from
+//      the Env. The advisor report makes the same call with the same cap.
+//   3. Hysteresis: a differing target must be prescribed on
+//      scheduler_hysteresis_jobs consecutive admissions before the
+//      controller switches, so one noisy profile cannot flap the pipeline.
 //
-// It is the one chooser: every engine, sharded or not, asks its own
-// scheduler at each compaction admission. A fleet arbiter only rations
-// workers to the choice (src/shard/arbiter.h); value-log GC passes are
-// not decisions.
+// Admitting: Admit() stamps the choice with Options::shard_id and passes
+// it through Options::compaction_governor, which only rations workers to
+// it (src/shard/arbiter.h); AdmitGc() does the same for a GC pass, which
+// is not a decision.
 //
-// Thread-safe: Choose (background compaction thread) and ToJson
-// (GetProperty("pipelsm.scheduler"), any thread) may race.
+// Thread-safe: AddJob, Admit and the JSON reports may race.
 #pragma once
 
 #include <cstdint>
@@ -45,24 +43,6 @@
 #include "src/obs/metrics.h"
 
 namespace pipelsm {
-
-struct SchedulerOptions {
-  bool adaptive = false;
-
-  // The static configuration, used before warmup / with adaptive off.
-  CompactionMode static_mode = CompactionMode::kPCP;
-  int static_compute_parallelism = 1;
-
-  // Cap on the k the scheduler may choose (Options::max_compute_workers);
-  // the lower bound is always 1.
-  int max_compute_workers = 4;
-
-  int hysteresis_jobs = 3;
-  int warmup_jobs = 2;
-
-  // The one place the Options scheduling knobs are clamped into range.
-  static SchedulerOptions FromOptions(const Options& options);
-};
 
 // One compaction's procedure and compute workers, as the engine's
 // CompactionScheduler chose them.
@@ -158,21 +138,41 @@ class ScopedGrant {
 
 class CompactionScheduler {
  public:
-  // scheduler.* counters (decisions, switches, per-procedure choice
-  // counts) land in `metrics`, or in a registry of the scheduler's own
-  // when it is null.
-  CompactionScheduler(const SchedulerOptions& options,
-                      obs::MetricsRegistry* metrics);
+  // Reads the scheduling knobs of `options`, clamped into range here and
+  // nowhere else, and its fleet wiring (compaction_governor, shard_id).
+  // The scheduler.* counters and the advisor.regime gauge land in
+  // `metrics`, or in a registry of the controller's own when null.
+  CompactionScheduler(const Options& options, obs::MetricsRegistry* metrics);
 
   CompactionScheduler(const CompactionScheduler&) = delete;
   CompactionScheduler& operator=(const CompactionScheduler&) = delete;
 
-  // Rules on one compaction with the advisor's decayed profile and the
-  // number of jobs it has digested. Deterministic given the same profile
-  // sequence.
+  // Folds one completed job into the decayed profile; one with zero
+  // sub-tasks or zero wall time is ignored (nothing to average).
+  void AddJob(const StepProfile& profile);
+
+  // Jobs digested so far, and their decayed per-sub-task step times.
+  uint64_t jobs() const;
+  model::StepTimes Profile() const;
+
+  // "none" before the first job, then "cpu-bound" or "io-bound": the
+  // "regime" field of AdvisorJson().
+  const char* Regime() const;
+
+  // Rules on one compaction with a decayed profile and the number of
+  // jobs behind it. Deterministic given the same profile sequence.
   CompactionChoice Choose(const model::StepTimes& profile,
                           uint64_t advisor_jobs);
 
+  // The one admission path: Choose() on this controller's own profile,
+  // then the governor, which blocks until it grants or `abort()` turns
+  // true; without a governor the choice runs at once. AdmitGc() admits a
+  // value-log GC pass at the GC tier with the PCP default and chooses
+  // nothing. REQUIRES: no DB mutex held.
+  ScopedGrant Admit(int level, const std::function<bool()>& abort);
+  ScopedGrant AdmitGc(const std::function<bool()>& abort);
+
+  bool adaptive() const { return adaptive_; }
   uint64_t decisions() const;
   uint64_t switches() const;
 
@@ -180,33 +180,51 @@ class CompactionScheduler {
   // current choice, pending candidate + streak, decision/switch counts.
   std::string ToJson() const;
 
+  // The GetProperty("pipelsm.advisor") payload (docs/OBSERVABILITY.md
+  // "Bottleneck advisor"). Always valid JSON; before the first job it
+  // carries {"jobs":0} and a note.
+  std::string AdvisorJson() const;
+
  private:
   struct Choice {
     CompactionMode mode = CompactionMode::kPCP;
     int compute_parallelism = 1;
-
-    bool operator==(const Choice& o) const {
-      return mode == o.mode && compute_parallelism == o.compute_parallelism;
-    }
-    bool operator!=(const Choice& o) const { return !(*this == o); }
+    bool operator==(const Choice&) const = default;
   };
 
+  static const char* RegimeOf(uint64_t jobs, const model::StepTimes& t);
+
+  // REQUIRES: mu_ held.
+  CompactionChoice ChooseLocked(const model::StepTimes& profile,
+                                uint64_t advisor_jobs);
   // REQUIRES: mu_ held. `choice` with last_rationale_, counted.
   CompactionChoice Render(const Choice& choice, bool adaptive,
                           double gain) const;
 
-  const SchedulerOptions opts_;
-
-  mutable std::mutex mu_;
-  Choice current_;           // what jobs run as right now
-  Choice candidate_;         // differing target accumulating a streak
-  int candidate_streak_ = 0; // consecutive admissions prescribing it
-  std::string last_rationale_;
+  const bool adaptive_;
+  const int max_compute_workers_;  // the cap on k; the floor is 1
+  const int hysteresis_jobs_;
+  const int warmup_jobs_;
+  CompactionGovernor* const governor_;
+  const int shard_id_;
 
   obs::MetricsRegistry own_metrics_;  // used when none was given
+  obs::Gauge* regime_gauge_ = nullptr;
   obs::Counter* decisions_counter_ = nullptr;
   obs::Counter* switches_counter_ = nullptr;
   obs::Counter* mode_counters_[4] = {nullptr, nullptr, nullptr, nullptr};
+
+  mutable std::mutex mu_;
+  // The decayed profile.
+  uint64_t jobs_ = 0;
+  model::StepTimes ema_;          // per-sub-task step seconds
+  double measured_wall_bps_ = 0;  // decayed input_bytes / wall_nanos
+  double measured_seq_bps_ = 0;   // decayed Eq. 1 view (sum of steps)
+  // The choice.
+  Choice current_;            // what jobs run as right now
+  Choice candidate_;          // differing target accumulating a streak
+  int candidate_streak_ = 0;  // consecutive admissions prescribing it
+  std::string last_rationale_;
 };
 
 }  // namespace pipelsm

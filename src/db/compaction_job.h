@@ -1,9 +1,9 @@
 // CompactionJob: the run half of one major compaction.
 //
-// DBImpl admits a job (DBImpl::AdmitJob: its scheduler's choice, then
-// the fleet governor if one is set), releases the DB mutex, opens the
-// input tables and hands them over with the grant. The job then runs
-// without the DB mutex, on exactly one path:
+// DBImpl admits a job (CompactionScheduler::Admit: the controller's
+// choice, then the fleet governor if one is set), releases the DB mutex,
+// opens the input tables and hands them over with the grant. The job
+// then runs without the DB mutex, on exactly one path:
 //   1. plan the sub-tasks once (PlanSubTasks) and deal them out to
 //      N >= 1 key-range sub-jobs in contiguous groups (SplitPlan; N = 1
 //      unsplit), so sub-job seams are sub-task boundaries;

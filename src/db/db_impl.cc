@@ -43,7 +43,7 @@ Options SanitizeOptions(const Options& src) {
   result.max_file_size = clip(result.max_file_size, 64 << 10, 1 << 30);
   result.block_size = clip(result.block_size, 1 << 10, 4 << 20);
   // The scheduler's knobs (parallelism, bounds, hysteresis, warmup) are
-  // clamped once, in SchedulerOptions::FromOptions.
+  // clamped once, by the CompactionScheduler that reads them.
 
   // Compaction-policy knobs (docs/COMPACTION.md): T < 2 degenerates to
   // leveling with extra read amplification, and the sub-compaction
@@ -72,7 +72,7 @@ Options SanitizeOptions(const Options& src) {
 
 // Internal listener, always first on the dispatch list: renders every
 // event as one grep-able `EVENT` line in the info log and feeds each
-// successful compaction's StepProfile to the bottleneck advisor.
+// successful compaction's StepProfile to the compaction controller.
 class DBImpl::EventLogger final : public obs::EventListener {
  public:
   explicit EventLogger(DBImpl* db) : db_(db) {}
@@ -125,7 +125,7 @@ class DBImpl::EventLogger final : public obs::EventListener {
              p.nanos[kStepWrite] / 1e6, p.wall_nanos / 1e6,
              info.status.ok() ? "ok" : info.status.ToString().c_str());
     if (info.status.ok()) {
-      db_->advisor_.AddJob(info.profile);
+      db_->scheduler_.AddJob(info.profile);
     }
   }
 
@@ -166,8 +166,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
       options_(SanitizeOptions(raw_options)),
       dbname_(dbname),
       min_read_bytes_(env_->PreferredReadBytes()),
-      advisor_(SchedulerOptions::FromOptions(options_).max_compute_workers,
-               obs::BottleneckAdvisor::kDefaultDecay, &metrics_registry_) {
+      scheduler_(options_, &metrics_registry_) {
   // Info log first, so every component built below can report to it:
   // the caller-supplied sink, or a LOG file in the DB directory.
   if (options_.info_log != nullptr) {
@@ -180,7 +179,7 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
   obs::Log(info_log_,
            "opening DB %s (mode=%s%s, subtask=%zu KB, s1_window=%llu KB)",
            dbname_.c_str(), CompactionModeName(options_.compaction_mode),
-           options_.adaptive_compaction ? "+adaptive" : "",
+           scheduler_.adaptive() ? "+adaptive" : "",
            options_.subtask_bytes >> 10,
            static_cast<unsigned long long>(
                std::max<uint64_t>(options_.subtask_bytes, min_read_bytes_) >>
@@ -221,8 +220,6 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
                                       "open tables cached"));
   versions_.reset(new VersionSet(dbname_, &options_, table_cache_.get(),
                                  &internal_comparator_, info_log_));
-  scheduler_ = std::make_unique<CompactionScheduler>(
-      SchedulerOptions::FromOptions(options_), &metrics_registry_);
 
   if (!options_.trace_path.empty()) {
     trace_ = std::make_unique<obs::TraceCollector>();
@@ -840,9 +837,9 @@ std::string DBImpl::StatsReport() {
   out.append("metrics ");
   out.append(metrics_registry_.ToJson());
   out.append("\nadvisor ");
-  out.append(advisor_.ToJson());
+  out.append(scheduler_.AdvisorJson());
   out.append("\nscheduler ");
-  out.append(scheduler_->ToJson());
+  out.append(scheduler_.ToJson());
   out.push_back('\n');
   return out;
 }
@@ -980,8 +977,8 @@ Status DBImpl::BackgroundCompaction(std::unique_lock<std::mutex>& lock) {
 
 Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
                                 Compaction* c) {
-  // Admission (docs/TUNING.md, docs/SHARDING.md): the scheduler picks the
-  // procedure and parallelism, and the job gets its own copy of the
+  // Admission (docs/TUNING.md, docs/SHARDING.md): the controller picks
+  // the procedure and parallelism, and the job gets its own copy of the
   // grant. Without a governor the choice runs at once; a fleet arbiter
   // may shrink it or block, so the wait runs outside mutex_. A wait
   // aborts on shutdown, and for non-manual jobs when a flush becomes
@@ -989,12 +986,10 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   // stall on imm_). A manual job never yields: BackgroundCompaction
   // advances the manual cursor either way, so yielding would skip a
   // range.
-  CompactionAdmissionRequest request;
-  request.level = c->level();
+  const int level = c->level();
   const bool manual = manual_compaction_ != nullptr;
   lock.unlock();
-  request.choice = scheduler_->Choose(advisor_.Profile(), advisor_.jobs());
-  ScopedGrant grant = AdmitJob(request, [this, manual] {
+  ScopedGrant grant = scheduler_.Admit(level, [this, manual] {
     return shutting_down_.load(std::memory_order_acquire) ||
            (!manual && has_imm_.load(std::memory_order_acquire));
   });
@@ -1535,12 +1530,6 @@ void DBImpl::SweepRetiredVlogSegments() {
   vlog_->SweepRetired(min_pinned);
 }
 
-ScopedGrant DBImpl::AdmitJob(CompactionAdmissionRequest request,
-                             const std::function<bool()>& abort) {
-  request.shard_id = options_.shard_id;
-  return ScopedGrant(options_.compaction_governor, request, abort);
-}
-
 Status DBImpl::CompactValueLog() {
   return vlog_gc_ != nullptr ? vlog_gc_->CompactValueLog() : Status::OK();
 }
@@ -1702,12 +1691,12 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     *value = StatsReport();
     return true;
   } else if (in == Slice("advisor")) {
-    // Advisor has its own lock; JSON per docs/OBSERVABILITY.md.
-    *value = advisor_.ToJson();
+    // The controller has its own lock; JSON per docs/OBSERVABILITY.md.
+    *value = scheduler_.AdvisorJson();
     return true;
   } else if (in == Slice("scheduler")) {
-    // Scheduler has its own lock; JSON per docs/TUNING.md.
-    *value = scheduler_->ToJson();
+    // JSON per docs/TUNING.md.
+    *value = scheduler_.ToJson();
     return true;
   } else if (in == Slice("sstables")) {
     *value = versions_->current()->DebugString();
@@ -1968,7 +1957,8 @@ Status DB::Open(const Options& options, const std::string& dbname,
       // The GC thread starts only after recovery has fully succeeded, so
       // it never races the bring-up sequence above.
       impl->vlog_gc_ = std::make_unique<VlogGarbageCollector>(
-          impl, impl->vlog_.get(), impl->options_, &impl->shutting_down_);
+          impl, &impl->scheduler_, impl->vlog_.get(), impl->options_,
+          &impl->shutting_down_);
     }
     impl->MaybeScheduleCompaction();
   }

@@ -24,7 +24,6 @@
 #include "src/db/table_cache.h"
 #include "src/db/write_batch.h"
 #include "src/memtable/memtable.h"
-#include "src/obs/advisor.h"
 #include "src/obs/event_listener.h"
 #include "src/obs/logger.h"
 #include "src/obs/metrics.h"
@@ -82,8 +81,6 @@ class DBImpl final : public DB {
 
   obs::MetricsRegistry* MetricsHandle() override { return &metrics_registry_; }
   obs::Logger* InfoLogHandle() override { return info_log_; }
-  // The value-log GC feeds its passes to the advisor (vlog_gc.cc).
-  obs::BottleneckAdvisor* advisor() { return &advisor_; }
 
   // A consistent read view: refs on mem_, on imm_ (null when no flush is
   // pending) and on the current version, plus the sequence to read at.
@@ -124,14 +121,6 @@ class DBImpl final : public DB {
   // Compute the min pin under mutex_ and sweep retired segments without
   // holding it (never call into vlog_ with mutex_ held).
   void SweepRetiredVlogSegments();
-
-  // The one admission path for compactions and value-log GC passes:
-  // stamps `request` with this shard's id and, with
-  // Options::compaction_governor set, blocks in it until it grants or
-  // `abort()` turns true; without one the request's choice runs.
-  // REQUIRES: mutex_ not held.
-  ScopedGrant AdmitJob(CompactionAdmissionRequest request,
-                       const std::function<bool()>& abort);
 
  private:
   friend class DB;
@@ -240,7 +229,8 @@ class DBImpl final : public DB {
 
   // The GetProperty("pipelsm.stats") payload: counters, level summary,
   // accumulated step profile, the metrics registry snapshot (which holds
-  // the foreground latency histograms) and the advisor verdict.
+  // the foreground latency histograms), the advisor verdict and the
+  // scheduler state.
   std::string StatsReport() /* REQUIRES: holding mutex_ */;
 
   // Re-exports the chrome trace to Options::trace_path (no-op without a
@@ -279,11 +269,6 @@ class DBImpl final : public DB {
   std::unique_ptr<read::Cache> owned_block_cache_;
   TableOptions table_options_;        // derived, for readers/flushes
   std::unique_ptr<TableCache> table_cache_;
-
-  // Picks the procedure and parallelism of each compaction, in every
-  // engine. With adaptive_compaction off the choice is
-  // Options::compaction_mode on every admission.
-  std::unique_ptr<CompactionScheduler> scheduler_;
 
   std::mutex mutex_;
   std::condition_variable background_work_signal_;
@@ -374,16 +359,18 @@ class DBImpl final : public DB {
   std::unique_ptr<obs::Logger> owned_info_log_;
   obs::Logger* info_log_ = nullptr;
 
-  // Event stream: one internal listener (EVENT log lines + advisor feed)
+  // Event stream: one internal listener (EVENT log lines + profile feed)
   // followed by Options::listeners, dispatched in that order. Job ids for
   // flushes and compactions come from one monotone sequence.
   std::unique_ptr<EventLogger> event_logger_;
   obs::EventListeners listeners_;
   std::atomic<uint64_t> next_job_id_{1};
 
-  // Online Eq. 1-7 bottleneck advisor, fed the StepProfile of every
-  // successful compaction; behind GetProperty("pipelsm.advisor").
-  obs::BottleneckAdvisor advisor_;
+  // The compaction controller (src/compaction/scheduler.h): fed the
+  // StepProfile of every successful compaction and GC pass, it chooses
+  // and admits every job; behind GetProperty("pipelsm.advisor") and
+  // ("pipelsm.scheduler"). Has its own lock.
+  CompactionScheduler scheduler_;
 
   obs::WriteStallCondition stall_condition_ =
       obs::WriteStallCondition::kNormal;  // guarded by mutex_

@@ -162,11 +162,11 @@ struct Options {
   // When true, the procedure and parallelism degree of every major
   // compaction are chosen per job by the CompactionScheduler
   // (src/compaction/scheduler.h): it evaluates the paper's Eqs. 1-7 on
-  // the bottleneck advisor's decayed step profile at each admission, so
-  // the executor tracks whether the pipeline is currently I/O- or
-  // CPU-bound instead of freezing compaction_mode at DB::Open. When
-  // false (default), compaction_mode / compute_parallelism above apply
-  // verbatim to every job.
+  // its own decayed step profile at each admission, so the executor
+  // tracks whether the pipeline is currently I/O- or CPU-bound instead
+  // of freezing compaction_mode at DB::Open. When false (default),
+  // compaction_mode / compute_parallelism above apply verbatim to every
+  // job.
   bool adaptive_compaction = false;
 
   // Cap on the compute workers the scheduler may choose for one job,
@@ -182,7 +182,7 @@ struct Options {
   // the pipeline shape back and forth.
   int scheduler_hysteresis_jobs = 3;
 
-  // Completed compactions the advisor must have digested before adaptive
+  // Completed jobs the scheduler must have digested before adaptive
   // decisions begin; until then the static compaction_mode applies (the
   // decayed profile of the first job or two is mostly noise).
   int scheduler_warmup_jobs = 2;

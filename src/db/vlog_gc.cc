@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "src/compaction/scheduler.h"
 #include "src/db/db_impl.h"
-#include "src/obs/advisor.h"
 #include "src/obs/logger.h"
 #include "src/util/stopwatch.h"
 
@@ -39,9 +39,13 @@ bool PointsAt(const DBImpl::ReadView& view, const Slice& key,
 }  // namespace
 
 VlogGarbageCollector::VlogGarbageCollector(
-    DBImpl* db, vlog::VlogManager* vlog, const Options& options,
-    const std::atomic<bool>* shutting_down)
-    : db_(db), vlog_(vlog), options_(options), shutting_down_(shutting_down) {
+    DBImpl* db, CompactionScheduler* controller, vlog::VlogManager* vlog,
+    const Options& options, const std::atomic<bool>* shutting_down)
+    : db_(db),
+      controller_(controller),
+      vlog_(vlog),
+      options_(options),
+      shutting_down_(shutting_down) {
   thread_ = std::thread([this] { ThreadMain(); });
 }
 
@@ -102,11 +106,8 @@ Status VlogGarbageCollector::CollectSegment(uint64_t segment) {
 
   // GC competes for the same fleet worker budget as compactions, at the
   // lowest admission tier (request.is_gc — see src/shard/arbiter.cc).
-  CompactionAdmissionRequest request;
-  request.level = -1;
-  request.is_gc = true;
   ScopedGrant grant =
-      db_->AdmitJob(request, [this] { return shutting_down(); });
+      controller_->AdmitGc([this] { return shutting_down(); });
   if (!grant.granted()) {
     vlog_->FinishGc(segment, false, 0);
     return Status::OK();
@@ -119,12 +120,12 @@ Status VlogGarbageCollector::CollectSegment(uint64_t segment) {
   const DBImpl::ReadView view = db_->AcquireReadView(nullptr, /*pin=*/false);
 
   // GC is a data-movement job like any compaction, so it reports a
-  // StepProfile to the bottleneck advisor: the segment scan is S1 READ,
-  // the per-frame liveness checks are its (small) compute, the copies +
-  // sync + pointer commit are S7 WRITE. On a separated workload GC moves
-  // the value bytes compaction no longer touches, and folding its
-  // profile in is what lets the advisor's regime verdict track where the
-  // machine's work actually went.
+  // StepProfile to the compaction controller: the segment scan is S1
+  // READ, the per-frame liveness checks are its (small) compute, the
+  // copies + sync + pointer commit are S7 WRITE. On a separated workload
+  // GC moves the value bytes compaction no longer touches, and folding
+  // its profile in is what lets the controller's regime verdict track
+  // where the machine's work actually went.
   std::vector<GcRewrite> rewrites;
   std::vector<uint64_t> touched;
   uint64_t live_bytes = 0;
@@ -206,7 +207,7 @@ Status VlogGarbageCollector::CollectSegment(uint64_t segment) {
                     scanned_bytes);
     profile.AddStep(kStepSort, liveness_nanos, scanned_bytes);
     profile.AddStep(kStepWrite, append_nanos + commit_nanos, live_bytes);
-    db_->advisor()->AddJob(profile);
+    controller_->AddJob(profile);
   }
 
   if (!touched.empty()) vlog_->ReleaseAppends(touched);

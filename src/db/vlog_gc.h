@@ -3,8 +3,9 @@
 // the paper's S1-S7 terms: it scans the segment (S1 read), checks each
 // frame's liveness against a DB read view (the compute step), re-appends
 // the live values and commits their new pointers (S7 write), then
-// retires the segment. It reports that StepProfile to the bottleneck
-// advisor and is admitted by the DB's governor at the GC tier.
+// retires the segment. It is admitted at the GC tier by the DB's
+// compaction controller (src/compaction/scheduler.h), and reports that
+// StepProfile to it.
 //
 // It reaches the DB only through DBImpl's read view, leader commit and
 // sweep calls, each of which takes the DB mutex itself, so the GC never
@@ -22,6 +23,7 @@
 
 namespace pipelsm {
 
+class CompactionScheduler;
 class DBImpl;
 
 class VlogGarbageCollector {
@@ -30,10 +32,11 @@ class VlogGarbageCollector {
   // woken and every 250 ms. It is separate from the DB's background
   // thread so that a GC commit waiting in the writer queue can never
   // deadlock against a stalled leader that needs the background thread
-  // to make progress. Every argument must outlive the collector; passes
-  // in flight abort once *shutting_down is set.
-  VlogGarbageCollector(DBImpl* db, vlog::VlogManager* vlog,
-                       const Options& options,
+  // to make progress. `controller` is the DB's compaction controller.
+  // Every argument must outlive the collector; passes in flight abort
+  // once *shutting_down is set.
+  VlogGarbageCollector(DBImpl* db, CompactionScheduler* controller,
+                       vlog::VlogManager* vlog, const Options& options,
                        const std::atomic<bool>* shutting_down);
   // Stops and joins the GC thread.
   ~VlogGarbageCollector();
@@ -60,6 +63,7 @@ class VlogGarbageCollector {
   }
 
   DBImpl* const db_;
+  CompactionScheduler* const controller_;
   vlog::VlogManager* const vlog_;
   const Options& options_;
   const std::atomic<bool>* const shutting_down_;

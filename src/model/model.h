@@ -73,10 +73,9 @@ bool IsCpuBound(const StepTimes& t);
 
 // The paper's §III-C prescription as data: which procedure the measured
 // step times call for, at what parallelism, and the ideal gain over plain
-// PCP. The online advisor (src/obs/advisor.h) and the compaction
-// scheduler (src/compaction/scheduler.h), the one chooser in every
-// engine, both take it from Prescribe(), so report and control loop can
-// never disagree.
+// PCP. The compaction controller (src/compaction/scheduler.h), the one
+// chooser in every engine, takes both its choice and its advisor report
+// from Prescribe(), so report and control loop can never disagree.
 struct Prescription {
   CompactionMode procedure = CompactionMode::kPCP;
   int k = 1;                 // compute workers (C-PPCP); 1 otherwise

@@ -7,8 +7,8 @@
 // per-step S1–S7 times the paper's Eqs. 1–7 consume), and the write path
 // announces every backpressure transition. The DB itself installs one
 // internal listener that turns the stream into info-log lines and feeds
-// the online bottleneck advisor (src/obs/advisor.h); user listeners on
-// Options::listeners ride the same dispatch.
+// the compaction controller's step profile (src/compaction/scheduler.h);
+// user listeners on Options::listeners ride the same dispatch.
 //
 // Threading contract: callbacks fire synchronously on whichever thread
 // produced the event — the background compaction thread for flush and

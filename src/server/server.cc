@@ -15,7 +15,6 @@
 #include <unordered_map>
 
 #include "src/db/write_batch.h"
-#include "src/obs/advisor.h"
 #include "src/obs/prometheus.h"
 #include "src/server/http.h"
 #include "src/shard/sharded_db.h"

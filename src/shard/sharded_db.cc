@@ -11,6 +11,7 @@
 #include "src/obs/metrics.h"
 #include "src/util/coding.h"
 #include "src/util/json_writer.h"
+#include "src/util/string_util.h"
 
 namespace pipelsm::shard {
 
@@ -452,20 +453,20 @@ bool ShardedDB::GetProperty(const Slice& property, std::string* value) {
     return true;
   }
 
-  // "pipelsm.shard<N>.<rest>" forwards "pipelsm.<rest>" to shard N.
-  if (prop.rfind("pipelsm.shard", 0) == 0) {
-    const size_t dot = prop.find('.', sizeof("pipelsm.shard") - 1);
-    if (dot != std::string::npos) {
-      const std::string index_str =
-          prop.substr(sizeof("pipelsm.shard") - 1,
-                      dot - (sizeof("pipelsm.shard") - 1));
-      if (!index_str.empty() &&
-          index_str.find_first_not_of("0123456789") == std::string::npos) {
-        const size_t i = std::stoul(index_str);
-        if (i >= shards_.size()) return false;
-        return shards_[i]->GetProperty("pipelsm." + prop.substr(dot + 1),
-                                       value);
+  // "pipelsm.shard<N>.<rest>" forwards "pipelsm.<rest>" to shard N. The
+  // name can come from a client (STATS), so N is parsed with an overflow
+  // check: a malformed or out-of-range N is an unknown property.
+  Slice rest = property;
+  if (rest.starts_with("pipelsm.shard")) {
+    rest.remove_prefix(sizeof("pipelsm.shard") - 1);
+    if (!rest.empty() && rest[0] >= '0' && rest[0] <= '9') {
+      uint64_t i = 0;
+      if (!ConsumeDecimalNumber(&rest, &i) || i >= shards_.size() ||
+          !rest.starts_with(".")) {
+        return false;
       }
+      rest.remove_prefix(1);
+      return shards_[i]->GetProperty("pipelsm." + rest.ToString(), value);
     }
   }
 

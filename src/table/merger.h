@@ -1,6 +1,6 @@
-// Merging iterator: the sorted union of n child iterators. This is the
-// S4 (SORT) engine of the compaction procedure and the read path's
-// multi-level view.
+// Merging iterator: the sorted union of n child iterators, the read
+// path's k-way merge (its multi-level view). Compaction's S4 (SORT)
+// merges with MergeHeap over RunCursors instead (src/compaction/steps.cc).
 #pragma once
 
 #include "src/table/iterator.h"

@@ -1,10 +1,9 @@
-// BottleneckAdvisor golden tests: synthetic StepProfiles with a known
-// Eq. 2 bottleneck must yield the matching verdict, the predicted
-// bandwidths must agree with the model library evaluated on the same
-// step times, and the JSON must actually parse (the payload of
-// GetProperty("pipelsm.advisor") is consumed by scripts, not humans).
-#include "src/obs/advisor.h"
-
+// Bottleneck-advisor golden tests, the learning half of the compaction
+// controller: synthetic StepProfiles with a known Eq. 2 bottleneck must
+// yield the matching verdict, the predicted bandwidths must agree with
+// the model library evaluated on the same step times, and the JSON must
+// actually parse (the payload of GetProperty("pipelsm.advisor") is
+// consumed by scripts, not humans).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,10 +13,11 @@
 
 #include "src/compaction/scheduler.h"
 #include "src/model/model.h"
+#include "src/obs/metrics.h"
 #include "src/util/stopwatch.h"
 #include "tests/obs/json_check.h"
 
-namespace pipelsm::obs {
+namespace pipelsm {
 namespace {
 
 using testjson::JsonValue;
@@ -43,10 +43,18 @@ StepProfile MakeProfile(double read_s, double compute_s, double write_s,
   return p;
 }
 
-JsonValue MustParse(const BottleneckAdvisor& advisor) {
+// A controller whose recommendation is capped at `max_workers` compute
+// workers; 8 leaves every golden profile's saturation k uncapped.
+Options Capped(int max_workers = 8) {
+  Options o;
+  o.max_compute_workers = max_workers;
+  return o;
+}
+
+JsonValue MustParse(const CompactionScheduler& advisor) {
   JsonValue v;
   std::string err;
-  const std::string json = advisor.ToJson();
+  const std::string json = advisor.AdvisorJson();
   EXPECT_TRUE(ParseJson(json, &v, &err)) << err << "\n" << json;
   return v;
 }
@@ -64,7 +72,7 @@ std::string Text(const JsonValue& v, const std::string& key) {
 }
 
 TEST(BottleneckAdvisor, EmptyReportsZeroJobsAndStillParses) {
-  BottleneckAdvisor advisor;
+  CompactionScheduler advisor(Capped(), nullptr);
   EXPECT_EQ(0u, advisor.jobs());
   JsonValue v = MustParse(advisor);
   EXPECT_EQ(0, Number(v, "jobs"));
@@ -74,7 +82,7 @@ TEST(BottleneckAdvisor, EmptyReportsZeroJobsAndStillParses) {
 }
 
 TEST(BottleneckAdvisor, IgnoresDegenerateProfiles) {
-  BottleneckAdvisor advisor;
+  CompactionScheduler advisor(Capped(), nullptr);
   advisor.AddJob(StepProfile());  // zero sub-tasks: nothing to average
   StepProfile no_wall = MakeProfile(1e-3, 1e-3, 1e-3);
   no_wall.wall_nanos = 0;
@@ -89,7 +97,7 @@ TEST(BottleneckAdvisor, IgnoresDegenerateProfiles) {
 // same step times.
 TEST(BottleneckAdvisor, ReadBoundGoldenProfile) {
   const double read_s = 8e-3, compute_s = 2e-3, write_s = 1e-3;
-  BottleneckAdvisor advisor;
+  CompactionScheduler advisor(Capped(), nullptr);
   advisor.AddJob(MakeProfile(read_s, compute_s, write_s));
   ASSERT_EQ(1u, advisor.jobs());
 
@@ -141,13 +149,19 @@ TEST(BottleneckAdvisor, ReadBoundGoldenProfile) {
 // before any job, then the code of the regime the JSON names, tracking
 // the decayed profile across a shift; a degenerate job leaves it alone.
 TEST(BottleneckAdvisor, RegimeGaugeFollowsTheVerdict) {
-  MetricsRegistry registry;
-  BottleneckAdvisor advisor(0, /*decay=*/1.0, &registry);
-  Gauge* regime = registry.RegisterGauge("advisor.regime", "");
+  obs::MetricsRegistry registry;
+  CompactionScheduler advisor(Capped(), &registry);
+  obs::Gauge* regime = registry.RegisterGauge("advisor.regime", "");
   EXPECT_EQ(0, regime->value());
   advisor.AddJob(MakeProfile(8e-3, 2e-3, 1e-3));
   EXPECT_EQ("io-bound", Text(MustParse(advisor), "regime"));
   EXPECT_EQ(1, regime->value());
+  // One compute-bound job weighs 0.3: read 6.2 ms still beats compute
+  // 4.4 ms, so the decayed profile stays I/O-bound ...
+  advisor.AddJob(MakeProfile(2e-3, 10e-3, 1e-3));
+  EXPECT_EQ("io-bound", Text(MustParse(advisor), "regime"));
+  EXPECT_EQ(1, regime->value());
+  // ... and a second one tips it (read 4.94 ms, compute 6.08 ms).
   advisor.AddJob(MakeProfile(2e-3, 10e-3, 1e-3));
   EXPECT_EQ("cpu-bound", Text(MustParse(advisor), "regime"));
   EXPECT_EQ(2, regime->value());
@@ -159,7 +173,7 @@ TEST(BottleneckAdvisor, RegimeGaugeFollowsTheVerdict) {
 // SSD regime (Figure 6(b)): compute dominates; the prescription flips
 // to C-PPCP with Eq. 6's saturation thread count.
 TEST(BottleneckAdvisor, ComputeBoundGoldenProfile) {
-  BottleneckAdvisor advisor;
+  CompactionScheduler advisor(Capped(), nullptr);
   advisor.AddJob(MakeProfile(2e-3, 10e-3, 1e-3));
 
   const model::StepTimes t = advisor.Profile();
@@ -181,7 +195,7 @@ TEST(BottleneckAdvisor, ComputeBoundGoldenProfile) {
 // either parallel variant is ~1x, so the advisor must say "stay on PCP"
 // instead of recommending churn.
 TEST(BottleneckAdvisor, BalancedPipelineRecommendsPcp) {
-  BottleneckAdvisor advisor;
+  CompactionScheduler advisor(Capped(), nullptr);
   advisor.AddJob(MakeProfile(3e-3, 3e-3, 3e-3));
 
   JsonValue v = MustParse(advisor);
@@ -192,15 +206,15 @@ TEST(BottleneckAdvisor, BalancedPipelineRecommendsPcp) {
   EXPECT_NEAR(1.0, Number(*rec, "ideal_speedup_vs_pcp"), 1e-2);
 }
 
-// The running profile is an EMA: with decay d, the second job weighs d
-// and the first 1-d, so the profile tracks workload shifts instead of
+// The running profile is an EMA: with decay 0.3, the second job weighs
+// 0.3 and the first 0.7, so the profile tracks workload shifts instead of
 // averaging over the DB's whole lifetime.
 TEST(BottleneckAdvisor, DecayedProfileTracksRecentJobs) {
-  BottleneckAdvisor advisor(0, /*decay=*/0.5);
+  CompactionScheduler advisor(Capped(), nullptr);
   advisor.AddJob(MakeProfile(8e-3, 2e-3, 1e-3));
   advisor.AddJob(MakeProfile(4e-3, 2e-3, 1e-3));
   EXPECT_EQ(2u, advisor.jobs());
-  EXPECT_NEAR(6e-3, advisor.Profile().read(), 1e-9);
+  EXPECT_NEAR(6.8e-3, advisor.Profile().read(), 1e-9);
 
   // Many repeats of the new workload converge the EMA to it.
   for (int i = 0; i < 20; i++) {
@@ -209,16 +223,16 @@ TEST(BottleneckAdvisor, DecayedProfileTracksRecentJobs) {
   EXPECT_NEAR(4e-3, advisor.Profile().read(), 1e-5);
 }
 
-// AddJob and ToJson may race (GetProperty vs the compaction thread);
+// AddJob and AdvisorJson may race (GetProperty vs the compaction thread);
 // this is the single-advisor slice of the DB-level hammer test.
 TEST(BottleneckAdvisor, ConcurrentAddAndReportStaysParseable) {
-  BottleneckAdvisor advisor;
+  CompactionScheduler advisor(Capped(), nullptr);
   std::atomic<bool> stop{false};
   std::thread reporter([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       JsonValue v;
       std::string err;
-      const std::string json = advisor.ToJson();
+      const std::string json = advisor.AdvisorJson();
       if (!ParseJson(json, &v, &err)) {
         ADD_FAILURE() << err << "\n" << json;
         return;
@@ -235,8 +249,8 @@ TEST(BottleneckAdvisor, ConcurrentAddAndReportStaysParseable) {
 
 // Report and control loop agree: on every profile of the grid, under
 // both cap settings, the advisor's recommendation {procedure, k} is
-// exactly the target the adaptive scheduler switches to with the same
-// cap — including the Eq. 3-degenerate point (SCP) and points whose
+// exactly the target the adaptive controller switches to on the same
+// profile — including the Eq. 3-degenerate point (SCP) and points whose
 // saturation k lies above the cap.
 TEST(BottleneckAdvisor, RecommendationIsTheSchedulersTarget) {
   struct Point {
@@ -251,21 +265,19 @@ TEST(BottleneckAdvisor, RecommendationIsTheSchedulersTarget) {
   for (const int workers : {2, 8}) {
     for (const Point& p : grid) {
       SCOPED_TRACE(std::string(p.name) + " cap " + std::to_string(workers));
-      BottleneckAdvisor advisor(workers);
+      Options o = Capped(workers);
+      o.adaptive_compaction = true;
+      o.scheduler_hysteresis_jobs = 1;
+      o.scheduler_warmup_jobs = 0;
+      CompactionScheduler advisor(o, nullptr);
       advisor.AddJob(MakeProfile(p.read_ms * 1e-3, p.compute_ms * 1e-3,
                                  p.write_ms * 1e-3));
       const JsonValue v = MustParse(advisor);
       const JsonValue* rec = v.Find("recommendation");
       ASSERT_NE(nullptr, rec);
 
-      SchedulerOptions o;
-      o.adaptive = true;
-      o.max_compute_workers = workers;
-      o.hysteresis_jobs = 1;
-      o.warmup_jobs = 0;
-      CompactionScheduler scheduler(o, nullptr);
       const CompactionChoice g =
-          scheduler.Choose(advisor.Profile(), advisor.jobs());
+          advisor.Choose(advisor.Profile(), advisor.jobs());
       EXPECT_EQ(CompactionModeName(g.mode), Text(*rec, "procedure"));
       EXPECT_EQ(g.compute_parallelism, Number(*rec, "k"));
       EXPECT_LE(Number(*rec, "k"), workers);
@@ -274,4 +286,4 @@ TEST(BottleneckAdvisor, RecommendationIsTheSchedulersTarget) {
 }
 
 }  // namespace
-}  // namespace pipelsm::obs
+}  // namespace pipelsm

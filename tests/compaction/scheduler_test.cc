@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/model/model.h"
-#include "src/obs/advisor.h"
 #include "src/obs/metrics.h"
 #include "tests/obs/json_check.h"
 
@@ -38,21 +37,22 @@ model::StepTimes IoBound() { return Times(8e-3, 2e-3, 1e-3); }
 // SSD regime: compute dominates; Eq. 6 saturation k = ceil(10/2) = 5.
 model::StepTimes CpuBound() { return Times(2e-3, 10e-3, 1e-3); }
 
-SchedulerOptions Adaptive(int hysteresis = 1, int warmup = 0) {
-  SchedulerOptions o;
-  o.adaptive = true;
-  o.static_mode = CompactionMode::kPCP;
+Options Adaptive(int hysteresis = 1, int warmup = 0) {
+  Options o;
+  o.adaptive_compaction = true;
+  o.compaction_mode = CompactionMode::kPCP;
+  o.compute_parallelism = 1;
   o.max_compute_workers = 8;
-  o.hysteresis_jobs = hysteresis;
-  o.warmup_jobs = warmup;
+  o.scheduler_hysteresis_jobs = hysteresis;
+  o.scheduler_warmup_jobs = warmup;
   return o;
 }
 
 TEST(CompactionScheduler, StaticPassthroughWhenAdaptiveOff) {
-  SchedulerOptions o;
-  o.adaptive = false;
-  o.static_mode = CompactionMode::kCPPCP;
-  o.static_compute_parallelism = 2;
+  Options o;
+  o.adaptive_compaction = false;
+  o.compaction_mode = CompactionMode::kCPPCP;
+  o.compute_parallelism = 2;
   CompactionScheduler s(o, nullptr);
   for (int i = 0; i < 4; i++) {
     const CompactionChoice d = s.Choose(IoBound(), /*advisor_jobs=*/100);
@@ -82,9 +82,9 @@ TEST(CompactionScheduler, WarmupHoldsStaticChoice) {
 // S-PPCP is PCP on a striped Env: an I/O-bound profile gets PCP with one
 // worker, and the rationale points the operator at the device's stripe.
 TEST(CompactionScheduler, IoBoundPrescribesPcp) {
-  SchedulerOptions o = Adaptive();
-  o.static_mode = CompactionMode::kCPPCP;
-  o.static_compute_parallelism = 4;
+  Options o = Adaptive();
+  o.compaction_mode = CompactionMode::kCPPCP;
+  o.compute_parallelism = 4;
   CompactionScheduler s(o, nullptr);
   // Deterministic: the same profile yields the same verdict every time.
   for (int i = 0; i < 5; i++) {
@@ -126,23 +126,22 @@ TEST(CompactionScheduler, DegeneratePipelineFallsBackToScp) {
 }
 
 TEST(CompactionScheduler, BoundsClampPrescribedK) {
-  SchedulerOptions o = Adaptive();
+  Options o = Adaptive();
   o.max_compute_workers = 2;  // saturation says 5
   CompactionScheduler s(o, nullptr);
   EXPECT_EQ(2, s.Choose(CpuBound(), 10).compute_parallelism);
 }
 
-// The phase shift a live DB sees, on injected profiles: an advisor fed
-// CPU-bound jobs and then I/O-bound ones, decayed as in the DB, drives
-// the scheduler from the static PCP to C-PPCP, and after its profile
-// crosses the regime boundary and the hysteresis window fills, back to
-// PCP (through smaller k while the EMA converges): the I/O-bound phase's
-// parallelism is the Env's stripe.
+// The phase shift a live DB sees, on injected profiles: a controller fed
+// CPU-bound jobs and then I/O-bound ones, decayed as in the DB, moves
+// from the static PCP to C-PPCP, and after its profile crosses the
+// regime boundary and the hysteresis window fills, back to PCP (through
+// smaller k while the EMA converges): the I/O-bound phase's parallelism
+// is the Env's stripe.
 TEST(CompactionScheduler, PhaseShiftFlipsTheProcedure) {
-  SchedulerOptions o = Adaptive(/*hysteresis=*/2, /*warmup=*/2);
+  Options o = Adaptive(/*hysteresis=*/2, /*warmup=*/2);
   o.max_compute_workers = 4;
   CompactionScheduler s(o, nullptr);
-  obs::BottleneckAdvisor advisor(o.max_compute_workers);
   std::vector<CompactionMode> procedures;  // each change, in order
   const auto phase = [&](const model::StepTimes& t) {
     StepProfile job;
@@ -155,11 +154,11 @@ TEST(CompactionScheduler, PhaseShiftFlipsTheProcedure) {
         std::max({t.read(), t.compute(), t.write()}) * 1e9);
     CompactionChoice last;
     for (int i = 0; i < 16; i++) {  // long enough for the EMA to settle
-      last = s.Choose(advisor.Profile(), advisor.jobs());
+      last = s.Choose(s.Profile(), s.jobs());
       if (procedures.empty() || procedures.back() != last.mode) {
         procedures.push_back(last.mode);
       }
-      advisor.AddJob(job);
+      s.AddJob(job);
     }
     return last;
   };
@@ -284,17 +283,24 @@ TEST(CompactionScheduler, ToJsonParsesAndReportsCandidateStreak) {
   EXPECT_EQ(nullptr, steady.Find("candidate"));
 }
 
+// The controller clamps the Options scheduling knobs, in one place; its
+// report shows the bounds it runs with.
 TEST(CompactionScheduler, FromOptionsClampsDegenerateBounds) {
   Options options;
   options.adaptive_compaction = true;
   options.max_compute_workers = -3;
   options.scheduler_hysteresis_jobs = 0;
   options.scheduler_warmup_jobs = -1;
-  const SchedulerOptions s = SchedulerOptions::FromOptions(options);
-  EXPECT_TRUE(s.adaptive);
-  EXPECT_EQ(1, s.max_compute_workers);
-  EXPECT_EQ(1, s.hysteresis_jobs);
-  EXPECT_EQ(0, s.warmup_jobs);
+  const CompactionScheduler s(options, nullptr);
+  JsonValue v;
+  std::string err;
+  ASSERT_TRUE(ParseJson(s.ToJson(), &v, &err)) << err;
+  EXPECT_TRUE(v.Find("adaptive")->bool_value);
+  const JsonValue* workers = v.Find("bounds")->Find("compute_workers");
+  ASSERT_EQ(2u, workers->array.size());
+  EXPECT_EQ(1, workers->array[1].number_value);
+  EXPECT_EQ(1, v.Find("hysteresis_jobs")->number_value);
+  EXPECT_EQ(0, v.Find("warmup_jobs")->number_value);
 }
 
 }  // namespace

@@ -611,6 +611,18 @@ TEST_F(ServerTest, DrainAnswersAcceptedRequests) {
   EXPECT_FALSE(late.Ping().ok());
 }
 
+// STATS hands the client's property name to the fleet: a shard index too
+// long for 64 bits is an unknown property, and the server keeps serving.
+TEST_F(ServerTest, ShardedStatsWithAnOverlongShardIndexIsRejected) {
+  ASSERT_NO_FATAL_FAILURE(OpenShardedDB(2, {"m"}));
+  StartServer();
+  client::Client* cli = NewClient();
+  std::string stats;
+  EXPECT_TRUE(cli->Stats("pipelsm.shard99999999999999999999999.stats", &stats)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(cli->Ping().ok());
+}
+
 // A sharded server splits each WRITE_BATCH per shard. A batch across the
 // seam commits on both shards and its client gets exactly one reply; a
 // batch inside one shard rides only that shard's commit thread.

@@ -414,6 +414,22 @@ TEST(ShardedDB, PropertiesFanOutAcrossTheFleet) {
   }
 }
 
+// The shard index of "pipelsm.shard<N>." is client input (a server's
+// STATS request): one past the last shard, an index too long for 64 bits
+// and a malformed one are unknown properties, never a crash.
+TEST(ShardedDB, MalformedShardIndexIsAnUnknownProperty) {
+  SimEnv env;
+  Options options = BaseOptions(&env);
+  std::unique_ptr<ShardedDB> db = MustOpen(options, FourShards(), "/sdb");
+  std::string value;
+  EXPECT_FALSE(db->GetProperty("pipelsm.shard4.stats", &value));
+  EXPECT_FALSE(db->GetProperty(
+      "pipelsm.shard99999999999999999999999.stats", &value));
+  EXPECT_FALSE(db->GetProperty("pipelsm.shard1x.stats", &value));
+  EXPECT_FALSE(db->GetProperty("pipelsm.shard1", &value));
+  EXPECT_TRUE(db->GetProperty("pipelsm.shard1.stats", &value));
+}
+
 // The fleet registry is what DB::MetricsHandle() hands embedding layers
 // (the server registers server.* there), so pipelsm.metrics must show it.
 TEST(ShardedDB, MetricsPropertyIncludesTheFleetRegistry) {

@@ -23,6 +23,7 @@
 #include "src/read/cache.h"
 #include "src/shard/sharded_db.h"
 #include "src/table/iterator.h"
+#include "tests/obs/json_check.h"
 
 namespace pipelsm {
 namespace {
@@ -299,6 +300,47 @@ TEST_F(VlogDbTest, CompactValueLogRewritesLiveAndDropsDead) {
   }
   EXPECT_GE(counted, (n / 3) * 4096u) << "every survivor was rewritten";
   EXPECT_EQ(logged, counted) << log;
+}
+
+// A GC pass is a data-movement job: its StepProfile feeds the compaction
+// controller, so pipelsm.advisor digests it, but it is no compaction.
+// A pass that scans no frames reports no profile, so the controller
+// digests at most one job per completed pass.
+TEST_F(VlogDbTest, GcPassFeedsTheCompactionController) {
+  Open();
+  // Every value is written twice: the first round's frames are garbage
+  // once the second round lands. Nothing flushes or compacts, so no
+  // discard is credited and the background GC thread stays idle.
+  for (int round = 0; round < 2; round++) {
+    for (int i = 0; i < 20; i++) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), "key" + std::to_string(i),
+                           LargeValue(i + round))
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(db_->WaitForCompactions().ok());
+  const auto advisor_jobs = [this] {
+    std::string json;
+    EXPECT_TRUE(db_->GetProperty("pipelsm.advisor", &json));
+    testjson::JsonValue v;
+    EXPECT_TRUE(testjson::ParseJson(json, &v)) << json;
+    const testjson::JsonValue* jobs = v.Find("jobs");
+    EXPECT_NE(nullptr, jobs) << json;
+    return jobs != nullptr ? static_cast<uint64_t>(jobs->number_value) : 0;
+  };
+  const uint64_t gc_runs = Counter("vlog.gc_runs");
+  const uint64_t jobs = advisor_jobs();
+  const uint64_t compactions = Counter("compaction.jobs");
+
+  ASSERT_TRUE(db_->CompactValueLog().ok());
+
+  const uint64_t digested = advisor_jobs() - jobs;
+  EXPECT_GE(digested, 1u);
+  EXPECT_LE(digested, Counter("vlog.gc_runs") - gc_runs);
+  EXPECT_EQ(compactions, Counter("compaction.jobs"));
+  for (int i = 0; i < 20; i++) {
+    EXPECT_EQ(LargeValue(i + 1), Get("key" + std::to_string(i))) << i;
+  }
 }
 
 // Foreground overwrites race full GC sweeps. The commit re-check must

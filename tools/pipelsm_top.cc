@@ -209,7 +209,7 @@ const char* StallName(double state) {
   return "normal";
 }
 
-// The advisor.regime gauge's codes (src/obs/advisor.h).
+// The advisor.regime gauge's codes (src/compaction/scheduler.h).
 const char* RegimeName(double code) {
   if (code >= 2) return "cpu-bound";
   if (code >= 1) return "io-bound";
