@@ -6,7 +6,9 @@
 
 #include <map>
 #include <memory>
+#include <string>
 
+#include "src/db/dbformat.h"
 #include "src/db/write_batch.h"
 #include "src/env/sim_env.h"
 #include "src/workload/generator.h"
@@ -283,6 +285,87 @@ TEST(DBOpenTest, SppcpModeIsRejected) {
   s = DB::Open(options, "/db", &db);
   ASSERT_TRUE(s.ok()) << s.ToString();
   delete db;
+}
+
+// Where a flush lands. Each Flush() writes two keys and forces the
+// memtable out through a CompactRange over a key no table holds, which
+// flushes and then finds nothing to compact. The tables are tiny, so no
+// compaction moves them afterwards.
+class FlushPlacementTest : public ::testing::Test {
+ protected:
+  FlushPlacementTest() {
+    options_.env = &env_;
+    options_.create_if_missing = true;
+  }
+
+  void Open() {
+    db_.reset();
+    DB* db = nullptr;
+    Status s = DB::Open(options_, "/db", &db);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    db_.reset(db);
+  }
+
+  void Flush(const std::string& lo, const std::string& hi) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), lo, "v").ok());
+    ASSERT_TRUE(db_->Put(WriteOptions(), hi, "v").ok());
+    const Slice past_every_key("~");
+    db_->CompactRange(&past_every_key, &past_every_key);
+  }
+
+  // "0,0,0,0,0,1,0": tables per level.
+  std::string FilesPerLevel() {
+    std::string result;
+    for (int level = 0; level < config::kNumLevels; level++) {
+      std::string files;
+      EXPECT_TRUE(db_->GetProperty(
+          "pipelsm.num-files-at-level" + std::to_string(level), &files));
+      result += (level > 0 ? "," : "") + files;
+    }
+    return result;
+  }
+
+  SimEnv env_;
+  Options options_;
+  std::unique_ptr<DB> db_;
+};
+
+TEST_F(FlushPlacementTest, LeveledFlushSinksToTheFirstOverlap) {
+  Open();
+  Flush("a", "b");  // empty tree: level kNumLevels - 2
+  EXPECT_EQ("0,0,0,0,0,1,0", FilesPerLevel());
+  Flush("c", "d");  // overlaps nothing
+  EXPECT_EQ("0,0,0,0,0,2,0", FilesPerLevel());
+  Flush("a", "b");
+  Flush("a", "b");
+  Flush("a", "b");
+  EXPECT_EQ("0,0,1,1,1,2,0", FilesPerLevel());
+  Flush("a", "b");  // overlaps L2: stops at L1
+  EXPECT_EQ("0,1,1,1,1,2,0", FilesPerLevel());
+  Flush("a", "b");  // overlaps L1: stays at L0
+  EXPECT_EQ("1,1,1,1,1,2,0", FilesPerLevel());
+}
+
+TEST_F(FlushPlacementTest, OverlappingRunStylesFlushToL0) {
+  for (CompactionStyle style :
+       {CompactionStyle::kTiered, CompactionStyle::kLazyLeveling}) {
+    SCOPED_TRACE(CompactionStyleName(style));
+    db_.reset();
+    ASSERT_TRUE(DestroyDB("/db", options_).ok());
+    options_.compaction_style = style;
+    Open();
+    Flush("a", "b");
+    Flush("c", "d");
+    EXPECT_EQ("2,0,0,0,0,0,0", FilesPerLevel());
+  }
+}
+
+TEST_F(FlushPlacementTest, WalReplayFlushStaysAtL0) {
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "a", "v").ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "b", "v").ok());
+  Open();  // the memtable was never flushed: replay writes it
+  EXPECT_EQ("1,0,0,0,0,0,0", FilesPerLevel());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, DBTest,
