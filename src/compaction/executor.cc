@@ -75,24 +75,23 @@ Status CompactionExecutor::Run(
   const int num_readers = std::max(1, options.read_parallelism);
   const int num_computers = std::max(1, options.compute_parallelism);
 
-  // The executor's private copy of the job options carries the trace pid
-  // down into the write stage, which draws on lane 0 in both schedules.
-  CompactionJobOptions job = options;
-  obs::TraceCollector* const trace = job.trace;
+  // The run's trace process; the write stage draws on its lane 0 in both
+  // schedules.
+  obs::TraceCollector* const trace = options.trace;
+  uint32_t pid = 0;
   if (trace != nullptr) {
-    job.trace_pid = trace->BeginJob(
-        std::string(name()) + (job.memtable ? " flush (" : " compaction (") +
-        std::to_string(plans.size()) + " sub-tasks)");
+    pid = trace->BeginJob(std::string(name()) +
+                          (options.memtable ? " flush (" : " compaction (") +
+                          std::to_string(plans.size()) + " sub-tasks)");
     if (sequential) {
-      trace->SetLaneName(job.trace_pid, 0, "S1-S7 sequential");
+      trace->SetLaneName(pid, 0, "S1-S7 sequential");
     } else {
-      trace->SetLaneName(job.trace_pid, 0, "S7 write");
+      trace->SetLaneName(pid, 0, "S7 write");
       for (int r = 0; r < num_readers; r++) {
-        trace->SetLaneName(job.trace_pid, 1 + r,
-                           "S1 read " + std::to_string(r));
+        trace->SetLaneName(pid, 1 + r, "S1 read " + std::to_string(r));
       }
       for (int c = 0; c < num_computers; c++) {
-        trace->SetLaneName(job.trace_pid, 1 + num_readers + c,
+        trace->SetLaneName(pid, 1 + num_readers + c,
                            "S2-S6 compute " + std::to_string(c));
       }
     }
@@ -100,23 +99,22 @@ Status CompactionExecutor::Run(
 
   obs::HistogramMetric* read_hist = nullptr;
   obs::HistogramMetric* compute_hist = nullptr;
-  if (job.metrics != nullptr) {
-    read_hist = job.metrics->RegisterHistogram(
+  if (options.metrics != nullptr) {
+    read_hist = options.metrics->RegisterHistogram(
         "compaction.subtask.read_micros", "S1 time per sub-task");
-    compute_hist = job.metrics->RegisterHistogram(
+    compute_hist = options.metrics->RegisterHistogram(
         "compaction.subtask.compute_micros", "S2-S6 time per sub-task");
   }
 
   // The step bodies, written once: S1 and S2..S6 traced on the caller's
   // lane and timed into the per-sub-task histograms, S7 through the
   // ordered write stage. Step times land in the caller's *p.
-  WindowedReader reader(job, inputs, plans);
-  WriteStage write_stage(job, sink);
+  WindowedReader reader(options, inputs, plans);
+  WriteStage write_stage(options, sink, pid);
   StepProfile run_profile;
   auto read_step = [&](uint32_t lane, SubTaskPlan&& plan, RawSubTask* raw,
                        StepProfile* p) {
-    obs::TraceSpan span(trace, job.trace_pid, lane, "S1 read", "read",
-                        plan.seq);
+    obs::TraceSpan span(trace, pid, lane, "S1 read", "read", plan.seq);
     Stopwatch sw;
     Status rs = reader.Read(std::move(plan), raw, p);
     if (read_hist != nullptr) read_hist->Observe(sw.ElapsedNanos() / 1000.0);
@@ -126,10 +124,10 @@ Status CompactionExecutor::Run(
                           ComputedSubTask* computed, StepProfile* p) {
     Status cs;
     {
-      obs::TraceSpan span(trace, job.trace_pid, lane, "S2-S6 compute",
+      obs::TraceSpan span(trace, pid, lane, "S2-S6 compute",
                           "compute", raw.plan.seq);
       Stopwatch sw;
-      cs = ComputeSubTask(job, std::move(raw), computed);
+      cs = ComputeSubTask(options, std::move(raw), computed);
       if (compute_hist != nullptr) {
         compute_hist->Observe(sw.ElapsedNanos() / 1000.0);
       }
@@ -161,8 +159,7 @@ Status CompactionExecutor::Run(
     // PCP, S-PPCP and C-PPCP: R reader threads and C compute threads feed
     // the write stage on this thread through two bounded queues. Lanes:
     // 0 = write stage, then readers, then compute workers.
-    const uint32_t pid = job.trace_pid;
-    const size_t depth = std::max<size_t>(1, job.queue_depth);
+    const size_t depth = std::max<size_t>(1, options.queue_depth);
     BoundedQueue<RawSubTask> read_q(depth);
     BoundedQueue<ComputedSubTask> write_q(depth);
 
@@ -263,9 +260,9 @@ Status CompactionExecutor::Run(
 
     // Pipeline telemetry is published even for failed runs — a stall
     // profile of the run that broke is exactly what the postmortem needs.
-    if (job.metrics != nullptr) {
-      obs::AddQueueMetrics(job.metrics, "read", read_q.stats());
-      obs::AddQueueMetrics(job.metrics, "write", write_q.stats());
+    if (options.metrics != nullptr) {
+      obs::AddQueueMetrics(options.metrics, "read", read_q.stats());
+      obs::AddQueueMetrics(options.metrics, "write", write_q.stats());
     }
     for (const StepProfile& p : reader_profiles) run_profile.Merge(p);
     for (const StepProfile& p : computer_profiles) run_profile.Merge(p);
@@ -295,7 +292,7 @@ Status CompactionExecutor::Run(
   run_profile.wall_nanos += job_plan.plan_nanos + wall.ElapsedNanos();
   profile->Merge(run_profile);
   // The registry's run and step counters cover successful runs only.
-  if (s.ok()) obs::AddStepMetrics(job.metrics, run_profile);
+  if (s.ok()) obs::AddStepMetrics(options.metrics, run_profile);
   return s;
 }
 

@@ -202,11 +202,6 @@ struct CompactionJobOptions {
   // queue-wait stalls are recorded for chrome://tracing export.
   obs::TraceCollector* trace = nullptr;
 
-  // Set by the executor on its own copy of the options (callers leave
-  // it alone): which trace process the run belongs to. The write stage
-  // draws its S7 spans on lane 0 of that process.
-  uint32_t trace_pid = 0;
-
   // Slow-motion factor for hosts with fewer cores than the paper's
   // testbed (see DESIGN.md §"Substitutions"). When > 1, each sub-task's
   // compute stage additionally sleeps (dilation - 1) x its real CPU time

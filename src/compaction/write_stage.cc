@@ -7,8 +7,8 @@
 namespace pipelsm {
 
 WriteStage::WriteStage(const CompactionJobOptions& options,
-                       CompactionSink* sink)
-    : options_(options), sink_(sink) {}
+                       CompactionSink* sink, uint32_t trace_pid)
+    : options_(options), sink_(sink), trace_pid_(trace_pid) {}
 
 WriteStage::~WriteStage() {
   // A failed compaction may abandon an open output; drop it quietly (the
@@ -36,7 +36,7 @@ Status WriteStage::WriteOrdered(ComputedSubTask& task) {
   // The span covers the real device writes of this sub-task; a sub-task
   // that sat in the reorder buffer gets its span only now, when S7
   // actually consumes it (so traces show true write-lane occupancy).
-  obs::TraceSpan span(options_.trace, options_.trace_pid, /*lane=*/0,
+  obs::TraceSpan span(options_.trace, trace_pid_, /*lane=*/0,
                       "S7 write", "write", task.seq);
   for (EncodedBlock& block : task.blocks) {
     Status s = RotateIfNeeded();
@@ -80,7 +80,7 @@ Status WriteStage::FinishCurrentFile() {
   if (!have_current_) return Status::OK();
   Status s;
   {
-    obs::TraceSpan span(options_.trace, options_.trace_pid,
+    obs::TraceSpan span(options_.trace, trace_pid_,
                         /*lane=*/0, "S7 finish file", "write");
     Stopwatch sw;
     s = writer_->Finish();
@@ -100,7 +100,7 @@ Status WriteStage::FinishCurrentFile() {
   // The sink may read the closed table back (the DB opens it through its
   // table cache). That read is not the paper's write step, so it stays
   // out of t_S7 and gets a span of its own.
-  obs::TraceSpan span(options_.trace, options_.trace_pid,
+  obs::TraceSpan span(options_.trace, trace_pid_,
                       /*lane=*/0, "S7 open output", "write");
   return sink_->OutputFinished(current_);
 }

@@ -14,7 +14,10 @@ namespace pipelsm {
 
 class WriteStage {
  public:
-  WriteStage(const CompactionJobOptions& options, CompactionSink* sink);
+  // S7 spans go to lane 0 of trace process `trace_pid` when
+  // options.trace is set.
+  WriteStage(const CompactionJobOptions& options, CompactionSink* sink,
+             uint32_t trace_pid = 0);
   ~WriteStage();
 
   WriteStage(const WriteStage&) = delete;
@@ -37,6 +40,7 @@ class WriteStage {
 
   const CompactionJobOptions options_;
   CompactionSink* const sink_;
+  const uint32_t trace_pid_;
 
   uint64_t next_seq_ = 0;
   std::map<uint64_t, ComputedSubTask> pending_;

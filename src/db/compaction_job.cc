@@ -5,8 +5,8 @@
 #include <thread>
 
 #include "src/compaction/executor.h"
+#include "src/compaction/picker.h"
 #include "src/compaction/planner.h"
-#include "src/version/version_set.h"
 
 namespace pipelsm {
 
@@ -43,7 +43,6 @@ CompactionJob::CompactionJob(uint64_t job_id, const char* style,
       listeners_(listeners),
       info_log_(info_log),
       sink_(sink) {
-  base_.max_output_file_size = c->MaxOutputFileSize();
   // Tombstones in a sub-range may be dropped iff no level below the
   // output holds any key of that range. Evaluated at plan time on the
   // pinned input version, so it is safe against concurrent installs.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -606,22 +607,12 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   // A failed flush's file is collected by RemoveObsoleteFiles.
   for (uint64_t number : sink.allocated) pending_outputs_.erase(number);
 
-  int level = 0;
   if (s.ok() && meta->file_size > 0) {
-    const Slice min_user_key = meta->smallest.user_key();
-    const Slice max_user_key = meta->largest.user_key();
-    Version* base = versions_->current();
-    if (pick_level && !versions_->overlapping_levels() &&
-        !base->OverlapInLevel(0, &min_user_key, &max_user_key)) {
-      // Push the new sstable to a lower level if there is no overlap:
-      // avoids expensive L0 merges for sequential loads. One-run levels
-      // only — presets with overlapping runs count runs per level and
-      // expect flushes to enter at L0 so data ages strictly downward.
-      while (level < config::kNumLevels - 2 &&
-             !base->OverlapInLevel(level + 1, &min_user_key, &max_user_key)) {
-        level++;
-      }
-    }
+    const int level = pick_level ? versions_->picker().FlushLevel(
+                                       *versions_->current(),
+                                       meta->smallest.user_key(),
+                                       meta->largest.user_key())
+                                 : 0;
     edit->AddFile(level, meta->number, meta->file_size, meta->smallest,
                   meta->largest);
   }
@@ -918,20 +909,21 @@ Status DBImpl::BackgroundCompaction(std::unique_lock<std::mutex>& lock) {
   InternalKey manual_end;
   if (is_manual) {
     ManualCompaction* m = manual_compaction_;
-    c = versions_->CompactRange(m->level, m->begin, m->end);
+    c = versions_->picker().PickRange(versions_.get(), m->level, m->begin,
+                                      m->end);
     m->done = (c == nullptr);
     if (c != nullptr) {
       manual_end = c->input(0, c->num_input_files(0) - 1)->largest;
     }
   } else {
-    c = versions_->PickCompaction();
+    c = versions_->picker().Pick(versions_.get());
   }
 
   Status status;
   bool ran_compaction = false;
   if (c == nullptr) {
     // Nothing to do.
-  } else if (!is_manual && c->IsTrivialMove()) {
+  } else if (c->IsTrivialMove()) {
     // Move file to the output level.
     assert(c->num_input_files(0) == 1);
     FileMetaData* f = c->input(0, 0);
@@ -1006,6 +998,7 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
 
   CompactionJobOptions base;
   base.icmp = &internal_comparator_;
+  base.max_output_file_size = options_.max_file_size;
   base.subtask_bytes = options_.subtask_bytes;
   base.min_read_bytes = min_read_bytes_;
   base.table = table_options_;
@@ -1438,11 +1431,14 @@ Status DBImpl::CommitBatch(std::unique_lock<std::mutex>& lock,
   bool wal_error = false;
   WriteBatch* final_batch = batch;
   std::vector<uint64_t> vlog_touched;
+  std::optional<uint64_t> vlog_failures;  // read before the group's Adds
   if (vlog_ != nullptr && options_.value_separation_threshold > 0) {
+    vlog_failures = vlog_->sync_failures();
     SeparatingHandler handler(vlog_.get(), options_.value_separation_threshold,
                               sync, &vlog_batch_, &vlog_touched);
     status = batch->Iterate(&handler);
     if (status.ok()) status = handler.status();
+    if (!handler.any()) vlog_failures.reset();
     if (status.ok() && handler.any()) {
       WriteBatchInternal::SetSequence(&vlog_batch_,
                                       WriteBatchInternal::Sequence(batch));
@@ -1455,7 +1451,9 @@ Status DBImpl::CommitBatch(std::unique_lock<std::mutex>& lock,
     // groups' before it, so their frames must be on stable storage first.
     // Synced before the record is added, so a failed sync fails the group
     // with the WAL untouched; its frames become dead bytes GC reclaims.
-    status = vlog_->Sync();
+    // So does a sync that failed since the group's first Add (GC's, say):
+    // it may have dropped this group's frames even if this retry works.
+    status = vlog_->Sync(vlog_failures);
   }
   if (status.ok()) {
     status = log_->AddRecord(WriteBatchInternal::Contents(final_batch));
@@ -1759,15 +1757,11 @@ void DBImpl::GetApproximateSizes(const Range* range, int n,
 }
 
 void DBImpl::CompactRange(const Slice* begin, const Slice* end) {
-  int max_level_with_files = 1;
+  int levels;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    Version* base = versions_->current();
-    for (int level = 1; level < config::kNumLevels; level++) {
-      if (base->OverlapInLevel(level, begin, end)) {
-        max_level_with_files = level;
-      }
-    }
+    levels = versions_->picker().ManualLevels(*versions_->current(), begin,
+                                              end);
   }
   // Force a rotation + flush of the current memtable, then compact every
   // level that holds data in the range.
@@ -1779,7 +1773,7 @@ void DBImpl::CompactRange(const Slice* begin, const Slice* end) {
       background_done_signal_.wait(lock);
     }
   }
-  for (int level = 0; level < max_level_with_files; level++) {
+  for (int level = 0; level < levels; level++) {
     CompactRangeAtLevel(level, begin, end);
   }
 }

@@ -132,6 +132,7 @@ Status VlogGarbageCollector::CollectSegment(uint64_t segment) {
   uint64_t scanned_bytes = 0;
   uint64_t liveness_nanos = 0;
   uint64_t append_nanos = 0;
+  const uint64_t sync_failures = vlog_->sync_failures();
   Stopwatch pass_timer;
   Status s = vlog_->ScanSegment(
       segment, [&](const Slice& key, const Slice& value,
@@ -159,9 +160,10 @@ Status VlogGarbageCollector::CollectSegment(uint64_t segment) {
   const uint64_t scan_nanos = pass_timer.ElapsedNanos();
 
   // The copies must be durable before their pointers can commit (same
-  // order as the foreground write path).
+  // order as the foreground write path), and a sync that failed since the
+  // first copy may have dropped them.
   Stopwatch write_timer;
-  if (s.ok() && !rewrites.empty()) s = vlog_->Sync();
+  if (s.ok() && !rewrites.empty()) s = vlog_->Sync(sync_failures);
 
   // Install the new pointers. The commit re-checks each rewrite's old
   // pointer is still current, so a foreground overwrite that raced the

@@ -15,41 +15,12 @@
 
 namespace pipelsm {
 
-static int64_t TotalFileSize(const std::vector<FileMetaData*>& files) {
+int64_t TotalFileSize(const std::vector<FileMetaData*>& files) {
   int64_t sum = 0;
   for (const FileMetaData* f : files) {
     sum += f->file_size;
   }
   return sum;
-}
-
-double VersionSet::MaxBytesForLevel(int level) const {
-  // Result for both level-0 and level-1: 10 MB (level-0 is special-cased
-  // by file count anyway); each deeper level holds 10x the one above.
-  double result = 10. * 1048576.0;
-  while (level > 1) {
-    result *= 10;
-    level--;
-  }
-  return result;
-}
-
-uint64_t VersionSet::MaxFileSizeForLevel(int) const {
-  // We could vary per level to reduce number of files?
-  return options_->max_file_size;
-}
-
-// Maximum bytes of overlaps in grandparent (i.e., level+2) before we stop
-// building a single output file in a level->level+1 compaction.
-static int64_t MaxGrandParentOverlapBytes(const Options* options) {
-  return 10 * static_cast<int64_t>(options->max_file_size);
-}
-
-// Maximum number of bytes in all compacted files. We avoid expanding the
-// lower level file set of a compaction if it would make the total
-// compaction cover more than this many bytes.
-static int64_t ExpandedCompactionByteSizeLimit(const Options* options) {
-  return 25 * static_cast<int64_t>(options->max_file_size);
 }
 
 Version::~Version() {
@@ -223,7 +194,7 @@ void Version::AddIterators(const TableReadOptions& read_options,
   // iterator resolves versions by internal key, so order is immaterial).
   for (int level = 1; level < config::kNumLevels; level++) {
     if (files_[level].empty()) continue;
-    if (vset_->overlapping_levels_) {
+    if (vset_->picker().overlapping_levels()) {
       for (FileMetaData* f : files_[level]) {
         iters->push_back(vset_->table_cache_->NewIterator(
             read_options, f->number, f->file_size));
@@ -294,7 +265,7 @@ Status Version::Get(const TableReadOptions& read_options, const LookupKey& k,
     if (num_files == 0) continue;
 
     FileMetaData* const* files = nullptr;
-    if (level == 0 || vset_->overlapping_levels_) {
+    if (level == 0 || vset_->picker().overlapping_levels()) {
       // Files in this level may overlap each other (level-0 always;
       // every level under tiered/lazy styles). Find all files that
       // overlap user_key and process them newest to oldest — valid
@@ -363,17 +334,10 @@ void Version::Unref() {
   }
 }
 
-bool Version::OverlapInLevel(int level, const Slice* smallest_user_key,
-                             const Slice* largest_user_key) {
-  const bool disjoint = (level > 0) && !vset_->overlapping_levels_;
-  return SomeFileOverlapsRange(vset_->icmp_, disjoint, files_[level],
-                               smallest_user_key, largest_user_key);
-}
-
 // Store in "*inputs" all files in "level" that overlap [begin,end].
 void Version::GetOverlappingInputs(int level, const InternalKey* begin,
                                    const InternalKey* end,
-                                   std::vector<FileMetaData*>* inputs) {
+                                   std::vector<FileMetaData*>* inputs) const {
   assert(level >= 0);
   assert(level < config::kNumLevels);
   inputs->clear();
@@ -395,7 +359,7 @@ void Version::GetOverlappingInputs(int level, const InternalKey* begin,
       // "f" is completely after specified range; skip it.
     } else {
       inputs->push_back(f);
-      if (level == 0 || vset_->overlapping_levels_) {
+      if (level == 0 || vset_->picker().overlapping_levels()) {
         // Files in this level may overlap each other. So check if the
         // newly added file has expanded the range. If so, restart search
         // (transitive closure: a compaction must never split a stack of
@@ -553,7 +517,7 @@ class VersionSet::Builder {
         MaybeAddFile(v, level, *base_iter);
       }
 
-      if (level == 0 || vset_->overlapping_levels_) continue;
+      if (level == 0 || vset_->picker().overlapping_levels()) continue;
       const std::vector<FileMetaData*>& files = v->files_[level];
       for (size_t i = 1; i < files.size(); i++) {
         if (vset_->icmp_.Compare(files[i - 1]->largest, files[i]->smallest) >=
@@ -585,8 +549,7 @@ VersionSet::VersionSet(std::string dbname, const Options* options,
       table_cache_(table_cache),
       icmp_(*cmp),
       info_log_(info_log),
-      picker_(*options),
-      overlapping_levels_(picker_.overlapping_levels()),
+      picker_(*options, &icmp_),
       dummy_versions_(this),
       current_(nullptr) {
   AppendVersion(new Version(this));
@@ -814,8 +777,7 @@ Status VersionSet::Recover() {
 }
 
 void VersionSet::Finalize(Version* v) {
-  // Precompute the best level for the next compaction (picker.cc).
-  picker_.ComputeScore(v);
+  v->compaction_ = picker_.ComputeScore(*v);
 }
 
 Status VersionSet::WriteSnapshot(log::Writer* log) {
@@ -854,41 +816,6 @@ int64_t VersionSet::NumLevelBytes(int level) const {
   assert(level >= 0);
   assert(level < config::kNumLevels);
   return TotalFileSize(current_->files_[level]);
-}
-
-// Stores the minimal range that covers all entries in inputs in
-// *smallest, *largest.
-// REQUIRES: inputs is not empty.
-void VersionSet::GetRange(const std::vector<FileMetaData*>& inputs,
-                          InternalKey* smallest, InternalKey* largest) {
-  assert(!inputs.empty());
-  smallest->Clear();
-  largest->Clear();
-  for (size_t i = 0; i < inputs.size(); i++) {
-    FileMetaData* f = inputs[i];
-    if (i == 0) {
-      *smallest = f->smallest;
-      *largest = f->largest;
-    } else {
-      if (icmp_.Compare(f->smallest, *smallest) < 0) {
-        *smallest = f->smallest;
-      }
-      if (icmp_.Compare(f->largest, *largest) > 0) {
-        *largest = f->largest;
-      }
-    }
-  }
-}
-
-// Stores the minimal range that covers all entries in inputs1 and inputs2
-// in *smallest, *largest.
-// REQUIRES: inputs is not empty.
-void VersionSet::GetRange2(const std::vector<FileMetaData*>& inputs1,
-                           const std::vector<FileMetaData*>& inputs2,
-                           InternalKey* smallest, InternalKey* largest) {
-  std::vector<FileMetaData*> all = inputs1;
-  all.insert(all.end(), inputs2.begin(), inputs2.end());
-  GetRange(all, smallest, largest);
 }
 
 void VersionSet::AddLiveFiles(std::set<uint64_t>* live) {
@@ -939,188 +866,6 @@ uint64_t VersionSet::ApproximateOffsetOf(Version* v, const InternalKey& ikey) {
     }
   }
   return result;
-}
-
-Compaction* VersionSet::PickCompaction() {
-  // Delegate file selection to the policy (picker.cc).
-  return picker_.Pick(this);
-}
-
-void VersionSet::SetupOtherInputs(Compaction* c) {
-  const int level = c->level();
-  InternalKey smallest, largest;
-  GetRange(c->inputs_[0], &smallest, &largest);
-
-  current_->GetOverlappingInputs(level + 1, &smallest, &largest,
-                                 &c->inputs_[1]);
-
-  // Get entire range covered by compaction.
-  InternalKey all_start, all_limit;
-  GetRange2(c->inputs_[0], c->inputs_[1], &all_start, &all_limit);
-
-  // See if we can grow the number of inputs in "level" without changing
-  // the number of "level+1" files we pick up.
-  if (!c->inputs_[1].empty()) {
-    std::vector<FileMetaData*> expanded0;
-    current_->GetOverlappingInputs(level, &all_start, &all_limit, &expanded0);
-    const int64_t inputs1_size = TotalFileSize(c->inputs_[1]);
-    const int64_t expanded0_size = TotalFileSize(expanded0);
-    if (expanded0.size() > c->inputs_[0].size() &&
-        inputs1_size + expanded0_size <
-            ExpandedCompactionByteSizeLimit(options_)) {
-      InternalKey new_start, new_limit;
-      GetRange(expanded0, &new_start, &new_limit);
-      std::vector<FileMetaData*> expanded1;
-      current_->GetOverlappingInputs(level + 1, &new_start, &new_limit,
-                                     &expanded1);
-      if (expanded1.size() == c->inputs_[1].size()) {
-        smallest = new_start;
-        largest = new_limit;
-        c->inputs_[0] = expanded0;
-        c->inputs_[1] = expanded1;
-        GetRange2(c->inputs_[0], c->inputs_[1], &all_start, &all_limit);
-      }
-    }
-  }
-
-  // Update the place where we will do the next compaction for this level.
-  // We update this immediately instead of waiting for the VersionEdit to
-  // be applied so that if the compaction fails, we will try a different
-  // key range next time.
-  compact_pointer_[level] = largest.Encode().ToString();
-  c->edit_.SetCompactPointer(level, largest);
-}
-
-Compaction* VersionSet::CompactRange(int level, const InternalKey* begin,
-                                     const InternalKey* end) {
-  std::vector<FileMetaData*> inputs;
-  current_->GetOverlappingInputs(level, begin, end, &inputs);
-  if (inputs.empty()) {
-    return nullptr;
-  }
-
-  // Avoid compacting too much in one shot in case the range is large.
-  // But we cannot do this for overlapping levels (level-0, and every
-  // level under tiered/lazy styles) since we must not pick one file and
-  // drop another older file if the two files overlap —
-  // GetOverlappingInputs already took the transitive closure there.
-  if (level > 0 && !overlapping_levels_) {
-    const uint64_t limit = MaxFileSizeForLevel(level);
-    uint64_t total = 0;
-    for (size_t i = 0; i < inputs.size(); i++) {
-      uint64_t s = inputs[i]->file_size;
-      total += s;
-      if (total >= limit) {
-        inputs.resize(i + 1);
-        break;
-      }
-    }
-  }
-
-  Compaction* c = new Compaction(options_, level, level + 1);
-  c->input_version_ = current_;
-  c->input_version_->Ref();
-  c->inputs_[0] = inputs;
-  SetupOtherInputs(c);
-  return c;
-}
-
-Compaction::Compaction(const Options* options, int level, int output_level)
-    : level_(level),
-      output_level_(output_level),
-      max_output_file_size_(options->max_file_size),
-      input_version_(nullptr) {}
-
-Compaction::~Compaction() {
-  if (input_version_ != nullptr) {
-    input_version_->Unref();
-  }
-}
-
-uint64_t Compaction::TotalInputBytes() const {
-  uint64_t total = 0;
-  for (int which = 0; which < 2; which++) {
-    for (const FileMetaData* f : inputs_[which]) {
-      total += f->file_size;
-    }
-  }
-  return total;
-}
-
-double Compaction::predicted_write_amp() const {
-  const int64_t in0 = TotalFileSize(inputs_[0]);
-  if (in0 <= 0) return 1.0;
-  return static_cast<double>(TotalInputBytes()) / static_cast<double>(in0);
-}
-
-bool Compaction::IsTrivialMove() const {
-  const VersionSet* vset = input_version_->vset_;
-  if (!(num_input_files(0) == 1 && num_input_files(1) == 0)) {
-    return false;
-  }
-  // A self-merge (tiered last level) always rewrites; never a move.
-  if (output_level_ == level_) {
-    return false;
-  }
-  // Avoid a move if there is lots of overlapping grandparent data.
-  // Otherwise, the move could create a parent file that will require a
-  // very expensive merge later on.
-  if (output_level_ + 1 < config::kNumLevels) {
-    std::vector<FileMetaData*> grandparents;
-    input_version_->GetOverlappingInputs(output_level_ + 1,
-                                         &inputs_[0][0]->smallest,
-                                         &inputs_[0][0]->largest,
-                                         &grandparents);
-    if (TotalFileSize(grandparents) >
-        MaxGrandParentOverlapBytes(vset->options_)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void Compaction::AddInputDeletions(VersionEdit* edit) {
-  for (int which = 0; which < 2; which++) {
-    for (const FileMetaData* f : inputs_[which]) {
-      edit->RemoveFile(which == 0 ? level_ : output_level_, f->number);
-    }
-  }
-}
-
-bool Compaction::IsInputFile(const FileMetaData* f) const {
-  for (int which = 0; which < 2; which++) {
-    for (const FileMetaData* in : inputs_[which]) {
-      if (in->number == f->number) return true;
-    }
-  }
-  return false;
-}
-
-bool Compaction::RangeIsBaseLevel(const Slice* lo_user_key,
-                                  const Slice* hi_user_key) const {
-  const bool overlapping = input_version_->vset_->overlapping_levels_;
-  const int first = overlapping ? output_level_ : output_level_ + 1;
-  const Comparator* ucmp = input_version_->vset_->icmp_.user_comparator();
-  for (int lvl = first; lvl < config::kNumLevels; lvl++) {
-    for (const FileMetaData* f : input_version_->files_[lvl]) {
-      // This job's own inputs at the output level do not count as data
-      // "below" the output — they are being rewritten right now.
-      if (overlapping && IsInputFile(f)) continue;
-      if (AfterFile(ucmp, lo_user_key, f) ||
-          BeforeFile(ucmp, hi_user_key, f)) {
-        continue;  // resident file entirely outside [lo,hi]
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-void Compaction::ReleaseInputs() {
-  if (input_version_ != nullptr) {
-    input_version_->Unref();
-    input_version_ = nullptr;
-  }
 }
 
 Status CreateManifest(Env* env, const std::string& dbname,

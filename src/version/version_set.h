@@ -1,10 +1,10 @@
-// Version / VersionSet: the leveled file-metadata tree, its MANIFEST
-// persistence and compaction picking.
+// Version / VersionSet: the leveled file-metadata tree and its MANIFEST
+// persistence.
 //
 // A Version is an immutable snapshot of which SSTables form each level.
 // VersionSet chains versions; LogAndApply applies a VersionEdit, persists
-// it to the MANIFEST and installs the result as current. Compaction
-// picking is delegated to the CompactionPicker (src/compaction/picker.h),
+// it to the MANIFEST and installs the result as current. Every compaction
+// decision belongs to the CompactionPicker (src/compaction/picker.h),
 // whose run caps come from the Options::compaction_style preset: leveled
 // size-ratio (the paper's LevelDB substrate), tiered, or lazy-leveling.
 // Presets with more than one run per upper level install overlapping
@@ -31,11 +31,13 @@ namespace log {
 class Writer;
 }
 
-class Compaction;
 class Iterator;
 class TableCache;
 class Version;
 class VersionSet;
+
+// Sum of file_size over `files`.
+int64_t TotalFileSize(const std::vector<FileMetaData*>& files);
 
 // Return the smallest index i such that files[i]->largest >= key.
 // Return files.size() if there is no such file.
@@ -77,29 +79,25 @@ class Version {
   // [begin,end] (nullptr means unbounded).
   void GetOverlappingInputs(int level, const InternalKey* begin,
                             const InternalKey* end,
-                            std::vector<FileMetaData*>* inputs);
-
-  // Returns true iff some file in the specified level overlaps some part
-  // of [*smallest_user_key,*largest_user_key].
-  bool OverlapInLevel(int level, const Slice* smallest_user_key,
-                      const Slice* largest_user_key);
+                            std::vector<FileMetaData*>* inputs) const;
 
   const std::vector<FileMetaData*>& files(int level) const {
     return files_[level];
   }
 
+  // The level to compact next and its score, as the picker scored this
+  // version on install.
+  const CompactionPicker::Score& compaction() const { return compaction_; }
+
   std::string DebugString() const;
 
  private:
-  friend class Compaction;
-  friend class CompactionPicker;
   friend class VersionSet;
 
   class LevelFileNumIterator;
 
   explicit Version(VersionSet* vset)
-      : vset_(vset), next_(this), prev_(this), refs_(0),
-        compaction_score_(-1), compaction_level_(-1) {}
+      : vset_(vset), next_(this), prev_(this), refs_(0) {}
 
   ~Version();
 
@@ -117,11 +115,7 @@ class Version {
   // List of files per level
   std::vector<FileMetaData*> files_[config::kNumLevels];
 
-  // Level that should be compacted next and its compaction score.
-  // Score < 1 means compaction is not strictly needed. Filled by
-  // VersionSet::Finalize().
-  double compaction_score_;
-  int compaction_level_;
+  CompactionPicker::Score compaction_;  // filled by VersionSet::Finalize()
 };
 
 class VersionSet {
@@ -178,19 +172,19 @@ class VersionSet {
 
   uint64_t LogNumber() const { return log_number_; }
 
-  // Pick level and inputs for a new compaction (nullptr if none needed).
-  // Caller owns the result.
-  Compaction* PickCompaction();
+  // The compaction policy: DBImpl asks it for jobs and flush levels.
+  const CompactionPicker& picker() const { return picker_; }
 
-  // Return a compaction object for compacting the range [begin,end] in
-  // the specified level (manual compactions). Caller owns the result.
-  Compaction* CompactRange(int level, const InternalKey* begin,
-                           const InternalKey* end);
-
-  bool NeedsCompaction() const {
-    Version* v = current_;
-    return v->compaction_score_ >= 1;
+  // Key at which the next size compaction of `level` picks its first
+  // file (empty: the level's first file). The picker advances it.
+  const std::string& compact_pointer(int level) const {
+    return compact_pointer_[level];
   }
+  void SetCompactPointer(int level, const InternalKey& key) {
+    compact_pointer_[level] = key.Encode().ToString();
+  }
+
+  bool NeedsCompaction() const { return current_->compaction_.score >= 1; }
 
   // Add all files listed in any live version to *live.
   void AddLiveFiles(std::set<uint64_t>* live);
@@ -199,10 +193,6 @@ class VersionSet {
   const InternalKeyComparator* icmp() const { return &icmp_; }
   const Options* options() const { return options_; }
   const std::string& dbname() const { return dbname_; }
-
-  // True when the compaction_style preset installs overlapping runs in
-  // levels > 0; gates the L0-style read/overlap handling for all levels.
-  bool overlapping_levels() const { return overlapping_levels_; }
 
   // One-line summary of files per level, e.g. "files[ 2 4 0 0 0 0 0 ]".
   std::string LevelSummary() const;
@@ -215,28 +205,15 @@ class VersionSet {
  private:
   class Builder;
 
-  friend class Compaction;
-  friend class CompactionPicker;
   friend class Version;
 
+  // Stores the picker's score of `v` in it.
   void Finalize(Version* v);
-
-  void GetRange(const std::vector<FileMetaData*>& inputs, InternalKey* smallest,
-                InternalKey* largest);
-
-  void GetRange2(const std::vector<FileMetaData*>& inputs1,
-                 const std::vector<FileMetaData*>& inputs2,
-                 InternalKey* smallest, InternalKey* largest);
-
-  void SetupOtherInputs(Compaction* c);
 
   // Save current contents to *log.
   Status WriteSnapshot(log::Writer* log);
 
   void AppendVersion(Version* v);
-
-  double MaxBytesForLevel(int level) const;
-  uint64_t MaxFileSizeForLevel(int level) const;
 
   const std::string dbname_;
   const Options* const options_;
@@ -244,7 +221,6 @@ class VersionSet {
   const InternalKeyComparator icmp_;
   obs::Logger* const info_log_;
   const CompactionPicker picker_;
-  const bool overlapping_levels_;
   uint64_t next_file_number_ = 2;
   uint64_t manifest_file_number_ = 0;
   uint64_t last_sequence_ = 0;
@@ -257,88 +233,9 @@ class VersionSet {
   Version dummy_versions_;  // Head of circular doubly-linked list of versions
   Version* current_;        // == dummy_versions_.prev_
 
-  // Per-level key at which the next size compaction should pick its first
-  // file (round-robin through the key space, as in LevelDB).
+  // compact_pointer(level): round-robin through the key space, as in
+  // LevelDB.
   std::string compact_pointer_[config::kNumLevels];
-};
-
-// A Compaction encapsulates information about a picked compaction.
-class Compaction {
- public:
-  ~Compaction();
-
-  // Return the level that is being compacted (the source of inputs_[0]).
-  int level() const { return level_; }
-
-  // Level the merged output files are installed at. level_ + 1 for
-  // leveled and tiered pushes; level_ for a tiered last-level self-merge.
-  int output_level() const { return output_level_; }
-
-  // Predicted bytes-written amplification of this job: total input bytes
-  // divided by the bytes entering from the source level (1 for tiered
-  // pushes, (src+overlap)/src for leveled spills). Reported through
-  // admission requests, CompactionJobInfo and the pipelsm.compaction
-  // property.
-  double predicted_write_amp() const;
-
-  // Return the object that holds the edits to the descriptor done by this
-  // compaction.
-  VersionEdit* edit() { return &edit_; }
-
-  // "which" must be either 0 or 1.
-  int num_input_files(int which) const {
-    return static_cast<int>(inputs_[which].size());
-  }
-
-  // Return the ith input file ("which" 0 = source level, 1 = output
-  // level residents).
-  FileMetaData* input(int which, int i) const { return inputs_[which][i]; }
-
-  const std::vector<FileMetaData*>& inputs(int which) const {
-    return inputs_[which];
-  }
-
-  // Maximum size of files to build during this compaction.
-  uint64_t MaxOutputFileSize() const { return max_output_file_size_; }
-
-  // Is this a trivial compaction that can be implemented by just moving a
-  // single input file to the output level (no merging or splitting)?
-  bool IsTrivialMove() const;
-
-  // Add all inputs to this compaction as delete operations to *edit.
-  void AddInputDeletions(VersionEdit* edit);
-
-  // Drop-deletion eligibility, asked by the sub-task planner: true iff no
-  // level below the output level holds any key in
-  // [*lo_user_key, *hi_user_key] (nullptr = unbounded). Conservative and
-  // safe to evaluate per planned sub-range.
-  bool RangeIsBaseLevel(const Slice* lo_user_key,
-                        const Slice* hi_user_key) const;
-
-  // Release the input version for the compaction, once it is done.
-  void ReleaseInputs();
-
-  // Total bytes across all inputs.
-  uint64_t TotalInputBytes() const;
-
- private:
-  friend class CompactionPicker;
-  friend class VersionSet;
-
-  Compaction(const Options* options, int level, int output_level);
-
-  // True iff `f` is one of this compaction's input files (by number).
-  bool IsInputFile(const FileMetaData* f) const;
-
-  int level_;
-  int output_level_;
-  uint64_t max_output_file_size_;
-  Version* input_version_;
-  VersionEdit edit_;
-
-  // inputs_[0] comes from level_; inputs_[1] holds the resident files of
-  // output_level_ merged in (empty for tiered pushes and self-merges).
-  std::vector<FileMetaData*> inputs_[2];
 };
 
 // Writes `edit` as the one record of MANIFEST-`manifest_number`, syncs it

@@ -369,13 +369,17 @@ Status VlogManager::Add(const Slice& key, const Slice& value,
   return Status::OK();
 }
 
-Status VlogManager::Sync() {
+Status VlogManager::Sync(std::optional<uint64_t> failures_before) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!sync_error_.ok()) return sync_error_;
+  if (failures_before.has_value() && *failures_before != sync_failures_) {
+    return Status::IOError("value log sync failed after this caller's Add");
+  }
   if (active_file_ == nullptr || !unsynced_) return Status::OK();
   Status s = active_file_->Sync();
   if (!s.ok()) {
     active_poisoned_ = true;
+    sync_failures_++;
     // A caller whose frames failed to sync drops their pointers, so a
     // retry is harmless, unless a pointer was already acked: that one
     // cannot be taken back.
@@ -385,6 +389,11 @@ Status VlogManager::Sync() {
   unsynced_ = false;
   acked_unsynced_ = false;
   return Status::OK();
+}
+
+uint64_t VlogManager::sync_failures() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sync_failures_;
 }
 
 void VlogManager::ReleaseAppends(const std::vector<uint64_t>& segment_numbers) {

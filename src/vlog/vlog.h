@@ -41,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -141,8 +142,14 @@ class VlogManager {
   // that covered a frame whose pointer was acked unsynced, or a failed
   // seal of a segment with unsynced frames, makes every later call fail:
   // a retried fsync can report success for pages the failed one dropped,
-  // and no pointer to a lost frame may become durable.
-  Status Sync();
+  // and no pointer to a lost frame may become durable. For the same
+  // reason a caller that syncs its own frames reads sync_failures()
+  // before its first Add and passes it here: the call then fails if any
+  // sync failed since, although this one's retry might succeed.
+  Status Sync(std::optional<uint64_t> failures_before = std::nullopt);
+
+  // Number of Sync() calls whose fsync failed so far.
+  uint64_t sync_failures() const;
 
   // Drop the append-pending marks taken by Add() for these segments
   // (one entry per Add, in any order).
@@ -250,6 +257,7 @@ class VlogManager {
   bool active_poisoned_ = false;  // a failed append/sync: roll before reuse
   bool unsynced_ = false;
   bool acked_unsynced_ = false;  // an unsynced frame's pointer was acked
+  uint64_t sync_failures_ = 0;
   Status sync_error_;  // a failed sync that lost acked or sealed frames;
                        // Sync() returns it from then on
   uint64_t max_recovered_ = 0;  // set by Recover()

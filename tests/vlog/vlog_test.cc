@@ -341,6 +341,35 @@ TEST_F(VlogTest, FailedSyncOfAnAckedFrameFailsEverySync) {
   EXPECT_FALSE(vlog.Sync().ok());
 }
 
+// Two callers share the active segment: A (a synced write group)
+// appends, then B (GC) appends and its sync fails. A retried fsync can
+// report success for pages the failed one dropped, so A's Sync, given
+// the failure count A read before its first Add, fails too. A caller
+// whose first Add follows the failure syncs as before.
+TEST_F(VlogTest, FailedSyncOfAnotherCallerFailsEarlierCallersSync) {
+  FaultInjectionEnv fault(&env_);
+  VlogManager vlog(&fault, "/db", VlogOptions(), nullptr, nullptr,
+                   [this] { return next_++; });
+  uint64_t max_recovered = 0;
+  ASSERT_TRUE(vlog.Recover(&max_recovered).ok());
+  ASSERT_TRUE(vlog.OpenActive(next_++).ok());
+  ValueLocation loc;
+  fault.SetPathFilter(FaultOp::kSync, ".vlog");
+
+  const uint64_t a_failures = vlog.sync_failures();
+  ASSERT_TRUE(vlog.Add("a", "group frame", &loc).ok());
+  const uint64_t b_failures = vlog.sync_failures();
+  ASSERT_TRUE(vlog.Add("b", "gc frame", &loc).ok());
+  fault.FailAfter(FaultOp::kSync, 1);
+  EXPECT_FALSE(vlog.Sync(b_failures).ok());
+  EXPECT_FALSE(vlog.Sync(a_failures).ok());
+  EXPECT_FALSE(vlog.Sync(a_failures).ok());
+
+  const uint64_t c_failures = vlog.sync_failures();
+  ASSERT_TRUE(vlog.Add("c", "later frame", &loc).ok());
+  EXPECT_TRUE(vlog.Sync(c_failures).ok());
+}
+
 TEST_F(VlogTest, RecoverKeepsValidFramesAndTruncatesTornTail) {
   std::vector<ValueLocation> locs(2);
   {
